@@ -471,15 +471,14 @@ func BenchmarkEngineRound1k(b *testing.B) {
 }
 
 // BenchmarkEngineRound100k measures one warm engine round over a
-// 100,000-agent, 3-archetype population on the sequential pipeline vs the
-// sharded pipeline (Config.Shards = 8). Both run a persistent engine with
-// the design cache and respond memo warmed. The sequential warm round
-// still walks every agent through the memo in design and respond; the
-// sharded warm round validates each shard's plan in O(distinct
+// 100,000-agent, 3-archetype population at one shard (sequential-warm,
+// Config.Shards = 0) and at eight (sharded-warm). Both run a persistent
+// engine with the design cache and respond memo warmed, and both run the
+// same pipeline: each shard validates its plan in O(distinct
 // fingerprints) and skips the respond stage outright on retained
-// outcomes, so only settle remains O(n) — the speedup is algorithmic and
-// does not depend on spare cores. Ledgers are byte-identical (pinned by
-// TestShardedLedgerIdentical in internal/engine).
+// outcomes, so only settle remains O(n) — the warm round does not depend
+// on spare cores. Ledgers are byte-identical for every shard count
+// (pinned by TestShardedLedgerIdentical in internal/engine).
 //
 // Two drift variants bracket the mutation path: sharded-rebuild bumps
 // the whole population before every round (the sharded-cold proxy — all

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-run id[,id...]] [-scale small|paper] [-seed n] [-trace file.jsonl]
-//	            [-cachestats] [-respondstats] [-respond-parallel n]
+//	            [-cachestats] [-respondstats]
 //	            [-shards n] [-shardstats] [-driftstats]
 //	            [-metrics out.jsonl] [-metrics-listen addr]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -65,9 +65,8 @@ func run(args []string, out io.Writer) error {
 		cacheStats = fs.Bool("cachestats", false, "report design-cache hits/misses per experiment")
 		noMemo     = fs.Bool("nomemo", false, "disable the engine's cross-round best-response memo in simulation experiments")
 		memoStats  = fs.Bool("respondstats", false, "report respond-memo hits/misses per experiment")
-		respondPar = fs.Int("respond-parallel", 0, "respond-stage parallelism cap; 0 = GOMAXPROCS for memo misses, sequential otherwise")
-		shards     = fs.Int("shards", 0, "shard count for the engine's sharded round pipeline; 0 = sequential (reports are identical)")
-		shardStats = fs.Bool("shardstats", false, "report per-shard stage timings per experiment (needs -shards)")
+		shards     = fs.Int("shards", 0, "shard count for the engine's round pipeline; 0 = one shard (reports are identical)")
+		shardStats = fs.Bool("shardstats", false, "report per-shard stage timings per experiment")
 		driftStats = fs.Bool("driftstats", false, "report sparse-drift scope counters per experiment")
 		obsFlags   obs.Flags
 		traceFlags obs.TraceFlags
@@ -148,7 +147,6 @@ func run(args []string, out io.Writer) error {
 	}
 	params.NoDesignCache = *noCache
 	params.NoRespondMemo = *noMemo
-	params.RespondParallelism = *respondPar
 	params.Shards = *shards
 	params.Metrics = reg
 

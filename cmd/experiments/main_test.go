@@ -168,7 +168,7 @@ func TestRunNoMemoIdenticalReports(t *testing.T) {
 	if err := run([]string{"-run", "fig8c", "-seed", "7"}, &with); err != nil {
 		t.Fatalf("memo run: %v", err)
 	}
-	if err := run([]string{"-run", "fig8c", "-seed", "7", "-nomemo", "-respond-parallel", "2"}, &without); err != nil {
+	if err := run([]string{"-run", "fig8c", "-seed", "7", "-nomemo"}, &without); err != nil {
 		t.Fatalf("nomemo run: %v", err)
 	}
 	if with.String() != without.String() {
@@ -210,13 +210,17 @@ func TestRunShardStats(t *testing.T) {
 }
 
 func TestRunShardStatsSequential(t *testing.T) {
-	// Without -shards the printer reports the sequential pipeline rather
-	// than silence.
+	// Without -shards the engine runs one shard, and the printer reports
+	// its per-shard stage metrics like any other shard count.
 	var buf bytes.Buffer
 	if err := run([]string{"-run", "fig8c", "-seed", "7", "-shardstats"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(buf.String(), "sequential pipeline (no shard metrics)") {
-		t.Errorf("-shardstats without -shards missing sequential note:\n%s", buf.String())
+	out := buf.String()
+	if !strings.Contains(out, "shards: 1\n") {
+		t.Errorf("-shardstats without -shards missing the one-shard count:\n%s", out)
+	}
+	if !strings.Contains(out, "shard design:") || !strings.Contains(out, "shard respond:") {
+		t.Errorf("-shardstats without -shards missing stage lines:\n%s", out)
 	}
 }

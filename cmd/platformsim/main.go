@@ -8,7 +8,7 @@
 //	platformsim [-scale small|paper] [-seed n] [-rounds n]
 //	            [-policies dynamic,exclude,fixed] [-threshold p] [-amount c]
 //	            [-engine seq|actor] [-nocache] [-cachestats]
-//	            [-nomemo] [-respondstats] [-respond-parallel n]
+//	            [-nomemo] [-respondstats]
 //	            [-shards n] [-shardstats]
 //	            [-drift-agents k] [-churn] [-driftstats]
 //	            [-join-every k] [-leave-every k]
@@ -72,9 +72,8 @@ func run(args []string, out io.Writer) error {
 		noCache     = fs.Bool("nocache", false, "disable the cross-round design cache (seq engine only)")
 		memoStats   = fs.Bool("respondstats", false, "report respond-memo hits/misses per policy (seq engine only)")
 		noMemo      = fs.Bool("nomemo", false, "disable the cross-round best-response memo (seq engine only)")
-		respondPar  = fs.Int("respond-parallel", 0, "respond-stage parallelism cap; 0 = GOMAXPROCS for memo misses, sequential otherwise")
-		shards      = fs.Int("shards", 0, "shard count for the sharded round pipeline (seq engine only); 0 = sequential (ledgers are identical)")
-		shardStats  = fs.Bool("shardstats", false, "report per-shard stage timings per policy (seq engine only, needs -shards)")
+		shards      = fs.Int("shards", 0, "shard count for the round pipeline (seq engine only); 0 = one shard (ledgers are identical)")
+		shardStats  = fs.Bool("shardstats", false, "report per-shard stage timings per policy (seq engine only)")
 		driftAgents = fs.Int("drift-agents", 0, "scoped weight drift: oscillate the first k agents' weights each round, declared via Population.Touch (seq engine only)")
 		churn       = fs.Bool("churn", false, "mint fresh, never-repeating weights for every agent before each round, so every round's designs run the cold path (seq engine only; overrides -drift-agents)")
 		driftStats  = fs.Bool("driftstats", false, "report sparse-drift scope counters per policy (seq engine only)")
@@ -133,7 +132,7 @@ func run(args []string, out io.Writer) error {
 	// Scoped drift: oscillate the first k agents' weights around a base
 	// snapshot taken once, before any policy runs — each policy sees the
 	// exact same drift schedule, so cross-policy totals stay comparable —
-	// and declare the touched IDs so sharded engines take the sparse path.
+	// and declare the touched IDs so the engine takes the sparse path.
 	var driftHook func(int, *engine.Population)
 	switch {
 	case *churn:
@@ -263,11 +262,11 @@ func run(args []string, out io.Writer) error {
 		var memo *engine.RespondMemo
 		switch *engineName {
 		case "seq":
-			// The sequential path runs on internal/engine with a per-policy
+			// The seq path runs on internal/engine with a per-policy
 			// design cache and respond memo: agents sharing an archetype
 			// share one design and one best response, and static rounds
 			// after the first cost zero Design/BestResponse calls.
-			cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, ParallelRespond: *respondPar, Shards: *shards, Drift: driftHook}
+			cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, Shards: *shards, Drift: driftHook}
 			if !*noCache {
 				cache = engine.NewCache()
 				cfg.Cache = cache

@@ -90,11 +90,10 @@ func TestRunNoMemoMatchesMemo(t *testing.T) {
 	if err := run([]string{"-policies", "dynamic", "-rounds", "2", "-perclass", "25"}, &with); err != nil {
 		t.Fatalf("memo run: %v", err)
 	}
-	if err := run([]string{"-policies", "dynamic", "-rounds", "2", "-perclass", "25", "-nomemo", "-respond-parallel", "4"}, &without); err != nil {
+	if err := run([]string{"-policies", "dynamic", "-rounds", "2", "-perclass", "25", "-nomemo"}, &without); err != nil {
 		t.Fatalf("nomemo run: %v", err)
 	}
-	// The memo is a pure optimization: identical ledgers either way, even
-	// against the parallel no-memo route.
+	// The memo is a pure optimization: identical ledgers either way.
 	if with.String() != without.String() {
 		t.Errorf("memoized and memo-free runs disagree:\nmemo:\n%s\nnomemo:\n%s", with.String(), without.String())
 	}

@@ -136,6 +136,9 @@ func Run(ctx context.Context, pop *platform.Population, pol platform.Policy, tra
 				pop.Weights[a.ID] = w
 				pop.MaliceProb[a.ID] = tracker.MaliceProb(a.ID)
 			}
+			// The refresh rewrites every weight and malice estimate outside
+			// a Drift hook; declare it so the next round designs on them.
+			pop.Bump()
 			res.WeightDeltas = append(res.WeightDeltas, delta)
 			res.Rounds = r + 1
 			if delta < cfg.Tol {

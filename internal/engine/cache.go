@@ -101,15 +101,21 @@ func NewCache() *Cache { return &Cache{} }
 
 // Get looks up a fingerprint, counting a hit or a miss.
 func (c *Cache) Get(fp Fingerprint) (*core.Result, bool) {
-	c.mu.RLock()
-	res, ok := c.entries[fp]
-	c.mu.RUnlock()
+	res, ok := c.peek(fp)
 	if ok {
 		c.hits.Inc()
 		return res, true
 	}
 	c.misses.Inc()
 	return nil, false
+}
+
+// peek is Get without the counting.
+func (c *Cache) peek(fp Fingerprint) (*core.Result, bool) {
+	c.mu.RLock()
+	res, ok := c.entries[fp]
+	c.mu.RUnlock()
+	return res, ok
 }
 
 // Put stores a design result under its fingerprint, flushing the map first
@@ -248,12 +254,24 @@ func (s *CacheSegment) store(fp Fingerprint, res *core.Result) {
 // Get looks up a fingerprint — local map first, then the shared table —
 // counting one hit or miss on the parent.
 func (s *CacheSegment) Get(fp Fingerprint) (*core.Result, bool) {
+	res, ok := s.peek(fp)
+	if ok {
+		s.parent.hits.Inc()
+	} else {
+		s.parent.misses.Inc()
+	}
+	return res, ok
+}
+
+// peek is Get without the counting: ShardDesigner's warm validation
+// counts its hits only once the whole plan has validated, so a failed
+// validation leaves every count to the fill that follows.
+func (s *CacheSegment) peek(fp Fingerprint) (*core.Result, bool) {
 	s.sync()
 	if res, ok := s.local[fp]; ok {
-		s.parent.hits.Inc()
 		return res, true
 	}
-	res, ok := s.parent.Get(fp)
+	res, ok := s.parent.peek(fp)
 	if ok {
 		s.store(fp, res)
 	}

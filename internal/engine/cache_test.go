@@ -56,6 +56,41 @@ func TestCacheDedupAcrossRounds(t *testing.T) {
 	}
 }
 
+// TestShardDesignerCountsEachDesignOnce pins CacheStats on the per-shard
+// design route: every distinct fingerprint counts exactly once per round,
+// as one hit or one miss. A warm round validates its plan and counts three
+// hits; a round after Invalidate fails that validation and counts three
+// misses — one per Design call — not a fourth for the failed validation.
+func TestShardDesignerCountsEachDesignOnce(t *testing.T) {
+	cache := engine.NewCache()
+	eng, err := engine.New(archetypePopulation(t, 30), engine.Config{
+		Policy: &shardDesignPolicy{},
+		Rounds: 1,
+		Cache:  cache,
+		Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	round := func(name string, wantHits, wantMisses uint64) {
+		t.Helper()
+		before := cache.Stats()
+		if err := eng.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		after := cache.Stats()
+		if h, m := after.Hits-before.Hits, after.Misses-before.Misses; h != wantHits || m != wantMisses {
+			t.Errorf("%s round: %d hits / %d misses, want %d / %d", name, h, m, wantHits, wantMisses)
+		}
+	}
+	round("cold", 0, 3)
+	round("warm", 3, 0)
+	cache.Invalidate()
+	round("invalidated", 0, 3)
+	round("rewarmed", 3, 0)
+}
+
 // TestWithinRoundDedup pins the unconditional round-level sharing: agents
 // with equal fingerprints receive the same designed contract (pointer
 // equality — one core.Design call served them all), even with no cache.

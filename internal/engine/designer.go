@@ -271,10 +271,11 @@ type ShardDesigner struct {
 	pendIdx  []int32
 
 	// scratch is the shard's retained design scratch: the sequential
-	// solver route runs every cold design over it, so a shard's cold fills
-	// stay CPU-local (same owner goroutine, same buffers) round after
-	// round. lastBatch records the most recent fill's solver batch size
-	// for span annotation (BatchStats).
+	// solver route (every fill of a non-solo shard) runs its cold designs
+	// over it, so a shard's cold fills stay CPU-local (same owner
+	// goroutine, same buffers) round after round. lastBatch records the
+	// most recent fill's solver batch size for span annotation
+	// (BatchStats).
 	scratch   core.Scratch
 	lastBatch int
 }
@@ -298,16 +299,20 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 	if !replan && d.seg != nil {
 		// Warm validation: the plan is current (same view epoch); the
 		// round is unchanged iff every distinct fingerprint still resolves
-		// to the contract dst already holds.
+		// to the contract dst already holds. The lookups count as hits only
+		// when the whole plan validates; otherwise fill counts each
+		// distinct fingerprint once, so CacheStats.Misses stays the number
+		// of Design calls.
 		same := true
 		for k := range d.distinct {
-			res, ok := d.seg.Get(d.distinct[k])
+			res, ok := d.seg.peek(d.distinct[k])
 			if !ok || res.Contract != d.served[k] {
 				same = false
 				break
 			}
 		}
 		if same {
+			d.seg.parent.hits.Add(uint64(len(d.distinct)))
 			return false, nil
 		}
 		// A failed validation under a matching epoch can mean the engine
@@ -398,11 +403,16 @@ func (d *ShardDesigner) fill(ctx context.Context, pop *Population, sh *Shard, ds
 			d.souts = make([]solver.Outcome, len(d.subs))
 		}
 		d.souts = d.souts[:len(d.subs)]
-		// Shard-level parallelism comes from the engine's pool; the inner
-		// solve stays sequential — over the shard's retained scratch — so
-		// shards never oversubscribe it and cold designs reuse CPU-local
-		// buffers.
-		if err := solver.SolveAllInto(ctx, d.subs, d.souts, solver.Options{Parallelism: 1, Metrics: d.metrics, Scratch: &d.scratch}); err != nil {
+		// Under several shards, parallelism comes from the engine's pool;
+		// the inner solve stays sequential — over the shard's retained
+		// scratch — so shards never oversubscribe it and cold designs reuse
+		// CPU-local buffers. A lone shard has no pool above it, so its
+		// solve fans out across GOMAXPROCS (on pooled scratch).
+		par := 1
+		if sh.Solo {
+			par = 0
+		}
+		if err := solver.SolveAllInto(ctx, d.subs, d.souts, solver.Options{Parallelism: par, Metrics: d.metrics, Scratch: &d.scratch}); err != nil {
 			return err
 		}
 		for j, k := range d.pendIdx {

@@ -77,10 +77,10 @@ func scopedDrift(tb testing.TB, declare func(pop *engine.Population, ids ...stri
 
 // TestSparseDriftLedgerIdentical is the drift-scope determinism pin: the
 // same mutation schedule, declared sparsely (Population.Touch) and fully
-// (Population.Bump), produces byte-identical ledgers across the
-// sequential and sharded engines, with and without the respond memo —
-// all equal to the sequential full-rebuild reference. Sparse scopes are
-// an acceleration, never an observable behaviour change.
+// (Population.Bump), produces byte-identical ledgers across shard counts,
+// with and without the respond memo — all equal to the naive reference
+// round. Sparse scopes are an acceleration, never an observable
+// behaviour change.
 func TestSparseDriftLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
@@ -110,15 +110,11 @@ func TestSparseDriftLedgerIdentical(t *testing.T) {
 		return ledger
 	}
 
-	// Reference: sequential, no cache or memo, full Bump declarations.
-	ref, err := engine.RunLedger(ctx, archetypePopulation(t, 30), engine.Config{
+	ref := referenceLedger(t, archetypePopulation(t, 30), engine.Config{
 		Policy: &designPolicy{},
 		Rounds: rounds,
 		Drift:  scopedDrift(t, func(pop *engine.Population, _ ...string) { pop.Bump() }),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
@@ -127,7 +123,7 @@ func TestSparseDriftLedgerIdentical(t *testing.T) {
 			for _, sparse := range []bool{true, false} {
 				name := fmt.Sprintf("shards=%d/memo=%v/sparse=%v", shards, memo, sparse)
 				if got := run(shards, memo, sparse); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from full-rebuild reference", name)
+					t.Errorf("%s: ledger differs from reference", name)
 				}
 			}
 		}
@@ -375,8 +371,8 @@ func declaredChurnDrift(tb testing.TB, structural bool) func(int, *engine.Popula
 // TestStructuralDriftLedgerIdentical is the structural-scope determinism
 // pin: the same join/leave/mixed schedule, declared structurally
 // (TouchJoin/TouchLeave/Touch) and fully (Bump), produces byte-identical
-// ledgers across the sequential and sharded engines, with and without the
-// respond memo — all equal to the sequential full-rebuild reference.
+// ledgers across shard counts, with and without the respond memo — all
+// equal to the naive reference round.
 // Declared structural scopes are an acceleration, never an observable
 // behaviour change.
 func TestStructuralDriftLedgerIdentical(t *testing.T) {
@@ -401,15 +397,11 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 		return ledger
 	}
 
-	// Reference: sequential, no cache or memo, full Bump declarations.
-	ref, err := engine.RunLedger(ctx, archetypePopulation(t, 30), engine.Config{
+	ref := referenceLedger(t, archetypePopulation(t, 30), engine.Config{
 		Policy: &designPolicy{},
 		Rounds: rounds,
 		Drift:  declaredChurnDrift(t, false),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
@@ -418,7 +410,7 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 			for _, structural := range []bool{true, false} {
 				name := fmt.Sprintf("shards=%d/memo=%v/structural=%v", shards, memo, structural)
 				if got := run(shards, memo, structural); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from full-rebuild reference", name)
+					t.Errorf("%s: ledger differs from reference", name)
 				}
 			}
 		}
@@ -471,8 +463,8 @@ func TestStructuralDriftCounters(t *testing.T) {
 // below the tombstone threshold keep the fragmented mapping (slots
 // stable, no compaction), crossing it triggers exactly one batched
 // renumbering, and rounds before, across, and after the compaction stay
-// byte-identical to the full-rebuild reference — slot bookkeeping never
-// shows through the ledger.
+// byte-identical to the reference round — slot bookkeeping never shows
+// through the ledger.
 func TestStructuralDriftCompaction(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -541,14 +533,11 @@ func TestStructuralDriftCompaction(t *testing.T) {
 		}
 	}
 
-	ref, err := engine.RunLedger(ctx, archetypePopulation(t, n), engine.Config{
+	ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{
 		Policy: &designPolicy{},
 		Rounds: rounds,
 		Drift:  schedule(false),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	reg := telemetry.NewRegistry()
 	led := &engine.Ledger{}
@@ -578,7 +567,7 @@ func TestStructuralDriftCompaction(t *testing.T) {
 			t.Errorf("round %d: compactions = %d, want %d", r, compactions, want)
 		}
 		if r < len(ref) && !reflect.DeepEqual(led.Rounds[r], ref[r]) {
-			t.Errorf("round %d: ledger differs from full-rebuild reference", r)
+			t.Errorf("round %d: ledger differs from reference", r)
 		}
 	}
 	s := reg.Snapshot()

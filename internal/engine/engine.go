@@ -124,39 +124,29 @@ type Config struct {
 	Cache *Cache
 	// Memo, when non-nil, memoizes exact best responses keyed by (design
 	// fingerprint, contract): a warm round with k distinct fingerprints
-	// performs k memo lookups and zero BestResponse calls. Misses are
-	// solved through the bounded parallel fan-out. Ignored when a custom
-	// Responder is set (hooks may be round-dependent). Like the design
-	// cache, the memo is a pure optimization — the ledger is byte-
-	// identical with or without it.
+	// performs at most k memo lookups and zero BestResponse calls. Ignored
+	// when a custom Responder is set (hooks may be round-dependent). Like
+	// the design cache, the memo is a pure optimization — the ledger is
+	// byte-identical with or without it.
 	Memo *RespondMemo
-	// ParallelRespond caps the respond stage's parallel fan-out. For memo
-	// misses 0 means GOMAXPROCS (the fan-out is always on); for the
-	// non-memoized routes — per-agent BestResponse, or a custom Responder
-	// — parallelism is opt-in: 0 keeps the classic sequential loop, > 0
-	// fans out (a custom Responder must then be safe for concurrent
-	// calls). Outcomes are written into pre-assigned slots, so every
-	// setting produces the same ledger in the same order.
-	ParallelRespond int
-	// Shards switches the round pipeline to per-shard execution: 0 keeps
-	// today's sequential loop; n > 0 partitions the ID-sorted agent view
-	// into min(n, agents) deterministic shards by ID hash (ShardOf — the
-	// same agent lands in the same shard across rounds and processes).
+	// Shards partitions the ID-sorted agent view into min(Shards, agents)
+	// deterministic shards by ID hash (ShardOf — the same agent lands in
+	// the same shard across rounds and processes); 0 means one shard.
 	// Design and respond run per shard — concurrently on a bounded pool
-	// when there is real work — and results merge in global ID order, so
-	// the ledger is byte-identical to the sequential engine for every
-	// value of Shards. Policies implementing ShardPolicy additionally get
-	// per-shard design with warm-round skipping; plain policies keep their
-	// single Contracts call and shard only the respond stage.
+	// when there is real work; a lone shard instead fans its cold designs
+	// and best responses out across GOMAXPROCS (Shard.Solo) — and results
+	// merge in global ID order, so the ledger is byte-identical for every
+	// value of Shards. Policies implementing ShardPolicy get per-shard
+	// design with warm-round skipping; plain policies keep their single
+	// whole-population Contracts call and shard only the respond stage.
 	//
-	// Sharding extends the Bump contract: each shard carries indexed
-	// views of Weights, MaliceProb, and the design fingerprints, rebuilt
-	// under the same rule as the cached agent view. With no Drift
-	// configured, mutating weights, malice probabilities, or agent
-	// parameters in place therefore requires a Population.Bump for a
-	// sharded engine to observe it (the sequential engine re-reads the
-	// maps every round); with a Drift the views rebuild every round and no
-	// Bump is needed.
+	// The Bump contract: each shard carries indexed views of Weights,
+	// MaliceProb, and the design fingerprints, rebuilt under the same rule
+	// as the cached agent view. With no Drift configured, a mutation of
+	// weights, malice probabilities, agent parameters, or membership made
+	// in place stays invisible to the engine until it is declared through
+	// Population.Bump (or Touch, TouchJoin, TouchLeave); with a Drift the
+	// views rebuild every round unless the hook declares a narrower scope.
 	Shards int
 	// Metrics, when non-nil, instruments the run: per-stage round timing
 	// histograms, per-round ledger gauges (the same set TelemetryObserver
@@ -178,7 +168,7 @@ type Engine struct {
 	agentsOK  bool
 	agentsGen uint64
 	outs      []AgentOutcome // Round.Outcomes backing array, reused per round
-	rs        respondScratch // respond-stage buffers, reused per round
+	fanErrs   []error        // per-task errors for fanOut, reused per round
 	rt        roundState     // per-round pipeline state, reused per round
 	stepped   int            // rounds completed through Step (not Run)
 
@@ -205,15 +195,15 @@ type Engine struct {
 	structJoinSet   map[string]struct{}
 	joinWant        map[string]int32 // scratch: joiner ID → structJoins index
 
-	// Outcome-slot indirection for sharded structural drift: agent i of
-	// the ID-sorted view owns physical slot slots[i] of outs. fragmented
-	// is false for the identity mapping (no structural splice since the
-	// last full rebuild or compaction — the common case, where slots is
-	// not consulted at all); once a sharded splice runs, leavers
-	// tombstone their slot, joiners take fresh tail slots ([physLen,…)),
-	// and stageRespond gathers live outcomes back into ID order before
-	// settlement. Compaction (maybeCompact) renumbers the slots back to
-	// identity when tombstones pass the fragmentation threshold.
+	// Outcome-slot indirection for structural drift: agent i of the
+	// ID-sorted view owns physical slot slots[i] of outs. fragmented is
+	// false for the identity mapping (no structural splice since the last
+	// full rebuild or compaction — the common case, where slots is not
+	// consulted at all); once a splice runs, leavers tombstone their slot,
+	// joiners take fresh tail slots ([physLen,…)), and stageRespond
+	// gathers live outcomes back into ID order before settlement.
+	// Compaction (maybeCompact) renumbers the slots back to identity when
+	// tombstones pass the fragmentation threshold.
 	fragmented bool
 	slots      []int32
 	physLen    int
@@ -221,7 +211,7 @@ type Engine struct {
 	ordered    []AgentOutcome // ID-order gather buffer / compaction double buffer
 	slotRemap  []int32        // compaction scratch: old slot → new slot
 
-	// Sharded-pipeline state (Config.Shards > 0); see shard.go.
+	// Shard-pipeline state; see shard.go.
 	shardPol  ShardPolicy // non-nil when the policy supports per-shard design
 	patchPol  bool        // the policy is FingerprintPure — sparse drifts may patch slots
 	shards    []shardRun
@@ -319,8 +309,8 @@ type roundState struct {
 	agents    []*worker.Agent
 	contracts map[string]*contract.PiecewiseLinear
 	round     Round
-	// workerUtility is the respond stage's summed accepted-agent utility
-	// (only computed for instrumented runs on the sequential routes).
+	// workerUtility is the respond stage's summed accepted-agent utility,
+	// folded per shard in shard order.
 	workerUtility float64
 	// observeDur accumulates observer-dispatch time recorded outside the
 	// observe stage proper (the OnContracts fan-out runs between design
@@ -355,8 +345,8 @@ type stage struct {
 
 // roundPipeline is the engine's round body: contract design, OnContracts
 // dispatch, worker best responses, outcome settlement (Eq. (7)), observer
-// dispatch. Design and respond switch between the sequential and sharded
-// routes on Config.Shards; the other stages are shared.
+// dispatch. Design and respond run per shard (see shard.go); an engine
+// with Config.Shards = 0 runs the same stages over one shard.
 var roundPipeline = [...]stage{
 	{name: "design", spanName: "engine.stage.design", hist: func(m *stageMetrics) *telemetry.Histogram { return m.design }, run: (*Engine).stageDesign},
 	{name: "contracts", spanName: "engine.stage.contracts", fold: true, run: (*Engine).stageContracts},
@@ -385,12 +375,11 @@ func New(pop *Population, cfg Config) (*Engine, error) {
 			cu.UseCache(cfg.Cache)
 		}
 	}
+	cfg.Shards = max(cfg.Shards, 1) // 0 runs the one pipeline as one shard
 	e := &Engine{pop: pop, cfg: cfg}
-	if cfg.Shards > 0 {
-		if sp, ok := cfg.Policy.(ShardPolicy); ok {
-			e.shardPol = sp
-			_, e.patchPol = cfg.Policy.(FingerprintPurePolicy)
-		}
+	if sp, ok := cfg.Policy.(ShardPolicy); ok {
+		e.shardPol = sp
+		_, e.patchPol = cfg.Policy.(FingerprintPurePolicy)
 	}
 	if cfg.Metrics != nil {
 		if mu, ok := cfg.Policy.(MetricsUser); ok {
@@ -441,9 +430,9 @@ func (e *Engine) RespondStats() RespondStats {
 // best-response, outcome settlement, observer dispatch — and when
 // Config.Metrics is set each stage's duration is observed into its
 // _seconds histogram (observer dispatch on either side of respond bills
-// to the observe histogram). The observable event order is the same on
-// every route, sequential or sharded: OnContracts, then one OnOutcome per
-// agent in ID order, then OnRoundEnd.
+// to the observe histogram). The observable event order is the same for
+// every shard count: OnContracts, then one OnOutcome per agent in ID
+// order, then OnRoundEnd.
 func (e *Engine) Run(ctx context.Context) error {
 	for r := 0; r < e.cfg.Rounds; r++ {
 		if err := e.runRound(ctx, r); err != nil {
@@ -596,9 +585,7 @@ func (e *Engine) endRoundSpan(st *roundState) {
 	st.span.SetAttr("drift.declared", e.lastDeclared.String())
 	st.span.SetAttr("drift", e.scope.rule.String())
 	st.span.SetInt("agents", int64(len(st.agents)))
-	if e.cfg.Shards > 0 {
-		st.span.SetInt("shards", int64(len(e.shards)))
-	}
+	st.span.SetInt("shards", int64(len(e.shards)))
 	st.span.End()
 }
 
@@ -612,23 +599,7 @@ func (e *Engine) LastDriftClass() (declared, applied string) {
 	return e.lastDeclared.String(), e.lastApplied.String()
 }
 
-// stageDesign resolves the round's agent view and asks the policy for
-// contracts — whole-population on the sequential route, per shard under
-// Config.Shards.
-func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
-	st.agents = e.roundAgents()
-	if e.cfg.Shards > 0 {
-		return e.designSharded(ctx, st)
-	}
-	contracts, err := e.cfg.Policy.Contracts(ctx, e.pop)
-	if err != nil {
-		return fmt.Errorf("engine: policy %s round %d: %w", e.cfg.Policy.Name(), st.r, err)
-	}
-	st.contracts = contracts
-	return nil
-}
-
-// stageContracts dispatches OnContracts. (On the sharded dense route with
+// stageContracts dispatches OnContracts. (On the ShardPolicy route with
 // no observers the merged map is never built and st.contracts is nil.)
 func (e *Engine) stageContracts(_ context.Context, st *roundState) error {
 	for _, ob := range e.cfg.Observers {
@@ -662,13 +633,7 @@ func (e *Engine) stageRespond(ctx context.Context, st *roundState) error {
 		e.outs = grown
 	}
 	st.round = Round{Index: st.r, Outcomes: e.outs[:phys]}
-	var wu float64
-	var err error
-	if e.cfg.Shards > 0 {
-		wu, err = e.respondSharded(ctx, st)
-	} else {
-		wu, err = e.respondAll(ctx, st.r, st.contracts, agents, st.round.Outcomes, st.timed)
-	}
+	wu, err := e.respondShards(ctx, st)
 	if err != nil {
 		return err
 	}
@@ -702,7 +667,7 @@ func (e *Engine) gatherOutcomes(n int) []AgentOutcome {
 }
 
 // stageSettle runs the Eq. (7) accounting — always one sequential pass in
-// global ID order, so sharded and sequential rounds sum bit-identically.
+// global ID order, so every shard count sums bit-identically.
 func (e *Engine) stageSettle(_ context.Context, st *roundState) error {
 	round := &st.round
 	for i := range round.Outcomes {
@@ -1044,17 +1009,14 @@ func grown[T any](buf []T, n int) []T {
 // spliceView applies the round's resolved structural scope to the cached
 // ID-sorted view in place: survivor segments between the ID-sorted splice
 // points shift by their cumulative join/leave offset (most never move),
-// then each joiner lands at its final index. On the sharded pipeline the
-// outcome-slot indirection updates alongside: every surviving agent keeps
-// its physical slot, each leaver's slot becomes a tombstone, and each
-// joiner takes a fresh tail slot (recorded in structJoinSlots for the
-// shard splice); compaction is deferred to maybeCompact. The sequential
-// route rewrites every outcome each round, so it keeps the identity
-// mapping and maintains no slot state.
+// then each joiner lands at its final index. The outcome-slot indirection
+// updates alongside: every surviving agent keeps its physical slot, each
+// leaver's slot becomes a tombstone, and each joiner takes a fresh tail
+// slot (recorded in structJoinSlots for the shard splice); compaction is
+// deferred to maybeCompact.
 func (e *Engine) spliceView() {
 	joins, leaves := e.structJoins, e.scope.leaves
-	sharded := e.cfg.Shards > 0
-	if sharded && !e.fragmented {
+	if !e.fragmented {
 		n := len(e.agents)
 		if cap(e.slots) < n {
 			e.slots = make([]int32, n)
@@ -1087,21 +1049,15 @@ func (e *Engine) spliceView() {
 	nOld := len(e.agents)
 	nNew := nOld + len(joins) - len(leaves)
 	e.agents = grown(e.agents, nNew)
-	if sharded {
-		e.slots = grown(e.slots, nNew)
-	}
+	e.slots = grown(e.slots, nNew)
 	spliceMove(e.agents, segs)
-	if sharded {
-		spliceMove(e.slots, segs)
-	}
+	spliceMove(e.slots, segs)
 	for k, a := range joins {
 		d := jdst[k]
 		e.agents[d] = a
-		if sharded {
-			e.structJoinSlots[k] = int32(e.physLen)
-			e.slots[d] = int32(e.physLen)
-			e.physLen++
-		}
+		e.structJoinSlots[k] = int32(e.physLen)
+		e.slots[d] = int32(e.physLen)
+		e.physLen++
 	}
 	if nNew < len(e.agents) {
 		for i := nNew; i < len(e.agents); i++ {
@@ -1109,10 +1065,8 @@ func (e *Engine) spliceView() {
 		}
 		e.agents = e.agents[:nNew]
 	}
-	if sharded {
-		e.slots = e.slots[:nNew]
-		e.tombstones += len(leaves)
-	}
+	e.slots = e.slots[:nNew]
+	e.tombstones += len(leaves)
 	// Keep the ID index current: only the moved survivor segments change
 	// position, so the edit is O(moved span + churn). A splice that
 	// shifted most of the view (scattered churn) invalidates the index

@@ -32,6 +32,13 @@ var ErrBadPopulation = errors.New("engine: invalid population")
 
 // Population is the fixed cast of a simulation: the agents, the requester's
 // per-agent feedback weights, malice estimates, and the market parameters.
+//
+// Engines read it through cached indexed views (see Config.Shards). An
+// engine with a Config.Drift hook rebuilds every view each round the hook
+// declares nothing narrower, so undeclared mutations are seen; an engine
+// without one keeps its views, and a mutation — in an observer, or
+// between Step calls — stays invisible until Bump, Touch, TouchJoin, or
+// TouchLeave declares it. The contract is the same for every shard count.
 type Population struct {
 	// Agents are individual workers plus one meta-agent per collusive
 	// community.
@@ -73,10 +80,9 @@ type Population struct {
 // TouchLeave). Bump is also the escape hatch for mutations the sparse
 // scope cannot express — most notably replacing an agent object under an
 // existing ID, which Touch cannot distinguish from an in-place mutation.
-// Mutating weights, malice probabilities, or agent parameters in place
-// never needs a Bump for a sequential engine — it reads those afresh
-// every round, and the design cache and respond memo key on them
-// directly; sharded engines need a Bump (or a Touch) to observe them.
+// Weights, malice probabilities, and agent parameters mutated in place
+// outside a Drift hook likewise need a Bump (or a Touch) before the
+// engine observes them.
 func (p *Population) Bump() {
 	p.touchedAll = true
 	p.scopePending = true
@@ -202,8 +208,7 @@ func (p *Population) Generation() uint64 { return p.generation }
 // weight for every agent, malice probabilities within [0, 1], and no
 // orphan Weights/MaliceProb entries whose IDs match no agent (orphans are
 // almost always a drift hook that removed an agent but not its map
-// entries — silent on the sequential engine, but a stale-view hazard for
-// anything holding indexed views).
+// entries — a stale-view hazard for anything holding indexed views).
 func (p *Population) Validate() error {
 	if len(p.Agents) == 0 {
 		return fmt.Errorf("no agents: %w", ErrBadPopulation)

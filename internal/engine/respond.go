@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"dyncontract/internal/contract"
-	"dyncontract/internal/core"
 	"dyncontract/internal/telemetry"
 	"dyncontract/internal/worker"
 )
@@ -21,9 +20,9 @@ import (
 // a best response depends only on the agent's behavioural parameters,
 // the partition, and the contract, so agents sharing a design
 // fingerprint and a contract share one BestResponse call. This file
-// holds both halves of the acceleration: the cross-round RespondMemo
-// and the per-round stage (memoized dedup plus the bounded parallel
-// fan-out for misses).
+// holds the cross-round RespondMemo, its shard-local segments, and the
+// bounded fan-out the per-shard stages run on (shard.go holds the stage
+// itself).
 
 // respondKey identifies a best-response problem up to equality of its
 // inputs: the agent's design fingerprint (class, ψ, β, ω, reservation,
@@ -269,69 +268,22 @@ func (s *RespondMemoSegment) Put(fp Fingerprint, c *contract.PiecewiseLinear, re
 // memo could not serve.
 type pendResponse struct {
 	// slot indexes the round-local responses slice the solved response
-	// is written into — pre-assigned, so the parallel fan-out preserves
-	// the sequential engine's outcome order bit for bit.
+	// is written into.
 	slot int32
-	// a is the representative agent: the first agent (in ID order) that
-	// produced this key, used for solving and for error attribution.
-	a   *worker.Agent
-	key respondKey
-	err error
+	// i is the shard position of the representative agent: the first
+	// agent (in ID order) that produced this key, used for solving and
+	// for error attribution. Its fingerprint is the shard's FPs[i].
+	i int32
+	c *contract.PiecewiseLinear
 }
 
-// respondScratch holds the respond stage's retained buffers; after the
+// respondScratch holds one shard's retained respond buffers; after the
 // first round of a steady-state run, the stage allocates nothing.
 type respondScratch struct {
 	keys  map[respondKey]int32 // round-local: key → slot in resps
 	resps []worker.Response    // one per distinct key this round
 	slots []int32              // per agent: slot in resps, −1 when excluded
 	pend  []pendResponse       // distinct keys needing a fresh BestResponse
-	errs  []error              // per-task errors for the fan-out
-	utils []float64            // per-agent utilities (parallel paths, timed only)
-}
-
-// respondAll fills outs[i] for agents[i] (both ordered by agent ID) and
-// returns the summed worker utility over accepting agents (0 unless
-// timed). The route depends on the configuration:
-//
-//   - a custom Responder bypasses the memo — it may be round-dependent —
-//     and runs sequentially unless ParallelRespond opts into the fan-out;
-//   - with Config.Memo set, distinct (fingerprint, contract) keys are
-//     resolved through the memo and only the misses are solved, in
-//     parallel when there is more than one;
-//   - otherwise every agent's BestResponse runs as before, sequentially
-//     or (ParallelRespond > 0) fanned out.
-//
-// Every route produces byte-identical outcomes in the same order: results
-// are written into pre-assigned slots and dispatch stays sequential.
-func (e *Engine) respondAll(ctx context.Context, r int, contracts map[string]*contract.PiecewiseLinear, agents []*worker.Agent, outs []AgentOutcome, timed bool) (float64, error) {
-	switch {
-	case e.cfg.Responder != nil:
-		return e.respondHook(ctx, r, contracts, agents, outs, timed)
-	case e.cfg.Memo != nil:
-		return e.respondMemoized(ctx, r, contracts, agents, outs, timed)
-	case e.cfg.ParallelRespond > 0:
-		return e.respondParallel(ctx, r, contracts, agents, outs, timed)
-	default:
-		return e.respondSequential(r, contracts, agents, outs, timed)
-	}
-}
-
-// fillStatic populates the outcome fields that do not depend on the
-// response and reports the agent's contract (nil marks the outcome
-// excluded).
-func (e *Engine) fillStatic(contracts map[string]*contract.PiecewiseLinear, a *worker.Agent, oc *AgentOutcome) *contract.PiecewiseLinear {
-	*oc = AgentOutcome{
-		AgentID: a.ID,
-		Class:   a.Class,
-		Size:    a.Size,
-		Weight:  e.pop.Weights[a.ID],
-	}
-	c := contracts[a.ID]
-	if c == nil {
-		oc.Excluded = true
-	}
-	return c
 }
 
 // fillResponse copies a computed best response into an outcome and
@@ -347,245 +299,23 @@ func fillResponse(oc *AgentOutcome, resp worker.Response) float64 {
 	return resp.Utility
 }
 
-// respondSequential is the classic per-agent loop — the reference
-// behaviour every accelerated route must reproduce exactly.
-func (e *Engine) respondSequential(r int, contracts map[string]*contract.PiecewiseLinear, agents []*worker.Agent, outs []AgentOutcome, timed bool) (float64, error) {
-	var wu float64
-	for i, a := range agents {
-		c := e.fillStatic(contracts, a, &outs[i])
-		if c == nil {
-			continue
-		}
-		resp, err := a.BestResponse(c, e.pop.Part)
-		if err != nil {
-			return 0, fmt.Errorf("engine: agent %s round %d: %w", a.ID, r, err)
-		}
-		u := fillResponse(&outs[i], resp)
-		if timed {
-			wu += u
-		}
+// fanOut runs fn(i) for i in [0, n) across a pool of at most GOMAXPROCS
+// workers, mirroring solver.SolveAllInto: context-aware, first failure
+// cancels outstanding work, and every task writes only its own
+// pre-assigned state so results are position-deterministic. Error
+// selection is deterministic too: the lowest-indexed non-cancellation
+// error wins (exactly the error an in-order loop would have returned,
+// since equal inputs fail equally), with pure cancellation reported only
+// when no task failed on its own.
+func (e *Engine) fanOut(ctx context.Context, r, n int, fn func(i int) error) error {
+	if cap(e.fanErrs) < n {
+		e.fanErrs = make([]error, n)
 	}
-	return wu, nil
-}
-
-// respondMemoized resolves each distinct (fingerprint, contract) key
-// once: a warm round with k distinct keys performs k memo lookups and
-// zero BestResponse calls; a cold round solves exactly the k misses,
-// fanning out when there is more than one.
-func (e *Engine) respondMemoized(ctx context.Context, r int, contracts map[string]*contract.PiecewiseLinear, agents []*worker.Agent, outs []AgentOutcome, timed bool) (float64, error) {
-	s := &e.rs
-	if s.keys == nil {
-		s.keys = make(map[respondKey]int32, 16)
-	} else {
-		clear(s.keys)
-	}
-	s.resps = s.resps[:0]
-	s.slots = s.slots[:0]
-	s.pend = s.pend[:0]
-
-	// Agents arrive sorted by ID, so archetypes are contiguous and most
-	// agents share the previous agent's key: a struct compare against the
-	// last key skips the (hash-heavy) map access for entire runs.
-	var lastKey respondKey
-	lastSlot := int32(-1)
-	for i, a := range agents {
-		c := e.fillStatic(contracts, a, &outs[i])
-		if c == nil {
-			s.slots = append(s.slots, -1)
-			continue
-		}
-		key := respondKey{
-			fp: FingerprintOf(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: outs[i].Weight}),
-			c:  c,
-		}
-		if lastSlot >= 0 && key == lastKey {
-			s.slots = append(s.slots, lastSlot)
-			continue
-		}
-		slot, seen := s.keys[key]
-		if !seen {
-			slot = int32(len(s.resps))
-			s.keys[key] = slot
-			if resp, hit := e.cfg.Memo.Get(key.fp, c); hit {
-				s.resps = append(s.resps, resp)
-			} else {
-				s.resps = append(s.resps, worker.Response{})
-				s.pend = append(s.pend, pendResponse{slot: slot, a: a, key: key})
-			}
-		}
-		lastKey, lastSlot = key, slot
-		s.slots = append(s.slots, slot)
-	}
-
-	if err := e.solvePending(ctx, r); err != nil {
-		return 0, err
-	}
-
-	var wu float64
-	for i := range agents {
-		slot := s.slots[i]
-		if slot < 0 {
-			continue
-		}
-		u := fillResponse(&outs[i], s.resps[slot])
-		if timed {
-			wu += u
-		}
-	}
-	return wu, nil
-}
-
-// solvePending computes the round's memo misses into their pre-assigned
-// slots and publishes them to the memo. A single miss (the steady-state
-// shape: one drifted archetype) is solved inline; more fan out across a
-// bounded pool.
-func (e *Engine) solvePending(ctx context.Context, r int) error {
-	s := &e.rs
-	n := len(s.pend)
-	if n == 0 {
-		return nil
-	}
-	par := e.cfg.ParallelRespond
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	solve := func(pi int) error {
-		p := &s.pend[pi]
-		resp, err := p.a.BestResponse(p.key.c, e.pop.Part)
-		if err != nil {
-			return fmt.Errorf("engine: agent %s round %d: %w", p.a.ID, r, err)
-		}
-		s.resps[p.slot] = resp
-		e.cfg.Memo.Put(p.key.fp, p.key.c, resp)
-		return nil
-	}
-	if n == 1 || par == 1 {
-		for pi := 0; pi < n; pi++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: round %d: %w", r, err)
-			}
-			if err := solve(pi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.fanOut(ctx, r, n, par, solve)
-}
-
-// respondParallel fans every agent's BestResponse across the pool —
-// the no-memo opt-in for populations with little fingerprint sharing.
-func (e *Engine) respondParallel(ctx context.Context, r int, contracts map[string]*contract.PiecewiseLinear, agents []*worker.Agent, outs []AgentOutcome, timed bool) (float64, error) {
-	e.prepUtils(len(agents), timed)
-	err := e.fanOut(ctx, r, len(agents), e.cfg.ParallelRespond, func(i int) error {
-		a := agents[i]
-		c := e.fillStatic(contracts, a, &outs[i])
-		if c == nil {
-			return nil
-		}
-		resp, err := a.BestResponse(c, e.pop.Part)
-		if err != nil {
-			return fmt.Errorf("engine: agent %s round %d: %w", a.ID, r, err)
-		}
-		u := fillResponse(&outs[i], resp)
-		if timed {
-			e.rs.utils[i] = u
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return e.sumUtils(len(agents), timed), nil
-}
-
-// respondHook runs a custom Responder — sequentially by default, or
-// fanned out when ParallelRespond opts in (the Responder must then be
-// safe for concurrent calls).
-func (e *Engine) respondHook(ctx context.Context, r int, contracts map[string]*contract.PiecewiseLinear, agents []*worker.Agent, outs []AgentOutcome, timed bool) (float64, error) {
-	hook := func(i int) error {
-		a := agents[i]
-		c := e.fillStatic(contracts, a, &outs[i])
-		if c == nil {
-			return nil
-		}
-		y, err := e.cfg.Responder(r, a, c, e.pop.Part)
-		if err != nil {
-			return fmt.Errorf("engine: responder for %s round %d: %w", a.ID, r, err)
-		}
-		y = clampEffort(y, a, e.pop.Part)
-		q := a.Psi.Eval(y)
-		outs[i].Effort = y
-		outs[i].Feedback = q
-		outs[i].Compensation = c.Eval(q)
-		if timed {
-			e.rs.utils[i] = a.Utility(c, y)
-		}
-		return nil
-	}
-	e.prepUtils(len(agents), timed)
-	if e.cfg.ParallelRespond > 0 {
-		if err := e.fanOut(ctx, r, len(agents), e.cfg.ParallelRespond, hook); err != nil {
-			return 0, err
-		}
-	} else {
-		for i := range agents {
-			if err := hook(i); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return e.sumUtils(len(agents), timed), nil
-}
-
-// prepUtils sizes and zeroes the per-agent utility scratch (timed runs
-// only — untimed runs never read it).
-func (e *Engine) prepUtils(n int, timed bool) {
-	if !timed {
-		return
-	}
-	if cap(e.rs.utils) < n {
-		e.rs.utils = make([]float64, n)
-	}
-	e.rs.utils = e.rs.utils[:n]
-	for i := range e.rs.utils {
-		e.rs.utils[i] = 0
-	}
-}
-
-func (e *Engine) sumUtils(n int, timed bool) float64 {
-	if !timed {
-		return 0
-	}
-	var wu float64
-	for _, u := range e.rs.utils[:n] {
-		wu += u
-	}
-	return wu
-}
-
-// fanOut runs fn(i) for i in [0, n) across a bounded pool, mirroring
-// solver.SolveAllInto: context-aware, first failure cancels outstanding
-// work, and every task writes only its own pre-assigned state so results
-// are position-deterministic. Error selection is deterministic too: the
-// lowest-indexed non-cancellation error wins (exactly the error the
-// sequential loop would have returned, since equal inputs fail equally),
-// with pure cancellation reported only when no task failed on its own.
-func (e *Engine) fanOut(ctx context.Context, r, n, par int, fn func(i int) error) error {
-	s := &e.rs
-	if cap(s.errs) < n {
-		s.errs = make([]error, n)
-	}
-	errs := s.errs[:n]
+	errs := e.fanErrs[:n]
 	for i := range errs {
 		errs[i] = nil
 	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
+	par := min(runtime.GOMAXPROCS(0), n)
 
 	fanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

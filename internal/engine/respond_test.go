@@ -63,7 +63,7 @@ func TestRespondMemoDedup(t *testing.T) {
 }
 
 // TestRespondMemoLedgerIdentical pins the memo as a pure optimization: the
-// memoized and parallel routes must reproduce the sequential reference
+// engine with and without the memo must reproduce the reference round's
 // ledger exactly — same values, same order — including under weight drift
 // that mints fresh fingerprints mid-run.
 func TestRespondMemoLedgerIdentical(t *testing.T) {
@@ -87,15 +87,14 @@ func TestRespondMemoLedgerIdentical(t *testing.T) {
 		return ledger
 	}
 
-	want := run(func(cfg *engine.Config) {}) // sequential reference
+	want := referenceLedger(t, archetypePopulation(t, 45), engine.Config{Policy: &designPolicy{}, Rounds: 4, Drift: drift})
 	variants := map[string]func(*engine.Config){
-		"memo":          func(cfg *engine.Config) { cfg.Memo = engine.NewRespondMemo() },
-		"memo+parallel": func(cfg *engine.Config) { cfg.Memo = engine.NewRespondMemo(); cfg.ParallelRespond = 4 },
-		"parallel-only": func(cfg *engine.Config) { cfg.ParallelRespond = 4 },
+		"memo":    func(cfg *engine.Config) { cfg.Memo = engine.NewRespondMemo() },
+		"no-memo": func(cfg *engine.Config) {},
 	}
 	for name, mutate := range variants {
 		if got := run(mutate); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s ledger diverges from sequential reference", name)
+			t.Errorf("%s ledger diverges from reference", name)
 		}
 	}
 }
@@ -137,9 +136,9 @@ func TestRespondMemoDriftInvalidation(t *testing.T) {
 
 	memo := engine.NewRespondMemo()
 	got := run(memo)
-	want := run(nil) // memo-free reference
+	want := referenceLedger(t, archetypePopulation(t, 30), engine.Config{Policy: &designPolicy{}, Rounds: 3, Drift: drift})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("memoized ledger diverges from memo-free reference under drift")
+		t.Fatal("memoized ledger diverges from reference under drift")
 	}
 	if got[1].Utility == got[0].Utility {
 		t.Error("reservation drift left Utility unchanged — stale memo entry served?")
@@ -175,37 +174,35 @@ func TestRespondMemoBypassedByResponder(t *testing.T) {
 	}
 }
 
-// TestResponderClampedEfforts pins the clamp interacting with the respond
-// routes: out-of-range strategy efforts (negative, NaN, beyond the
-// feasible range) are clamped to [0, min(mδ, apex of ψ)] identically on
-// the sequential and parallel hook paths.
+// TestResponderClampedEfforts pins the clamp on the hook path, where the
+// Responder runs sequentially shard by shard: out-of-range strategy
+// efforts (negative, NaN, beyond the feasible range) are clamped to
+// [0, min(mδ, apex of ψ)], exactly as the reference round clamps them.
 func TestResponderClampedEfforts(t *testing.T) {
 	pop := archetypePopulation(t, 9)
 	yMax := pop.Part.YMax()
 	efforts := []float64{-5, math.NaN(), 1e9, 7}
-	for name, par := range map[string]int{"sequential": 0, "parallel": 4} {
-		t.Run(name, func(t *testing.T) {
-			responder := func(r int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
-				return efforts[r], nil
-			}
-			got, err := engine.RunLedger(context.Background(), archetypePopulation(t, 9), engine.Config{
-				Policy:          &designPolicy{},
-				Rounds:          len(efforts),
-				Responder:       responder,
-				ParallelRespond: par,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, want := range []float64{0, 0, yMax, 7} {
-				for _, oc := range got[r].Outcomes {
-					if oc.Effort != want {
-						t.Errorf("round %d agent %s: effort = %v, want %v (clamped)", r, oc.AgentID, oc.Effort, want)
-					}
+	t.Run("sequential", func(t *testing.T) {
+		responder := func(r int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
+			return efforts[r], nil
+		}
+		cfg := engine.Config{Policy: &designPolicy{}, Rounds: len(efforts), Responder: responder}
+		got, err := engine.RunLedger(context.Background(), archetypePopulation(t, 9), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, want := range []float64{0, 0, yMax, 7} {
+			for _, oc := range got[r].Outcomes {
+				if oc.Effort != want {
+					t.Errorf("round %d agent %s: effort = %v, want %v (clamped)", r, oc.AgentID, oc.Effort, want)
 				}
 			}
-		})
-	}
+		}
+		cfg.Policy = &designPolicy{}
+		if ref := referenceLedger(t, archetypePopulation(t, 9), cfg); !reflect.DeepEqual(got, ref) {
+			t.Error("clamped ledger differs from reference")
+		}
+	})
 }
 
 // TestLedgerCopiesReusedOutcomes pins the aliasing contract: the engine
@@ -245,8 +242,9 @@ func TestLedgerCopiesReusedOutcomes(t *testing.T) {
 }
 
 // TestRespondMemoConcurrent hammers one shared memo from concurrent
-// engines (each with parallel fan-out) plus raw Get/Put/Stats/Invalidate
-// callers; run under -race (make check) it pins the memo's thread safety.
+// engines (each with four shards on the fan-out) plus raw
+// Get/Put/Stats/Invalidate callers; run under -race (make check) it pins
+// the memo's thread safety.
 func TestRespondMemoConcurrent(t *testing.T) {
 	memo := engine.NewRespondMemo()
 	var wg sync.WaitGroup
@@ -263,12 +261,12 @@ func TestRespondMemoConcurrent(t *testing.T) {
 				}
 			}
 			_, err := engine.RunLedger(context.Background(), archetypePopulation(t, 30), engine.Config{
-				Policy:          &designPolicy{},
-				Rounds:          5,
-				Drift:           drift,
-				Cache:           engine.NewCache(),
-				Memo:            memo,
-				ParallelRespond: 4,
+				Policy: &designPolicy{},
+				Rounds: 5,
+				Drift:  drift,
+				Cache:  engine.NewCache(),
+				Memo:   memo,
+				Shards: 4,
 			})
 			if err != nil {
 				t.Error(err)

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 
 	"dyncontract/internal/contract"
@@ -12,14 +14,15 @@ import (
 	"dyncontract/internal/worker"
 )
 
-// This file is the sharded round pipeline. The paper's decomposition
-// result (§IV-B) makes both contract design and best responses separable
-// per worker/community, so the engine can partition the population into
-// shards and run the design and respond stages per shard on a bounded
-// pool, merging results back in global agent-ID order — the ledger stays
-// byte-identical to the sequential engine (settlement remains one
-// sequential pass: float addition is not associative, so per-shard
-// partial sums would drift in the last ulp).
+// This file is the engine's design and respond stages. The paper's
+// decomposition result (§IV-B) makes both contract design and best
+// responses separable per worker/community, so the engine partitions the
+// population into shards — one shard when Config.Shards is 0 — and runs
+// the design and respond stages per shard on a bounded pool, merging
+// results back in global agent-ID order. The ledger is byte-identical for
+// every shard count (settlement remains one sequential pass: float
+// addition is not associative, so per-shard partial sums would drift in
+// the last ulp).
 //
 // Shard assignment hashes agent IDs (FNV-1a), so it is stable across
 // rounds and across processes: the same population shards the same way
@@ -74,6 +77,12 @@ type Shard struct {
 	// FPs caches each agent's design fingerprint, computed once per view
 	// rebuild and shared by the design and respond stages.
 	FPs []Fingerprint
+	// Solo reports that this is the partition's only shard, so no other
+	// shard designs concurrently: a ShardPolicy may fan the shard's cold
+	// designs out across GOMAXPROCS (ShardDesigner does). With several
+	// shards the parallelism comes from running shards concurrently, and
+	// each shard's solve should stay sequential.
+	Solo bool
 }
 
 // shardAssign distributes the ID-sorted agents across the reset shards by
@@ -83,6 +92,20 @@ type Shard struct {
 // the views after the fact.
 func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts map[Fingerprint]int32) {
 	n := len(shards)
+	// Size every view for an even split up front: a hash partition is
+	// near-even, so at most the fullest shards grow once more.
+	hint := len(agents)/n + 1
+	for _, s := range shards {
+		s.Agents = slices.Grow(s.Agents, hint)
+		s.Global = slices.Grow(s.Global, hint)
+		s.Weights = slices.Grow(s.Weights, hint)
+		s.Malice = slices.Grow(s.Malice, hint)
+		s.FPs = slices.Grow(s.FPs, hint)
+	}
+	// Refcounts accumulate per run of equal fingerprints: archetype
+	// populations list long runs of them in ID order.
+	var runFP Fingerprint
+	var run int32
 	for gi, a := range agents {
 		s := shards[ShardOf(a.ID, n)]
 		w := p.Weights[a.ID]
@@ -93,8 +116,16 @@ func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts 
 		s.Malice = append(s.Malice, p.MaliceProb[a.ID])
 		s.FPs = append(s.FPs, fp)
 		if counts != nil {
-			counts[fp]++
+			if run > 0 && fp != runFP {
+				counts[runFP] += run
+				run = 0
+			}
+			runFP = fp
+			run++
 		}
+	}
+	if run > 0 {
+		counts[runFP] += run
 	}
 }
 
@@ -117,6 +148,7 @@ func (p *Population) Shards(n int) []Shard {
 	for i := range shards {
 		shards[i].Index = i
 		shards[i].Epoch = p.generation
+		shards[i].Solo = n == 1
 		ptrs[i] = &shards[i]
 	}
 	shardAssign(p, agents, ptrs, nil)
@@ -124,7 +156,7 @@ func (p *Population) Shards(n int) []Shard {
 }
 
 // ShardPolicy is implemented by policies that can design one shard at a
-// time — the fast path of the sharded pipeline. ShardContracts fills
+// time — the fast path of the round pipeline. ShardContracts fills
 // dst[i] with the contract for sh.Agents[i] (nil excludes the agent this
 // round) and reports whether any entry changed since its previous call
 // for this shard and epoch; false on a shard whose population view did
@@ -134,7 +166,7 @@ func (p *Population) Shards(n int) []Shard {
 // The engine calls ShardContracts once per shard per round; calls for
 // different shards may run concurrently, so implementations must confine
 // per-shard state to the shard (ShardDesigner does) or lock shared state.
-// Policies that implement only Policy still work under Config.Shards —
+// Policies that implement only Policy still work for every shard count —
 // the engine designs through the whole-population Contracts call and runs
 // just the respond stage per shard.
 type ShardPolicy interface {
@@ -267,6 +299,7 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 		sr := &e.shards[i]
 		sr.sh.Index = i
 		sr.sh.Epoch = e.viewEpoch
+		sr.sh.Solo = n == 1
 		sr.sh.Agents = sr.sh.Agents[:0]
 		sr.sh.Global = sr.sh.Global[:0]
 		sr.sh.Weights = sr.sh.Weights[:0]
@@ -713,12 +746,13 @@ func (e *Engine) maybeCompact(st *roundState) {
 	}
 }
 
-// designSharded is the design stage under Config.Shards > 0. With a
-// ShardPolicy each shard designs independently (on the pool when the
-// views were just rebuilt — warm validations are too cheap to fan out);
-// otherwise the whole-population Contracts call runs once and only the
-// respond stage is sharded.
-func (e *Engine) designSharded(ctx context.Context, st *roundState) error {
+// stageDesign resolves the round's agent and shard views, then asks the
+// policy for contracts. With a ShardPolicy each shard designs
+// independently (on the pool when the views were just rebuilt — warm
+// validations are too cheap to fan out); otherwise the whole-population
+// Contracts call runs once and only the respond stage is sharded.
+func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
+	st.agents = e.roundAgents()
 	rebuilt := e.ensureShards(st, st.agents)
 	if e.shardPol == nil {
 		contracts, err := e.cfg.Policy.Contracts(ctx, e.pop)
@@ -729,7 +763,7 @@ func (e *Engine) designSharded(ctx context.Context, st *roundState) error {
 		return nil
 	}
 	if rebuilt && len(e.shards) > 1 {
-		if err := e.fanOut(ctx, st.r, len(e.shards), 0, func(i int) error {
+		if err := e.fanOut(ctx, st.r, len(e.shards), func(i int) error {
 			return e.designShard(ctx, st, i)
 		}); err != nil {
 			return err
@@ -742,7 +776,7 @@ func (e *Engine) designSharded(ctx context.Context, st *roundState) error {
 		}
 	}
 	// The merged per-ID map exists only for observers (OnContracts); the
-	// sharded respond stage reads the dense slots directly.
+	// respond stage reads the dense slots directly.
 	if len(e.cfg.Observers) > 0 {
 		st.contracts = e.mergeContracts(st, rebuilt)
 	}
@@ -857,21 +891,22 @@ func (e *Engine) mergeContracts(st *roundState, rebuilt bool) map[string]*contra
 	return e.merged
 }
 
-// respondSharded is the respond stage under Config.Shards > 0. Dirty
-// shards (new views, changed contracts, replaced outcome buffer) respond
-// on the pool; a fully warm round — every shard's retained outcomes
-// already exact — skips the stage. Outcomes land in each agent's global
-// ID-order slot, so the merge order is exactly the sequential engine's.
-func (e *Engine) respondSharded(ctx context.Context, st *roundState) (float64, error) {
+// respondShards computes the round's best responses and returns the
+// summed worker utility. Dirty shards (new views, changed contracts,
+// replaced outcome buffer) respond on the pool; a fully warm round —
+// every shard's retained outcomes already exact — skips the stage.
+// Outcomes land in each agent's global ID-order slot, so the merge order
+// is the same for every shard count.
+func (e *Engine) respondShards(ctx context.Context, st *roundState) (float64, error) {
 	if e.cfg.Responder != nil {
-		return e.respondShardedHook(ctx, st)
+		return e.respondHook(st)
 	}
 	fromMap := e.shardPol == nil
 	dirty := 0
 	for i := range e.shards {
 		if fromMap {
 			// Map-route contracts carry no change signal: respond every
-			// round, exactly like the sequential engine.
+			// round.
 			e.shards[i].outsOK = false
 		}
 		if !e.shards[i].outsOK || len(e.shards[i].dirty) > 0 {
@@ -882,14 +917,14 @@ func (e *Engine) respondSharded(ctx context.Context, st *roundState) (float64, e
 		return e.sumShardUtility(), nil
 	}
 	if dirty > 1 && len(e.shards) > 1 {
-		if err := e.fanOut(ctx, st.r, len(e.shards), 0, func(i int) error {
-			return e.respondShard(st, i)
+		if err := e.fanOut(ctx, st.r, len(e.shards), func(i int) error {
+			return e.respondShard(ctx, st, i)
 		}); err != nil {
 			return 0, err
 		}
 	} else {
 		for i := range e.shards {
-			if err := e.respondShard(st, i); err != nil {
+			if err := e.respondShard(ctx, st, i); err != nil {
 				return 0, err
 			}
 		}
@@ -901,7 +936,7 @@ func (e *Engine) respondSharded(ctx context.Context, st *roundState) (float64, e
 // return immediately), deduplicating through the shard's memo segment.
 // Shards whose outcomes are retained but carry sparse-drift dirty slots
 // take the patch route: only those slots' outcomes are recomputed.
-func (e *Engine) respondShard(st *roundState, i int) error {
+func (e *Engine) respondShard(ctx context.Context, st *roundState, i int) error {
 	sr := &e.shards[i]
 	if sr.outsOK && len(sr.dirty) == 0 {
 		return nil
@@ -932,7 +967,7 @@ func (e *Engine) respondShard(st *roundState, i int) error {
 	if sr.outsOK {
 		err = e.respondShardPatch(sr, st)
 	} else {
-		err = e.respondShardSolve(sr, st)
+		err = e.respondShardSolve(ctx, sr, st)
 	}
 	if sp != nil {
 		if e.cfg.Memo != nil {
@@ -1000,11 +1035,15 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 	return nil
 }
 
-// respondShardSolve is the per-shard respond loop: the memoized dedup of
-// respondMemoized, reading the shard's indexed views (no string-map
-// lookups) and writing outcomes to pre-assigned global slots. Pending
-// misses solve inline — shard-level parallelism comes from the pool.
-func (e *Engine) respondShardSolve(sr *shardRun, st *roundState) error {
+// respondShardSolve is the per-shard respond loop: each distinct
+// (fingerprint, contract) key resolves once — memo segment first, then
+// BestResponse — reading the shard's indexed views (no string-map
+// lookups) and writing outcomes to pre-assigned global slots. Agents
+// arrive ID-sorted, so archetypes are contiguous and a struct compare
+// against the previous key skips the map for entire runs. Pending misses
+// solve inline — shard-level parallelism comes from the pool — except on
+// a lone shard, which has no pool above it and fans them out instead.
+func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundState) error {
 	s := &sr.scratch
 	if s.keys == nil {
 		s.keys = make(map[respondKey]int32, 16)
@@ -1051,22 +1090,16 @@ func (e *Engine) respondShardSolve(sr *shardRun, st *roundState) error {
 				s.resps = append(s.resps, resp)
 			} else {
 				s.resps = append(s.resps, worker.Response{})
-				s.pend = append(s.pend, pendResponse{slot: slot, a: a, key: key})
+				s.pend = append(s.pend, pendResponse{slot: slot, i: int32(i), c: c})
 			}
 		}
 		lastKey, lastSlot = key, slot
 		s.slots = append(s.slots, slot)
 	}
 
-	for pi := range s.pend {
-		p := &s.pend[pi]
-		resp, err := p.a.BestResponse(p.key.c, e.pop.Part)
-		if err != nil {
-			return fmt.Errorf("engine: agent %s round %d: %w", p.a.ID, st.r, err)
-		}
-		s.resps[p.slot] = resp
-		if sr.memoSeg != nil {
-			sr.memoSeg.Put(p.key.fp, p.key.c, resp)
+	if len(s.pend) > 0 {
+		if err := e.solvePending(ctx, sr, st.r); err != nil {
+			return err
 		}
 	}
 
@@ -1090,9 +1123,53 @@ func (e *Engine) respondShardSolve(sr *shardRun, st *roundState) error {
 	return nil
 }
 
+// solvePending computes the shard's memo misses, each into its own
+// response slot, then publishes them to the memo segment (single-owner,
+// so only after any fan-out has joined).
+func (e *Engine) solvePending(ctx context.Context, sr *shardRun, r int) error {
+	s := &sr.scratch
+	solve := func(pi int) error {
+		p := &s.pend[pi]
+		a := sr.sh.Agents[p.i]
+		resp, err := a.BestResponse(p.c, e.pop.Part)
+		if err != nil {
+			return fmt.Errorf("engine: agent %s round %d: %w", a.ID, r, err)
+		}
+		s.resps[p.slot] = resp
+		return nil
+	}
+	if n := len(s.pend); sr.sh.Solo && n > 1 {
+		// One contiguous block per worker: a best response is too cheap
+		// to hand out one at a time.
+		par := min(runtime.GOMAXPROCS(0), n)
+		if err := e.fanOut(ctx, r, par, func(w int) error {
+			for pi := w * n / par; pi < (w+1)*n/par; pi++ {
+				if err := solve(pi); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	} else {
+		for pi := range s.pend {
+			if err := solve(pi); err != nil {
+				return err
+			}
+		}
+	}
+	if sr.memoSeg != nil {
+		for _, p := range s.pend {
+			sr.memoSeg.Put(sr.sh.FPs[p.i], p.c, s.resps[p.slot])
+		}
+	}
+	return nil
+}
+
 // sumShardUtility folds the per-shard worker-utility sums in shard order.
-// (The association differs from the sequential engine's global-order sum,
-// so the worker-utility gauge may differ in the last ulp; the ledger
+// (The association depends on the shard count, so the worker-utility
+// gauge may differ in the last ulp between shard counts; the ledger
 // itself settles in one sequential global pass and stays byte-identical.)
 func (e *Engine) sumShardUtility() float64 {
 	var wu float64
@@ -1102,22 +1179,13 @@ func (e *Engine) sumShardUtility() float64 {
 	return wu
 }
 
-// respondShardedHook runs a custom Responder per shard — hooks are
-// round-dependent, so there is no warm skip. Fanning out remains opt-in
-// through ParallelRespond (the Responder must then be concurrency-safe),
-// mirroring the sequential engine.
-func (e *Engine) respondShardedHook(ctx context.Context, st *roundState) (float64, error) {
-	if e.cfg.ParallelRespond > 0 && len(e.shards) > 1 {
-		if err := e.fanOut(ctx, st.r, len(e.shards), e.cfg.ParallelRespond, func(i int) error {
-			return e.respondShardHook(st, i)
-		}); err != nil {
+// respondHook runs a custom Responder shard by shard, in shard order and
+// never concurrently, so a Responder need not be safe for concurrent
+// calls. Hooks are round-dependent, so there is no warm skip.
+func (e *Engine) respondHook(st *roundState) (float64, error) {
+	for i := range e.shards {
+		if err := e.respondShardHook(st, i); err != nil {
 			return 0, err
-		}
-	} else {
-		for i := range e.shards {
-			if err := e.respondShardHook(st, i); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return e.sumShardUtility(), nil

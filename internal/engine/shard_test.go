@@ -87,6 +87,9 @@ func TestPopulationShards(t *testing.T) {
 		if sh.Index != si {
 			t.Errorf("shard %d: Index = %d", si, sh.Index)
 		}
+		if sh.Solo {
+			t.Errorf("shard %d of %d reports Solo", si, n)
+		}
 		if len(sh.Global) != len(sh.Agents) || len(sh.Weights) != len(sh.Agents) ||
 			len(sh.Malice) != len(sh.Agents) || len(sh.FPs) != len(sh.Agents) {
 			t.Fatalf("shard %d: misaligned views", si)
@@ -123,6 +126,9 @@ func TestPopulationShards(t *testing.T) {
 		t.Errorf("shards cover %d agents, want %d", len(seen), len(pop.Agents))
 	}
 
+	if got := pop.Shards(1); len(got) != 1 || !got[0].Solo {
+		t.Errorf("Shards(1) is not one Solo shard")
+	}
 	if got := pop.Shards(0); got != nil {
 		t.Errorf("Shards(0) = %v, want nil", got)
 	}
@@ -168,10 +174,10 @@ func structuralDrift(tb testing.TB) func(int, *engine.Population) {
 }
 
 // TestShardedLedgerIdentical is the tentpole determinism pin: for every
-// shard count, for both the ShardPolicy route and the plain-policy
-// fallback, with and without the respond memo, the ledger is
-// byte-identical to the sequential engine — under a drift that rescales
-// weights, adds, removes, and reorders agents.
+// shard count (0 runs as one shard), for both the ShardPolicy route and
+// the plain-policy fallback, with and without the respond memo, the
+// ledger is byte-identical to the naive reference round — under a drift
+// that rescales weights, adds, removes, and reorders agents.
 func TestShardedLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
@@ -200,16 +206,20 @@ func TestShardedLedgerIdentical(t *testing.T) {
 		return ledger
 	}
 
-	ref := run(0, false, false)
+	ref := referenceLedger(t, archetypePopulation(t, 30), engine.Config{
+		Policy: &designPolicy{},
+		Rounds: rounds,
+		Drift:  structuralDrift(t),
+	})
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shards := range []int{1, 2, 8, 64} {
+	for _, shards := range []int{0, 1, 2, 8, 64} {
 		for _, shardPolicy := range []bool{true, false} {
 			for _, memo := range []bool{true, false} {
 				name := fmt.Sprintf("shards=%d/shardpolicy=%v/memo=%v", shards, shardPolicy, memo)
 				if got := run(shards, shardPolicy, memo); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from sequential reference", name)
+					t.Errorf("%s: ledger differs from reference", name)
 				}
 			}
 		}
@@ -240,8 +250,8 @@ func (r *eventRecorder) OnRoundEnd(round engine.Round) error {
 	return nil
 }
 
-// TestShardedObserverEventOrder pins that a sharded engine emits exactly
-// the sequential engine's event stream: same OnContracts coverage, same
+// TestShardedObserverEventOrder pins that every shard count emits exactly
+// the reference round's event stream: same OnContracts coverage, same
 // per-agent OnOutcome order (global ID order, not shard order), same
 // round ends.
 func TestShardedObserverEventOrder(t *testing.T) {
@@ -262,10 +272,15 @@ func TestShardedObserverEventOrder(t *testing.T) {
 		}
 		return rec.events
 	}
-	ref := run(0)
-	for _, shards := range []int{1, 3, 8} {
-		if got := run(shards); !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d: event stream differs from sequential", shards)
+	ref := &eventRecorder{}
+	referenceLedger(t, archetypePopulation(t, 12), engine.Config{
+		Policy:    &designPolicy{},
+		Rounds:    3,
+		Observers: []engine.Observer{ref},
+	})
+	for _, shards := range []int{0, 1, 3, 8} {
+		if got := run(shards); !reflect.DeepEqual(got, ref.events) {
+			t.Errorf("shards=%d: event stream differs from reference", shards)
 		}
 	}
 }
@@ -273,8 +288,7 @@ func TestShardedObserverEventOrder(t *testing.T) {
 // TestShardedWarmSkipsRespond pins the sharded fast path: once every
 // shard is warm (stable population, cached designs, dense contracts), the
 // respond stage is skipped outright — the memo's counters freeze
-// completely, unlike the sequential engine whose warm rounds still pay
-// one memo hit per distinct key.
+// completely.
 func TestShardedWarmSkipsRespond(t *testing.T) {
 	ctx := context.Background()
 	pop := archetypePopulation(t, 24)
@@ -337,12 +351,11 @@ func TestShardedWarmRoundZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedBumpSemantics pins the documented extension of the Bump
-// contract under sharding: with no Drift configured, in-place weight
-// mutations are invisible to a sharded engine (the indexed views are
-// cached) until Population.Bump, and structural additions likewise only
-// appear after a Bump — while the sequential engine picks up in-place
-// weight changes without one.
+// TestShardedBumpSemantics pins the Bump contract, which is the same for
+// every shard count: with no Drift configured, an in-place weight
+// mutation is invisible (the indexed views are cached) until
+// Population.Bump or Touch declares it, and a structural addition only
+// appears once declared.
 func TestShardedBumpSemantics(t *testing.T) {
 	ctx := context.Background()
 	psi, err := effort.NewQuadratic(-0.02, 2, 1, 40)
@@ -374,108 +387,102 @@ func TestShardedBumpSemantics(t *testing.T) {
 	}
 
 	t.Run("sharded stale until Bump", func(t *testing.T) {
-		pop := archetypePopulation(t, 12)
-		led := &engine.Ledger{}
-		eng := newEng(pop, 4, led)
-		id := pop.Agents[0].ID
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		w0, _ := lastWeight(led, id)
+		for _, shards := range []int{0, 1, 4} {
+			for _, declare := range []string{"Bump", "Touch"} {
+				pop := archetypePopulation(t, 12)
+				led := &engine.Ledger{}
+				eng := newEng(pop, shards, led)
+				id := pop.Agents[0].ID
+				if err := eng.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				w0, _ := lastWeight(led, id)
 
-		pop.Weights[id] = w0 * 2 // in place, no Bump: pinned stale
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := lastWeight(led, id); w != w0 {
-			t.Errorf("weight visible without Bump: got %v, want stale %v", w, w0)
-		}
+				pop.Weights[id] = w0 * 2 // in place, undeclared: pinned stale
+				if err := eng.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if w, _ := lastWeight(led, id); w != w0 {
+					t.Errorf("shards=%d: weight visible before %s: got %v, want stale %v", shards, declare, w, w0)
+				}
 
-		pop.Bump()
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := lastWeight(led, id); w != w0*2 {
-			t.Errorf("weight after Bump = %v, want %v", w, w0*2)
-		}
-	})
-
-	t.Run("sequential sees in-place weights", func(t *testing.T) {
-		pop := archetypePopulation(t, 12)
-		led := &engine.Ledger{}
-		eng := newEng(pop, 0, led)
-		id := pop.Agents[0].ID
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		w0, _ := lastWeight(led, id)
-		pop.Weights[id] = w0 * 2
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := lastWeight(led, id); w != w0*2 {
-			t.Errorf("sequential weight = %v, want immediate %v", w, w0*2)
+				if declare == "Bump" {
+					pop.Bump()
+				} else {
+					pop.Touch(id)
+				}
+				if err := eng.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if w, _ := lastWeight(led, id); w != w0*2 {
+					t.Errorf("shards=%d: weight after %s = %v, want %v", shards, declare, w, w0*2)
+				}
+			}
 		}
 	})
 
 	t.Run("structural add reshards on Bump", func(t *testing.T) {
-		pop := archetypePopulation(t, 12)
-		led := &engine.Ledger{}
-		eng := newEng(pop, 4, led)
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		a, err := worker.NewHonest("zz-joined", psi, 1, pop.Part.YMax())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pop.Agents = append(pop.Agents, a)
-		pop.Weights[a.ID] = 0.9
-		pop.MaliceProb[a.ID] = 0.1
+		for _, shards := range []int{0, 1, 4} {
+			pop := archetypePopulation(t, 12)
+			led := &engine.Ledger{}
+			eng := newEng(pop, shards, led)
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			a, err := worker.NewHonest("zz-joined", psi, 1, pop.Part.YMax())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop.Agents = append(pop.Agents, a)
+			pop.Weights[a.ID] = 0.9
+			pop.MaliceProb[a.ID] = 0.1
 
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := lastWeight(led, a.ID); ok {
-			t.Error("added agent visible without Bump")
-		}
-		pop.Bump()
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, ok := lastWeight(led, a.ID); !ok || w != 0.9 {
-			t.Errorf("added agent after Bump: weight %v (present %v), want 0.9", w, ok)
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := lastWeight(led, a.ID); ok {
+				t.Errorf("shards=%d: added agent visible without Bump", shards)
+			}
+			pop.Bump()
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if w, ok := lastWeight(led, a.ID); !ok || w != 0.9 {
+				t.Errorf("shards=%d: added agent after Bump: weight %v (present %v), want 0.9", shards, w, ok)
+			}
 		}
 	})
 }
 
-// TestShardedResponderHook checks the custom-Responder route under
-// sharding: same ledger as the sequential engine, with and without the
-// parallel opt-in.
+// TestShardedResponderHook checks the custom-Responder route for every
+// shard count: same ledger as the reference round.
 func TestShardedResponderHook(t *testing.T) {
 	ctx := context.Background()
 	responder := func(round int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
 		return float64(round%3) + 1.5, nil
 	}
-	run := func(shards, parallel int) []engine.Round {
+	run := func(shards int) []engine.Round {
 		t.Helper()
 		ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
-			Policy:          &shardDesignPolicy{},
-			Rounds:          4,
-			Responder:       responder,
-			Cache:           engine.NewCache(),
-			Shards:          shards,
-			ParallelRespond: parallel,
+			Policy:    &shardDesignPolicy{},
+			Rounds:    4,
+			Responder: responder,
+			Cache:     engine.NewCache(),
+			Shards:    shards,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ledger
 	}
-	ref := run(0, 0)
-	for _, tc := range []struct{ shards, parallel int }{{2, 0}, {8, 0}, {8, 4}} {
-		if got := run(tc.shards, tc.parallel); !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d parallel=%d: responder ledger differs from sequential", tc.shards, tc.parallel)
+	ref := referenceLedger(t, archetypePopulation(t, 18), engine.Config{
+		Policy:    &designPolicy{},
+		Rounds:    4,
+		Responder: responder,
+	})
+	for _, shards := range []int{0, 2, 8} {
+		if got := run(shards); !reflect.DeepEqual(got, ref) {
+			t.Errorf("shards=%d: responder ledger differs from reference", shards)
 		}
 	}
 }
@@ -595,7 +602,7 @@ func TestRespondMemoSegment(t *testing.T) {
 	}
 }
 
-// TestShardedStageTimings extends the stage-count pins to the sharded
+// TestShardedStageTimings extends the stage-count pins to a multi-shard
 // pipeline: the whole-stage histograms still observe once per round, the
 // shard gauge reports the effective count, shard-design observes every
 // shard every round, and shard-respond observes only executed (dirty)

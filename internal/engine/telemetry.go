@@ -56,11 +56,11 @@ const (
 	MetricRespondMisses  = "dyncontract_engine_respond_misses_total"
 	MetricRespondEntries = "dyncontract_engine_respond_entries"
 
-	// MetricShards is the sharded pipeline's current shard count — the
-	// effective value after clamping Config.Shards to the population size;
-	// it stays 0 on sequential (Shards = 0) engines.
+	// MetricShards is the round pipeline's current shard count — the
+	// effective value after clamping Config.Shards to the population size
+	// (1 when Config.Shards is 0).
 	MetricShards = "dyncontract_engine_shards"
-	// Per-shard stage timings (histograms, seconds): the sharded pipeline
+	// Per-shard stage timings (histograms, seconds): the pipeline
 	// observes one design and one executed respond duration per shard per
 	// round, so shard counts multiply the observation rate of the
 	// corresponding whole-stage histograms. Warm rounds skip shard respond

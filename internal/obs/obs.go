@@ -263,7 +263,7 @@ func DeltaRespondStats(prev, cur engine.RespondStats) engine.RespondStats {
 	}
 }
 
-// ShardStats summarizes the sharded pipeline's per-shard stage activity
+// ShardStats summarizes the round pipeline's per-shard stage activity
 // as read from a registry snapshot: the current shard count and, per
 // stage, how many per-shard executions ran and how long they took in
 // total. Design runs once per shard per rebuilt round; RespondRuns below
@@ -406,15 +406,9 @@ func FprintHTTPStats(w io.Writer, stats []HTTPRouteStats) {
 	}
 }
 
-// FprintShardStats renders the sharded pipeline's per-shard stage metrics
-// — the `-shardstats` output format. Stats with a zero shard count
-// (sequential run, or telemetry disabled) print a single explanatory
-// line.
+// FprintShardStats renders the round pipeline's per-shard stage metrics
+// — the `-shardstats` output format.
 func FprintShardStats(w io.Writer, s ShardStats) {
-	if s.Shards == 0 {
-		fmt.Fprintf(w, "  shards: sequential pipeline (no shard metrics)\n")
-		return
-	}
 	mean := func(sum float64, n uint64) float64 {
 		if n == 0 {
 			return 0

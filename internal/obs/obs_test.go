@@ -257,10 +257,15 @@ func TestShardStatsHelpers(t *testing.T) {
 		t.Fatalf("FprintShardStats = %q, want %q", buf.String(), want2)
 	}
 
+	// A one-shard engine (Config.Shards = 0) reports like any other: three
+	// warm rounds design three times and respond once.
 	buf.Reset()
-	FprintShardStats(&buf, ShardStats{})
-	if want3 := "  shards: sequential pipeline (no shard metrics)\n"; buf.String() != want3 {
-		t.Fatalf("FprintShardStats(zero) = %q, want %q", buf.String(), want3)
+	FprintShardStats(&buf, ShardStats{Shards: 1, DesignRuns: 3, RespondRuns: 1, DesignSeconds: 0.03, RespondSeconds: 0.01})
+	want3 := "  shards: 1\n" +
+		"  shard design:       3 runs, mean 0.010000s\n" +
+		"  shard respond:      1 runs, mean 0.010000s\n"
+	if buf.String() != want3 {
+		t.Fatalf("FprintShardStats(one shard) = %q, want %q", buf.String(), want3)
 	}
 }
 

@@ -98,7 +98,10 @@ func TotalUtility(ledger []Round) float64 {
 // engine.Config.Cache) makes repeated rounds on a stable population nearly
 // free.
 type DynamicPolicy struct {
-	// Parallelism caps the solver pool; 0 means GOMAXPROCS.
+	// Parallelism caps the solver pool of direct Contracts calls; 0 means
+	// GOMAXPROCS. An engine designs through ShardContracts instead, where
+	// a lone shard fans out across GOMAXPROCS and each of several shards
+	// solves sequentially.
 	Parallelism int
 
 	designer engine.Designer
