@@ -11,7 +11,8 @@ import (
 
 // BenchmarkTraceOverhead measures span tracing against the same warmest
 // round BenchmarkTelemetryOverhead uses — 1000 agents, dedup-warm, pure
-// cache hits — where any fixed per-round cost is proportionally largest.
+// cache hits, one persistent engine — where any fixed per-round cost is
+// proportionally largest.
 // Three arms:
 //
 //   - disabled: no tracer anywhere — the production default. Bound by the
@@ -31,17 +32,12 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	// the iteration's trace (no-op when untraced).
 	runWarm := func(b *testing.B, perRound func() (context.Context, func())) {
 		b.Helper()
-		cache := engine.NewCache()
-		pol := &platform.DynamicPolicy{}
-		cfg := engine.Config{Policy: pol, Rounds: 1, Cache: cache}
-		if _, err := engine.RunLedger(context.Background(), pop, cfg); err != nil { // warm the cache
-			b.Fatal(err)
-		}
+		eng := persistentEngine(b, pop, engine.Config{Policy: &platform.DynamicPolicy{}, Cache: engine.NewCache()})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ctx, end := perRound()
-			if _, err := engine.RunLedger(ctx, pop, cfg); err != nil {
+			if err := eng.Run(ctx); err != nil {
 				b.Fatal(err)
 			}
 			end()

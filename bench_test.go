@@ -351,12 +351,31 @@ func (perAgentPolicy) Contracts(ctx context.Context, pop *platform.Population) (
 	return contracts, nil
 }
 
+// persistentEngine builds a one-round engine over pop and runs it once,
+// so caches, views and buffers are warm before the clock starts.
+func persistentEngine(b *testing.B, pop *engine.Population, cfg engine.Config) *engine.Engine {
+	b.Helper()
+	cfg.Rounds = 1
+	eng, err := engine.New(pop, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // BenchmarkEngineRound1k measures one engine round over a 1000-agent,
 // 3-archetype population in three design regimes:
 //
 //   - nodedup: the pre-engine baseline, 1000 core.Design calls per round;
 //   - dedup-cold: fingerprint dedup with a fresh cache per round, 3 calls;
 //   - dedup-warm: a warmed cross-round cache, 0 calls.
+//
+// Every regime but nodedup and respond-memo-cold times a persistent
+// engine warmed off the clock, so the number is a round, not engine
+// construction.
 func BenchmarkEngineRound1k(b *testing.B) {
 	pop := benchArchetypePopulation(b, 1000)
 	ctx := context.Background()
@@ -383,18 +402,11 @@ func BenchmarkEngineRound1k(b *testing.B) {
 		// drifted-fingerprint shape churn and bandit policies produce —
 		// engine construction is deliberately off the clock.
 		cache := engine.NewCache()
-		eng, err := engine.New(pop, engine.Config{
+		eng := persistentEngine(b, pop, engine.Config{
 			Policy: &platform.DynamicPolicy{},
-			Rounds: 1,
 			Cache:  cache,
 			Memo:   engine.NewRespondMemo(),
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Run(ctx); err != nil { // warm views and buffers
-			b.Fatal(err)
-		}
 		before := cache.Stats().Misses
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -410,14 +422,17 @@ func BenchmarkEngineRound1k(b *testing.B) {
 		}
 	})
 	b.Run("dedup-warm", func(b *testing.B) {
+		// A persistent engine over a warmed cross-round design cache, no
+		// respond memo: 0 Design calls per round.
 		cache := engine.NewCache()
-		pol := &platform.DynamicPolicy{}
-		runRound(b, engine.Config{Policy: pol, Cache: cache}) // warm the cache
+		eng := persistentEngine(b, pop, engine.Config{Policy: &platform.DynamicPolicy{}, Cache: cache})
 		warmed := cache.Stats().Misses
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			runRound(b, engine.Config{Policy: pol, Cache: cache})
+			if err := eng.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		if s := cache.Stats(); s.Misses != warmed {
@@ -443,18 +458,11 @@ func BenchmarkEngineRound1k(b *testing.B) {
 		// respond scratch — reused, so the steady-state round allocates
 		// nothing.
 		memo := engine.NewRespondMemo()
-		eng, err := engine.New(pop, engine.Config{
+		eng := persistentEngine(b, pop, engine.Config{
 			Policy: &platform.DynamicPolicy{},
-			Rounds: 1,
 			Cache:  engine.NewCache(),
 			Memo:   memo,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Run(ctx); err != nil { // warm both layers
-			b.Fatal(err)
-		}
 		warmed := memo.Stats().Misses
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -124,9 +124,9 @@ func (s *session) startSnapshot(reply chan cmdReply) {
 	s.sinceSnap = 0
 	go func() {
 		defer s.snapBusy.Store(false)
-		snap.Rounds = make([]RoundJSON, len(ledger))
-		for i, r := range ledger {
-			snap.Rounds[i] = roundJSON(r, true)
+		snap.Rounds = make([]RoundJSON, ledger.len())
+		for i := range snap.Rounds {
+			snap.Rounds[i] = roundJSON(ledger.round(i), true)
 		}
 		body, err := json.Marshal(snap)
 		if err == nil {
@@ -143,10 +143,11 @@ func (s *session) startSnapshot(reply chan cmdReply) {
 }
 
 // captureState snapshots the session's restorable state on the writer
-// goroutine. The ledger slice is shared, not copied: completed rounds
-// are immutable and appends only ever extend past the captured length,
-// so the background commit can serialize it without a lock.
-func (s *session) captureState() (*sessionSnapshot, []engine.Round) {
+// goroutine. The ledger is captured by its header, not copied: completed
+// rows and table entries are immutable and add only ever writes past the
+// captured lengths, so the background commit can serialize it without a
+// lock.
+func (s *session) captureState() (*sessionSnapshot, roundLog) {
 	s.mu.Lock()
 	agents := make([]AgentSpec, 0, len(s.pop.Agents))
 	for _, a := range s.pop.Agents {
@@ -327,6 +328,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			}
 			continue
 		}
+		rounds := sess.ledger.len() // read before the writer owns the log
 		s.mu.Lock()
 		s.sessions[rec.ID] = sess
 		s.mu.Unlock()
@@ -337,7 +339,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if s.logger != nil {
 			s.logger.Info("session recovered",
 				"session", rec.ID,
-				"rounds", len(sess.ledger),
+				"rounds", rounds,
 				"replayed", sess.replayed,
 				"snapshot_seq", rec.SnapshotSeq,
 				"last_seq", rec.LastSeq,
@@ -457,7 +459,7 @@ func (s *Server) sessionFromSnapshot(snap *sessionSnapshot) (*session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot round %d: %w", rj.Round, err)
 		}
-		sess.ledger = append(sess.ledger, r)
+		sess.ledger.add(r)
 	}
 	sess.eng.SetStepped(snap.Stepped)
 	return sess, nil

@@ -75,9 +75,11 @@ type designReply struct {
 	code     int
 }
 
-// captureObserver records the round a Step just completed (outcomes
-// copied out of the engine's reusable backing array) and, when asked, the
-// round's contract map. It lives on the writer goroutine only.
+// captureObserver records the round a Step just completed and, when
+// asked, the round's contract map. It lives on the writer goroutine only.
+// last.Outcomes aliases the engine's reusable backing array: it is valid
+// until the next Step, which is long enough for runRound to add it to the
+// session's roundLog (which keeps its own copy of what changed).
 type captureObserver struct {
 	wantContracts bool
 	contracts     map[string]*contract.PiecewiseLinear
@@ -101,7 +103,6 @@ func (c *captureObserver) OnContracts(_ int, m map[string]*contract.PiecewiseLin
 func (c *captureObserver) OnOutcome(int, engine.AgentOutcome) {}
 
 func (c *captureObserver) OnRoundEnd(r engine.Round) error {
-	r.Outcomes = append([]engine.AgentOutcome(nil), r.Outcomes...)
 	c.last = r
 	return nil
 }
@@ -126,9 +127,9 @@ type session struct {
 	// reads during Step need no lock: Step and drift share the writer.
 	mu sync.Mutex
 
-	// ledgerMu guards ledger (writer appends, GET handlers read).
+	// ledgerMu guards ledger (writer adds, GET handlers read).
 	ledgerMu sync.RWMutex
-	ledger   []engine.Round
+	ledger   roundLog
 
 	cmds     chan command
 	designCh chan *designCall
@@ -320,7 +321,7 @@ func (s *session) runRound(ctx context.Context, req AdvanceRoundRequest) cmdRepl
 	}
 	round := s.capture.last
 	s.ledgerMu.Lock()
-	s.ledger = append(s.ledger, round)
+	s.ledger.add(round)
 	s.ledgerMu.Unlock()
 	s.srv.metrics.roundDone()
 	// A sparse or structural drift scope that escalated to a full view
@@ -499,7 +500,7 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 	s.pop.TouchLeave(removeIDs...)
 	s.srv.metrics.driftDone()
 	s.ledgerMu.RLock()
-	rounds := len(s.ledger)
+	rounds := s.ledger.len()
 	s.ledgerMu.RUnlock()
 	return cmdReply{drift: DriftResponse{
 		Updated: updated,
@@ -673,8 +674,7 @@ func (s *session) resolveDesign(req *DesignQueryRequest) (engine.DesignRequest, 
 // info snapshots the session for GET /v1/sessions/{id}.
 func (s *session) info() SessionInfo {
 	s.ledgerMu.RLock()
-	rounds := len(s.ledger)
-	total := engine.TotalUtility(s.ledger)
+	rounds, total := s.ledger.len(), s.ledger.total
 	s.ledgerMu.RUnlock()
 	s.mu.Lock()
 	agents := len(s.pop.Agents)
@@ -705,9 +705,9 @@ func (s *session) info() SessionInfo {
 func (s *session) rounds() []RoundJSON {
 	s.ledgerMu.RLock()
 	defer s.ledgerMu.RUnlock()
-	out := make([]RoundJSON, len(s.ledger))
-	for i, r := range s.ledger {
-		out[i] = roundJSON(r, true)
+	out := make([]RoundJSON, s.ledger.len())
+	for i := range out {
+		out[i] = roundJSON(s.ledger.round(i), true)
 	}
 	return out
 }

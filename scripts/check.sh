@@ -6,6 +6,8 @@
 #   2. gofmt  — no unformatted files
 #   3. vet    — go vet ./...
 #   4. test   — the full suite under the race detector
+#   5. perfbench — vet and test the benchmark module (perfbench/ is its
+#      own Go module, so ./... above never compiles it)
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -eu
@@ -17,10 +19,10 @@ fail() {
 	exit 1
 }
 
-echo "==> [1/4] go build ./..."
+echo "==> [1/5] go build ./..."
 go build ./... || fail build
 
-echo "==> [2/4] gofmt"
+echo "==> [2/5] gofmt"
 unformatted=$(gofmt -l .) || fail gofmt
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:" >&2
@@ -28,10 +30,13 @@ if [ -n "$unformatted" ]; then
 	fail gofmt
 fi
 
-echo "==> [3/4] go vet ./..."
+echo "==> [3/5] go vet ./..."
 go vet ./... || fail vet
 
-echo "==> [4/4] go test -race ./..."
+echo "==> [4/5] go test -race ./..."
 go test -race ./... || fail test
+
+echo "==> [5/5] perfbench"
+(cd perfbench && go vet . && go test .) || fail perfbench
 
 echo "OK"
