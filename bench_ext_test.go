@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dyncontract/internal/actor"
 	"dyncontract/internal/adversary"
 	"dyncontract/internal/assignment"
 	"dyncontract/internal/classify"
@@ -82,29 +81,6 @@ func BenchmarkSolverScaling(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkActorEngineRound measures one round of the message-passing
-// marketplace (compare with BenchmarkPlatformRound's sequential loop).
-func BenchmarkActorEngineRound(b *testing.B) {
-	p := benchPipeline(b)
-	params := experiments.DefaultParams()
-	pop, err := p.BuildPopulation(params, 200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng, err := actor.NewEngine(pop, &platform.DynamicPolicy{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(ctx, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

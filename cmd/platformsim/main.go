@@ -7,7 +7,7 @@
 //
 //	platformsim [-scale small|paper] [-seed n] [-rounds n]
 //	            [-policies dynamic,exclude,fixed] [-threshold p] [-amount c]
-//	            [-engine seq|actor] [-nocache] [-cachestats]
+//	            [-nocache] [-cachestats]
 //	            [-nomemo] [-respondstats]
 //	            [-shards n] [-shardstats]
 //	            [-drift-agents k] [-churn] [-driftstats]
@@ -16,7 +16,7 @@
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-trace] [-trace-sample p] [-trace-out file]
 //
-// The observability flags (seq engine only) attach a telemetry registry
+// The observability flags attach a telemetry registry
 // to the run: -metrics appends one JSONL snapshot per simulated round,
 // -metrics-listen serves /metrics in Prometheus text format plus
 // net/http/pprof for live scraping and profiling, and -cpuprofile /
@@ -34,7 +34,6 @@ import (
 	"os"
 	"strings"
 
-	"dyncontract/internal/actor"
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/engine"
 	"dyncontract/internal/experiments"
@@ -67,18 +66,17 @@ func run(args []string, out io.Writer) error {
 		threshold   = fs.Float64("threshold", 0.5, "exclusion threshold on malice probability")
 		amount      = fs.Float64("amount", 1, "fixed-payment amount")
 		perClass    = fs.Int("perclass", 200, "max agents sampled per class")
-		engineName  = fs.String("engine", "seq", "simulation engine: seq (sequential) or actor (message-passing)")
-		cacheStats  = fs.Bool("cachestats", false, "report design-cache hits/misses per policy (seq engine only)")
-		noCache     = fs.Bool("nocache", false, "disable the cross-round design cache (seq engine only)")
-		memoStats   = fs.Bool("respondstats", false, "report respond-memo hits/misses per policy (seq engine only)")
-		noMemo      = fs.Bool("nomemo", false, "disable the cross-round best-response memo (seq engine only)")
-		shards      = fs.Int("shards", 0, "shard count for the round pipeline (seq engine only); 0 = one shard (ledgers are identical)")
-		shardStats  = fs.Bool("shardstats", false, "report per-shard stage timings per policy (seq engine only)")
-		driftAgents = fs.Int("drift-agents", 0, "scoped weight drift: oscillate the first k agents' weights each round, declared via Population.Touch (seq engine only)")
-		churn       = fs.Bool("churn", false, "mint fresh, never-repeating weights for every agent before each round, so every round's designs run the cold path (seq engine only; overrides -drift-agents)")
-		driftStats  = fs.Bool("driftstats", false, "report sparse-drift scope counters per policy (seq engine only)")
-		joinEvery   = fs.Int("join-every", 0, "structural churn: every k-th round a fresh agent joins, declared via TouchJoin (seq engine only)")
-		leaveEvery  = fs.Int("leave-every", 0, "structural churn: every k-th round the oldest hook-joined agent leaves, declared via TouchLeave (seq engine only)")
+		cacheStats  = fs.Bool("cachestats", false, "report design-cache hits/misses per policy")
+		noCache     = fs.Bool("nocache", false, "disable the cross-round design cache")
+		memoStats   = fs.Bool("respondstats", false, "report respond-memo hits/misses per policy")
+		noMemo      = fs.Bool("nomemo", false, "disable the cross-round best-response memo")
+		shards      = fs.Int("shards", 0, "shard count for the round pipeline; 0 = one shard (ledgers are identical)")
+		shardStats  = fs.Bool("shardstats", false, "report per-shard stage timings per policy")
+		driftAgents = fs.Int("drift-agents", 0, "scoped weight drift: oscillate the first k agents' weights each round, declared via Population.Touch")
+		churn       = fs.Bool("churn", false, "mint fresh, never-repeating weights for every agent before each round, so every round's designs run the cold path (overrides -drift-agents)")
+		driftStats  = fs.Bool("driftstats", false, "report sparse-drift scope counters per policy")
+		joinEvery   = fs.Int("join-every", 0, "structural churn: every k-th round a fresh agent joins, declared via TouchJoin")
+		leaveEvery  = fs.Int("leave-every", 0, "structural churn: every k-th round the oldest hook-joined agent leaves, declared via TouchLeave")
 		obsFlags    obs.Flags
 		traceFlags  obs.TraceFlags
 	)
@@ -257,45 +255,33 @@ func run(args []string, out io.Writer) error {
 		default:
 			return fmt.Errorf("unknown policy %q (want dynamic, exclude, or fixed)", name)
 		}
-		var ledger []platform.Round
 		var cache *engine.Cache
 		var memo *engine.RespondMemo
-		switch *engineName {
-		case "seq":
-			// The seq path runs on internal/engine with a per-policy
-			// design cache and respond memo: agents sharing an archetype
-			// share one design and one best response, and static rounds
-			// after the first cost zero Design/BestResponse calls.
-			cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, Shards: *shards, Drift: driftHook}
-			if !*noCache {
-				cache = engine.NewCache()
-				cfg.Cache = cache
-			}
-			if !*noMemo {
-				memo = engine.NewRespondMemo()
-				cfg.Memo = memo
-			}
-			if obsFlags.MetricsPath != "" {
-				cfg.Observers = []engine.Observer{sess.RoundObserver()}
-			}
-			// One trace per policy run: the root span covers the whole
-			// ledger, with engine.round / stage / shard children below it.
-			span := tracer.Root("platformsim.run")
-			span.SetAttr("policy", pol.Name())
-			span.SetInt("rounds", int64(*rounds))
-			ledger, err = engine.RunLedger(spans.ContextWith(ctx, span), pop, cfg)
-			span.End()
-			if structCleanup != nil {
-				structCleanup()
-			}
-		case "actor":
-			var eng *actor.Engine
-			eng, err = actor.NewEngine(pop, pol)
-			if err == nil {
-				ledger, err = eng.Run(ctx, *rounds)
-			}
-		default:
-			return fmt.Errorf("unknown engine %q (want seq or actor)", *engineName)
+		// The engine runs with a per-policy design cache and respond memo:
+		// agents sharing an archetype share one design and one best
+		// response, and static rounds after the first cost zero
+		// Design/BestResponse calls.
+		cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, Shards: *shards, Drift: driftHook}
+		if !*noCache {
+			cache = engine.NewCache()
+			cfg.Cache = cache
+		}
+		if !*noMemo {
+			memo = engine.NewRespondMemo()
+			cfg.Memo = memo
+		}
+		if obsFlags.MetricsPath != "" {
+			cfg.Observers = []engine.Observer{sess.RoundObserver()}
+		}
+		// One trace per policy run: the root span covers the whole
+		// ledger, with engine.round / stage / shard children below it.
+		span := tracer.Root("platformsim.run")
+		span.SetAttr("policy", pol.Name())
+		span.SetInt("rounds", int64(*rounds))
+		ledger, err := engine.RunLedger(spans.ContextWith(ctx, span), pop, cfg)
+		span.End()
+		if structCleanup != nil {
+			structCleanup()
 		}
 		if err != nil {
 			return fmt.Errorf("simulate %s: %w", pol.Name(), err)

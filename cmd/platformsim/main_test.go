@@ -39,28 +39,10 @@ func TestRunSinglePolicy(t *testing.T) {
 	}
 }
 
-func TestRunActorEngine(t *testing.T) {
-	var seq, act bytes.Buffer
-	if err := run([]string{"-policies", "dynamic", "-rounds", "1", "-perclass", "25", "-engine", "seq"}, &seq); err != nil {
-		t.Fatalf("seq engine: %v", err)
-	}
-	if err := run([]string{"-policies", "dynamic", "-rounds", "1", "-perclass", "25", "-engine", "actor"}, &act); err != nil {
-		t.Fatalf("actor engine: %v", err)
-	}
-	// Both engines must report identical utilities (equivalence is also
-	// unit-tested in internal/actor; this checks the CLI wiring).
-	if seq.String() != act.String() {
-		t.Errorf("engines disagree:\nseq:\n%s\nactor:\n%s", seq.String(), act.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-policies", "anarchy"}, &buf); err == nil {
 		t.Error("unknown policy accepted")
-	}
-	if err := run([]string{"-engine", "quantum", "-perclass", "10"}, &buf); err == nil {
-		t.Error("unknown engine accepted")
 	}
 	if err := run([]string{"-scale", "huge"}, &buf); err == nil {
 		t.Error("unknown scale accepted")

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -419,14 +420,15 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 
 // TestStructuralDriftCounters pins the structural classification on an
 // instrumented sharded engine: the schedule's declared joins and leaves
-// land in the drift counters, and the declared drift class survives to
-// LastDriftClass (no silent escalation to the full rebuild).
+// land in the drift counters, and the last round — round 4's declared
+// rejoin — reports viewStructural both declared and applied (no silent
+// escalation to the full rebuild).
 func TestStructuralDriftCounters(t *testing.T) {
 	ctx := context.Background()
 	reg := telemetry.NewRegistry()
 	cfg := engine.Config{
 		Policy:  &shardDesignPolicy{},
-		Rounds:  6,
+		Rounds:  5,
 		Drift:   declaredChurnDrift(t, true),
 		Cache:   engine.NewCache(),
 		Shards:  4,
@@ -439,9 +441,8 @@ func TestStructuralDriftCounters(t *testing.T) {
 	if err := eng.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	declared, applied := eng.LastDriftClass()
-	if declared != applied {
-		t.Errorf("last round escalated: declared %s, applied %s", declared, applied)
+	if declared, applied := eng.LastDriftClass(); declared != "viewStructural" || applied != declared {
+		t.Errorf("LastDriftClass = (%s, %s), want (viewStructural, viewStructural)", declared, applied)
 	}
 	s := reg.Snapshot()
 	// Schedule totals: 4 joins (2 + 1 + rejoin), 3 leaves, 1 plain touch.
@@ -456,6 +457,44 @@ func TestStructuralDriftCounters(t *testing.T) {
 	}
 	if got := s.Counters[engine.MetricDriftCompactions]; got != 0 {
 		t.Errorf("drift compactions = %d, want 0 below the threshold", got)
+	}
+}
+
+// TestRefutedScopeReportsEscalation pins the escalation report for a
+// declared scope the engine's cross-checks refute: the round runs as
+// viewFull, and LastDriftClass still reports the declared viewStructural
+// — the pair the serving layer's "drift scope escalated" warning keys on.
+func TestRefutedScopeReportsEscalation(t *testing.T) {
+	cases := []struct {
+		name    string
+		declare func(pop *engine.Population)
+	}{
+		{"join of a present ID", func(pop *engine.Population) { pop.TouchJoin("h00003") }},
+		{"touch of an unknown ID", func(pop *engine.Population) { pop.Touch("zz-ghost") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := engine.New(archetypePopulation(t, 12), engine.Config{
+				Policy: &shardDesignPolicy{},
+				Rounds: 2,
+				Cache:  engine.NewCache(),
+				Shards: 2,
+				Drift: func(round int, pop *engine.Population) {
+					if round == 1 {
+						tc.declare(pop)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if declared, applied := eng.LastDriftClass(); declared != "viewStructural" || applied != "viewFull" {
+				t.Errorf("LastDriftClass = (%s, %s), want (viewStructural, viewFull)", declared, applied)
+			}
+		})
 	}
 }
 
@@ -573,5 +612,186 @@ func TestStructuralDriftCompaction(t *testing.T) {
 	s := reg.Snapshot()
 	if got := s.Counters[engine.MetricDriftLeaves]; got != 70 {
 		t.Errorf("drift leaves = %d, want 70", got)
+	}
+}
+
+// randomDriftSchedule is a seeded random drift schedule mixing every scope
+// shape the engine accepts: Touch of weight, β, ψ, and ω drifts, TouchJoin
+// of fresh and returning agents, TouchLeave, a join touched in the same
+// round, empty Touch() rounds, and Bump. Rounds 1–6 only splice and touch,
+// shedding 66–84 agents, so the ≥64-tombstone compaction gate is crossed
+// before any full rebuild resets the slot mapping. Later rounds also
+// misdeclare: a Touch of an unknown ID, a TouchJoin of a present ID, or a
+// removal left undeclared — each of which the engine must refute and
+// rebuild. Each call returns an independent schedule, so the engine and
+// the reference replay the same mutations on their own populations.
+func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Population) {
+	tb.Helper()
+	psis := make([]effort.Quadratic, 2)
+	for i, b := range []float64{2, 2.1} {
+		psi, err := effort.NewQuadratic(-0.02, b, 1, 40)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		psis[i] = psi
+	}
+	rng := rand.New(rand.NewPCG(seed, 0))
+	weights := []float64{0.5, 0.8, 1, 1.25}
+	var gone []*worker.Agent // agents that left in an earlier round
+	fresh := 0
+
+	remove := func(pop *engine.Population, i int) *worker.Agent {
+		a := pop.Agents[i]
+		pop.Agents = append(pop.Agents[:i], pop.Agents[i+1:]...)
+		delete(pop.Weights, a.ID)
+		delete(pop.MaliceProb, a.ID)
+		return a
+	}
+	join := func(pop *engine.Population) string {
+		var a *worker.Agent
+		if k := len(gone); k > 0 && rng.IntN(3) == 0 {
+			i := rng.IntN(k)
+			a = gone[i]
+			gone = append(gone[:i], gone[i+1:]...)
+		} else {
+			// Fresh IDs sort between the archetype classes ("c" < "j" <
+			// "m"), so joins land mid-view and shift survivor segments.
+			id := fmt.Sprintf("j%05d", fresh)
+			fresh++
+			psi, ymax := psis[rng.IntN(2)], pop.Part.YMax()
+			var err error
+			switch rng.IntN(3) {
+			case 0:
+				a, err = worker.NewHonest(id, psi, 1, ymax)
+			case 1:
+				a, err = worker.NewMalicious(id, psi, 1, 0.5, ymax)
+			default:
+				a, err = worker.NewCommunity(id, psi, 1, 0.5, 3, ymax)
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+		pop.Agents = append(pop.Agents, a)
+		pop.Weights[a.ID] = weights[rng.IntN(len(weights))]
+		pop.MaliceProb[a.ID] = rng.Float64()
+		pop.TouchJoin(a.ID)
+		return a.ID
+	}
+	touch := func(pop *engine.Population) {
+		a := pop.Agents[rng.IntN(len(pop.Agents))]
+		switch rng.IntN(5) {
+		case 0:
+			pop.Weights[a.ID] = weights[rng.IntN(len(weights))]
+		case 1:
+			pop.Weights[a.ID] = 0.3 + rng.Float64() // a fingerprint no cache holds
+		case 2:
+			a.Beta = []float64{1, 1.1}[rng.IntN(2)]
+		case 3:
+			a.Psi = psis[rng.IntN(2)]
+		default:
+			if a.Class != worker.Honest { // ω stays 0 on honest agents
+				a.Omega = []float64{0.5, 0.6}[rng.IntN(2)]
+			}
+		}
+		pop.Touch(a.ID)
+	}
+
+	return func(round int, pop *engine.Population) {
+		if round == 0 {
+			return
+		}
+		splicing := round <= 6
+		if !splicing {
+			switch rng.IntN(8) {
+			case 0:
+				pop.Touch() // declared, nothing touched
+				return
+			case 1:
+				pop.Weights[pop.Agents[0].ID] = weights[rng.IntN(len(weights))]
+				pop.Bump()
+				return
+			}
+		}
+		nLeave, nJoin := 11+rng.IntN(4), 4+rng.IntN(7)
+		if !splicing {
+			nLeave, nJoin = rng.IntN(7), rng.IntN(7)
+		}
+		var left []*worker.Agent
+		for range nLeave {
+			a := remove(pop, rng.IntN(len(pop.Agents)))
+			pop.TouchLeave(a.ID)
+			left = append(left, a)
+			if rng.IntN(8) == 0 {
+				pop.Touch(a.ID) // touched, then left: the leave wins
+			}
+		}
+		for range nJoin {
+			id := join(pop)
+			if rng.IntN(4) == 0 {
+				pop.Weights[id] = weights[rng.IntN(len(weights))]
+				pop.Touch(id) // joined and touched in one round
+			}
+		}
+		gone = append(gone, left...) // rejoins start next round
+		for range 1 + rng.IntN(4) {
+			touch(pop)
+		}
+		if !splicing {
+			switch rng.IntN(4) {
+			case 0:
+				pop.Touch("zz-ghost")
+			case 1:
+				pop.TouchJoin(pop.Agents[rng.IntN(len(pop.Agents))].ID)
+			case 2:
+				remove(pop, rng.IntN(len(pop.Agents))) // never declared
+			}
+		}
+	}
+}
+
+// TestDriftScopeRandomSchedules is the randomized differential check of
+// the scoped drift rule: seeded random schedules (randomDriftSchedule)
+// run over every shard count and memo setting, with a design cache, and
+// every ledger must equal the naive reference round's. Each engine run
+// must also have compacted its outcome slots at least once.
+func TestDriftScopeRandomSchedules(t *testing.T) {
+	const (
+		n      = 90
+		rounds = 12
+	)
+	for _, seed := range []uint64{1, 2, 3} {
+		ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{
+			Policy: &designPolicy{},
+			Rounds: rounds,
+			Drift:  randomDriftSchedule(t, seed),
+		})
+		for _, shards := range []int{0, 1, 3, 8} {
+			for _, memo := range []bool{true, false} {
+				reg := telemetry.NewRegistry()
+				cfg := engine.Config{
+					Policy:  &shardDesignPolicy{},
+					Rounds:  rounds,
+					Drift:   randomDriftSchedule(t, seed),
+					Cache:   engine.NewCache(),
+					Shards:  shards,
+					Metrics: reg,
+				}
+				if memo {
+					cfg.Memo = engine.NewRespondMemo()
+				}
+				name := fmt.Sprintf("seed=%d/shards=%d/memo=%v", seed, shards, memo)
+				got, err := engine.RunLedger(context.Background(), archetypePopulation(t, n), cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s: ledger differs from reference", name)
+				}
+				if reg.Snapshot().Counters[engine.MetricDriftCompactions] == 0 {
+					t.Errorf("%s: no slot compaction ran", name)
+				}
+			}
+		}
 	}
 }

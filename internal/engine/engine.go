@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"dyncontract/internal/contract"
@@ -222,16 +224,16 @@ type Engine struct {
 	merged    map[string]*contract.PiecewiseLinear
 	// lastDeclared/lastApplied record the previous round's drift
 	// classification: the rule beginScope derived from the declared scope,
-	// and the rule the round actually ran under after any escalation in
-	// roundAgents (a structural sparse scope escalates to viewFull). See
+	// and the rule the round actually ran under after any escalation (a
+	// scope prepareStructural refutes runs as viewFull). See
 	// LastDriftClass.
 	lastDeclared viewRule
 	lastApplied  viewRule
 
 	// fpCounts refcounts the live design fingerprints across every shard
 	// view — maintained eagerly at every point a fingerprint is written
-	// (full rebuilds count through shardAssign; sparse refreshes and
-	// structural splices adjust in place), never by walking the views. A
+	// (full rebuilds count through shardAssign; scoped refreshes and
+	// splices adjust in place), never by walking the views. A
 	// fingerprint whose count hits zero is dead: no agent mints it any
 	// more, so its design-cache and respond-memo entries are dropped
 	// (targeted invalidation). Nil when the engine has neither a design
@@ -264,12 +266,11 @@ const (
 	// viewKeep retains every cached view (no declared drift; the
 	// generation compare remains as the cross-engine backstop).
 	viewKeep viewRule = iota
-	// viewSparse refreshes only the state touched by the declared IDs;
-	// it escalates to viewFull when the scope turns out structural.
-	viewSparse
-	// viewStructural splices declared joins/leaves into the cached views
-	// in place (plus the scope's plain-touched refreshes); it escalates
-	// to viewFull when the declarations fail the consistency checks.
+	// viewStructural applies any declared scope (Touch, TouchJoin,
+	// TouchLeave, or a mix) to the cached views in place: joins and
+	// leaves are spliced, touched agents refreshed. A plain Touch is the
+	// case with no joins or leaves. It escalates to viewFull when the
+	// declarations fail the consistency checks.
 	viewStructural
 	// viewFull rebuilds the agent view and every shard view from scratch.
 	viewFull
@@ -280,8 +281,6 @@ func (v viewRule) String() string {
 	switch v {
 	case viewKeep:
 		return "viewKeep"
-	case viewSparse:
-		return "viewSparse"
 	case viewStructural:
 		return "viewStructural"
 	case viewFull:
@@ -292,8 +291,10 @@ func (v viewRule) String() string {
 
 // driftScope is the consumed per-round drift scope.
 type driftScope struct {
-	rule viewRule
-	ids  []string // touched agent IDs (viewSparse and viewStructural)
+	// rule is the round's view rule; declared is the rule beginScope
+	// derived from the declarations, before any escalation.
+	rule, declared viewRule
+	ids            []string // touched agent IDs (viewStructural)
 	// joins/leaves are the declared structural halves, meaningful only
 	// under viewStructural; prepareStructural sorts both in place.
 	joins  []string
@@ -495,8 +496,8 @@ func (e *Engine) runRound(ctx context.Context, r int) error {
 		e.cfg.Drift(r, e.pop)
 	}
 	e.beginScope()
-	// A declared structural scope resolves its joins/leaves against the
-	// retained view up front; declarations that fail the consistency
+	// A declared scope resolves its touched IDs, joins, and leaves against
+	// the retained view up front; declarations that fail the consistency
 	// checks demote the round to the classic full rebuild.
 	if e.scope.rule == viewStructural {
 		if !e.prepareStructural() {
@@ -508,25 +509,19 @@ func (e *Engine) runRound(ctx context.Context, r int) error {
 		}
 	}
 	if e.cfg.Drift != nil {
-		// Scope-aware revalidation: a declared, non-structural sparse
-		// drift re-checks only the touched agents, a declared structural
-		// drift re-checks the joiners plus the touched agents; anything
-		// else (Bump, undeclared mutations) re-checks everything.
+		// Scope-aware revalidation: a declared scope re-checks the joiners
+		// plus the touched agents; anything else (Bump, undeclared or
+		// refuted declarations) re-checks everything.
 		var err error
-		switch {
-		case e.scope.rule == viewSparse && !e.scopeStructural():
-			err = e.validateTouched()
-		case e.scope.rule == viewStructural:
+		if e.scope.rule == viewStructural {
 			err = e.validateStructural()
-		default:
+		} else {
 			err = e.pop.Validate()
 		}
 		if err != nil {
 			return fmt.Errorf("engine: drift broke population at round %d: %w", r, err)
 		}
 	}
-
-	e.lastDeclared = e.scope.rule
 
 	e.rt = roundState{r: r, timed: timed}
 	st := &e.rt
@@ -574,7 +569,7 @@ func (e *Engine) runRound(ctx context.Context, r int) error {
 			return err
 		}
 	}
-	e.lastApplied = e.scope.rule
+	e.lastDeclared, e.lastApplied = e.scope.declared, e.scope.rule
 	return nil
 }
 
@@ -582,7 +577,7 @@ func (e *Engine) runRound(ctx context.Context, r int) error {
 // attributes: the drift classification the round ran under (after any
 // escalation), the agent count, and the shard count.
 func (e *Engine) endRoundSpan(st *roundState) {
-	st.span.SetAttr("drift.declared", e.lastDeclared.String())
+	st.span.SetAttr("drift.declared", e.scope.declared.String())
 	st.span.SetAttr("drift", e.scope.rule.String())
 	st.span.SetInt("agents", int64(len(st.agents)))
 	st.span.SetInt("shards", int64(len(e.shards)))
@@ -591,10 +586,10 @@ func (e *Engine) endRoundSpan(st *roundState) {
 
 // LastDriftClass reports the previous successful round's drift
 // classification: the rule derived from the declared scope and the rule
-// the round actually applied — they differ exactly when a declared
-// sparse scope escalated to the full rebuild (a structural change). The
-// serving layer logs that escalation; traced rounds carry both values as
-// span attributes.
+// the round actually applied — they differ exactly when a declared scope
+// escalated to the full rebuild (declarations the retained view refuted,
+// or no view to apply them to yet). The serving layer logs that
+// escalation; traced rounds carry both values as span attributes.
 func (e *Engine) LastDriftClass() (declared, applied string) {
 	return e.lastDeclared.String(), e.lastApplied.String()
 }
@@ -706,11 +701,12 @@ func (e *Engine) stageObserve(_ context.Context, st *roundState) error {
 }
 
 // beginScope consumes the population's accumulated drift scope into the
-// round's view rule. The split:
+// round's view rule, recording it as the declared rule before any
+// escalation. The split:
 //
-//   - a declared sparse scope (Touch) refreshes only touched state;
-//   - a declared structural scope (TouchJoin/TouchLeave, possibly mixed
-//     with Touch) splices the views in place;
+//   - a declared scope (Touch, TouchJoin, TouchLeave, or a mix) splices
+//     joins and leaves into the views in place and refreshes only touched
+//     state;
 //   - a declared full scope (Bump) rebuilds everything;
 //   - no declaration under a Drift hook keeps the legacy contract — the
 //     hook may have mutated anything, so every view rebuilds;
@@ -723,31 +719,25 @@ func (e *Engine) beginScope() {
 	switch {
 	case pending && all:
 		e.scope = driftScope{rule: viewFull}
-	case pending && len(joins)+len(leaves) > 0:
-		// Counters are deferred to runRound: a structural scope that fails
+	case pending:
+		// Counters are deferred to runRound: a scope that fails
 		// prepareStructural escalates to viewFull and counts nothing.
 		e.scope = driftScope{rule: viewStructural, ids: ids, joins: joins, leaves: leaves}
-	case pending:
-		e.scope = driftScope{rule: viewSparse, ids: ids}
-		if e.m != nil {
-			e.m.driftTouched.Add(uint64(len(ids)))
-		}
 	case e.cfg.Drift != nil:
 		e.scope = driftScope{rule: viewFull}
 	default:
 		e.scope = driftScope{rule: viewKeep}
 	}
+	e.scope.declared = e.scope.rule
 }
 
 // roundAgents returns the ID-ordered agent view. The cached view is kept
-// whenever the round's rule allows it: always under viewKeep with an
-// unmoved generation, and under a non-structural viewSparse — a sparse
-// drift mutates agents in place through the retained pointers, so the
-// sorted view itself is still exact. A declared structural scope
-// (validated by prepareStructural before the stages ran) splices the
-// cached view in place; an undeclared structural sparse scope (an ID
-// added, removed, or never seen) escalates the whole round to viewFull,
-// which rebuilds here and cascades into ensureShards.
+// under viewKeep with an unmoved generation. Under viewStructural
+// (validated by prepareStructural before the stages ran) declared joins
+// and leaves splice the cached view in place; touched agents mutate in
+// place through the retained pointers, so a scope with no joins or
+// leaves keeps the view as it is. Every other round rebuilds here as
+// viewFull, which cascades into ensureShards.
 func (e *Engine) roundAgents() []*worker.Agent {
 	gen := e.pop.Generation()
 	if e.agentsOK {
@@ -756,13 +746,10 @@ func (e *Engine) roundAgents() []*worker.Agent {
 			if e.agentsGen == gen {
 				return e.agents
 			}
-		case viewSparse:
-			if !e.scopeStructural() {
-				e.agentsGen = gen
-				return e.agents
-			}
 		case viewStructural:
-			e.spliceView()
+			if len(e.scope.joins)+len(e.scope.leaves) > 0 {
+				e.spliceView()
+			}
 			e.agentsGen = gen
 			return e.agents
 		}
@@ -794,72 +781,26 @@ func (e *Engine) ensureByID() {
 	e.byIDOK = true
 }
 
-// findAgent returns id's index in the cached ID-sorted agent view, or -1
-// — the positional complement of byID, for the few per-splice lookups
-// that need an index rather than the agent.
-func (e *Engine) findAgent(id string) int {
-	lo, hi := 0, len(e.agents)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.agents[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.agents) && e.agents[lo].ID == id {
-		return lo
-	}
-	return -1
+// searchAgents binary-searches the ID-sorted agents for id: its position
+// (the splice insertion point when absent) and whether it is present.
+func searchAgents(agents []*worker.Agent, id string) (int, bool) {
+	return slices.BinarySearchFunc(agents, id, func(a *worker.Agent, id string) int {
+		return strings.Compare(a.ID, id)
+	})
 }
 
-// lowerBoundAgents returns the first index in the ID-sorted slice whose
-// agent ID is >= id (len(agents) when none is) — the splice insertion
-// point for an ID not present.
-func lowerBoundAgents(agents []*worker.Agent, id string) int {
-	lo, hi := 0, len(agents)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if agents[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// scopeStructural reports whether the round's sparse scope names an
-// undeclared structural change: a population size that moved, or a
-// touched ID the retained view does not hold (an added, removed, or
-// foreign agent). Undeclared structural scopes always take the
-// full-rebuild path — declared joins/leaves arrive as viewStructural and
-// splice in place instead.
-func (e *Engine) scopeStructural() bool {
-	if len(e.pop.Agents) != len(e.agents) {
-		return true
-	}
-	e.ensureByID()
-	for _, id := range e.scope.ids {
-		if _, ok := e.byID[id]; !ok {
-			return true
-		}
-	}
-	return false
-}
-
-// prepareStructural resolves a declared structural scope against the
-// retained view: it sorts the join/leave declarations, runs the
-// consistency checks the engine can afford without an O(population)
-// pass, and resolves each joiner ID to its agent object. It reports
-// false — and the caller escalates the round to viewFull — when the
-// scope cannot be applied sparsely: no retained view yet, an ID declared
-// both joined and left (ambiguous against a view that only sees the
-// endpoints), a joiner already in the view, a leaver missing from it, a
-// joiner that does not resolve in Population.Agents, a plain-touched ID
-// resolving nowhere, or a population length that disagrees with the
-// declarations. Declarations the checks cannot refute are trusted,
-// exactly like Touch: an inaccurate scope is the caller's bug.
+// prepareStructural resolves a declared scope against the retained view:
+// it sorts the join/leave declarations, runs the consistency checks the
+// engine can afford without an O(population) pass, and resolves each
+// joiner ID to its agent object. It reports false — and the caller
+// escalates the round to viewFull — when the scope cannot be applied in
+// place: no retained view yet, an ID declared both joined and left
+// (ambiguous against a view that only sees the endpoints), a joiner
+// already in the view, a leaver missing from it, a joiner that does not
+// resolve in Population.Agents, a plain-touched ID resolving nowhere, or
+// a population length that disagrees with the declarations (an
+// undeclared add or removal). Declarations the checks cannot refute are
+// trusted: an inaccurate scope is the caller's bug.
 func (e *Engine) prepareStructural() bool {
 	if !e.agentsOK {
 		return false
@@ -1038,11 +979,13 @@ func (e *Engine) spliceView() {
 	// reduces to contiguous survivor segments.
 	jpos := e.msJoinPos[:0]
 	for _, a := range joins {
-		jpos = append(jpos, int32(lowerBoundAgents(e.agents, a.ID)))
+		j, _ := searchAgents(e.agents, a.ID)
+		jpos = append(jpos, int32(j))
 	}
 	lpos := e.msLeavePos[:0]
 	for _, id := range leaves {
-		lpos = append(lpos, int32(e.findAgent(id))) // resolved by prepareStructural
+		j, _ := searchAgents(e.agents, id) // resolved by prepareStructural
+		lpos = append(lpos, int32(j))
 	}
 	segs, jdst := buildSpliceSegs(e.msSegs[:0], e.msJoinDst[:0], jpos, lpos, len(e.agents))
 
@@ -1120,30 +1063,14 @@ func (e *Engine) validateAgent(a *worker.Agent) error {
 	return nil
 }
 
-// validateTouched re-checks exactly the agents named by the round's
-// sparse scope plus the scalar Mu check. The structural invariants
-// (membership, duplicates, orphan map entries) cannot move under a
-// non-structural sparse scope, so the O(population) pass is skipped;
-// runRound falls back to the full Validate for every other scope shape.
-func (e *Engine) validateTouched() error {
-	p := e.pop
-	if !(p.Mu > 0) || math.IsInf(p.Mu, 0) {
-		return fmt.Errorf("mu=%v: %w", p.Mu, ErrBadPopulation)
-	}
-	e.ensureByID()
-	for _, id := range e.scope.ids {
-		if err := e.validateAgent(e.agents[e.byID[id]]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateStructural re-checks what a declared structural scope can have
-// changed: the scalar Mu, every joiner in full, and every plain-touched
-// agent still present. Leavers are skipped — their map entries left with
-// them — and a touched ID that is also a joiner is covered by the joiner
-// pass. Runs before the splice, so plain-touched IDs resolve against the
+// validateStructural re-checks what a declared scope can have changed:
+// the scalar Mu, every joiner in full, and every plain-touched agent
+// still present. The remaining Validate invariants (membership,
+// duplicates, orphan map entries) move only through the declared joins
+// and leaves prepareStructural cross-checked, so the O(population) pass
+// is skipped. Leavers are skipped — their map entries left with them —
+// and a touched ID that is also a joiner is covered by the joiner pass.
+// Runs before the splice, so plain-touched IDs resolve against the
 // pre-splice view.
 func (e *Engine) validateStructural() error {
 	p := e.pop

@@ -231,20 +231,19 @@ type shardRun struct {
 	// route (contract already rewritten from the design cache): respond
 	// recomputes exactly these outcomes while outsOK keeps the rest.
 	dirty []int32
-	// seen stamps the view epoch of the last sparse refresh that counted
+	// seen stamps the view epoch of the last scoped refresh that counted
 	// this shard as touched, so a refresh counts each shard once.
 	seen uint64
 }
 
 // ensureShards (re)builds the per-shard views over the ID-sorted agent
 // view, under the same scope rules as roundAgents: kept outright under
-// viewKeep with an unmoved generation, refreshed in place for exactly the
-// touched agents under a (non-structural) viewSparse — untouched shards
-// keep their epoch, and with it their warm design plans and retained
-// outcomes — spliced in place for declared joins/leaves under
-// viewStructural, and rebuilt from scratch otherwise (viewFull covers
-// Bump, undeclared legacy Drift hooks, structural scopes escalated by
-// prepareStructural or roundAgents, and generation moves observed
+// viewKeep with an unmoved generation, spliced and refreshed in place
+// for exactly the declared joins, leaves, and touched agents under
+// viewStructural — untouched shards keep their epoch, and with it their
+// warm design plans and retained outcomes — and rebuilt from scratch
+// otherwise (viewFull covers Bump, undeclared legacy Drift hooks, scopes
+// refuted by prepareStructural, and generation moves observed
 // second-hand on a shared population). Reports whether a full rebuild
 // happened.
 func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
@@ -255,10 +254,6 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 			if e.shardsGen == gen {
 				return false
 			}
-		case viewSparse:
-			e.refreshShardsSparse()
-			e.shardsGen = gen
-			return false
 		case viewStructural:
 			e.refreshShardsStructural(st)
 			e.shardsGen = gen
@@ -333,65 +328,23 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 	return true
 }
 
-// refreshShardsSparse applies a sparse drift scope to the retained shard
-// views in place: for each touched agent it refreshes the owning shard's
-// weight, malice, and fingerprint slots, then picks the cheapest sound
-// route for that agent. Under a FingerprintPurePolicy whose new
-// fingerprint already resolves in the design cache, the agent's contract
-// slot is patched directly and only its outcome slot is marked dirty —
-// the shard keeps its epoch, its designer plan, and every other retained
-// outcome (the patch route). Otherwise the shard's epoch is bumped,
-// forcing its designer plan and retained outcomes to revalidate in full
-// (the fallback route). Untouched shards stay exactly as they were —
-// same epoch, same plan, same warm skip. Fingerprints are refcounted
-// across all shards, and only fingerprints whose last holder drifted
-// away are dropped from the design cache and respond memo, so shared
-// designs survive a partial drift.
-//
-// The caller (ensureShards) guarantees the scope is non-structural:
-// roundAgents escalated to viewFull otherwise, so every touched ID
-// resolves in the view and in its owning shard.
-func (e *Engine) refreshShardsSparse() {
-	var t telemetry.Timer
-	if e.m != nil {
-		t = telemetry.StartTimer()
-	}
-	e.ensureByID()
-	e.viewEpoch++
-	epoch := e.viewEpoch
-	canPatch := e.patchPol && e.cfg.Cache != nil
-	touched := 0
-	e.deadFPs = e.deadFPs[:0]
-	n := len(e.shards)
-	for _, id := range e.scope.ids {
-		sr := &e.shards[ShardOf(id, n)]
-		j := e.refreshShardSlot(sr, id, epoch, canPatch)
-		if j >= 0 && sr.seen != epoch {
-			sr.seen = epoch
-			touched++
-		}
-	}
-	e.removeDeadFPs()
-	if e.m != nil {
-		e.m.driftShardsRebuilt.Add(uint64(touched))
-		e.m.driftShardsSkipped.Add(uint64(n - touched))
-		e.m.driftRebuild.Observe(t.Seconds())
-	}
-}
-
 // refreshShardSlot refreshes one touched agent's shard slot — weight,
-// malice, fingerprint (refcounted) — and routes the contract: the patch
-// route under a fingerprint-pure policy with a cache hit, the epoch-bump
-// route otherwise. Returns the shard-local slot, or -1 when the ID does
-// not resolve in the shard (a touched agent that left this round, under
-// a structural scope).
+// malice, fingerprint (refcounted) — and routes the contract. Under a
+// FingerprintPurePolicy whose new fingerprint already resolves in the
+// design cache, the agent's contract slot is patched directly and only
+// its outcome slot is marked dirty — the shard keeps its epoch, its
+// designer plan, and every other retained outcome (the patch route).
+// Otherwise the shard's epoch is bumped, forcing its designer plan and
+// retained outcomes to revalidate in full (the fallback route). Returns
+// the shard-local slot, or -1 when the ID does not resolve in the shard
+// (a touched agent that left this round).
 func (e *Engine) refreshShardSlot(sr *shardRun, id string, epoch uint64, canPatch bool) int {
 	sh := &sr.sh
 	var j int
 	if !e.fragmented {
 		// Identity slot mapping: Global is monotone in view order, so the
 		// slot binary-searches by the agent's view index — int compares,
-		// no string walks (the sparse-drift hot path).
+		// no string walks (the touch-only drift hot path).
 		gi, ok := e.byID[id]
 		if !ok {
 			return -1
@@ -400,10 +353,13 @@ func (e *Engine) refreshShardSlot(sr *shardRun, id string, epoch uint64, canPatc
 		if j >= len(sh.Global) || sh.Global[j] != gi {
 			return -1
 		}
-	} else if j = searchShardAgent(sh, id); j < 0 {
-		// After a structural splice Global holds physical outcome slots,
-		// no longer monotone; resolve by agent ID instead.
-		return -1
+	} else {
+		// After a splice Global holds physical outcome slots, no longer
+		// monotone; resolve by agent ID instead.
+		var ok bool
+		if j, ok = searchAgents(sh.Agents, id); !ok {
+			return -1
+		}
 	}
 	a := sh.Agents[j]
 	w := e.pop.Weights[id]
@@ -429,26 +385,6 @@ func (e *Engine) refreshShardSlot(sr *shardRun, id string, epoch uint64, canPatc
 		sr.outsOK = false
 	}
 	return j
-}
-
-// searchShardAgent returns id's position in the shard's (ID-sorted)
-// agent list, or -1. Shard positions are found by agent ID, not by
-// global index: after a structural splice Shard.Global holds physical
-// outcome slots, which are no longer monotone.
-func searchShardAgent(sh *Shard, id string) int {
-	lo, hi := 0, len(sh.Agents)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sh.Agents[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sh.Agents) && sh.Agents[lo].ID == id {
-		return lo
-	}
-	return -1
 }
 
 // dropFP decrements a fingerprint's refcount, collecting it into the
@@ -492,17 +428,18 @@ func (e *Engine) removeDeadFPs() {
 	}
 }
 
-// refreshShardsStructural applies a declared structural scope to the
-// retained shard views in place. Joins and leaves — already resolved and
-// ID-sorted by prepareStructural, slots assigned by spliceView — are
-// grouped by owning shard and spliced into each affected shard's views
-// in one merge pass (spliceShard); shards owning no declared ID keep
-// their epoch, plan, and retained outcomes untouched. The scope's
-// plain-touched agents then refresh exactly as under viewSparse
-// (resolved by ID against the spliced views). Fingerprint refcounts
-// account for every join, leave, and in-place change, and dead
-// fingerprints are evicted as usual. Finally, maybeCompact renumbers the
-// outcome slots back to identity when enough tombstones accumulated.
+// refreshShardsStructural applies a declared scope to the retained shard
+// views in place. Joins and leaves — already resolved and ID-sorted by
+// prepareStructural, slots assigned by spliceView — are grouped by owning
+// shard and spliced into each affected shard's views in one merge pass
+// (spliceShard). The scope's plain-touched agents then refresh their
+// slots (refreshShardSlot, resolved by ID against the spliced views).
+// Shards owning no declared ID keep their epoch, plan, and retained
+// outcomes untouched. Fingerprints are refcounted across all shards, so
+// only fingerprints whose last holder drifted or left are evicted from
+// the design cache and respond memo; shared designs survive a partial
+// drift. Finally, maybeCompact renumbers the outcome slots back to
+// identity when enough tombstones accumulated.
 func (e *Engine) refreshShardsStructural(st *roundState) {
 	var t telemetry.Timer
 	if e.m != nil {
@@ -548,9 +485,9 @@ func (e *Engine) refreshShardsStructural(st *roundState) {
 		}
 	}
 
-	// Plain-touched agents refresh exactly as under viewSparse; joiners
-	// were handled at their insertion, and a touched ID that left no
-	// longer resolves and is skipped.
+	// Plain-touched agents refresh their slots; joiners were handled at
+	// their insertion, and a touched ID that left no longer resolves and
+	// is skipped.
 	for _, id := range e.scope.ids {
 		if _, ok := e.structJoinSet[id]; ok {
 			continue
@@ -596,11 +533,12 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	// fingerprint before the moves overwrite its slot.
 	jpos := e.msJoinPos[:0]
 	for _, k := range joins {
-		jpos = append(jpos, int32(lowerBoundAgents(sh.Agents, e.structJoins[k].ID)))
+		jp, _ := searchAgents(sh.Agents, e.structJoins[k].ID)
+		jpos = append(jpos, int32(jp))
 	}
 	lpos := e.msLeavePos[:0]
 	for _, k := range leaves {
-		lp := searchShardAgent(sh, e.scope.leaves[k]) // resolved by prepareStructural
+		lp, _ := searchAgents(sh.Agents, e.scope.leaves[k]) // resolved by prepareStructural
 		lpos = append(lpos, int32(lp))
 		e.dropFP(sh.FPs[lp])
 	}

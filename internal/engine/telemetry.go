@@ -69,22 +69,23 @@ const (
 	MetricShardDesignSeconds  = "dyncontract_engine_shard_design_seconds"
 	MetricShardRespondSeconds = "dyncontract_engine_shard_respond_seconds"
 
-	// Sparse-drift instrumentation (see DESIGN.md "Drift scopes").
-	// MetricDriftTouchedAgents counts agents named by consumed sparse
-	// scopes (Population.Touch); Bump and legacy Drift-hook rounds count
+	// Scoped-drift instrumentation (see DESIGN.md "Drift scopes").
+	// MetricDriftTouchedAgents counts agents named by consumed
+	// Population.Touch scopes; Bump and legacy Drift-hook rounds count
 	// nothing here — they take the full-rebuild path.
 	MetricDriftTouchedAgents = "dyncontract_engine_drift_touched_agents"
 	// MetricDriftShardsRebuilt / MetricDriftShardsSkipped count, per
-	// sparse refresh, the shards that owned a touched agent (epoch
-	// bumped, views refreshed) vs the shards left on their warm path.
+	// scoped refresh, the shards that owned a declared ID (views
+	// refreshed or spliced) vs the shards left on their warm path.
 	MetricDriftShardsRebuilt = "dyncontract_engine_drift_shards_rebuilt_total"
 	MetricDriftShardsSkipped = "dyncontract_engine_drift_shards_skipped_total"
-	// MetricDriftRebuildSeconds times each sparse refresh (histogram,
+	// MetricDriftRebuildSeconds times each scoped refresh (histogram,
 	// seconds) — the cost a full view rebuild was traded for.
 	MetricDriftRebuildSeconds = "dyncontract_engine_drift_rebuild_seconds"
 	// MetricDriftJoins / MetricDriftLeaves count agents spliced in or out
-	// by consumed structural scopes (Population.TouchJoin / TouchLeave).
-	// Misdeclared scopes that escalate to a full rebuild count nothing.
+	// by consumed scopes (Population.TouchJoin / TouchLeave). A scope the
+	// engine's cross-checks refute escalates to a full rebuild and counts
+	// nothing in any of the touched, joins, or leaves counters.
 	MetricDriftJoins  = "dyncontract_engine_drift_joins_total"
 	MetricDriftLeaves = "dyncontract_engine_drift_leaves_total"
 	// MetricDriftCompactions counts deferred outcome-slot compactions —

@@ -324,11 +324,11 @@ func (s *session) runRound(ctx context.Context, req AdvanceRoundRequest) cmdRepl
 	s.ledger.add(round)
 	s.ledgerMu.Unlock()
 	s.srv.metrics.roundDone()
-	// A sparse or structural drift scope that escalated to a full view
-	// rebuild mid-round means the declarations did not hold against the
-	// retained views — worth a warning, because the client paid cold-round
-	// latency for what it declared as a small drift.
-	if declared, applied := s.eng.LastDriftClass(); (declared == "viewSparse" || declared == "viewStructural") && applied == "viewFull" {
+	// A declared drift scope that escalated to a full view rebuild means
+	// the declarations did not hold against the retained views — worth a
+	// warning, because the client paid cold-round latency for what it
+	// declared as a small drift.
+	if declared, applied := s.eng.LastDriftClass(); declared == "viewStructural" && applied == "viewFull" {
 		if lg := s.srv.logger; lg != nil {
 			lg.LogAttrs(ctx, slog.LevelWarn, "drift scope escalated",
 				slog.String("session", s.id),

@@ -33,7 +33,7 @@ func goldenTraces() []Trace {
 					Attrs: []Attr{Int("shard", 1), Int("cache.hits", 8), Int("cache.misses", 0)}},
 				{Trace: t1, ID: 3, Parent: 2, Name: "engine.stage.design", Start: at(3), End: at(7)},
 				{Trace: t1, ID: 2, Parent: 1, Name: "engine.round", Start: at(2), End: at(11),
-					Attrs: []Attr{Str("drift", "viewSparse"), Int("round", 4)}},
+					Attrs: []Attr{Str("drift", "viewStructural"), Int("round", 4)}},
 				{Trace: t1, ID: 1, Name: "http POST /v1/sessions/{id}/rounds", Start: at(0), End: at(12),
 					Attrs: []Attr{Str("session", "s-1"), Int("status", 200)}},
 			},

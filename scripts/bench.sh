@@ -17,12 +17,18 @@
 # BENCH_engine.json as one JSON array of
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
 # objects, so the acceptance bars (telemetry overhead ≤5%, respond-memo
-# warm-round speedup, sparse-drift-1pct ≤10% of a full sharded rebuild)
-# can be checked from the file. The former "sharded-warm ≥4×
-# sequential-warm" bar is retired: an engine with Config.Shards = 0 runs
-# the same pipeline as one shard, so sequential-warm is the one-shard warm
-# round and both arms skip the warm respond stage. Both stay
-# regression-gated below.
+# warm-round speedup) can be checked from the file. The former
+# "sharded-warm ≥4× sequential-warm" bar is retired: an engine with
+# Config.Shards = 0 runs the same pipeline as one shard, so
+# sequential-warm is the one-shard warm round and both arms skip the warm
+# respond stage. Both stay regression-gated below.
+#
+# The drift bars are gated as same-run ratios: the fresh run fails when
+# BenchmarkEngineRound100k/sparse-drift-1pct or structural-churn-1pct
+# takes more than 10% of the same run's sharded-rebuild, or when any of
+# the three arms is missing. A ratio of two arms timed on one machine in
+# one run does not depend on the machine, so this gate holds even under
+# BENCH_ALLOW_REGRESSION=1.
 #
 # Before overwriting, the fresh run is diffed against the committed
 # BENCH_engine.json: every benchmark's ns/op delta is printed, a >10%
@@ -68,6 +74,38 @@ BEGIN { print "["; n = 0 }
 }
 END { print "\n]" }
 ' "$raw" > "$fresh"
+
+echo
+echo "drift ratios vs sharded-rebuild (same run, bar <= 0.10):"
+awk '
+match($0, /"name": "BenchmarkEngineRound100k\/[^"]+"/) {
+	name = substr($0, RSTART + 34, RLENGTH - 35)
+	if (match($0, /"ns_per_op": [0-9.e+]+/))
+		ns[name] = substr($0, RSTART + 13, RLENGTH - 13) + 0
+}
+END {
+	if (!(ns["sharded-rebuild"] > 0)) {
+		print "  FAIL: sharded-rebuild arm missing"
+		exit 1
+	}
+	split("sparse-drift-1pct structural-churn-1pct", arms, " ")
+	for (i = 1; i <= 2; i++) {
+		a = arms[i]
+		if (!(a in ns)) {
+			printf "  FAIL: %s arm missing\n", a
+			failed = 1
+			continue
+		}
+		r = ns[a] / ns["sharded-rebuild"]
+		printf "  %-25s %.3f\n", a, r
+		if (r > 0.10) {
+			printf "  FAIL: %s / sharded-rebuild = %.3f > 0.10\n", a, r
+			failed = 1
+		}
+	}
+	exit failed
+}
+' "$fresh"
 
 if [ -f "$out" ]; then
 	echo
