@@ -371,7 +371,9 @@ func persistentEngine(b *testing.B, pop *engine.Population, cfg engine.Config) *
 //
 //   - nodedup: the pre-engine baseline, 1000 core.Design calls per round;
 //   - dedup-cold: fingerprint dedup with a fresh cache per round, 3 calls;
-//   - dedup-warm: a warmed cross-round cache, 0 calls.
+//   - dedup-warm: a warmed cross-round cache, 0 calls;
+//   - weight-drift-all: every weight moves every round, 0 calls — the
+//     warm menus are re-picked per weight.
 //
 // Every regime but nodedup and respond-memo-cold times a persistent
 // engine warmed off the clock, so the number is a round, not engine
@@ -437,6 +439,35 @@ func BenchmarkEngineRound1k(b *testing.B) {
 		b.StopTimer()
 		if s := cache.Stats(); s.Misses != warmed {
 			b.Fatalf("warm rounds performed %d Design calls, want 0", s.Misses-warmed)
+		}
+	})
+	b.Run("weight-drift-all", func(b *testing.B) {
+		// The paper's dynamic loop: every weight moves every round,
+		// declared with Population.Bump as dynamics.Run's belief refresh
+		// does. Weights never enter a menu, so once the 3 menus are warm a
+		// round solves nothing — it re-picks Eq. (43) per distinct weight.
+		drifting := benchArchetypePopulation(b, 1000)
+		cache := engine.NewCache()
+		eng := persistentEngine(b, drifting, engine.Config{
+			Policy: &platform.DynamicPolicy{},
+			Cache:  cache,
+			Memo:   engine.NewRespondMemo(),
+		})
+		warmed := cache.Stats().Misses
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, a := range drifting.Agents {
+				drifting.Weights[a.ID] = 0.2 + float64(j%100)*1e-2 + float64(i%1000)*1e-6
+			}
+			drifting.Bump()
+			if err := eng.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if s := cache.Stats(); s.Misses != warmed {
+			b.Fatalf("weight-drift rounds built %d menus, want 0", s.Misses-warmed)
 		}
 	})
 	b.Run("respond-memo-cold", func(b *testing.B) {

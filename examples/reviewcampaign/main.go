@@ -52,9 +52,9 @@ func main() {
 	fmt.Printf("\nsimulating %d agents over 4 rounds...\n", len(pop.Agents))
 
 	// Stage 6: run the marketplace on the engine. Each policy gets its own
-	// design cache: workers fitted per class share effort functions, so a
-	// whole class dedups to a handful of core.Design calls, and rounds
-	// after the first are design-free.
+	// design cache: workers fitted per class share effort functions and
+	// cost parameters, so a whole class shares one design menu whatever
+	// its weights, and rounds after the first are solve-free.
 	ctx := context.Background()
 	for _, pol := range []platform.Policy{
 		&platform.DynamicPolicy{},
@@ -68,7 +68,7 @@ func main() {
 		total := platform.TotalUtility(ledger)
 		fmt.Printf("\npolicy %-25s total utility %10.2f\n", pol.Name(), total)
 		s := cache.Stats()
-		fmt.Printf("  design cache: %d hits, %d misses over 4 rounds (%d distinct contracts)\n",
+		fmt.Printf("  design cache: %d hits, %d misses over 4 rounds (%d design menus)\n",
 			s.Hits, s.Misses, s.Entries)
 
 		// Who earned what, by class, in the last round?

@@ -37,32 +37,53 @@ type PiecewiseLinear struct {
 // New validates knots and compensations and returns the contract. Both
 // slices are copied; callers may reuse their buffers.
 func New(knots, comps []float64) (*PiecewiseLinear, error) {
-	if len(knots) != len(comps) {
-		return nil, fmt.Errorf("%d knots vs %d compensations: %w", len(knots), len(comps), ErrBadShape)
-	}
-	if len(knots) < 2 {
-		return nil, fmt.Errorf("need at least 2 knots, got %d: %w", len(knots), ErrBadShape)
-	}
-	for i := range knots {
-		if math.IsNaN(knots[i]) || math.IsInf(knots[i], 0) || math.IsNaN(comps[i]) || math.IsInf(comps[i], 0) {
-			return nil, fmt.Errorf("non-finite entry at %d: %w", i, ErrBadShape)
-		}
-		if comps[i] < 0 {
-			return nil, fmt.Errorf("negative compensation %v at %d: %w", comps[i], i, ErrBadShape)
-		}
-	}
-	for i := 1; i < len(knots); i++ {
-		if knots[i] <= knots[i-1] {
-			return nil, fmt.Errorf("knot %d (%v) <= knot %d (%v): %w", i, knots[i], i-1, knots[i-1], ErrNotMonotone)
-		}
-		if comps[i] < comps[i-1] {
-			return nil, fmt.Errorf("compensation %d (%v) < %d (%v): %w", i, comps[i], i-1, comps[i-1], ErrNotMonotone)
-		}
+	if err := validate(knots, comps); err != nil {
+		return nil, err
 	}
 	return &PiecewiseLinear{
 		knots: append([]float64(nil), knots...),
 		comps: append([]float64(nil), comps...),
 	}, nil
+}
+
+// NewShared is New without the copies: the contract keeps both slices,
+// so a family of contracts over one feedback grid — a design menu's
+// candidates — shares a single knots array. The caller must never modify
+// either slice afterwards (a contract never does).
+func NewShared(knots, comps []float64) (*PiecewiseLinear, error) {
+	if err := validate(knots, comps); err != nil {
+		return nil, err
+	}
+	return &PiecewiseLinear{knots: knots[:len(knots):len(knots)], comps: comps[:len(comps):len(comps)]}, nil
+}
+
+// validate checks a contract's shape: equal lengths, at least one piece,
+// finite non-negative entries, strictly increasing knots and
+// non-decreasing compensations.
+func validate(knots, comps []float64) error {
+	if len(knots) != len(comps) {
+		return fmt.Errorf("%d knots vs %d compensations: %w", len(knots), len(comps), ErrBadShape)
+	}
+	if len(knots) < 2 {
+		return fmt.Errorf("need at least 2 knots, got %d: %w", len(knots), ErrBadShape)
+	}
+	for i := range knots {
+		if math.IsNaN(knots[i]) || math.IsInf(knots[i], 0) || math.IsNaN(comps[i]) || math.IsInf(comps[i], 0) {
+			return fmt.Errorf("non-finite entry at %d: %w", i, ErrBadShape)
+		}
+		if comps[i] < 0 {
+			return fmt.Errorf("negative compensation %v at %d: %w", comps[i], i, ErrBadShape)
+		}
+	}
+	for i := 1; i < len(knots); i++ {
+		if knots[i] <= knots[i-1] {
+			return fmt.Errorf("knot %d (%v) <= knot %d (%v): %w", i, knots[i], i-1, knots[i-1], ErrNotMonotone)
+		}
+		if comps[i] < comps[i-1] {
+			return fmt.Errorf("compensation %d (%v) < %d (%v): %w", i, comps[i], i-1, comps[i-1], ErrNotMonotone)
+		}
+	}
+	return nil
 }
 
 // Pieces returns m, the number of linear pieces.

@@ -21,7 +21,9 @@
 // DesignInto therefore runs the whole solve over flat float64 slices held
 // in a reusable Scratch and materializes exactly one PiecewiseLinear: the
 // argmax winner (all m candidates when Config.WantCandidates asks for the
-// diagnostics). Every arithmetic expression mirrors the scalar path
+// diagnostics). The solve is split at Eq. (43) (menu.go): BuildMenu is
+// everything the worker side determines, Menu.Pick the requester's argmax,
+// and DesignInto the two in sequence. Every arithmetic expression mirrors the scalar path
 // token for token — same evaluation order, same binary search, same
 // lexicographic (utility, −effort) tie-break — so results are
 // bit-identical to Design; TestDesignIntoMatchesDesign and the fuzz
@@ -35,7 +37,6 @@ import (
 	"fmt"
 	"math"
 
-	"dyncontract/internal/contract"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/worker"
 )
@@ -47,7 +48,10 @@ import (
 // single-owner: one solve at a time (the solver pool keeps one per
 // worker, the sharded engine one per shard).
 type Scratch struct {
-	knots  []float64 // d_l = ψ(lδ), l = 0..m
+	// knots is d_l = ψ(lδ), l = 0..m. It is never written in place: a new
+	// (partition, ψ) gets a fresh array, so the menus built over it — and
+	// every contract they materialize — share it read-only.
+	knots  []float64
 	alphas []float64 // α_1..α_m, the shared slope chain of Eq. (39)–(40)
 	comps  []float64 // C_0..C_m, compensation knots under the full chain
 	lifted []float64 // participation-lifted compensations, one candidate at a time
@@ -61,6 +65,20 @@ type Scratch struct {
 	knotPsi       effort.Quadratic
 	knotsOK       bool
 	knotsMonotone bool
+
+	// resps and lifts hold every candidate's full best response and
+	// participation lift from the last buildMenu — what a menu itself
+	// does not keep — so a pick straight after a build reads them
+	// instead of re-solving. chainOf is the menu whose chain comps holds,
+	// respsOf the menu resps and lifts describe (nil: none).
+	resps   []worker.Response
+	lifts   []float64
+	chainOf *Menu
+	respsOf *Menu
+
+	// menu is DesignInto's reusable menu: a one-shot design builds into
+	// it and picks from it, so the cold path allocates no menu.
+	menu Menu
 
 	uses      uint64
 	fallbacks uint64
@@ -82,7 +100,9 @@ func (s *Scratch) Fallbacks() uint64 { return s.fallbacks }
 // site where the batched solve cannot reproduce the scalar result (or its
 // error) bit for bit funnels through here.
 func (s *Scratch) fallback(a *worker.Agent, cfg Config) (*Result, error) {
-	s.fallbacks++
+	if s != nil {
+		s.fallbacks++
+	}
 	return Design(a, cfg)
 }
 
@@ -90,20 +110,22 @@ func (s *Scratch) fallback(a *worker.Agent, cfg Config) (*Result, error) {
 // for ψ, reusing the cached knots when (part, ψ) is unchanged.
 func (s *Scratch) prepare(part effort.Partition, psi effort.Quadratic) {
 	m := part.M
-	if cap(s.knots) < m+1 {
-		s.knots = make([]float64, m+1)
+	if cap(s.alphas) < m {
 		s.alphas = make([]float64, m)
 		s.comps = make([]float64, m+1)
 		s.lifted = make([]float64, m+1)
-		s.knotsOK = false
+		s.resps = make([]worker.Response, m)
+		s.lifts = make([]float64, m)
 	}
-	s.knots = s.knots[:m+1]
 	s.alphas = s.alphas[:m]
 	s.comps = s.comps[:m+1]
 	s.lifted = s.lifted[:m+1]
+	s.resps = s.resps[:m]
+	s.lifts = s.lifts[:m]
 	if s.knotsOK && s.knotPart == part && s.knotPsi == psi {
 		return
 	}
+	s.knots = make([]float64, m+1)
 	monotone := true
 	for l := 0; l <= m; l++ {
 		s.knots[l] = psi.Eval(part.Edge(l))
@@ -253,27 +275,13 @@ func bestResponse(a *worker.Agent, part effort.Partition, knots, comps []float64
 	return best
 }
 
-// materialize allocates candidate k's contract from the shared arrays,
-// adding lift to every compensation knot — the same two steps the scalar
-// path performs (flatten via the builder, then shift the copied comps),
-// so the resulting knot/comp values are bit-identical.
-func (s *Scratch) materialize(k int, lift float64) (*contract.PiecewiseLinear, error) {
-	m := len(s.knots) - 1
-	comps := make([]float64, m+1)
-	for i := range comps {
-		comps[i] = s.comps[min(i, k)]
-		if lift != 0 {
-			comps[i] += lift
-		}
-	}
-	return contract.New(s.knots, comps)
-}
-
 // DesignInto is Design over a reusable Scratch: one batched
 // structure-of-arrays solve that validates once, runs the slope recursion
 // once for all m candidates, best-responds analytically over the shared
 // arrays, and materializes only the winning contract (every candidate
-// when cfg.WantCandidates is set). Results — contract knots and
+// when cfg.WantCandidates is set). It is BuildMenu into the scratch's own
+// menu followed by the Eq. (43) pick, so the engine's cached menus and
+// this cold path run one code path. Results — contract knots and
 // compensations, KOpt, response, bounds, diagnostics — are bit-identical
 // to Design's. s may be nil (a temporary scratch is used); otherwise the
 // caller must not share s between concurrent solves.
@@ -287,97 +295,8 @@ func DesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
-	s.uses++
-	s.prepare(cfg.Part, a.Psi)
-	if !s.knotsMonotone {
-		// Degenerate feedback knots: the scalar path fails in the builder's
-		// validation with the precise error; reproduce it verbatim.
-		return s.fallback(a, cfg)
-	}
-	firstClamp, ok := s.chain(a, cfg.Part)
-	if !ok {
-		return s.fallback(a, cfg)
-	}
-
-	m := cfg.Part.M
-	var candidates []Candidate
-	if cfg.WantCandidates {
-		candidates = make([]Candidate, 0, m)
-	}
-	bestK := 0
-	var bestResp worker.Response
-	var bestRU, bestLift float64
-	for k := 1; k <= m; k++ {
-		resp := bestResponse(a, cfg.Part, s.knots, s.comps, k)
-		lift := 0.0
-		if resp.Utility < a.Reservation {
-			// Participation lift, mirroring buildCandidate: the shortfall is
-			// measured against the reservation-free response, which runs the
-			// identical search and so has exactly resp's utility — except
-			// that a negative best utility makes even the free worker
-			// decline, and a declined response reports the zero value.
-			freeU := resp.Utility
-			if freeU < 0 {
-				freeU = 0
-			}
-			lift = a.Reservation - freeU + participationSlack
-			if math.IsNaN(lift) || math.IsInf(lift, 0) {
-				return s.fallback(a, cfg)
-			}
-			for i := 0; i <= m; i++ {
-				s.lifted[i] = s.comps[min(i, k)] + lift
-			}
-			if math.IsInf(s.lifted[m], 0) {
-				return s.fallback(a, cfg)
-			}
-			resp = bestResponse(a, cfg.Part, s.knots, s.lifted, m)
-			if resp.Utility < a.Reservation {
-				// The scalar path errors here ("lift ... failed to secure
-				// participation"); let it produce the identical error.
-				return s.fallback(a, cfg)
-			}
-		}
-		ru := cfg.W*resp.Feedback - cfg.Mu*resp.Compensation
-		if cfg.WantCandidates {
-			c, err := s.materialize(k, lift)
-			if err != nil {
-				return s.fallback(a, cfg)
-			}
-			candidates = append(candidates, Candidate{
-				K:                 k,
-				Contract:          c,
-				Response:          resp,
-				RequesterUtility:  ru,
-				Clamped:           firstClamp != 0 && firstClamp <= k,
-				ParticipationLift: lift,
-			})
-		}
-		// Requester-utility argmax with strict >, ties to smaller k —
-		// identical to the scalar selection loop.
-		if bestK == 0 || ru > bestRU {
-			bestK, bestResp, bestRU, bestLift = k, resp, ru, lift
-		}
-	}
-
-	res := &Result{
-		Agent:            a,
-		KOpt:             bestK,
-		Response:         bestResp,
-		RequesterUtility: bestRU,
-	}
-	if cfg.WantCandidates {
-		res.Candidates = candidates
-		res.Contract = candidates[bestK-1].Contract
-	} else {
-		c, err := s.materialize(bestK, bestLift)
-		if err != nil {
-			return s.fallback(a, cfg)
-		}
-		res.Contract = c
-	}
-	res.UpperBound = UpperBound(a, cfg)
-	res.LowerBound = LowerBound(a, cfg, bestK)
-	return res, nil
+	s.buildMenu(a, cfg.Part, &s.menu)
+	return s.menu.design(a, cfg, s)
 }
 
 // BatchItem is one subproblem of a DesignBatch call.

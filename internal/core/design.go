@@ -81,8 +81,8 @@ var ErrBadConfig = errors.New("core: invalid design configuration")
 // ulp below the reservation and the worker still declining. 1e-9 is far
 // above any accumulated rounding at the magnitudes the paper works with
 // (β, δ, ψ all O(1)) and far below anything economically meaningful. Both
-// the scalar path (buildCandidate) and the batched path (DesignInto) use
-// this constant, keeping their lifted contracts bit-identical.
+// the scalar path (buildCandidate) and the batched path (Scratch.candidate)
+// use this constant, keeping their lifted contracts bit-identical.
 const participationSlack = 1e-9
 
 // Config parameterizes a single-agent contract design (one decomposed
@@ -107,14 +107,23 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Part.M <= 0 || !(c.Part.Delta > 0) {
-		return fmt.Errorf("partition %+v: %w", c.Part, ErrBadConfig)
+	if err := validatePart(c.Part); err != nil {
+		return err
 	}
 	if !(c.Mu > 0) || math.IsInf(c.Mu, 0) {
 		return fmt.Errorf("mu=%v must be positive and finite: %w", c.Mu, ErrBadConfig)
 	}
 	if math.IsNaN(c.W) || math.IsInf(c.W, 0) {
 		return fmt.Errorf("w=%v must be finite: %w", c.W, ErrBadConfig)
+	}
+	return nil
+}
+
+// validatePart checks the partition half of a configuration — all that
+// BuildMenu reads of it.
+func validatePart(p effort.Partition) error {
+	if p.M <= 0 || !(p.Delta > 0) {
+		return fmt.Errorf("partition %+v: %w", p, ErrBadConfig)
 	}
 	return nil
 }

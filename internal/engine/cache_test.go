@@ -154,19 +154,19 @@ func TestFingerprintOf(t *testing.T) {
 
 func TestCacheZeroValueAndInvalidate(t *testing.T) {
 	var c engine.Cache // zero value must be usable
-	fp := engine.Fingerprint{Class: worker.Honest, W: 1}
-	if _, ok := c.Get(fp); ok {
+	key := engine.DesignKey{Class: worker.Honest, Beta: 1}
+	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	res := &core.Result{}
-	c.Put(fp, res)
-	got, ok := c.Get(fp)
-	if !ok || got != res {
+	menu := &core.Menu{}
+	c.Put(key, menu)
+	got, ok := c.Get(key)
+	if !ok || got != menu {
 		t.Fatal("Put/Get roundtrip failed")
 	}
-	c.Put(fp, nil) // nil results are not cacheable
-	if got, _ := c.Get(fp); got != res {
-		t.Error("Put(nil) clobbered a cached design")
+	c.Put(key, nil) // nil menus are not cacheable
+	if got, _ := c.Get(key); got != menu {
+		t.Error("Put(nil) clobbered a cached menu")
 	}
 
 	before := c.Stats()
@@ -178,24 +178,24 @@ func TestCacheZeroValueAndInvalidate(t *testing.T) {
 	if after.Hits != before.Hits || after.Misses != before.Misses {
 		t.Error("Invalidate reset the counters; they must be preserved")
 	}
-	if _, ok := c.Get(fp); ok {
+	if _, ok := c.Get(key); ok {
 		t.Error("invalidated cache still serves designs")
 	}
 }
 
 func TestCacheMaxEntriesFlush(t *testing.T) {
 	c := engine.Cache{MaxEntries: 2}
-	res := &core.Result{}
-	c.Put(engine.Fingerprint{W: 1}, res)
-	c.Put(engine.Fingerprint{W: 2}, res)
+	menu := &core.Menu{}
+	c.Put(engine.DesignKey{Beta: 1}, menu)
+	c.Put(engine.DesignKey{Beta: 2}, menu)
 	if got := c.Stats().Entries; got != 2 {
 		t.Fatalf("entries = %d, want 2", got)
 	}
-	c.Put(engine.Fingerprint{W: 3}, res) // crossing the cap flushes first
+	c.Put(engine.DesignKey{Beta: 3}, menu) // crossing the cap flushes first
 	if got := c.Stats().Entries; got != 1 {
 		t.Errorf("entries after overflow = %d, want 1 (flush-then-insert)", got)
 	}
-	if _, ok := c.Get(engine.Fingerprint{W: 3}); !ok {
+	if _, ok := c.Get(engine.DesignKey{Beta: 3}); !ok {
 		t.Error("the entry that triggered the flush was lost")
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dyncontract/internal/contract"
@@ -14,15 +15,16 @@ import (
 )
 
 // Designer turns a set of agents into per-agent contracts through the
-// deduplicating cache and the parallel solver fan-out.
+// deduplicating menu cache and the parallel solver fan-out.
 //
-// Within one call, agents sharing a fingerprint are designed once (the
-// round-level dedup is unconditional — it is pure, deterministic sharing).
-// With a Cache attached, distinct fingerprints that were designed in a
-// previous round cost nothing. Scratch buffers — the solver fan-out
-// inputs, the per-agent fingerprints, and both result maps, including the
-// returned contracts map — are retained across calls, so a long-running
-// loop stops allocating per-round.
+// Within one call, agents are deduplicated two levels deep: agents
+// sharing a design key share one menu (one §IV-C solve), and agents
+// sharing a whole fingerprint share one Eq. (43) pick. The round-level
+// dedup is unconditional — it is pure, deterministic sharing. With a
+// Cache attached, menus built in a previous round cost nothing, whatever
+// the weights picked from them. Scratch buffers — the plan, the solver
+// fan-out inputs, and the returned contracts map — are retained across
+// calls, so a long-running loop stops allocating per round.
 //
 // The zero value is ready to use. A Designer is safe for concurrent use,
 // but calls are serialized and the returned map is reused by the next
@@ -31,45 +33,220 @@ import (
 type Designer struct {
 	// Parallelism caps the solver pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache, when non-nil, carries designs across rounds.
+	// Cache, when non-nil, carries menus across rounds.
 	Cache *Cache
 	// Metrics, when non-nil, is forwarded to the solver fan-out
-	// (dyncontract_solver_* counters and per-design timings).
+	// (dyncontract_solver_* counters and per-build timings).
 	Metrics *telemetry.Registry
 
 	mu        sync.Mutex
-	subs      []solver.Subproblem
-	subFPs    []Fingerprint
-	agentFPs  []Fingerprint
-	outs      []solver.Outcome
-	results   map[Fingerprint]*core.Result
+	plan      pickPlan
+	slots     []int32 // per agent: index into plan.fps
+	scratch   core.Scratch
 	contracts map[string]*contract.PiecewiseLinear
-	roundFPs  []Fingerprint
-	roundRes  []*core.Result
 	shards    []*ShardDesigner // lazily built per-shard designers (Shard)
 }
 
-// maxScanFPs bounds the round's linear-scan fingerprint list: populations
-// built from a handful of archetypes (the common case) resolve every
-// agent with a few struct compares instead of hashing the full
-// Fingerprint into a map; rounds with more distinct fingerprints fall
-// back to the map beyond this bound.
-const maxScanFPs = 16
+// maxScan bounds the linear-scan lists of a pickPlan: populations built
+// from a handful of archetypes (the common case) resolve every agent with
+// a few struct compares instead of hashing into a map; plans with more
+// distinct keys or fingerprints switch to a map beyond this bound.
+const maxScan = 16
 
-// findFP returns fp's index in the round's distinct-fingerprint list, or
-// -1. The list never exceeds maxScanFPs entries.
-func (d *Designer) findFP(fp Fingerprint) int {
-	for j := range d.roundFPs {
-		if d.roundFPs[j] == fp {
-			return j
-		}
-	}
-	return -1
+// menuSource is where a pickPlan looks menus up and publishes new ones —
+// the shared Cache or a shard's CacheSegment — with each missing key
+// built by exactly one of any concurrent designers (Cache.claim).
+type menuSource interface {
+	claim(DesignKey) (*core.Menu, *menuFlight, bool)
+	land(DesignKey, *menuFlight, *core.Menu)
+	await(context.Context, DesignKey, *menuFlight) (*core.Menu, error)
 }
 
-// Contracts designs one contract per agent, deduplicating by fingerprint.
-// Agents not in the population's weight map design with w = 0 (matching
-// the zero-value semantics of map lookups used throughout).
+// pickPlan deduplicates one batch of agents two levels deep — distinct
+// fingerprints, each one pick, over distinct design keys, each one menu —
+// and resolves them: menus from the source or one solver batch, then a
+// contract per fingerprint.
+type pickPlan struct {
+	fps    []pickFP // distinct fingerprints
+	fpIdx  map[pickFP]int32
+	lastFP Fingerprint
+	last   int32 // fps index of lastFP; −1 before the first add
+
+	keys   []DesignKey
+	reps   []*worker.Agent // per key: the first agent that produced it
+	keyIdx map[DesignKey]int32
+
+	menus []*core.Menu                // per key, after resolve
+	picks []*contract.PiecewiseLinear // per fingerprint, after resolve
+
+	subs    []solver.Subproblem
+	pend    []int32       // per sub: the key index it builds
+	flights []*menuFlight // per sub: the flight it lands (with a source)
+	waits   []int32       // key indexes another designer is building
+	waitFs  []*menuFlight // per wait: that designer's flight
+	outs    []solver.Outcome
+}
+
+// pickFP is a fingerprint with its design key interned as an index into
+// the plan's keys — a third of a Fingerprint's size, which matters for
+// plans holding thousands of distinct weights.
+type pickFP struct {
+	key   int32
+	mu, w float64
+}
+
+// reset empties the plan, keeping its buffers.
+func (p *pickPlan) reset() {
+	p.fps = p.fps[:0]
+	clear(p.fpIdx)
+	p.last = -1
+	p.keys, p.reps = p.keys[:0], p.reps[:0]
+	clear(p.keyIdx)
+}
+
+// add records agent a with fingerprint fp, returning fp's index into the
+// plan's distinct fingerprints.
+func (p *pickPlan) add(fp Fingerprint, a *worker.Agent) int32 {
+	if p.last >= 0 && fp == p.lastFP {
+		return p.last
+	}
+	pf := pickFP{key: p.keyOf(fp.DesignKey, a), mu: fp.Mu, w: fp.W}
+	j := intern(&p.fps, &p.fpIdx, pf)
+	p.lastFP, p.last = fp, j
+	return j
+}
+
+// keyOf returns key's index into the plan's keys, adding it — with a as
+// its representative — when new.
+func (p *pickPlan) keyOf(key DesignKey, a *worker.Agent) int32 {
+	n := len(p.keys)
+	k := intern(&p.keys, &p.keyIdx, key)
+	if int(k) == n {
+		p.reps = append(p.reps, a)
+	}
+	return k
+}
+
+// intern returns v's index in *list, appending it when absent: a linear
+// scan up to maxScan entries, then a map (*idx) that indexes the whole
+// list once the list crosses the bound.
+func intern[T comparable](list *[]T, idx *map[T]int32, v T) int32 {
+	l := *list
+	if len(l) <= maxScan {
+		for j := range l {
+			if l[j] == v {
+				return int32(j)
+			}
+		}
+	} else if j, ok := (*idx)[v]; ok {
+		return j
+	}
+	j := int32(len(l))
+	*list = append(l, v)
+	switch {
+	case j == maxScan:
+		if *idx == nil {
+			*idx = make(map[T]int32, 2*maxScan)
+		}
+		for i, e := range *list {
+			(*idx)[e] = int32(i)
+		}
+	case j > maxScan:
+		(*idx)[v] = j
+	}
+	return j
+}
+
+// resolve finds every key's menu and then picks each fingerprint's
+// contract from its key's menu under (part, mu, w). Menus come from src
+// (nil means no cache) or are built in one BuildMenusInto batch and
+// published back; a key some concurrent designer is already building is
+// awaited rather than rebuilt, and re-claimed should that build fail.
+// New winners materialize over scratch, where fallback picks count.
+func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Partition, mu float64, opts solver.Options, scratch *core.Scratch) error {
+	p.menus = slices.Grow(p.menus[:0], len(p.keys))[:len(p.keys)]
+	clear(p.menus)
+	for {
+		p.subs, p.pend, p.flights = p.subs[:0], p.pend[:0], p.flights[:0]
+		p.waits, p.waitFs = p.waits[:0], p.waitFs[:0]
+		for k, key := range p.keys {
+			if p.menus[k] != nil {
+				continue
+			}
+			if src != nil {
+				m, f, own := src.claim(key)
+				if m != nil {
+					p.menus[k] = m
+					continue
+				}
+				if !own {
+					p.waits = append(p.waits, int32(k))
+					p.waitFs = append(p.waitFs, f)
+					continue
+				}
+				p.flights = append(p.flights, f)
+			}
+			p.pend = append(p.pend, int32(k))
+			p.subs = append(p.subs, solver.Subproblem{Agent: p.reps[k], Config: core.Config{Part: part, Mu: mu}})
+		}
+		if err := p.build(ctx, src, opts); err != nil {
+			return err
+		}
+		if len(p.waits) == 0 {
+			break
+		}
+		// Only after landing every owned flight: two designers awaiting
+		// each other's keys must both have published first.
+		for j, k := range p.waits {
+			m, err := src.await(ctx, p.keys[k], p.waitFs[j])
+			if err != nil {
+				return err
+			}
+			p.menus[k] = m // nil: the flight failed; the next pass re-claims
+		}
+		clear(p.waitFs)
+	}
+	p.picks = p.picks[:0]
+	for _, fp := range p.fps {
+		k := fp.key
+		c, err := p.menus[k].ContractFor(p.reps[k], core.Config{Part: part, Mu: mu, W: fp.w}, scratch)
+		if err != nil {
+			return fmt.Errorf("engine: design for agent %s: %w", p.reps[k].ID, err)
+		}
+		p.picks = append(p.picks, c)
+	}
+	return nil
+}
+
+// build runs the pending subproblems through the solver and lands every
+// owned flight — built or not, so no waiter is left hanging.
+func (p *pickPlan) build(ctx context.Context, src menuSource, opts solver.Options) error {
+	if len(p.subs) == 0 {
+		return nil
+	}
+	if cap(p.outs) < len(p.subs) {
+		p.outs = make([]solver.Outcome, len(p.subs))
+	}
+	p.outs = p.outs[:len(p.subs)]
+	err := solver.BuildMenusInto(ctx, p.subs, p.outs, opts)
+	for j, k := range p.pend {
+		m := p.outs[j].Menu
+		p.menus[k] = m
+		if src != nil {
+			src.land(p.keys[k], p.flights[j], m)
+		}
+		if m == nil && err == nil {
+			err = fmt.Errorf("engine: no design produced for agent %s", p.subs[j].Agent.ID)
+		}
+	}
+	clear(p.flights) // landed: keep no channels alive
+	return err
+}
+
+// Contracts designs one contract per agent, deduplicating by design key
+// and fingerprint. Agents not in the population's weight map design with
+// w = 0 (matching the zero-value semantics of map lookups used
+// throughout).
 //
 // The returned map is valid until the next Contracts call on the same
 // Designer — the engine hands it to observers under the same rule.
@@ -77,55 +254,18 @@ func (d *Designer) Contracts(ctx context.Context, pop *Population, agents []*wor
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	if d.results == nil {
-		d.results = make(map[Fingerprint]*core.Result, 8)
-	} else {
-		clear(d.results)
-	}
-	d.subs = d.subs[:0]
-	d.subFPs = d.subFPs[:0]
-	// Fingerprint hashing is per-agent per-round work on the design path:
-	// compute each agent's fingerprint exactly once and reuse it in the
-	// assembly loop below.
-	d.agentFPs = d.agentFPs[:0]
-	d.roundFPs = d.roundFPs[:0]
+	d.plan.reset()
+	d.slots = d.slots[:0]
 	for _, a := range agents {
-		cfg := core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]}
-		fp := FingerprintOf(a, cfg)
-		d.agentFPs = append(d.agentFPs, fp)
-		if d.findFP(fp) >= 0 {
-			continue // already handled this round
-		}
-		if len(d.roundFPs) < maxScanFPs {
-			d.roundFPs = append(d.roundFPs, fp)
-		} else if _, seen := d.results[fp]; seen {
-			continue // beyond the scan bound: dedup through the map
-		}
-		if d.Cache != nil {
-			if res, ok := d.Cache.Get(fp); ok {
-				d.results[fp] = res
-				continue
-			}
-		}
-		d.results[fp] = nil // pending: solved below
-		d.subs = append(d.subs, solver.Subproblem{Agent: a, Config: cfg})
-		d.subFPs = append(d.subFPs, fp)
+		fp := FingerprintOf(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
+		d.slots = append(d.slots, d.plan.add(fp, a))
 	}
-
-	if len(d.subs) > 0 {
-		if cap(d.outs) < len(d.subs) {
-			d.outs = make([]solver.Outcome, len(d.subs))
-		}
-		d.outs = d.outs[:len(d.subs)]
-		if err := solver.SolveAllInto(ctx, d.subs, d.outs, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}); err != nil {
-			return nil, err
-		}
-		for i := range d.subs {
-			d.results[d.subFPs[i]] = d.outs[i].Result
-			if d.Cache != nil {
-				d.Cache.Put(d.subFPs[i], d.outs[i].Result)
-			}
-		}
+	var src menuSource
+	if d.Cache != nil {
+		src = d.Cache
+	}
+	if err := d.plan.resolve(ctx, src, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, &d.scratch); err != nil {
+		return nil, err
 	}
 
 	if d.contracts == nil {
@@ -133,25 +273,8 @@ func (d *Designer) Contracts(ctx context.Context, pop *Population, agents []*wor
 	} else {
 		clear(d.contracts)
 	}
-	// Resolve the scan list's results once (a handful of map lookups),
-	// then assemble per agent through the scan list, falling back to the
-	// map only for fingerprints beyond the scan bound.
-	d.roundRes = d.roundRes[:0]
-	for _, fp := range d.roundFPs {
-		d.roundRes = append(d.roundRes, d.results[fp])
-	}
 	for i, a := range agents {
-		fp := d.agentFPs[i]
-		var res *core.Result
-		if j := d.findFP(fp); j >= 0 {
-			res = d.roundRes[j]
-		} else {
-			res = d.results[fp]
-		}
-		if res == nil {
-			return nil, fmt.Errorf("engine: no design produced for agent %s", a.ID)
-		}
-		d.contracts[a.ID] = res.Contract
+		d.contracts[a.ID] = d.plan.picks[d.slots[i]]
 	}
 	return d.contracts, nil
 }
@@ -170,10 +293,10 @@ type DesignRequest struct {
 // DesignBatch designs one contract per request against the given partition
 // and compensation weight — the batch entry point for serving layers that
 // coalesce concurrent design-only queries into a single engine pass.
-// Requests sharing a fingerprint within the batch share one solve, and the
-// designer's Cache (when set) carries designs across batches and across a
+// Requests sharing a design key within the batch share one menu, and the
+// designer's Cache (when set) carries menus across batches and across a
 // concurrently running round loop wired to the same cache, so a warm query
-// costs one cache lookup and zero solver calls.
+// costs one cache lookup, an O(m) pick and zero solver calls.
 //
 // Unlike Contracts, DesignBatch touches none of the designer's per-round
 // scratch and allocates its results fresh, so concurrent DesignBatch calls
@@ -181,46 +304,22 @@ type DesignRequest struct {
 // Cache, and Metrics are not mutated concurrently. The returned slice is
 // index-aligned with reqs.
 func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu float64, reqs []DesignRequest) ([]*contract.PiecewiseLinear, error) {
-	fps := make([]Fingerprint, len(reqs))
-	results := make(map[Fingerprint]*core.Result, len(reqs))
-	var subs []solver.Subproblem
-	var subFPs []Fingerprint
+	var p pickPlan
+	p.reset()
+	slots := make([]int32, len(reqs))
 	for i, rq := range reqs {
-		cfg := core.Config{Part: part, Mu: mu, W: rq.W}
-		fp := FingerprintOf(rq.Agent, cfg)
-		fps[i] = fp
-		if _, seen := results[fp]; seen {
-			continue
-		}
-		if d.Cache != nil {
-			if res, ok := d.Cache.Get(fp); ok {
-				results[fp] = res
-				continue
-			}
-		}
-		results[fp] = nil // pending: solved below
-		subs = append(subs, solver.Subproblem{Agent: rq.Agent, Config: cfg})
-		subFPs = append(subFPs, fp)
+		slots[i] = p.add(FingerprintOf(rq.Agent, core.Config{Part: part, Mu: mu, W: rq.W}), rq.Agent)
 	}
-	if len(subs) > 0 {
-		outs := make([]solver.Outcome, len(subs))
-		if err := solver.SolveAllInto(ctx, subs, outs, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}); err != nil {
-			return nil, err
-		}
-		for i := range subs {
-			results[subFPs[i]] = outs[i].Result
-			if d.Cache != nil {
-				d.Cache.Put(subFPs[i], outs[i].Result)
-			}
-		}
+	var src menuSource
+	if d.Cache != nil {
+		src = d.Cache
+	}
+	if err := p.resolve(ctx, src, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, new(core.Scratch)); err != nil {
+		return nil, err
 	}
 	out := make([]*contract.PiecewiseLinear, len(reqs))
 	for i := range reqs {
-		res := results[fps[i]]
-		if res == nil {
-			return nil, fmt.Errorf("engine: no design produced for agent %s", reqs[i].Agent.ID)
-		}
-		out[i] = res.Contract
+		out[i] = p.picks[slots[i]]
 	}
 	return out, nil
 }
@@ -247,31 +346,24 @@ func (d *Designer) Shard(i int) *ShardDesigner {
 }
 
 // ShardDesigner designs contracts for one shard of a sharded engine run.
-// It retains a per-epoch plan — the shard's distinct fingerprints and
-// each agent's slot into them, computed from the Shard's cached FPs — so
-// a warm round costs one cache-segment lookup per distinct fingerprint to
-// validate that the served contracts are still current, and reports
-// changed = false without touching dst. Scratch is retained across
-// rounds; steady-state calls allocate nothing.
+// It retains a per-epoch plan — the shard's distinct design keys and
+// fingerprints and each agent's slot into them, computed from the Shard's
+// cached FPs — so a warm round costs one cache-segment lookup per distinct
+// design key to validate that the served menus are still current, and
+// reports changed = false without touching dst. Scratch is retained
+// across rounds; steady-state calls allocate nothing.
 type ShardDesigner struct {
 	metrics *telemetry.Registry
 	seg     *CacheSegment // nil without a Cache: every round redesigns
 
-	built    bool
-	shard    int
-	epoch    uint64
-	slots    []int32 // per agent: index into distinct
-	distinct []Fingerprint
-	reps     []*worker.Agent // representative agent per distinct fingerprint
-	res      []*core.Result  // resolved result per distinct fingerprint
-	served   []*contract.PiecewiseLinear
-	keys     map[Fingerprint]int32
-	subs     []solver.Subproblem
-	souts    []solver.Outcome
-	pendIdx  []int32
+	built bool
+	shard int
+	epoch uint64
+	slots []int32 // per agent: index into plan.fps
+	plan  pickPlan
 
 	// scratch is the shard's retained design scratch: the sequential
-	// solver route (every fill of a non-solo shard) runs its cold designs
+	// solver route (every fill of a non-solo shard) builds its cold menus
 	// over it, so a shard's cold fills stay CPU-local (same owner
 	// goroutine, same buffers) round after round. lastBatch records the
 	// most recent fill's solver batch size for span annotation
@@ -281,8 +373,8 @@ type ShardDesigner struct {
 }
 
 // BatchStats reports the size of the most recent fill's solver batch
-// (the shard's distinct fingerprints that missed the cache) and the
-// cumulative number of designs the shard's retained scratch has served —
+// (the shard's distinct design keys that missed the cache) and the
+// cumulative number of solves the shard's retained scratch has served —
 // the numbers engine.shard.design spans carry via ShardBatchReporter.
 func (d *ShardDesigner) BatchStats() (batch int, scratchUses uint64) {
 	return d.lastBatch, d.scratch.Uses()
@@ -297,22 +389,22 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 	}
 	replan := !d.built || d.shard != sh.Index || d.epoch != sh.Epoch
 	if !replan && d.seg != nil {
-		// Warm validation: the plan is current (same view epoch); the
-		// round is unchanged iff every distinct fingerprint still resolves
-		// to the contract dst already holds. The lookups count as hits only
-		// when the whole plan validates; otherwise fill counts each
-		// distinct fingerprint once, so CacheStats.Misses stays the number
-		// of Design calls.
+		// Warm validation: the plan is current (same view epoch), and a
+		// pick is a pure function of (menu, μ, w), so the round is
+		// unchanged iff every distinct design key still resolves to the
+		// menu the last fill picked from. The lookups count as hits only
+		// when the whole plan validates; otherwise fill counts each key
+		// once, so CacheStats.Misses stays the number of menu builds.
 		same := true
-		for k := range d.distinct {
-			res, ok := d.seg.peek(d.distinct[k])
-			if !ok || res.Contract != d.served[k] {
+		for k, key := range d.plan.keys {
+			m, ok := d.seg.peek(key)
+			if !ok || m != d.plan.menus[k] {
 				same = false
 				break
 			}
 		}
 		if same {
-			d.seg.parent.hits.Add(uint64(len(d.distinct)))
+			d.seg.parent.hits.Add(uint64(len(d.plan.keys)))
 			return false, nil
 		}
 		// A failed validation under a matching epoch can mean the engine
@@ -323,114 +415,48 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 		replan = true
 	}
 	if replan {
-		d.plan(sh)
+		d.plan.reset()
+		d.slots = d.slots[:0]
+		for i := range sh.Agents {
+			d.slots = append(d.slots, d.plan.add(sh.FPs[i], sh.Agents[i]))
+		}
 		d.built = true
 		d.shard = sh.Index
 		d.epoch = sh.Epoch
 	}
 	if err := d.fill(ctx, pop, sh, dst); err != nil {
-		// served is now inconsistent with dst; force a full refill next
-		// round rather than trusting a warm validation.
+		// The plan's menus are now inconsistent with dst; force a full
+		// refill next round rather than trusting a warm validation.
 		d.built = false
 		return true, err
 	}
 	return true, nil
 }
 
-// plan rebuilds the shard's dedup plan from its cached fingerprints.
-func (d *ShardDesigner) plan(sh *Shard) {
-	if d.keys == nil {
-		d.keys = make(map[Fingerprint]int32, 16)
-	} else {
-		clear(d.keys)
-	}
-	d.slots = d.slots[:0]
-	d.distinct = d.distinct[:0]
-	d.reps = d.reps[:0]
-	// Agents are ID-sorted, so archetypes are contiguous: a struct compare
-	// against the previous fingerprint skips the map for entire runs.
-	var lastFP Fingerprint
-	lastSlot := int32(-1)
-	for i := range sh.Agents {
-		fp := sh.FPs[i]
-		if lastSlot >= 0 && fp == lastFP {
-			d.slots = append(d.slots, lastSlot)
-			continue
-		}
-		k, seen := d.keys[fp]
-		if !seen {
-			k = int32(len(d.distinct))
-			d.keys[fp] = k
-			d.distinct = append(d.distinct, fp)
-			d.reps = append(d.reps, sh.Agents[i])
-		}
-		lastFP, lastSlot = fp, k
-		d.slots = append(d.slots, k)
-	}
-}
-
-// fill resolves every distinct fingerprint — cache segment first, solver
-// for the misses — and writes the shard's contracts through the plan.
+// fill resolves every distinct design key — cache segment first, solver
+// for the misses — picks every distinct fingerprint's contract, and
+// writes the shard's contracts through the plan.
 func (d *ShardDesigner) fill(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) error {
-	nd := len(d.distinct)
-	if cap(d.res) < nd {
-		d.res = make([]*core.Result, nd)
+	// Under several shards, parallelism comes from the engine's pool; the
+	// inner solve stays sequential — over the shard's retained scratch —
+	// so shards never oversubscribe it and cold builds reuse CPU-local
+	// buffers. A lone shard has no pool above it, so its solve fans out
+	// across GOMAXPROCS (on pooled scratch).
+	par := 1
+	if sh.Solo {
+		par = 0
 	}
-	d.res = d.res[:nd]
-	if cap(d.served) < nd {
-		d.served = make([]*contract.PiecewiseLinear, nd)
+	var src menuSource
+	if d.seg != nil {
+		src = d.seg
 	}
-	d.served = d.served[:nd]
-	d.subs = d.subs[:0]
-	d.pendIdx = d.pendIdx[:0]
-	for k := 0; k < nd; k++ {
-		if d.seg != nil {
-			if res, ok := d.seg.Get(d.distinct[k]); ok {
-				d.res[k] = res
-				continue
-			}
-		}
-		d.res[k] = nil
-		d.pendIdx = append(d.pendIdx, int32(k))
-		d.subs = append(d.subs, solver.Subproblem{
-			Agent:  d.reps[k],
-			Config: core.Config{Part: pop.Part, Mu: pop.Mu, W: d.distinct[k].W},
-		})
-	}
-	d.lastBatch = len(d.subs)
-	if len(d.subs) > 0 {
-		if cap(d.souts) < len(d.subs) {
-			d.souts = make([]solver.Outcome, len(d.subs))
-		}
-		d.souts = d.souts[:len(d.subs)]
-		// Under several shards, parallelism comes from the engine's pool;
-		// the inner solve stays sequential — over the shard's retained
-		// scratch — so shards never oversubscribe it and cold designs reuse
-		// CPU-local buffers. A lone shard has no pool above it, so its
-		// solve fans out across GOMAXPROCS (on pooled scratch).
-		par := 1
-		if sh.Solo {
-			par = 0
-		}
-		if err := solver.SolveAllInto(ctx, d.subs, d.souts, solver.Options{Parallelism: par, Metrics: d.metrics, Scratch: &d.scratch}); err != nil {
-			return err
-		}
-		for j, k := range d.pendIdx {
-			res := d.souts[j].Result
-			if res == nil {
-				return fmt.Errorf("engine: no design produced for agent %s", d.subs[j].Agent.ID)
-			}
-			d.res[k] = res
-			if d.seg != nil {
-				d.seg.Put(d.distinct[k], res)
-			}
-		}
-	}
-	for k := 0; k < nd; k++ {
-		d.served[k] = d.res[k].Contract
+	err := d.plan.resolve(ctx, src, pop.Part, pop.Mu, solver.Options{Parallelism: par, Metrics: d.metrics, Scratch: &d.scratch}, &d.scratch)
+	d.lastBatch = len(d.plan.subs)
+	if err != nil {
+		return err
 	}
 	for i := range sh.Agents {
-		dst[i] = d.res[d.slots[i]].Contract
+		dst[i] = d.plan.picks[d.slots[i]]
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dyncontract/internal/contract"
-	"dyncontract/internal/core"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/engine"
 	"dyncontract/internal/telemetry"
@@ -148,27 +147,27 @@ func (g *contractGrabber) OnRoundEnd(engine.Round) error      { return nil }
 // TestSparseDriftShardSkips pins the sparse refresh mechanics on an
 // instrumented sharded engine: a one-agent Touch rebuilds exactly the
 // owning shard (counters say 1 rebuilt, shards−1 skipped, 1 agent
-// touched), and the drifted agent's old fingerprint — which it alone
-// held — is evicted from both the design cache and the respond memo,
-// while the new fingerprint is present.
+// touched), and the drifted agent's old design key — which it alone
+// held — is evicted from both the menu cache and the respond memo,
+// while the new key is present. (A weight is not part of the key, so the
+// drift moves β: weight drift evicts nothing — TestWeightDriftKeepsMenus.)
 func TestSparseDriftShardSkips(t *testing.T) {
 	ctx := context.Background()
 	const (
-		id     = "h00003"
-		shards = 4
-		oldW   = 0.77
-		newW   = 0.88
+		id      = "h00003"
+		shards  = 4
+		oldBeta = 1.1
+		newBeta = 1.2
 	)
 	pop := archetypePopulation(t, 12)
-	pop.Weights[id] = oldW // unique weight → unique fingerprint
 	var drifted *worker.Agent
 	for _, a := range pop.Agents {
 		if a.ID == id {
 			drifted = a
 		}
 	}
-	oldFP := engine.FingerprintOf(drifted, core.Config{Part: pop.Part, Mu: pop.Mu, W: oldW})
-	newFP := engine.FingerprintOf(drifted, core.Config{Part: pop.Part, Mu: pop.Mu, W: newW})
+	drifted.Beta = oldBeta // unique β → unique design key
+	oldKey := engine.DesignKeyOf(drifted, pop.Part)
 
 	reg := telemetry.NewRegistry()
 	cache := engine.NewCache()
@@ -194,14 +193,15 @@ func TestSparseDriftShardSkips(t *testing.T) {
 	if oldContract == nil {
 		t.Fatalf("no contract captured for %s", id)
 	}
-	if _, ok := cache.Get(oldFP); !ok {
-		t.Fatalf("old fingerprint not cached after warm round")
+	if _, ok := cache.Get(oldKey); !ok {
+		t.Fatalf("old design key not cached after warm round")
 	}
-	if _, ok := memo.Get(oldFP, oldContract); !ok {
-		t.Fatalf("old (fingerprint, contract) not memoized after warm round")
+	if _, ok := memo.Get(oldKey, oldContract); !ok {
+		t.Fatalf("old (design key, contract) not memoized after warm round")
 	}
 
-	pop.Weights[id] = newW
+	drifted.Beta = newBeta
+	newKey := engine.DesignKeyOf(drifted, pop.Part)
 	pop.Touch(id)
 	if err := eng.Step(ctx); err != nil {
 		t.Fatal(err)
@@ -221,16 +221,16 @@ func TestSparseDriftShardSkips(t *testing.T) {
 		t.Errorf("drift-rebuild timing observations = %+v, want 1 observation", h)
 	}
 
-	// Targeted invalidation: the dead fingerprint is gone from both
+	// Targeted invalidation: the dead design key is gone from both
 	// layers, the live one is served.
-	if _, ok := cache.Get(oldFP); ok {
-		t.Errorf("cache still holds the dead fingerprint after sparse drift")
+	if _, ok := cache.Get(oldKey); ok {
+		t.Errorf("cache still holds the dead design key after sparse drift")
 	}
-	if _, ok := cache.Get(newFP); !ok {
-		t.Errorf("cache does not hold the drifted fingerprint")
+	if _, ok := cache.Get(newKey); !ok {
+		t.Errorf("cache does not hold the drifted design key")
 	}
-	if _, ok := memo.Get(oldFP, oldContract); ok {
-		t.Errorf("memo still holds the dead fingerprint after sparse drift")
+	if _, ok := memo.Get(oldKey, oldContract); ok {
+		t.Errorf("memo still holds the dead design key after sparse drift")
 	}
 }
 

@@ -230,16 +230,16 @@ type Engine struct {
 	lastDeclared viewRule
 	lastApplied  viewRule
 
-	// fpCounts refcounts the live design fingerprints across every shard
-	// view — maintained eagerly at every point a fingerprint is written
-	// (full rebuilds count through shardAssign; scoped refreshes and
-	// splices adjust in place), never by walking the views. A
-	// fingerprint whose count hits zero is dead: no agent mints it any
-	// more, so its design-cache and respond-memo entries are dropped
-	// (targeted invalidation). Nil when the engine has neither a design
+	// fpCounts refcounts the live design keys across every shard view —
+	// maintained eagerly at every point a fingerprint is written (full
+	// rebuilds count through shardAssign; scoped refreshes and splices
+	// adjust in place), never by walking the views. A key whose count
+	// hits zero is dead: no agent mints it any more, so its menu-cache
+	// and respond-memo entries are dropped (targeted invalidation). Weight
+	// drift never moves a count. Nil when the engine has neither a design
 	// cache nor a respond memo — nothing to evict, no index to keep.
-	fpCounts map[Fingerprint]int32
-	deadFPs  []Fingerprint // per-refresh scratch of zero-count fingerprints
+	fpCounts map[DesignKey]int32
+	deadKeys []DesignKey // per-refresh scratch of zero-count keys
 
 	// Per-shard structural splice scratch (refreshShardsStructural):
 	// joins/leaves grouped by owning shard (indices into structJoins and
@@ -313,6 +313,9 @@ type roundState struct {
 	// workerUtility is the respond stage's summed accepted-agent utility,
 	// folded per shard in shard order.
 	workerUtility float64
+	// declined and excluded count the round's declined and excluded
+	// outcomes, tallied by the settle pass that already walks them.
+	declined, excluded int
 	// observeDur accumulates observer-dispatch time recorded outside the
 	// observe stage proper (the OnContracts fan-out runs between design
 	// and respond but bills to the observe histogram).
@@ -668,6 +671,12 @@ func (e *Engine) stageSettle(_ context.Context, st *roundState) error {
 	for i := range round.Outcomes {
 		oc := &round.Outcomes[i]
 		if oc.Excluded || oc.Declined {
+			if oc.Declined {
+				st.declined++
+			}
+			if oc.Excluded {
+				st.excluded++
+			}
 			continue
 		}
 		round.Benefit += oc.Weight * oc.Feedback
@@ -685,7 +694,7 @@ func (e *Engine) stageSettle(_ context.Context, st *roundState) error {
 // a per-round JSONL flush) see the completed round's values.
 func (e *Engine) stageObserve(_ context.Context, st *roundState) error {
 	if st.timed {
-		_ = e.telObs.OnRoundEnd(st.round) // never errors
+		e.telObs.record(st.round, st.declined, st.excluded)
 	}
 	for i := range st.round.Outcomes {
 		for _, ob := range e.cfg.Observers {

@@ -28,14 +28,14 @@ func (stubPolicy) Contracts(_ context.Context, pop *Population) (map[string]*con
 	return m, nil
 }
 
-// walkFPCounts recomputes the fingerprint refcount index the slow way —
+// walkFPCounts recomputes the design-key refcount index the slow way —
 // a full walk over every shard view — as the reference the eagerly
 // maintained index must match after every kind of drift.
-func walkFPCounts(e *Engine) map[Fingerprint]int32 {
-	m := make(map[Fingerprint]int32)
+func walkFPCounts(e *Engine) map[DesignKey]int32 {
+	m := make(map[DesignKey]int32)
 	for i := range e.shards {
 		for _, fp := range e.shards[i].sh.FPs {
-			m[fp]++
+			m[fp.DesignKey]++
 		}
 	}
 	return m
@@ -96,11 +96,11 @@ func TestFPCountsEager(t *testing.T) {
 		}
 		want := walkFPCounts(eng)
 		if len(eng.fpCounts) != len(want) {
-			t.Fatalf("%s: index has %d fingerprints, walk finds %d", stage, len(eng.fpCounts), len(want))
+			t.Fatalf("%s: index has %d design keys, walk finds %d", stage, len(eng.fpCounts), len(want))
 		}
-		for fp, c := range want {
-			if got := eng.fpCounts[fp]; got != c {
-				t.Fatalf("%s: fingerprint count %d, want %d", stage, got, c)
+		for key, c := range want {
+			if got := eng.fpCounts[key]; got != c {
+				t.Fatalf("%s: design key count %d, want %d", stage, got, c)
 			}
 		}
 	}

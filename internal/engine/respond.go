@@ -18,30 +18,31 @@ import (
 // analysis) to the contract it was offered. The paper's decomposition
 // argument (§IV-B) applies here exactly as it does to contract design —
 // a best response depends only on the agent's behavioural parameters,
-// the partition, and the contract, so agents sharing a design
-// fingerprint and a contract share one BestResponse call. This file
+// the partition, and the contract, so agents sharing a design key and a
+// contract share one BestResponse call, whatever their weights. This file
 // holds the cross-round RespondMemo, its shard-local segments, and the
 // bounded fan-out the per-shard stages run on (shard.go holds the stage
 // itself).
 
 // respondKey identifies a best-response problem up to equality of its
-// inputs: the agent's design fingerprint (class, ψ, β, ω, reservation,
-// partition, μ, w — a superset of what BestResponse reads, so equal keys
-// imply equal responses) and the contract's identity. Keying on the
-// contract pointer is sound because the memo retains the key: a held
-// pointer can never be recycled for a different contract. The policies
-// that benefit (Designer-backed ones with a Cache) serve stable contract
-// pointers for stable fingerprints; a policy that re-allocates equal
-// contracts every round simply misses every round — correct, just not
-// accelerated.
+// inputs: the agent's design key (class, ψ, β, ω, reservation, partition
+// — a superset of what BestResponse reads, so equal keys imply equal
+// responses; the requester's μ and w are not read and not keyed) and the
+// contract's identity. Keying on the contract pointer is sound because
+// the memo retains the key: a held pointer can never be recycled for a
+// different contract. The policies that benefit (Designer-backed ones
+// with a Cache) serve one contract pointer per (menu, winning k), so
+// agents of one design key whose weights pick the same k share one
+// response; a policy that re-allocates equal contracts every round simply
+// misses every round — correct, just not accelerated.
 type respondKey struct {
-	fp Fingerprint
-	c  *contract.PiecewiseLinear
+	key DesignKey
+	c   *contract.PiecewiseLinear
 }
 
 // RespondStats is a snapshot of a memo's counters.
 type RespondStats struct {
-	// Hits counts distinct (fingerprint, contract) lookups served from
+	// Hits counts distinct (design key, contract) lookups served from
 	// the memo — each one a BestResponse call that did not happen.
 	Hits uint64
 	// Misses counts lookups that required a fresh BestResponse call.
@@ -51,18 +52,18 @@ type RespondStats struct {
 }
 
 // defaultMemoCap bounds the entry map, mirroring the design cache:
-// weight drift mints a new key per (agent, weight, contract) triple, so
-// a long adaptive run would otherwise grow without bound. Crossing the
+// parameter drift mints a new key per drifted agent and contract, so a
+// long run with churn would otherwise grow without bound. Crossing the
 // cap flushes the whole map; counters are preserved.
 const defaultMemoCap = 1 << 16
 
-// RespondMemo is a deduplicating best-response memo keyed by (design
-// fingerprint, contract). It is safe for concurrent use; the zero value
-// is ready to use.
+// RespondMemo is a deduplicating best-response memo keyed by (design key,
+// contract). It is safe for concurrent use; the zero value is ready to
+// use.
 //
 // Correctness is automatic, by the same argument as Cache: every input
 // BestResponse reads is part of the key, so a drift that mutates an
-// agent's ψ, β, ω, or reservation mints a new fingerprint and the stale
+// agent's ψ, β, ω, or reservation mints a new design key and the stale
 // entry is simply never looked up again. Invalidate exists for memory
 // control and cold-start comparisons.
 type RespondMemo struct {
@@ -71,12 +72,12 @@ type RespondMemo struct {
 
 	mu      sync.RWMutex
 	entries map[respondKey]worker.Response
-	// byFP is the secondary index for targeted invalidation: every
-	// contract a fingerprint was memoized against, so RemoveFingerprints
-	// can drop all of a dead fingerprint's (fp, contract) entries without
-	// scanning the map. Maintained by Put, discarded with the entries on
-	// Invalidate and cap flushes.
-	byFP map[Fingerprint][]*contract.PiecewiseLinear
+	// byKey is the secondary index for targeted invalidation: every
+	// contract a design key was memoized against, so RemoveKeys can drop
+	// all of a dead key's (key, contract) entries without scanning the
+	// map. Maintained by Put, discarded with the entries on Invalidate
+	// and cap flushes.
+	byKey map[DesignKey][]*contract.PiecewiseLinear
 	// hits/misses are telemetry counters so a registry can adopt them
 	// directly (ExportTo); Stats() stays a thin view over the same
 	// atomics, with or without a registry attached.
@@ -94,10 +95,9 @@ type RespondMemo struct {
 func NewRespondMemo() *RespondMemo { return &RespondMemo{} }
 
 // Get looks up a best response, counting a hit or a miss.
-func (m *RespondMemo) Get(fp Fingerprint, c *contract.PiecewiseLinear) (worker.Response, bool) {
-	key := respondKey{fp: fp, c: c}
+func (m *RespondMemo) Get(key DesignKey, c *contract.PiecewiseLinear) (worker.Response, bool) {
 	m.mu.RLock()
-	resp, ok := m.entries[key]
+	resp, ok := m.entries[respondKey{key: key, c: c}]
 	m.mu.RUnlock()
 	if ok {
 		m.hits.Inc()
@@ -109,7 +109,7 @@ func (m *RespondMemo) Get(fp Fingerprint, c *contract.PiecewiseLinear) (worker.R
 
 // Put stores a best response under its key, flushing the map first if it
 // would exceed the cap.
-func (m *RespondMemo) Put(fp Fingerprint, c *contract.PiecewiseLinear, resp worker.Response) {
+func (m *RespondMemo) Put(key DesignKey, c *contract.PiecewiseLinear, resp worker.Response) {
 	if c == nil {
 		return
 	}
@@ -117,43 +117,43 @@ func (m *RespondMemo) Put(fp Fingerprint, c *contract.PiecewiseLinear, resp work
 	if max <= 0 {
 		max = defaultMemoCap
 	}
-	key := respondKey{fp: fp, c: c}
+	rk := respondKey{key: key, c: c}
 	m.mu.Lock()
 	if m.entries == nil {
 		m.entries = make(map[respondKey]worker.Response)
 	} else if len(m.entries) >= max {
 		m.entries = make(map[respondKey]worker.Response)
-		m.byFP = nil
+		m.byKey = nil
 		m.gen.Add(1)
 	}
-	if _, dup := m.entries[key]; !dup {
-		if m.byFP == nil {
-			m.byFP = make(map[Fingerprint][]*contract.PiecewiseLinear)
+	if _, dup := m.entries[rk]; !dup {
+		if m.byKey == nil {
+			m.byKey = make(map[DesignKey][]*contract.PiecewiseLinear)
 		}
-		m.byFP[fp] = append(m.byFP[fp], c)
+		m.byKey[key] = append(m.byKey[key], c)
 	}
-	m.entries[key] = resp
+	m.entries[rk] = resp
 	m.size.Set(float64(len(m.entries)))
 	m.mu.Unlock()
 }
 
-// RemoveFingerprints drops every memoized response keyed by the named
-// fingerprints, whatever contract they were paired with — the memo-side
-// half of a sparse drift's targeted invalidation (see Cache.Remove for
-// the refcounting contract). Like Remove, it does not bump the segment
+// RemoveKeys drops every memoized response keyed by the named design
+// keys, whatever contract they were paired with — the memo-side half of a
+// scoped drift's targeted invalidation (see Cache.Remove for the
+// refcounting contract). Like Remove, it does not bump the segment
 // generation: a lingering segment-local entry is exact by construction —
-// the (fingerprint, contract) key fully determines the response — so the
+// the (design key, contract) pair fully determines the response — so the
 // removal only bounds the shared table's memory. Counters are preserved.
-func (m *RespondMemo) RemoveFingerprints(fps ...Fingerprint) {
-	if len(fps) == 0 {
+func (m *RespondMemo) RemoveKeys(keys ...DesignKey) {
+	if len(keys) == 0 {
 		return
 	}
 	m.mu.Lock()
-	for _, fp := range fps {
-		for _, c := range m.byFP[fp] {
-			delete(m.entries, respondKey{fp: fp, c: c})
+	for _, key := range keys {
+		for _, c := range m.byKey[key] {
+			delete(m.entries, respondKey{key: key, c: c})
 		}
-		delete(m.byFP, fp)
+		delete(m.byKey, key)
 	}
 	m.size.Set(float64(len(m.entries)))
 	m.mu.Unlock()
@@ -165,7 +165,7 @@ func (m *RespondMemo) RemoveFingerprints(fps ...Fingerprint) {
 func (m *RespondMemo) Invalidate() {
 	m.mu.Lock()
 	m.entries = nil
-	m.byFP = nil
+	m.byKey = nil
 	m.size.Set(0)
 	m.gen.Add(1)
 	m.mu.Unlock()
@@ -239,29 +239,29 @@ func (s *RespondMemoSegment) store(key respondKey, resp worker.Response) {
 
 // Get looks up a best response — local map first, then the shared table —
 // counting one hit or miss on the parent.
-func (s *RespondMemoSegment) Get(fp Fingerprint, c *contract.PiecewiseLinear) (worker.Response, bool) {
+func (s *RespondMemoSegment) Get(key DesignKey, c *contract.PiecewiseLinear) (worker.Response, bool) {
 	s.sync()
-	key := respondKey{fp: fp, c: c}
-	if resp, ok := s.local[key]; ok {
+	rk := respondKey{key: key, c: c}
+	if resp, ok := s.local[rk]; ok {
 		s.parent.hits.Inc()
 		return resp, true
 	}
-	resp, ok := s.parent.Get(fp, c)
+	resp, ok := s.parent.Get(key, c)
 	if ok {
-		s.store(key, resp)
+		s.store(rk, resp)
 	}
 	return resp, ok
 }
 
 // Put stores a best response in the segment and publishes it to the
 // shared table, where sibling segments will find it.
-func (s *RespondMemoSegment) Put(fp Fingerprint, c *contract.PiecewiseLinear, resp worker.Response) {
+func (s *RespondMemoSegment) Put(key DesignKey, c *contract.PiecewiseLinear, resp worker.Response) {
 	if c == nil {
 		return
 	}
 	s.sync()
-	s.store(respondKey{fp: fp, c: c}, resp)
-	s.parent.Put(fp, c, resp)
+	s.store(respondKey{key: key, c: c}, resp)
+	s.parent.Put(key, c, resp)
 }
 
 // pendResponse is one distinct best-response problem this round that the
@@ -272,7 +272,7 @@ type pendResponse struct {
 	slot int32
 	// i is the shard position of the representative agent: the first
 	// agent (in ID order) that produced this key, used for solving and
-	// for error attribution. Its fingerprint is the shard's FPs[i].
+	// for error attribution. Its design key is the shard's FPs[i].DesignKey.
 	i int32
 	c *contract.PiecewiseLinear
 }

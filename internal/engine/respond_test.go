@@ -297,8 +297,10 @@ func TestRespondMemoCapFlush(t *testing.T) {
 		if round == 0 {
 			return
 		}
+		// β drift: 3 fresh design keys per round. (Weight drift would not
+		// re-key the memo — μ and w are not part of a response's key.)
 		for _, a := range pop.Agents {
-			pop.Weights[a.ID] *= 1.1 // 3 fresh keys per round
+			a.Beta *= 1.1
 		}
 	}
 	_, err := engine.RunLedger(context.Background(), archetypePopulation(t, 9), engine.Config{

@@ -87,10 +87,10 @@ type Shard struct {
 
 // shardAssign distributes the ID-sorted agents across the reset shards by
 // ID hash, filling every indexed view. counts, when non-nil, receives one
-// increment per assigned fingerprint — the engine's refcount index is
-// built here, at the moment each fingerprint is written, never by walking
-// the views after the fact.
-func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts map[Fingerprint]int32) {
+// increment per assigned agent under its design key — the engine's
+// refcount index is built here, at the moment each fingerprint is
+// written, never by walking the views after the fact.
+func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts map[DesignKey]int32) {
 	n := len(shards)
 	// Size every view for an even split up front: a hash partition is
 	// near-even, so at most the fullest shards grow once more.
@@ -102,9 +102,9 @@ func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts 
 		s.Malice = slices.Grow(s.Malice, hint)
 		s.FPs = slices.Grow(s.FPs, hint)
 	}
-	// Refcounts accumulate per run of equal fingerprints: archetype
+	// Refcounts accumulate per run of equal design keys: archetype
 	// populations list long runs of them in ID order.
-	var runFP Fingerprint
+	var runKey DesignKey
 	var run int32
 	for gi, a := range agents {
 		s := shards[ShardOf(a.ID, n)]
@@ -116,16 +116,16 @@ func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts 
 		s.Malice = append(s.Malice, p.MaliceProb[a.ID])
 		s.FPs = append(s.FPs, fp)
 		if counts != nil {
-			if run > 0 && fp != runFP {
-				counts[runFP] += run
+			if run > 0 && fp.DesignKey != runKey {
+				counts[runKey] += run
 				run = 0
 			}
-			runFP = fp
+			runKey = fp.DesignKey
 			run++
 		}
 	}
 	if run > 0 {
-		counts[runFP] += run
+		counts[runKey] += run
 	}
 }
 
@@ -273,7 +273,7 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 	counts := e.fpCounts
 	if e.cfg.Cache != nil || e.cfg.Memo != nil {
 		if counts == nil {
-			counts = make(map[Fingerprint]int32, len(agents))
+			counts = make(map[DesignKey]int32, len(agents))
 			e.fpCounts = counts
 		} else {
 			clear(counts)
@@ -330,8 +330,8 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 
 // refreshShardSlot refreshes one touched agent's shard slot — weight,
 // malice, fingerprint (refcounted) — and routes the contract. Under a
-// FingerprintPurePolicy whose new fingerprint already resolves in the
-// design cache, the agent's contract slot is patched directly and only
+// FingerprintPurePolicy whose design key already resolves in the menu
+// cache, the agent's contract slot is patched with the menu's pick and only
 // its outcome slot is marked dirty — the shard keeps its epoch, its
 // designer plan, and every other retained outcome (the patch route).
 // Otherwise the shard's epoch is bumped, forcing its designer plan and
@@ -368,14 +368,14 @@ func (e *Engine) refreshShardSlot(sr *shardRun, id string, epoch uint64, canPatc
 	fp := FingerprintOf(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w})
 	if old := sh.FPs[j]; fp != old {
 		sh.FPs[j] = fp
-		if e.fpCounts != nil {
-			e.fpCounts[fp]++
-			e.dropFP(old)
+		if e.fpCounts != nil && fp.DesignKey != old.DesignKey {
+			e.fpCounts[fp.DesignKey]++
+			e.dropKey(old.DesignKey)
 		}
 	}
 	if canPatch {
-		if res, ok := e.cfg.Cache.Get(fp); ok {
-			sr.contracts[j] = res.Contract
+		if c := e.patchContract(a, fp); c != nil {
+			sr.contracts[j] = c
 			sr.dirty = append(sr.dirty, int32(j))
 			return j
 		}
@@ -387,36 +387,54 @@ func (e *Engine) refreshShardSlot(sr *shardRun, id string, epoch uint64, canPatc
 	return j
 }
 
-// dropFP decrements a fingerprint's refcount, collecting it into the
+// patchContract is the patch route's design: the contract the cached
+// menu for fp's design key offers at fp's weight, or nil when the key
+// misses the cache (or its menu needs the scalar fallback), in which case
+// the caller takes the epoch-bump route and the shard's fill counts the
+// miss and builds the menu. A served patch counts one cache hit.
+func (e *Engine) patchContract(a *worker.Agent, fp Fingerprint) *contract.PiecewiseLinear {
+	m, ok := e.cfg.Cache.peek(fp.DesignKey)
+	if !ok || m.Fallback() {
+		return nil
+	}
+	c, err := m.ContractFor(a, core.Config{Part: e.pop.Part, Mu: fp.Mu, W: fp.W}, nil)
+	if err != nil {
+		return nil // the fill reports it
+	}
+	e.cfg.Cache.hits.Inc()
+	return c
+}
+
+// dropKey decrements a design key's refcount, collecting it into the
 // round's dead list when the last holder is gone. A no-op when the index
 // is off (no design cache and no respond memo: nothing to evict).
-func (e *Engine) dropFP(fp Fingerprint) {
+func (e *Engine) dropKey(key DesignKey) {
 	if e.fpCounts == nil {
 		return
 	}
-	if c := e.fpCounts[fp] - 1; c <= 0 {
-		delete(e.fpCounts, fp)
-		e.deadFPs = append(e.deadFPs, fp)
+	if c := e.fpCounts[key] - 1; c <= 0 {
+		delete(e.fpCounts, key)
+		e.deadKeys = append(e.deadKeys, key)
 	} else {
-		e.fpCounts[fp] = c
+		e.fpCounts[key] = c
 	}
 }
 
-// removeDeadFPs evicts the refresh's dead fingerprints from the design
-// cache and respond memo. A fingerprint that died and was re-minted in
-// the same refresh (one agent's leave, another's join) is filtered out —
-// evicting it would only cost a re-solve, but there is no reason to.
-func (e *Engine) removeDeadFPs() {
-	if len(e.deadFPs) == 0 {
+// removeDeadKeys evicts the refresh's dead design keys from the menu
+// cache and respond memo. A key that died and was re-minted in the same
+// refresh (one agent's leave, another's join) is filtered out — evicting
+// it would only cost a rebuild, but there is no reason to.
+func (e *Engine) removeDeadKeys() {
+	if len(e.deadKeys) == 0 {
 		return
 	}
-	dead := e.deadFPs[:0]
-	for _, fp := range e.deadFPs {
-		if _, live := e.fpCounts[fp]; !live {
-			dead = append(dead, fp)
+	dead := e.deadKeys[:0]
+	for _, key := range e.deadKeys {
+		if _, live := e.fpCounts[key]; !live {
+			dead = append(dead, key)
 		}
 	}
-	e.deadFPs = dead
+	e.deadKeys = dead
 	if len(dead) == 0 {
 		return
 	}
@@ -424,7 +442,7 @@ func (e *Engine) removeDeadFPs() {
 		e.cfg.Cache.Remove(dead...)
 	}
 	if e.cfg.Memo != nil {
-		e.cfg.Memo.RemoveFingerprints(dead...)
+		e.cfg.Memo.RemoveKeys(dead...)
 	}
 }
 
@@ -449,7 +467,7 @@ func (e *Engine) refreshShardsStructural(st *roundState) {
 	epoch := e.viewEpoch
 	canPatch := e.patchPol && e.cfg.Cache != nil
 	touched := 0
-	e.deadFPs = e.deadFPs[:0]
+	e.deadKeys = e.deadKeys[:0]
 	n := len(e.shards)
 
 	// Group the declarations by owning shard; the per-shard lists inherit
@@ -500,7 +518,7 @@ func (e *Engine) refreshShardsStructural(st *roundState) {
 		}
 	}
 
-	e.removeDeadFPs()
+	e.removeDeadKeys()
 	if e.m != nil {
 		e.m.driftShardsRebuilt.Add(uint64(touched))
 		e.m.driftShardsSkipped.Add(uint64(n - touched))
@@ -540,7 +558,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	for _, k := range leaves {
 		lp, _ := searchAgents(sh.Agents, e.scope.leaves[k]) // resolved by prepareStructural
 		lpos = append(lpos, int32(lp))
-		e.dropFP(sh.FPs[lp])
+		e.dropKey(sh.FPs[lp].DesignKey)
 	}
 	segs, jdst := buildSpliceSegs(e.msSegs[:0], e.msJoinDst[:0], jpos, lpos, len(sh.Agents))
 
@@ -571,7 +589,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 		w := e.pop.Weights[a.ID]
 		fp := FingerprintOf(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w})
 		if e.fpCounts != nil {
-			e.fpCounts[fp]++
+			e.fpCounts[fp.DesignKey]++
 		}
 		sh.Agents[d] = a
 		sh.Global[d] = e.structJoinSlots[k]
@@ -581,12 +599,10 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 		sr.wuSlots[d] = 0
 		var c *contract.PiecewiseLinear
 		if canPatch {
-			if res, ok := e.cfg.Cache.Get(fp); ok {
-				c = res.Contract
-				sr.dirty = append(sr.dirty, d)
-			} else {
-				bump = true
-			}
+			c = e.patchContract(a, fp)
+		}
+		if c != nil {
+			sr.dirty = append(sr.dirty, d)
 		} else {
 			bump = true
 		}
@@ -947,11 +963,11 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 			sr.wuSlots[j] = 0
 			continue
 		}
-		fp := sr.sh.FPs[j]
+		key := sr.sh.FPs[j].DesignKey
 		var resp worker.Response
 		var hit bool
 		if sr.memoSeg != nil {
-			resp, hit = sr.memoSeg.Get(fp, c)
+			resp, hit = sr.memoSeg.Get(key, c)
 		}
 		if !hit {
 			var err error
@@ -960,7 +976,7 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 				return fmt.Errorf("engine: agent %s round %d: %w", a.ID, st.r, err)
 			}
 			if sr.memoSeg != nil {
-				sr.memoSeg.Put(fp, c, resp)
+				sr.memoSeg.Put(key, c, resp)
 			}
 		}
 		sr.wuSlots[j] = fillResponse(oc, resp)
@@ -974,7 +990,7 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 }
 
 // respondShardSolve is the per-shard respond loop: each distinct
-// (fingerprint, contract) key resolves once — memo segment first, then
+// (design key, contract) pair resolves once — memo segment first, then
 // BestResponse — reading the shard's indexed views (no string-map
 // lookups) and writing outcomes to pre-assigned global slots. Agents
 // arrive ID-sorted, so archetypes are contiguous and a struct compare
@@ -1010,7 +1026,7 @@ func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundS
 			s.slots = append(s.slots, -1)
 			continue
 		}
-		key := respondKey{fp: sr.sh.FPs[i], c: c}
+		key := respondKey{key: sr.sh.FPs[i].DesignKey, c: c}
 		if lastSlot >= 0 && key == lastKey {
 			s.slots = append(s.slots, lastSlot)
 			continue
@@ -1022,7 +1038,7 @@ func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundS
 			var resp worker.Response
 			var hit bool
 			if sr.memoSeg != nil {
-				resp, hit = sr.memoSeg.Get(key.fp, key.c)
+				resp, hit = sr.memoSeg.Get(key.key, key.c)
 			}
 			if hit {
 				s.resps = append(s.resps, resp)
@@ -1099,7 +1115,7 @@ func (e *Engine) solvePending(ctx context.Context, sr *shardRun, r int) error {
 	}
 	if sr.memoSeg != nil {
 		for _, p := range s.pend {
-			sr.memoSeg.Put(sr.sh.FPs[p.i], p.c, s.resps[p.slot])
+			sr.memoSeg.Put(sr.sh.FPs[p.i].DesignKey, p.c, s.resps[p.slot])
 		}
 	}
 	return nil

@@ -533,59 +533,22 @@ func TestShardedNegativeShardsRejected(t *testing.T) {
 	}
 }
 
-// TestCacheSegment covers the segment protocol: local hits without
-// touching the shared table's lock path, cross-segment dedup through the
-// parent, stats on the parent's counters, and lazy clearing after
-// Invalidate.
-func TestCacheSegment(t *testing.T) {
-	c := engine.NewCache()
-	segA, segB := c.Segment(), c.Segment()
-	fp := engine.Fingerprint{Class: worker.Honest, W: 1}
-	res := &core.Result{}
-
-	if _, ok := segA.Get(fp); ok {
-		t.Fatal("empty segment reported a hit")
-	}
-	segA.Put(fp, res)
-	if got, ok := segB.Get(fp); !ok || got != res {
-		t.Fatal("sibling segment missed a published entry")
-	}
-	if got, ok := segA.Get(fp); !ok || got != res {
-		t.Fatal("local entry missed")
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("parent stats = %+v, want 2 hits / 1 miss", st)
-	}
-	if st.Entries != 1 {
-		t.Errorf("parent entries = %d, want 1", st.Entries)
-	}
-
-	c.Invalidate()
-	if _, ok := segA.Get(fp); ok {
-		t.Error("segment served a stale entry after Invalidate")
-	}
-	if _, ok := segB.Get(fp); ok {
-		t.Error("sibling segment served a stale entry after Invalidate")
-	}
-}
-
 // TestRespondMemoSegment mirrors TestCacheSegment for the respond memo.
 func TestRespondMemoSegment(t *testing.T) {
 	m := engine.NewRespondMemo()
 	segA, segB := m.Segment(), m.Segment()
-	fp := engine.Fingerprint{Class: worker.Honest, W: 1}
+	key := engine.DesignKey{Class: worker.Honest, Beta: 1}
 	c := &contract.PiecewiseLinear{}
 	resp := worker.Response{Effort: 3, Feedback: 2, Compensation: 1, Utility: 0.5}
 
-	if _, ok := segA.Get(fp, c); ok {
+	if _, ok := segA.Get(key, c); ok {
 		t.Fatal("empty segment reported a hit")
 	}
-	segA.Put(fp, c, resp)
-	if got, ok := segB.Get(fp, c); !ok || got != resp {
+	segA.Put(key, c, resp)
+	if got, ok := segB.Get(key, c); !ok || got != resp {
 		t.Fatalf("sibling segment missed a published response: %+v ok=%v", got, ok)
 	}
-	if got, ok := segA.Get(fp, c); !ok || got != resp {
+	if got, ok := segA.Get(key, c); !ok || got != resp {
 		t.Fatal("local entry missed")
 	}
 	st := m.Stats()
@@ -594,10 +557,10 @@ func TestRespondMemoSegment(t *testing.T) {
 	}
 
 	m.Invalidate()
-	if _, ok := segA.Get(fp, c); ok {
+	if _, ok := segA.Get(key, c); ok {
 		t.Error("segment served a stale entry after Invalidate")
 	}
-	if _, ok := segB.Get(fp, c); ok {
+	if _, ok := segB.Get(key, c); ok {
 		t.Error("sibling segment served a stale entry after Invalidate")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dyncontract/internal/contract"
 	"dyncontract/internal/core"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/engine"
@@ -166,6 +167,50 @@ func TestDesignBatch(t *testing.T) {
 	}
 	if s := cache.Stats(); s.Misses != misses {
 		t.Errorf("warm batches added misses: %d -> %d", misses, s.Misses)
+	}
+}
+
+// TestDesignBatchConcurrentColdBuildsOnce pins the build-once claim on a
+// cold cache: concurrent batches that share 3 design keys, each at its own
+// weights, build each menu exactly once between them, and every batch's
+// answers equal core.Design's.
+func TestDesignBatchConcurrentColdBuildsOnce(t *testing.T) {
+	pop := archetypePopulation(t, 6)
+	cache := engine.NewCache()
+	d := &engine.Designer{Cache: cache}
+	ctx := context.Background()
+	const batches = 8
+	reqs := make([][]engine.DesignRequest, batches)
+	got := make([][]*contract.PiecewiseLinear, batches)
+	errs := make(chan error, batches)
+	for g := range reqs {
+		for i, a := range pop.Agents {
+			reqs[g] = append(reqs[g], engine.DesignRequest{Agent: a, W: 0.1 + 0.3*float64(g) + 0.01*float64(i)})
+		}
+		go func() {
+			var err error
+			got[g], err = d.DesignBatch(ctx, pop.Part, pop.Mu, reqs[g])
+			errs <- err
+		}()
+	}
+	for range reqs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := cache.Stats(); s.Misses != 3 || s.Entries != 3 {
+		t.Fatalf("concurrent cold batches: %+v, want 3 menu builds / 3 menus", s)
+	}
+	for g := range reqs {
+		for i, rq := range reqs[g] {
+			ref, err := core.Design(rq.Agent, core.Config{Part: pop.Part, Mu: pop.Mu, W: rq.W})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got[g][i].Equal(ref.Contract) {
+				t.Fatalf("batch %d agent %s: contract differs from core.Design", g, rq.Agent.ID)
+			}
+		}
 	}
 }
 

@@ -188,7 +188,9 @@ func (t *telemetryObserver) OnContracts(int, map[string]*contract.PiecewiseLinea
 // OnOutcome implements Observer.
 func (t *telemetryObserver) OnOutcome(int, AgentOutcome) {}
 
-// OnRoundEnd implements Observer.
+// OnRoundEnd implements Observer. A stacked observer sees only the
+// round, so it counts the declined and excluded outcomes itself; an
+// engine's own export takes them from the settle pass (record).
 func (t *telemetryObserver) OnRoundEnd(round Round) error {
 	var declined, excluded int
 	for i := range round.Outcomes {
@@ -199,6 +201,12 @@ func (t *telemetryObserver) OnRoundEnd(round Round) error {
 			excluded++
 		}
 	}
+	t.record(round, declined, excluded)
+	return nil
+}
+
+// record exports one round's ledger metrics.
+func (t *telemetryObserver) record(round Round, declined, excluded int) {
 	t.rounds.Inc()
 	t.outcomes.Add(uint64(len(round.Outcomes)))
 	t.utility.Set(round.Utility)
@@ -207,5 +215,4 @@ func (t *telemetryObserver) OnRoundEnd(round Round) error {
 	t.declined.Set(float64(declined))
 	t.excluded.Set(float64(excluded))
 	t.agents.Set(float64(len(round.Outcomes)))
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dyncontract/internal/contract"
 	"dyncontract/internal/engine"
 	"dyncontract/internal/telemetry"
 )
@@ -234,5 +235,85 @@ func TestObserverErrorVerbatimWithMetrics(t *testing.T) {
 	// observed before the stop short-circuits the loop).
 	if h := reg.Snapshot().Histograms[engine.MetricRoundSeconds]; h.Count != 1 {
 		t.Errorf("round histogram count = %d, want 1 (the stopped round)", h.Count)
+	}
+}
+
+// churnExclusionPolicy pays a flat 1 to every agent except a set that
+// rotates each round, which it excludes (nil contract).
+type churnExclusionPolicy struct{ round int }
+
+func (p *churnExclusionPolicy) Name() string { return "churn-exclusion" }
+
+func (p *churnExclusionPolicy) Contracts(_ context.Context, pop *engine.Population) (map[string]*contract.PiecewiseLinear, error) {
+	c, err := contract.Flat(0, pop.Part.YMax(), 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*contract.PiecewiseLinear, len(pop.Agents))
+	for i, a := range pop.Agents {
+		if (i+p.round)%4 != 0 {
+			out[a.ID] = c
+		}
+	}
+	p.round++
+	return out, nil
+}
+
+// gaugeRecount checks, at every round end, the engine's declined and
+// excluded gauges against a recount of the round's outcomes.
+type gaugeRecount struct {
+	t                  *testing.T
+	reg                *telemetry.Registry
+	declined, excluded int // summed over the run, to prove both occur
+}
+
+func (g *gaugeRecount) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
+func (g *gaugeRecount) OnOutcome(int, engine.AgentOutcome)                    {}
+func (g *gaugeRecount) OnRoundEnd(r engine.Round) error {
+	var declined, excluded int
+	for _, oc := range r.Outcomes {
+		if oc.Declined {
+			declined++
+		}
+		if oc.Excluded {
+			excluded++
+		}
+	}
+	g.declined += declined
+	g.excluded += excluded
+	s := g.reg.Snapshot()
+	if got := s.Gauges[engine.MetricRoundDeclined]; got != float64(declined) {
+		g.t.Errorf("round %d: declined gauge %v, recount %d", r.Index, got, declined)
+	}
+	if got := s.Gauges[engine.MetricRoundExcluded]; got != float64(excluded) {
+		g.t.Errorf("round %d: excluded gauge %v, recount %d", r.Index, got, excluded)
+	}
+	return nil
+}
+
+// TestRoundGaugesMatchRecount pins the settle-pass tallies behind the
+// declined/excluded gauges: on rounds mixing declined agents (reservation
+// above the flat pay) and a rotating excluded set, each gauge equals a
+// recount of the round's outcomes.
+func TestRoundGaugesMatchRecount(t *testing.T) {
+	pop := archetypePopulation(t, 30)
+	for i, a := range pop.Agents {
+		if i%5 == 0 {
+			a.Reservation = 5
+		}
+	}
+	reg := telemetry.NewRegistry()
+	watch := &gaugeRecount{t: t, reg: reg}
+	if _, err := engine.RunLedger(context.Background(), pop, engine.Config{
+		Policy:    &churnExclusionPolicy{},
+		Rounds:    4,
+		Shards:    3,
+		Metrics:   reg,
+		Observers: []engine.Observer{watch},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if watch.declined == 0 || watch.excluded == 0 {
+		t.Fatalf("run had %d declined and %d excluded outcomes; both must occur", watch.declined, watch.excluded)
 	}
 }

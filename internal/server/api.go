@@ -171,7 +171,8 @@ func (r *CreateSessionRequest) Validate() error {
 	return nil
 }
 
-// CacheStatsJSON is the wire form of engine.CacheStats.
+// CacheStatsJSON is the wire form of engine.CacheStats: design-menu
+// lookups served (hits), menus built (misses), and menus held (entries).
 type CacheStatsJSON struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`

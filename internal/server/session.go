@@ -489,8 +489,9 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 	// the mutated agents; adds and removes declare a structural scope
 	// (TouchJoin/TouchLeave), so a sharded engine splices only the shards
 	// owning those agents instead of rebuilding every view. The design
-	// cache needs nothing — mutated fingerprints simply miss and redesign,
-	// and a leaver's orphaned fingerprint is refcount-evicted.
+	// cache needs nothing — a weight change re-picks from the cached menu,
+	// a mutated design key simply misses and rebuilds, and a leaver's
+	// orphaned key is refcount-evicted.
 	ids := make([]string, 0, len(touched))
 	for id := range touched {
 		ids = append(ids, id)

@@ -23,18 +23,18 @@ import (
 // Metric names exported by the solver pool when Options.Metrics is set,
 // following the repo-wide dyncontract_<pkg>_<name> scheme.
 const (
-	// MetricDesigns counts completed core.Design calls (success or
-	// failure); cache hits upstream never reach the pool, so this is the
-	// number of designs that actually ran.
+	// MetricDesigns counts completed solves — whole designs or menu
+	// builds, success or failure; cache hits upstream never reach the
+	// pool, so this is the number of solves that actually ran.
 	MetricDesigns = "dyncontract_solver_designs_total"
 	// MetricDesignErrors counts failed core.Design calls.
 	MetricDesignErrors = "dyncontract_solver_design_errors_total"
 	// MetricDesignSeconds is the per-subproblem design latency histogram.
 	MetricDesignSeconds = "dyncontract_solver_design_seconds"
 	// MetricBatchSize is the per-call batch-size histogram: how many
-	// subproblems each SolveAllInto invocation carried. Cold rounds show
-	// the distinct-fingerprint count per shard here; serving-layer design
-	// batches show their coalescing window.
+	// subproblems each SolveAllInto or BuildMenusInto invocation carried.
+	// Cold rounds show the distinct-design-key count per shard here;
+	// serving-layer design batches show their coalescing window.
 	MetricBatchSize = "dyncontract_solver_batch_size"
 	// MetricScalarFallbacks counts designs the batched structure-of-arrays
 	// solve routed to the scalar core.Design path (core.Scratch.Fallbacks)
@@ -108,8 +108,12 @@ type Options struct {
 type Outcome struct {
 	// Index is the subproblem's position in the input slice.
 	Index int
-	// Result is the designed contract (nil when Err != nil).
+	// Result is the designed contract (nil when Err != nil); SolveAll and
+	// SolveAllInto fill it.
 	Result *core.Result
+	// Menu is the subproblem's weight-free design menu (nil when
+	// Err != nil); BuildMenusInto fills it.
+	Menu *core.Menu
 	// Err is the subproblem's failure, if any.
 	Err error
 }
@@ -141,6 +145,35 @@ func SolveAll(ctx context.Context, subs []Subproblem, opts Options) ([]Outcome, 
 // solves every round — can reuse one buffer instead of allocating per
 // call. Entries are fully overwritten in input order.
 func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Options) error {
+	return runAll(ctx, subs, outcomes, opts, design)
+}
+
+// BuildMenusInto is SolveAllInto for the weight-free half of each design:
+// every subproblem's core.BuildMenu over its Config.Part (μ and w are not
+// read), written to Outcome.Menu. It runs on the same pool, with the same
+// error, cancellation and metric semantics; a menu marked for the scalar
+// fallback counts in MetricScalarFallbacks.
+func BuildMenusInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Options) error {
+	return runAll(ctx, subs, outcomes, opts, buildMenu)
+}
+
+// task solves one subproblem over scratch s, reporting whether the solve
+// took the scalar fallback. The pool sets the outcome's Index.
+type task func(sub *Subproblem, s *core.Scratch) (out Outcome, fellBack bool)
+
+func design(sub *Subproblem, s *core.Scratch) (Outcome, bool) {
+	fb := s.Fallbacks()
+	res, err := core.DesignInto(sub.Agent, sub.Config, s)
+	return Outcome{Result: res, Err: err}, s.Fallbacks() != fb
+}
+
+func buildMenu(sub *Subproblem, s *core.Scratch) (Outcome, bool) {
+	m, err := core.BuildMenu(sub.Agent, sub.Config.Part, s)
+	return Outcome{Menu: m, Err: err}, m != nil && m.Fallback()
+}
+
+// runAll is the pool behind SolveAllInto and BuildMenusInto.
+func runAll(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Options, run task) error {
 	n := len(subs)
 	if len(outcomes) < n {
 		return fmt.Errorf("solver: outcomes buffer %d shorter than %d subproblems", len(outcomes), n)
@@ -174,6 +207,29 @@ func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, op
 		fallbackSec = opts.Metrics.Histogram(MetricScalarFallbackSeconds, designSecondsLo, designSecondsHi, designSecondsBins)
 		opts.Metrics.Histogram(MetricBatchSize, batchSizeLo, batchSizeHi, batchSizeBins).Observe(float64(n))
 	}
+	// solve runs subproblem i into outcomes[i], observing its metrics.
+	solve := func(i int, scratch *core.Scratch) error {
+		var t telemetry.Timer
+		if timed {
+			t = telemetry.StartTimer()
+		}
+		out, fellBack := run(&subs[i], scratch)
+		out.Index = i
+		if timed {
+			sec := t.Seconds()
+			designSec.Observe(sec)
+			if fellBack {
+				scalarFallbacks.Inc()
+				fallbackSec.Observe(sec)
+			}
+			designs.Inc()
+			if out.Err != nil {
+				designErrs.Inc()
+			}
+		}
+		outcomes[i] = out
+		return out.Err
+	}
 
 	if parallelism == 1 {
 		// Sequential route: run the batched solve inline over one scratch —
@@ -185,13 +241,6 @@ func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, op
 			scratch = scratchPool.Get().(*core.Scratch)
 			defer scratchPool.Put(scratch)
 		}
-		if timed {
-			// Scalar fallbacks are counted by the scratch; export the call's
-			// delta (the scratch may be caller-retained or pooled, so its
-			// absolute count spans many calls).
-			fb0 := scratch.Fallbacks()
-			defer func() { scalarFallbacks.Add(scratch.Fallbacks() - fb0) }()
-		}
 		for i := range subs {
 			if err := ctx.Err(); err != nil {
 				for j := i; j < n; j++ {
@@ -202,26 +251,7 @@ func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, op
 				}
 				return nil
 			}
-			var t telemetry.Timer
-			var fbPre uint64
-			if timed {
-				fbPre = scratch.Fallbacks()
-				t = telemetry.StartTimer()
-			}
-			res, err := core.DesignInto(subs[i].Agent, subs[i].Config, scratch)
-			if timed {
-				sec := t.Seconds()
-				designSec.Observe(sec)
-				if scratch.Fallbacks() != fbPre {
-					fallbackSec.Observe(sec)
-				}
-				designs.Inc()
-				if err != nil {
-					designErrs.Inc()
-				}
-			}
-			outcomes[i] = Outcome{Index: i, Result: res, Err: err}
-			if err != nil && !opts.ContinueOnError {
+			if err := solve(i, scratch); err != nil && !opts.ContinueOnError {
 				for j := i + 1; j < n; j++ {
 					outcomes[j] = Outcome{Index: j, Err: cancelErr(context.Canceled)}
 				}
@@ -244,38 +274,13 @@ func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, op
 		go func() {
 			defer wg.Done()
 			scratch := scratchPool.Get().(*core.Scratch)
-			fb0 := scratch.Fallbacks()
-			defer func() {
-				if timed {
-					scalarFallbacks.Add(scratch.Fallbacks() - fb0)
-				}
-				scratchPool.Put(scratch)
-			}()
+			defer scratchPool.Put(scratch)
 			for i := range indexes {
 				if err := ctx.Err(); err != nil {
 					outcomes[i] = Outcome{Index: i, Err: cancelErr(err)}
 					continue
 				}
-				var t telemetry.Timer
-				var fbPre uint64
-				if timed {
-					fbPre = scratch.Fallbacks()
-					t = telemetry.StartTimer()
-				}
-				res, err := core.DesignInto(subs[i].Agent, subs[i].Config, scratch)
-				if timed {
-					sec := t.Seconds()
-					designSec.Observe(sec)
-					if scratch.Fallbacks() != fbPre {
-						fallbackSec.Observe(sec)
-					}
-					designs.Inc()
-					if err != nil {
-						designErrs.Inc()
-					}
-				}
-				outcomes[i] = Outcome{Index: i, Result: res, Err: err}
-				if err != nil && !opts.ContinueOnError {
+				if err := solve(i, scratch); err != nil && !opts.ContinueOnError {
 					errOnce.Do(func() {
 						firstErr = fmt.Errorf("solver: subproblem %d (%s): %w", i, subs[i].Agent.ID, err)
 						cancel()
