@@ -66,15 +66,10 @@ type Scratch struct {
 	knotsOK       bool
 	knotsMonotone bool
 
-	// resps and lifts hold every candidate's full best response and
-	// participation lift from the last buildMenu — what a menu itself
-	// does not keep — so a pick straight after a build reads them
-	// instead of re-solving. chainOf is the menu whose chain comps holds,
-	// respsOf the menu resps and lifts describe (nil: none).
-	resps   []worker.Response
-	lifts   []float64
-	chainOf *Menu
-	respsOf *Menu
+	// resps holds every candidate's full best response from the last
+	// buildMenu — what a menu itself does not keep — for DesignInto's
+	// Result.
+	resps []worker.Response
 
 	// menu is DesignInto's reusable menu: a one-shot design builds into
 	// it and picks from it, so the cold path allocates no menu.
@@ -115,13 +110,11 @@ func (s *Scratch) prepare(part effort.Partition, psi effort.Quadratic) {
 		s.comps = make([]float64, m+1)
 		s.lifted = make([]float64, m+1)
 		s.resps = make([]worker.Response, m)
-		s.lifts = make([]float64, m)
 	}
 	s.alphas = s.alphas[:m]
 	s.comps = s.comps[:m+1]
 	s.lifted = s.lifted[:m+1]
 	s.resps = s.resps[:m]
-	s.lifts = s.lifts[:m]
 	if s.knotsOK && s.knotPart == part && s.knotPsi == psi {
 		return
 	}

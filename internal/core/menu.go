@@ -17,26 +17,25 @@ import (
 // only the Eq. (43) argmax over the m candidates, so one menu serves
 // every weight: a weight or μ change costs an O(m) Pick, not a solve.
 //
-// A menu keeps only what the pick reads — each candidate's feedback and
-// compensation at the worker's best response — plus the worker side and
-// the shared knot grid, from which anything else is re-derived on
-// demand, bit for bit. Winning contracts are materialized lazily, once
-// per (menu, k), and published with a compare-and-swap, so every caller
-// that picks k from the same menu — concurrent shards, design batches —
-// receives the same contract pointer. A menu never materializes a
-// candidate nobody picked.
+// A menu keeps only what picks and contracts read: each candidate's
+// feedback and compensation at the worker's best response, its
+// participation lift, the slope chain's compensation knots, and the knot
+// grid, shared read-only with every menu built over the same
+// (partition, ψ) and with every contract materialized from it. Winning
+// contracts are materialized lazily, once per (menu, k), and published
+// with a compare-and-swap, so every caller that picks k from the same
+// menu — concurrent shards, design batches — receives the same contract
+// pointer. A menu never materializes a candidate nobody picked.
 //
 // A built menu is immutable apart from its published contracts and is
 // safe for concurrent use.
 type Menu struct {
-	// worker is the worker side the menu was built from: class, ψ, β, ω,
-	// reservation (no ID or size — a menu serves every agent of its key).
-	worker worker.Agent
-	part   effort.Partition
-	knots  []float64 // d_0..d_m, shared read-only with its contracts
-	// fc holds candidate k's feedback and compensation at the worker's
-	// best response at fc[2(k−1)] and fc[2(k−1)+1].
-	fc     []float64
+	part  effort.Partition
+	knots []float64 // d_0..d_m
+	// vals holds, for m candidates: (F_k, C_k) pairs — feedback and
+	// compensation at the best response to ξ^(k) — in vals[:2m], the
+	// lifts in vals[2m:3m], and the chain's C_0..C_m in vals[3m:].
+	vals   []float64
 	picked atomic.Pointer[pickedContract]
 	// firstClamp is the 1-based first clamped piece of the slope chain; 0
 	// when none.
@@ -78,15 +77,13 @@ func BuildMenu(a *worker.Agent, part effort.Partition, s *Scratch) (*Menu, error
 }
 
 // buildMenu fills m from one batched solve over the scratch's arrays,
-// leaving every candidate's full response and lift in s.resps and
-// s.lifts. The agent and partition must already be validated. On a
-// condition the batched path cannot reproduce exactly it marks m as a
-// fallback menu and stops.
+// leaving every candidate's full best response in s.resps for a Result
+// built straight after (design). The agent and partition must already be
+// validated. On a condition the batched path cannot reproduce exactly it
+// marks m as a fallback menu and stops.
 func (s *Scratch) buildMenu(a *worker.Agent, part effort.Partition, m *Menu) {
 	s.uses++
-	s.chainOf, s.respsOf = nil, nil
 	mm := part.M
-	m.worker = worker.Agent{Class: a.Class, Psi: a.Psi, Beta: a.Beta, Omega: a.Omega, Reservation: a.Reservation}
 	m.part = part
 	m.fallback = false
 	m.firstClamp = 0
@@ -105,26 +102,26 @@ func (s *Scratch) buildMenu(a *worker.Agent, part effort.Partition, m *Menu) {
 		m.fallback = true
 		return
 	}
-	s.chainOf = m
 	m.firstClamp = int32(firstClamp)
-	if cap(m.fc) < 2*mm {
-		m.fc = make([]float64, 2*mm)
+	if cap(m.vals) < 4*mm+1 {
+		m.vals = make([]float64, 4*mm+1)
 	}
-	m.fc = m.fc[:2*mm]
+	m.vals = m.vals[:4*mm+1]
 	for k := 1; k <= mm; k++ {
 		resp, lift, ok := s.candidate(a, part, k)
 		if !ok {
 			m.fallback = true
 			return
 		}
-		s.resps[k-1], s.lifts[k-1] = resp, lift
-		m.fc[2*(k-1)], m.fc[2*(k-1)+1] = resp.Feedback, resp.Compensation
+		s.resps[k-1] = resp
+		m.vals[2*(k-1)], m.vals[2*(k-1)+1] = resp.Feedback, resp.Compensation
+		m.vals[2*mm+k-1] = lift
 	}
-	s.respsOf = m
+	copy(m.vals[3*mm:], s.comps)
 }
 
-// candidate is candidate k's best response over the loaded chain, with
-// the participation lift mirroring buildCandidate: the shortfall is
+// candidate is candidate k's best response over the chain in s.comps,
+// with the participation lift mirroring buildCandidate: the shortfall is
 // measured against the reservation-free response, which runs the
 // identical search and so has exactly resp's utility — except that a
 // negative best utility makes even the free worker decline, and a
@@ -156,23 +153,6 @@ func (s *Scratch) candidate(a *worker.Agent, part effort.Partition, k int) (resp
 	return resp, lift, resp.Utility >= a.Reservation
 }
 
-// entry returns candidate k's full response and lift for menu m, leaving
-// m's chain in s.comps: read back from the build when s built m, else
-// re-derived by the same code over the same inputs — the same bits.
-func (s *Scratch) entry(m *Menu, k int) (worker.Response, float64, bool) {
-	if s.chainOf != m {
-		s.prepare(m.part, m.worker.Psi)
-		if _, ok := s.chain(&m.worker, m.part); !ok {
-			return worker.Response{}, 0, false
-		}
-		s.chainOf = m
-	}
-	if s.respsOf == m {
-		return s.resps[k-1], s.lifts[k-1], true
-	}
-	return s.candidate(&m.worker, m.part, k)
-}
-
 // Fallback reports whether the menu's solve needs the scalar path: every
 // pick from it runs Design for the requested (w, μ).
 func (m *Menu) Fallback() bool { return m.fallback }
@@ -183,8 +163,9 @@ func (m *Menu) Fallback() bool { return m.fallback }
 // as Design's selection loop breaks them. Pick must not be called on a
 // fallback menu.
 func (m *Menu) Pick(w, mu float64) (k int, ru float64) {
-	for i := 0; i < len(m.fc); i += 2 {
-		u := w*m.fc[i] - mu*m.fc[i+1]
+	fc := m.vals[:2*m.part.M]
+	for i := 0; i < len(fc); i += 2 {
+		u := w*fc[i] - mu*fc[i+1]
 		if k == 0 || u > ru {
 			k, ru = i/2+1, u
 		}
@@ -192,15 +173,18 @@ func (m *Menu) Pick(w, mu float64) (k int, ru float64) {
 	return k, ru
 }
 
-// contract returns candidate k's contract, materializing it on first use
-// over scratch s. Concurrent first uses race through a compare-and-swap,
-// and every caller gets the published pointer.
-func (m *Menu) contract(k int, s *Scratch) (*contract.PiecewiseLinear, error) {
+// lift is candidate k's participation lift.
+func (m *Menu) lift(k int) float64 { return m.vals[2*m.part.M+k-1] }
+
+// contract returns candidate k's contract, materializing it on first use.
+// Concurrent first uses race through a compare-and-swap, and every caller
+// gets the published pointer.
+func (m *Menu) contract(k int) (*contract.PiecewiseLinear, error) {
 	head := m.picked.Load()
 	if c := head.find(k); c != nil {
 		return c, nil
 	}
-	c, err := m.materialize(k, s)
+	c, err := m.materialize(k)
 	if err != nil {
 		return nil, err
 	}
@@ -225,18 +209,17 @@ func (p *pickedContract) find(k int) *contract.PiecewiseLinear {
 	return nil
 }
 
-// materialize allocates candidate k's contract on the menu's knot grid,
-// adding its lift to every compensation knot — the same two steps the
-// scalar path performs (flatten via the builder, then shift the copied
-// comps), so the knot and comp values are bit-identical.
-func (m *Menu) materialize(k int, s *Scratch) (*contract.PiecewiseLinear, error) {
-	_, lift, ok := s.entry(m, k)
-	if !ok {
-		return nil, fmt.Errorf("core: menu candidate k=%d does not re-derive", k)
-	}
-	comps := make([]float64, len(m.knots))
+// materialize allocates candidate k's contract on the menu's knot grid:
+// the chain's prefix C_0..C_k continued flat at C_k, plus the lift on
+// every knot — the same two steps the scalar path performs (flatten via
+// the builder, then shift the copied comps), so the knot and comp values
+// are bit-identical.
+func (m *Menu) materialize(k int) (*contract.PiecewiseLinear, error) {
+	chain := m.vals[3*m.part.M:]
+	lift := m.lift(k)
+	comps := make([]float64, len(chain))
 	for i := range comps {
-		comps[i] = s.comps[min(i, k)]
+		comps[i] = chain[min(i, k)]
 		if lift != 0 {
 			comps[i] += lift
 		}
@@ -247,21 +230,17 @@ func (m *Menu) materialize(k int, s *Scratch) (*contract.PiecewiseLinear, error)
 // ContractFor returns the contract the menu offers under cfg: the shared
 // contract of the Pick winner. a must carry the worker-side parameters the
 // menu was built from; it is read only when the pick routes to the scalar
-// Design (a fallback menu), which counts on s. s is the scratch a first
-// materialization runs over; nil uses a temporary one.
+// Design (a fallback menu), which counts on s (nil counts nowhere).
 func (m *Menu) ContractFor(a *worker.Agent, cfg Config, s *Scratch) (*contract.PiecewiseLinear, error) {
-	if err := m.check(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Part != m.part {
+		return nil, fmt.Errorf("partition %+v differs from the menu's %+v: %w", cfg.Part, m.part, ErrBadConfig)
 	}
 	if !m.fallback {
 		k, _ := m.Pick(cfg.W, cfg.Mu)
-		if c := m.picked.Load().find(k); c != nil {
-			return c, nil
-		}
-		if s == nil {
-			s = &Scratch{}
-		}
-		if c, err := m.contract(k, s); err == nil {
+		if c, err := m.contract(k); err == nil {
 			return c, nil
 		}
 	}
@@ -272,63 +251,43 @@ func (m *Menu) ContractFor(a *worker.Agent, cfg Config, s *Scratch) (*contract.P
 	return res.Contract, nil
 }
 
-// check validates cfg for a pick from m.
-func (m *Menu) check(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Part != m.part {
-		return fmt.Errorf("partition %+v differs from the menu's %+v: %w", cfg.Part, m.part, ErrBadConfig)
-	}
-	return nil
-}
-
-// design is the full design Result for a validated cfg — bit-identical
-// to Design(a, cfg) — with the winner's shared contract. a must carry the
-// worker-side parameters the menu was built from. Fallback picks run the
-// scalar Design, counted on s.
+// design is DesignInto's pick: the full Result for a validated cfg from
+// the menu s has just built, reading the winner's full response from
+// s.resps — bit-identical to Design(a, cfg).
 func (m *Menu) design(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	if m.fallback {
 		return s.fallback(a, cfg)
 	}
 	k, ru := m.Pick(cfg.W, cfg.Mu)
-	resp, _, ok := s.entry(m, k)
-	if !ok {
-		return s.fallback(a, cfg)
-	}
 	res := &Result{
 		Agent:            a,
 		KOpt:             k,
-		Response:         resp,
+		Response:         s.resps[k-1],
 		RequesterUtility: ru,
 	}
 	if cfg.WantCandidates {
 		// Diagnostics get their own contracts: the published list holds
 		// only what some pick actually won.
-		mm := m.part.M
-		cands := make([]Candidate, 0, mm)
-		for j := 1; j <= mm; j++ {
-			resp, lift, ok := s.entry(m, j)
-			if !ok {
-				return s.fallback(a, cfg)
-			}
-			c, err := m.materialize(j, s)
+		cands := make([]Candidate, 0, m.part.M)
+		for j := 1; j <= m.part.M; j++ {
+			c, err := m.materialize(j)
 			if err != nil {
 				return s.fallback(a, cfg)
 			}
+			resp := s.resps[j-1]
 			cands = append(cands, Candidate{
 				K:                 j,
 				Contract:          c,
 				Response:          resp,
 				RequesterUtility:  cfg.W*resp.Feedback - cfg.Mu*resp.Compensation,
 				Clamped:           m.firstClamp != 0 && int(m.firstClamp) <= j,
-				ParticipationLift: lift,
+				ParticipationLift: m.lift(j),
 			})
 		}
 		res.Candidates = cands
 		res.Contract = cands[k-1].Contract
 	} else {
-		c, err := m.contract(k, s)
+		c, err := m.contract(k)
 		if err != nil {
 			return s.fallback(a, cfg)
 		}

@@ -98,15 +98,6 @@ func fusedDesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	return res, nil
 }
 
-// menuDesign is a full Result from a shared menu, over a scratch that
-// did not build it, so every response and lift is re-derived.
-func menuDesign(m *Menu, a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
-	if err := m.check(cfg); err != nil {
-		return nil, err
-	}
-	return m.design(a, cfg, s)
-}
-
 // sameBits reports bitwise float equality (−0 ≠ +0, NaN payloads
 // compared).
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -170,9 +161,10 @@ var pickWeights = []float64{1, 0.37, -0.5, 0, math.Copysign(0, -1), 5e-324, 1e-3
 var pickMus = []float64{1, 0.25, 3.5, 1e-300}
 
 // checkMenuPicks builds one menu for a and picks it at every (w, μ) in
-// ws × mus, asserting each pick against Design and the fused oracle —
-// results bit for bit, errors by text — and that picks winning the same
-// k share one contract pointer.
+// ws × mus: DesignInto and the fused oracle must equal Design bit for
+// bit, and the shared menu's pick and contract must equal Design's KOpt,
+// requester utility and contract, errors by text. Picks winning the same
+// k must share one contract pointer.
 func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mus []float64) *Menu {
 	t.Helper()
 	menu, menuErr := BuildMenu(a, part, &Scratch{})
@@ -182,43 +174,46 @@ func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mu
 		for _, w := range ws {
 			for _, want := range []bool{false, true} {
 				cfg := Config{Part: part, Mu: mu, W: w, WantCandidates: want}
-				label := a.ID
+				label := fmt.Sprintf("%s w=%v mu=%v", a.ID, w, mu)
 				ref, refErr := Design(a, cfg)
 				fused, fusedErr := fusedDesignInto(a, cfg, &Scratch{})
 				into, intoErr := DesignInto(a, cfg, s)
-				var got *Result
+				var got *contract.PiecewiseLinear
 				gotErr := menuErr
 				if menuErr == nil {
-					got, gotErr = menuDesign(menu, a, cfg, s)
+					got, gotErr = menu.ContractFor(a, cfg, s)
 				}
 				if (refErr == nil) != (fusedErr == nil) {
-					t.Fatalf("%s w=%v mu=%v: oracle disagreement: Design %v, fused %v", label, w, mu, refErr, fusedErr)
+					t.Fatalf("%s: oracle disagreement: Design %v, fused %v", label, refErr, fusedErr)
 				}
 				if refErr != nil {
 					if intoErr == nil || intoErr.Error() != refErr.Error() {
-						t.Fatalf("%s w=%v mu=%v: DesignInto error %v, want %q", label, w, mu, intoErr, refErr)
+						t.Fatalf("%s: DesignInto error %v, want %q", label, intoErr, refErr)
 					}
 					if gotErr == nil || (menuErr == nil && gotErr.Error() != refErr.Error()) {
-						t.Fatalf("%s w=%v mu=%v: menu error %v, want %q", label, w, mu, gotErr, refErr)
+						t.Fatalf("%s: menu error %v, want %q", label, gotErr, refErr)
 					}
 					continue
 				}
 				if gotErr != nil || intoErr != nil {
-					t.Fatalf("%s w=%v mu=%v: menu %v / DesignInto %v, Design succeeded", label, w, mu, gotErr, intoErr)
+					t.Fatalf("%s: menu %v / DesignInto %v, Design succeeded", label, gotErr, intoErr)
 				}
 				requireBitIdentical(t, "fused", ref, fused)
 				requireBitIdentical(t, "DesignInto", ref, into)
-				requireBitIdentical(t, "menu", ref, got)
-				if want || menu.Fallback() {
+				if !sameContractBits(ref.Contract, got) {
+					t.Fatalf("%s: menu contract bits differ:\n got %v\nwant %v", label, got, ref.Contract)
+				}
+				if menu.Fallback() {
 					continue
 				}
-				if prev, ok := shared[got.KOpt]; ok && prev != got.Contract {
-					t.Fatalf("%s: k=%d picked twice, materialized twice", label, got.KOpt)
+				k, ru := menu.Pick(w, mu)
+				if k != ref.KOpt || !sameBits(ru, ref.RequesterUtility) {
+					t.Fatalf("%s: Pick = (%d, %v), Design (%d, %v)", label, k, ru, ref.KOpt, ref.RequesterUtility)
 				}
-				shared[got.KOpt] = got.Contract
-				if c, err := menu.ContractFor(a, cfg, s); err != nil || c != got.Contract {
-					t.Fatalf("%s: ContractFor = %p, %v; want the shared %p", label, c, err, got.Contract)
+				if prev, ok := shared[k]; ok && prev != got {
+					t.Fatalf("%s: k=%d materialized twice", label, k)
 				}
+				shared[k] = got
 			}
 		}
 	}
@@ -273,8 +268,7 @@ func TestMenuPickMatchesDesign(t *testing.T) {
 					t.Error("degenerate ψ did not mark the menu for fallback")
 				}
 			case "reserved":
-				s := &Scratch{}
-				if _, lift, _ := s.entry(menu, 1); lift <= 0 {
+				if menu.lift(1) <= 0 {
 					t.Error("reservation produced no participation lift")
 				}
 			case "clamped":
@@ -302,7 +296,7 @@ func TestMenuPickTieGoesToSmallerK(t *testing.T) {
 	for _, w := range pickWeights {
 		k, ru := menu.Pick(w, 1)
 		for j := k + 1; j <= part.M; j++ {
-			if u := w*menu.fc[2*(j-1)] - menu.fc[2*(j-1)+1]; u == ru {
+			if u := w*menu.vals[2*(j-1)] - menu.vals[2*(j-1)+1]; u == ru {
 				ties++
 			}
 		}
@@ -319,7 +313,7 @@ func TestMenuPickTieGoesToSmallerK(t *testing.T) {
 	}
 
 	// (F, C) per candidate: k = 2 and 3 tie at the top.
-	synthetic := &Menu{fc: []float64{1, 1, 2, 1, 2, 1}}
+	synthetic := &Menu{part: effort.Partition{M: 3, Delta: 1}, vals: []float64{1, 1, 2, 1, 2, 1}}
 	if k, ru := synthetic.Pick(1, 1); k != 2 || ru != 1 {
 		t.Fatalf("synthetic two-way tie: Pick = (k=%d, ru=%v), want (2, 1)", k, ru)
 	}

@@ -115,10 +115,17 @@ type Cache struct {
 	// (sibling shards on a cold round, design batches beside the round
 	// loop) missing the same key build it once. Guarded by mu.
 	flights map[DesignKey]*menuFlight
+	// flightsPeak is the most flights in progress since the map last
+	// drained; a drained map that grew past maxScan is dropped, since a
+	// map keeps its buckets (a cold batch of thousands of keys would pin
+	// them), while small ones are reused.
+	flightsPeak int
 }
 
-// menuFlight is one in-progress menu build. menu is written before done
-// closes; it stays nil when the build failed or was cancelled.
+// menuFlight is one in-progress menu build. done is made by the first
+// caller to await it — most builds have no waiter and skip it — and
+// closed by land after menu is written; menu stays nil when the build
+// failed or was cancelled. Both fields are written under Cache.mu.
 type menuFlight struct {
 	done chan struct{}
 	menu *core.Menu
@@ -149,6 +156,13 @@ func (c *Cache) peek(key DesignKey) (*core.Menu, bool) {
 // Put stores a menu under its design key, flushing the map first if it
 // would exceed the cap.
 func (c *Cache) Put(key DesignKey, m *core.Menu) {
+	c.mu.Lock()
+	c.putLocked(key, m)
+	c.mu.Unlock()
+}
+
+// putLocked is Put under c.mu.
+func (c *Cache) putLocked(key DesignKey, m *core.Menu) {
 	if m == nil {
 		return
 	}
@@ -156,7 +170,6 @@ func (c *Cache) Put(key DesignKey, m *core.Menu) {
 	if max <= 0 {
 		max = defaultCacheCap
 	}
-	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[DesignKey]*core.Menu)
 	} else if len(c.entries) >= max {
@@ -165,7 +178,6 @@ func (c *Cache) Put(key DesignKey, m *core.Menu) {
 	}
 	c.entries[key] = m
 	c.size.Set(float64(len(c.entries)))
-	c.mu.Unlock()
 }
 
 // claim is the build-once lookup behind every designer: the key's menu on
@@ -184,14 +196,18 @@ func (c *Cache) claim(key DesignKey) (m *core.Menu, f *menuFlight, own bool) {
 		return m, nil, false
 	}
 	if f := c.flights[key]; f != nil {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
 		c.mu.Unlock()
 		return nil, f, false
 	}
-	f = &menuFlight{done: make(chan struct{})}
+	f = &menuFlight{}
 	if c.flights == nil {
 		c.flights = make(map[DesignKey]*menuFlight)
 	}
 	c.flights[key] = f
+	c.flightsPeak = max(c.flightsPeak, len(c.flights))
 	c.mu.Unlock()
 	c.misses.Inc()
 	return nil, f, true
@@ -201,15 +217,21 @@ func (c *Cache) claim(key DesignKey) (m *core.Menu, f *menuFlight, own bool) {
 // waiter; nil (a failed or cancelled build) releases them to claim the
 // key afresh.
 func (c *Cache) land(key DesignKey, f *menuFlight, m *core.Menu) {
-	c.Put(key, m) // a no-op for nil
 	c.mu.Lock()
+	c.putLocked(key, m)
 	f.menu = m
 	delete(c.flights, key)
 	if len(c.flights) == 0 {
-		c.flights = nil // a drained map keeps its buckets; drop them
+		if c.flightsPeak > maxScan {
+			c.flights = nil
+		}
+		c.flightsPeak = 0
 	}
+	done := f.done
 	c.mu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 }
 
 // await waits for another caller's flight, counting a delivered menu as a

@@ -90,7 +90,17 @@ func TestCacheClaimFlights(t *testing.T) {
 		t.Errorf("cancelled await err = %v, want context.Canceled", err)
 	}
 	c.land(other, f, nil)
+
+	// A drained map that held a large cold batch is dropped, not kept.
+	var big []*menuFlight
+	for i := 0; i <= maxScan; i++ {
+		_, f, _ := c.claim(DesignKey{Beta: float64(10 + i)})
+		big = append(big, f)
+	}
+	for i, f := range big {
+		c.land(DesignKey{Beta: float64(10 + i)}, f, nil)
+	}
 	if c.flights != nil {
-		t.Error("drained flight map kept its buckets")
+		t.Error("drained flight map kept a cold batch's buckets")
 	}
 }

@@ -42,7 +42,6 @@ type Designer struct {
 	mu        sync.Mutex
 	plan      pickPlan
 	slots     []int32 // per agent: index into plan.fps
-	scratch   core.Scratch
 	contracts map[string]*contract.PiecewiseLinear
 	shards    []*ShardDesigner // lazily built per-shard designers (Shard)
 }
@@ -104,23 +103,23 @@ func (p *pickPlan) reset() {
 	clear(p.keyIdx)
 }
 
-// add records agent a with fingerprint fp, returning fp's index into the
+// add records agent a with fingerprint *fp, returning its index into the
 // plan's distinct fingerprints.
-func (p *pickPlan) add(fp Fingerprint, a *worker.Agent) int32 {
-	if p.last >= 0 && fp == p.lastFP {
+func (p *pickPlan) add(fp *Fingerprint, a *worker.Agent) int32 {
+	if p.last >= 0 && *fp == p.lastFP {
 		return p.last
 	}
-	pf := pickFP{key: p.keyOf(fp.DesignKey, a), mu: fp.Mu, w: fp.W}
+	pf := pickFP{key: p.keyOf(&fp.DesignKey, a), mu: fp.Mu, w: fp.W}
 	j := intern(&p.fps, &p.fpIdx, pf)
-	p.lastFP, p.last = fp, j
+	p.lastFP, p.last = *fp, j
 	return j
 }
 
 // keyOf returns key's index into the plan's keys, adding it — with a as
 // its representative — when new.
-func (p *pickPlan) keyOf(key DesignKey, a *worker.Agent) int32 {
+func (p *pickPlan) keyOf(key *DesignKey, a *worker.Agent) int32 {
 	n := len(p.keys)
-	k := intern(&p.keys, &p.keyIdx, key)
+	k := intern(&p.keys, &p.keyIdx, *key)
 	if int(k) == n {
 		p.reps = append(p.reps, a)
 	}
@@ -162,7 +161,7 @@ func intern[T comparable](list *[]T, idx *map[T]int32, v T) int32 {
 // (nil means no cache) or are built in one BuildMenusInto batch and
 // published back; a key some concurrent designer is already building is
 // awaited rather than rebuilt, and re-claimed should that build fail.
-// New winners materialize over scratch, where fallback picks count.
+// Fallback picks count on scratch, which may be nil.
 func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Partition, mu float64, opts solver.Options, scratch *core.Scratch) error {
 	p.menus = slices.Grow(p.menus[:0], len(p.keys))[:len(p.keys)]
 	clear(p.menus)
@@ -258,13 +257,13 @@ func (d *Designer) Contracts(ctx context.Context, pop *Population, agents []*wor
 	d.slots = d.slots[:0]
 	for _, a := range agents {
 		fp := FingerprintOf(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
-		d.slots = append(d.slots, d.plan.add(fp, a))
+		d.slots = append(d.slots, d.plan.add(&fp, a))
 	}
 	var src menuSource
 	if d.Cache != nil {
 		src = d.Cache
 	}
-	if err := d.plan.resolve(ctx, src, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, &d.scratch); err != nil {
+	if err := d.plan.resolve(ctx, src, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil); err != nil {
 		return nil, err
 	}
 
@@ -308,13 +307,14 @@ func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu fl
 	p.reset()
 	slots := make([]int32, len(reqs))
 	for i, rq := range reqs {
-		slots[i] = p.add(FingerprintOf(rq.Agent, core.Config{Part: part, Mu: mu, W: rq.W}), rq.Agent)
+		fp := FingerprintOf(rq.Agent, core.Config{Part: part, Mu: mu, W: rq.W})
+		slots[i] = p.add(&fp, rq.Agent)
 	}
 	var src menuSource
 	if d.Cache != nil {
 		src = d.Cache
 	}
-	if err := p.resolve(ctx, src, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, new(core.Scratch)); err != nil {
+	if err := p.resolve(ctx, src, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil); err != nil {
 		return nil, err
 	}
 	out := make([]*contract.PiecewiseLinear, len(reqs))
@@ -418,7 +418,7 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 		d.plan.reset()
 		d.slots = d.slots[:0]
 		for i := range sh.Agents {
-			d.slots = append(d.slots, d.plan.add(sh.FPs[i], sh.Agents[i]))
+			d.slots = append(d.slots, d.plan.add(&sh.FPs[i], sh.Agents[i]))
 		}
 		d.built = true
 		d.shard = sh.Index
