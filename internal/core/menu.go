@@ -87,7 +87,6 @@ func (s *Scratch) buildMenu(a *worker.Agent, part effort.Partition, m *Menu) {
 	m.part = part
 	m.fallback = false
 	m.firstClamp = 0
-	m.picked.Store(nil)
 
 	s.prepare(part, a.Psi)
 	m.knots = s.knots
@@ -287,7 +286,9 @@ func (m *Menu) design(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) 
 		res.Candidates = cands
 		res.Contract = cands[k-1].Contract
 	} else {
-		c, err := m.contract(k)
+		// The scratch's menu is private to this call, so the winner is
+		// materialized directly, not published.
+		c, err := m.materialize(k)
 		if err != nil {
 			return s.fallback(a, cfg)
 		}

@@ -115,11 +115,6 @@ type Cache struct {
 	// (sibling shards on a cold round, design batches beside the round
 	// loop) missing the same key build it once. Guarded by mu.
 	flights map[DesignKey]*menuFlight
-	// flightsPeak is the most flights in progress since the map last
-	// drained; a drained map that grew past maxScan is dropped, since a
-	// map keeps its buckets (a cold batch of thousands of keys would pin
-	// them), while small ones are reused.
-	flightsPeak int
 }
 
 // menuFlight is one in-progress menu build. done is made by the first
@@ -134,18 +129,7 @@ type menuFlight struct {
 // NewCache returns an empty cache with the default size cap.
 func NewCache() *Cache { return &Cache{} }
 
-// Get looks up a design key's menu, counting a hit or a miss.
-func (c *Cache) Get(key DesignKey) (*core.Menu, bool) {
-	m, ok := c.peek(key)
-	if ok {
-		c.hits.Inc()
-		return m, true
-	}
-	c.misses.Inc()
-	return nil, false
-}
-
-// peek is Get without the counting.
+// peek looks up a design key's menu without counting.
 func (c *Cache) peek(key DesignKey) (*core.Menu, bool) {
 	c.mu.RLock()
 	m, ok := c.entries[key]
@@ -153,15 +137,9 @@ func (c *Cache) peek(key DesignKey) (*core.Menu, bool) {
 	return m, ok
 }
 
-// Put stores a menu under its design key, flushing the map first if it
-// would exceed the cap.
-func (c *Cache) Put(key DesignKey, m *core.Menu) {
-	c.mu.Lock()
-	c.putLocked(key, m)
-	c.mu.Unlock()
-}
-
-// putLocked is Put under c.mu.
+// putLocked stores a built menu under its design key, flushing the map
+// first if it would exceed the cap; nil (a failed build) stores nothing.
+// The caller holds c.mu.
 func (c *Cache) putLocked(key DesignKey, m *core.Menu) {
 	if m == nil {
 		return
@@ -207,7 +185,6 @@ func (c *Cache) claim(key DesignKey) (m *core.Menu, f *menuFlight, own bool) {
 		c.flights = make(map[DesignKey]*menuFlight)
 	}
 	c.flights[key] = f
-	c.flightsPeak = max(c.flightsPeak, len(c.flights))
 	c.mu.Unlock()
 	c.misses.Inc()
 	return nil, f, true
@@ -221,12 +198,6 @@ func (c *Cache) land(key DesignKey, f *menuFlight, m *core.Menu) {
 	c.putLocked(key, m)
 	f.menu = m
 	delete(c.flights, key)
-	if len(c.flights) == 0 {
-		if c.flightsPeak > maxScan {
-			c.flights = nil
-		}
-		c.flightsPeak = 0
-	}
 	done := f.done
 	c.mu.Unlock()
 	if done != nil {

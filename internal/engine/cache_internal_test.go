@@ -91,16 +91,58 @@ func TestCacheClaimFlights(t *testing.T) {
 	}
 	c.land(other, f, nil)
 
-	// A drained map that held a large cold batch is dropped, not kept.
-	var big []*menuFlight
-	for i := 0; i <= maxScan; i++ {
-		_, f, _ := c.claim(DesignKey{Beta: float64(10 + i)})
-		big = append(big, f)
+}
+
+func TestCacheZeroValueAndInvalidate(t *testing.T) {
+	var c Cache // zero value must be usable
+	key := DesignKey{Class: worker.Honest, Beta: 1}
+	if _, ok := c.peek(key); ok {
+		t.Fatal("empty cache held a menu")
 	}
-	for i, f := range big {
-		c.land(DesignKey{Beta: float64(10 + i)}, f, nil)
+	menu := &core.Menu{}
+	_, f, own := c.claim(key)
+	if !own {
+		t.Fatal("empty cache did not hand out the build")
 	}
-	if c.flights != nil {
-		t.Error("drained flight map kept a cold batch's buckets")
+	c.land(key, f, menu)
+	if got, _, _ := c.claim(key); got != menu {
+		t.Fatal("claim/land roundtrip failed")
+	}
+
+	before := c.Stats()
+	if before.Hits != 1 || before.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss", before)
+	}
+	c.Invalidate()
+	after := c.Stats()
+	if after.Entries != 0 {
+		t.Errorf("entries after Invalidate = %d, want 0", after.Entries)
+	}
+	if after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Error("Invalidate reset the counters; they must be preserved")
+	}
+	if _, ok := c.peek(key); ok {
+		t.Error("invalidated cache still serves menus")
+	}
+}
+
+func TestCacheMaxEntriesFlush(t *testing.T) {
+	c := Cache{MaxEntries: 2}
+	menu := &core.Menu{}
+	put := func(key DesignKey) {
+		_, f, _ := c.claim(key)
+		c.land(key, f, menu)
+	}
+	put(DesignKey{Beta: 1})
+	put(DesignKey{Beta: 2})
+	if got := c.Stats().Entries; got != 2 {
+		t.Fatalf("entries = %d, want 2", got)
+	}
+	put(DesignKey{Beta: 3}) // crossing the cap flushes first
+	if got := c.Stats().Entries; got != 1 {
+		t.Errorf("entries after overflow = %d, want 1 (flush-then-insert)", got)
+	}
+	if _, ok := c.peek(DesignKey{Beta: 3}); !ok {
+		t.Error("the entry that triggered the flush was lost")
 	}
 }

@@ -151,51 +151,3 @@ func TestFingerprintOf(t *testing.T) {
 		t.Error("community size entered the fingerprint (the design never reads it)")
 	}
 }
-
-func TestCacheZeroValueAndInvalidate(t *testing.T) {
-	var c engine.Cache // zero value must be usable
-	key := engine.DesignKey{Class: worker.Honest, Beta: 1}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("empty cache reported a hit")
-	}
-	menu := &core.Menu{}
-	c.Put(key, menu)
-	got, ok := c.Get(key)
-	if !ok || got != menu {
-		t.Fatal("Put/Get roundtrip failed")
-	}
-	c.Put(key, nil) // nil menus are not cacheable
-	if got, _ := c.Get(key); got != menu {
-		t.Error("Put(nil) clobbered a cached menu")
-	}
-
-	before := c.Stats()
-	c.Invalidate()
-	after := c.Stats()
-	if after.Entries != 0 {
-		t.Errorf("entries after Invalidate = %d, want 0", after.Entries)
-	}
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Error("Invalidate reset the counters; they must be preserved")
-	}
-	if _, ok := c.Get(key); ok {
-		t.Error("invalidated cache still serves designs")
-	}
-}
-
-func TestCacheMaxEntriesFlush(t *testing.T) {
-	c := engine.Cache{MaxEntries: 2}
-	menu := &core.Menu{}
-	c.Put(engine.DesignKey{Beta: 1}, menu)
-	c.Put(engine.DesignKey{Beta: 2}, menu)
-	if got := c.Stats().Entries; got != 2 {
-		t.Fatalf("entries = %d, want 2", got)
-	}
-	c.Put(engine.DesignKey{Beta: 3}, menu) // crossing the cap flushes first
-	if got := c.Stats().Entries; got != 1 {
-		t.Errorf("entries after overflow = %d, want 1 (flush-then-insert)", got)
-	}
-	if _, ok := c.Get(engine.DesignKey{Beta: 3}); !ok {
-		t.Error("the entry that triggered the flush was lost")
-	}
-}

@@ -161,7 +161,9 @@ func intern[T comparable](list *[]T, idx *map[T]int32, v T) int32 {
 // (nil means no cache) or are built in one BuildMenusInto batch and
 // published back; a key some concurrent designer is already building is
 // awaited rather than rebuilt, and re-claimed should that build fail.
-// Fallback picks count on scratch, which may be nil.
+// Picks that run the scalar core.Design (from a fallback menu) count on
+// scratch — nil uses a temporary one — and on the solver's
+// MetricScalarFallbacks in opts.Metrics.
 func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Partition, mu float64, opts solver.Options, scratch *core.Scratch) error {
 	p.menus = slices.Grow(p.menus[:0], len(p.keys))[:len(p.keys)]
 	clear(p.menus)
@@ -205,6 +207,16 @@ func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Part
 		}
 		clear(p.waitFs)
 	}
+	var tmp core.Scratch
+	if scratch == nil {
+		scratch = &tmp
+	}
+	fallbacks := scratch.Fallbacks()
+	defer func() {
+		if n := scratch.Fallbacks() - fallbacks; n > 0 {
+			opts.Metrics.Counter(solver.MetricScalarFallbacks).Add(n)
+		}
+	}()
 	p.picks = p.picks[:0]
 	for _, fp := range p.fps {
 		k := fp.key

@@ -193,7 +193,7 @@ func TestSparseDriftShardSkips(t *testing.T) {
 	if oldContract == nil {
 		t.Fatalf("no contract captured for %s", id)
 	}
-	if _, ok := cache.Get(oldKey); !ok {
+	if !cache.Holds(oldKey) {
 		t.Fatalf("old design key not cached after warm round")
 	}
 	if _, ok := memo.Get(oldKey, oldContract); !ok {
@@ -223,10 +223,10 @@ func TestSparseDriftShardSkips(t *testing.T) {
 
 	// Targeted invalidation: the dead design key is gone from both
 	// layers, the live one is served.
-	if _, ok := cache.Get(oldKey); ok {
+	if cache.Holds(oldKey) {
 		t.Errorf("cache still holds the dead design key after sparse drift")
 	}
-	if _, ok := cache.Get(newKey); !ok {
+	if !cache.Holds(newKey) {
 		t.Errorf("cache does not hold the drifted design key")
 	}
 	if _, ok := memo.Get(oldKey, oldContract); ok {

@@ -7,7 +7,12 @@ import (
 	"testing"
 
 	"dyncontract/internal/contract"
+	"dyncontract/internal/core"
+	"dyncontract/internal/effort"
 	"dyncontract/internal/engine"
+	"dyncontract/internal/solver"
+	"dyncontract/internal/telemetry"
+	"dyncontract/internal/worker"
 )
 
 // weightDriftPopulation is a 3-archetype population — 3 design keys —
@@ -125,4 +130,46 @@ func (w *menuWatch) OnRoundEnd(r engine.Round) error {
 		w.t.Errorf("%s round %d: %s", w.name, r.Index, msg)
 	}
 	return nil
+}
+
+// TestFallbackPicksCount pins where scalar fallbacks are counted on the
+// menu path: a degenerate ψ builds a fallback menu, which counts nothing,
+// and every pick from it — cold or served from the cache — runs the
+// scalar core.Design and counts once on the solver's fallback counter.
+func TestFallbackPicksCount(t *testing.T) {
+	part, err := effort.NewPartition(10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := effort.NewQuadratic(-1e-12, 1e-3, 1e16, part.YMax())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := worker.NewHonest("degenerate", flat, 1, part.YMax())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	cache := engine.NewCache()
+	d := &engine.Designer{Parallelism: 1, Cache: cache, Metrics: reg}
+	want, wantErr := core.Design(a, core.Config{Part: part, Mu: 1, W: 2})
+	for round := 1; round <= 2; round++ {
+		got, err := d.DesignBatch(context.Background(), part, 1, []engine.DesignRequest{{Agent: a, W: 2}})
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("round %d: DesignBatch err %v, Design err %v", round, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got[0], want.Contract) {
+			t.Fatalf("round %d: contract differs from Design's", round)
+		}
+		s := reg.Snapshot()
+		if n := s.Counters[solver.MetricScalarFallbacks]; n != uint64(round) {
+			t.Errorf("round %d: %s = %d, want %d (one per pick)", round, solver.MetricScalarFallbacks, n, round)
+		}
+		if n := s.Counters[solver.MetricDesigns]; n != 1 {
+			t.Errorf("round %d: %s = %d, want 1 menu build", round, solver.MetricDesigns, n)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("cache stats = %+v, want 1 build and 1 hit", st)
+	}
 }

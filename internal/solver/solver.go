@@ -36,17 +36,22 @@ const (
 	// Cold rounds show the distinct-design-key count per shard here;
 	// serving-layer design batches show their coalescing window.
 	MetricBatchSize = "dyncontract_solver_batch_size"
-	// MetricScalarFallbacks counts designs the batched structure-of-arrays
-	// solve routed to the scalar core.Design path (core.Scratch.Fallbacks)
-	// — degenerate knots, non-finite slope chains, participation lifts the
-	// flat arrays cannot reproduce. A rate tracking MetricDesigns means the
-	// population silently defeats the batched cold path en masse.
+	// MetricScalarFallbacks counts runs of the scalar core.Design path
+	// (core.Scratch.Fallbacks) where the batched structure-of-arrays solve
+	// cannot reproduce the result — degenerate knots, non-finite slope
+	// chains, participation lifts the flat arrays cannot reproduce. It
+	// counts SolveAllInto designs routed there and the engine's picks from
+	// menus BuildMenusInto marked for the fallback (building such a menu
+	// runs no scalar design and counts nothing). A rate tracking
+	// MetricDesigns means the population silently defeats the batched
+	// cold path en masse.
 	MetricScalarFallbacks = "dyncontract_solver_scalar_fallbacks_total"
 	// MetricScalarFallbackSeconds is the latency histogram of exactly the
-	// designs that fell back to the scalar path — the slow subset of
-	// MetricDesignSeconds, on the same bins, so the two distributions
-	// overlay directly: a fallback-heavy population shows up as this
-	// histogram's mass tracking the total's upper tail.
+	// SolveAllInto designs that fell back to the scalar path — the slow
+	// subset of MetricDesignSeconds, on the same bins, so the two
+	// distributions overlay directly: a fallback-heavy population shows up
+	// as this histogram's mass tracking the total's upper tail. The
+	// engine's fallback picks are counted but not timed.
 	MetricScalarFallbackSeconds = "dyncontract_solver_scalar_fallback_seconds"
 )
 
@@ -151,8 +156,8 @@ func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, op
 // BuildMenusInto is SolveAllInto for the weight-free half of each design:
 // every subproblem's core.BuildMenu over its Config.Part (μ and w are not
 // read), written to Outcome.Menu. It runs on the same pool, with the same
-// error, cancellation and metric semantics; a menu marked for the scalar
-// fallback counts in MetricScalarFallbacks.
+// error, cancellation and metric semantics. A menu marked for the scalar
+// fallback is not counted here: its picks are (MetricScalarFallbacks).
 func BuildMenusInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Options) error {
 	return runAll(ctx, subs, outcomes, opts, buildMenu)
 }
@@ -169,7 +174,7 @@ func design(sub *Subproblem, s *core.Scratch) (Outcome, bool) {
 
 func buildMenu(sub *Subproblem, s *core.Scratch) (Outcome, bool) {
 	m, err := core.BuildMenu(sub.Agent, sub.Config.Part, s)
-	return Outcome{Menu: m, Err: err}, m != nil && m.Fallback()
+	return Outcome{Menu: m, Err: err}, false
 }
 
 // runAll is the pool behind SolveAllInto and BuildMenusInto.
