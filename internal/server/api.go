@@ -189,7 +189,9 @@ type JournalInfo struct {
 	Replayed  int    `json:"replayed,omitempty"`
 }
 
-// SessionInfo is the GET /v1/sessions/{id} response.
+// SessionInfo is the GET /v1/sessions/{id} response. LedgerBytes is
+// what the retained ledger holds: 4 B per full-row reference, 8 B per
+// delta-row edit and one AgentOutcome per distinct outcome.
 type SessionInfo struct {
 	ID           string         `json:"id"`
 	Name         string         `json:"name,omitempty"`
@@ -197,6 +199,7 @@ type SessionInfo struct {
 	Agents       int            `json:"agents"`
 	Rounds       int            `json:"rounds"`
 	TotalUtility float64        `json:"total_utility"`
+	LedgerBytes  int64          `json:"ledger_bytes"`
 	Cache        CacheStatsJSON `json:"cache"`
 	Draining     bool           `json:"draining,omitempty"`
 	Journal      *JournalInfo   `json:"journal,omitempty"`

@@ -143,10 +143,10 @@ func (s *session) startSnapshot(reply chan cmdReply) {
 }
 
 // captureState snapshots the session's restorable state on the writer
-// goroutine. The ledger is captured by its header, not copied: completed
-// rows and table entries are immutable and add only ever writes past the
-// captured lengths, so the background commit can serialize it without a
-// lock.
+// goroutine. The ledger is captured by its header (roundLog.view), not
+// copied: completed rows and table entries are immutable and add only
+// ever writes past the captured lengths, so the background commit can
+// serialize it without a lock.
 func (s *session) captureState() (*sessionSnapshot, roundLog) {
 	s.mu.Lock()
 	agents := make([]AgentSpec, 0, len(s.pop.Agents))
@@ -156,7 +156,7 @@ func (s *session) captureState() (*sessionSnapshot, roundLog) {
 	m, delta, mu := s.pop.Part.M, s.pop.Part.Delta, s.pop.Mu
 	s.mu.Unlock()
 	s.ledgerMu.RLock()
-	ledger := s.ledger
+	ledger := s.ledger.view()
 	s.ledgerMu.RUnlock()
 	return &sessionSnapshot{
 		Version:   snapshotVersion,

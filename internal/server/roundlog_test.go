@@ -40,15 +40,16 @@ func roundBits(r engine.Round) string {
 	return s
 }
 
-// checkLogMatches compares every round of the log with a plain retained
-// ledger: bit for bit, and through the audit wire form byte for byte
-// (json.Marshal rejects NaN, so a NaN round must fail on both sides).
+// checkLogMatches compares every round of the log, read in a shuffled
+// order, with a plain retained ledger: bit for bit, and through the audit
+// wire form byte for byte (json.Marshal rejects NaN, so a NaN round must
+// fail on both sides). It also recounts the retained bytes.
 func checkLogMatches(t *testing.T, l *roundLog, ref []engine.Round) {
 	t.Helper()
 	if l.len() != len(ref) {
 		t.Fatalf("log has %d rounds, want %d", l.len(), len(ref))
 	}
-	for i := range ref {
+	for _, i := range rand.New(rand.NewSource(int64(len(ref)))).Perm(len(ref)) {
 		got := l.round(i)
 		if g, w := roundBits(got), roundBits(ref[i]); g != w {
 			t.Fatalf("round %d differs bitwise:\n got %s\nwant %s", i, g, w)
@@ -62,6 +63,43 @@ func checkLogMatches(t *testing.T, l *roundLog, ref []engine.Round) {
 	if g, w := math.Float64bits(l.total), math.Float64bits(engine.TotalUtility(ref)); g != w {
 		t.Fatalf("running total %v != TotalUtility %v", l.total, engine.TotalUtility(ref))
 	}
+	if w := recountBytes(l); l.bytes != w {
+		t.Fatalf("running byte count %d != recount %d", l.bytes, w)
+	}
+}
+
+// recountBytes counts what the log retains from its table and rows: 4 B
+// per full-row reference, 8 B per edit and one AgentOutcome per entry.
+func recountBytes(l *roundLog) int64 {
+	n := len(l.table) * int(unsafe.Sizeof(engine.AgentOutcome{}))
+	for _, row := range l.rows {
+		n += 4*len(row.refs) + 8*len(row.edits)
+	}
+	return int64(n)
+}
+
+// rowForms counts the log's full and delta rows.
+func rowForms(l *roundLog) (full, delta int) {
+	for _, row := range l.rows {
+		if row.delta {
+			delta++
+		} else {
+			full++
+		}
+	}
+	return full, delta
+}
+
+// addScribbled adds r to the log and a copy to the plain ledger, then
+// scribbles over r.Outcomes, as the engine reuses its buffer.
+func addScribbled(l *roundLog, ref []engine.Round, r engine.Round) []engine.Round {
+	l.add(r)
+	cp := r
+	cp.Outcomes = append([]engine.AgentOutcome(nil), r.Outcomes...)
+	for i := range r.Outcomes {
+		r.Outcomes[i] = engine.AgentOutcome{AgentID: "scribbled", Effort: -1}
+	}
+	return append(ref, cp)
 }
 
 // TestRoundLogDifferential drives the compact log and a plain []Round
@@ -132,25 +170,235 @@ func TestRoundLogDifferential(t *testing.T) {
 			for _, id := range ids {
 				buf = append(buf, state[id])
 			}
-			round := engine.Round{
+			ref = addScribbled(&l, ref, engine.Round{
 				Index:    r,
 				Outcomes: buf,
 				Benefit:  rng.Float64(),
 				Cost:     rng.Float64(),
 				Utility:  floats[rng.Intn(len(floats))] + rng.Float64(),
-			}
-			l.add(round)
-			cp := round
-			cp.Outcomes = append([]engine.AgentOutcome(nil), buf...)
-			ref = append(ref, cp)
-			for i := range buf {
-				buf[i] = engine.AgentOutcome{AgentID: "scribbled", Effort: -1}
-			}
+			})
 		}
 		checkLogMatches(t, &l, ref)
 		if len(l.table) >= 60*len(state) {
 			t.Errorf("seed %d: table holds %d outcomes for 60 mostly repeating rounds", seed, len(l.table))
 		}
+	}
+
+	// A long low-change schedule: 40 agents, 0–3 weight flips a round and
+	// a rare join or leave, so the edits since the last full row cross
+	// half the row's length again and again and most rows are deltas.
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var agents []engine.AgentOutcome
+		for i := 0; i < 40; i++ {
+			agents = append(agents, engine.AgentOutcome{AgentID: fmt.Sprintf("a%03d", 2*i), Weight: 0.5})
+		}
+		var l roundLog
+		var ref []engine.Round
+		var buf []engine.AgentOutcome
+		for r := 0; r < 400; r++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				oc := &agents[rng.Intn(len(agents))]
+				oc.Weight = 1.3 - oc.Weight
+			}
+			switch rng.Intn(60) {
+			case 0:
+				id := fmt.Sprintf("a%03d", 2*rng.Intn(60)+1)
+				j := sort.Search(len(agents), func(j int) bool { return agents[j].AgentID >= id })
+				if j == len(agents) || agents[j].AgentID != id {
+					agents = append(agents[:j], append([]engine.AgentOutcome{{AgentID: id, Weight: 0.5}}, agents[j:]...)...)
+				}
+			case 1:
+				j := rng.Intn(len(agents))
+				agents = append(agents[:j], agents[j+1:]...)
+			}
+			buf = append(buf[:0], agents...)
+			ref = addScribbled(&l, ref, engine.Round{Index: r, Outcomes: buf, Utility: rng.Float64()})
+		}
+		checkLogMatches(t, &l, ref)
+		full, delta := rowForms(&l)
+		if full < 10 || delta < 300 {
+			t.Errorf("seed %d: %d full and %d delta rows; want the full-row rule crossed >= 10 times and most rows deltas", seed, full, delta)
+		}
+	}
+}
+
+// FuzzRoundLog drives the log with a byte-scripted sequence of rounds —
+// unchanged rounds, a few or all agents changing, joins and leaves,
+// Excluded/Declined flips, ±0 and NaN flips — against a plain retained
+// []engine.Round, reading the rounds back in a shuffled order. Some
+// script bytes take a header copy (view) mid-sequence; a goroutine reads
+// it while further rounds are added (run under -race), and after the
+// last add the copy must still read its prefix bit for bit.
+func FuzzRoundLog(f *testing.F) {
+	f.Add([]byte{0, 1, 9, 17, 7, 0, 2, 3, 40, 4, 3, 5, 6, 1, 7, 14, 2, 0, 0})
+	f.Add([]byte{1, 5, 1, 6, 1, 7, 1, 8, 7, 1, 9, 1, 10, 1, 11, 0, 0, 0, 0, 0, 0, 7, 2})
+	f.Add([]byte{3, 200, 3, 100, 4, 0, 7, 6, 2, 22, 6, 3, 38, 7, 5, 1, 13, 4, 2, 2, 2})
+	negZero := math.Copysign(0, -1)
+	floats := []float64{0, negZero, math.NaN(), 0.5}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		pos := 0
+		next := func() int {
+			if pos >= len(script) {
+				return 0
+			}
+			pos++
+			return int(script[pos-1])
+		}
+		var agents []engine.AgentOutcome
+		join := func(id string) {
+			j := sort.Search(len(agents), func(j int) bool { return agents[j].AgentID >= id })
+			if j < len(agents) && agents[j].AgentID == id {
+				return
+			}
+			agents = append(agents[:j], append([]engine.AgentOutcome{{AgentID: id, Size: 1, Weight: 0.5}}, agents[j:]...)...)
+		}
+		for i := 0; i < 16; i++ {
+			join(fmt.Sprintf("a%03d", 8*i))
+		}
+		type view struct {
+			l    roundLog
+			seen []string
+		}
+		var views []*view
+		var wg sync.WaitGroup
+		var l roundLog
+		var ref []engine.Round
+		var buf []engine.AgentOutcome
+		pick := func() *engine.AgentOutcome {
+			if len(agents) == 0 {
+				return &engine.AgentOutcome{}
+			}
+			return &agents[next()%len(agents)]
+		}
+		for pos < len(script) && len(ref) < 300 {
+			op := next()
+			switch op % 8 {
+			case 1: // a few agents change weight
+				for n := 1 + (op>>3)%4; n > 0; n-- {
+					oc := pick()
+					oc.Weight = 1.3 - oc.Weight
+				}
+			case 2: // every agent changes
+				for i := range agents {
+					agents[i].Effort += 1
+				}
+			case 3: // join
+				join(fmt.Sprintf("a%03d", next()))
+			case 4: // leave
+				if len(agents) > 0 {
+					j := next() % len(agents)
+					agents = append(agents[:j], agents[j+1:]...)
+				}
+			case 5: // Excluded/Declined flips
+				oc := pick()
+				if op&8 != 0 {
+					oc.Excluded = !oc.Excluded
+				} else {
+					oc.Declined = !oc.Declined
+				}
+			case 6: // ±0 and NaN flips
+				oc := pick()
+				v := floats[(op>>3)%len(floats)]
+				switch (op >> 5) % 3 {
+				case 0:
+					oc.Effort = v
+				case 1:
+					oc.Feedback = v
+				default:
+					oc.Compensation = v
+				}
+			case 7: // a header copy, read concurrently with later adds
+				if len(views) < 4 {
+					v := &view{l: l.view()}
+					views = append(views, v)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						v.seen = make([]string, v.l.len())
+						for _, i := range rand.New(rand.NewSource(int64(len(v.seen)))).Perm(len(v.seen)) {
+							v.seen[i] = roundBits(v.l.round(i))
+						}
+					}()
+				}
+			}
+			buf = append(buf[:0], agents...)
+			ref = addScribbled(&l, ref, engine.Round{
+				Index:    len(ref),
+				Outcomes: buf,
+				Utility:  floats[op%len(floats)],
+			})
+		}
+		wg.Wait()
+		checkLogMatches(t, &l, ref)
+		for _, v := range views {
+			for i, got := range v.seen {
+				if want := roundBits(ref[i]); got != want {
+					t.Fatalf("a header copy of %d rounds read round %d concurrently as\n%s\nwant\n%s", v.l.len(), i, got, want)
+				}
+			}
+			checkLogMatches(t, &v.l, ref[:v.l.len()])
+		}
+	})
+}
+
+// TestRoundsListingDoesNotStallWriter holds a GET …/rounds listing after
+// it has built its first round and requires a round advance to complete
+// meanwhile: the listing reads a header copy, not the locked log. The
+// held listing must still return the ledger as it was when it began.
+func TestRoundsListingDoesNotStallWriter(t *testing.T) {
+	e := newTestServer(t, Config{})
+	id := e.createSession(t)
+	advanceRounds(t, e, id, 3)
+	before := ledgerBytes(t, e, id)
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e.srv.mu.Lock()
+	e.srv.sessions[id].listHook = func(int) {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	}
+	e.srv.mu.Unlock()
+	listed := make(chan []byte, 1)
+	go func() {
+		resp, err := e.ts.Client().Get(e.ts.URL + "/v1/sessions/" + id + "/rounds")
+		if err != nil {
+			listed <- nil
+			return
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		listed <- raw
+	}()
+	<-held
+	advanced := make(chan int, 1)
+	go func() {
+		resp, err := e.ts.Client().Post(e.ts.URL+"/v1/sessions/"+id+"/rounds", "application/json", nil)
+		if err != nil {
+			advanced <- 0
+			return
+		}
+		resp.Body.Close()
+		advanced <- resp.StatusCode
+	}()
+	select {
+	case code := <-advanced:
+		close(release)
+		if code != http.StatusOK {
+			t.Fatalf("round advance during a held listing: status %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a round advance stalled behind a held GET …/rounds listing")
+	}
+	if got := <-listed; string(got) != string(before) {
+		t.Errorf("the held listing returned\n%s\nwant the ledger as it began\n%s", got, before)
+	}
+	var rows []json.RawMessage
+	if err := json.Unmarshal(ledgerBytes(t, e, id), &rows); err != nil || len(rows) != 4 {
+		t.Fatalf("ledger after the advance: %d rounds, %v; want 4", len(rows), err)
 	}
 }
 
@@ -173,18 +421,17 @@ func TestRoundLogSignedZeroAndNaN(t *testing.T) {
 		{Index: 3, Outcomes: oc(math.NaN(), negZero)},
 		{Index: 4, Outcomes: oc(math.NaN(), negZero)},
 	}
+	// b never changes (1 entry); a changes in rounds 1, 2 and 3 (one new
+	// entry each) and repeats its NaN outcome in round 4 (none).
+	wantTable := []int{2, 3, 4, 5, 5}
 	var l roundLog
-	for _, r := range ref {
+	for i, r := range ref {
 		l.add(r)
+		if len(l.table) != wantTable[i] {
+			t.Errorf("after round %d the table holds %d outcomes, want %d", i, len(l.table), wantTable[i])
+		}
 	}
 	checkLogMatches(t, &l, ref)
-	// b never changes (1 entry); a changes in rounds 1, 2 and 3 (4 entries).
-	if len(l.table) != 5 {
-		t.Errorf("table holds %d outcomes, want 5", len(l.table))
-	}
-	if l.rows[4].refs[0] != l.rows[3].refs[0] {
-		t.Errorf("an unchanged NaN outcome was not reused")
-	}
 }
 
 // TestRoundLogTotalMatchesTotalUtility pins the running total against a
@@ -250,13 +497,11 @@ func archetypeAgents(n int) []AgentSpec {
 	return out
 }
 
-// TestRoundLogRetention is the memory guard for the served ledger: a
-// warm 2,000-agent archetype session toggling 1% of its weights per round
-// must retain at most 8 bytes per agent-round — the 4-byte reference plus
-// the few outcomes that changed — where a copied []AgentOutcome per round
-// would retain 72.
-func TestRoundLogRetention(t *testing.T) {
-	const agents, rounds = 2000, 200
+// runArchetypeSession serves a warm archetype session of the given size
+// for the given rounds, posting drift(r, specs) before each round, and
+// returns the session and its info.
+func runArchetypeSession(t *testing.T, agents, rounds int, drift func(r int, specs []AgentSpec) DriftRequest) (*session, SessionInfo) {
+	t.Helper()
 	e := newTestServer(t, Config{})
 	specs := archetypeAgents(agents)
 	create := CreateSessionRequest{Agents: specs, M: 10, Delta: 0.2, Mu: 1}
@@ -264,39 +509,90 @@ func TestRoundLogRetention(t *testing.T) {
 	if code := e.do(t, "POST", "/v1/sessions", &create, &cr); code != http.StatusCreated {
 		t.Fatalf("create session: status %d", code)
 	}
-	rng := rand.New(rand.NewSource(1))
 	for r := 0; r < rounds; r++ {
-		drift := DriftRequest{Weights: map[string]float64{}}
-		for _, p := range rng.Perm(agents / 2)[:agents/200] {
-			a, b := &specs[2*p], &specs[2*p+1]
-			a.Weight, b.Weight = b.Weight, a.Weight
-			drift.Weights[a.ID], drift.Weights[b.ID] = a.Weight, b.Weight
-		}
-		if code := e.do(t, "POST", "/v1/sessions/"+cr.ID+"/drift", &drift, nil); code != http.StatusOK {
+		d := drift(r, specs)
+		if code := e.do(t, "POST", "/v1/sessions/"+cr.ID+"/drift", &d, nil); code != http.StatusOK {
 			t.Fatalf("drift %d: status %d", r, code)
 		}
 		if code := e.do(t, "POST", "/v1/sessions/"+cr.ID+"/rounds", nil, nil); code != http.StatusOK {
 			t.Fatalf("round %d: status %d", r, code)
 		}
 	}
+	var info SessionInfo
+	if code := e.do(t, "GET", "/v1/sessions/"+cr.ID, nil, &info); code != http.StatusOK {
+		t.Fatalf("session info: status %d", code)
+	}
 	e.srv.mu.Lock()
 	sess := e.srv.sessions[cr.ID]
 	e.srv.mu.Unlock()
+	return sess, info
+}
+
+// logRetention recounts what a session's log retains and checks it
+// against the ledger_bytes its info reported. It returns the bytes per
+// agent-round of the whole log and of its references and edits alone.
+func logRetention(t *testing.T, sess *session, info SessionInfo, agentRounds int) (all, refs float64) {
+	t.Helper()
 	sess.ledgerMu.RLock()
 	defer sess.ledgerMu.RUnlock()
 	l := &sess.ledger
-	refs := 0
-	for _, row := range l.rows {
-		refs += len(row.refs)
+	n := 0
+	for i := range l.rows {
+		base := i
+		for l.rows[base].delta {
+			base--
+		}
+		n += len(l.rows[base].refs)
 	}
-	if refs != agents*rounds {
-		t.Fatalf("log holds %d agent-rounds, want %d", refs, agents*rounds)
+	if n != agentRounds {
+		t.Fatalf("log holds %d agent-rounds, want %d", n, agentRounds)
 	}
-	retained := len(l.table)*int(unsafe.Sizeof(engine.AgentOutcome{})) + 4*refs
-	per := float64(retained) / float64(refs)
-	t.Logf("log retains %.2f B per agent-round (%d outcomes in the table)", per, len(l.table))
-	if per > 8 {
-		t.Errorf("log retains %.2f B per agent-round, want <= 8", per)
+	retained := recountBytes(l)
+	if info.LedgerBytes != retained || l.bytes != retained {
+		t.Fatalf("ledger_bytes %d (running %d) != recount %d", info.LedgerBytes, l.bytes, retained)
+	}
+	table := int64(len(l.table)) * int64(unsafe.Sizeof(engine.AgentOutcome{}))
+	full, delta := rowForms(l)
+	t.Logf("log retains %d B (%.2f per agent-round): %d full and %d delta rows, %d outcomes in the table",
+		retained, float64(retained)/float64(n), full, delta, len(l.table))
+	return float64(retained) / float64(n), float64(retained-table) / float64(n)
+}
+
+// TestRoundLogRetention is the memory guard for the served ledger. A warm
+// 2,000-agent archetype session toggling 1% of its weights per round
+// must retain at most 1.5 bytes per agent-round — a full row of 4-byte
+// references now and then, 8 bytes per edit and the few outcomes that
+// changed — where a reference per agent-round would retain 4 and a
+// copied []AgentOutcome per round 72. When every weight moves every
+// round, references and edits together must still stay within the 4
+// bytes per agent-round of full rows.
+func TestRoundLogRetention(t *testing.T) {
+	const agents, rounds = 2000, 200
+	rng := rand.New(rand.NewSource(1))
+	sess, info := runArchetypeSession(t, agents, rounds, func(_ int, specs []AgentSpec) DriftRequest {
+		drift := DriftRequest{Weights: map[string]float64{}}
+		for _, p := range rng.Perm(agents / 2)[:agents/200] {
+			a, b := &specs[2*p], &specs[2*p+1]
+			a.Weight, b.Weight = b.Weight, a.Weight
+			drift.Weights[a.ID], drift.Weights[b.ID] = a.Weight, b.Weight
+		}
+		return drift
+	})
+	if per, _ := logRetention(t, sess, info, agents*rounds); per > 1.5 {
+		t.Errorf("low-change log retains %.2f B per agent-round, want <= 1.5", per)
+	}
+
+	const allRounds = 20
+	sess, info = runArchetypeSession(t, agents, allRounds, func(r int, specs []AgentSpec) DriftRequest {
+		drift := DriftRequest{Weights: map[string]float64{}}
+		for i := range specs {
+			specs[i].Weight *= 1 + 0.01*float64(1-2*(r%2))
+			drift.Weights[specs[i].ID] = specs[i].Weight
+		}
+		return drift
+	})
+	if _, refs := logRetention(t, sess, info, agents*allRounds); refs > 4 {
+		t.Errorf("all-change log holds %.2f B of references and edits per agent-round, want <= 4", refs)
 	}
 }
 

@@ -130,6 +130,9 @@ type session struct {
 	// ledgerMu guards ledger (writer adds, GET handlers read).
 	ledgerMu sync.RWMutex
 	ledger   roundLog
+	// listHook, when set, runs after rounds builds each listed round
+	// (tests hold a listing mid-way with it).
+	listHook func(i int)
 
 	cmds     chan command
 	designCh chan *designCall
@@ -675,7 +678,7 @@ func (s *session) resolveDesign(req *DesignQueryRequest) (engine.DesignRequest, 
 // info snapshots the session for GET /v1/sessions/{id}.
 func (s *session) info() SessionInfo {
 	s.ledgerMu.RLock()
-	rounds, total := s.ledger.len(), s.ledger.total
+	rounds, total, bytes := s.ledger.len(), s.ledger.total, s.ledger.bytes
 	s.ledgerMu.RUnlock()
 	s.mu.Lock()
 	agents := len(s.pop.Agents)
@@ -688,6 +691,7 @@ func (s *session) info() SessionInfo {
 		Agents:       agents,
 		Rounds:       rounds,
 		TotalUtility: total,
+		LedgerBytes:  bytes,
 		Cache:        CacheStatsJSON{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
 		Draining:     s.draining.Load(),
 	}
@@ -702,13 +706,19 @@ func (s *session) info() SessionInfo {
 }
 
 // rounds snapshots the ledger as wire rounds (outcomes always included —
-// this is the audit endpoint determinism checks diff).
+// this is the audit endpoint determinism checks diff). Only the header
+// copy holds the ledger lock; the rounds are built from it outside, so a
+// long listing never stalls the writer's next add.
 func (s *session) rounds() []RoundJSON {
 	s.ledgerMu.RLock()
-	defer s.ledgerMu.RUnlock()
-	out := make([]RoundJSON, s.ledger.len())
+	ledger := s.ledger.view()
+	s.ledgerMu.RUnlock()
+	out := make([]RoundJSON, ledger.len())
 	for i := range out {
-		out[i] = roundJSON(s.ledger.round(i), true)
+		out[i] = roundJSON(ledger.round(i), true)
+		if s.listHook != nil {
+			s.listHook(i)
+		}
 	}
 	return out
 }
