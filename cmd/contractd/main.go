@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	contractd [-listen addr] [-batch-window d] [-batch-max n]
+//	contractd [-listen addr] [-batch-max n]
 //	          [-queue n] [-design-queue n] [-max-inflight n]
 //	          [-max-sessions n] [-timeout d] [-drain-timeout d]
 //	          [-log-level debug|info|warn|error] [-log-format text|json]
@@ -69,8 +69,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("contractd", flag.ContinueOnError)
 	var (
 		listen       = fs.String("listen", "127.0.0.1:8080", "listen address")
-		batchWindow  = fs.Duration("batch-window", 2*time.Millisecond, "design micro-batch window")
-		batchMax     = fs.Int("batch-max", 64, "design micro-batch size trigger")
+		batchMax     = fs.Int("batch-max", 64, "most queued design queries one micro-batch takes")
 		cmdQueue     = fs.Int("queue", 16, "per-session round/drift queue bound")
 		designQueue  = fs.Int("design-queue", 1024, "per-session design-query queue bound")
 		maxInFlight  = fs.Int("max-inflight", 256, "per-session in-flight request cap")
@@ -106,7 +105,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	srv := server.New(server.Config{
-		BatchWindow:    *batchWindow,
 		BatchMax:       *batchMax,
 		CommandQueue:   *cmdQueue,
 		DesignQueue:    *designQueue,

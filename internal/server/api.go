@@ -7,9 +7,11 @@
 //   - Round advancement and drift are serialized per session through a
 //     single-writer loop, so ledgers are byte-identical to the same
 //     request sequence applied sequentially to a bare engine.
-//   - Design-only queries are coalesced into micro-batches (window or
-//     size trigger) and served through one engine.Designer.DesignBatch
-//     pass per batch, against the same design cache the round loop warms.
+//   - Design-only queries are group-committed into micro-batches: a query
+//     that finds the batcher idle runs at once with whatever is already
+//     queued (up to BatchMax), and is served through one
+//     engine.Designer.DesignBatch pass per batch, against the same design
+//     cache the round loop warms.
 //   - Overload produces backpressure, not queues without bound: bounded
 //     per-session queues and an in-flight cap return 429 with
 //     Retry-After; a draining server returns 503.

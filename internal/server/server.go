@@ -26,11 +26,12 @@ import (
 // Config tunes a Server. The zero value is usable: Defaults fills every
 // unset field.
 type Config struct {
-	// BatchWindow is how long the design batcher holds the first query of
-	// a micro-batch open for company. Default 2ms.
+	// Deprecated: BatchWindow is ignored. The design batcher group-commits:
+	// a query that finds it idle runs at once, with whatever is already
+	// queued behind it, so no query waits on a timer.
 	BatchWindow time.Duration
-	// BatchMax closes a micro-batch early once this many queries have
-	// gathered. Default 64.
+	// BatchMax caps how many queued design queries one micro-batch takes.
+	// Default 64.
 	BatchMax int
 	// CommandQueue bounds each session's round/drift queue. Default 16.
 	CommandQueue int
@@ -68,9 +69,6 @@ type Config struct {
 
 // Defaults returns cfg with every unset field at its default.
 func (cfg Config) Defaults() Config {
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 2 * time.Millisecond
-	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 64
 	}
@@ -425,7 +423,12 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	rep := <-dc.reply
+	var rep designReply
+	select {
+	case rep = <-dc.reply:
+	case <-ctx.Done(): // the reply is buffered: the batcher never waits on us
+		rep = designReply{err: ctx.Err(), code: statusForCtx(ctx.Err())}
+	}
 	if rep.err != nil {
 		writeError(w, rep.code, rep.err)
 		return

@@ -133,6 +133,9 @@ type session struct {
 	// listHook, when set, runs after rounds builds each listed round
 	// (tests hold a listing mid-way with it).
 	listHook func(i int)
+	// batchHook, when set, runs with a batch's size just before the
+	// batcher executes it (tests hold a batch with it).
+	batchHook func(n int)
 
 	cmds     chan command
 	designCh chan *designCall
@@ -515,73 +518,52 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 	}}
 }
 
-// batcherLoop coalesces design-only queries into micro-batches: the first
-// waiting call opens a window (Config.BatchWindow); the batch executes when
-// the window closes or Config.BatchMax calls have gathered, whichever is
-// first. One engine pass serves the whole batch, and the session's design
-// cache — shared with the round loop — makes warm queries pure lookups.
+// batcherLoop serves design-only queries by group commit: a call that
+// finds the batcher idle runs at once, together with whatever is already
+// queued behind it (up to Config.BatchMax); calls that arrive while a batch
+// runs queue up and form the next one. One engine pass serves each batch,
+// and the session's design cache — shared with the round loop — makes
+// warm queries pure lookups.
 func (s *session) batcherLoop() {
 	defer close(s.batchDn)
-	var (
-		pending []*designCall
-		timer   *time.Timer
-		expired <-chan time.Time
-	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			expired = nil
-		}
-	}
-	flush := func() {
-		stopTimer()
-		if len(pending) > 0 {
-			s.runBatch(pending)
-			pending = nil
-		}
-	}
-	drain := func() {
-		// Gathered calls were admitted: serve them. Anything still in the
-		// queue behind them was not started — 503.
-		flush()
-		for {
-			select {
-			case dc := <-s.designCh:
-				s.srv.metrics.addDesignQueue(-1)
-				dc.reply <- designReply{err: errDraining, code: http.StatusServiceUnavailable}
-			default:
-				return
-			}
-		}
-	}
+	batch := make([]*designCall, 0, s.srv.cfg.BatchMax)
 	for {
+		// quit wins over queued work: the batch that ran has completed,
+		// and whatever is still queued was never started — 503.
 		select {
 		case <-s.quit:
-			drain()
-			return
+			for {
+				select {
+				case dc := <-s.designCh:
+					s.srv.metrics.addDesignQueue(-1)
+					dc.reply <- designReply{err: errDraining, code: http.StatusServiceUnavailable}
+				default:
+					return
+				}
+			}
 		default:
 		}
 		select {
 		case <-s.quit:
-			drain()
-			return
+			continue
 		case dc := <-s.designCh:
-			s.srv.metrics.addDesignQueue(-1)
-			pending = append(pending, dc)
-			if len(pending) >= s.srv.cfg.BatchMax {
-				flush()
-				continue
-			}
-			if timer == nil {
-				timer = time.NewTimer(s.srv.cfg.BatchWindow)
-				expired = timer.C
-			}
-		case <-expired:
-			timer = nil
-			expired = nil
-			flush()
+			batch = append(batch[:0], dc)
 		}
+	gather:
+		for len(batch) < s.srv.cfg.BatchMax {
+			select {
+			case dc := <-s.designCh:
+				batch = append(batch, dc)
+			default:
+				break gather
+			}
+		}
+		s.srv.metrics.addDesignQueue(float64(-len(batch)))
+		if s.batchHook != nil {
+			s.batchHook(len(batch))
+		}
+		s.runBatch(batch)
+		clear(batch) // answered: hold no caller past its reply
 	}
 }
 

@@ -93,6 +93,46 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestDrainMidDesignBatch drains the server while a design batch is held:
+// the held batch completes with 200, the queries queued behind it get 503
+// (never started), and a query made during the drain is refused with 503.
+func TestDrainMidDesignBatch(t *testing.T) {
+	e := newTestServer(t, Config{})
+	id := e.createSession(t)
+	sess := e.srv.sessions[id]
+	held, release := holdFirstBatch(t, e, id)
+
+	first := designAsync(e, id, "h1")
+	held()
+	queued := []<-chan designResult{designAsync(e, id, "h2"), designAsync(e, id, "m1")}
+	waitFor(t, "queries to queue behind the held batch", func() bool { return len(sess.designCh) == len(queued) })
+
+	drainErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drainErr <- e.srv.Drain(ctx)
+	}()
+	waitFor(t, "drain to begin", func() bool { return sess.draining.Load() })
+	q := DesignQueryRequest{AgentID: "c1"}
+	if code := e.do(t, "POST", "/v1/sessions/"+id+"/design", &q, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("design during drain: status %d, want 503", code)
+	}
+
+	release()
+	if r := awaitDesign(t, first); r.code != http.StatusOK || r.batch != 1 {
+		t.Errorf("held batch's query: status %d, batch %d; want 200, 1 (must complete)", r.code, r.batch)
+	}
+	for i, ch := range queued {
+		if r := awaitDesign(t, ch); r.code != http.StatusServiceUnavailable {
+			t.Errorf("queued query %d: status %d, want 503 (never started)", i, r.code)
+		}
+	}
+	if err := <-drainErr; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
 // TestDrainIdleServer is the trivial case: drain with nothing in flight
 // returns promptly and flips every endpoint to 503.
 func TestDrainIdleServer(t *testing.T) {

@@ -34,7 +34,8 @@ const (
 	// MetricBatchSize is the per-call batch-size histogram: how many
 	// subproblems each SolveAllInto or BuildMenusInto invocation carried.
 	// Cold rounds show the distinct-design-key count per shard here;
-	// serving-layer design batches show their coalescing window.
+	// serving-layer design batches show the queries that queued while
+	// the previous batch ran.
 	MetricBatchSize = "dyncontract_solver_batch_size"
 	// MetricScalarFallbacks counts runs of the scalar core.Design path
 	// (core.Scratch.Fallbacks) where the batched structure-of-arrays solve
