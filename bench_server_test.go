@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -142,6 +143,140 @@ func BenchmarkServerDriftRoute(b *testing.B) {
 			post(b, ts, roundPath, server.AdvanceRoundRequest{}, nil, http.StatusOK)
 		}
 	})
+}
+
+// BenchmarkServerStep times one served step's parts in process — the
+// server's Handler called on a response recorder, no sockets — on a
+// session of n agents in three archetypes, for n in {1k, 10k, 100k}:
+//
+//   - drift: toggles the weights of a fixed set of 8 agents;
+//   - round: advances one round;
+//   - design-by-id: a design query by agent_id, cycling over the 8
+//     agents (warm design cache).
+//
+// A step that costs what it touches keeps drift and design-by-id flat in
+// n: scripts/bench.sh gates design(100k)/design(1k) and
+// drift(100k)/drift(1k) as same-run ratios. round is trend-only: the
+// settle pass and the ledger's round log still walk all n agents.
+func BenchmarkServerStep(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
+			h, id := newStepSession(b, n)
+			ids := make([]string, 8)
+			for i := range ids {
+				ids[i] = stepAgentID(i * (n / len(ids)))
+			}
+			var drifts [2][]byte
+			for k := range drifts {
+				req := server.DriftRequest{Weights: make(map[string]float64, len(ids))}
+				for i, a := range ids {
+					req.Weights[a] = stepWeight(i + k)
+				}
+				drifts[k] = mustJSON(b, req)
+			}
+			designs := make([][]byte, len(ids))
+			for i, a := range ids {
+				designs[i] = mustJSON(b, server.DesignQueryRequest{AgentID: a})
+			}
+			roundBody := mustJSON(b, server.AdvanceRoundRequest{})
+			driftPath := "/v1/sessions/" + id + "/drift"
+			roundPath := "/v1/sessions/" + id + "/rounds"
+			designPath := "/v1/sessions/" + id + "/design"
+			// Warm both toggled weights in the design cache and respond memo.
+			for k := 0; k < 2; k++ {
+				serve(b, h, driftPath, drifts[k], http.StatusOK)
+				serve(b, h, roundPath, roundBody, http.StatusOK)
+			}
+			for _, body := range designs {
+				serve(b, h, designPath, body, http.StatusOK)
+			}
+
+			b.Run("drift", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					serve(b, h, driftPath, drifts[i%2], http.StatusOK)
+				}
+			})
+			b.Run("round", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					serve(b, h, roundPath, roundBody, http.StatusOK)
+				}
+			})
+			b.Run("design-by-id", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					serve(b, h, designPath, designs[i%len(designs)], http.StatusOK)
+				}
+			})
+		})
+	}
+}
+
+func stepAgentID(i int) string { return fmt.Sprintf("a%06d", i) }
+
+// stepWeight is the requester weight of the i-th step-bench agent: one of
+// two values, so a toggle moves between two warm design menus.
+func stepWeight(i int) float64 { return 0.8 + 0.2*float64(i%2) }
+
+// newStepSession creates a session of n agents through the handler: the
+// first thousand with the create request, the rest through drift adds of
+// ten thousand (a create body for 100k agents would pass the 8 MB cap).
+func newStepSession(b *testing.B, n int) (http.Handler, string) {
+	b.Helper()
+	h := server.New(server.Config{}).Handler()
+	psi := server.PsiSpec{R2: -0.02, R1: 2, R0: 1}
+	spec := func(i int) server.AgentSpec {
+		s := server.AgentSpec{ID: stepAgentID(i), Psi: psi, Beta: 1, Weight: stepWeight(i)}
+		switch i % 3 {
+		case 0:
+			s.Class = "honest"
+		case 1:
+			s.Class, s.Omega, s.Malice = "malicious", 0.5, 0.9
+		default:
+			s.Class, s.Omega, s.Size, s.Malice = "community", 0.5, 3, 0.95
+		}
+		return s
+	}
+	create := server.CreateSessionRequest{M: 8, Delta: 5, Mu: 1}
+	for i := 0; i < min(n, 1000); i++ {
+		create.Agents = append(create.Agents, spec(i))
+	}
+	var created server.CreateSessionResponse
+	rec := serve(b, h, "/v1/sessions", mustJSON(b, create), http.StatusCreated)
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 1000; lo < n; lo += 10_000 {
+		var add server.DriftRequest
+		for i := lo; i < min(n, lo+10_000); i++ {
+			add.Add = append(add.Add, spec(i))
+		}
+		serve(b, h, "/v1/sessions/"+created.ID+"/drift", mustJSON(b, add), http.StatusOK)
+	}
+	return h, created.ID
+}
+
+// serve calls the handler with one JSON POST on a recorder and enforces
+// the expected status.
+func serve(b *testing.B, h http.Handler, path string, body []byte, want int) *httptest.ResponseRecorder {
+	b.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != want {
+		b.Fatalf("POST %s: status %d, want %d: %s", path, rec.Code, want, strings.TrimSpace(rec.Body.String()))
+	}
+	return rec
+}
+
+func mustJSON(b *testing.B, v any) []byte {
+	b.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
 }
 
 // post issues one JSON POST against the bench server and enforces the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -175,14 +174,13 @@ type Engine struct {
 	stepped   int            // rounds completed through Step (not Run)
 
 	// Drift-scope state (see beginScope): the round's consumed view rule.
-	// Touched and structural IDs resolve against byID, the cached view's
-	// lazily built ID index (id → view position). A structural splice
-	// re-points only the moved survivor segments plus the churn — or,
-	// when most of the view shifted, invalidates the index and lets the
-	// next scoped round rebuild it once; a full view rebuild always
-	// invalidates.
-	byID          map[string]int32
-	byIDOK        bool
+	// A touched ID resolves through the population's ID index
+	// (Population.Lookup) and viewOf, a table from population position to
+	// view position. Entries are hints: each hit is confirmed by a pointer
+	// compare, and a stale one (a splice shifted the view, a Remove moved
+	// the agent, a rebuild re-sorted everything) heals with one binary
+	// search of the view. The engine keeps no ID map of its own.
+	viewOf        []int32
 	scope         driftScope
 	scopeIDs      []string // takeScope's reusable backing slices
 	scopeJoinIDs  []string
@@ -190,12 +188,16 @@ type Engine struct {
 
 	// Structural-splice state (viewStructural; see prepareStructural and
 	// spliceView): the resolved joiner objects in ID order, the outcome
-	// slot assigned to each, and the joiner-ID set (to skip joiners in
-	// the plain-touched loops).
+	// slot assigned to each, the pre-splice view position of each joiner
+	// (its insertion point) and leaver, and the pre-splice view position
+	// of each declared touched ID (-1 for joiners and leavers, which the
+	// plain-touched loops skip).
 	structJoins     []*worker.Agent
 	structJoinSlots []int32
-	structJoinSet   map[string]struct{}
-	joinWant        map[string]int32 // scratch: joiner ID → structJoins index
+	joinPos         []int32
+	leavePos        []int32
+	touchPos        []int32
+	scopeAgents     []*worker.Agent // validateStructural's scratch
 
 	// Outcome-slot indirection for structural drift: agent i of the
 	// ID-sorted view owns physical slot slots[i] of outs. fragmented is
@@ -768,26 +770,40 @@ func (e *Engine) roundAgents() []*worker.Agent {
 	sort.Slice(e.agents, func(i, j int) bool { return e.agents[i].ID < e.agents[j].ID })
 	e.agentsOK = true
 	e.agentsGen = gen
-	e.byIDOK = false
 	return e.agents
 }
 
-// ensureByID (re)builds the ID index over the cached agent view. Lazy:
-// full-rebuild rounds never touch it, scoped rounds build it once and
-// structural splices keep it current in place (see the field comment).
-func (e *Engine) ensureByID() {
-	if e.byIDOK {
-		return
+// viewPos resolves the ID of a population member to its position in the
+// cached view: the population index gives its population position, viewOf
+// the view position, and a pointer compare confirms it. A stale entry
+// heals with one binary search. It reports false for an ID missing from
+// the population or from the view, or resolving to a different agent
+// object in each (a replacement Touch cannot express).
+func (e *Engine) viewPos(id string) (int, bool) {
+	p, ok := e.pop.Lookup(id)
+	if !ok {
+		return -1, false
 	}
-	if e.byID == nil {
-		e.byID = make(map[string]int32, len(e.agents))
+	a := e.pop.Agents[p]
+	if p < len(e.viewOf) {
+		if v := e.viewOf[p]; int(v) < len(e.agents) && e.agents[v] == a {
+			return int(v), true
+		}
 	} else {
-		clear(e.byID)
+		e.viewOf = grown(e.viewOf, len(e.pop.Agents))
 	}
-	for i, a := range e.agents {
-		e.byID[a.ID] = int32(i)
+	v, ok := searchAgents(e.agents, id)
+	if !ok || e.agents[v] != a {
+		return -1, false
 	}
-	e.byIDOK = true
+	e.viewOf[p] = int32(v)
+	return v, true
+}
+
+// hasID reports whether the sorted ids contain id.
+func hasID(ids []string, id string) bool {
+	i := sort.SearchStrings(ids, id)
+	return i < len(ids) && ids[i] == id
 }
 
 // searchAgents binary-searches the ID-sorted agents for id: its position
@@ -801,15 +817,18 @@ func searchAgents(agents []*worker.Agent, id string) (int, bool) {
 // prepareStructural resolves a declared scope against the retained view:
 // it sorts the join/leave declarations, runs the consistency checks the
 // engine can afford without an O(population) pass, and resolves each
-// joiner ID to its agent object. It reports false — and the caller
-// escalates the round to viewFull — when the scope cannot be applied in
-// place: no retained view yet, an ID declared both joined and left
-// (ambiguous against a view that only sees the endpoints), a joiner
-// already in the view, a leaver missing from it, a joiner that does not
-// resolve in Population.Agents, a plain-touched ID resolving nowhere, or
-// a population length that disagrees with the declarations (an
-// undeclared add or removal). Declarations the checks cannot refute are
-// trusted: an inaccurate scope is the caller's bug.
+// joiner ID to its agent object, each joiner and leaver to its splice
+// position, and each plain-touched ID to its view position. It reports
+// false — and the caller escalates the round to viewFull — when the scope
+// cannot be applied in place: no retained view yet, an ID declared both
+// joined and left (ambiguous against a view that only sees the
+// endpoints), a joiner already in the view, a leaver missing from it, a
+// joiner that does not resolve in Population.Agents, a plain-touched ID
+// that does not resolve to the same agent in the population and the view,
+// or a population length that disagrees with the declarations (an
+// undeclared add or removal). Declarations the
+// checks cannot refute are trusted: an inaccurate scope is the caller's
+// bug.
 func (e *Engine) prepareStructural() bool {
 	if !e.agentsOK {
 		return false
@@ -830,54 +849,38 @@ func (e *Engine) prepareStructural() bool {
 			li++
 		}
 	}
-	e.ensureByID()
+	e.leavePos = e.leavePos[:0]
 	for _, id := range leaves {
-		if _, ok := e.byID[id]; !ok {
+		v, ok := searchAgents(e.agents, id)
+		if !ok {
 			return false
 		}
-	}
-	if e.structJoinSet == nil {
-		e.structJoinSet = make(map[string]struct{}, len(joins))
-	} else {
-		clear(e.structJoinSet)
-	}
-	if e.joinWant == nil {
-		e.joinWant = make(map[string]int32, len(joins))
-	} else {
-		clear(e.joinWant)
+		e.leavePos = append(e.leavePos, int32(v))
 	}
 	e.structJoins = e.structJoins[:0]
-	for k, id := range joins {
-		if _, ok := e.byID[id]; ok {
+	e.joinPos = e.joinPos[:0]
+	for _, id := range joins {
+		p, ok := e.pop.Lookup(id)
+		if !ok {
 			return false
 		}
-		e.structJoinSet[id] = struct{}{}
-		e.joinWant[id] = int32(k)
-		e.structJoins = append(e.structJoins, nil)
-	}
-	// Joiners are appended in practice, so the reverse scan usually stops
-	// after a handful of steps rather than walking the whole population.
-	found := 0
-	for i := len(e.pop.Agents) - 1; i >= 0 && found < len(joins); i-- {
-		a := e.pop.Agents[i]
-		if a == nil {
+		v, in := searchAgents(e.agents, id)
+		if in {
 			return false
 		}
-		if k, ok := e.joinWant[a.ID]; ok && e.structJoins[k] == nil {
-			e.structJoins[k] = a
-			found++
-		}
+		e.structJoins = append(e.structJoins, e.pop.Agents[p])
+		e.joinPos = append(e.joinPos, int32(v))
 	}
-	if found != len(joins) {
-		return false
-	}
+	e.touchPos = e.touchPos[:0]
 	for _, id := range e.scope.ids {
-		if _, ok := e.structJoinSet[id]; ok {
-			continue
+		v := -1
+		if !hasID(joins, id) && !hasID(leaves, id) {
+			var ok bool
+			if v, ok = e.viewPos(id); !ok {
+				return false
+			}
 		}
-		if _, ok := e.byID[id]; !ok {
-			return false
-		}
+		e.touchPos = append(e.touchPos, int32(v))
 	}
 	return true
 }
@@ -983,20 +986,10 @@ func (e *Engine) spliceView() {
 		e.structJoinSlots = make([]int32, len(joins))
 	}
 	e.structJoinSlots = e.structJoinSlots[:len(joins)]
-	// Resolve every splice position up front — joins and leaves arrive
-	// ID-sorted, so their positions are non-decreasing and the merge
-	// reduces to contiguous survivor segments.
-	jpos := e.msJoinPos[:0]
-	for _, a := range joins {
-		j, _ := searchAgents(e.agents, a.ID)
-		jpos = append(jpos, int32(j))
-	}
-	lpos := e.msLeavePos[:0]
-	for _, id := range leaves {
-		j, _ := searchAgents(e.agents, id) // resolved by prepareStructural
-		lpos = append(lpos, int32(j))
-	}
-	segs, jdst := buildSpliceSegs(e.msSegs[:0], e.msJoinDst[:0], jpos, lpos, len(e.agents))
+	// prepareStructural resolved every splice position — joins and leaves
+	// arrive ID-sorted, so their positions are non-decreasing and the
+	// merge reduces to contiguous survivor segments.
+	segs, jdst := buildSpliceSegs(e.msSegs[:0], e.msJoinDst[:0], e.joinPos, e.leavePos, len(e.agents))
 
 	nOld := len(e.agents)
 	nNew := nOld + len(joins) - len(leaves)
@@ -1019,96 +1012,30 @@ func (e *Engine) spliceView() {
 	}
 	e.slots = e.slots[:nNew]
 	e.tombstones += len(leaves)
-	// Keep the ID index current: only the moved survivor segments change
-	// position, so the edit is O(moved span + churn). A splice that
-	// shifted most of the view (scattered churn) invalidates the index
-	// instead — one lazy rebuild beats re-hashing nearly every ID here.
-	if e.byIDOK {
-		moved := len(joins)
-		for _, s := range segs {
-			if s.dst != s.src {
-				moved += int(s.n)
-			}
-		}
-		if moved*4 > nNew {
-			e.byIDOK = false
-		} else {
-			for _, id := range leaves {
-				delete(e.byID, id)
-			}
-			for _, s := range segs {
-				if s.dst == s.src {
-					continue
-				}
-				for i := s.dst; i < s.dst+s.n; i++ {
-					e.byID[e.agents[i].ID] = i
-				}
-			}
-			for k, a := range joins {
-				e.byID[a.ID] = jdst[k]
-			}
-		}
-	}
-	e.msJoinPos, e.msLeavePos, e.msSegs, e.msJoinDst = jpos, lpos, segs, jdst
+	e.msSegs, e.msJoinDst = segs, jdst
 }
 
-// validateAgent is the per-agent slice of Population.Validate: agent
-// parameters, weight presence and finiteness, malice range.
-func (e *Engine) validateAgent(a *worker.Agent) error {
-	p := e.pop
-	if err := a.Validate(p.Part.YMax()); err != nil {
-		return err
-	}
-	w, ok := p.Weights[a.ID]
-	if !ok {
-		return fmt.Errorf("agent %q has no weight: %w", a.ID, ErrBadPopulation)
-	}
-	if math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("agent %q weight=%v: %w", a.ID, w, ErrBadPopulation)
-	}
-	if mp, ok := p.MaliceProb[a.ID]; ok && !(mp >= 0 && mp <= 1) {
-		return fmt.Errorf("agent %q malice probability=%v: %w", a.ID, mp, ErrBadPopulation)
-	}
-	return nil
-}
-
-// validateStructural re-checks what a declared scope can have changed:
-// the scalar Mu, every joiner in full, and every plain-touched agent
-// still present. The remaining Validate invariants (membership,
-// duplicates, orphan map entries) move only through the declared joins
-// and leaves prepareStructural cross-checked, so the O(population) pass
-// is skipped. Leavers are skipped — their map entries left with them —
-// and a touched ID that is also a joiner is covered by the joiner pass.
-// Runs before the splice, so plain-touched IDs resolve against the
-// pre-splice view.
+// validateStructural re-checks what a declared scope can have changed,
+// through the validator the serving layer's drift shares
+// (Population.ValidateScope): a non-empty population, the scalar Mu,
+// every joiner in full, and every plain-touched agent still present. The
+// remaining Validate invariants (membership, duplicates, orphan map
+// entries) move only through the declared joins and leaves
+// prepareStructural cross-checked, so the O(population) pass is skipped.
+// Leavers are skipped — their map entries left with them — and a touched
+// ID that is also a joiner is covered by the joiner pass. Runs before the
+// splice, so touched positions index the pre-splice view.
 func (e *Engine) validateStructural() error {
-	p := e.pop
-	if !(p.Mu > 0) || math.IsInf(p.Mu, 0) {
-		return fmt.Errorf("mu=%v: %w", p.Mu, ErrBadPopulation)
-	}
-	for _, a := range e.structJoins {
-		if err := e.validateAgent(a); err != nil {
-			return err
+	agents := append(e.scopeAgents[:0], e.structJoins...)
+	for _, v := range e.touchPos {
+		if v >= 0 {
+			agents = append(agents, e.agents[v])
 		}
 	}
-	for _, id := range e.scope.ids {
-		if _, ok := e.structJoinSet[id]; ok {
-			continue
-		}
-		if leavesHave(e.scope.leaves, id) {
-			continue
-		}
-		if err := e.validateAgent(e.agents[e.byID[id]]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// leavesHave reports whether the sorted leave declarations contain id.
-func leavesHave(leaves []string, id string) bool {
-	i := sort.SearchStrings(leaves, id)
-	return i < len(leaves) && leaves[i] == id
+	err := e.pop.ValidateScope(agents...)
+	clear(agents) // hold no agent past the check
+	e.scopeAgents = agents[:0]
+	return err
 }
 
 // RunLedger runs a configured engine to completion and returns the

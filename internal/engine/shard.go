@@ -329,26 +329,23 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 }
 
 // refreshShardSlot refreshes one touched agent's shard slot — weight,
-// malice, fingerprint (refcounted) — and routes the contract. Under a
+// malice, fingerprint (refcounted) — and routes the contract. gi is the
+// agent's view position, resolved by prepareStructural. Under a
 // FingerprintPurePolicy whose design key already resolves in the menu
 // cache, the agent's contract slot is patched with the menu's pick and only
 // its outcome slot is marked dirty — the shard keeps its epoch, its
 // designer plan, and every other retained outcome (the patch route).
 // Otherwise the shard's epoch is bumped, forcing its designer plan and
 // retained outcomes to revalidate in full (the fallback route). Returns
-// the shard-local slot, or -1 when the ID does not resolve in the shard
-// (a touched agent that left this round).
-func (e *Engine) refreshShardSlot(sr *shardRun, id string, epoch uint64, canPatch bool) int {
+// the shard-local slot, or -1 when the ID does not resolve in the shard.
+func (e *Engine) refreshShardSlot(sr *shardRun, id string, gi int32, epoch uint64, canPatch bool) int {
 	sh := &sr.sh
 	var j int
 	if !e.fragmented {
-		// Identity slot mapping: Global is monotone in view order, so the
-		// slot binary-searches by the agent's view index — int compares,
-		// no string walks (the touch-only drift hot path).
-		gi, ok := e.byID[id]
-		if !ok {
-			return -1
-		}
+		// Identity slot mapping (so no splice ran this round and gi still
+		// indexes the view): Global is monotone in view order, so the slot
+		// binary-searches by the agent's view index — int compares, no
+		// string walks (the touch-only drift hot path).
 		j = sort.Search(len(sh.Global), func(k int) bool { return sh.Global[k] >= gi })
 		if j >= len(sh.Global) || sh.Global[j] != gi {
 			return -1
@@ -504,14 +501,14 @@ func (e *Engine) refreshShardsStructural(st *roundState) {
 	}
 
 	// Plain-touched agents refresh their slots; joiners were handled at
-	// their insertion, and a touched ID that left no longer resolves and
-	// is skipped.
-	for _, id := range e.scope.ids {
-		if _, ok := e.structJoinSet[id]; ok {
+	// their insertion, and touched leavers are gone.
+	for k, id := range e.scope.ids {
+		gi := e.touchPos[k]
+		if gi < 0 {
 			continue
 		}
 		sr := &e.shards[ShardOf(id, n)]
-		j := e.refreshShardSlot(sr, id, epoch, canPatch)
+		j := e.refreshShardSlot(sr, id, gi, epoch, canPatch)
 		if j >= 0 && sr.seen != epoch {
 			sr.seen = epoch
 			touched++

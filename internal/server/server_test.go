@@ -424,8 +424,10 @@ func TestRouteMetricsRecorded(t *testing.T) {
 // to end on a sharded session: a join appears in the next round with its
 // own ledger row while every pre-existing row stays byte-identical, a
 // leave removes exactly its row, rejected structural drifts (unknown
-// remove, duplicate add, add∩remove overlap, invalid joiner) revert
-// wholesale, and the joined/left counts come back in the response.
+// remove, duplicate add, an ID added twice, add∩remove overlap, invalid
+// joiner, malice outside [0, 1], removing every agent, a ψ drift that
+// fails validation next to a join or a leave) revert wholesale, and the
+// joined/left counts come back in the response.
 func TestStructuralDriftRoute(t *testing.T) {
 	e := newTestServer(t, Config{})
 	req := testCreateReq()
@@ -501,13 +503,22 @@ func TestStructuralDriftRoute(t *testing.T) {
 
 	// Structural rejections revert wholesale.
 	for name, bad := range map[string]DriftRequest{
-		"unknown remove":  {Remove: []string{"ghost"}},
-		"duplicate add":   {Add: []AgentSpec{{ID: "h1", Class: "honest", Psi: psi, Beta: 1, Weight: 1}}},
-		"add and remove":  {Add: []AgentSpec{{ID: "x1", Class: "honest", Psi: psi, Beta: 1, Weight: 1}}, Remove: []string{"x1"}},
-		"invalid joiner":  {Add: []AgentSpec{{ID: "x2", Class: "honest", Psi: PsiSpec{R2: 1, R1: 1}, Beta: 1, Weight: 1}}},
-		"empty add id":    {Add: []AgentSpec{{Class: "honest", Psi: psi, Beta: 1, Weight: 1}}},
-		"unknown class":   {Add: []AgentSpec{{ID: "x3", Class: "neutral", Psi: psi, Beta: 1, Weight: 1}}},
-		"empty remove id": {Remove: []string{""}},
+		"unknown remove":     {Remove: []string{"ghost"}},
+		"duplicate add":      {Add: []AgentSpec{{ID: "h1", Class: "honest", Psi: psi, Beta: 1, Weight: 1}}},
+		"add and remove":     {Add: []AgentSpec{{ID: "x1", Class: "honest", Psi: psi, Beta: 1, Weight: 1}}, Remove: []string{"x1"}},
+		"invalid joiner":     {Add: []AgentSpec{{ID: "x2", Class: "honest", Psi: PsiSpec{R2: 1, R1: 1}, Beta: 1, Weight: 1}}},
+		"empty add id":       {Add: []AgentSpec{{Class: "honest", Psi: psi, Beta: 1, Weight: 1}}},
+		"unknown class":      {Add: []AgentSpec{{ID: "x3", Class: "neutral", Psi: psi, Beta: 1, Weight: 1}}},
+		"empty remove id":    {Remove: []string{""}},
+		"remove every agent": {Remove: []string{"h1", "h2", "m1", "c1"}},
+		"malice above one":   {Add: []AgentSpec{{ID: "x4", Class: "malicious", Psi: psi, Beta: 1, Omega: 0.5, Weight: 1, Malice: 1.5}}},
+		"negative malice":    {Add: []AgentSpec{{ID: "x5", Class: "malicious", Psi: psi, Beta: 1, Omega: 0.5, Weight: 1, Malice: -0.1}}},
+		"same id added twice": {Add: []AgentSpec{
+			{ID: "x6", Class: "honest", Psi: psi, Beta: 1, Weight: 1},
+			{ID: "x6", Class: "honest", Psi: psi, Beta: 1, Weight: 1},
+		}},
+		"join with bad psi drift": {Add: []AgentSpec{{ID: "x7", Class: "honest", Psi: psi, Beta: 1, Weight: 1}}, Psi: map[string]PsiSpec{"x7": {R2: 1, R1: 1}}},
+		"remove with bad psi":     {Remove: []string{"h2"}, Psi: map[string]PsiSpec{"h1": {R2: 1, R1: 1}}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if code := e.do(t, "POST", "/v1/sessions/"+id+"/drift", &bad, nil); code != http.StatusBadRequest {

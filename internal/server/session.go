@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -354,16 +355,13 @@ func (s *session) runRound(ctx context.Context, req AdvanceRoundRequest) cmdRepl
 
 // runDrift applies the request's mutations atomically: structural adds
 // and removes first, then the scalar mutations, all under the population
-// lock, then a full validation; any failure reverts every mutation in
-// reverse order and leaves the session exactly as it was.
+// lock, then a validation scoped to what the drift changed; any failure
+// reverts every mutation in reverse order and leaves the session exactly
+// as it was.
 func (s *session) runDrift(req *DriftRequest) cmdReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	byID := make(map[string]*worker.Agent, len(s.pop.Agents))
-	for _, a := range s.pop.Agents {
-		byID[a.ID] = a
-	}
 	var undo []func()
 	fail := func(err error) cmdReply {
 		for i := len(undo) - 1; i >= 0; i-- {
@@ -372,139 +370,121 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 		return cmdReply{err: err, code: http.StatusBadRequest}
 	}
 
-	// Structural mutations. Adds append (the population's slice order is
-	// presentation-free — engines sort by ID); removes splice their exact
-	// position so an undo restores the original slice byte for byte.
-	addIDs := make([]string, 0, len(req.Add))
+	// Structural mutations go through Population.Add and Remove: each
+	// keeps the ID index current, declares its own join or leave (so a
+	// sharded engine splices only the shards owning those agents), and
+	// returns an undo that also retracts the declaration. scope collects
+	// the agents the drift changed, for the scoped validation.
+	scope := make([]*worker.Agent, 0, len(req.Add)+len(req.Weights)+len(req.Beta)+len(req.Omega)+len(req.Psi))
+	var added map[string]struct{}
+	if len(req.Add) > 0 && len(req.Remove) > 0 {
+		added = make(map[string]struct{}, len(req.Add))
+	}
 	for i := range req.Add {
 		spec := &req.Add[i]
-		if _, exists := byID[spec.ID]; exists {
-			return fail(fmt.Errorf("add %q: agent already in session: %w", spec.ID, ErrBadRequest))
-		}
 		a, err := spec.Agent()
 		if err != nil {
 			return fail(err)
 		}
-		s.pop.Agents = append(s.pop.Agents, a)
-		s.pop.Weights[a.ID] = spec.Weight
-		s.pop.MaliceProb[a.ID] = spec.Malice
-		byID[a.ID] = a
-		id := a.ID
-		undo = append(undo, func() {
-			s.pop.Agents = s.pop.Agents[:len(s.pop.Agents)-1]
-			delete(s.pop.Weights, id)
-			delete(s.pop.MaliceProb, id)
-			delete(byID, id)
-		})
-		addIDs = append(addIDs, id)
+		u, err := s.pop.Add(a, spec.Weight, spec.Malice)
+		if err != nil {
+			return fail(fmt.Errorf("add: %v: %w", err, ErrBadRequest))
+		}
+		undo = append(undo, u)
+		scope = append(scope, a)
+		if added != nil {
+			added[a.ID] = struct{}{}
+		}
 	}
-	added := make(map[string]struct{}, len(addIDs))
-	for _, id := range addIDs {
-		added[id] = struct{}{}
-	}
-	removeIDs := make([]string, 0, len(req.Remove))
 	for _, id := range req.Remove {
 		if _, both := added[id]; both {
 			return fail(fmt.Errorf("agent %q both added and removed: %w", id, ErrBadRequest))
 		}
-		if _, exists := byID[id]; !exists {
-			return fail(fmt.Errorf("remove %q: unknown agent: %w", id, ErrBadRequest))
+		u, err := s.pop.Remove(id)
+		if err != nil {
+			return fail(fmt.Errorf("remove: %v: %w", err, ErrBadRequest))
 		}
-		idx := -1
-		for i, a := range s.pop.Agents {
-			if a.ID == id {
-				idx = i
-				break
-			}
-		}
-		a := s.pop.Agents[idx]
-		w := s.pop.Weights[id]
-		mal, hadMal := s.pop.MaliceProb[id]
-		s.pop.Agents = append(s.pop.Agents[:idx], s.pop.Agents[idx+1:]...)
-		delete(s.pop.Weights, id)
-		delete(s.pop.MaliceProb, id)
-		delete(byID, id)
-		gone, at := a, idx
-		undo = append(undo, func() {
-			s.pop.Agents = append(s.pop.Agents, nil)
-			copy(s.pop.Agents[at+1:], s.pop.Agents[at:])
-			s.pop.Agents[at] = gone
-			s.pop.Weights[gone.ID] = w
-			if hadMal {
-				s.pop.MaliceProb[gone.ID] = mal
-			}
-			byID[gone.ID] = gone
-		})
-		removeIDs = append(removeIDs, id)
+		undo = append(undo, u)
 	}
-	// touched collects the distinct agent IDs this drift mutates, declared
-	// through Population.Touch only after validation passes — a rejected
-	// drift reverts every mutation and leaves the drift scope (and with it
-	// every engine view) exactly as it was.
-	touched := make(map[string]struct{}, len(req.Weights)+len(req.Beta)+len(req.Omega)+len(req.Psi))
+	// touched collects the distinct agent IDs the scalar mutations change,
+	// declared through Population.Touch only after validation passes.
+	touched := make(map[string]*worker.Agent, len(req.Weights)+len(req.Beta)+len(req.Omega)+len(req.Psi))
+	agent := func(id string) *worker.Agent {
+		if a, ok := touched[id]; ok {
+			return a
+		}
+		i, ok := s.pop.Lookup(id)
+		if !ok {
+			return nil
+		}
+		a := s.pop.Agents[i]
+		touched[id] = a
+		return a
+	}
 	updated := 0
 	for id, w := range req.Weights {
-		old, ok := s.pop.Weights[id]
-		if !ok {
+		if agent(id) == nil {
 			return fail(fmt.Errorf("weight for unknown agent %q: %w", id, ErrBadRequest))
 		}
+		old := s.pop.Weights[id]
 		s.pop.Weights[id] = w
 		undo = append(undo, func() { s.pop.Weights[id] = old })
-		touched[id] = struct{}{}
 		updated++
 	}
 	for id, b := range req.Beta {
-		a, ok := byID[id]
-		if !ok {
+		a := agent(id)
+		if a == nil {
 			return fail(fmt.Errorf("beta for unknown agent %q: %w", id, ErrBadRequest))
 		}
 		old := a.Beta
 		a.Beta = b
 		undo = append(undo, func() { a.Beta = old })
-		touched[id] = struct{}{}
 		updated++
 	}
 	for id, o := range req.Omega {
-		a, ok := byID[id]
-		if !ok {
+		a := agent(id)
+		if a == nil {
 			return fail(fmt.Errorf("omega for unknown agent %q: %w", id, ErrBadRequest))
 		}
 		old := a.Omega
 		a.Omega = o
 		undo = append(undo, func() { a.Omega = old })
-		touched[id] = struct{}{}
 		updated++
 	}
 	for id, p := range req.Psi {
-		a, ok := byID[id]
-		if !ok {
+		a := agent(id)
+		if a == nil {
 			return fail(fmt.Errorf("psi for unknown agent %q: %w", id, ErrBadRequest))
 		}
 		old := a.Psi
 		a.Psi = effort.Quadratic{R2: p.R2, R1: p.R1, R0: p.R0}
 		undo = append(undo, func() { a.Psi = old })
-		touched[id] = struct{}{}
 		updated++
 	}
-	if err := s.pop.Validate(); err != nil {
-		return fail(err)
-	}
-	// Declare what moved, only now that validation passed — a rejected
-	// drift reverts every mutation and leaves the drift scope (and with it
-	// every engine view) exactly as it was. Scalar mutations Touch exactly
-	// the mutated agents; adds and removes declare a structural scope
-	// (TouchJoin/TouchLeave), so a sharded engine splices only the shards
-	// owning those agents instead of rebuilding every view. The design
-	// cache needs nothing — a weight change re-picks from the cached menu,
-	// a mutated design key simply misses and rebuilds, and a leaver's
-	// orphaned key is refcount-evicted.
+	// Validate what the drift changed: the joiners, the touched agents
+	// (sorted, so a drift with several faults always reports the same
+	// one), a non-empty population and μ. Leavers took their map entries
+	// with them, and Add and Remove keep IDs unique, so nothing else can
+	// have moved.
 	ids := make([]string, 0, len(touched))
 	for id := range touched {
 		ids = append(ids, id)
 	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		scope = append(scope, touched[id])
+	}
+	if err := s.pop.ValidateScope(scope...); err != nil {
+		return fail(err)
+	}
+	// Declare the scalar drift only now that validation passed — a
+	// rejected drift reverts every mutation and leaves the drift scope
+	// (and with it every engine view) as it was. Scalar mutations Touch
+	// exactly the mutated agents. The design cache needs nothing — a
+	// weight change re-picks from the cached menu, a mutated design key
+	// simply misses and rebuilds, and a leaver's orphaned key is
+	// refcount-evicted.
 	s.pop.Touch(ids...)
-	s.pop.TouchJoin(addIDs...)
-	s.pop.TouchLeave(removeIDs...)
 	s.srv.metrics.driftDone()
 	s.ledgerMu.RLock()
 	rounds := s.ledger.len()
@@ -512,8 +492,8 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 	return cmdReply{drift: DriftResponse{
 		Updated: updated,
 		Touched: len(ids),
-		Joined:  len(addIDs),
-		Left:    len(removeIDs),
+		Joined:  len(req.Add),
+		Left:    len(req.Remove),
 		Rounds:  rounds,
 	}}
 }
@@ -639,13 +619,12 @@ func (s *session) resolveDesign(req *DesignQueryRequest) (engine.DesignRequest, 
 	if req.AgentID != "" {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for _, a := range s.pop.Agents {
-			if a.ID == req.AgentID {
-				cp := *a
-				return engine.DesignRequest{Agent: &cp, W: s.pop.Weights[a.ID]}, a.ID, nil
-			}
+		i, ok := s.pop.Lookup(req.AgentID)
+		if !ok {
+			return engine.DesignRequest{}, "", fmt.Errorf("unknown agent %q: %w", req.AgentID, ErrBadRequest)
 		}
-		return engine.DesignRequest{}, "", fmt.Errorf("unknown agent %q: %w", req.AgentID, ErrBadRequest)
+		cp := *s.pop.Agents[i]
+		return engine.DesignRequest{Agent: &cp, W: s.pop.Weights[cp.ID]}, cp.ID, nil
 	}
 	a, err := req.Agent.Agent()
 	if err != nil {

@@ -11,7 +11,9 @@
 # benchmarks
 # BenchmarkServerDesignBatch and BenchmarkServerDriftRoute (tracked for
 # trend only, not regression-gated — they ride
-# the loopback network stack), and BenchmarkJournalAppend (the
+# the loopback network stack), BenchmarkServerStep (one served step's
+# drift, round and design-by-id through the server's Handler in process,
+# at 1k, 10k and 100k agents), and BenchmarkJournalAppend (the
 # write-ahead hop per journaled command, buffered and fsync; trend only —
 # the fsync arm benchmarks the storage stack, not the code) — with
 # -benchmem, prints the standard output, and writes the parsed results to
@@ -30,6 +32,13 @@
 # the three arms is missing. A ratio of two arms timed on one machine in
 # one run does not depend on the machine, so this gate holds even under
 # BENCH_ALLOW_REGRESSION=1.
+#
+# BenchmarkServerStep is gated the same way: the fresh run fails when
+# design-by-id or drift at n=100k takes more than 2× the same run's n=1k
+# arm (a served step must cost what it touches, not what the session
+# holds), or when any of the four arms is missing. Its round arm is
+# trend-only — the settle pass and the ledger's round log still walk all
+# n agents.
 #
 # Before overwriting, the fresh run is diffed against the committed
 # BENCH_engine.json: every benchmark's ns/op delta is printed, a >10%
@@ -53,7 +62,7 @@ raw=$(mktemp)
 fresh=$(mktemp)
 trap 'rm -f "$raw" "$fresh"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignBatch|BenchmarkServerDriftRoute|BenchmarkJournalAppend' -benchmem . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignBatch|BenchmarkServerDriftRoute|BenchmarkServerStep|BenchmarkJournalAppend' -benchmem . | tee "$raw"
 
 awk '
 BEGIN { print "["; n = 0 }
@@ -102,6 +111,36 @@ END {
 		printf "  %-25s %.3f\n", a, r
 		if (r > 0.10) {
 			printf "  FAIL: %s / sharded-rebuild = %.3f > 0.10\n", a, r
+			failed = 1
+		}
+	}
+	exit failed
+}
+' "$fresh"
+
+echo
+echo "served step ratios n=100k / n=1k (same run, bar <= 2.0):"
+awk '
+match($0, /"name": "BenchmarkServerStep\/[^"]+"/) {
+	name = substr($0, RSTART + 29, RLENGTH - 30)
+	if (match($0, /"ns_per_op": [0-9.e+]+/))
+		ns[name] = substr($0, RSTART + 13, RLENGTH - 13) + 0
+}
+END {
+	split("design-by-id drift", arms, " ")
+	for (i = 1; i <= 2; i++) {
+		a = arms[i]
+		big = "n=100k/" a
+		small = "n=1k/" a
+		if (!(ns[big] > 0) || !(ns[small] > 0)) {
+			printf "  FAIL: BenchmarkServerStep %s arm missing\n", a
+			failed = 1
+			continue
+		}
+		r = ns[big] / ns[small]
+		printf "  %-25s %.3f\n", a, r
+		if (r > 2.0) {
+			printf "  FAIL: %s / %s = %.3f > 2.0\n", big, small, r
 			failed = 1
 		}
 	}
