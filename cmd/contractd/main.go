@@ -178,7 +178,7 @@ func run(args []string, out io.Writer) error {
 		logger.Info("traces written", "path", traceFlags.Out)
 	}
 
-	obs.FprintHTTPStats(out, obs.HTTPStatsFrom(reg.Snapshot()))
+	obs.FprintStats(out, telemetry.Snapshot{}, reg.Snapshot(), telemetry.HTTPMetricPrefix)
 	logger.Info("bye")
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dyncontract/internal/telemetry"
 )
 
 // TestServeAndDrain boots contractd on an ephemeral port, exercises the
@@ -111,9 +113,12 @@ func TestServeAndDrain(t *testing.T) {
 		t.Fatal("server never exited after shutdown")
 	}
 	// Lifecycle and request logs flow through slog; the request line for
-	// the advanced round carries its route, status, and trace ID.
+	// the advanced round carries its route, status, and trace ID, and the
+	// drain summary prints the route's metrics under their registry names.
 	for _, want := range []string{
-		"listening on", "draining", "http rounds_advance", "bye",
+		"listening on", "draining", "bye",
+		"  " + telemetry.HTTPMetricPrefix + "rounds_advance" + telemetry.HTTPSuffixRequests + " 1\n",
+		"  " + telemetry.HTTPMetricPrefix + "rounds_advance" + telemetry.HTTPSuffixSeconds + " count 1 ",
 		"msg=request", "route=rounds_advance", "status=200", "trace=",
 	} {
 		if !strings.Contains(out.String(), want) {

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	experiments [-run id[,id...]] [-scale small|paper] [-seed n] [-trace file.jsonl]
-//	            [-cachestats] [-respondstats]
-//	            [-shards n] [-shardstats] [-driftstats]
+//	            [-stats] [-shards n]
 //	            [-metrics out.jsonl] [-metrics-listen addr]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-spans] [-trace-sample p] [-trace-out file]
@@ -21,8 +20,8 @@
 // observability flags attach a telemetry registry to the
 // simulation-driven experiments: -metrics appends one JSONL snapshot per
 // experiment, -metrics-listen serves /metrics (Prometheus text) plus
-// net/http/pprof, and -cachestats / -respondstats print the design-cache
-// and respond-memo counters each experiment accumulated.
+// net/http/pprof, and -stats prints every engine and solver metric each
+// experiment added to the registry (obs.FprintStats).
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"dyncontract/internal/engine"
 	"dyncontract/internal/experiments"
 	"dyncontract/internal/obs"
 	"dyncontract/internal/synth"
@@ -62,12 +60,9 @@ func run(args []string, out io.Writer) error {
 		asJSON     = fs.Bool("json", false, "emit reports as JSON instead of text tables")
 		outDir     = fs.String("out", "", "also write one report file per experiment into this directory")
 		noCache    = fs.Bool("nocache", false, "disable the engine's cross-round design cache in simulation experiments")
-		cacheStats = fs.Bool("cachestats", false, "report design-cache hits/misses per experiment")
 		noMemo     = fs.Bool("nomemo", false, "disable the engine's cross-round best-response memo in simulation experiments")
-		memoStats  = fs.Bool("respondstats", false, "report respond-memo hits/misses per experiment")
+		stats      = fs.Bool("stats", false, "print the engine and solver metrics each experiment added")
 		shards     = fs.Int("shards", 0, "shard count for the engine's round pipeline; 0 = one shard (reports are identical)")
-		shardStats = fs.Bool("shardstats", false, "report per-shard stage timings per experiment")
-		driftStats = fs.Bool("driftstats", false, "report sparse-drift scope counters per experiment")
 		obsFlags   obs.Flags
 		traceFlags obs.TraceFlags
 	)
@@ -77,11 +72,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// The registry outlives all experiments; -cachestats, -respondstats,
-	// or -shardstats alone is enough to want one (the counters live there,
-	// read back per run).
+	// The registry outlives all experiments; -stats alone is enough to
+	// want one (the counters live there, read back per experiment).
 	var reg *telemetry.Registry
-	if obsFlags.Enabled() || *cacheStats || *memoStats || *shardStats || *driftStats {
+	if obsFlags.Enabled() || *stats {
 		reg = telemetry.NewRegistry()
 	}
 	sess, err := obsFlags.Start(reg)
@@ -158,10 +152,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	tracer, recorder := traceFlags.Build()
-	var prevCache engine.CacheStats
-	var prevMemo engine.RespondStats
-	var prevShard obs.ShardStats
-	var prevDrift obs.DriftStats
+	var prev telemetry.Snapshot
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		runner, ok := experiments.Lookup(id)
@@ -179,35 +170,16 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("experiment %s: %w", id, err)
 		}
 		// One JSONL snapshot per experiment (the CLI's flush interval),
-		// and the same -cachestats line platformsim prints — here as the
-		// delta this experiment added to the shared registry's counters.
+		// and the -stats block platformsim prints — here as the delta
+		// this experiment added to the shared registry.
 		if err := sess.Flush(); err != nil {
 			return err
 		}
-		if (*cacheStats || *memoStats || *shardStats || *driftStats) && !*asJSON {
-			snap := reg.Snapshot()
+		if *stats && !*asJSON {
+			cur := reg.Snapshot()
 			fmt.Fprintf(out, "%s:\n", id)
-			if *cacheStats {
-				cur := obs.CacheStatsFrom(snap)
-				obs.FprintCacheStats(out, obs.DeltaCacheStats(prevCache, cur))
-				prevCache = cur
-			}
-			if *memoStats {
-				cur := obs.RespondStatsFrom(snap)
-				obs.FprintRespondStats(out, obs.DeltaRespondStats(prevMemo, cur))
-				prevMemo = cur
-			}
-			if *shardStats {
-				// Experiments share one registry; the delta isolates this run.
-				cur := obs.ShardStatsFrom(snap)
-				obs.FprintShardStats(out, obs.DeltaShardStats(prevShard, cur))
-				prevShard = cur
-			}
-			if *driftStats {
-				cur := obs.DriftStatsFrom(snap)
-				obs.FprintDriftStats(out, obs.DeltaDriftStats(prevDrift, cur))
-				prevDrift = cur
-			}
+			obs.FprintStats(out, prev, cur, obs.SimPrefixes...)
+			prev = cur
 		}
 		if *outDir != "" {
 			if err := writeReportFiles(*outDir, rep); err != nil {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dyncontract/internal/engine"
 	"dyncontract/internal/synth"
 )
 
@@ -149,17 +151,16 @@ func TestRunMOverride(t *testing.T) {
 
 func TestRunRespondStats(t *testing.T) {
 	// fig8c drives simulations through the engine, so the respond memo
-	// accumulates counters the -respondstats delta printer reads back.
+	// and design cache publish counters the -stats printer reads back.
 	var buf bytes.Buffer
-	if err := run([]string{"-run", "fig8c", "-seed", "7", "-respondstats", "-cachestats"}, &buf); err != nil {
+	if err := run([]string{"-run", "fig8c", "-seed", "7", "-stats"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "respond memo:") {
-		t.Errorf("-respondstats output missing memo line:\n%s", out)
-	}
-	if !strings.Contains(out, "design cache:") {
-		t.Errorf("-cachestats output missing cache line:\n%s", out)
+	for _, name := range []string{engine.MetricRespondHits, engine.MetricRespondMisses, engine.MetricCacheHits, engine.MetricCacheMisses} {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("-stats output missing %s:\n%s", name, out)
+		}
 	}
 }
 
@@ -178,18 +179,20 @@ func TestRunNoMemoIdenticalReports(t *testing.T) {
 
 func TestRunShardStats(t *testing.T) {
 	// fig8c runs simulations through the engine; with -shards the sharded
-	// pipeline records per-shard stage timings the -shardstats delta
-	// printer reads back. The report itself must not change.
+	// pipeline records per-shard stage timings the -stats printer reads
+	// back. The report itself must not change.
 	var sharded, plain bytes.Buffer
-	if err := run([]string{"-run", "fig8c", "-seed", "7", "-shards", "2", "-shardstats"}, &sharded); err != nil {
-		t.Fatalf("run -shardstats: %v", err)
+	if err := run([]string{"-run", "fig8c", "-seed", "7", "-shards", "2", "-stats"}, &sharded); err != nil {
+		t.Fatalf("run -stats: %v", err)
 	}
 	out := sharded.String()
-	if !strings.Contains(out, "shards: 2") {
-		t.Errorf("-shardstats output missing shard count:\n%s", out)
+	if !strings.Contains(out, "  "+engine.MetricShards+" 2\n") {
+		t.Errorf("-stats output missing shard count:\n%s", out)
 	}
-	if !strings.Contains(out, "shard design:") || !strings.Contains(out, "shard respond:") {
-		t.Errorf("-shardstats output missing stage lines:\n%s", out)
+	for _, name := range []string{engine.MetricShardDesignSeconds, engine.MetricShardRespondSeconds} {
+		if !strings.Contains(out, "  "+name+" count ") {
+			t.Errorf("-stats output missing %s:\n%s", name, out)
+		}
 	}
 	if err := run([]string{"-run", "fig8c", "-seed", "7"}, &plain); err != nil {
 		t.Fatalf("plain run: %v", err)
@@ -198,7 +201,7 @@ func TestRunShardStats(t *testing.T) {
 	// sequential run's report exactly.
 	var kept []string
 	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "shard") || strings.HasSuffix(line, "fig8c:") {
+		if strings.HasPrefix(line, "  dyncontract_") || strings.HasSuffix(line, "fig8c:") {
 			continue
 		}
 		kept = append(kept, line)
@@ -213,14 +216,53 @@ func TestRunShardStatsSequential(t *testing.T) {
 	// Without -shards the engine runs one shard, and the printer reports
 	// its per-shard stage metrics like any other shard count.
 	var buf bytes.Buffer
-	if err := run([]string{"-run", "fig8c", "-seed", "7", "-shardstats"}, &buf); err != nil {
+	if err := run([]string{"-run", "fig8c", "-seed", "7", "-stats"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "shards: 1\n") {
-		t.Errorf("-shardstats without -shards missing the one-shard count:\n%s", out)
+	if !strings.Contains(out, "  "+engine.MetricShards+" 1\n") {
+		t.Errorf("-stats without -shards missing the one-shard count:\n%s", out)
 	}
-	if !strings.Contains(out, "shard design:") || !strings.Contains(out, "shard respond:") {
-		t.Errorf("-shardstats without -shards missing stage lines:\n%s", out)
+	for _, name := range []string{engine.MetricShardDesignSeconds, engine.MetricShardRespondSeconds} {
+		if !strings.Contains(out, "  "+name+" count ") {
+			t.Errorf("-stats without -shards missing %s:\n%s", name, out)
+		}
+	}
+}
+
+// TestRunStatsNoUnderflow runs the experiments that drive several engine
+// runs through one registry. Registry counters used to follow only the
+// newest run's cache, so a later run's smaller count printed as a 2^64
+// wrap-around; every printed counter delta must now be a plausible count,
+// and fig8c's design cache must show the hits and misses of all its runs.
+func TestRunStatsNoUnderflow(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-run", "fig8c,sensitivity,retention", "-seed", "7", "-stats"}, &buf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	out := buf.String()
+	counters := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || !strings.HasSuffix(f[0], "_total") {
+			continue
+		}
+		counters++
+		v, err := strconv.ParseUint(f[1], 10, 64)
+		if err != nil {
+			t.Fatalf("counter line %q: %v", line, err)
+		}
+		if v >= 1<<53 {
+			t.Errorf("counter delta underflowed: %q", line)
+		}
+	}
+	if counters == 0 {
+		t.Fatalf("-stats printed no counters:\n%s", out)
+	}
+	fig8c := out[strings.Index(out, "fig8c:"):strings.Index(out, "sensitivity:")]
+	for _, name := range []string{engine.MetricCacheHits, engine.MetricCacheMisses} {
+		if strings.Contains(fig8c, "  "+name+" 0\n") {
+			t.Errorf("fig8c reports zero %s:\n%s", name, fig8c)
+		}
 	}
 }

@@ -9,23 +9,26 @@ import (
 	"strings"
 	"testing"
 
+	"dyncontract/internal/engine"
 	"dyncontract/internal/telemetry"
 )
 
-// TestRunCacheStats pins satellite parity with cmd/platformsim: the
-// -cachestats flag reports design-cache counters per experiment through
-// the shared obs helper, in the exact same line format.
+// TestRunCacheStats pins parity with cmd/platformsim: -stats reports the
+// design-cache metrics per experiment through the shared obs printer,
+// under their registry names.
 func TestRunCacheStats(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-run", "fig8c", "-seed", "11", "-cachestats"}, &buf); err != nil {
+	if err := run([]string{"-run", "fig8c", "-seed", "11", "-stats"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "fig8c:\n  design cache:") {
-		t.Errorf("-cachestats output missing per-experiment cache line:\n%s", out)
+	if !strings.Contains(out, "fig8c:\n  dyncontract_engine_") {
+		t.Errorf("-stats output missing per-experiment block:\n%s", out)
 	}
-	if !strings.Contains(out, "misses (") {
-		t.Errorf("cache line not in the shared format:\n%s", out)
+	for _, name := range []string{engine.MetricCacheHits, engine.MetricCacheMisses, engine.MetricCacheFlushes, engine.MetricCacheEntries} {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("-stats output missing %s:\n%s", name, out)
+		}
 	}
 }
 

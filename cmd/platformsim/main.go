@@ -7,10 +7,8 @@
 //
 //	platformsim [-scale small|paper] [-seed n] [-rounds n]
 //	            [-policies dynamic,exclude,fixed] [-threshold p] [-amount c]
-//	            [-nocache] [-cachestats]
-//	            [-nomemo] [-respondstats]
-//	            [-shards n] [-shardstats]
-//	            [-drift-agents k] [-churn] [-driftstats]
+//	            [-nocache] [-nomemo] [-shards n] [-stats]
+//	            [-drift-agents k] [-churn]
 //	            [-join-every k] [-leave-every k]
 //	            [-metrics out.jsonl] [-metrics-listen addr]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -20,7 +18,9 @@
 // to the run: -metrics appends one JSONL snapshot per simulated round,
 // -metrics-listen serves /metrics in Prometheus text format plus
 // net/http/pprof for live scraping and profiling, and -cpuprofile /
-// -memprofile write pprof profiles for offline analysis. -trace records
+// -memprofile write pprof profiles for offline analysis. -stats prints
+// what each policy's run added to the engine and solver metrics
+// (obs.FprintStats). -trace records
 // one execution trace per policy run — rounds, stages, per-shard work —
 // and -trace-out writes the retained traces on exit (.json = Chrome
 // trace_event format for Perfetto).
@@ -66,15 +66,12 @@ func run(args []string, out io.Writer) error {
 		threshold   = fs.Float64("threshold", 0.5, "exclusion threshold on malice probability")
 		amount      = fs.Float64("amount", 1, "fixed-payment amount")
 		perClass    = fs.Int("perclass", 200, "max agents sampled per class")
-		cacheStats  = fs.Bool("cachestats", false, "report design-cache hits/misses per policy")
 		noCache     = fs.Bool("nocache", false, "disable the cross-round design cache")
-		memoStats   = fs.Bool("respondstats", false, "report respond-memo hits/misses per policy")
 		noMemo      = fs.Bool("nomemo", false, "disable the cross-round best-response memo")
 		shards      = fs.Int("shards", 0, "shard count for the round pipeline; 0 = one shard (ledgers are identical)")
-		shardStats  = fs.Bool("shardstats", false, "report per-shard stage timings per policy")
+		stats       = fs.Bool("stats", false, "print the engine and solver metrics each policy's run added")
 		driftAgents = fs.Int("drift-agents", 0, "scoped weight drift: oscillate the first k agents' weights each round, declared via Population.Touch")
 		churn       = fs.Bool("churn", false, "mint fresh, never-repeating weights for every agent before each round, so every round's designs run the cold path (overrides -drift-agents)")
-		driftStats  = fs.Bool("driftstats", false, "report sparse-drift scope counters per policy")
 		joinEvery   = fs.Int("join-every", 0, "structural churn: every k-th round a fresh agent joins, declared via TouchJoin")
 		leaveEvery  = fs.Int("leave-every", 0, "structural churn: every k-th round the oldest hook-joined agent leaves, declared via TouchLeave")
 		obsFlags    obs.Flags
@@ -86,11 +83,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// One registry spans the whole invocation; each policy's run layers
-	// its rounds into the same metrics (the design cache re-registers per
-	// policy, so cache counters always describe the current policy).
+	// One registry spans the whole invocation; each policy's run adds its
+	// rounds, and its fresh cache and memo their counts, to the same
+	// metrics, so -stats prints the delta of each run.
 	var reg *telemetry.Registry
-	if obsFlags.Enabled() || *shardStats || *driftStats {
+	if obsFlags.Enabled() || *stats {
 		reg = telemetry.NewRegistry()
 	}
 	sess, err := obsFlags.Start(reg)
@@ -241,8 +238,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	var prevShard obs.ShardStats
-	var prevDrift obs.DriftStats
+	var prev telemetry.Snapshot
 	for _, name := range strings.Split(*policies, ",") {
 		var pol platform.Policy
 		switch strings.TrimSpace(name) {
@@ -255,20 +251,16 @@ func run(args []string, out io.Writer) error {
 		default:
 			return fmt.Errorf("unknown policy %q (want dynamic, exclude, or fixed)", name)
 		}
-		var cache *engine.Cache
-		var memo *engine.RespondMemo
 		// The engine runs with a per-policy design cache and respond memo:
 		// agents sharing an archetype share one design and one best
 		// response, and static rounds after the first cost zero
 		// Design/BestResponse calls.
 		cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, Shards: *shards, Drift: driftHook}
 		if !*noCache {
-			cache = engine.NewCache()
-			cfg.Cache = cache
+			cfg.Cache = engine.NewCache()
 		}
 		if !*noMemo {
-			memo = engine.NewRespondMemo()
-			cfg.Memo = memo
+			cfg.Memo = engine.NewRespondMemo()
 		}
 		if obsFlags.MetricsPath != "" {
 			cfg.Observers = []engine.Observer{sess.RoundObserver()}
@@ -298,22 +290,11 @@ func run(args []string, out io.Writer) error {
 				r.Index, r.Benefit, r.Cost, r.Utility, excluded)
 		}
 		fmt.Fprintf(out, "  total utility over %d rounds: %.2f\n", *rounds, platform.TotalUtility(ledger))
-		if *cacheStats && cache != nil {
-			obs.FprintCacheStats(out, cache.Stats())
-		}
-		if *memoStats && memo != nil {
-			obs.FprintRespondStats(out, memo.Stats())
-		}
-		if *shardStats {
+		if *stats {
 			// Policies share one registry; the delta isolates this run.
-			cur := obs.ShardStatsFrom(reg.Snapshot())
-			obs.FprintShardStats(out, obs.DeltaShardStats(prevShard, cur))
-			prevShard = cur
-		}
-		if *driftStats {
-			cur := obs.DriftStatsFrom(reg.Snapshot())
-			obs.FprintDriftStats(out, obs.DeltaDriftStats(prevDrift, cur))
-			prevDrift = cur
+			cur := reg.Snapshot()
+			obs.FprintStats(out, prev, cur, obs.SimPrefixes...)
+			prev = cur
 		}
 		fmt.Fprintln(out)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"dyncontract/internal/engine"
 )
 
 func TestRunAllPolicies(t *testing.T) {
@@ -54,16 +56,15 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunRespondStats(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-policies", "dynamic", "-rounds", "2", "-perclass", "30", "-respondstats", "-cachestats"}, &buf)
+	err := run([]string{"-policies", "dynamic", "-rounds", "2", "-perclass", "30", "-stats"}, &buf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "respond memo:") {
-		t.Errorf("-respondstats output missing memo line:\n%s", out)
-	}
-	if !strings.Contains(out, "design cache:") {
-		t.Errorf("-cachestats output missing cache line:\n%s", out)
+	for _, name := range []string{engine.MetricRespondHits, engine.MetricRespondMisses, engine.MetricCacheHits, engine.MetricCacheMisses} {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("-stats output missing %s:\n%s", name, out)
+		}
 	}
 }
 

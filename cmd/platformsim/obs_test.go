@@ -87,7 +87,7 @@ func TestRunMetricsListen(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
 		"-policies", "dynamic", "-rounds", "2", "-perclass", "25",
-		"-metrics-listen", "127.0.0.1:0", "-cachestats",
+		"-metrics-listen", "127.0.0.1:0", "-stats",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -124,15 +124,26 @@ func TestRunMetricsListen(t *testing.T) {
 	}
 }
 
-// TestRunCacheStats pins the shared -cachestats output helper.
+// TestRunCacheStats pins the shared -stats printer: each policy's block
+// carries the design-cache metrics under their registry names, and the
+// fixed-payment policy, which never designs, reads zero hits and misses.
 func TestRunCacheStats(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-policies", "dynamic", "-rounds", "2", "-perclass", "25", "-cachestats"}, &buf)
+	err := run([]string{"-policies", "dynamic,fixed", "-rounds", "2", "-perclass", "25", "-stats"}, &buf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(buf.String(), "design cache:") {
-		t.Errorf("-cachestats output missing cache line:\n%s", buf.String())
+	out := buf.String()
+	for _, name := range []string{engine.MetricCacheHits, engine.MetricCacheMisses, engine.MetricCacheFlushes, engine.MetricCacheEntries} {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("-stats output missing %s:\n%s", name, out)
+		}
+	}
+	fixed := out[strings.Index(out, "policy fixed-payment"):]
+	for _, name := range []string{engine.MetricCacheHits, engine.MetricCacheMisses} {
+		if !strings.Contains(fixed, "  "+name+" 0\n") {
+			t.Errorf("fixed-payment block reports a nonzero %s:\n%s", name, fixed)
+		}
 	}
 }
 

@@ -116,7 +116,7 @@ func main() {
 
 	// What the instrumented run measured: mean per-round stage timings and
 	// the registry's view of the cache (identical to stats above — the
-	// registry adopts the cache's own counters via ExportTo).
+	// cache publishes its counts to the registry at every round end).
 	snap := reg.Snapshot()
 	fmt.Println("\ntelemetry (dynamic run):")
 	for _, stage := range []struct{ label, metric string }{

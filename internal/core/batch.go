@@ -291,41 +291,3 @@ func DesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	s.buildMenu(a, cfg.Part, &s.menu)
 	return s.menu.design(a, cfg, s)
 }
-
-// BatchItem is one subproblem of a DesignBatch call.
-type BatchItem struct {
-	// Agent is the worker or community meta-worker to design for.
-	Agent *worker.Agent
-	// Config carries the partition, μ, and this agent's requester weight.
-	Config Config
-}
-
-// BatchOutcome pairs one batch item with its result or error.
-type BatchOutcome struct {
-	// Result is the designed contract (nil when Err != nil).
-	Result *Result
-	// Err is the item's failure, if any.
-	Err error
-}
-
-// DesignBatch solves every item in order over one shared Scratch, writing
-// outcomes index-aligned with items (len(out) must cover len(items)).
-// Items sharing a (partition, ψ) pair with their predecessor reuse the
-// scratch's knot array on top of the chain/response buffers, so a batch
-// grouped by partition — the solver's fan-out feeds shards and
-// archetype-deduplicated rounds exactly that way — runs the whole cold
-// path without per-candidate allocation. Per-item results are
-// bit-identical to calling Design on each item.
-func DesignBatch(items []BatchItem, out []BatchOutcome, s *Scratch) error {
-	if len(out) < len(items) {
-		return fmt.Errorf("core: batch outcomes buffer %d shorter than %d items", len(out), len(items))
-	}
-	if s == nil {
-		s = &Scratch{}
-	}
-	for i := range items {
-		res, err := DesignInto(items[i].Agent, items[i].Config, s)
-		out[i] = BatchOutcome{Result: res, Err: err}
-	}
-	return nil
-}

@@ -228,33 +228,6 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 	}
 }
 
-func TestDesignBatch(t *testing.T) {
-	cases := batchCases(t)
-	items := make([]BatchItem, 0, len(cases))
-	for _, name := range []string{"honest", "malicious", "community", "reservation", "clamped", "negative-w"} {
-		tc := cases[name]
-		items = append(items, BatchItem{Agent: tc.agent, Config: tc.cfg})
-	}
-	out := make([]BatchOutcome, len(items))
-	if err := DesignBatch(items, out, &Scratch{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, item := range items {
-		if out[i].Err != nil {
-			t.Fatalf("item %d: %v", i, out[i].Err)
-		}
-		want, err := Design(item.Agent, item.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, want, out[i].Result)
-	}
-
-	if err := DesignBatch(items, out[:1], nil); err == nil {
-		t.Error("short outcome buffer accepted")
-	}
-}
-
 // FuzzDesignIntoMatchesDesign fuzzes the full parameter space — cost
 // curve (r2, r1, r0), worker (β, ω, reservation), requester (w, μ), and
 // partition (m, δ) — asserting the batched and scalar solves agree on

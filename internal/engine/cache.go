@@ -75,13 +75,16 @@ type CacheStats struct {
 	// Entries is the number of distinct design keys (menus) currently
 	// held.
 	Entries int
+	// Flushes counts whole-map drops on crossing MaxEntries — each one a
+	// cold round for every live key that follows.
+	Flushes uint64
 }
 
 // defaultCacheCap bounds the entry map: parameter drift (ψ, β, ω,
 // reservation) mints a new design key per drifted agent, so a long run
 // with churn would grow without bound. Crossing the cap flushes the whole
-// map (the next round repopulates the live keys); counters are preserved.
-// Weight drift mints no keys.
+// map (the next round repopulates the live keys) and counts one flush;
+// counters are preserved. Weight drift mints no keys.
 const defaultCacheCap = 1 << 16
 
 // Cache is a deduplicating cache of design menus keyed by DesignKey. It
@@ -98,14 +101,11 @@ type Cache struct {
 
 	mu      sync.RWMutex
 	entries map[DesignKey]*core.Menu
-	// hits/misses are telemetry counters so a registry can adopt them
-	// directly (ExportTo); Stats() stays a thin view over the same
-	// atomics, with or without a registry attached.
-	hits   telemetry.Counter
-	misses telemetry.Counter
-	// size mirrors len(entries) into the registry; nil (a no-op gauge)
-	// until ExportTo attaches one. Guarded by mu.
-	size *telemetry.Gauge
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	flushes uint64 // cap flushes; guarded by mu
+	// pub is what this cache last added to a registry (see publish).
+	pub published
 	// gen counts whole-map drops (Invalidate and cap flushes). Segments
 	// compare it against their own snapshot to clear their local maps
 	// lazily, so an Invalidate on the shared cache reaches every segment
@@ -152,10 +152,10 @@ func (c *Cache) putLocked(key DesignKey, m *core.Menu) {
 		c.entries = make(map[DesignKey]*core.Menu)
 	} else if len(c.entries) >= max {
 		c.entries = make(map[DesignKey]*core.Menu)
+		c.flushes++
 		c.gen.Add(1)
 	}
 	c.entries[key] = m
-	c.size.Set(float64(len(c.entries)))
 }
 
 // claim is the build-once lookup behind every designer: the key's menu on
@@ -164,13 +164,13 @@ func (c *Cache) putLocked(key DesignKey, m *core.Menu) {
 // as the miss), which it must land whether or not its build succeeds.
 func (c *Cache) claim(key DesignKey) (m *core.Menu, f *menuFlight, own bool) {
 	if m, ok := c.peek(key); ok {
-		c.hits.Inc()
+		c.hits.Add(1)
 		return m, nil, false
 	}
 	c.mu.Lock()
 	if m, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		c.hits.Inc()
+		c.hits.Add(1)
 		return m, nil, false
 	}
 	if f := c.flights[key]; f != nil {
@@ -186,7 +186,7 @@ func (c *Cache) claim(key DesignKey) (m *core.Menu, f *menuFlight, own bool) {
 	}
 	c.flights[key] = f
 	c.mu.Unlock()
-	c.misses.Inc()
+	c.misses.Add(1)
 	return nil, f, true
 }
 
@@ -214,7 +214,7 @@ func (c *Cache) await(ctx context.Context, _ DesignKey, f *menuFlight) (*core.Me
 		return nil, ctx.Err()
 	}
 	if f.menu != nil {
-		c.hits.Inc()
+		c.hits.Add(1)
 	}
 	return f.menu, nil
 }
@@ -238,7 +238,6 @@ func (c *Cache) Remove(keys ...DesignKey) {
 	for _, key := range keys {
 		delete(c.entries, key)
 	}
-	c.size.Set(float64(len(c.entries)))
 	c.mu.Unlock()
 }
 
@@ -249,39 +248,31 @@ func (c *Cache) Remove(keys ...DesignKey) {
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	c.entries = nil
-	c.size.Set(0)
 	c.gen.Add(1)
 	c.mu.Unlock()
 }
 
-// Stats returns a snapshot of the hit/miss counters and current size. It
-// is a thin view over the cache's live telemetry counters — the same
-// atomics a registry adopts through ExportTo — so printed stats and
-// scraped metrics can never disagree.
+// Stats returns a snapshot of this cache's own counters and current
+// size.
 func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
-	n := len(c.entries)
+	n, flushes := len(c.entries), c.flushes
 	c.mu.RUnlock()
-	return CacheStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Entries: n}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n, Flushes: flushes}
 }
 
-// ExportTo registers the cache's live hit/miss counters in reg under the
-// MetricCache* names and attaches an entries gauge that tracks the map
-// size from then on. Engines wire this automatically when both
-// Config.Cache and Config.Metrics are set. Exporting a second cache to
-// the same registry re-points the registered names at the newer cache
-// (telemetry's replacement semantics); a nil registry is a no-op.
-func (c *Cache) ExportTo(reg *telemetry.Registry) {
-	if reg == nil {
+// publish adds what the cache counted since its previous publish to reg's
+// MetricCache* metrics. Engines call it at every round end and Designers
+// at the end of every DesignBatch; the baseline lives in the cache, so a
+// cache shared by both counts each hit once, and a registry shared by
+// many caches sums them. A nil cache or registry is a no-op.
+func (c *Cache) publish(reg *telemetry.Registry) {
+	if c == nil || reg == nil {
 		return
 	}
-	reg.RegisterCounter(MetricCacheHits, &c.hits)
-	reg.RegisterCounter(MetricCacheMisses, &c.misses)
-	size := reg.Gauge(MetricCacheEntries)
-	c.mu.Lock()
-	c.size = size
-	c.size.Set(float64(len(c.entries)))
-	c.mu.Unlock()
+	c.pub.mu.Lock()
+	defer c.pub.mu.Unlock()
+	c.pub.add(reg, &cacheMetrics, c.Stats())
 }
 
 // CacheSegment is a shard-local view over a shared Cache: reads consult a
@@ -290,7 +281,7 @@ func (c *Cache) ExportTo(reg *telemetry.Registry) {
 // read-mostly table, so distinct shards holding the same archetype dedup
 // through the parent while their warm rounds never touch its lock. Writes
 // publish to both layers. Hits and misses count on the parent's atomic
-// counters, so Stats/ExportTo aggregate across every segment for free.
+// counters, so Stats and publish aggregate across every segment for free.
 //
 // A segment never outlives its cache's contents: Invalidate (or a cap
 // flush) bumps the parent's generation, and the segment clears its local
@@ -350,7 +341,7 @@ func (s *CacheSegment) peek(key DesignKey) (*core.Menu, bool) {
 func (s *CacheSegment) claim(key DesignKey) (*core.Menu, *menuFlight, bool) {
 	s.sync()
 	if m, ok := s.local[key]; ok {
-		s.parent.hits.Inc()
+		s.parent.hits.Add(1)
 		return m, nil, false
 	}
 	m, f, own := s.parent.claim(key)

@@ -145,4 +145,7 @@ func TestCacheMaxEntriesFlush(t *testing.T) {
 	if _, ok := c.peek(DesignKey{Beta: 3}); !ok {
 		t.Error("the entry that triggered the flush was lost")
 	}
+	if got := c.Stats().Flushes; got != 1 {
+		t.Errorf("flushes = %d, want 1", got)
+	}
 }

@@ -313,7 +313,9 @@ type DesignRequest struct {
 // scratch and allocates its results fresh, so concurrent DesignBatch calls
 // are safe with each other and with Contracts, provided Parallelism,
 // Cache, and Metrics are not mutated concurrently. The returned slice is
-// index-aligned with reqs.
+// index-aligned with reqs. On return the Cache's counters are published
+// to Metrics, so a design query's hits reach the registry at the end of
+// its batch.
 func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu float64, reqs []DesignRequest) ([]*contract.PiecewiseLinear, error) {
 	var p pickPlan
 	p.reset()
@@ -326,7 +328,9 @@ func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu fl
 	if d.Cache != nil {
 		src = d.Cache
 	}
-	if err := p.resolve(ctx, src, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil); err != nil {
+	err := p.resolve(ctx, src, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil)
+	d.Cache.publish(d.Metrics)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]*contract.PiecewiseLinear, len(reqs))

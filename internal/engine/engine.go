@@ -151,7 +151,8 @@ type Config struct {
 	Shards int
 	// Metrics, when non-nil, instruments the run: per-stage round timing
 	// histograms, per-round ledger gauges (the same set TelemetryObserver
-	// exports), the design cache's counters (Cache.ExportTo), and — for
+	// exports), the design cache's and respond memo's counters (published
+	// at every round end), and — for
 	// policies implementing MetricsUser — the solver fan-out.
 	// telemetry.Nop (a nil registry) leaves the run un-instrumented;
 	// enabling metrics never changes the simulated ledger.
@@ -390,12 +391,6 @@ func New(pop *Population, cfg Config) (*Engine, error) {
 	if cfg.Metrics != nil {
 		if mu, ok := cfg.Policy.(MetricsUser); ok {
 			mu.UseMetrics(cfg.Metrics)
-		}
-		if cfg.Cache != nil {
-			cfg.Cache.ExportTo(cfg.Metrics)
-		}
-		if cfg.Memo != nil {
-			cfg.Memo.ExportTo(cfg.Metrics)
 		}
 		e.m = newStageMetrics(cfg.Metrics)
 		// Ledger metrics are exported directly in Run rather than by
@@ -692,11 +687,14 @@ func (e *Engine) stageSettle(_ context.Context, st *roundState) error {
 }
 
 // stageObserve dispatches per-agent outcomes and the round end. The
-// registry export runs first so observers that read Config.Metrics (e.g.
-// a per-round JSONL flush) see the completed round's values.
+// registry export (with the cache and memo publish) runs first so
+// observers that read Config.Metrics (e.g. a per-round JSONL flush) see
+// the completed round's values.
 func (e *Engine) stageObserve(_ context.Context, st *roundState) error {
 	if st.timed {
 		e.telObs.record(st.round, st.declined, st.excluded)
+		e.cfg.Cache.publish(e.cfg.Metrics)
+		e.cfg.Memo.publish(e.cfg.Metrics)
 	}
 	for i := range st.round.Outcomes {
 		for _, ob := range e.cfg.Observers {

@@ -49,12 +49,14 @@ type RespondStats struct {
 	Misses uint64
 	// Entries is the number of distinct responses currently held.
 	Entries int
+	// Flushes counts whole-map drops on crossing MaxEntries.
+	Flushes uint64
 }
 
 // defaultMemoCap bounds the entry map, mirroring the design cache:
 // parameter drift mints a new key per drifted agent and contract, so a
 // long run with churn would otherwise grow without bound. Crossing the
-// cap flushes the whole map; counters are preserved.
+// cap flushes the whole map and counts one flush; counters are preserved.
 const defaultMemoCap = 1 << 16
 
 // RespondMemo is a deduplicating best-response memo keyed by (design key,
@@ -77,15 +79,12 @@ type RespondMemo struct {
 	// all of a dead key's (key, contract) entries without scanning the
 	// map. Maintained by Put, discarded with the entries on Invalidate
 	// and cap flushes.
-	byKey map[DesignKey][]*contract.PiecewiseLinear
-	// hits/misses are telemetry counters so a registry can adopt them
-	// directly (ExportTo); Stats() stays a thin view over the same
-	// atomics, with or without a registry attached.
-	hits   telemetry.Counter
-	misses telemetry.Counter
-	// size mirrors len(entries) into the registry; nil (a no-op gauge)
-	// until ExportTo attaches one. Guarded by mu.
-	size *telemetry.Gauge
+	byKey   map[DesignKey][]*contract.PiecewiseLinear
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	flushes uint64 // cap flushes; guarded by mu
+	// pub is what this memo last added to a registry (see publish).
+	pub published
 	// gen counts whole-map drops (Invalidate and cap flushes), clearing
 	// segments lazily — see Cache.gen for the protocol.
 	gen atomic.Uint64
@@ -100,10 +99,10 @@ func (m *RespondMemo) Get(key DesignKey, c *contract.PiecewiseLinear) (worker.Re
 	resp, ok := m.entries[respondKey{key: key, c: c}]
 	m.mu.RUnlock()
 	if ok {
-		m.hits.Inc()
+		m.hits.Add(1)
 		return resp, true
 	}
-	m.misses.Inc()
+	m.misses.Add(1)
 	return worker.Response{}, false
 }
 
@@ -124,6 +123,7 @@ func (m *RespondMemo) Put(key DesignKey, c *contract.PiecewiseLinear, resp worke
 	} else if len(m.entries) >= max {
 		m.entries = make(map[respondKey]worker.Response)
 		m.byKey = nil
+		m.flushes++
 		m.gen.Add(1)
 	}
 	if _, dup := m.entries[rk]; !dup {
@@ -133,7 +133,6 @@ func (m *RespondMemo) Put(key DesignKey, c *contract.PiecewiseLinear, resp worke
 		m.byKey[key] = append(m.byKey[key], c)
 	}
 	m.entries[rk] = resp
-	m.size.Set(float64(len(m.entries)))
 	m.mu.Unlock()
 }
 
@@ -155,7 +154,6 @@ func (m *RespondMemo) RemoveKeys(keys ...DesignKey) {
 		}
 		delete(m.byKey, key)
 	}
-	m.size.Set(float64(len(m.entries)))
 	m.mu.Unlock()
 }
 
@@ -166,36 +164,27 @@ func (m *RespondMemo) Invalidate() {
 	m.mu.Lock()
 	m.entries = nil
 	m.byKey = nil
-	m.size.Set(0)
 	m.gen.Add(1)
 	m.mu.Unlock()
 }
 
-// Stats returns a snapshot of the hit/miss counters and current size —
-// a thin view over the memo's live telemetry counters, the same atomics
-// a registry adopts through ExportTo.
+// Stats returns a snapshot of this memo's own counters and current size.
 func (m *RespondMemo) Stats() RespondStats {
 	m.mu.RLock()
-	n := len(m.entries)
+	n, flushes := len(m.entries), m.flushes
 	m.mu.RUnlock()
-	return RespondStats{Hits: m.hits.Value(), Misses: m.misses.Value(), Entries: n}
+	return RespondStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: n, Flushes: flushes}
 }
 
-// ExportTo registers the memo's live hit/miss counters in reg under the
-// MetricRespond* names and attaches an entries gauge. Engines wire this
-// automatically when both Config.Memo and Config.Metrics are set; a nil
-// registry is a no-op.
-func (m *RespondMemo) ExportTo(reg *telemetry.Registry) {
-	if reg == nil {
+// publish adds what the memo counted since its previous publish to reg's
+// MetricRespond* metrics, like Cache.publish.
+func (m *RespondMemo) publish(reg *telemetry.Registry) {
+	if m == nil || reg == nil {
 		return
 	}
-	reg.RegisterCounter(MetricRespondHits, &m.hits)
-	reg.RegisterCounter(MetricRespondMisses, &m.misses)
-	size := reg.Gauge(MetricRespondEntries)
-	m.mu.Lock()
-	m.size = size
-	m.size.Set(float64(len(m.entries)))
-	m.mu.Unlock()
+	m.pub.mu.Lock()
+	defer m.pub.mu.Unlock()
+	m.pub.add(reg, &respondMetrics, CacheStats(m.Stats()))
 }
 
 // RespondMemoSegment is a shard-local view over a shared RespondMemo,
@@ -243,7 +232,7 @@ func (s *RespondMemoSegment) Get(key DesignKey, c *contract.PiecewiseLinear) (wo
 	s.sync()
 	rk := respondKey{key: key, c: c}
 	if resp, ok := s.local[rk]; ok {
-		s.parent.hits.Inc()
+		s.parent.hits.Add(1)
 		return resp, true
 	}
 	resp, ok := s.parent.Get(key, c)

@@ -322,10 +322,9 @@ func TestRespondMemoCapFlush(t *testing.T) {
 	}
 }
 
-// TestRespondMemoExportTo mirrors TestCacheExportTo: with Config.Metrics
-// set the engine adopts the memo's live counters, so the registry snapshot
-// and Stats() read the same numbers.
-func TestRespondMemoExportTo(t *testing.T) {
+// TestRespondMemoPublish mirrors TestCachePublish: after a run, the
+// registry counters equal the memo's own Stats().
+func TestRespondMemoPublish(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	memo := engine.NewRespondMemo()
 	_, err := engine.RunLedger(context.Background(), archetypePopulation(t, 30), engine.Config{
@@ -342,15 +341,8 @@ func TestRespondMemoExportTo(t *testing.T) {
 	if stats.Hits == 0 || stats.Misses == 0 {
 		t.Fatalf("archetype population must hit and miss the memo, got %+v", stats)
 	}
-	s := reg.Snapshot()
-	if got := s.Counters[engine.MetricRespondHits]; got != stats.Hits {
-		t.Errorf("registry hits = %d, Stats().Hits = %d", got, stats.Hits)
-	}
-	if got := s.Counters[engine.MetricRespondMisses]; got != stats.Misses {
-		t.Errorf("registry misses = %d, Stats().Misses = %d", got, stats.Misses)
-	}
-	if got := int(s.Gauges[engine.MetricRespondEntries]); got != stats.Entries {
-		t.Errorf("registry entries = %d, Stats().Entries = %d", got, stats.Entries)
+	if got := registryRespondStats(reg.Snapshot()); got != stats {
+		t.Errorf("registry reads %+v, Stats() reads %+v", got, stats)
 	}
 }
 

@@ -398,7 +398,7 @@ func (e *Engine) patchContract(a *worker.Agent, fp Fingerprint) *contract.Piecew
 	if err != nil {
 		return nil // the fill reports it
 	}
-	e.cfg.Cache.hits.Inc()
+	e.cfg.Cache.hits.Add(1)
 	return c
 }
 

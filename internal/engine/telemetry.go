@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync"
+
 	"dyncontract/internal/contract"
 	"dyncontract/internal/telemetry"
 )
@@ -42,18 +44,23 @@ const (
 	// MetricRoundSeconds times the whole round.
 	MetricRoundSeconds = "dyncontract_engine_round_seconds"
 
-	// Design-cache counters (adopted from Cache via ExportTo; Stats()
-	// remains a thin view over the same counters).
+	// Design-cache counters, published by every Cache at engine round
+	// end and at the end of Designer.DesignBatch (Cache.publish), so a
+	// registry shared by many caches — one per session or run — sums
+	// them. Entries is the menus held at each cache's last publish;
+	// flushes are whole-map drops on crossing MaxEntries.
 	MetricCacheHits    = "dyncontract_engine_cache_hits_total"
 	MetricCacheMisses  = "dyncontract_engine_cache_misses_total"
+	MetricCacheFlushes = "dyncontract_engine_cache_flushes_total"
 	MetricCacheEntries = "dyncontract_engine_cache_entries"
 
-	// Respond-memo counters (adopted from RespondMemo via ExportTo,
-	// mirroring the design cache's wiring). Misses count BestResponse
-	// calls the respond stage actually performed; hits count distinct
-	// (fingerprint, contract) keys per round served from the memo.
+	// Respond-memo counters, published like the design cache's at engine
+	// round end. Misses count BestResponse calls the respond stage
+	// actually performed; hits count distinct (fingerprint, contract) keys
+	// per round served from the memo.
 	MetricRespondHits    = "dyncontract_engine_respond_hits_total"
 	MetricRespondMisses  = "dyncontract_engine_respond_misses_total"
+	MetricRespondFlushes = "dyncontract_engine_respond_flushes_total"
 	MetricRespondEntries = "dyncontract_engine_respond_entries"
 
 	// MetricShards is the round pipeline's current shard count — the
@@ -105,6 +112,45 @@ const (
 	stageSecondsHi   = 0.25
 	stageSecondsBins = 50
 )
+
+// statsMetrics names the registry metrics one cache or memo publishes.
+type statsMetrics struct{ hits, misses, flushes, entries string }
+
+var (
+	cacheMetrics   = statsMetrics{MetricCacheHits, MetricCacheMisses, MetricCacheFlushes, MetricCacheEntries}
+	respondMetrics = statsMetrics{MetricRespondHits, MetricRespondMisses, MetricRespondFlushes, MetricRespondEntries}
+)
+
+// published is what one cache or memo last added to a registry, so each
+// publish adds only the increase since the previous one: the registry's
+// counters stay monotone however many caches feed them, and a cache
+// shared by an engine and a Designer is counted once. The handles are
+// resolved on the first publish to a registry, as stageMetrics resolves
+// its own, so a publish costs four atomic adds. A cache publishing to a
+// second registry starts it at its next increase.
+type published struct {
+	mu                    sync.Mutex
+	last                  CacheStats
+	reg                   *telemetry.Registry
+	hits, misses, flushes *telemetry.Counter
+	entries               *telemetry.Gauge
+}
+
+// add publishes cur − last under names and makes cur the new baseline.
+// The caller holds p.mu and read cur under it, so concurrent publishers
+// of one cache never see the baseline run ahead of their reading.
+func (p *published) add(reg *telemetry.Registry, names *statsMetrics, cur CacheStats) {
+	if p.reg != reg {
+		p.reg = reg
+		p.hits, p.misses, p.flushes = reg.Counter(names.hits), reg.Counter(names.misses), reg.Counter(names.flushes)
+		p.entries = reg.Gauge(names.entries)
+	}
+	p.hits.Add(cur.Hits - p.last.Hits)
+	p.misses.Add(cur.Misses - p.last.Misses)
+	p.flushes.Add(cur.Flushes - p.last.Flushes)
+	p.entries.Add(float64(cur.Entries - p.last.Entries))
+	p.last = cur
+}
 
 // stageMetrics holds the engine's pre-resolved instrument handles; one
 // registry lookup per metric at construction, zero allocations per round

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dyncontract/internal/contract"
@@ -135,9 +136,9 @@ func TestStageTimings(t *testing.T) {
 	}
 }
 
-// TestCacheExportTo pins the "Stats() stays a thin view" contract: after
-// ExportTo, the registry snapshot and Stats() read the same counters.
-func TestCacheExportTo(t *testing.T) {
+// TestCachePublish pins the round-end publish: after a run, the registry
+// counters equal the cache's own Stats().
+func TestCachePublish(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cache := engine.NewCache()
 	_, err := engine.RunLedger(context.Background(), archetypePopulation(t, 30), engine.Config{
@@ -153,15 +154,135 @@ func TestCacheExportTo(t *testing.T) {
 	if stats.Hits == 0 || stats.Misses == 0 {
 		t.Fatalf("archetype population must hit and miss the cache, got %+v", stats)
 	}
+	if got := registryCacheStats(reg.Snapshot()); got != stats {
+		t.Errorf("registry reads %+v, Stats() reads %+v", got, stats)
+	}
+}
+
+// registryCacheStats reads the published MetricCache* values back.
+func registryCacheStats(s telemetry.Snapshot) engine.CacheStats {
+	return engine.CacheStats{
+		Hits:    s.Counters[engine.MetricCacheHits],
+		Misses:  s.Counters[engine.MetricCacheMisses],
+		Flushes: s.Counters[engine.MetricCacheFlushes],
+		Entries: int(s.Gauges[engine.MetricCacheEntries]),
+	}
+}
+
+// registryRespondStats reads the published MetricRespond* values back.
+func registryRespondStats(s telemetry.Snapshot) engine.RespondStats {
+	return engine.RespondStats{
+		Hits:    s.Counters[engine.MetricRespondHits],
+		Misses:  s.Counters[engine.MetricRespondMisses],
+		Flushes: s.Counters[engine.MetricRespondFlushes],
+		Entries: int(s.Gauges[engine.MetricRespondEntries]),
+	}
+}
+
+// TestPublishSumsRunsAndCountsSharedCacheOnce is the regression test for
+// registry counters that used to follow only the newest cache (and so
+// went backwards, printing 2^64-scale deltas): runs sharing a registry
+// must sum, and a cache shared by an engine and a Designer — as every
+// server session shares one — must count each hit once.
+func TestPublishSumsRunsAndCountsSharedCacheOnce(t *testing.T) {
+	ctx := context.Background()
+	t.Run("fresh cache per run", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		var cacheSum engine.CacheStats
+		var memoSum engine.RespondStats
+		for run, rounds := range []int{3, 2} {
+			cache, memo := engine.NewCache(), engine.NewRespondMemo()
+			_, err := engine.RunLedger(ctx, archetypePopulation(t, 12+run*9), engine.Config{
+				Policy: &designPolicy{}, Rounds: rounds, Cache: cache, Memo: memo, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, ms := cache.Stats(), memo.Stats()
+			cacheSum.Hits += cs.Hits
+			cacheSum.Misses += cs.Misses
+			cacheSum.Entries += cs.Entries
+			memoSum.Hits += ms.Hits
+			memoSum.Misses += ms.Misses
+			memoSum.Entries += ms.Entries
+		}
+		s := reg.Snapshot()
+		if got := registryCacheStats(s); got != cacheSum {
+			t.Errorf("cache: registry %+v, sum of runs %+v", got, cacheSum)
+		}
+		if got := registryRespondStats(s); got != memoSum {
+			t.Errorf("memo: registry %+v, sum of runs %+v", got, memoSum)
+		}
+	})
+	t.Run("cache shared by engine and designer", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		cache := engine.NewCache()
+		pop := archetypePopulation(t, 9)
+		eng, err := engine.New(pop, engine.Config{Policy: &designPolicy{}, Rounds: 1, Cache: cache, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &engine.Designer{Cache: cache, Metrics: reg}
+		reqs := []engine.DesignRequest{{Agent: pop.Agents[0], W: 1}, {Agent: pop.Agents[1], W: 2}}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 5; j++ {
+					if _, err := d.DesignBatch(ctx, pop.Part, pop.Mu, reqs); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		for r := 0; r < 3; r++ {
+			if err := eng.Step(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		stats := cache.Stats()
+		if stats.Hits < 4*5*2-3 {
+			t.Fatalf("design batches barely hit the cache: %+v", stats)
+		}
+		if got := registryCacheStats(reg.Snapshot()); got != stats {
+			t.Errorf("registry %+v, cache counted %+v", got, stats)
+		}
+	})
+}
+
+// TestCapFlushPublished pins the cap-flush counters: a cache and a memo
+// capped at 3 entries cross the cap once when a β drift mints 3 fresh
+// design keys over 3 live ones, and the registry reads exactly 1 of each.
+func TestCapFlushPublished(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cache := &engine.Cache{MaxEntries: 3}
+	memo := &engine.RespondMemo{MaxEntries: 3}
+	drift := func(round int, pop *engine.Population) {
+		if round == 1 {
+			for _, a := range pop.Agents {
+				a.Beta *= 1.1
+			}
+		}
+	}
+	_, err := engine.RunLedger(context.Background(), archetypePopulation(t, 9), engine.Config{
+		Policy: &designPolicy{}, Rounds: 2, Drift: drift, Cache: cache, Memo: memo, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Stats().Flushes; got != 1 {
+		t.Errorf("cache flushes = %d, want 1", got)
+	}
+	if got := memo.Stats().Flushes; got != 1 {
+		t.Errorf("memo flushes = %d, want 1", got)
+	}
 	s := reg.Snapshot()
-	if got := s.Counters[engine.MetricCacheHits]; got != stats.Hits {
-		t.Errorf("registry hits = %d, Stats().Hits = %d", got, stats.Hits)
-	}
-	if got := s.Counters[engine.MetricCacheMisses]; got != stats.Misses {
-		t.Errorf("registry misses = %d, Stats().Misses = %d", got, stats.Misses)
-	}
-	if got := int(s.Gauges[engine.MetricCacheEntries]); got != stats.Entries {
-		t.Errorf("registry entries = %d, Stats().Entries = %d", got, stats.Entries)
+	for _, name := range []string{engine.MetricCacheFlushes, engine.MetricRespondFlushes} {
+		if got := s.Counters[name]; got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
 	}
 }
 

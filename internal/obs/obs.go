@@ -2,9 +2,10 @@
 // command-line binaries: one flag set (-metrics, -metrics-listen,
 // -cpuprofile, -memprofile), one Session that owns the resulting sinks —
 // a JSONL snapshot file, an HTTP endpoint serving /metrics in Prometheus
-// text format plus net/http/pprof, and CPU/heap profiles — and one
-// cache-stats printer, so cmd/platformsim and cmd/experiments stay
-// wiring-identical instead of growing two copies.
+// text format plus net/http/pprof, and CPU/heap profiles — and one stats
+// printer (FprintStats) over registry snapshots, so cmd/platformsim,
+// cmd/experiments and cmd/contractd print every counter in the same
+// vocabulary as /metrics instead of growing their own copies.
 package obs
 
 import (
@@ -206,237 +207,60 @@ func writeHeapProfile(path string) error {
 	return nil
 }
 
-// FprintCacheStats renders design-cache counters the way both CLIs print
-// them — the one shared copy of the `-cachestats` output format.
-func FprintCacheStats(w io.Writer, s engine.CacheStats) {
-	fmt.Fprintf(w, "  design cache: %d hits, %d misses (%d distinct designs held)\n",
-		s.Hits, s.Misses, s.Entries)
-}
+// SimPrefixes selects the metrics the simulation CLIs' -stats prints:
+// the engine's (rounds, stages, shards, drift, design cache, respond
+// memo) and the solver's.
+var SimPrefixes = []string{"dyncontract_engine_", "dyncontract_solver_"}
 
-// FprintRespondStats renders respond-memo counters the way both CLIs
-// print them — the one shared copy of the `-respondstats` output format.
-func FprintRespondStats(w io.Writer, s engine.RespondStats) {
-	fmt.Fprintf(w, "  respond memo: %d hits, %d misses (%d responses held)\n",
-		s.Hits, s.Misses, s.Entries)
-}
-
-// CacheStatsFrom reconstructs a CacheStats view from a registry snapshot
-// (the MetricCache* names), for call sites that observe a run through its
-// registry rather than holding the *engine.Cache.
-func CacheStatsFrom(s telemetry.Snapshot) engine.CacheStats {
-	return engine.CacheStats{
-		Hits:    s.Counters[engine.MetricCacheHits],
-		Misses:  s.Counters[engine.MetricCacheMisses],
-		Entries: int(s.Gauges[engine.MetricCacheEntries]),
-	}
-}
-
-// DeltaCacheStats returns cur−prev on the counters (Entries stays
-// absolute): the per-run view when several simulations share one
-// registry, as cmd/experiments does across experiments.
-func DeltaCacheStats(prev, cur engine.CacheStats) engine.CacheStats {
-	return engine.CacheStats{
-		Hits:    cur.Hits - prev.Hits,
-		Misses:  cur.Misses - prev.Misses,
-		Entries: cur.Entries,
-	}
-}
-
-// RespondStatsFrom reconstructs a RespondStats view from a registry
-// snapshot (the MetricRespond* names), mirroring CacheStatsFrom.
-func RespondStatsFrom(s telemetry.Snapshot) engine.RespondStats {
-	return engine.RespondStats{
-		Hits:    s.Counters[engine.MetricRespondHits],
-		Misses:  s.Counters[engine.MetricRespondMisses],
-		Entries: int(s.Gauges[engine.MetricRespondEntries]),
-	}
-}
-
-// DeltaRespondStats returns cur−prev on the counters (Entries stays
-// absolute), mirroring DeltaCacheStats for runs sharing one memo or
-// registry.
-func DeltaRespondStats(prev, cur engine.RespondStats) engine.RespondStats {
-	return engine.RespondStats{
-		Hits:    cur.Hits - prev.Hits,
-		Misses:  cur.Misses - prev.Misses,
-		Entries: cur.Entries,
-	}
-}
-
-// ShardStats summarizes the round pipeline's per-shard stage activity
-// as read from a registry snapshot: the current shard count and, per
-// stage, how many per-shard executions ran and how long they took in
-// total. Design runs once per shard per rebuilt round; RespondRuns below
-// DesignRuns×rounds is warm rounds skipping the respond stage per shard.
-type ShardStats struct {
-	Shards                        int
-	DesignRuns, RespondRuns       uint64
-	DesignSeconds, RespondSeconds float64
-}
-
-// ShardStatsFrom reads the shard gauge and per-shard stage histograms
-// (the MetricShard* names) out of a registry snapshot, mirroring
-// CacheStatsFrom.
-func ShardStatsFrom(s telemetry.Snapshot) ShardStats {
-	design := s.Histograms[engine.MetricShardDesignSeconds]
-	respond := s.Histograms[engine.MetricShardRespondSeconds]
-	return ShardStats{
-		Shards:         int(s.Gauges[engine.MetricShards]),
-		DesignRuns:     design.Count,
-		RespondRuns:    respond.Count,
-		DesignSeconds:  design.Sum,
-		RespondSeconds: respond.Sum,
-	}
-}
-
-// DeltaShardStats returns cur−prev on the run counts and timings (Shards
-// stays absolute): the per-run view when several simulations share one
-// registry, mirroring DeltaCacheStats.
-func DeltaShardStats(prev, cur ShardStats) ShardStats {
-	return ShardStats{
-		Shards:         cur.Shards,
-		DesignRuns:     cur.DesignRuns - prev.DesignRuns,
-		RespondRuns:    cur.RespondRuns - prev.RespondRuns,
-		DesignSeconds:  cur.DesignSeconds - prev.DesignSeconds,
-		RespondSeconds: cur.RespondSeconds - prev.RespondSeconds,
-	}
-}
-
-// DriftStats summarizes the engine's sparse-drift activity as read from a
-// registry snapshot: how many agents were named by consumed Touch scopes,
-// how the shard partition split between rebuilt (owning a touched agent)
-// and skipped (left warm) shards, and the total time spent in sparse view
-// refreshes. Bump and legacy Drift-hook rounds take the full-rebuild path
-// and count nothing here.
-type DriftStats struct {
-	TouchedAgents  uint64
-	JoinedAgents   uint64
-	LeftAgents     uint64
-	Compactions    uint64
-	ShardsRebuilt  uint64
-	ShardsSkipped  uint64
-	RebuildRuns    uint64
-	RebuildSeconds float64
-}
-
-// DriftStatsFrom reads the drift counters and the sparse-refresh timing
-// histogram (the MetricDrift* names) out of a registry snapshot,
-// mirroring ShardStatsFrom.
-func DriftStatsFrom(s telemetry.Snapshot) DriftStats {
-	rebuild := s.Histograms[engine.MetricDriftRebuildSeconds]
-	return DriftStats{
-		TouchedAgents:  s.Counters[engine.MetricDriftTouchedAgents],
-		JoinedAgents:   s.Counters[engine.MetricDriftJoins],
-		LeftAgents:     s.Counters[engine.MetricDriftLeaves],
-		Compactions:    s.Counters[engine.MetricDriftCompactions],
-		ShardsRebuilt:  s.Counters[engine.MetricDriftShardsRebuilt],
-		ShardsSkipped:  s.Counters[engine.MetricDriftShardsSkipped],
-		RebuildRuns:    rebuild.Count,
-		RebuildSeconds: rebuild.Sum,
-	}
-}
-
-// DeltaDriftStats returns cur−prev on every field — all of them
-// cumulative — for runs sharing one registry, mirroring DeltaShardStats.
-func DeltaDriftStats(prev, cur DriftStats) DriftStats {
-	return DriftStats{
-		TouchedAgents:  cur.TouchedAgents - prev.TouchedAgents,
-		JoinedAgents:   cur.JoinedAgents - prev.JoinedAgents,
-		LeftAgents:     cur.LeftAgents - prev.LeftAgents,
-		Compactions:    cur.Compactions - prev.Compactions,
-		ShardsRebuilt:  cur.ShardsRebuilt - prev.ShardsRebuilt,
-		ShardsSkipped:  cur.ShardsSkipped - prev.ShardsSkipped,
-		RebuildRuns:    cur.RebuildRuns - prev.RebuildRuns,
-		RebuildSeconds: cur.RebuildSeconds - prev.RebuildSeconds,
-	}
-}
-
-// HTTPRouteStats summarizes one instrumented HTTP route (the
-// telemetry.InstrumentHandler metric set) as read from a registry
-// snapshot: request and status-class counts, the backpressure rejections,
-// and latency aggregates from the route's histogram.
-type HTTPRouteStats struct {
-	Route                   string
-	Requests, Rejected      uint64
-	Status2xx, Status3xx    uint64
-	Status4xx, Status5xx    uint64
-	MeanSeconds, P50Seconds float64
-	P95Seconds, P99Seconds  float64
-}
-
-// HTTPStatsFrom extracts every instrumented route from a registry
-// snapshot, sorted by route name — the serving-layer sibling of
-// CacheStatsFrom/ShardStatsFrom, used by contractd's exit summary.
-func HTTPStatsFrom(s telemetry.Snapshot) []HTTPRouteStats {
-	var out []HTTPRouteStats
-	for name, hist := range s.Histograms {
-		if !strings.HasPrefix(name, telemetry.HTTPMetricPrefix) || !strings.HasSuffix(name, telemetry.HTTPSuffixSeconds) {
-			continue
+// FprintStats prints one line per metric whose name starts with one of
+// prefixes, sorted by name, describing what happened between prev and
+// cur: a counter prints cur−prev, a gauge its current value, and a
+// histogram the count, mean and p50/p95/p99 of its bin-count delta. A
+// metric absent from prev counts from zero, so the zero Snapshot as prev
+// prints cur's totals. It is the one stats view every CLI prints.
+func FprintStats(w io.Writer, prev, cur telemetry.Snapshot, prefixes ...string) {
+	match := func(name string) bool {
+		for _, p := range prefixes {
+			if strings.HasPrefix(name, p) {
+				return true
+			}
 		}
-		route := strings.TrimSuffix(strings.TrimPrefix(name, telemetry.HTTPMetricPrefix), telemetry.HTTPSuffixSeconds)
-		base := telemetry.HTTPMetricPrefix + route
-		out = append(out, HTTPRouteStats{
-			Route:       route,
-			Requests:    s.Counters[base+telemetry.HTTPSuffixRequests],
-			Rejected:    s.Counters[base+telemetry.HTTPSuffixRejected],
-			Status2xx:   s.Counters[base+telemetry.HTTPSuffix2xx],
-			Status3xx:   s.Counters[base+telemetry.HTTPSuffix3xx],
-			Status4xx:   s.Counters[base+telemetry.HTTPSuffix4xx],
-			Status5xx:   s.Counters[base+telemetry.HTTPSuffix5xx],
-			MeanSeconds: hist.Mean(),
-			P50Seconds:  hist.Quantile(0.50),
-			P95Seconds:  hist.Quantile(0.95),
-			P99Seconds:  hist.Quantile(0.99),
-		})
+		return false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Route < out[j].Route })
-	return out
-}
-
-// FprintHTTPStats renders per-route serving stats one line per route —
-// the shared format for contractd's drain summary and tests.
-func FprintHTTPStats(w io.Writer, stats []HTTPRouteStats) {
-	if len(stats) == 0 {
-		fmt.Fprintf(w, "  http: no instrumented routes\n")
-		return
-	}
-	for _, s := range stats {
-		fmt.Fprintf(w, "  http %-16s %8d reqs (%d rejected, %d 5xx)  mean %8.4fs  p50 %8.4fs  p95 %8.4fs  p99 %8.4fs\n",
-			s.Route, s.Requests, s.Rejected, s.Status5xx, s.MeanSeconds, s.P50Seconds, s.P95Seconds, s.P99Seconds)
-	}
-}
-
-// FprintShardStats renders the round pipeline's per-shard stage metrics
-// — the `-shardstats` output format.
-func FprintShardStats(w io.Writer, s ShardStats) {
-	mean := func(sum float64, n uint64) float64 {
-		if n == 0 {
-			return 0
+	var lines []string
+	for name, v := range cur.Counters {
+		if match(name) {
+			lines = append(lines, fmt.Sprintf("  %s %d", name, v-prev.Counters[name]))
 		}
-		return sum / float64(n)
 	}
-	fmt.Fprintf(w, "  shards: %d\n", s.Shards)
-	fmt.Fprintf(w, "  shard design:  %6d runs, mean %.6fs\n", s.DesignRuns, mean(s.DesignSeconds, s.DesignRuns))
-	fmt.Fprintf(w, "  shard respond: %6d runs, mean %.6fs\n", s.RespondRuns, mean(s.RespondSeconds, s.RespondRuns))
+	for name, v := range cur.Gauges {
+		if match(name) {
+			lines = append(lines, fmt.Sprintf("  %s %g", name, v))
+		}
+	}
+	for name, h := range cur.Histograms {
+		if match(name) {
+			d := histDelta(prev.Histograms[name], h)
+			lines = append(lines, fmt.Sprintf("  %s count %d mean %.6g p50 %.6g p95 %.6g p99 %.6g",
+				name, d.Count, d.Mean(), d.Quantile(0.50), d.Quantile(0.95), d.Quantile(0.99)))
+		}
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Fprintln(w, l)
+	}
 }
 
-// FprintDriftStats renders the engine's sparse-drift counters — the
-// `-driftstats` output format. Stats with no touched agents (no Touch
-// scope ever consumed: full-rebuild drifts only, or telemetry disabled)
-// print a single explanatory line.
-func FprintDriftStats(w io.Writer, s DriftStats) {
-	if s.TouchedAgents == 0 && s.JoinedAgents == 0 && s.LeftAgents == 0 {
-		fmt.Fprintf(w, "  drift: no scoped drift (Touch/TouchJoin/TouchLeave) observed\n")
-		return
+// histDelta returns cur − prev bin by bin. A prev with another bin layout
+// (or none) cannot be subtracted, so cur is returned whole.
+func histDelta(prev, cur telemetry.HistogramSnapshot) telemetry.HistogramSnapshot {
+	if prev.Lo != cur.Lo || prev.Hi != cur.Hi || len(prev.Counts) != len(cur.Counts) {
+		return cur
 	}
-	fmt.Fprintf(w, "  drift touched: %d agents across %d sparse refreshes\n", s.TouchedAgents, s.RebuildRuns)
-	if s.JoinedAgents > 0 || s.LeftAgents > 0 {
-		fmt.Fprintf(w, "  drift churn:   %d joined, %d left, %d compactions\n", s.JoinedAgents, s.LeftAgents, s.Compactions)
+	d := telemetry.HistogramSnapshot{Lo: cur.Lo, Hi: cur.Hi, Counts: make([]uint64, len(cur.Counts)),
+		Count: cur.Count - prev.Count, Sum: cur.Sum - prev.Sum}
+	for i := range cur.Counts {
+		d.Counts[i] = cur.Counts[i] - prev.Counts[i]
 	}
-	fmt.Fprintf(w, "  drift shards:  %d rebuilt, %d skipped\n", s.ShardsRebuilt, s.ShardsSkipped)
-	mean := 0.0
-	if s.RebuildRuns > 0 {
-		mean = s.RebuildSeconds / float64(s.RebuildRuns)
-	}
-	fmt.Fprintf(w, "  drift refresh: %.6fs total, mean %.6fs\n", s.RebuildSeconds, mean)
+	return d
 }

@@ -35,8 +35,9 @@ import (
 var Nop *Registry
 
 // Registry is a concurrency-safe collection of named metrics. Metrics are
-// created on first use (get-or-create) or adopted via the Register
-// methods; names live in one flat namespace per metric kind.
+// created on first use (get-or-create) and owned by the registry, so a
+// name never changes hands and a counter only goes up; names live in one
+// flat namespace per metric kind.
 //
 // The zero value is NOT ready to use — call NewRegistry. (A nil *Registry
 // is valid, and means "collection disabled"; see Nop.)
@@ -151,34 +152,6 @@ func (r *Registry) Histogram(name string, lo, hi float64, bins int) *Histogram {
 	}
 	r.hists[name] = h
 	return h
-}
-
-// RegisterCounter adopts an externally-owned counter under name, so a
-// component's private counters (e.g. the engine design cache's hit/miss
-// atomics) appear in snapshots without double bookkeeping. Registering an
-// already-taken name replaces the previous metric — the snapshot follows
-// the most recently registered instance. Nil registry or counter is a
-// no-op.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	if r == nil || c == nil {
-		return
-	}
-	mustValidName(name)
-	r.mu.Lock()
-	r.counters[name] = c
-	r.mu.Unlock()
-}
-
-// RegisterGauge adopts an externally-owned gauge under name, with the
-// same replacement semantics as RegisterCounter.
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	if r == nil || g == nil {
-		return
-	}
-	mustValidName(name)
-	r.mu.Lock()
-	r.gauges[name] = g
-	r.mu.Unlock()
 }
 
 // Snapshot captures a point-in-time copy of every registered metric. A

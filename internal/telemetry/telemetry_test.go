@@ -136,8 +136,6 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(2)
 	h.Observe(0.5)
-	reg.RegisterCounter("dyncontract_test_adopted_total", &telemetry.Counter{})
-	reg.RegisterGauge("dyncontract_test_adopted", &telemetry.Gauge{})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
@@ -179,25 +177,6 @@ func TestRegistryInvalidName(t *testing.T) {
 			}()
 			reg.Counter(bad)
 		}()
-	}
-}
-
-func TestRegisterReplaces(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	first := &telemetry.Counter{}
-	first.Add(7)
-	reg.RegisterCounter("x_total", first)
-	second := &telemetry.Counter{}
-	second.Add(3)
-	reg.RegisterCounter("x_total", second)
-	if got := reg.Snapshot().Counters["x_total"]; got != 3 {
-		t.Fatalf("last registration must win: snapshot reads %d, want 3", got)
-	}
-	g := &telemetry.Gauge{}
-	g.Set(2)
-	reg.RegisterGauge("y", g)
-	if got := reg.Snapshot().Gauges["y"]; got != 2 {
-		t.Fatalf("adopted gauge reads %v, want 2", got)
 	}
 }
 

@@ -20,7 +20,8 @@
 # as a parseable trace covering HTTP handler -> session queue -> engine
 # round -> stages -> shards, in JSONL and Chrome formats) run against
 # the recovered process, which then gets SIGTERM and must drain cleanly —
-# exit 0 with its "bye" sign-off logged. Any 5xx during the bursts, a
+# exit 0 with its "bye" sign-off logged and a drain summary naming the
+# rounds_advance route with no count >= 2^53. Any 5xx during the bursts, a
 # failed health probe, a round lost or changed across the kill, a drift
 # leaking into untouched agents' rows, a missing or malformed trace, or
 # an unclean shutdown fails the script.
@@ -125,4 +126,16 @@ grep -q "msg=bye" "$log2" || {
 	echo "smoke: drain sign-off missing from log" >&2
 	exit 1
 }
+# The drain summary prints every HTTP route metric under its registry
+# name: it must name the round-advance route, and no count may be an
+# unsigned wrap-around (>= 2^53 cannot be a real request count).
+grep -q "^  dyncontract_http_rounds_advance_requests_total " "$log2" || {
+	echo "smoke: drain summary missing the rounds_advance route" >&2
+	exit 1
+}
+if awk '$1 ~ /^dyncontract_http_/ { v = ($2 == "count") ? $3 : $2; if (v + 0 >= 9007199254740992) bad = 1 }
+	END { exit !bad }' "$log2"; then
+	echo "smoke: drain summary count >= 2^53" >&2
+	exit 1
+fi
 echo "smoke: clean drain and crash recovery confirmed"
