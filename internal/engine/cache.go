@@ -275,6 +275,19 @@ func (c *Cache) publish(reg *telemetry.Registry) {
 	c.pub.add(reg, &cacheMetrics, c.Stats())
 }
 
+// retire publishes like publish and then takes the cache's entries back
+// out of reg's MetricCacheEntries: Engine.Run calls it when the run
+// finishes, so the gauge sums only live caches. A nil cache or registry
+// is a no-op.
+func (c *Cache) retire(reg *telemetry.Registry) {
+	if c == nil || reg == nil {
+		return
+	}
+	c.pub.mu.Lock()
+	defer c.pub.mu.Unlock()
+	c.pub.retire(reg, &cacheMetrics, c.Stats())
+}
+
 // CacheSegment is a shard-local view over a shared Cache: reads consult a
 // private map first — lock-free, since exactly one goroutine uses a
 // segment at a time — and fall back to (and repopulate from) the shared

@@ -433,8 +433,14 @@ func (e *Engine) RespondStats() RespondStats {
 // _seconds histogram (observer dispatch on either side of respond bills
 // to the observe histogram). The observable event order is the same for
 // every shard count: OnContracts, then one OnOutcome per agent in ID
-// order, then OnRoundEnd.
+// order, then OnRoundEnd. When Run returns, the cache and memo retire
+// from Config.Metrics: their entries leave the _entries gauges, which sum
+// only what live engines and designers hold.
 func (e *Engine) Run(ctx context.Context) error {
+	defer func() {
+		e.cfg.Cache.retire(e.cfg.Metrics)
+		e.cfg.Memo.retire(e.cfg.Metrics)
+	}()
 	for r := 0; r < e.cfg.Rounds; r++ {
 		if err := e.runRound(ctx, r); err != nil {
 			if errors.Is(err, ErrStop) {

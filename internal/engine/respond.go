@@ -187,6 +187,17 @@ func (m *RespondMemo) publish(reg *telemetry.Registry) {
 	m.pub.add(reg, &respondMetrics, CacheStats(m.Stats()))
 }
 
+// retire publishes like publish and then takes the memo's entries back
+// out of reg's MetricRespondEntries, like Cache.retire.
+func (m *RespondMemo) retire(reg *telemetry.Registry) {
+	if m == nil || reg == nil {
+		return
+	}
+	m.pub.mu.Lock()
+	defer m.pub.mu.Unlock()
+	m.pub.retire(reg, &respondMetrics, CacheStats(m.Stats()))
+}
+
 // RespondMemoSegment is a shard-local view over a shared RespondMemo,
 // mirroring CacheSegment: a private lock-free map in front of the shared
 // read-mostly table, single-owner per shard, hits/misses counted on the

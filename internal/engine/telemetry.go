@@ -47,8 +47,9 @@ const (
 	// Design-cache counters, published by every Cache at engine round
 	// end and at the end of Designer.DesignBatch (Cache.publish), so a
 	// registry shared by many caches — one per session or run — sums
-	// them. Entries is the menus held at each cache's last publish;
-	// flushes are whole-map drops on crossing MaxEntries.
+	// them. Entries is the menus held at each live cache's last publish:
+	// when Engine.Run finishes, its cache takes its share back out
+	// (Cache.retire). Flushes are whole-map drops on crossing MaxEntries.
 	MetricCacheHits    = "dyncontract_engine_cache_hits_total"
 	MetricCacheMisses  = "dyncontract_engine_cache_misses_total"
 	MetricCacheFlushes = "dyncontract_engine_cache_flushes_total"
@@ -150,6 +151,15 @@ func (p *published) add(reg *telemetry.Registry, names *statsMetrics, cur CacheS
 	p.flushes.Add(cur.Flushes - p.last.Flushes)
 	p.entries.Add(float64(cur.Entries - p.last.Entries))
 	p.last = cur
+}
+
+// retire publishes cur like add, then takes the entries it holds back out
+// of the gauge: the cache or memo of a finished run holds nothing live.
+// Used again, its next publish adds its whole size back.
+func (p *published) retire(reg *telemetry.Registry, names *statsMetrics, cur CacheStats) {
+	p.add(reg, names, cur)
+	p.entries.Add(-float64(cur.Entries))
+	p.last.Entries = 0
 }
 
 // stageMetrics holds the engine's pre-resolved instrument handles; one

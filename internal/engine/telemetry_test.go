@@ -137,7 +137,8 @@ func TestStageTimings(t *testing.T) {
 }
 
 // TestCachePublish pins the round-end publish: after a run, the registry
-// counters equal the cache's own Stats().
+// counters equal the cache's own Stats(), and the entries gauge reads 0
+// because the finished run's cache retired.
 func TestCachePublish(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cache := engine.NewCache()
@@ -154,8 +155,10 @@ func TestCachePublish(t *testing.T) {
 	if stats.Hits == 0 || stats.Misses == 0 {
 		t.Fatalf("archetype population must hit and miss the cache, got %+v", stats)
 	}
-	if got := registryCacheStats(reg.Snapshot()); got != stats {
-		t.Errorf("registry reads %+v, Stats() reads %+v", got, stats)
+	want := stats
+	want.Entries = 0
+	if got := registryCacheStats(reg.Snapshot()); got != want {
+		t.Errorf("registry reads %+v, want %+v", got, want)
 	}
 }
 
@@ -182,8 +185,9 @@ func registryRespondStats(s telemetry.Snapshot) engine.RespondStats {
 // TestPublishSumsRunsAndCountsSharedCacheOnce is the regression test for
 // registry counters that used to follow only the newest cache (and so
 // went backwards, printing 2^64-scale deltas): runs sharing a registry
-// must sum, and a cache shared by an engine and a Designer — as every
-// server session shares one — must count each hit once.
+// must sum their counters (their entries retire with each run), and a
+// cache shared by an engine and a Designer — as every server session
+// shares one — must count each hit once.
 func TestPublishSumsRunsAndCountsSharedCacheOnce(t *testing.T) {
 	ctx := context.Background()
 	t.Run("fresh cache per run", func(t *testing.T) {
@@ -201,10 +205,8 @@ func TestPublishSumsRunsAndCountsSharedCacheOnce(t *testing.T) {
 			cs, ms := cache.Stats(), memo.Stats()
 			cacheSum.Hits += cs.Hits
 			cacheSum.Misses += cs.Misses
-			cacheSum.Entries += cs.Entries
 			memoSum.Hits += ms.Hits
 			memoSum.Misses += ms.Misses
-			memoSum.Entries += ms.Entries
 		}
 		s := reg.Snapshot()
 		if got := registryCacheStats(s); got != cacheSum {
@@ -251,6 +253,70 @@ func TestPublishSumsRunsAndCountsSharedCacheOnce(t *testing.T) {
 		}
 	})
 }
+
+// TestRunRetiresEntries pins the _entries gauges as live totals: each of
+// two sequential RunLedger runs on one registry, with its own cache and
+// memo, shows its entries on the gauges while it runs and takes them back
+// out when it finishes, while the hit and miss counters keep summing. An
+// engine driven by Step, as a server session is, never finishes and keeps
+// its share.
+func TestRunRetiresEntries(t *testing.T) {
+	ctx := context.Background()
+	reg := telemetry.NewRegistry()
+	var hits uint64
+	for run := 0; run < 2; run++ {
+		cache, memo := engine.NewCache(), engine.NewRespondMemo()
+		var during []float64
+		watch := &roundEndHook{fn: func() {
+			s := reg.Snapshot()
+			during = append(during, s.Gauges[engine.MetricCacheEntries], s.Gauges[engine.MetricRespondEntries])
+		}}
+		_, err := engine.RunLedger(ctx, archetypePopulation(t, 12+9*run), engine.Config{
+			Policy: &designPolicy{}, Rounds: 2, Cache: cache, Memo: memo, Metrics: reg,
+			Observers: []engine.Observer{watch},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, ms := cache.Stats(), memo.Stats()
+		if cs.Entries == 0 || ms.Entries == 0 {
+			t.Fatalf("run %d: cache %+v and memo %+v must hold entries", run, cs, ms)
+		}
+		last := during[len(during)-2:]
+		if last[0] != float64(cs.Entries) || last[1] != float64(ms.Entries) {
+			t.Errorf("run %d: gauges read %v in its last round, want its cache's %d and memo's %d entries", run, last, cs.Entries, ms.Entries)
+		}
+		hits += cs.Hits
+		s := reg.Snapshot()
+		if c, m := s.Gauges[engine.MetricCacheEntries], s.Gauges[engine.MetricRespondEntries]; c != 0 || m != 0 {
+			t.Errorf("after run %d: entries gauges read %v and %v, want 0 and 0", run, c, m)
+		}
+		if got := s.Counters[engine.MetricCacheHits]; got != hits {
+			t.Errorf("after run %d: %s = %d, want the runs' sum %d", run, engine.MetricCacheHits, got, hits)
+		}
+	}
+
+	cache := engine.NewCache()
+	eng, err := engine.New(archetypePopulation(t, 9), engine.Config{Policy: &designPolicy{}, Rounds: 1, Cache: cache, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if err := eng.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := reg.Snapshot().Gauges[engine.MetricCacheEntries], float64(cache.Stats().Entries); got != want || want == 0 {
+		t.Errorf("a stepped engine's cache: gauge %v, want its %v entries", got, want)
+	}
+}
+
+// roundEndHook calls fn at every round end.
+type roundEndHook struct{ fn func() }
+
+func (h *roundEndHook) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
+func (h *roundEndHook) OnOutcome(int, engine.AgentOutcome)                    {}
+func (h *roundEndHook) OnRoundEnd(engine.Round) error                         { h.fn(); return nil }
 
 // TestCapFlushPublished pins the cap-flush counters: a cache and a memo
 // capped at 3 entries cross the cap once when a β drift mints 3 fresh

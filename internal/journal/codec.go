@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Record framing, version 1. Every record — command and snapshot alike —
@@ -15,14 +16,17 @@ import (
 //
 // The length counts the payload only, the checksum (Castagnoli) covers
 // the payload only, and seq numbers are per-session, starting at 1 and
-// strictly sequential. The frame header is written atomically with the
-// payload by a single buffered write, so a crash mid-append leaves a
-// prefix of a frame — never interleaved frames.
+// strictly sequential. writeRecord writes the frame and payload headers,
+// then the body, into one sequential stream (a segment's buffered writer
+// or a snapshot file) that no other record shares while it is written, so
+// a crash mid-append leaves a prefix of a frame — never interleaved
+// frames.
 const (
 	recordVersion = 1
 	frameHeader   = 8         // length + checksum
 	payloadHeader = 1 + 1 + 8 // version + kind + seq
-	maxRecord     = 1 << 30   // sanity cap: random corruption rarely passes
+	recordHeader  = frameHeader + payloadHeader
+	maxRecord     = 1 << 30 // sanity cap: random corruption rarely passes
 )
 
 // Kind discriminates journal records. The values are part of the on-disk
@@ -82,18 +86,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // corruption; decodeRecords reports it as a clean prefix instead.
 var ErrCorrupt = errors.New("journal: corrupt record")
 
-// appendRecord encodes r onto dst and returns the extended slice.
-func appendRecord(dst []byte, r Record) []byte {
-	n := payloadHeader + len(r.Body)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, 0, 0, 0, 0) // checksum backfilled below
-	at := len(dst)
-	dst = append(dst, recordVersion, byte(r.Kind))
-	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-	dst = append(dst, r.Body...)
-	sum := crc32.Checksum(dst[at:], castagnoli)
-	binary.LittleEndian.PutUint32(dst[at-4:at], sum)
-	return dst
+// writeRecord writes r's frame to w: the frame and payload headers, built
+// in hdr, then the body, as two writes, so no record-sized buffer is
+// needed. The checksum runs over the payload header, then the body. It
+// returns the bytes written.
+func writeRecord(w io.Writer, hdr *[recordHeader]byte, r Record) (int, error) {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(payloadHeader+len(r.Body)))
+	hdr[frameHeader] = recordVersion
+	hdr[frameHeader+1] = byte(r.Kind)
+	binary.LittleEndian.PutUint64(hdr[frameHeader+2:], r.Seq)
+	sum := crc32.Update(crc32.Checksum(hdr[frameHeader:], castagnoli), castagnoli, r.Body)
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	n, err := w.Write(hdr[:])
+	if err != nil {
+		return n, err
+	}
+	m, err := w.Write(r.Body)
+	return n + m, err
 }
 
 // decodeRecords scans buf from the start and returns every cleanly framed

@@ -150,7 +150,7 @@ type Writer struct {
 	bw  *bufio.Writer
 	seq atomic.Uint64 // last assigned sequence number
 
-	scratch []byte
+	hdr [recordHeader]byte // Append's record header
 }
 
 // segName formats a segment file name from its first sequence number.
@@ -205,13 +205,13 @@ func (w *Writer) Append(kind Kind, body []byte) (uint64, error) {
 	if w.st.m != nil {
 		t = telemetry.StartTimer()
 	}
-	w.scratch = appendRecord(w.scratch[:0], Record{Seq: seq, Kind: kind, Body: body})
-	if _, err := w.bw.Write(w.scratch); err != nil {
+	n, err := writeRecord(w.bw, &w.hdr, Record{Seq: seq, Kind: kind, Body: body})
+	if err != nil {
 		return 0, fmt.Errorf("journal: session %s append: %w", w.id, err)
 	}
 	if m := w.st.m; m != nil {
 		m.appendSec.Observe(t.Seconds())
-		m.bytes.Add(uint64(len(w.scratch)))
+		m.bytes.Add(uint64(n))
 		m.records.Inc()
 	}
 	// The record is in the stream: the sequence number is consumed even if
@@ -281,13 +281,14 @@ func (w *Writer) CommitSnapshot(seq uint64, body []byte) error {
 	if w.st.m != nil {
 		t = telemetry.StartTimer()
 	}
-	frame := appendRecord(nil, Record{Seq: seq, Kind: KindSnapshot, Body: body})
 	tmp := filepath.Join(w.dir, snapName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: session %s snapshot: %w", w.id, err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	var hdr [recordHeader]byte
+	n, err := writeRecord(f, &hdr, Record{Seq: seq, Kind: KindSnapshot, Body: body})
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("journal: session %s snapshot: %w", w.id, err)
 	}
@@ -320,7 +321,7 @@ func (w *Writer) CommitSnapshot(seq uint64, body []byte) error {
 	if m := w.st.m; m != nil {
 		m.snapshotSec.Observe(t.Seconds())
 		m.snapshots.Inc()
-		m.bytes.Add(uint64(len(frame)))
+		m.bytes.Add(uint64(n))
 	}
 	return nil
 }

@@ -262,17 +262,15 @@ func roundFromJSON(rj RoundJSON) (engine.Round, error) {
 }
 
 // openJournal starts a brand-new session's write-ahead log and appends
-// its create record. The record reaches the OS even in buffered mode, so
-// a session that crashes before serving a single command still recovers.
-func (s *Server) openJournal(sess *session, req *CreateSessionRequest) error {
+// its create record, body being the create request as received. The
+// record reaches the OS even in buffered mode, so a session that crashes
+// before serving a single command still recovers.
+func (s *Server) openJournal(sess *session, body []byte) error {
 	jw, err := s.cfg.Journal.Create(sess.id)
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(req)
-	if err == nil {
-		_, err = jw.Append(journal.KindCreate, body)
-	}
+	_, err = jw.Append(journal.KindCreate, body)
 	if err == nil {
 		err = jw.Flush()
 	}
@@ -437,7 +435,6 @@ func (s *Server) sessionFromSnapshot(snap *sessionSnapshot) (*session, error) {
 	}
 	req := &CreateSessionRequest{
 		Name:      snap.Name,
-		Agents:    snap.Agents,
 		M:         snap.M,
 		Delta:     snap.Delta,
 		Mu:        snap.Mu,

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -417,5 +420,170 @@ func TestSnapshotWithoutJournal(t *testing.T) {
 	}
 	if info.Journal != nil {
 		t.Errorf("journal info = %+v on an unjournaled session, want absent", info.Journal)
+	}
+}
+
+// logShape renders what a session's log retains — the table length,
+// ledger_bytes and each row's form and sizes — for comparing a recovered
+// log with the live one.
+func logShape(t *testing.T, e *testServer, id string) string {
+	t.Helper()
+	var info SessionInfo
+	if code := e.do(t, "GET", "/v1/sessions/"+id, nil, &info); code != http.StatusOK {
+		t.Fatalf("get session: status %d", code)
+	}
+	e.srv.mu.Lock()
+	sess := e.srv.sessions[id]
+	e.srv.mu.Unlock()
+	sess.ledgerMu.RLock()
+	defer sess.ledgerMu.RUnlock()
+	l := &sess.ledger
+	s := fmt.Sprintf("table %d, ledger_bytes %d:", len(l.table), info.LedgerBytes)
+	for _, row := range l.rows {
+		if row.delta {
+			s += fmt.Sprintf(" d%d/%d/%d", len(row.edits), len(row.leaves), len(row.refs))
+		} else {
+			s += fmt.Sprintf(" f%d", len(row.refs))
+		}
+	}
+	return s
+}
+
+// driveChurnSession serves rounds to a 40-agent archetype session whose
+// first two agents toggle their weights back and forth, with agents
+// leaving and joining every few rounds, so its log holds interned
+// entries and delta rows across joins and leaves.
+func driveChurnSession(t *testing.T, e *testServer, id string, specs []AgentSpec, from, rounds int) {
+	t.Helper()
+	for r := from; r < from+rounds; r++ {
+		drift := DriftRequest{Weights: map[string]float64{
+			specs[0].ID: specs[0].Weight * float64(1+r%2),
+			specs[1].ID: specs[1].Weight * float64(2-r%2),
+		}}
+		if r%4 == 3 {
+			joiner := specs[2+r%3]
+			joiner.ID = fmt.Sprintf("joiner-%03d", r)
+			drift.Add = []AgentSpec{joiner}
+			drift.Remove = []string{specs[10+r].ID}
+		}
+		if code := e.do(t, "POST", "/v1/sessions/"+id+"/drift", &drift, nil); code != http.StatusOK {
+			t.Fatalf("drift %d: status %d", r, code)
+		}
+		advanceRounds(t, e, id, 1)
+	}
+}
+
+// TestRecoverCreateRecordAsReceived pins the create record: the journal
+// holds the create body byte for byte as the client sent it, and a
+// journal whose create record is the re-encoded (json.Marshal) form of
+// the same request recovers to the same ledger — byte-identical listing,
+// table length, row forms and ledger_bytes — as the live session.
+func TestRecoverCreateRecordAsReceived(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newJournaledServer(t, dir, Config{})
+	req := CreateSessionRequest{Agents: archetypeAgents(40), M: 10, Delta: 0.2, Mu: 1}
+	sent, err := json.MarshalIndent(req, " ", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := e1.ts.Client().Post(e1.ts.URL+"/v1/sessions", "application/json", bytes.NewReader(sent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created CreateSessionResponse
+	err = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create session: status %d, %v", resp.StatusCode, err)
+	}
+	id := created.ID
+	driveChurnSession(t, e1, id, req.Agents, 0, 16)
+	ref, shape := ledgerBytes(t, e1, id), logShape(t, e1, id)
+
+	st, err := journal.Open(crashImage(t, dir), journal.Options{Mode: journal.ModeStrict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, failed, err := st.Recover()
+	if err != nil || len(failed) != 0 || len(recs) != 1 {
+		t.Fatalf("recover: %v, %d failed, %d sessions", err, len(failed), len(recs))
+	}
+	tail := recs[0].Tail
+	if tail[0].Kind != journal.KindCreate || !bytes.Equal(tail[0].Body, sent) {
+		t.Fatalf("the create record holds\n%s\nwant the body as sent\n%s", tail[0].Body, sent)
+	}
+
+	// The same history behind a create record in the re-encoded form.
+	old := t.TempDir()
+	st, err = journal.Open(old, journal.Options{Mode: journal.ModeStrict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw, err := st.Create(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshaled, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(marshaled, sent) {
+		t.Fatal("the re-encoded form must differ from the body sent")
+	}
+	if _, err := jw.Append(journal.KindCreate, marshaled); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tail[1:] {
+		if _, err := jw.Append(r.Kind, r.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, stats := recoverServer(t, old, Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 {
+		t.Fatalf("recovery stats = %+v, want 1 session, 0 failed", stats)
+	}
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Fatalf("recovered ledger differs:\n got %s\nwant %s", got, ref)
+	}
+	if got := logShape(t, e2, id); got != shape {
+		t.Errorf("recovered log retains\n%s\nthe live log\n%s", got, shape)
+	}
+}
+
+// TestRecoverLogShapeAcrossSnapshot recovers a churning session from a
+// snapshot plus a replayed tail: the recovered log must retain exactly
+// what the live one does — table length, row forms, ledger_bytes — and
+// list byte-identical rounds.
+func TestRecoverLogShapeAcrossSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newJournaledServer(t, dir, Config{})
+	req := CreateSessionRequest{Agents: archetypeAgents(40), M: 10, Delta: 0.2, Mu: 1}
+	var created CreateSessionResponse
+	if code := e1.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
+		t.Fatalf("create session: status %d", code)
+	}
+	id := created.ID
+	driveChurnSession(t, e1, id, req.Agents, 0, 12)
+	if code := e1.do(t, "POST", "/v1/sessions/"+id+"/snapshot", nil, nil); code != http.StatusOK {
+		t.Fatalf("snapshot: status %d", code)
+	}
+	driveChurnSession(t, e1, id, req.Agents, 12, 6)
+	ref, shape := ledgerBytes(t, e1, id), logShape(t, e1, id)
+	if !strings.Contains(shape, "/1/1") {
+		t.Fatalf("the live log holds no delta row across a join and a leave: %s", shape)
+	}
+
+	e2, stats := recoverServer(t, crashImage(t, dir), Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 || stats.Replayed != 12 {
+		t.Fatalf("recovery stats = %+v, want 1 session, 12 replayed", stats)
+	}
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Fatalf("recovered ledger differs:\n got %s\nwant %s", got, ref)
+	}
+	if got := logShape(t, e2, id); got != shape {
+		t.Errorf("recovered log retains\n%s\nthe live log\n%s", got, shape)
 	}
 }

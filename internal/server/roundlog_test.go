@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,14 +68,34 @@ func checkLogMatches(t *testing.T, l *roundLog, ref []engine.Round) {
 	if w := recountBytes(l); l.bytes != w {
 		t.Fatalf("running byte count %d != recount %d", l.bytes, w)
 	}
+	checkInterned(t, l)
+}
+
+// checkInterned checks what the interning walk guarantees: no table entry
+// equals, bitwise, any of the internDepth entries its chain link leads to
+// — the newest distinct outcomes its agent had when it was appended.
+func checkInterned(t *testing.T, l *roundLog) {
+	t.Helper()
+	for i := range l.table {
+		oc := l.table[i].outcome()
+		for e, d := l.table[i].prev, 0; e != noRef && d < internDepth; e, d = l.table[e].prev, d+1 {
+			if l.table[e].agentID != oc.AgentID {
+				t.Fatalf("entry %d (%s) links to entry %d of agent %s", i, oc.AgentID, e, l.table[e].agentID)
+			}
+			if sameOutcome(&l.table[e], &oc) {
+				t.Fatalf("entry %d repeats entry %d, %d links back in its agent's chain", i, e, d+1)
+			}
+		}
+	}
 }
 
 // recountBytes counts what the log retains from its table and rows: 4 B
-// per full-row reference, 8 B per edit and one AgentOutcome per entry.
+// per full-row reference, joiner or leaver, 8 B per edit and one
+// AgentOutcome's worth per entry.
 func recountBytes(l *roundLog) int64 {
 	n := len(l.table) * int(unsafe.Sizeof(engine.AgentOutcome{}))
 	for _, row := range l.rows {
-		n += 4*len(row.refs) + 8*len(row.edits)
+		n += 4*len(row.refs) + 8*len(row.edits) + 4*len(row.leaves)
 	}
 	return int64(n)
 }
@@ -224,7 +246,10 @@ func TestRoundLogDifferential(t *testing.T) {
 }
 
 // FuzzRoundLog drives the log with a byte-scripted sequence of rounds —
-// unchanged rounds, a few or all agents changing, joins and leaves,
+// unchanged rounds, a few or all agents changing, joins and leaves alone
+// or together with edits (so they land inside delta stretches), IDs that
+// left re-joining with another class or size, agents reverting to a state
+// they had up to 12 distinct states ago (past internDepth),
 // Excluded/Declined flips, ±0 and NaN flips — against a plain retained
 // []engine.Round, reading the rounds back in a shuffled order. Some
 // script bytes take a header copy (view) mid-sequence; a goroutine reads
@@ -234,6 +259,8 @@ func FuzzRoundLog(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 17, 7, 0, 2, 3, 40, 4, 3, 5, 6, 1, 7, 14, 2, 0, 0})
 	f.Add([]byte{1, 5, 1, 6, 1, 7, 1, 8, 7, 1, 9, 1, 10, 1, 11, 0, 0, 0, 0, 0, 0, 7, 2})
 	f.Add([]byte{3, 200, 3, 100, 4, 0, 7, 6, 2, 22, 6, 3, 38, 7, 5, 1, 13, 4, 2, 2, 2})
+	f.Add([]byte{1, 3, 1, 4, 1, 3, 8, 3, 1, 8, 3, 12, 23, 5, 4, 8, 8, 3, 9, 10, 7, 10, 3, 20, 9, 1, 0, 8, 3, 30})
+	f.Add([]byte{12, 1, 12, 5, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 8, 1, 11, 8, 1, 10, 15, 4, 9, 0, 20, 2})
 	negZero := math.Copysign(0, -1)
 	floats := []float64{0, negZero, math.NaN(), 0.5}
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -245,17 +272,23 @@ func FuzzRoundLog(f *testing.F) {
 			pos++
 			return int(script[pos-1])
 		}
-		var agents []engine.AgentOutcome
-		join := func(id string) {
-			j := sort.Search(len(agents), func(j int) bool { return agents[j].AgentID >= id })
-			if j < len(agents) && agents[j].AgentID == id {
+		var agents, left []engine.AgentOutcome
+		join := func(oc engine.AgentOutcome) {
+			j := sort.Search(len(agents), func(j int) bool { return agents[j].AgentID >= oc.AgentID })
+			if j < len(agents) && agents[j].AgentID == oc.AgentID {
 				return
 			}
-			agents = append(agents[:j], append([]engine.AgentOutcome{{AgentID: id, Size: 1, Weight: 0.5}}, agents[j:]...)...)
+			agents = slices.Insert(agents, j, oc)
+		}
+		leave := func(j int) {
+			left = append(left, agents[j])
+			agents = slices.Delete(agents, j, j+1)
 		}
 		for i := 0; i < 16; i++ {
-			join(fmt.Sprintf("a%03d", 8*i))
+			join(engine.AgentOutcome{AgentID: fmt.Sprintf("a%03d", 8*i), Size: 1, Weight: 0.5})
 		}
+		// history holds each agent's distinct states, oldest first.
+		history := map[string][]engine.AgentOutcome{}
 		type view struct {
 			l    roundLog
 			seen []string
@@ -273,7 +306,7 @@ func FuzzRoundLog(f *testing.F) {
 		}
 		for pos < len(script) && len(ref) < 300 {
 			op := next()
-			switch op % 8 {
+			switch op % 11 {
 			case 1: // a few agents change weight
 				for n := 1 + (op>>3)%4; n > 0; n-- {
 					oc := pick()
@@ -284,11 +317,10 @@ func FuzzRoundLog(f *testing.F) {
 					agents[i].Effort += 1
 				}
 			case 3: // join
-				join(fmt.Sprintf("a%03d", next()))
+				join(engine.AgentOutcome{AgentID: fmt.Sprintf("a%03d", next()), Size: 1, Weight: 0.5})
 			case 4: // leave
 				if len(agents) > 0 {
-					j := next() % len(agents)
-					agents = append(agents[:j], agents[j+1:]...)
+					leave(next() % len(agents))
 				}
 			case 5: // Excluded/Declined flips
 				oc := pick()
@@ -321,6 +353,34 @@ func FuzzRoundLog(f *testing.F) {
 						}
 					}()
 				}
+			case 8: // an agent reverts to an earlier distinct state
+				oc := pick()
+				if h := history[oc.AgentID]; len(h) > 1 {
+					*oc = h[max(len(h)-2-next()%12, 0)]
+				}
+			case 9: // an ID that left re-joins with another class or size
+				if len(left) > 0 {
+					oc := left[next()%len(left)]
+					if op&16 != 0 {
+						oc.Class = (oc.Class + 1) % 3
+					} else {
+						oc.Size++
+					}
+					join(oc)
+				}
+			case 10: // churn: a join, a leave and a weight change at once
+				join(engine.AgentOutcome{AgentID: fmt.Sprintf("a%03d", next()), Size: 1, Weight: 0.5})
+				if len(agents) > 1 {
+					leave(next() % len(agents))
+				}
+				oc := pick()
+				oc.Weight = 1.3 - oc.Weight
+			}
+			for _, oc := range agents {
+				h := history[oc.AgentID]
+				if len(h) == 0 || outcomeBits(h[len(h)-1]) != outcomeBits(oc) {
+					history[oc.AgentID] = append(h, oc)
+				}
 			}
 			buf = append(buf[:0], agents...)
 			ref = addScribbled(&l, ref, engine.Round{
@@ -340,6 +400,58 @@ func FuzzRoundLog(f *testing.F) {
 			checkLogMatches(t, &v.l, ref[:v.l.len()])
 		}
 	})
+}
+
+// TestRoundLogInternDepth pins the interning walk's depth: an agent
+// cycling through internDepth states gets one table entry per state
+// however long it cycles, while a cycle one state longer than the walk
+// reaches appends an entry every round.
+func TestRoundLogInternDepth(t *testing.T) {
+	for _, cycle := range []int{2, internDepth, internDepth + 1} {
+		var l roundLog
+		var ref []engine.Round
+		const rounds = 5 * (internDepth + 1)
+		for r := 0; r < rounds; r++ {
+			ref = addScribbled(&l, ref, engine.Round{Index: r, Outcomes: []engine.AgentOutcome{
+				{AgentID: "a", Weight: float64(r % cycle)},
+				{AgentID: "b", Weight: 1},
+			}})
+		}
+		checkLogMatches(t, &l, ref)
+		want := cycle + 1
+		if cycle > internDepth {
+			want = rounds + 1
+		}
+		if len(l.table) != want {
+			t.Errorf("a %d-state cycle over %d rounds: %d table entries, want %d", cycle, rounds, len(l.table), want)
+		}
+	}
+}
+
+// TestRoundLogAntiphaseInterning serves a warm archetype session whose
+// paired agents swap weights in antiphase: every round a random tenth of
+// the pairs toggle, so each agent moves back and forth between two
+// outcomes. Interning must hold the table to at most two entries per
+// agent over 200 rounds, where one entry per change would hold ~4,000.
+func TestRoundLogAntiphaseInterning(t *testing.T) {
+	const agents, rounds = 400, 200
+	rng := rand.New(rand.NewSource(2))
+	sess, info := runArchetypeSession(t, agents, rounds, func(_ int, specs []AgentSpec) DriftRequest {
+		drift := DriftRequest{Weights: map[string]float64{}}
+		for _, p := range rng.Perm(agents / 2)[:agents/20] {
+			a, b := &specs[2*p], &specs[2*p+1]
+			a.Weight, b.Weight = b.Weight, a.Weight
+			drift.Weights[a.ID], drift.Weights[b.ID] = a.Weight, b.Weight
+		}
+		return drift
+	})
+	logRetention(t, sess, info, agents*rounds)
+	sess.ledgerMu.RLock()
+	n := len(sess.ledger.table)
+	sess.ledgerMu.RUnlock()
+	if n > 2*agents {
+		t.Errorf("the table holds %d entries for %d antiphase agents, want <= %d", n, agents, 2*agents)
+	}
 }
 
 // TestRoundsListingDoesNotStallWriter holds a GET …/rounds listing after
@@ -452,10 +564,18 @@ func TestRoundLogTotalMatchesTotalUtility(t *testing.T) {
 }
 
 // TestSameOutcomeCoversEveryField changes each field of AgentOutcome in
-// turn and requires sameOutcome to notice, so a field added to the
-// engine's outcome cannot be silently dropped by reuse.
+// turn and requires sameOutcome to notice and a table entry to store it,
+// so a field added to the engine's outcome cannot be silently dropped by
+// reuse. An entry must also stay the size of the outcome it stores.
 func TestSameOutcomeCoversEveryField(t *testing.T) {
+	if e, o := unsafe.Sizeof(logEntry{}), unsafe.Sizeof(engine.AgentOutcome{}); e != o {
+		t.Errorf("a table entry takes %d B, an AgentOutcome %d B", e, o)
+	}
 	base := engine.AgentOutcome{AgentID: "a", Class: 1, Size: 2, Effort: 0.5, Feedback: 0.25, Compensation: 0.75, Weight: 1}
+	var l roundLog
+	entry := func(oc *engine.AgentOutcome) *logEntry {
+		return &l.table[l.push(oc, noRef)]
+	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		mod := base
@@ -472,11 +592,14 @@ func TestSameOutcomeCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("field %s has kind %s: teach sameOutcome and this test about it", typ.Field(i).Name, f.Kind())
 		}
-		if sameOutcome(&base, &mod) {
+		if sameOutcome(entry(&base), &mod) {
 			t.Errorf("sameOutcome ignores field %s", typ.Field(i).Name)
 		}
+		if got := entry(&mod).outcome(); got != mod {
+			t.Errorf("a table entry drops field %s: stored %+v, got back %+v", typ.Field(i).Name, mod, got)
+		}
 	}
-	if !sameOutcome(&base, &base) {
+	if !sameOutcome(entry(&base), &base) {
 		t.Error("sameOutcome(x, x) = false")
 	}
 }
@@ -538,11 +661,7 @@ func logRetention(t *testing.T, sess *session, info SessionInfo, agentRounds int
 	l := &sess.ledger
 	n := 0
 	for i := range l.rows {
-		base := i
-		for l.rows[base].delta {
-			base--
-		}
-		n += len(l.rows[base].refs)
+		n += len(l.round(i).Outcomes)
 	}
 	if n != agentRounds {
 		t.Fatalf("log holds %d agent-rounds, want %d", n, agentRounds)
@@ -551,7 +670,7 @@ func logRetention(t *testing.T, sess *session, info SessionInfo, agentRounds int
 	if info.LedgerBytes != retained || l.bytes != retained {
 		t.Fatalf("ledger_bytes %d (running %d) != recount %d", info.LedgerBytes, l.bytes, retained)
 	}
-	table := int64(len(l.table)) * int64(unsafe.Sizeof(engine.AgentOutcome{}))
+	table := int64(len(l.table)) * int64(unsafe.Sizeof(logEntry{}))
 	full, delta := rowForms(l)
 	t.Logf("log retains %d B (%.2f per agent-round): %d full and %d delta rows, %d outcomes in the table",
 		retained, float64(retained)/float64(n), full, delta, len(l.table))
@@ -560,10 +679,11 @@ func logRetention(t *testing.T, sess *session, info SessionInfo, agentRounds int
 
 // TestRoundLogRetention is the memory guard for the served ledger. A warm
 // 2,000-agent archetype session toggling 1% of its weights per round
-// must retain at most 1.5 bytes per agent-round — a full row of 4-byte
-// references now and then, 8 bytes per edit and the few outcomes that
-// changed — where a reference per agent-round would retain 4 and a
-// copied []AgentOutcome per round 72. When every weight moves every
+// must retain at most 0.9 bytes per agent-round — a full row of 4-byte
+// references now and then, 8 bytes per edit and, as interning gives a
+// pair swapping weights back and forth, at most two outcomes per agent —
+// where a reference per agent-round would retain 4 and a copied
+// []AgentOutcome per round 72. When every weight moves every
 // round, references and edits together must still stay within the 4
 // bytes per agent-round of full rows.
 func TestRoundLogRetention(t *testing.T) {
@@ -578,8 +698,8 @@ func TestRoundLogRetention(t *testing.T) {
 		}
 		return drift
 	})
-	if per, _ := logRetention(t, sess, info, agents*rounds); per > 1.5 {
-		t.Errorf("low-change log retains %.2f B per agent-round, want <= 1.5", per)
+	if per, _ := logRetention(t, sess, info, agents*rounds); per > 0.9 {
+		t.Errorf("low-change log retains %.2f B per agent-round, want <= 0.9", per)
 	}
 
 	const allRounds = 20
@@ -743,5 +863,86 @@ func TestRoundLogConcurrentReaders(t *testing.T) {
 				t.Fatalf("a reader saw round %d as %s, final ledger has %s", i, row, final[i])
 			}
 		}
+	}
+}
+
+// BenchmarkRoundLogAdd times roundLog.add on the rounds of a 12k-agent
+// session and reports ns/add and the bytes the log retains per round.
+// Each arm changes 1% of the agents a round: antiphase-1pct swaps the
+// weights of 60 random pairs, so every change returns to an outcome the
+// agent had (interning's best case); fresh-1pct gives 120 random agents
+// a weight never seen before, so every change walks an agent's chain and
+// appends (interning's worst case); churn-0.5pct retires 60 random agents
+// and admits 60 new ones, so every row is structural. The rounds are
+// generated with the timer stopped.
+func BenchmarkRoundLogAdd(b *testing.B) {
+	const n = 12000
+	arms := []struct {
+		name string
+		step func(r int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome
+	}{
+		{"antiphase-1pct", func(_ int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome {
+			for _, p := range rng.Perm(len(agents) / 2)[:len(agents)/200] {
+				agents[2*p].Weight, agents[2*p+1].Weight = agents[2*p+1].Weight, agents[2*p].Weight
+			}
+			return agents
+		}},
+		{"fresh-1pct", func(_ int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome {
+			for _, i := range rng.Perm(len(agents))[:len(agents)/100] {
+				agents[i].Weight = rng.Float64()
+			}
+			return agents
+		}},
+		{"churn-0.5pct", func(r int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome {
+			k := len(agents) / 200
+			joiners := make([]engine.AgentOutcome, k)
+			for j := range joiners {
+				joiners[j] = agents[rng.Intn(len(agents))]
+				joiners[j].AgentID = fmt.Sprintf("%s.%06d.%d", joiners[j].AgentID, r, j)
+			}
+			slices.SortFunc(joiners, func(a, b engine.AgentOutcome) int { return strings.Compare(a.AgentID, b.AgentID) })
+			for _, i := range rng.Perm(len(agents))[:k] {
+				agents[i].AgentID = ""
+			}
+			kept := slices.DeleteFunc(agents, func(oc engine.AgentOutcome) bool { return oc.AgentID == "" })
+			merged := make([]engine.AgentOutcome, 0, len(kept)+k)
+			j := 0
+			for _, oc := range kept {
+				for ; j < k && joiners[j].AgentID < oc.AgentID; j++ {
+					merged = append(merged, joiners[j])
+				}
+				merged = append(merged, oc)
+			}
+			return append(merged, joiners[j:]...)
+		}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			agents := make([]engine.AgentOutcome, n)
+			for i := range agents {
+				agents[i] = engine.AgentOutcome{
+					AgentID:      fmt.Sprintf("agent-%06d", i),
+					Class:        worker.Class(i % 3),
+					Size:         1,
+					Effort:       0.5,
+					Feedback:     0.75,
+					Compensation: 0.25,
+					Weight:       1 + 0.25*float64(i%2),
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			var l roundLog
+			l.add(engine.Round{Outcomes: agents})
+			start := l.bytes
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				agents = arm.step(i, agents, rng)
+				b.StartTimer()
+				l.add(engine.Round{Index: i + 1, Outcomes: agents})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/add")
+			b.ReportMetric(float64(l.bytes-start)/float64(b.N), "B/round")
+		})
 	}
 }

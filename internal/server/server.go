@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -289,16 +290,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
 }
 
+// handleCreateSession reads the create body once, decodes it, and hands
+// the same bytes to the journal: replay decodes and validates them again,
+// so it builds the same request without a re-encoding.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(w, r)
 	var req CreateSessionRequest
-	if !decodeBody(w, r, &req) {
+	if err == nil {
+		err = decodeJSON(bytes.NewReader(body), &req)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := req.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := s.newSession(&req)
+	sess, err := s.newSession(&req, body)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -454,9 +463,9 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool)
 }
 
 // newSession builds a population from the request, wires an engine around
-// it, opens its journal (when durability is on), and registers the
-// running session.
-func (s *Server) newSession(req *CreateSessionRequest) (*session, error) {
+// it, opens its journal (when durability is on) with body, the request as
+// received, and registers the running session.
+func (s *Server) newSession(req *CreateSessionRequest, body []byte) (*session, error) {
 	sess, err := s.buildSession(req)
 	if err != nil {
 		return nil, err
@@ -479,7 +488,7 @@ func (s *Server) newSession(req *CreateSessionRequest) (*session, error) {
 	sess.id = id
 
 	if s.cfg.Journal != nil {
-		if err := s.openJournal(sess, req); err != nil {
+		if err := s.openJournal(sess, body); err != nil {
 			return nil, err
 		}
 	}
@@ -533,6 +542,10 @@ func (s *Server) assembleSession(req *CreateSessionRequest, pop *engine.Populati
 	if err != nil {
 		return nil, err
 	}
+	// The session keeps the request's knobs, not its agents: the
+	// population holds those, and a snapshot reads them from it.
+	knobs := *req
+	knobs.Agents = nil
 	return &session{
 		name:       req.Name,
 		policyName: polName,
@@ -541,7 +554,7 @@ func (s *Server) assembleSession(req *CreateSessionRequest, pop *engine.Populati
 		eng:        eng,
 		capture:    capture,
 		designer:   &engine.Designer{Cache: cache, Metrics: s.cfg.Metrics},
-		req:        req,
+		req:        &knobs,
 		cmds:       make(chan command, s.cfg.CommandQueue),
 		designCh:   make(chan *designCall, s.cfg.DesignQueue),
 		quit:       make(chan struct{}),
@@ -643,6 +656,20 @@ func buildPolicy(req *CreateSessionRequest) (engine.Policy, string, error) {
 	default:
 		return nil, "", fmt.Errorf("unknown policy %q: %w", req.Policy, ErrBadRequest)
 	}
+}
+
+// readBody reads the whole request body, at most maxBodyBytes, into a
+// buffer presized from Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(bytes.MinRead)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		size += n
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, fmt.Errorf("%v: %w", err, ErrBadRequest)
+	}
+	return buf.Bytes(), nil
 }
 
 // decodeBody strictly decodes the request body into dst, writing the error

@@ -537,3 +537,38 @@ func TestStructuralDriftRoute(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateBodyRead pins how a create body is read: a body without a
+// Content-Length (chunked) creates the session like a sized one, and a
+// body past maxBodyBytes is refused with 400 whatever length it declares.
+func TestCreateBodyRead(t *testing.T) {
+	e := newTestServer(t, Config{})
+	body, err := json.Marshal(testCreateReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(r io.Reader, length int64) int {
+		t.Helper()
+		req, err := http.NewRequest("POST", e.ts.URL+"/v1/sessions", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = length
+		resp, err := e.ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(io.MultiReader(bytes.NewReader(body)), -1); code != http.StatusCreated {
+		t.Errorf("chunked create: status %d, want 201", code)
+	}
+	big := append(bytes.Repeat([]byte(" "), maxBodyBytes), body...)
+	if code := post(bytes.NewReader(big), int64(len(big))); code != http.StatusBadRequest {
+		t.Errorf("create past maxBodyBytes: status %d, want 400", code)
+	}
+	if code := post(io.MultiReader(bytes.NewReader(big)), -1); code != http.StatusBadRequest {
+		t.Errorf("chunked create past maxBodyBytes: status %d, want 400", code)
+	}
+}

@@ -150,8 +150,9 @@ type session struct {
 	// jw is the session's write-ahead journal; nil when durability is off.
 	// Append, Flush, and BeginSnapshot belong to the writer goroutine.
 	jw *journal.Writer
-	// req is the create request the session was built from, retained so
-	// snapshots can store the policy knobs and name verbatim.
+	// req is the create request the session was built from, without its
+	// agents, retained so snapshots can store the policy knobs and name
+	// verbatim.
 	req *CreateSessionRequest
 	// sinceSnap counts successful commands since the last snapshot
 	// (writer goroutine only); Config.SnapshotEvery triggers on it.

@@ -15,11 +15,15 @@
 # drift, round and design-by-id through the server's Handler in process,
 # at 1k, 10k and 100k agents), and BenchmarkJournalAppend (the
 # write-ahead hop per journaled command, buffered and fsync; trend only —
-# the fsync arm benchmarks the storage stack, not the code) — with
-# -benchmem, prints the standard output, and writes the parsed results to
-# BENCH_engine.json as one JSON array of
+# the fsync arm benchmarks the storage stack, not the code), and from
+# internal/server BenchmarkRoundLogAdd (a served session's ledger add at
+# 12k agents on antiphase, all-fresh and churning rounds; trend only,
+# with the log's retained bytes per round) — with -benchmem, prints the
+# standard output, and writes the parsed results to BENCH_engine.json as
+# one JSON array of
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
-# objects, so the acceptance bars (telemetry overhead ≤5%, respond-memo
+# objects (plus "retained_bytes_per_round" where a benchmark reports
+# B/round), so the acceptance bars (telemetry overhead ≤5%, respond-memo
 # warm-round speedup) can be checked from the file. The former
 # "sharded-warm ≥4× sequential-warm" bar is retired: an engine with
 # Config.Shards = 0 runs the same pipeline as one shard, so
@@ -63,6 +67,7 @@ fresh=$(mktemp)
 trap 'rm -f "$raw" "$fresh"' EXIT
 
 go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignBatch|BenchmarkServerDriftRoute|BenchmarkServerStep|BenchmarkJournalAppend' -benchmem . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkRoundLogAdd' -benchmem ./internal/server | tee -a "$raw"
 
 awk '
 BEGIN { print "["; n = 0 }
@@ -70,17 +75,19 @@ BEGIN { print "["; n = 0 }
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	iters = $2
-	ns = ""; bytes = ""; allocs = ""
+	ns = ""; bytes = ""; allocs = ""; retained = ""
 	for (i = 3; i < NF; i++) {
 		if ($(i+1) == "ns/op") ns = $i
 		if ($(i+1) == "B/op") bytes = $i
 		if ($(i+1) == "allocs/op") allocs = $i
+		if ($(i+1) == "B/round") retained = $i
 	}
 	if (ns == "") next
 	if (n++) printf ",\n"
 	printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns
 	if (bytes != "") printf ", \"bytes_per_op\": %s", bytes
 	if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
+	if (retained != "") printf ", \"retained_bytes_per_round\": %s", retained
 	printf "}"
 }
 END { print "\n]" }
