@@ -678,10 +678,11 @@ func BenchmarkEngineRound100k(b *testing.B) {
 		// round's joiners — so the steady population holds at ~100.5k and
 		// the same agent objects recycle without allocation. Joiners clone
 		// the honest archetype under fresh IDs: their fingerprint always
-		// resolves in the warm design cache, so each round splices only
-		// the owning shards' slots (joins take tail outcome slots, leaves
-		// tombstone theirs; compaction amortizes at the fragmentation
-		// threshold). The full-rebuild cost of the same churn is the
+		// resolves in the warm design cache. Each round splices the view
+		// and its outcome buffer in place (survivors between splice points
+		// shift), renumbers every shard's view indices, and splices only
+		// the owning shards' slots, where joiners take the patch route and
+		// respond alone. The full-rebuild cost of the same churn is the
 		// sharded-rebuild arm above.
 		drifted := benchArchetypePopulation(b, 100_000)
 		proto := drifted.Agents[0] // honest archetype

@@ -361,7 +361,7 @@ func declaredChurnDrift(tb testing.TB, structural bool) func(int, *engine.Popula
 			}
 		case 4:
 			// Rejoin of a left ID: the view must re-insert it at its old
-			// sort position with a fresh outcome slot.
+			// sort position and respond it afresh.
 			join(pop, gone, 1, 0.05)
 		}
 		// Rounds 0 and 5: no mutation, no declaration — warm rounds
@@ -377,7 +377,6 @@ func declaredChurnDrift(tb testing.TB, structural bool) func(int, *engine.Popula
 // Declared structural scopes are an acceleration, never an observable
 // behaviour change.
 func TestStructuralDriftLedgerIdentical(t *testing.T) {
-	ctx := context.Background()
 	const rounds = 6
 	run := func(shards int, memo, structural bool) []engine.Round {
 		t.Helper()
@@ -391,11 +390,7 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 		if memo {
 			cfg.Memo = engine.NewRespondMemo()
 		}
-		ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 30), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ledger
+		return checkedLedger(t, archetypePopulation(t, 30), cfg)
 	}
 
 	ref := referenceLedger(t, archetypePopulation(t, 30), engine.Config{
@@ -455,9 +450,6 @@ func TestStructuralDriftCounters(t *testing.T) {
 	if got := s.Counters[engine.MetricDriftTouchedAgents]; got != 1 {
 		t.Errorf("drift touched agents = %d, want 1", got)
 	}
-	if got := s.Counters[engine.MetricDriftCompactions]; got != 0 {
-		t.Errorf("drift compactions = %d, want 0 below the threshold", got)
-	}
 }
 
 // TestRefutedScopeReportsEscalation pins the escalation report for a
@@ -498,21 +490,19 @@ func TestRefutedScopeReportsEscalation(t *testing.T) {
 	}
 }
 
-// TestStructuralDriftCompaction pins the deferred slot compaction: leaves
-// below the tombstone threshold keep the fragmented mapping (slots
-// stable, no compaction), crossing it triggers exactly one batched
-// renumbering, and rounds before, across, and after the compaction stay
-// byte-identical to the reference round — slot bookkeeping never shows
-// through the ledger.
-func TestStructuralDriftCompaction(t *testing.T) {
+// TestStructuralDriftLeaveHeavy sheds 70 of 200 agents in two declared
+// leave rounds, each followed by a sparse touch, and checks every round
+// against the reference and the views after every round: survivors'
+// retained outcomes move with the view through stacked leave splices
+// and stay exact.
+func TestStructuralDriftLeaveHeavy(t *testing.T) {
 	ctx := context.Background()
 	const (
 		n      = 200
 		rounds = 6
 	)
-	// The compaction gate is tombstones >= 64 and tombstones*4 >= physical
-	// slots: 40 leaves stay fragmented, 30 more (70 dead of 200 slots)
-	// cross it.
+	// 40 leaves, a touch, then 30 more leaves and a touch of the new first
+	// agent.
 	var first, second []string
 	{
 		pop := archetypePopulation(t, n)
@@ -550,8 +540,7 @@ func TestStructuralDriftCompaction(t *testing.T) {
 			case 1:
 				leave(pop, first)
 			case 2:
-				// A fragmented sparse round: outcome slots are indirected,
-				// but the drift itself is a plain weight touch.
+				// A sparse round over the spliced view.
 				pop.Weights[second[0]] *= 1.05
 				if structural {
 					pop.Touch(second[0])
@@ -559,9 +548,9 @@ func TestStructuralDriftCompaction(t *testing.T) {
 					pop.Bump()
 				}
 			case 3:
-				leave(pop, second) // crosses the compaction threshold
+				leave(pop, second)
 			case 4:
-				// A post-compaction sparse round over the renumbered slots.
+				// A sparse touch of the agent at the head of the view.
 				pop.Weights[pop.Agents[0].ID] *= 1.02
 				if structural {
 					pop.Touch(pop.Agents[0].ID)
@@ -597,13 +586,8 @@ func TestStructuralDriftCompaction(t *testing.T) {
 		if err := eng.Step(ctx); err != nil {
 			t.Fatal(err)
 		}
-		compactions := reg.Snapshot().Counters[engine.MetricDriftCompactions]
-		var want uint64
-		if r >= 3 {
-			want = 1 // fires in round 3's structural refresh, exactly once
-		}
-		if compactions != want {
-			t.Errorf("round %d: compactions = %d, want %d", r, compactions, want)
+		if err := eng.CheckViews(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
 		}
 		if r < len(ref) && !reflect.DeepEqual(led.Rounds[r], ref[r]) {
 			t.Errorf("round %d: ledger differs from reference", r)
@@ -619,11 +603,10 @@ func TestStructuralDriftCompaction(t *testing.T) {
 // shape the engine accepts: Touch of weight, β, ψ, and ω drifts, TouchJoin
 // of fresh and returning agents, TouchLeave, a join touched in the same
 // round, empty Touch() rounds, and Bump. Rounds 1–6 only splice and touch,
-// shedding 66–84 agents, so the ≥64-tombstone compaction gate is crossed
-// before any full rebuild resets the slot mapping. Later rounds also
-// misdeclare: a Touch of an unknown ID, a TouchJoin of a present ID, or a
-// removal left undeclared — each of which the engine must refute and
-// rebuild. Each call returns an independent schedule, so the engine and
+// shedding 66–84 agents, so splices stack on splices before any full
+// rebuild re-sorts the view. Later rounds also misdeclare: a Touch of an
+// unknown ID, a TouchJoin of a present ID, or a removal left undeclared —
+// each of which the engine must refute and rebuild. Each call returns an independent schedule, so the engine and
 // the reference replay the same mutations on their own populations.
 func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Population) {
 	tb.Helper()
@@ -750,11 +733,33 @@ func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Populatio
 	}
 }
 
+// checkedLedger steps a fresh engine through cfg.Rounds rounds and
+// returns its ledger, checking the engine's view invariants
+// (Engine.CheckViews) after every round.
+func checkedLedger(tb testing.TB, pop *engine.Population, cfg engine.Config) []engine.Round {
+	tb.Helper()
+	led := &engine.Ledger{}
+	cfg.Observers = append(append([]engine.Observer(nil), cfg.Observers...), led)
+	eng, err := engine.New(pop, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for r := 0; r < cfg.Rounds; r++ {
+		if err := eng.Step(context.Background()); err != nil {
+			tb.Fatalf("round %d: %v", r, err)
+		}
+		if err := eng.CheckViews(); err != nil {
+			tb.Fatalf("round %d: %v", r, err)
+		}
+	}
+	return led.Rounds
+}
+
 // TestDriftScopeRandomSchedules is the randomized differential check of
 // the scoped drift rule: seeded random schedules (randomDriftSchedule)
 // run over every shard count and memo setting, with a design cache, and
-// every ledger must equal the naive reference round's. Each engine run
-// must also have compacted its outcome slots at least once.
+// every ledger must equal the naive reference round's, with the engine's
+// views checked after every round.
 func TestDriftScopeRandomSchedules(t *testing.T) {
 	const (
 		n      = 90
@@ -768,30 +773,56 @@ func TestDriftScopeRandomSchedules(t *testing.T) {
 		})
 		for _, shards := range []int{0, 1, 3, 8} {
 			for _, memo := range []bool{true, false} {
-				reg := telemetry.NewRegistry()
 				cfg := engine.Config{
 					Policy:  &shardDesignPolicy{},
 					Rounds:  rounds,
 					Drift:   randomDriftSchedule(t, seed),
 					Cache:   engine.NewCache(),
 					Shards:  shards,
-					Metrics: reg,
+					Metrics: telemetry.NewRegistry(),
 				}
 				if memo {
 					cfg.Memo = engine.NewRespondMemo()
 				}
 				name := fmt.Sprintf("seed=%d/shards=%d/memo=%v", seed, shards, memo)
-				got, err := engine.RunLedger(context.Background(), archetypePopulation(t, n), cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
+				if got := checkedLedger(t, archetypePopulation(t, n), cfg); !reflect.DeepEqual(got, ref) {
 					t.Errorf("%s: ledger differs from reference", name)
-				}
-				if reg.Snapshot().Counters[engine.MetricDriftCompactions] == 0 {
-					t.Errorf("%s: no slot compaction ran", name)
 				}
 			}
 		}
 	}
+}
+
+// FuzzDriftSchedule widens TestDriftScopeRandomSchedules: the input picks
+// the schedule's seed, the population size, the shard count (one of 0,
+// 1, 3, 8), and the respond memo, and the engine's ledger must equal the
+// reference's with its views intact after every round. randomDriftSchedule
+// sheds up to 67 agents over its first seven rounds, so the population
+// starts at 72 or more.
+func FuzzDriftSchedule(f *testing.F) {
+	f.Add(uint64(1), uint8(18), uint8(2), true)
+	f.Add(uint64(2), uint8(0), uint8(3), false)
+	f.Add(uint64(7), uint8(31), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed uint64, size, shardSel uint8, memo bool) {
+		const rounds = 8
+		n := 72 + int(size%32)
+		ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{
+			Policy: &designPolicy{},
+			Rounds: rounds,
+			Drift:  randomDriftSchedule(t, seed),
+		})
+		cfg := engine.Config{
+			Policy: &shardDesignPolicy{},
+			Rounds: rounds,
+			Drift:  randomDriftSchedule(t, seed),
+			Cache:  engine.NewCache(),
+			Shards: []int{0, 1, 3, 8}[shardSel%4],
+		}
+		if memo {
+			cfg.Memo = engine.NewRespondMemo()
+		}
+		if got := checkedLedger(t, archetypePopulation(t, n), cfg); !reflect.DeepEqual(got, ref) {
+			t.Errorf("seed=%d n=%d shards=%d memo=%v: ledger differs from reference", seed, n, cfg.Shards, memo)
+		}
+	})
 }

@@ -169,7 +169,7 @@ type Engine struct {
 	agents    []*worker.Agent    // cached ID-sorted view (see roundAgents)
 	agentsOK  bool
 	agentsGen uint64
-	outs      []AgentOutcome // Round.Outcomes backing array, reused per round
+	outs      []AgentOutcome // Round.Outcomes backing array, aligned with agents
 	fanErrs   []error        // per-task errors for fanOut, reused per round
 	rt        roundState     // per-round pipeline state, reused per round
 	stepped   int            // rounds completed through Step (not Run)
@@ -188,33 +188,19 @@ type Engine struct {
 	scopeLeaveIDs []string
 
 	// Structural-splice state (viewStructural; see prepareStructural and
-	// spliceView): the resolved joiner objects in ID order, the outcome
-	// slot assigned to each, the pre-splice view position of each joiner
-	// (its insertion point) and leaver, and the pre-splice view position
-	// of each declared touched ID (-1 for joiners and leavers, which the
-	// plain-touched loops skip).
-	structJoins     []*worker.Agent
-	structJoinSlots []int32
-	joinPos         []int32
-	leavePos        []int32
-	touchPos        []int32
-	scopeAgents     []*worker.Agent // validateStructural's scratch
-
-	// Outcome-slot indirection for structural drift: agent i of the
-	// ID-sorted view owns physical slot slots[i] of outs. fragmented is
-	// false for the identity mapping (no structural splice since the last
-	// full rebuild or compaction — the common case, where slots is not
-	// consulted at all); once a splice runs, leavers tombstone their slot,
-	// joiners take fresh tail slots ([physLen,…)), and stageRespond
-	// gathers live outcomes back into ID order before settlement.
-	// Compaction (maybeCompact) renumbers the slots back to identity when
-	// tombstones pass the fragmentation threshold.
-	fragmented bool
-	slots      []int32
-	physLen    int
-	tombstones int
-	ordered    []AgentOutcome // ID-order gather buffer / compaction double buffer
-	slotRemap  []int32        // compaction scratch: old slot → new slot
+	// spliceView): the resolved joiner objects in ID order, the pre-splice
+	// view position of each joiner (its insertion point) and leaver, each
+	// joiner's post-splice view position, the view splice's survivor
+	// segments, and the view position of each declared touched ID (-1 for
+	// joiners and leavers, which the plain-touched loops skip) — pre-splice
+	// until spliceView shifts it through the segments.
+	structJoins []*worker.Agent
+	joinPos     []int32
+	leavePos    []int32
+	joinDst     []int32
+	viewSegs    []spliceSeg
+	touchPos    []int32
+	scopeAgents []*worker.Agent // validateStructural's scratch
 
 	// Shard-pipeline state; see shard.go.
 	shardPol  ShardPolicy // non-nil when the policy supports per-shard design
@@ -249,12 +235,12 @@ type Engine struct {
 	// scope.leaves).
 	shardJoins  [][]int32
 	shardLeaves [][]int32
-	// Splice scratch shared by spliceView and spliceShard: the
-	// binary-searched insertion index of each join, the slot index of
-	// each leave, the survivor segments with their target offsets, and
-	// each join's destination index. Splices run in place over the
-	// retained arrays — only segments whose offset is nonzero move, so
-	// clustered churn costs the shifted span, not the view length.
+	// spliceShard's scratch: the binary-searched insertion index of each
+	// join, the slot index of each leave, the survivor segments with their
+	// target offsets, and each join's destination index. Splices run in
+	// place over the retained arrays — only segments whose offset is
+	// nonzero move, so clustered churn costs the shifted span, not the
+	// view length.
 	msJoinPos  []int32
 	msLeavePos []int32
 	msJoinDst  []int32
@@ -610,61 +596,17 @@ func (e *Engine) stageContracts(_ context.Context, st *roundState) error {
 }
 
 // stageRespond computes worker best responses into the reused outcomes
-// backing array; observers that retain it past their callback (as Ledger
-// does) must copy. Under a fragmented slot mapping (structural drift)
-// responds write to physical slots and the live outcomes are gathered
-// back into ID order before settlement; with the identity mapping the
-// backing array is already in ID order.
+// backing array, which holds each agent's outcome at its view position —
+// already ID order; observers that retain it past their callback (as
+// Ledger does) must copy.
 func (e *Engine) stageRespond(ctx context.Context, st *roundState) error {
-	agents := st.agents
-	phys := len(agents)
-	if e.fragmented {
-		phys = e.physLen
-	}
-	if cap(e.outs) < phys {
-		// Grow with copy: every retained outcome keeps its physical slot
-		// (joiners take fresh tail slots), so shard warm state survives
-		// the reallocation.
-		newCap := phys
-		if c := 2 * cap(e.outs); c > newCap {
-			newCap = c
-		}
-		grown := make([]AgentOutcome, newCap)
-		copy(grown, e.outs)
-		e.outs = grown
-	}
-	st.round = Round{Index: st.r, Outcomes: e.outs[:phys]}
+	st.round = Round{Index: st.r, Outcomes: e.outs}
 	wu, err := e.respondShards(ctx, st)
 	if err != nil {
 		return err
 	}
 	st.workerUtility = wu
-	if e.fragmented {
-		st.round.Outcomes = e.gatherOutcomes(len(agents))
-	}
 	return nil
-}
-
-// gatherOutcomes copies the live outcomes — physical slots indexed
-// through the slot mapping — into the reused ID-order buffer, restoring
-// the Round.Outcomes contract (ordered by agent ID, tombstones skipped).
-func (e *Engine) gatherOutcomes(n int) []AgentOutcome {
-	if cap(e.ordered) < n {
-		e.ordered = make([]AgentOutcome, n)
-	}
-	ord := e.ordered[:n]
-	// The slot mapping is identity runs broken only at splice points, so
-	// each run of consecutive physical slots copies wholesale.
-	for i := 0; i < n; {
-		s := int(e.slots[i])
-		j := i + 1
-		for j < n && int(e.slots[j]) == s+(j-i) {
-			j++
-		}
-		copy(ord[i:j], e.outs[s:s+(j-i)])
-		i = j
-	}
-	return ord
 }
 
 // stageSettle runs the Eq. (7) accounting — always one sequential pass in
@@ -702,9 +644,13 @@ func (e *Engine) stageObserve(_ context.Context, st *roundState) error {
 		e.cfg.Cache.publish(e.cfg.Metrics)
 		e.cfg.Memo.publish(e.cfg.Metrics)
 	}
-	for i := range st.round.Outcomes {
-		for _, ob := range e.cfg.Observers {
-			ob.OnOutcome(st.r, st.round.Outcomes[i])
+	// With no observers the per-agent walk is skipped outright: on a warm
+	// 100k-agent round that empty walk was a fifth of the round.
+	if len(e.cfg.Observers) > 0 {
+		for i := range st.round.Outcomes {
+			for _, ob := range e.cfg.Observers {
+				ob.OnOutcome(st.r, st.round.Outcomes[i])
+			}
 		}
 	}
 	for _, ob := range e.cfg.Observers {
@@ -746,13 +692,14 @@ func (e *Engine) beginScope() {
 	e.scope.declared = e.scope.rule
 }
 
-// roundAgents returns the ID-ordered agent view. The cached view is kept
-// under viewKeep with an unmoved generation. Under viewStructural
-// (validated by prepareStructural before the stages ran) declared joins
-// and leaves splice the cached view in place; touched agents mutate in
-// place through the retained pointers, so a scope with no joins or
-// leaves keeps the view as it is. Every other round rebuilds here as
-// viewFull, which cascades into ensureShards.
+// roundAgents returns the ID-ordered agent view and keeps the outcome
+// buffer exactly as long. The cached view is kept under viewKeep with an
+// unmoved generation. Under viewStructural (validated by
+// prepareStructural before the stages ran) declared joins and leaves
+// splice the cached view in place; touched agents mutate in place
+// through the retained pointers, so a scope with no joins or leaves
+// keeps the view as it is. Every other round rebuilds here as viewFull,
+// which cascades into ensureShards.
 func (e *Engine) roundAgents() []*worker.Agent {
 	gen := e.pop.Generation()
 	if e.agentsOK {
@@ -772,6 +719,7 @@ func (e *Engine) roundAgents() []*worker.Agent {
 	e.scope.rule = viewFull
 	e.agents = append(e.agents[:0], e.pop.Agents...)
 	sort.Slice(e.agents, func(i, j int) bool { return e.agents[i].ID < e.agents[j].ID })
+	e.fitOuts(len(e.agents))
 	e.agentsOK = true
 	e.agentsGen = gen
 	return e.agents
@@ -953,6 +901,38 @@ func spliceMove[T any](buf []T, segs []spliceSeg) {
 	}
 }
 
+// spliceShift maps a survivor's pre-splice index v to its post-splice
+// index: the segments are ordered by src, so the one holding v
+// binary-searches.
+func spliceShift(segs []spliceSeg, v int32) int32 {
+	s := segs[sort.Search(len(segs), func(i int) bool { return segs[i].src+segs[i].n > v })]
+	return v + s.dst - s.src
+}
+
+// spliceRenumber rewrites an ascending list of indices into a spliced
+// array (a shard's Global into the view) through the splice's survivor
+// segments. The first entry a moved segment holds binary-searches, and
+// one forward pass shifts the rest, so a list the splice leaves in place
+// costs a search. A leaver's entry falls between segments and takes the
+// next one's shift; the caller drops it.
+func spliceRenumber(idx []int32, segs []spliceSeg) {
+	s := 0
+	for s < len(segs) && segs[s].dst == segs[s].src {
+		s++
+	}
+	if s == len(segs) {
+		return
+	}
+	j, _ := slices.BinarySearch(idx, segs[s].src)
+	for ; j < len(idx); j++ {
+		v := idx[j]
+		for s < len(segs)-1 && v >= segs[s].src+segs[s].n {
+			s++
+		}
+		idx[j] = v + segs[s].dst - segs[s].src
+	}
+}
+
 // grown returns buf extended to length n with zero values (its length
 // never shrinks here; splices truncate after the moves).
 func grown[T any](buf []T, n int) []T {
@@ -963,60 +943,53 @@ func grown[T any](buf []T, n int) []T {
 	return buf
 }
 
+// fitOuts sets the outcome buffer's length to n, keeping the retained
+// prefix. It grows by one exact allocation: append's doubling would keep
+// up to twice the view's outcomes live for the session. Entries past the
+// prefix are left as they are; respond writes every one before settle
+// reads it.
+func (e *Engine) fitOuts(n int) {
+	if cap(e.outs) < n {
+		o := make([]AgentOutcome, n)
+		copy(o, e.outs)
+		e.outs = o
+	}
+	e.outs = e.outs[:n]
+}
+
 // spliceView applies the round's resolved structural scope to the cached
 // ID-sorted view in place: survivor segments between the ID-sorted splice
 // points shift by their cumulative join/leave offset (most never move),
-// then each joiner lands at its final index. The outcome-slot indirection
-// updates alongside: every surviving agent keeps its physical slot, each
-// leaver's slot becomes a tombstone, and each joiner takes a fresh tail
-// slot (recorded in structJoinSlots for the shard splice); compaction is
-// deferred to maybeCompact.
+// then each joiner lands at its final index (joinDst). The outcome buffer
+// moves with the same segments, so every survivor's retained outcome
+// stays at its view position; a joiner's entry is filled by this round's
+// respond (its slot is dirty or its shard re-plans). Touched positions
+// shift to the spliced view; refreshShardsStructural renumbers the shard
+// views through the same segments.
 func (e *Engine) spliceView() {
-	joins, leaves := e.structJoins, e.scope.leaves
-	if !e.fragmented {
-		n := len(e.agents)
-		if cap(e.slots) < n {
-			e.slots = make([]int32, n)
-		}
-		e.slots = e.slots[:n]
-		for i := range e.slots {
-			e.slots[i] = int32(i)
-		}
-		e.physLen = n
-		e.tombstones = 0
-		e.fragmented = true
-	}
-	if cap(e.structJoinSlots) < len(joins) {
-		e.structJoinSlots = make([]int32, len(joins))
-	}
-	e.structJoinSlots = e.structJoinSlots[:len(joins)]
 	// prepareStructural resolved every splice position — joins and leaves
 	// arrive ID-sorted, so their positions are non-decreasing and the
 	// merge reduces to contiguous survivor segments.
-	segs, jdst := buildSpliceSegs(e.msSegs[:0], e.msJoinDst[:0], e.joinPos, e.leavePos, len(e.agents))
-
+	segs, jdst := buildSpliceSegs(e.viewSegs[:0], e.joinDst[:0], e.joinPos, e.leavePos, len(e.agents))
 	nOld := len(e.agents)
-	nNew := nOld + len(joins) - len(leaves)
-	e.agents = grown(e.agents, nNew)
-	e.slots = grown(e.slots, nNew)
+	nNew := nOld + len(e.structJoins) - len(e.scope.leaves)
+	nMax := max(nOld, nNew)
+	e.agents = grown(e.agents, nMax)
+	e.fitOuts(nMax)
 	spliceMove(e.agents, segs)
-	spliceMove(e.slots, segs)
-	for k, a := range joins {
-		d := jdst[k]
-		e.agents[d] = a
-		e.structJoinSlots[k] = int32(e.physLen)
-		e.slots[d] = int32(e.physLen)
-		e.physLen++
+	spliceMove(e.outs, segs)
+	for k, a := range e.structJoins {
+		e.agents[jdst[k]] = a
 	}
-	if nNew < len(e.agents) {
-		for i := nNew; i < len(e.agents); i++ {
-			e.agents[i] = nil // release the pointer tail
+	clear(e.agents[nNew:]) // release the pointer tail
+	e.agents = e.agents[:nNew]
+	e.outs = e.outs[:nNew]
+	for k, v := range e.touchPos {
+		if v >= 0 {
+			e.touchPos[k] = spliceShift(segs, v)
 		}
-		e.agents = e.agents[:nNew]
 	}
-	e.slots = e.slots[:nNew]
-	e.tombstones += len(leaves)
-	e.msSegs, e.msJoinDst = segs, jdst
+	e.viewSegs, e.joinDst = segs, jdst
 }
 
 // validateStructural re-checks what a declared scope can have changed,

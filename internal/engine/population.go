@@ -120,9 +120,9 @@ func (p *Population) Bump() {
 //
 // Touch is cumulative until consumed — several drifts between rounds
 // union their scopes — and advances the generation counter like Bump, so
-// secondary consumers of the same population (a second engine, or
-// Population.Shards snapshots) still observe the mutation through the
-// generation compare and rebuild conservatively.
+// secondary consumers of the same population (a second engine) still
+// observe the mutation through the generation compare and rebuild
+// conservatively.
 //
 // The one mutation Touch does not express is replacing an agent object
 // under an ID that is still present: the engine sees a different object
@@ -154,8 +154,8 @@ func (p *Population) declare(set *map[string]struct{}, ids ...string) {
 // were appended to Agents (with Weights and, optionally, MaliceProb
 // entries) since the engine last looked. A declared join splices the
 // engine's cached ID-sorted view and re-slots only the shard owning each
-// joined ID; every other agent keeps its view position, outcome slot, and
-// warm state. Like Touch it is cumulative until consumed and advances the
+// joined ID; every other agent keeps its retained outcome (moved with its
+// view position) and warm state. Like Touch it is cumulative until consumed and advances the
 // generation counter, so secondary consumers still rebuild conservatively.
 //
 // A TouchJoin for an ID that is already present (or otherwise
@@ -174,9 +174,9 @@ func (p *Population) TouchJoin(ids ...string) {
 // TouchLeave declares the structural counterpart of TouchJoin: exactly
 // the agents named were removed from Agents (and their Weights/MaliceProb
 // entries deleted) since the engine last looked. A declared leave splices
-// the cached view and tombstones the agent's outcome slot — reclaimed by
-// a deferred, batched compaction — leaving every remaining agent's slot
-// and warm state untouched. Cumulative and generation-advancing, like
+// the agent out of the cached view and its outcome out of the outcome
+// buffer; every remaining agent keeps its retained outcome (moved with
+// its view position) and warm state. Cumulative and generation-advancing, like
 // Touch; inconsistent declarations escalate to the full rebuild. Like
 // TouchJoin it is for direct edits of Agents (Remove declares its own);
 // it also drops the leavers from the ID index.

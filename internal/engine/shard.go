@@ -26,9 +26,10 @@ import (
 //
 // Shard assignment hashes agent IDs (FNV-1a), so it is stable across
 // rounds and across processes: the same population shards the same way
-// everywhere, and adding an agent moves no settled agent's outcome slot —
-// outcomes are written to each agent's position in the global ID-sorted
-// order, not to contiguous per-shard blocks.
+// everywhere, and adding an agent moves no settled agent to another
+// shard. Outcomes are written to each agent's position in the global
+// ID-sorted view, not to contiguous per-shard blocks, and a structural
+// splice moves them with the view.
 
 // ShardOf returns the shard index for an agent ID under an n-way
 // partition: FNV-1a over the ID, reduced mod n. It is a pure function of
@@ -58,16 +59,17 @@ func ShardOf(id string, n int) int {
 type Shard struct {
 	// Index is the shard's position in the partition.
 	Index int
-	// Epoch identifies the population view this shard was built from.
-	// Engine-built shards use a counter that advances on every view
-	// rebuild (generation bump, or every round under Drift);
-	// Population.Shards uses the population's generation. Consumers that
-	// cache per-shard plans (ShardDesigner) key them on (Index, Epoch).
+	// Epoch identifies the population view this shard was built from: a
+	// per-engine counter that advances on every full view rebuild and on
+	// every scoped refresh that invalidates the shard's plan. Consumers
+	// that cache per-shard plans (ShardDesigner) key them on (Index,
+	// Epoch).
 	Epoch uint64
 	// Agents is the shard's slice of the ID-sorted population view.
 	Agents []*worker.Agent
 	// Global maps each shard position to the agent's index in the global
-	// ID-sorted view — the slot its outcome is written to.
+	// ID-sorted view, which is also where its outcome is written. It is
+	// strictly increasing, and a splice renumbers it with the view.
 	Global []int32
 	// Weights is the indexed view of Population.Weights for Agents.
 	Weights []float64
@@ -127,32 +129,6 @@ func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts 
 	if run > 0 {
 		counts[runKey] += run
 	}
-}
-
-// Shards partitions the population into n deterministic shards of its
-// ID-sorted agent view (see ShardOf for the assignment; it is stable
-// across rounds and processes). n is clamped to the number of agents;
-// n <= 0 returns nil. The shards are built fresh from the population's
-// current state — they are indexed snapshots, not live views.
-func (p *Population) Shards(n int) []Shard {
-	if n <= 0 || len(p.Agents) == 0 {
-		return nil
-	}
-	agents := append([]*worker.Agent(nil), p.Agents...)
-	sort.Slice(agents, func(i, j int) bool { return agents[i].ID < agents[j].ID })
-	if n > len(agents) {
-		n = len(agents)
-	}
-	shards := make([]Shard, n)
-	ptrs := make([]*Shard, n)
-	for i := range shards {
-		shards[i].Index = i
-		shards[i].Epoch = p.generation
-		shards[i].Solo = n == 1
-		ptrs[i] = &shards[i]
-	}
-	shardAssign(p, agents, ptrs, nil)
-	return shards
 }
 
 // ShardPolicy is implemented by policies that can design one shard at a
@@ -246,7 +222,7 @@ type shardRun struct {
 // refuted by prepareStructural, and generation moves observed
 // second-hand on a shared population). Reports whether a full rebuild
 // happened.
-func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
+func (e *Engine) ensureShards(agents []*worker.Agent) bool {
 	gen := e.pop.Generation()
 	if e.shardsOK {
 		switch e.scope.rule {
@@ -255,16 +231,11 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 				return false
 			}
 		case viewStructural:
-			e.refreshShardsStructural(st)
+			e.refreshShardsStructural()
 			e.shardsGen = gen
 			return false
 		}
 	}
-	// Full rebuild: shard Global indices are re-assigned densely in global
-	// ID order, so the slot mapping returns to identity.
-	e.fragmented = false
-	e.physLen = len(agents)
-	e.tombstones = 0
 	e.viewEpoch++
 	// The fingerprint refcount index is rebuilt eagerly alongside the
 	// views: shardAssign counts each fingerprint as it writes it. Without
@@ -330,33 +301,23 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 
 // refreshShardSlot refreshes one touched agent's shard slot — weight,
 // malice, fingerprint (refcounted) — and routes the contract. gi is the
-// agent's view position, resolved by prepareStructural. Under a
-// FingerprintPurePolicy whose design key already resolves in the menu
-// cache, the agent's contract slot is patched with the menu's pick and only
-// its outcome slot is marked dirty — the shard keeps its epoch, its
-// designer plan, and every other retained outcome (the patch route).
-// Otherwise the shard's epoch is bumped, forcing its designer plan and
-// retained outcomes to revalidate in full (the fallback route). Returns
-// the shard-local slot, or -1 when the ID does not resolve in the shard.
+// agent's view position, resolved by prepareStructural and shifted by
+// spliceView. Under a FingerprintPurePolicy whose design key already
+// resolves in the menu cache, the agent's contract slot is patched with
+// the menu's pick and only its outcome slot is marked dirty — the shard
+// keeps its epoch, its designer plan, and every other retained outcome
+// (the patch route). Otherwise the shard's epoch is bumped, forcing its
+// designer plan and retained outcomes to revalidate in full (the fallback
+// route). Returns the shard-local slot, or -1 when the view position does
+// not resolve in the shard.
 func (e *Engine) refreshShardSlot(sr *shardRun, id string, gi int32, epoch uint64, canPatch bool) int {
 	sh := &sr.sh
-	var j int
-	if !e.fragmented {
-		// Identity slot mapping (so no splice ran this round and gi still
-		// indexes the view): Global is monotone in view order, so the slot
-		// binary-searches by the agent's view index — int compares, no
-		// string walks (the touch-only drift hot path).
-		j = sort.Search(len(sh.Global), func(k int) bool { return sh.Global[k] >= gi })
-		if j >= len(sh.Global) || sh.Global[j] != gi {
-			return -1
-		}
-	} else {
-		// After a splice Global holds physical outcome slots, no longer
-		// monotone; resolve by agent ID instead.
-		var ok bool
-		if j, ok = searchAgents(sh.Agents, id); !ok {
-			return -1
-		}
+	// Global is monotone in view order, so the slot binary-searches by the
+	// agent's view index — int compares, no string walks (the touch-only
+	// drift hot path).
+	j := sort.Search(len(sh.Global), func(k int) bool { return sh.Global[k] >= gi })
+	if j >= len(sh.Global) || sh.Global[j] != gi {
+		return -1
 	}
 	a := sh.Agents[j]
 	w := e.pop.Weights[id]
@@ -444,18 +405,19 @@ func (e *Engine) removeDeadKeys() {
 }
 
 // refreshShardsStructural applies a declared scope to the retained shard
-// views in place. Joins and leaves — already resolved and ID-sorted by
-// prepareStructural, slots assigned by spliceView — are grouped by owning
-// shard and spliced into each affected shard's views in one merge pass
-// (spliceShard). The scope's plain-touched agents then refresh their
-// slots (refreshShardSlot, resolved by ID against the spliced views).
-// Shards owning no declared ID keep their epoch, plan, and retained
-// outcomes untouched. Fingerprints are refcounted across all shards, so
-// only fingerprints whose last holder drifted or left are evicted from
-// the design cache and respond memo; shared designs survive a partial
-// drift. Finally, maybeCompact renumbers the outcome slots back to
-// identity when enough tombstones accumulated.
-func (e *Engine) refreshShardsStructural(st *roundState) {
+// views in place. A splice moved the view's survivors, so every shard's
+// Global first renumbers through the view splice's segments. Joins and
+// leaves — already resolved and ID-sorted by prepareStructural, placed in
+// the view by spliceView — are then grouped by owning shard and spliced
+// into each affected shard's views in one merge pass (spliceShard). The
+// scope's plain-touched agents then refresh their slots
+// (refreshShardSlot, resolved by view position against the spliced
+// views). Shards owning no declared ID keep their epoch, plan, and
+// retained outcomes untouched. Fingerprints are refcounted across all
+// shards, so only fingerprints whose last holder drifted or left are
+// evicted from the design cache and respond memo; shared designs survive
+// a partial drift.
+func (e *Engine) refreshShardsStructural() {
 	var t telemetry.Timer
 	if e.m != nil {
 		t = telemetry.StartTimer()
@@ -488,6 +450,11 @@ func (e *Engine) refreshShardsStructural(st *roundState) {
 		e.shardLeaves[s] = append(e.shardLeaves[s], int32(k))
 	}
 
+	if len(e.structJoins)+len(e.scope.leaves) > 0 {
+		for si := range e.shards {
+			spliceRenumber(e.shards[si].sh.Global, e.viewSegs)
+		}
+	}
 	for si := range e.shards {
 		if len(e.shardJoins[si])+len(e.shardLeaves[si]) == 0 {
 			continue
@@ -521,20 +488,18 @@ func (e *Engine) refreshShardsStructural(st *roundState) {
 		e.m.driftShardsSkipped.Add(uint64(n - touched))
 		e.m.driftRebuild.Observe(t.Seconds())
 	}
-	e.maybeCompact(st)
 }
 
 // spliceShard merges a shard's declared joins and leaves into its views
 // in place: survivor segments between the ID-sorted splice points shift
 // by their cumulative offset (most never move), so the cost scales with
 // the shifted span, not the shard size. Surviving agents keep their
-// contract slot, outcome slot, and per-slot utility; leavers drop out
-// (their fingerprint refcount released, their outcome slot already
-// tombstoned by spliceView); each joiner lands at its ID-sorted position
-// carrying the outcome slot spliceView assigned. Joiner contracts take
-// the sparse patch route — fingerprint-pure policy, design cache hit,
-// dirty slot — when they can; any joiner that cannot bumps the shard's
-// epoch for a full re-plan.
+// contract, renumbered view index, and per-slot utility; leavers drop
+// out (their fingerprint refcount released); each joiner lands at its
+// ID-sorted position carrying the view index spliceView gave it. Joiner
+// contracts take the sparse patch route — fingerprint-pure policy, design
+// cache hit, dirty slot — when they can; any joiner that cannot bumps the
+// shard's epoch for a full re-plan.
 func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, canPatch bool) {
 	sh := &sr.sh
 	if len(sr.dirty) > 0 {
@@ -589,7 +554,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 			e.fpCounts[fp.DesignKey]++
 		}
 		sh.Agents[d] = a
-		sh.Global[d] = e.structJoinSlots[k]
+		sh.Global[d] = e.joinDst[k]
 		sh.Weights[d] = w
 		sh.Malice[d] = e.pop.MaliceProb[a.ID]
 		sh.FPs[d] = fp
@@ -634,69 +599,6 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	}
 }
 
-// Compaction gate: the deferred slot compaction runs when at least
-// compactMinTombstones outcome slots are dead and tombstones make up at
-// least 1/compactFrag of the physical slot range. Between compactions,
-// fragmented rounds pay one extra ID-order gather per round.
-const (
-	compactFrag          = 4
-	compactMinTombstones = 64
-)
-
-// maybeCompact renumbers the outcome slots back to the identity mapping
-// when fragmentation passes the threshold: live outcomes are gathered
-// into ID order (becoming the new backing array), every shard's Global
-// slots are rewritten through the old→new remap, and the tombstone count
-// resets. Retained outcomes move with their slots, so shard warm state
-// (outsOK, dirty, wuSlots) survives intact. Traced rounds record the
-// batch as an "engine.compact" span under the round span.
-func (e *Engine) maybeCompact(st *roundState) {
-	if !e.fragmented || e.tombstones < compactMinTombstones || e.tombstones*compactFrag < e.physLen {
-		return
-	}
-	var sp *spans.Span
-	if st != nil && st.span != nil {
-		sp = st.span.StartChild("engine.compact")
-		sp.SetInt("tombstones", int64(e.tombstones))
-		sp.SetInt("slots", int64(e.physLen))
-	}
-	n := len(e.agents)
-	if cap(e.slotRemap) < e.physLen {
-		e.slotRemap = make([]int32, e.physLen)
-	}
-	remap := e.slotRemap[:e.physLen]
-	if cap(e.ordered) < n {
-		e.ordered = make([]AgentOutcome, n)
-	}
-	ord := e.ordered[:cap(e.ordered)]
-	for i, s := range e.slots {
-		remap[s] = int32(i)
-		if int(s) < len(e.outs) {
-			// Slots at or past len(e.outs) are this round's joiners —
-			// assigned before the outcome buffer grew; their outcomes are
-			// computed after the remap anyway (they are dirty or their
-			// shard re-responds in full).
-			ord[i] = e.outs[s]
-		}
-	}
-	e.outs, e.ordered = ord, e.outs
-	for si := range e.shards {
-		g := e.shards[si].sh.Global
-		for j := range g {
-			g[j] = remap[g[j]]
-		}
-	}
-	e.fragmented = false
-	e.physLen = n
-	e.tombstones = 0
-	if e.m != nil {
-		e.m.driftCompactions.Inc()
-	}
-	if sp != nil {
-		sp.End()
-	}
-}
-
 // stageDesign resolves the round's agent and shard views, then asks the
 // policy for contracts. With a ShardPolicy each shard designs
 // independently (on the pool when the views were just rebuilt — warm
@@ -704,7 +606,7 @@ func (e *Engine) maybeCompact(st *roundState) {
 // Contracts call runs once and only the respond stage is sharded.
 func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 	st.agents = e.roundAgents()
-	rebuilt := e.ensureShards(st, st.agents)
+	rebuilt := e.ensureShards(st.agents)
 	if e.shardPol == nil {
 		contracts, err := e.cfg.Policy.Contracts(ctx, e.pop)
 		if err != nil {

@@ -64,25 +64,42 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
-// TestPopulationShards checks the partition invariants: every agent lands
-// in ShardOf's shard exactly once, shards preserve global ID order, and
-// the indexed views (Global, Weights, Malice, FPs) align with their
-// agents.
-func TestPopulationShards(t *testing.T) {
+// TestEngineShardPartition checks the partition invariants of the
+// engine's shard views: every agent lands in ShardOf's shard exactly once,
+// shards preserve global ID order, Global points into the view
+// (Engine.CheckViews), the indexed views (Weights, Malice, FPs) align with
+// their agents, and the shard count clamps to the population.
+func TestEngineShardPartition(t *testing.T) {
+	views := func(shards int) []engine.Shard {
+		t.Helper()
+		eng, err := engine.New(archetypePopulation(t, 23), engine.Config{
+			Policy: &shardDesignPolicy{},
+			Rounds: 1,
+			Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.CheckViews(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return eng.ShardViews()
+	}
+
 	pop := archetypePopulation(t, 23)
 	const n = 4
-	shards := pop.Shards(n)
+	shards := views(n)
 	if len(shards) != n {
 		t.Fatalf("len(shards) = %d, want %d", len(shards), n)
 	}
-
 	sorted := make([]string, 0, len(pop.Agents))
 	for _, a := range pop.Agents {
 		sorted = append(sorted, a.ID)
 	}
 	sort.Strings(sorted)
-
-	seen := make(map[string]bool)
 	for si, sh := range shards {
 		if sh.Index != si {
 			t.Errorf("shard %d: Index = %d", si, sh.Index)
@@ -90,23 +107,10 @@ func TestPopulationShards(t *testing.T) {
 		if sh.Solo {
 			t.Errorf("shard %d of %d reports Solo", si, n)
 		}
-		if len(sh.Global) != len(sh.Agents) || len(sh.Weights) != len(sh.Agents) ||
-			len(sh.Malice) != len(sh.Agents) || len(sh.FPs) != len(sh.Agents) {
+		if len(sh.Weights) != len(sh.Agents) || len(sh.Malice) != len(sh.Agents) || len(sh.FPs) != len(sh.Agents) {
 			t.Fatalf("shard %d: misaligned views", si)
 		}
-		prev := ""
 		for i, a := range sh.Agents {
-			if engine.ShardOf(a.ID, n) != si {
-				t.Errorf("agent %s in shard %d, ShardOf says %d", a.ID, si, engine.ShardOf(a.ID, n))
-			}
-			if seen[a.ID] {
-				t.Errorf("agent %s in more than one shard", a.ID)
-			}
-			seen[a.ID] = true
-			if a.ID <= prev && i > 0 {
-				t.Errorf("shard %d not ID-sorted: %s after %s", si, a.ID, prev)
-			}
-			prev = a.ID
 			if got := sorted[sh.Global[i]]; got != a.ID {
 				t.Errorf("shard %d Global[%d] → %s, want %s", si, i, got, a.ID)
 			}
@@ -122,18 +126,14 @@ func TestPopulationShards(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != len(pop.Agents) {
-		t.Errorf("shards cover %d agents, want %d", len(seen), len(pop.Agents))
-	}
 
-	if got := pop.Shards(1); len(got) != 1 || !got[0].Solo {
-		t.Errorf("Shards(1) is not one Solo shard")
+	for _, shards := range []int{0, 1} {
+		if got := views(shards); len(got) != 1 || !got[0].Solo {
+			t.Errorf("Shards=%d is not one Solo shard", shards)
+		}
 	}
-	if got := pop.Shards(0); got != nil {
-		t.Errorf("Shards(0) = %v, want nil", got)
-	}
-	if got := pop.Shards(1000); len(got) != len(pop.Agents) {
-		t.Errorf("Shards(1000) clamps to %d shards, want %d", len(got), len(pop.Agents))
+	if got := views(1000); len(got) != len(pop.Agents) {
+		t.Errorf("Shards=1000 clamps to %d shards, want %d", len(got), len(pop.Agents))
 	}
 }
 

@@ -96,10 +96,6 @@ const (
 	// nothing in any of the touched, joins, or leaves counters.
 	MetricDriftJoins  = "dyncontract_engine_drift_joins_total"
 	MetricDriftLeaves = "dyncontract_engine_drift_leaves_total"
-	// MetricDriftCompactions counts deferred outcome-slot compactions —
-	// the batched renumbering that folds accumulated leave tombstones
-	// back into the identity slot mapping (engine.compact span).
-	MetricDriftCompactions = "dyncontract_engine_drift_compactions_total"
 )
 
 // Stage-timing histograms bin uniformly over [0, 250ms) in 5ms steps —
@@ -173,7 +169,6 @@ type stageMetrics struct {
 	driftTouched                            *telemetry.Counter
 	driftShardsRebuilt, driftShardsSkipped  *telemetry.Counter
 	driftJoins, driftLeaves                 *telemetry.Counter
-	driftCompactions                        *telemetry.Counter
 }
 
 func newStageMetrics(reg *telemetry.Registry) *stageMetrics {
@@ -193,7 +188,6 @@ func newStageMetrics(reg *telemetry.Registry) *stageMetrics {
 		driftShardsSkipped: reg.Counter(MetricDriftShardsSkipped),
 		driftJoins:         reg.Counter(MetricDriftJoins),
 		driftLeaves:        reg.Counter(MetricDriftLeaves),
-		driftCompactions:   reg.Counter(MetricDriftCompactions),
 	}
 }
 

@@ -351,7 +351,6 @@ func TestDriftStatsHelpers(t *testing.T) {
 	skipped := reg.Counter(engine.MetricDriftShardsSkipped)
 	joins := reg.Counter(engine.MetricDriftJoins)
 	leaves := reg.Counter(engine.MetricDriftLeaves)
-	compactions := reg.Counter(engine.MetricDriftCompactions)
 	h := reg.Histogram(engine.MetricDriftRebuildSeconds, 0, 0.25, 50)
 	touched.Add(2)
 	rebuilt.Add(1)
@@ -365,14 +364,12 @@ func TestDriftStatsHelpers(t *testing.T) {
 	skipped.Add(10)
 	joins.Add(4)
 	leaves.Add(3)
-	compactions.Add(1)
 	h.Observe(0.0325)
 	cur := reg.Snapshot()
 
 	var buf bytes.Buffer
 	FprintStats(&buf, prev, cur, "dyncontract_engine_drift_")
-	want := "  " + engine.MetricDriftCompactions + " 1\n" +
-		"  " + engine.MetricDriftJoins + " 4\n" +
+	want := "  " + engine.MetricDriftJoins + " 4\n" +
 		"  " + engine.MetricDriftLeaves + " 3\n" +
 		"  " + engine.MetricDriftRebuildSeconds + " count 1 mean 0.0325 p50 0.0325 p95 0.03475 p99 0.03495\n" +
 		"  " + engine.MetricDriftShardsRebuilt + " 2\n" +

@@ -223,14 +223,20 @@ func TestRecoverAutoSnapshot(t *testing.T) {
 	advanceRounds(t, e1, id, 4)
 	ref := ledgerBytes(t, e1, id)
 
-	// The auto-snapshot commits on a background goroutine; wait for it.
+	// The auto-snapshot commits on a background goroutine; wait until it
+	// has finished. CommitSnapshot renames the snapshot into place before
+	// it deletes the segments it supersedes, so a visible snapshot alone
+	// does not make the directory stable: wait for snapBusy to clear too.
+	e1.srv.mu.Lock()
+	sess := e1.srv.sessions[id]
+	e1.srv.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		snaps, err := filepath.Glob(filepath.Join(dir, id, "snap-*.snap"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(snaps) > 0 {
+		if len(snaps) > 0 && !sess.snapBusy.Load() {
 			break
 		}
 		if time.Now().After(deadline) {
