@@ -603,11 +603,16 @@ func TestStructuralDriftLeaveHeavy(t *testing.T) {
 // shape the engine accepts: Touch of weight, β, ψ, and ω drifts, TouchJoin
 // of fresh and returning agents, TouchLeave, a join touched in the same
 // round, empty Touch() rounds, and Bump. Rounds 1–6 only splice and touch,
-// shedding 66–84 agents, so splices stack on splices before any full
-// rebuild re-sorts the view. Later rounds also misdeclare: a Touch of an
-// unknown ID, a TouchJoin of a present ID, or a removal left undeclared —
-// each of which the engine must refute and rebuild. Each call returns an independent schedule, so the engine and
-// the reference replay the same mutations on their own populations.
+// shedding 66–84 agents of a 90-agent population, so splices stack on
+// splices before any full rebuild re-sorts the view. Later rounds also
+// misdeclare: a Touch of an unknown ID, a TouchJoin of a present ID, or a
+// removal left undeclared — each of which the engine must refute and
+// rebuild. Joins and leaves scale with the starting population (n/90 of
+// the 90-agent counts, rounded up), and a round never removes its last
+// agent, so a population of a handful churns too; at 90 agents the counts
+// are the unscaled ones. Each call returns an independent schedule, so the
+// engine and the reference replay the same mutations on their own
+// populations.
 func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Population) {
 	tb.Helper()
 	psis := make([]effort.Quadratic, 2)
@@ -622,6 +627,8 @@ func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Populatio
 	weights := []float64{0.5, 0.8, 1, 1.25}
 	var gone []*worker.Agent // agents that left in an earlier round
 	fresh := 0
+	n0 := 0 // the starting population size, read on the first call
+	scale := func(k int) int { return (k*n0 + 89) / 90 }
 
 	remove := func(pop *engine.Population, i int) *worker.Agent {
 		a := pop.Agents[i]
@@ -681,6 +688,9 @@ func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Populatio
 	}
 
 	return func(round int, pop *engine.Population) {
+		if n0 == 0 {
+			n0 = len(pop.Agents)
+		}
 		if round == 0 {
 			return
 		}
@@ -700,6 +710,7 @@ func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Populatio
 		if !splicing {
 			nLeave, nJoin = rng.IntN(7), rng.IntN(7)
 		}
+		nLeave, nJoin = min(scale(nLeave), len(pop.Agents)-1), scale(nJoin)
 		var left []*worker.Agent
 		for range nLeave {
 			a := remove(pop, rng.IntN(len(pop.Agents)))
@@ -727,7 +738,9 @@ func randomDriftSchedule(tb testing.TB, seed uint64) func(int, *engine.Populatio
 			case 1:
 				pop.TouchJoin(pop.Agents[rng.IntN(len(pop.Agents))].ID)
 			case 2:
-				remove(pop, rng.IntN(len(pop.Agents))) // never declared
+				if len(pop.Agents) > 1 {
+					remove(pop, rng.IntN(len(pop.Agents))) // never declared
+				}
 			}
 		}
 	}
@@ -794,18 +807,22 @@ func TestDriftScopeRandomSchedules(t *testing.T) {
 }
 
 // FuzzDriftSchedule widens TestDriftScopeRandomSchedules: the input picks
-// the schedule's seed, the population size, the shard count (one of 0,
-// 1, 3, 8), and the respond memo, and the engine's ledger must equal the
-// reference's with its views intact after every round. randomDriftSchedule
-// sheds up to 67 agents over its first seven rounds, so the population
-// starts at 72 or more.
+// the schedule's seed, the population size (1 to 104 agents), the shard
+// count (one of 0, 1, 3, 8), and the respond memo, and the engine's
+// ledger must equal the reference's with its views intact after every
+// round. randomDriftSchedule scales its churn to the population, so small
+// populations, shards that empty out and populations smaller than the
+// shard count are all reached.
 func FuzzDriftSchedule(f *testing.F) {
-	f.Add(uint64(1), uint8(18), uint8(2), true)
-	f.Add(uint64(2), uint8(0), uint8(3), false)
-	f.Add(uint64(7), uint8(31), uint8(0), true)
+	f.Add(uint64(1), uint8(89), uint8(2), true)
+	f.Add(uint64(2), uint8(71), uint8(3), false)
+	f.Add(uint64(7), uint8(102), uint8(0), true)
+	f.Add(uint64(3), uint8(0), uint8(3), true)
+	f.Add(uint64(4), uint8(4), uint8(3), false)
+	f.Add(uint64(5), uint8(11), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed uint64, size, shardSel uint8, memo bool) {
 		const rounds = 8
-		n := 72 + int(size%32)
+		n := 1 + int(size)%104
 		ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{
 			Policy: &designPolicy{},
 			Rounds: rounds,

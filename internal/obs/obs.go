@@ -215,9 +215,11 @@ var SimPrefixes = []string{"dyncontract_engine_", "dyncontract_solver_"}
 // FprintStats prints one line per metric whose name starts with one of
 // prefixes, sorted by name, describing what happened between prev and
 // cur: a counter prints cur−prev, a gauge its current value, and a
-// histogram the count, mean and p50/p95/p99 of its bin-count delta. A
-// metric absent from prev counts from zero, so the zero Snapshot as prev
-// prints cur's totals. It is the one stats view every CLI prints.
+// histogram the count, exact mean and p50/p95/p99 of its bin-count delta,
+// each quantile as the bound its bin gives (binBound), since the bins
+// cannot place it closer. A metric absent from prev counts from zero, so
+// the zero Snapshot as prev prints cur's totals. It is the one stats view
+// every CLI prints.
 func FprintStats(w io.Writer, prev, cur telemetry.Snapshot, prefixes ...string) {
 	match := func(name string) bool {
 		for _, p := range prefixes {
@@ -241,14 +243,39 @@ func FprintStats(w io.Writer, prev, cur telemetry.Snapshot, prefixes ...string) 
 	for name, h := range cur.Histograms {
 		if match(name) {
 			d := histDelta(prev.Histograms[name], h)
-			lines = append(lines, fmt.Sprintf("  %s count %d mean %.6g p50 %.6g p95 %.6g p99 %.6g",
-				name, d.Count, d.Mean(), d.Quantile(0.50), d.Quantile(0.95), d.Quantile(0.99)))
+			lines = append(lines, fmt.Sprintf("  %s count %d mean %.6g p50 %s p95 %s p99 %s",
+				name, d.Count, d.Mean(), binBound(d, 0.50), binBound(d, 0.95), binBound(d, 0.99)))
 		}
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
 		fmt.Fprintln(w, l)
 	}
+}
+
+// binBound prints the q-quantile of h as what its bins know: "<=" the
+// upper edge of the bin holding the quantile's rank. The top bin also
+// holds every observation at or above Hi, so a quantile there prints ">="
+// its lower edge. An empty histogram prints 0.
+func binBound(h telemetry.HistogramSnapshot, q float64) string {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return "0"
+	}
+	rank := q * float64(total)
+	width := (h.Hi - h.Lo) / float64(len(h.Counts))
+	top := len(h.Counts) - 1
+	var cum uint64
+	for i, c := range h.Counts[:top] {
+		cum += c
+		if c > 0 && rank <= float64(cum) {
+			return fmt.Sprintf("<=%.6g", h.Lo+float64(i+1)*width)
+		}
+	}
+	return fmt.Sprintf(">=%.6g", h.Lo+float64(top)*width)
 }
 
 // histDelta returns cur − prev bin by bin. A prev with another bin layout

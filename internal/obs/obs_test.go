@@ -218,7 +218,7 @@ func TestFprintStats(t *testing.T) {
 		{"gauge current", prev, cur, []string{"dyncontract_engine_cache_entries"},
 			"  dyncontract_engine_cache_entries 3\n"},
 		{"histogram delta", prev, cur, []string{"dyncontract_engine_round_"},
-			"  dyncontract_engine_round_seconds count 4 mean 0.55 p50 0.55 p95 0.595 p99 0.599\n"},
+			"  dyncontract_engine_round_seconds count 4 mean 0.55 p50 <=0.6 p95 <=0.6 p99 <=0.6\n"},
 		{"zero prev prints totals", telemetry.Snapshot{}, cur, []string{"dyncontract_engine_cache_hits", "dyncontract_http_"},
 			"  dyncontract_engine_cache_hits_total 10\n  dyncontract_http_design_requests_total 2\n"},
 		{"prefixes filter and sort", prev, cur, []string{"dyncontract_http_", "dyncontract_engine_cache_"},
@@ -233,6 +233,35 @@ func TestFprintStats(t *testing.T) {
 		if buf.String() != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, buf.String(), tc.want)
 		}
+	}
+}
+
+// TestFprintStatsQuantileBounds pins what a histogram line claims about
+// its quantiles: an observation far below one bin's width keeps its exact
+// mean but prints its quantiles as "<=" the first bin's upper edge, not
+// as an interpolated value; a quantile between bins prints the edge of
+// the bin holding its rank; and one in the top bin, which also holds
+// every observation at or above the range, prints ">=" its lower edge.
+func TestFprintStatsQuantileBounds(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sub := reg.Histogram("dyncontract_engine_stage_respond_seconds", 0, 0.25, 50)
+	sub.Observe(0.000335)
+	mixed := reg.Histogram("dyncontract_engine_stage_design_seconds", 0, 0.25, 50)
+	for i := 0; i < 90; i++ {
+		mixed.Observe(0.001)
+	}
+	for i := 0; i < 8; i++ {
+		mixed.Observe(0.0125)
+	}
+	mixed.Observe(0.2475)
+	mixed.Observe(3)
+
+	var buf bytes.Buffer
+	FprintStats(&buf, telemetry.Snapshot{}, reg.Snapshot(), "dyncontract_engine_stage_")
+	want := "  dyncontract_engine_stage_design_seconds count 100 mean 0.034375 p50 <=0.005 p95 <=0.015 p99 >=0.245\n" +
+		"  dyncontract_engine_stage_respond_seconds count 1 mean 0.000335 p50 <=0.005 p95 <=0.005 p99 <=0.005\n"
+	if buf.String() != want {
+		t.Fatalf("quantile bounds:\n got %q\nwant %q", buf.String(), want)
 	}
 }
 
@@ -317,7 +346,7 @@ func TestShardStatsHelpers(t *testing.T) {
 
 	var buf bytes.Buffer
 	FprintStats(&buf, prev, cur, "dyncontract_engine_shard")
-	want := "  " + engine.MetricShardDesignSeconds + " count 2 mean 0.0325 p50 0.0325 p95 0.03475 p99 0.03495\n" +
+	want := "  " + engine.MetricShardDesignSeconds + " count 2 mean 0.0325 p50 <=0.035 p95 <=0.035 p99 <=0.035\n" +
 		"  " + engine.MetricShardRespondSeconds + " count 0 mean 0 p50 0 p95 0 p99 0\n" +
 		"  " + engine.MetricShards + " 4\n"
 	if buf.String() != want {
@@ -334,8 +363,8 @@ func TestShardStatsHelpers(t *testing.T) {
 	one.Histogram(engine.MetricShardRespondSeconds, 0, 0.25, 50).Observe(0.0125)
 	buf.Reset()
 	FprintStats(&buf, telemetry.Snapshot{}, one.Snapshot(), "dyncontract_engine_shard")
-	want = "  " + engine.MetricShardDesignSeconds + " count 3 mean 0.0125 p50 0.0125 p95 0.01475 p99 0.01495\n" +
-		"  " + engine.MetricShardRespondSeconds + " count 1 mean 0.0125 p50 0.0125 p95 0.01475 p99 0.01495\n" +
+	want = "  " + engine.MetricShardDesignSeconds + " count 3 mean 0.0125 p50 <=0.015 p95 <=0.015 p99 <=0.015\n" +
+		"  " + engine.MetricShardRespondSeconds + " count 1 mean 0.0125 p50 <=0.015 p95 <=0.015 p99 <=0.015\n" +
 		"  " + engine.MetricShards + " 1\n"
 	if buf.String() != want {
 		t.Fatalf("one shard:\n got %q\nwant %q", buf.String(), want)
@@ -371,7 +400,7 @@ func TestDriftStatsHelpers(t *testing.T) {
 	FprintStats(&buf, prev, cur, "dyncontract_engine_drift_")
 	want := "  " + engine.MetricDriftJoins + " 4\n" +
 		"  " + engine.MetricDriftLeaves + " 3\n" +
-		"  " + engine.MetricDriftRebuildSeconds + " count 1 mean 0.0325 p50 0.0325 p95 0.03475 p99 0.03495\n" +
+		"  " + engine.MetricDriftRebuildSeconds + " count 1 mean 0.0325 p50 <=0.035 p95 <=0.035 p99 <=0.035\n" +
 		"  " + engine.MetricDriftShardsRebuilt + " 2\n" +
 		"  " + engine.MetricDriftShardsSkipped + " 10\n" +
 		"  " + engine.MetricDriftTouchedAgents + " 10\n"

@@ -1,0 +1,323 @@
+package server
+
+import (
+	"bytes"
+	"strconv"
+	"unicode/utf8"
+)
+
+// decodeCreate decodes a create body into req, which it overwrites. An
+// inline population is one AgentSpec per worker, megabytes of them, and
+// encoding/json's reflection is most of the cost of creating a session;
+// so the common shape is decoded here in one pass over the bytes, with
+// no reflection.
+//
+// The pass accepts only field names spelled exactly as in the struct
+// tags of CreateSessionRequest, AgentSpec and PsiSpec (each at most once
+// per object), JSON whitespace, strings with no escape, no control byte
+// and valid UTF-8, and numbers, converted with the strconv calls
+// encoding/json makes. On anything else — a case-variant, unknown or
+// repeated key, an escape, null, a number its field cannot hold, a
+// syntax error, trailing data, an empty body — it hands the same bytes
+// to the strict decodeJSON, whose answer is final. So every body this
+// accepts decodes to exactly what decodeJSON gives, and every error is
+// decodeJSON's.
+func decodeCreate(body []byte, req *CreateSessionRequest) error {
+	*req = CreateSessionRequest{}
+	d := createDecoder{buf: body}
+	if d.request(req) {
+		return nil
+	}
+	*req = CreateSessionRequest{}
+	return decodeJSON(bytes.NewReader(body), req)
+}
+
+// createDecoder is decodeCreate's cursor. Every method reports false
+// when the input leaves the shape it accepts; the decode is then
+// abandoned, so no method restores the cursor.
+type createDecoder struct {
+	buf []byte
+	pos int
+}
+
+func (d *createDecoder) request(req *CreateSessionRequest) bool {
+	var seen uint32
+	ok := d.object(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			return once(&seen, 0) && d.str(&req.Name)
+		case "scale":
+			return once(&seen, 1) && d.str(&req.Scale)
+		case "seed":
+			return once(&seen, 2) && d.int64(&req.Seed)
+		case "per_class":
+			return once(&seen, 3) && d.int(&req.PerClass)
+		case "agents":
+			return once(&seen, 4) && d.agents(&req.Agents)
+		case "m":
+			return once(&seen, 5) && d.int(&req.M)
+		case "delta":
+			return once(&seen, 6) && d.float(&req.Delta)
+		case "mu":
+			return once(&seen, 7) && d.float(&req.Mu)
+		case "policy":
+			return once(&seen, 8) && d.str(&req.Policy)
+		case "threshold":
+			return once(&seen, 9) && d.float(&req.Threshold)
+		case "amount":
+			return once(&seen, 10) && d.float(&req.Amount)
+		case "shards":
+			return once(&seen, 11) && d.int(&req.Shards)
+		}
+		return false
+	})
+	d.space()
+	return ok && d.pos == len(d.buf)
+}
+
+// agents decodes an array of agent specs. An empty array gives an empty,
+// non-nil slice, as encoding/json does.
+func (d *createDecoder) agents(dst *[]AgentSpec) bool {
+	if !d.token('[') {
+		return false
+	}
+	agents := []AgentSpec{}
+	if !d.token(']') {
+		for {
+			agents = append(agents, AgentSpec{})
+			if !d.agent(&agents[len(agents)-1]) {
+				return false
+			}
+			if d.token(']') {
+				break
+			}
+			if !d.token(',') {
+				return false
+			}
+		}
+	}
+	*dst = agents
+	return true
+}
+
+func (d *createDecoder) agent(a *AgentSpec) bool {
+	var seen uint32
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "id":
+			return once(&seen, 0) && d.str(&a.ID)
+		case "class":
+			return once(&seen, 1) && d.class(&a.Class)
+		case "psi":
+			return once(&seen, 2) && d.psi(&a.Psi)
+		case "beta":
+			return once(&seen, 3) && d.float(&a.Beta)
+		case "omega":
+			return once(&seen, 4) && d.float(&a.Omega)
+		case "size":
+			return once(&seen, 5) && d.int(&a.Size)
+		case "reservation":
+			return once(&seen, 6) && d.float(&a.Reservation)
+		case "weight":
+			return once(&seen, 7) && d.float(&a.Weight)
+		case "malice":
+			return once(&seen, 8) && d.float(&a.Malice)
+		}
+		return false
+	})
+}
+
+func (d *createDecoder) psi(p *PsiSpec) bool {
+	var seen uint32
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "r2":
+			return once(&seen, 0) && d.float(&p.R2)
+		case "r1":
+			return once(&seen, 1) && d.float(&p.R1)
+		case "r0":
+			return once(&seen, 2) && d.float(&p.R0)
+		}
+		return false
+	})
+}
+
+// once marks field bit as seen, reporting false if it already was.
+func once(seen *uint32, bit uint) bool {
+	if *seen&(1<<bit) != 0 {
+		return false
+	}
+	*seen |= 1 << bit
+	return true
+}
+
+// object walks one JSON object, calling member with each key once the
+// cursor is past the key's colon; member decodes the value.
+func (d *createDecoder) object(member func(key []byte) bool) bool {
+	if !d.token('{') {
+		return false
+	}
+	if d.token('}') {
+		return true
+	}
+	for {
+		key, ok := d.text()
+		if !ok || !d.token(':') || !member(key) {
+			return false
+		}
+		if d.token('}') {
+			return true
+		}
+		if !d.token(',') {
+			return false
+		}
+	}
+}
+
+// space skips JSON whitespace.
+func (d *createDecoder) space() {
+	for d.pos < len(d.buf) {
+		switch d.buf[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// token consumes c after optional whitespace.
+func (d *createDecoder) token(c byte) bool {
+	d.space()
+	if d.pos < len(d.buf) && d.buf[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// text scans a string with no escape and no control byte, in valid
+// UTF-8, and returns its contents (aliasing the input).
+func (d *createDecoder) text() ([]byte, bool) {
+	if !d.token('"') {
+		return nil, false
+	}
+	start, ascii := d.pos, true
+	for i := start; i < len(d.buf); i++ {
+		switch c := d.buf[i]; {
+		case c == '"':
+			s := d.buf[start:i]
+			if !ascii && !utf8.Valid(s) {
+				return nil, false
+			}
+			d.pos = i + 1
+			return s, true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+func (d *createDecoder) str(dst *string) bool {
+	s, ok := d.text()
+	*dst = string(s)
+	return ok
+}
+
+// class decodes a class name; the three canonical names share one string
+// each instead of one allocation per agent.
+func (d *createDecoder) class(dst *string) bool {
+	s, ok := d.text()
+	switch string(s) {
+	case "honest":
+		*dst = "honest"
+	case "malicious":
+		*dst = "malicious"
+	case "community":
+		*dst = "community"
+	default:
+		*dst = string(s)
+	}
+	return ok
+}
+
+// number scans one number in JSON grammar and returns its text.
+func (d *createDecoder) number() ([]byte, bool) {
+	d.space()
+	b, i := d.buf, d.pos
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		return nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		if j == i+1 {
+			return nil, false
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return nil, false
+		}
+		i = j
+	}
+	num := b[d.pos:i]
+	d.pos = i
+	return num, true
+}
+
+// digits returns the index past the run of decimal digits at b[i:].
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// float decodes a float64 field as encoding/json does: ParseFloat at 64
+// bits, and an out-of-range value (1e400) is an error.
+func (d *createDecoder) float(dst *float64) bool {
+	num, ok := d.number()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseFloat(string(num), 64)
+	*dst = v
+	return err == nil
+}
+
+// int64 and int decode integer fields as encoding/json does: ParseInt at
+// 64 bits, then a check that the field holds the value, so a fraction or
+// exponent ("2.0", "1e3") or an overflow is an error.
+func (d *createDecoder) int64(dst *int64) bool {
+	num, ok := d.number()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseInt(string(num), 10, 64)
+	*dst = v
+	return err == nil
+}
+
+func (d *createDecoder) int(dst *int) bool {
+	var v int64
+	ok := d.int64(&v)
+	*dst = int(v)
+	return ok && int64(*dst) == v
+}

@@ -43,16 +43,23 @@ type sessionSnapshot struct {
 	Rounds    []RoundJSON `json:"rounds"`
 }
 
-// journalCmd appends one command record ahead of execution — the log is
-// always a superset of the executed history. A failed append refuses the
-// command: executing it would create state the journal cannot replay.
-// Runs on the writer goroutine. The second return reports whether the
-// command may execute.
-func (s *session) journalCmd(kind journal.Kind, v any) (cmdReply, bool) {
+// journalCmd appends a round or drift command's record ahead of
+// execution — the log is always a superset of the executed history. A
+// drift's record is its body as received; a round's body may be empty, so
+// its record is the encoded request. A failed append refuses the command:
+// executing it would create state the journal cannot replay. Runs on the
+// writer goroutine. The second return reports whether the command may
+// execute.
+func (s *session) journalCmd(cmd *command) (cmdReply, bool) {
 	if s.jw == nil {
 		return cmdReply{}, true
 	}
-	body, err := json.Marshal(v)
+	kind, body := journal.KindDrift, cmd.body
+	var err error
+	if cmd.kind == cmdRound {
+		kind = journal.KindRound
+		body, err = json.Marshal(cmd.round)
+	}
 	if err == nil {
 		_, err = s.jw.Append(kind, body)
 	}
@@ -368,8 +375,10 @@ func (s *Server) restoreSession(rec journal.RecoveredSession) (*session, error) 
 			return nil, err
 		}
 	} else {
+		// The record was accepted by decodeCreate when it was served, so
+		// the same decoder reads it back.
 		var req CreateSessionRequest
-		if err := json.Unmarshal(tail[0].Body, &req); err != nil {
+		if err := decodeCreate(tail[0].Body, &req); err != nil {
 			return nil, fmt.Errorf("create record: %w", err)
 		}
 		if err := req.Validate(); err != nil {

@@ -593,3 +593,115 @@ func TestRecoverLogShapeAcrossSnapshot(t *testing.T) {
 		t.Errorf("recovered log retains\n%s\nthe live log\n%s", got, shape)
 	}
 }
+
+// postRaw posts body verbatim and returns the status and response body.
+func postRaw(t *testing.T, e *testServer, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := e.ts.Client().Post(e.ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestRecoverCaseVariantCreateRecord recovers a session whose create body
+// used case-variant keys and escaped strings — the input decodeCreate
+// hands to the strict decoder — to the ledger the live session served.
+// The body creates the same population as testCreateReq.
+func TestRecoverCaseVariantCreateRecord(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newJournaledServer(t, dir, Config{})
+	body := `{"AGENTS":[
+		{"ID":"h\u0031","Class":"honest","Psi":{"R2":-0.25,"r1":2,"r0":0},"beta":1,"Weight":1},
+		{"id":"h2","class":"honest","psi":{"r2":-0.25,"r1":2},"beta":1,"weight":1},
+		{"id":"m1","class":"m\u0061licious","PSI":{"r2":-0.25,"r1":2},"Beta":1,"Omega":0.5,"weight":0.8,"Malice":0.9},
+		{"id":"c1","class":"community","psi":{"r2":-0.25,"R1":2},"beta":1,"omega":0.3,"Size":3,"weight":0.5}
+	],"M":10,"Delta":0.2,"mU":1}`
+	code, raw := postRaw(t, e1, "/v1/sessions", body)
+	if code != http.StatusCreated {
+		t.Fatalf("create session: status %d: %s", code, raw)
+	}
+	var created CreateSessionResponse
+	if err := json.Unmarshal(raw, &created); err != nil {
+		t.Fatal(err)
+	}
+	id := created.ID
+	advanceRounds(t, e1, id, 2)
+	drift := DriftRequest{Weights: map[string]float64{"h2": 1.3, "c1": 0.7}}
+	if code := e1.do(t, "POST", "/v1/sessions/"+id+"/drift", &drift, nil); code != http.StatusOK {
+		t.Fatalf("drift: status %d", code)
+	}
+	advanceRounds(t, e1, id, 2)
+	ref := ledgerBytes(t, e1, id)
+
+	// The same requests with the canonical create body serve the same ledger.
+	e0 := newTestServer(t, Config{})
+	id0 := e0.createSession(t)
+	advanceRounds(t, e0, id0, 2)
+	if code := e0.do(t, "POST", "/v1/sessions/"+id0+"/drift", &drift, nil); code != http.StatusOK {
+		t.Fatalf("drift: status %d", code)
+	}
+	advanceRounds(t, e0, id0, 2)
+	if got := ledgerBytes(t, e0, id0); string(got) != string(ref) {
+		t.Fatalf("the case-variant body served another ledger than testCreateReq:\n got %s\nwant %s", ref, got)
+	}
+
+	e2, stats := recoverServer(t, crashImage(t, dir), Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 || stats.Replayed != 5 {
+		t.Fatalf("recovery stats = %+v, want 1 session, 5 replayed", stats)
+	}
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Fatalf("recovered ledger differs:\n got %s\nwant %s", got, ref)
+	}
+}
+
+// TestRecoverDriftRecordAsReceived pins the drift record: the journal
+// holds a drift body byte for byte as the client sent it — here with
+// case-variant keys, an escape and whitespace — and replay of that record
+// gives the ledger the live session served.
+func TestRecoverDriftRecordAsReceived(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newJournaledServer(t, dir, Config{})
+	id := e1.createSession(t)
+	advanceRounds(t, e1, id, 2)
+	sent := `{ "WEIGHTS": {"h\u0031": 1.4, "m1": 0.6},
+		"Add": [{"ID": "h3", "class": "honest", "Psi": {"r2": -0.25, "r1": 2}, "beta": 1.1, "weight": 0.9}],
+		"remove": ["c1"] }`
+	if code, raw := postRaw(t, e1, "/v1/sessions/"+id+"/drift", sent); code != http.StatusOK {
+		t.Fatalf("drift: status %d: %s", code, raw)
+	}
+	advanceRounds(t, e1, id, 3)
+	ref := ledgerBytes(t, e1, id)
+
+	img := crashImage(t, dir)
+	st, err := journal.Open(img, journal.Options{Mode: journal.ModeStrict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, failed, err := st.Recover()
+	if err != nil || len(failed) != 0 || len(recs) != 1 {
+		t.Fatalf("recover: %v, %d failed, %d sessions", err, len(failed), len(recs))
+	}
+	var drifts [][]byte
+	for _, r := range recs[0].Tail {
+		if r.Kind == journal.KindDrift {
+			drifts = append(drifts, r.Body)
+		}
+	}
+	if len(drifts) != 1 || string(drifts[0]) != sent {
+		t.Fatalf("the drift records hold %q, want the body as sent %q", drifts, sent)
+	}
+
+	e2, stats := recoverServer(t, img, Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 || stats.Replayed != 6 {
+		t.Fatalf("recovery stats = %+v, want 1 session, 6 replayed", stats)
+	}
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Fatalf("recovered ledger differs:\n got %s\nwant %s", got, ref)
+	}
+}

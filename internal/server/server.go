@@ -290,14 +290,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
 }
 
-// handleCreateSession reads the create body once, decodes it, and hands
-// the same bytes to the journal: replay decodes and validates them again,
-// so it builds the same request without a re-encoding.
+// handleCreateSession reads the create body once, decodes it
+// (decodeCreate), and hands the same bytes to the journal: replay decodes
+// and validates them again, so it builds the same request without a
+// re-encoding.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	var req CreateSessionRequest
 	if err == nil {
-		err = decodeJSON(bytes.NewReader(body), &req)
+		err = decodeCreate(body, &req)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -367,13 +368,21 @@ func (s *Server) handleAdvanceRound(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep.round)
 }
 
+// handleDrift reads the drift body once, decodes it, and carries the same
+// bytes to the writer, which journals them as the drift record: replay
+// decodes them again.
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
+	body, err := readBody(w, r)
 	var req DriftRequest
-	if !decodeBody(w, r, &req) {
+	if err == nil {
+		err = decodeJSON(bytes.NewReader(body), &req)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -388,7 +397,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	cmd := command{ctx: ctx, kind: cmdDrift, drift: &req, reply: make(chan cmdReply, 1)}
+	cmd := command{ctx: ctx, kind: cmdDrift, drift: &req, body: body, reply: make(chan cmdReply, 1)}
 	if code, err := sess.submit(cmd); err != nil {
 		writeError(w, code, err)
 		return

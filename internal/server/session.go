@@ -41,6 +41,8 @@ type command struct {
 	kind  cmdKind
 	round AdvanceRoundRequest
 	drift *DriftRequest
+	// body is the drift request as received: the drift's journal record.
+	body  []byte
 	reply chan cmdReply // buffered(1): the writer never blocks on a gone waiter
 
 	// enq is when submit accepted the command; the writer turns it into
@@ -277,7 +279,7 @@ func (s *session) writerLoop() {
 			switch cmd.kind {
 			case cmdRound:
 				exec.SetAttr("kind", "round")
-				rep, ok := s.journalCmd(journal.KindRound, cmd.round)
+				rep, ok := s.journalCmd(&cmd)
 				if ok {
 					rep = s.runRound(ctx, cmd.round)
 				}
@@ -285,7 +287,7 @@ func (s *session) writerLoop() {
 				s.afterCommand(ok, rep.err)
 			case cmdDrift:
 				exec.SetAttr("kind", "drift")
-				rep, ok := s.journalCmd(journal.KindDrift, cmd.drift)
+				rep, ok := s.journalCmd(&cmd)
 				if ok {
 					rep = s.runDrift(cmd.drift)
 				}

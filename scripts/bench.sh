@@ -18,9 +18,11 @@
 # the fsync arm benchmarks the storage stack, not the code), and from
 # internal/server BenchmarkRoundLogAdd (a served session's ledger add at
 # 12k agents on antiphase, all-fresh and churning rounds; trend only,
-# with the log's retained bytes per round) — with -benchmem, prints the
-# standard output, and writes the parsed results to BENCH_engine.json as
-# one JSON array of
+# with the log's retained bytes per round) and BenchmarkCreateSession
+# (the create body's single-pass decode against encoding/json, and the
+# whole create route, at 1k and 12k agents; trend only) — with -benchmem,
+# prints the standard output, and writes the parsed results to
+# BENCH_engine.json as one JSON array of
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
 # objects (plus "retained_bytes_per_round" where a benchmark reports
 # B/round), so the acceptance bars (telemetry overhead ≤5%, respond-memo
@@ -67,7 +69,7 @@ fresh=$(mktemp)
 trap 'rm -f "$raw" "$fresh"' EXIT
 
 go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignBatch|BenchmarkServerDriftRoute|BenchmarkServerStep|BenchmarkJournalAppend' -benchmem . | tee "$raw"
-go test -run '^$' -bench 'BenchmarkRoundLogAdd' -benchmem ./internal/server | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkRoundLogAdd|BenchmarkCreateSession' -benchmem ./internal/server | tee -a "$raw"
 
 awk '
 BEGIN { print "["; n = 0 }
