@@ -74,6 +74,9 @@ type pickPlan struct {
 	keys   []DesignKey
 	reps   []*worker.Agent // per key: the first agent that produced it
 	keyIdx map[DesignKey]int32
+	// byID maps an engine key id to its index into keys, plus one (zero:
+	// not yet added) — addID's interning, in place of keyIdx.
+	byID []int32
 
 	menus []*core.Menu                // per key, after resolve
 	picks []*contract.PiecewiseLinear // per fingerprint, after resolve
@@ -101,6 +104,7 @@ func (p *pickPlan) reset() {
 	p.last = -1
 	p.keys, p.reps = p.keys[:0], p.reps[:0]
 	clear(p.keyIdx)
+	clear(p.byID)
 }
 
 // add records agent a with fingerprint *fp, returning its index into the
@@ -113,6 +117,29 @@ func (p *pickPlan) add(fp *Fingerprint, a *worker.Agent) int32 {
 	j := intern(&p.fps, &p.fpIdx, pf)
 	p.lastFP, p.last = *fp, j
 	return j
+}
+
+// addID records agent a, whose design key *key the engine's key table
+// holds under id, at weight w; it returns a's index into the plan's
+// distinct fingerprints. A run of agents sharing a fingerprint costs one
+// compare each.
+func (p *pickPlan) addID(id int32, key *DesignKey, mu, w float64, a *worker.Agent) int32 {
+	if int(id) >= len(p.byID) {
+		p.byID = append(p.byID, make([]int32, int(id)+1-len(p.byID))...)
+	}
+	k := p.byID[id] - 1
+	if k < 0 {
+		k = int32(len(p.keys))
+		p.keys = append(p.keys, *key)
+		p.reps = append(p.reps, a)
+		p.byID[id] = k + 1
+	}
+	pf := pickFP{key: k, mu: mu, w: w}
+	if p.last >= 0 && p.fps[p.last] == pf {
+		return p.last
+	}
+	p.last = intern(&p.fps, &p.fpIdx, pf)
+	return p.last
 }
 
 // keyOf returns key's index into the plan's keys, adding it — with a as
@@ -364,10 +391,10 @@ func (d *Designer) Shard(i int) *ShardDesigner {
 // ShardDesigner designs contracts for one shard of a sharded engine run.
 // It retains a per-epoch plan — the shard's distinct design keys and
 // fingerprints and each agent's slot into them, computed from the Shard's
-// cached FPs — so a warm round costs one cache-segment lookup per distinct
-// design key to validate that the served menus are still current, and
-// reports changed = false without touching dst. Scratch is retained
-// across rounds; steady-state calls allocate nothing.
+// key ids and weights — so a warm round costs one cache-segment lookup
+// per distinct design key to validate that the served menus are still
+// current, and reports changed = false without touching dst. Scratch is
+// retained across rounds; steady-state calls allocate nothing.
 type ShardDesigner struct {
 	metrics *telemetry.Registry
 	seg     *CacheSegment // nil without a Cache: every round redesigns
@@ -426,15 +453,15 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 		// A failed validation under a matching epoch can mean the engine
 		// patched fingerprint slots in place (sparse drift) since the
 		// plan was built — the plan's slot/fingerprint layout may be
-		// stale, so rebuild it from the shard's current FPs before
-		// refilling.
+		// stale, so rebuild it from the shard's current keys and weights
+		// before refilling.
 		replan = true
 	}
 	if replan {
 		d.plan.reset()
 		d.slots = d.slots[:0]
-		for i := range sh.Agents {
-			d.slots = append(d.slots, d.plan.add(&sh.FPs[i], sh.Agents[i]))
+		for i, id := range sh.Keys {
+			d.slots = append(d.slots, d.plan.addID(id, &sh.table.keys[id], pop.Mu, sh.Weights[i], sh.Agents[i]))
 		}
 		d.built = true
 		d.shard = sh.Index

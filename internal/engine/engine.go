@@ -219,16 +219,12 @@ type Engine struct {
 	lastDeclared viewRule
 	lastApplied  viewRule
 
-	// fpCounts refcounts the live design keys across every shard view —
-	// maintained eagerly at every point a fingerprint is written (full
-	// rebuilds count through shardAssign; scoped refreshes and splices
-	// adjust in place), never by walking the views. A key whose count
-	// hits zero is dead: no agent mints it any more, so its menu-cache
-	// and respond-memo entries are dropped (targeted invalidation). Weight
-	// drift never moves a count. Nil when the engine has neither a design
-	// cache nor a respond memo — nothing to evict, no index to keep.
-	fpCounts map[DesignKey]int32
-	deadKeys []DesignKey // per-refresh scratch of zero-count keys
+	// keys interns the design keys the shard views hold (Shard.Keys),
+	// refcounted; see keyTable. A key whose last holder drifts away or
+	// leaves is dead: its menu-cache and respond-memo entries are dropped
+	// (targeted invalidation).
+	keys     keyTable
+	deadKeys []DesignKey // removeDeadKeys' scratch
 
 	// Per-shard structural splice scratch (refreshShardsStructural):
 	// joins/leaves grouped by owning shard (indices into structJoins and

@@ -272,18 +272,25 @@ type pendResponse struct {
 	slot int32
 	// i is the shard position of the representative agent: the first
 	// agent (in ID order) that produced this key, used for solving and
-	// for error attribution. Its design key is the shard's FPs[i].DesignKey.
+	// for error attribution. Its design key is the shard's Key(i).
 	i int32
 	c *contract.PiecewiseLinear
+}
+
+// slotKey is a respondKey with its design key as the engine's key id:
+// the round-local dedup key of a shard's respond loop.
+type slotKey struct {
+	id int32
+	c  *contract.PiecewiseLinear
 }
 
 // respondScratch holds one shard's retained respond buffers; after the
 // first round of a steady-state run, the stage allocates nothing.
 type respondScratch struct {
-	keys  map[respondKey]int32 // round-local: key → slot in resps
-	resps []worker.Response    // one per distinct key this round
-	slots []int32              // per agent: slot in resps, −1 when excluded
-	pend  []pendResponse       // distinct keys needing a fresh BestResponse
+	keys  map[slotKey]int32 // round-local: key → slot in resps
+	resps []worker.Response // one per distinct key this round
+	slots []int32           // per agent: slot in resps, −1 when excluded
+	pend  []pendResponse    // distinct keys needing a fresh BestResponse
 }
 
 // fillResponse copies a computed best response into an outcome and

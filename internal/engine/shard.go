@@ -53,9 +53,10 @@ func ShardOf(id string, n int) int {
 
 // Shard is one partition of a population's ID-sorted agent view. Agents
 // within a shard keep their global ID order, and every per-agent datum
-// the hot loop needs — weight, malice estimate, design fingerprint — is
-// carried as an indexed slice aligned with Agents, so shard loops never
-// touch the population's string-keyed maps.
+// the hot loop needs — weight, malice estimate, design key — is carried
+// as an indexed slice aligned with Agents, so shard loops never touch the
+// population's string-keyed maps. An agent's design fingerprint is
+// {Key(j), pop.Mu, Weights[j]}.
 type Shard struct {
 	// Index is the shard's position in the partition.
 	Index int
@@ -76,23 +77,27 @@ type Shard struct {
 	// Malice is the indexed view of Population.MaliceProb for Agents
 	// (zero for agents with no entry, matching map-lookup semantics).
 	Malice []float64
-	// FPs caches each agent's design fingerprint, computed once per view
-	// rebuild and shared by the design and respond stages.
-	FPs []Fingerprint
+	// Keys holds each agent's design key as an id into the engine's key
+	// table (see Key), written when the slot is and shared by the design
+	// and respond stages.
+	Keys []int32
 	// Solo reports that this is the partition's only shard, so no other
 	// shard designs concurrently: a ShardPolicy may fan the shard's cold
 	// designs out across GOMAXPROCS (ShardDesigner does). With several
 	// shards the parallelism comes from running shards concurrently, and
 	// each shard's solve should stay sequential.
 	Solo bool
+
+	table *keyTable // the engine's key table, which Keys index
 }
 
+// Key returns the design key of Agents[j].
+func (s *Shard) Key(j int) DesignKey { return s.table.keys[s.Keys[j]] }
+
 // shardAssign distributes the ID-sorted agents across the reset shards by
-// ID hash, filling every indexed view. counts, when non-nil, receives one
-// increment per assigned agent under its design key — the engine's
-// refcount index is built here, at the moment each fingerprint is
-// written, never by walking the views after the fact.
-func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts map[DesignKey]int32) {
+// ID hash, filling every indexed view and counting each agent's design
+// key into the reset table as its slot is written.
+func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, t *keyTable) {
 	n := len(shards)
 	// Size every view for an even split up front: a hash partition is
 	// near-even, so at most the fullest shards grow once more.
@@ -102,32 +107,26 @@ func shardAssign(p *Population, agents []*worker.Agent, shards []*Shard, counts 
 		s.Global = slices.Grow(s.Global, hint)
 		s.Weights = slices.Grow(s.Weights, hint)
 		s.Malice = slices.Grow(s.Malice, hint)
-		s.FPs = slices.Grow(s.FPs, hint)
+		s.Keys = slices.Grow(s.Keys, hint)
 	}
-	// Refcounts accumulate per run of equal design keys: archetype
-	// populations list long runs of them in ID order.
+	// Archetype populations list long runs of equal design keys in ID
+	// order: a run costs one table lookup.
 	var runKey DesignKey
-	var run int32
+	runID := int32(-1)
 	for gi, a := range agents {
 		s := shards[ShardOf(a.ID, n)]
 		w := p.Weights[a.ID]
-		fp := FingerprintOf(a, core.Config{Part: p.Part, Mu: p.Mu, W: w})
+		key := DesignKeyOf(a, p.Part)
+		if runID >= 0 && key == runKey {
+			t.counts[runID]++
+		} else {
+			runKey, runID = key, t.ref(&key)
+		}
 		s.Agents = append(s.Agents, a)
 		s.Global = append(s.Global, int32(gi))
 		s.Weights = append(s.Weights, w)
 		s.Malice = append(s.Malice, p.MaliceProb[a.ID])
-		s.FPs = append(s.FPs, fp)
-		if counts != nil {
-			if run > 0 && fp.DesignKey != runKey {
-				counts[runKey] += run
-				run = 0
-			}
-			runKey = fp.DesignKey
-			run++
-		}
-	}
-	if run > 0 {
-		counts[runKey] += run
+		s.Keys = append(s.Keys, runID)
 	}
 }
 
@@ -237,22 +236,7 @@ func (e *Engine) ensureShards(agents []*worker.Agent) bool {
 		}
 	}
 	e.viewEpoch++
-	// The fingerprint refcount index is rebuilt eagerly alongside the
-	// views: shardAssign counts each fingerprint as it writes it. Without
-	// a design cache or respond memo there is nothing to evict, so the
-	// index (and all drift-time refcounting) stays off.
-	counts := e.fpCounts
-	if e.cfg.Cache != nil || e.cfg.Memo != nil {
-		if counts == nil {
-			counts = make(map[DesignKey]int32, len(agents))
-			e.fpCounts = counts
-		} else {
-			clear(counts)
-		}
-	} else {
-		counts = nil
-		e.fpCounts = nil
-	}
+	e.keys.reset()
 	n := e.cfg.Shards
 	if n > len(agents) {
 		n = len(agents)
@@ -270,7 +254,8 @@ func (e *Engine) ensureShards(agents []*worker.Agent) bool {
 		sr.sh.Global = sr.sh.Global[:0]
 		sr.sh.Weights = sr.sh.Weights[:0]
 		sr.sh.Malice = sr.sh.Malice[:0]
-		sr.sh.FPs = sr.sh.FPs[:0]
+		sr.sh.Keys = sr.sh.Keys[:0]
+		sr.sh.table = &e.keys
 		sr.outsOK = false
 		sr.changed = false
 		sr.dirty = sr.dirty[:0]
@@ -279,7 +264,7 @@ func (e *Engine) ensureShards(agents []*worker.Agent) bool {
 		}
 		e.shardPtrs[i] = &sr.sh
 	}
-	shardAssign(e.pop, agents, e.shardPtrs, counts)
+	shardAssign(e.pop, agents, e.shardPtrs, &e.keys)
 	for i := range e.shards {
 		sr := &e.shards[i]
 		na := len(sr.sh.Agents)
@@ -300,7 +285,7 @@ func (e *Engine) ensureShards(agents []*worker.Agent) bool {
 }
 
 // refreshShardSlot refreshes one touched agent's shard slot — weight,
-// malice, fingerprint (refcounted) — and routes the contract. gi is the
+// malice, design key (refcounted) — and routes the contract. gi is the
 // agent's view position, resolved by prepareStructural and shifted by
 // spliceView. Under a FingerprintPurePolicy whose design key already
 // resolves in the menu cache, the agent's contract slot is patched with
@@ -323,16 +308,13 @@ func (e *Engine) refreshShardSlot(sr *shardRun, id string, gi int32, epoch uint6
 	w := e.pop.Weights[id]
 	sh.Weights[j] = w
 	sh.Malice[j] = e.pop.MaliceProb[id]
-	fp := FingerprintOf(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w})
-	if old := sh.FPs[j]; fp != old {
-		sh.FPs[j] = fp
-		if e.fpCounts != nil && fp.DesignKey != old.DesignKey {
-			e.fpCounts[fp.DesignKey]++
-			e.dropKey(old.DesignKey)
-		}
+	key := DesignKeyOf(a, e.pop.Part)
+	if old := sh.Keys[j]; key != e.keys.keys[old] {
+		sh.Keys[j] = e.keys.ref(&key)
+		e.keys.release(old)
 	}
 	if canPatch {
-		if c := e.patchContract(a, fp); c != nil {
+		if c := e.patchContract(a, &key, w); c != nil {
 			sr.contracts[j] = c
 			sr.dirty = append(sr.dirty, int32(j))
 			return j
@@ -346,16 +328,16 @@ func (e *Engine) refreshShardSlot(sr *shardRun, id string, gi int32, epoch uint6
 }
 
 // patchContract is the patch route's design: the contract the cached
-// menu for fp's design key offers at fp's weight, or nil when the key
-// misses the cache (or its menu needs the scalar fallback), in which case
-// the caller takes the epoch-bump route and the shard's fill counts the
-// miss and builds the menu. A served patch counts one cache hit.
-func (e *Engine) patchContract(a *worker.Agent, fp Fingerprint) *contract.PiecewiseLinear {
-	m, ok := e.cfg.Cache.peek(fp.DesignKey)
+// menu for key offers at weight w, or nil when the key misses the cache
+// (or its menu needs the scalar fallback), in which case the caller takes
+// the epoch-bump route and the shard's fill counts the miss and builds
+// the menu. A served patch counts one cache hit.
+func (e *Engine) patchContract(a *worker.Agent, key *DesignKey, w float64) *contract.PiecewiseLinear {
+	m, ok := e.cfg.Cache.peek(*key)
 	if !ok || m.Fallback() {
 		return nil
 	}
-	c, err := m.ContractFor(a, core.Config{Part: e.pop.Part, Mu: fp.Mu, W: fp.W}, nil)
+	c, err := m.ContractFor(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w}, nil)
 	if err != nil {
 		return nil // the fill reports it
 	}
@@ -363,35 +345,12 @@ func (e *Engine) patchContract(a *worker.Agent, fp Fingerprint) *contract.Piecew
 	return c
 }
 
-// dropKey decrements a design key's refcount, collecting it into the
-// round's dead list when the last holder is gone. A no-op when the index
-// is off (no design cache and no respond memo: nothing to evict).
-func (e *Engine) dropKey(key DesignKey) {
-	if e.fpCounts == nil {
-		return
-	}
-	if c := e.fpCounts[key] - 1; c <= 0 {
-		delete(e.fpCounts, key)
-		e.deadKeys = append(e.deadKeys, key)
-	} else {
-		e.fpCounts[key] = c
-	}
-}
-
-// removeDeadKeys evicts the refresh's dead design keys from the menu
-// cache and respond memo. A key that died and was re-minted in the same
-// refresh (one agent's leave, another's join) is filtered out — evicting
-// it would only cost a rebuild, but there is no reason to.
+// removeDeadKeys sweeps the refresh's dead design keys from the key table
+// and evicts them from the menu cache and respond memo. A key that died
+// and was re-minted in the same refresh (one agent's leave, another's
+// join) is still live and stays — evicting it would only cost a rebuild.
 func (e *Engine) removeDeadKeys() {
-	if len(e.deadKeys) == 0 {
-		return
-	}
-	dead := e.deadKeys[:0]
-	for _, key := range e.deadKeys {
-		if _, live := e.fpCounts[key]; !live {
-			dead = append(dead, key)
-		}
-	}
+	dead := e.keys.sweep(e.deadKeys[:0])
 	e.deadKeys = dead
 	if len(dead) == 0 {
 		return
@@ -413,10 +372,10 @@ func (e *Engine) removeDeadKeys() {
 // scope's plain-touched agents then refresh their slots
 // (refreshShardSlot, resolved by view position against the spliced
 // views). Shards owning no declared ID keep their epoch, plan, and
-// retained outcomes untouched. Fingerprints are refcounted across all
-// shards, so only fingerprints whose last holder drifted or left are
-// evicted from the design cache and respond memo; shared designs survive
-// a partial drift.
+// retained outcomes untouched. Design keys are refcounted across all
+// shards, so only keys whose last holder drifted or left are evicted
+// from the design cache and respond memo; shared designs survive a
+// partial drift.
 func (e *Engine) refreshShardsStructural() {
 	var t telemetry.Timer
 	if e.m != nil {
@@ -426,7 +385,6 @@ func (e *Engine) refreshShardsStructural() {
 	epoch := e.viewEpoch
 	canPatch := e.patchPol && e.cfg.Cache != nil
 	touched := 0
-	e.deadKeys = e.deadKeys[:0]
 	n := len(e.shards)
 
 	// Group the declarations by owning shard; the per-shard lists inherit
@@ -495,10 +453,10 @@ func (e *Engine) refreshShardsStructural() {
 // by their cumulative offset (most never move), so the cost scales with
 // the shifted span, not the shard size. Surviving agents keep their
 // contract, renumbered view index, and per-slot utility; leavers drop
-// out (their fingerprint refcount released); each joiner lands at its
-// ID-sorted position carrying the view index spliceView gave it. Joiner
-// contracts take the sparse patch route — fingerprint-pure policy, design
-// cache hit, dirty slot — when they can; any joiner that cannot bumps the
+// out (their design key released); each joiner lands at its ID-sorted
+// position carrying the view index spliceView gave it. Joiner contracts
+// take the sparse patch route — fingerprint-pure policy, design cache
+// hit, dirty slot — when they can; any joiner that cannot bumps the
 // shard's epoch for a full re-plan.
 func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, canPatch bool) {
 	sh := &sr.sh
@@ -510,7 +468,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	}
 	// Resolve splice positions up front (joins and leaves arrive in ID
 	// order, so positions are non-decreasing) and release every leaver's
-	// fingerprint before the moves overwrite its slot.
+	// design key before the moves overwrite its slot.
 	jpos := e.msJoinPos[:0]
 	for _, k := range joins {
 		jp, _ := searchAgents(sh.Agents, e.structJoins[k].ID)
@@ -520,7 +478,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	for _, k := range leaves {
 		lp, _ := searchAgents(sh.Agents, e.scope.leaves[k]) // resolved by prepareStructural
 		lpos = append(lpos, int32(lp))
-		e.dropKey(sh.FPs[lp].DesignKey)
+		e.keys.release(sh.Keys[lp])
 	}
 	segs, jdst := buildSpliceSegs(e.msSegs[:0], e.msJoinDst[:0], jpos, lpos, len(sh.Agents))
 
@@ -531,7 +489,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	sh.Global = grown(sh.Global, nMax)
 	sh.Weights = grown(sh.Weights, nMax)
 	sh.Malice = grown(sh.Malice, nMax)
-	sh.FPs = grown(sh.FPs, nMax)
+	sh.Keys = grown(sh.Keys, nMax)
 	// contracts/wuSlots can run shorter than Agents on a never-planned
 	// shard; the zero padding matches the old double-buffer merge.
 	sr.contracts = grown(sr.contracts, nMax)
@@ -540,7 +498,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 	spliceMove(sh.Global, segs)
 	spliceMove(sh.Weights, segs)
 	spliceMove(sh.Malice, segs)
-	spliceMove(sh.FPs, segs)
+	spliceMove(sh.Keys, segs)
 	spliceMove(sr.contracts, segs)
 	spliceMove(sr.wuSlots, segs)
 
@@ -549,19 +507,16 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 		a := e.structJoins[k]
 		d := jdst[j]
 		w := e.pop.Weights[a.ID]
-		fp := FingerprintOf(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w})
-		if e.fpCounts != nil {
-			e.fpCounts[fp.DesignKey]++
-		}
+		key := DesignKeyOf(a, e.pop.Part)
 		sh.Agents[d] = a
 		sh.Global[d] = e.joinDst[k]
 		sh.Weights[d] = w
 		sh.Malice[d] = e.pop.MaliceProb[a.ID]
-		sh.FPs[d] = fp
+		sh.Keys[d] = e.keys.ref(&key)
 		sr.wuSlots[d] = 0
 		var c *contract.PiecewiseLinear
 		if canPatch {
-			c = e.patchContract(a, fp)
+			c = e.patchContract(a, &key, w)
 		}
 		if c != nil {
 			sr.dirty = append(sr.dirty, d)
@@ -579,7 +534,7 @@ func (e *Engine) spliceShard(sr *shardRun, joins, leaves []int32, epoch uint64, 
 		sh.Global = sh.Global[:nNew]
 		sh.Weights = sh.Weights[:nNew]
 		sh.Malice = sh.Malice[:nNew]
-		sh.FPs = sh.FPs[:nNew]
+		sh.Keys = sh.Keys[:nNew]
 		sr.contracts = sr.contracts[:nNew]
 		sr.wuSlots = sr.wuSlots[:nNew]
 	}
@@ -862,7 +817,7 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 			sr.wuSlots[j] = 0
 			continue
 		}
-		key := sr.sh.FPs[j].DesignKey
+		key := e.keys.keys[sr.sh.Keys[j]]
 		var resp worker.Response
 		var hit bool
 		if sr.memoSeg != nil {
@@ -899,7 +854,7 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundState) error {
 	s := &sr.scratch
 	if s.keys == nil {
-		s.keys = make(map[respondKey]int32, 16)
+		s.keys = make(map[slotKey]int32, 16)
 	} else {
 		clear(s.keys)
 	}
@@ -909,7 +864,7 @@ func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundS
 
 	outs := st.round.Outcomes
 	fromMap := e.shardPol == nil
-	var lastKey respondKey
+	var lastKey slotKey
 	lastSlot := int32(-1)
 	for i, a := range sr.sh.Agents {
 		var c *contract.PiecewiseLinear
@@ -925,7 +880,7 @@ func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundS
 			s.slots = append(s.slots, -1)
 			continue
 		}
-		key := respondKey{key: sr.sh.FPs[i].DesignKey, c: c}
+		key := slotKey{id: sr.sh.Keys[i], c: c}
 		if lastSlot >= 0 && key == lastKey {
 			s.slots = append(s.slots, lastSlot)
 			continue
@@ -937,7 +892,7 @@ func (e *Engine) respondShardSolve(ctx context.Context, sr *shardRun, st *roundS
 			var resp worker.Response
 			var hit bool
 			if sr.memoSeg != nil {
-				resp, hit = sr.memoSeg.Get(key.key, key.c)
+				resp, hit = sr.memoSeg.Get(e.keys.keys[key.id], c)
 			}
 			if hit {
 				s.resps = append(s.resps, resp)
@@ -1014,7 +969,7 @@ func (e *Engine) solvePending(ctx context.Context, sr *shardRun, r int) error {
 	}
 	if sr.memoSeg != nil {
 		for _, p := range s.pend {
-			sr.memoSeg.Put(sr.sh.FPs[p.i].DesignKey, p.c, s.resps[p.slot])
+			sr.memoSeg.Put(e.keys.keys[sr.sh.Keys[p.i]], p.c, s.resps[p.slot])
 		}
 	}
 	return nil

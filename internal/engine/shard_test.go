@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dyncontract/internal/contract"
-	"dyncontract/internal/core"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/engine"
 	"dyncontract/internal/telemetry"
@@ -67,7 +66,7 @@ func TestShardOf(t *testing.T) {
 // TestEngineShardPartition checks the partition invariants of the
 // engine's shard views: every agent lands in ShardOf's shard exactly once,
 // shards preserve global ID order, Global points into the view
-// (Engine.CheckViews), the indexed views (Weights, Malice, FPs) align with
+// (Engine.CheckViews), the indexed views (Weights, Malice, Keys) align with
 // their agents, and the shard count clamps to the population.
 func TestEngineShardPartition(t *testing.T) {
 	views := func(shards int) []engine.Shard {
@@ -107,7 +106,7 @@ func TestEngineShardPartition(t *testing.T) {
 		if sh.Solo {
 			t.Errorf("shard %d of %d reports Solo", si, n)
 		}
-		if len(sh.Weights) != len(sh.Agents) || len(sh.Malice) != len(sh.Agents) || len(sh.FPs) != len(sh.Agents) {
+		if len(sh.Weights) != len(sh.Agents) || len(sh.Malice) != len(sh.Agents) || len(sh.Keys) != len(sh.Agents) {
 			t.Fatalf("shard %d: misaligned views", si)
 		}
 		for i, a := range sh.Agents {
@@ -120,9 +119,8 @@ func TestEngineShardPartition(t *testing.T) {
 			if sh.Malice[i] != pop.MaliceProb[a.ID] {
 				t.Errorf("agent %s malice view %v, want %v", a.ID, sh.Malice[i], pop.MaliceProb[a.ID])
 			}
-			wantFP := engine.FingerprintOf(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
-			if sh.FPs[i] != wantFP {
-				t.Errorf("agent %s cached fingerprint differs from FingerprintOf", a.ID)
+			if sh.Key(i) != engine.DesignKeyOf(a, pop.Part) {
+				t.Errorf("agent %s view design key differs from DesignKeyOf", a.ID)
 			}
 		}
 	}
