@@ -90,11 +90,11 @@ func ledgerPopulation(t *testing.T, n int) *platform.Population {
 }
 
 // TestBatchedDesignLedgerIdentical pins the tentpole's end-to-end
-// guarantee: DynamicPolicy — whose designs now run through the batched
-// core.DesignInto, sequentially and per shard over retained scratch — must
-// produce a ledger byte-identical to a policy calling the scalar
-// core.Design per agent, across engine shapes and under a weight churn
-// that keeps every round's designs cold.
+// guarantee: DynamicPolicy — whose designs run through the batched
+// core.DesignInto over retained and pooled scratch — must produce a
+// ledger byte-identical to a policy calling the scalar core.Design per
+// agent, warm and under a weight churn that keeps every round's designs
+// cold.
 func TestBatchedDesignLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds, agents = 5, 40
@@ -107,12 +107,11 @@ func TestBatchedDesignLedgerIdentical(t *testing.T) {
 		}
 	}
 
-	run := func(pol engine.Policy, shards int, cold bool) []engine.Round {
+	run := func(pol engine.Policy, cold bool) []engine.Round {
 		t.Helper()
 		cfg := engine.Config{
 			Policy: pol,
 			Rounds: rounds,
-			Shards: shards,
 			Cache:  engine.NewCache(),
 			Memo:   engine.NewRespondMemo(),
 		}
@@ -127,23 +126,22 @@ func TestBatchedDesignLedgerIdentical(t *testing.T) {
 	}
 
 	for _, cold := range []bool{false, true} {
-		ref := run(scalarDesignPolicy{}, 0, cold)
+		ref := run(scalarDesignPolicy{}, cold)
 		if len(ref) != rounds {
 			t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 		}
-		for _, shards := range []int{0, 1, 4} {
-			name := fmt.Sprintf("cold=%v/shards=%d", cold, shards)
-			if got := run(&platform.DynamicPolicy{}, shards, cold); !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s: batched ledger differs from scalar reference", name)
-			}
+		if got := run(&platform.DynamicPolicy{}, cold); !reflect.DeepEqual(got, ref) {
+			t.Errorf("cold=%v: batched ledger differs from scalar reference", cold)
 		}
 	}
 }
 
 // TestShardDesignSpanBatchAttrs pins the cold-path observability: under
-// DynamicPolicy a traced round's engine.shard.design spans report the
-// shard's design batch size and the retained scratch's cumulative use
-// count, and on a cold round at least one shard shows a non-empty batch.
+// DynamicPolicy a traced round's engine.stage.design span reports the
+// design batch size and the retained scratch's cumulative use count. The
+// cold round carries a batch of every design key, built across
+// GOMAXPROCS on pooled scratch; a later round that meets one new key
+// builds it inline over the retained scratch, whose use count then moves.
 func TestShardDesignSpanBatchAttrs(t *testing.T) {
 	pop := ledgerPopulation(t, 24)
 	rec := spans.NewRecorder(8, 4)
@@ -152,49 +150,55 @@ func TestShardDesignSpanBatchAttrs(t *testing.T) {
 	eng, err := engine.New(pop, engine.Config{
 		Policy: &platform.DynamicPolicy{},
 		Rounds: 1,
-		Shards: 4,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := tracer.Root("test.batch-attrs")
-	ctx := spans.ContextWith(context.Background(), root)
-	if err := eng.Run(ctx); err != nil {
-		t.Fatal(err)
+	// designAttrs runs one traced round and returns its design stage's
+	// batch and scratch.uses.
+	designAttrs := func() (batch, uses int) {
+		t.Helper()
+		root := tracer.Root("test.batch-attrs")
+		if err := eng.Step(spans.ContextWith(context.Background(), root)); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		tr, ok := rec.Lookup(root.TraceID())
+		if !ok {
+			t.Fatal("trace not recorded")
+		}
+		designSpans := 0
+		for _, sd := range tr.Spans {
+			if sd.Name != "engine.stage.design" {
+				continue
+			}
+			designSpans++
+			attrs := make(map[string]string, len(sd.Attrs))
+			for _, a := range sd.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			if batch, err = strconv.Atoi(attrs["batch"]); err != nil {
+				t.Fatalf("span missing integer batch attr: %v (attrs %v)", err, attrs)
+			}
+			if uses, err = strconv.Atoi(attrs["scratch.uses"]); err != nil {
+				t.Fatalf("span missing integer scratch.uses attr: %v (attrs %v)", err, attrs)
+			}
+		}
+		if designSpans != 1 {
+			t.Fatalf("got %d engine.stage.design spans, want 1", designSpans)
+		}
+		return batch, uses
 	}
-	root.End()
 
-	tr, ok := rec.Lookup(root.TraceID())
-	if !ok {
-		t.Fatal("trace not recorded")
+	if batch, _ := designAttrs(); batch != 5 {
+		t.Errorf("cold round reported batch=%d, want 5 (one per design key)", batch)
 	}
-	designSpans, totalBatch, totalUses := 0, 0, 0
-	for _, sd := range tr.Spans {
-		if sd.Name != "engine.shard.design" {
-			continue
-		}
-		designSpans++
-		attrs := make(map[string]string, len(sd.Attrs))
-		for _, a := range sd.Attrs {
-			attrs[a.Key] = a.Value
-		}
-		batch, err := strconv.Atoi(attrs["batch"])
-		if err != nil {
-			t.Fatalf("span missing integer batch attr: %v (attrs %v)", err, attrs)
-		}
-		uses, err := strconv.Atoi(attrs["scratch.uses"])
-		if err != nil {
-			t.Fatalf("span missing integer scratch.uses attr: %v (attrs %v)", err, attrs)
-		}
-		totalBatch += batch
-		totalUses += uses
-	}
-	if designSpans != 4 {
-		t.Fatalf("got %d engine.shard.design spans, want 4", designSpans)
-	}
-	if totalBatch == 0 || totalUses == 0 {
-		t.Errorf("cold round reported batch=%d scratch uses=%d across shards, want both > 0", totalBatch, totalUses)
+	a := pop.Agents[0]
+	a.Beta = 1.3 // a design key no agent holds
+	pop.Touch(a.ID)
+	if batch, uses := designAttrs(); batch != 1 || uses == 0 {
+		t.Errorf("one-key round reported batch=%d scratch uses=%d, want 1 and > 0", batch, uses)
 	}
 }

@@ -11,8 +11,9 @@ import (
 // command pays before it executes, for both durability modes. The
 // "buffered" arm is the per-command overhead in the default
 // configuration — a CRC32C, a few length-prefixed writes into a
-// user-space buffer — and must stay trivially small next to the ~438µs
-// warm sharded round it taxes (the <10% acceptance bar). The "fsync" arm
+// user-space buffer — and must stay trivially small next to the warm
+// round it taxes, BenchmarkEngineRound100k/sequential-warm (the <10%
+// acceptance bar). The "fsync" arm
 // measures what -journal-sync fsync actually buys per command: a forced
 // flush and fdatasync per append, dominated by the storage stack, so it
 // is tracked for trend only, never gated — it benchmarks the disk, not

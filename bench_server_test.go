@@ -81,7 +81,7 @@ func BenchmarkServerDesignBatch(b *testing.B) {
 
 // BenchmarkServerDriftRoute measures the drift mutation route end to end:
 // one client alternating an agent's feedback weight between two values on
-// a sharded session, so every request exercises the touched-set
+// one session, so every request exercises the touched-set
 // declaration (Population.Touch) and the engine's sparse refresh on the
 // next round advance. The "drift-only" variant posts back-to-back drifts;
 // "drift+round" interleaves a round advance after each drift, covering
@@ -102,7 +102,7 @@ func BenchmarkServerDriftRoute(b *testing.B) {
 				{ID: "m1", Class: "malicious", Psi: psi, Beta: 1, Omega: 0.5, Weight: 0.8, Malice: 0.9},
 				{ID: "c1", Class: "community", Psi: psi, Beta: 1, Omega: 0.3, Size: 3, Weight: 0.5},
 			},
-			M: 10, Delta: 0.2, Mu: 1, Shards: 2,
+			M: 10, Delta: 0.2, Mu: 1,
 		}
 		var created server.CreateSessionResponse
 		post(b, ts, "/v1/sessions", create, &created, http.StatusCreated)

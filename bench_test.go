@@ -328,6 +328,53 @@ func benchArchetypePopulation(b *testing.B, n int) *platform.Population {
 	return pop
 }
 
+// benchManyKeyPopulation builds n agents over exactly keys design keys:
+// agent i takes key j = i mod keys, whose class cycles through honest,
+// malicious and community and whose β is unique to j, so every key is
+// held by n/keys agents.
+func benchManyKeyPopulation(b *testing.B, n, keys int) *platform.Population {
+	b.Helper()
+	psi, err := effort.NewQuadratic(-0.02, 2, 1, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := effort.NewPartition(8, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pop := &platform.Population{
+		Weights:    make(map[string]float64, n),
+		MaliceProb: make(map[string]float64, n),
+		Part:       part,
+		Mu:         1,
+	}
+	for i := 0; i < n; i++ {
+		j := i % keys
+		beta := 1 + float64(j)/float64(keys)
+		id := fmt.Sprintf("a%06d", i)
+		var a *worker.Agent
+		var w float64
+		switch j % 3 {
+		case 0:
+			a, err = worker.NewHonest(id, psi, beta, part.YMax())
+			w = 1
+		case 1:
+			a, err = worker.NewMalicious(id, psi, beta, 0.5, part.YMax())
+			w = 0.8
+		default:
+			a, err = worker.NewCommunity(id, psi, beta, 0.5, 3, part.YMax())
+			w = 0.5
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		pop.Agents = append(pop.Agents, a)
+		pop.Weights[id] = w
+		pop.MaliceProb[id] = 0.1
+	}
+	return pop
+}
+
 // perAgentPolicy replicates the pre-engine design path: one solver
 // subproblem per agent, no fingerprint dedup, no cache. It is the baseline
 // the engine's Designer is measured against.
@@ -509,36 +556,35 @@ func BenchmarkEngineRound1k(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRound100k measures one warm engine round over a
-// 100,000-agent, 3-archetype population at one shard (sequential-warm,
-// Config.Shards = 0) and at eight (sharded-warm). Both run a persistent
-// engine with the design cache and respond memo warmed, and both run the
-// same pipeline: each shard validates its plan in O(distinct
-// fingerprints) and skips the respond stage outright on retained
-// outcomes, so only settle remains O(n) — the warm round does not depend
-// on spare cores. Ledgers are byte-identical for every shard count
-// (pinned by TestShardedLedgerIdentical in internal/engine).
+// BenchmarkEngineRound100k measures engine rounds over a 100,000-agent,
+// 3-archetype population. sequential-warm runs a persistent engine with
+// the design cache and respond memo warmed: the round validates its plan
+// in O(distinct fingerprints) and skips the respond stage outright on
+// retained outcomes, so only settle remains O(n). The ledger is pinned to
+// the naive reference round by TestShardedLedgerIdentical in
+// internal/engine.
 //
 // Two drift variants bracket the mutation path: sharded-rebuild bumps
-// the whole population before every round (the sharded-cold proxy — all
-// shards re-partition), while sparse-drift-1pct drifts 1% of agents
-// through Population.Touch, so only the shards owning touched IDs
-// refresh in place. The sparse round is required to stay within 10% of
-// the full-rebuild round (scripts/bench.sh gates sparse-drift-1pct in
-// its warm-regression set); ledger equivalence with the full rebuild is
-// pinned by TestSparseDriftLedgerIdentical in internal/engine.
+// the whole population before every round (the full view rebuild and
+// re-plan), while sparse-drift-1pct drifts 1% of agents through
+// Population.Touch, so only their slots refresh in place. The sparse
+// round is required to stay within 10% of the full-rebuild round
+// (scripts/bench.sh gates sparse-drift-1pct in its warm-regression set);
+// ledger equivalence with the full rebuild is pinned by
+// TestSparseDriftLedgerIdentical in internal/engine. manykey-cold is the
+// cold round over 5,000 design keys, where the menu builds and best
+// responses fanned out across GOMAXPROCS carry the round.
 func BenchmarkEngineRound100k(b *testing.B) {
 	pop := benchArchetypePopulation(b, 100_000)
 	ctx := context.Background()
 
-	warmEngine := func(b *testing.B, shards int) *engine.Engine {
+	warmEngine := func(b *testing.B) *engine.Engine {
 		b.Helper()
 		eng, err := engine.New(pop, engine.Config{
 			Policy: &platform.DynamicPolicy{},
 			Rounds: 1,
 			Cache:  engine.NewCache(),
 			Memo:   engine.NewRespondMemo(),
-			Shards: shards,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -550,17 +596,7 @@ func BenchmarkEngineRound100k(b *testing.B) {
 	}
 
 	b.Run("sequential-warm", func(b *testing.B) {
-		eng := warmEngine(b, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := eng.Run(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sharded-warm", func(b *testing.B) {
-		eng := warmEngine(b, 8)
+		eng := warmEngine(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -570,21 +606,17 @@ func BenchmarkEngineRound100k(b *testing.B) {
 		}
 	})
 	b.Run("dedup-cold", func(b *testing.B) {
-		// Cold design at 100k: the sharded engine's design cache is
-		// invalidated before every round, so each shard re-runs its
-		// distinct fingerprints through the batched solver over retained
-		// scratch. The round cost is the warm floor plus distinct-
-		// fingerprint-count × the batched per-design constant — not
-		// O(agents) design work. Shards race to re-fill the 3 shared
-		// fingerprints, so the per-round miss count lands between 3 and
-		// 3 × shards.
+		// Cold design at 100k: the design cache is invalidated before
+		// every round, so the round re-runs its 3 distinct design keys
+		// through the batched solver. The round cost is the warm floor
+		// plus distinct-key-count × the batched per-design constant — not
+		// O(agents) design work — and each round builds exactly 3 menus.
 		cache := engine.NewCache()
 		eng, err := engine.New(pop, engine.Config{
 			Policy: &platform.DynamicPolicy{},
 			Rounds: 1,
 			Cache:  cache,
 			Memo:   engine.NewRespondMemo(),
-			Shards: 8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -602,16 +634,50 @@ func BenchmarkEngineRound100k(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		misses := cache.Stats().Misses - before
-		if misses < uint64(3*b.N) || misses > uint64(3*8*b.N) {
-			b.Fatalf("cold rounds performed %d Design calls, want within [%d, %d]", misses, 3*b.N, 3*8*b.N)
+		if misses := cache.Stats().Misses - before; misses != uint64(3*b.N) {
+			b.Fatalf("cold rounds performed %d Design calls, want %d", misses, 3*b.N)
+		}
+	})
+	b.Run("manykey-cold", func(b *testing.B) {
+		// Cold round over many design keys: 100k agents over 5,000 keys,
+		// with the design cache and respond memo invalidated before every
+		// round, so each round builds 5,000 menus and solves at least
+		// 5,000 best responses — the work the GOMAXPROCS fan-outs split.
+		const keys = 5000
+		cache, memo := engine.NewCache(), engine.NewRespondMemo()
+		eng, err := engine.New(benchManyKeyPopulation(b, 100_000, keys), engine.Config{
+			Policy: &platform.DynamicPolicy{},
+			Rounds: 1,
+			Cache:  cache,
+			Memo:   memo,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Run(ctx); err != nil { // warm views and buffers
+			b.Fatal(err)
+		}
+		before := cache.Stats().Misses
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cache.Invalidate()
+			memo.Invalidate()
+			if err := eng.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if misses := cache.Stats().Misses - before; misses != uint64(keys*b.N) {
+			b.Fatalf("cold rounds built %d menus, want %d", misses, keys*b.N)
 		}
 	})
 	b.Run("sharded-rebuild", func(b *testing.B) {
-		// Whole-population drift each round: Bump forces every shard to
-		// re-partition and re-plan — the cost floor sparse drift is
-		// measured against.
-		eng := warmEngine(b, 8)
+		// Whole-population drift each round: Bump forces the full view
+		// rebuild and re-plan — the cost floor sparse drift is measured
+		// against. (The name predates the one pipeline; bench.sh's drift
+		// ratios and the committed baseline are keyed on it.)
+		eng := warmEngine(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -652,7 +718,6 @@ func BenchmarkEngineRound100k(b *testing.B) {
 			Rounds: 1,
 			Cache:  engine.NewCache(),
 			Memo:   engine.NewRespondMemo(),
-			Shards: 8,
 			Drift:  hook,
 		})
 		if err != nil {
@@ -679,11 +744,10 @@ func BenchmarkEngineRound100k(b *testing.B) {
 		// the same agent objects recycle without allocation. Joiners clone
 		// the honest archetype under fresh IDs: their fingerprint always
 		// resolves in the warm design cache. Each round splices the view
-		// and its outcome buffer in place (survivors between splice points
-		// shift), renumbers every shard's view indices, and splices only
-		// the owning shards' slots, where joiners take the patch route and
-		// respond alone. The full-rebuild cost of the same churn is the
-		// sharded-rebuild arm above.
+		// with its outcome buffer, columns and slots in place (survivors
+		// between splice points shift), and joiners take the patch route
+		// and respond alone. The full-rebuild cost of the same churn is
+		// the sharded-rebuild arm above.
 		drifted := benchArchetypePopulation(b, 100_000)
 		proto := drifted.Agents[0] // honest archetype
 		protoW := drifted.Weights[proto.ID]
@@ -730,7 +794,6 @@ func BenchmarkEngineRound100k(b *testing.B) {
 			Rounds: 1,
 			Cache:  engine.NewCache(),
 			Memo:   engine.NewRespondMemo(),
-			Shards: 8,
 			Drift:  hook,
 		})
 		if err != nil {

@@ -25,7 +25,7 @@
 //
 // The server exposes /metrics (Prometheus text) and /debug/pprof/ beside
 // the API; with -trace it also records execution spans — HTTP route →
-// session queue → engine round → stages → shards — serves them at
+// session queue → engine round → stages — serves them at
 // /debug/traces, and writes the retained traces to -trace-out on exit
 // (.json gets Chrome trace_event format for Perfetto). Every request is
 // logged through log/slog with its route, status, duration, session, and

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-run id[,id...]] [-scale small|paper] [-seed n] [-trace file.jsonl]
-//	            [-stats] [-shards n]
+//	            [-stats]
 //	            [-metrics out.jsonl] [-metrics-listen addr]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-spans] [-trace-sample p] [-trace-out file]
@@ -62,7 +62,6 @@ func run(args []string, out io.Writer) error {
 		noCache    = fs.Bool("nocache", false, "disable the engine's cross-round design cache in simulation experiments")
 		noMemo     = fs.Bool("nomemo", false, "disable the engine's cross-round best-response memo in simulation experiments")
 		stats      = fs.Bool("stats", false, "print the engine and solver metrics each experiment added")
-		shards     = fs.Int("shards", 0, "shard count for the engine's round pipeline; 0 = one shard (reports are identical)")
 		obsFlags   obs.Flags
 		traceFlags obs.TraceFlags
 	)
@@ -141,7 +140,6 @@ func run(args []string, out io.Writer) error {
 	}
 	params.NoDesignCache = *noCache
 	params.NoRespondMemo = *noMemo
-	params.Shards = *shards
 	params.Metrics = reg
 
 	ids := strings.Split(*runIDs, ",")
@@ -162,7 +160,7 @@ func run(args []string, out io.Writer) error {
 		// One span per experiment. The runners drive their engines on
 		// their own contexts, so the span bounds the experiment without
 		// engine-level children — run platformsim or contractd with -trace
-		// for the full round/stage/shard nesting.
+		// for the full round/stage nesting.
 		span := tracer.Root("experiment." + id)
 		rep, err := runner(pipe, params)
 		span.End()

@@ -178,18 +178,14 @@ func TestRunNoMemoIdenticalReports(t *testing.T) {
 }
 
 func TestRunShardStats(t *testing.T) {
-	// fig8c runs simulations through the engine; with -shards the sharded
-	// pipeline records per-shard stage timings the -stats printer reads
-	// back. The report itself must not change.
-	var sharded, plain bytes.Buffer
-	if err := run([]string{"-run", "fig8c", "-seed", "7", "-shards", "2", "-stats"}, &sharded); err != nil {
+	// fig8c runs simulations through the engine; -stats prints the
+	// pipeline's stage timings, and the report itself must not change.
+	var stats, plain bytes.Buffer
+	if err := run([]string{"-run", "fig8c", "-seed", "7", "-stats"}, &stats); err != nil {
 		t.Fatalf("run -stats: %v", err)
 	}
-	out := sharded.String()
-	if !strings.Contains(out, "  "+engine.MetricShards+" 2\n") {
-		t.Errorf("-stats output missing shard count:\n%s", out)
-	}
-	for _, name := range []string{engine.MetricShardDesignSeconds, engine.MetricShardRespondSeconds} {
+	out := stats.String()
+	for _, name := range []string{engine.MetricStageDesignSeconds, engine.MetricStageRespondSeconds} {
 		if !strings.Contains(out, "  "+name+" count ") {
 			t.Errorf("-stats output missing %s:\n%s", name, out)
 		}
@@ -197,8 +193,8 @@ func TestRunShardStats(t *testing.T) {
 	if err := run([]string{"-run", "fig8c", "-seed", "7"}, &plain); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	// Strip the stats block: every remaining line must match the
-	// sequential run's report exactly.
+	// Strip the stats block: every remaining line must match the plain
+	// run's report exactly.
 	var kept []string
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "  dyncontract_") || strings.HasSuffix(line, "fig8c:") {
@@ -207,26 +203,24 @@ func TestRunShardStats(t *testing.T) {
 		kept = append(kept, line)
 	}
 	if strings.Join(kept, "\n") != plain.String() {
-		t.Errorf("sharded report differs from sequential:\n--- sharded ---\n%s\n--- plain ---\n%s",
+		t.Errorf("-stats report differs from the plain one:\n--- stats ---\n%s\n--- plain ---\n%s",
 			strings.Join(kept, "\n"), plain.String())
 	}
 }
 
 func TestRunShardStatsSequential(t *testing.T) {
-	// Without -shards the engine runs one shard, and the printer reports
-	// its per-shard stage metrics like any other shard count.
+	// The engine runs one pipeline: -stats prints no per-shard metric, and
+	// -shards is no longer a flag.
 	var buf bytes.Buffer
 	if err := run([]string{"-run", "fig8c", "-seed", "7", "-stats"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "  "+engine.MetricShards+" 1\n") {
-		t.Errorf("-stats without -shards missing the one-shard count:\n%s", out)
+	if out := buf.String(); strings.Contains(out, "dyncontract_engine_shard") {
+		t.Errorf("-stats printed per-shard metrics:\n%s", out)
 	}
-	for _, name := range []string{engine.MetricShardDesignSeconds, engine.MetricShardRespondSeconds} {
-		if !strings.Contains(out, "  "+name+" count ") {
-			t.Errorf("-stats without -shards missing %s:\n%s", name, out)
-		}
+	buf.Reset()
+	if err := run([]string{"-run", "fig8c", "-shards", "2"}, &buf); err == nil {
+		t.Error("-shards accepted")
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //	platformsim [-scale small|paper] [-seed n] [-rounds n]
 //	            [-policies dynamic,exclude,fixed] [-threshold p] [-amount c]
-//	            [-nocache] [-nomemo] [-shards n] [-stats]
+//	            [-nocache] [-nomemo] [-stats]
 //	            [-drift-agents k] [-churn]
 //	            [-join-every k] [-leave-every k]
 //	            [-metrics out.jsonl] [-metrics-listen addr]
@@ -21,7 +21,7 @@
 // -memprofile write pprof profiles for offline analysis. -stats prints
 // what each policy's run added to the engine and solver metrics
 // (obs.FprintStats). -trace records
-// one execution trace per policy run — rounds, stages, per-shard work —
+// one execution trace per policy run — rounds and their stages —
 // and -trace-out writes the retained traces on exit (.json = Chrome
 // trace_event format for Perfetto).
 package main
@@ -68,7 +68,6 @@ func run(args []string, out io.Writer) error {
 		perClass    = fs.Int("perclass", 200, "max agents sampled per class")
 		noCache     = fs.Bool("nocache", false, "disable the cross-round design cache")
 		noMemo      = fs.Bool("nomemo", false, "disable the cross-round best-response memo")
-		shards      = fs.Int("shards", 0, "shard count for the round pipeline; 0 = one shard (ledgers are identical)")
 		stats       = fs.Bool("stats", false, "print the engine and solver metrics each policy's run added")
 		driftAgents = fs.Int("drift-agents", 0, "scoped weight drift: oscillate the first k agents' weights each round, declared via Population.Touch")
 		churn       = fs.Bool("churn", false, "mint fresh, never-repeating weights for every agent before each round, so every round's designs run the cold path (overrides -drift-agents)")
@@ -255,7 +254,7 @@ func run(args []string, out io.Writer) error {
 		// agents sharing an archetype share one design and one best
 		// response, and static rounds after the first cost zero
 		// Design/BestResponse calls.
-		cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, Shards: *shards, Drift: driftHook}
+		cfg := engine.Config{Policy: pol, Rounds: *rounds, Metrics: reg, Drift: driftHook}
 		if !*noCache {
 			cfg.Cache = engine.NewCache()
 		}
@@ -266,7 +265,7 @@ func run(args []string, out io.Writer) error {
 			cfg.Observers = []engine.Observer{sess.RoundObserver()}
 		}
 		// One trace per policy run: the root span covers the whole
-		// ledger, with engine.round / stage / shard children below it.
+		// ledger, with engine.round / stage children below it.
 		span := tracer.Root("platformsim.run")
 		span.SetAttr("policy", pol.Name())
 		span.SetInt("rounds", int64(*rounds))

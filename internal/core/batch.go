@@ -46,7 +46,7 @@ import (
 // are then reused, so a long-lived Scratch makes repeated designs
 // allocation-free up to the winner contract itself. A Scratch is
 // single-owner: one solve at a time (the solver pool keeps one per
-// worker, the sharded engine one per shard).
+// worker, the engine's ShardDesigner one for its inline solves).
 type Scratch struct {
 	// knots is d_l = ψ(lδ), l = 0..m. It is never written in place: a new
 	// (partition, ψ) gets a fresh array, so the menus built over it — and
@@ -80,7 +80,7 @@ type Scratch struct {
 }
 
 // Uses reports the number of designs this scratch has served — the
-// scratch-reuse signal surfaced on engine.shard.design spans.
+// scratch-reuse signal surfaced on engine.stage.design spans.
 func (s *Scratch) Uses() uint64 { return s.uses }
 
 // Fallbacks reports the number of designs this scratch routed to the

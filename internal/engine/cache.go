@@ -106,14 +106,9 @@ type Cache struct {
 	flushes uint64 // cap flushes; guarded by mu
 	// pub is what this cache last added to a registry (see publish).
 	pub published
-	// gen counts whole-map drops (Invalidate and cap flushes). Segments
-	// compare it against their own snapshot to clear their local maps
-	// lazily, so an Invalidate on the shared cache reaches every segment
-	// without the cache knowing who they are.
-	gen atomic.Uint64
 	// flights holds the menu builds in progress, so concurrent designers
-	// (sibling shards on a cold round, design batches beside the round
-	// loop) missing the same key build it once. Guarded by mu.
+	// (design batches beside the round loop, engines sharing the cache)
+	// missing the same key build it once. Guarded by mu.
 	flights map[DesignKey]*menuFlight
 }
 
@@ -153,7 +148,6 @@ func (c *Cache) putLocked(key DesignKey, m *core.Menu) {
 	} else if len(c.entries) >= max {
 		c.entries = make(map[DesignKey]*core.Menu)
 		c.flushes++
-		c.gen.Add(1)
 	}
 	c.entries[key] = m
 }
@@ -207,7 +201,7 @@ func (c *Cache) land(key DesignKey, f *menuFlight, m *core.Menu) {
 
 // await waits for another caller's flight, counting a delivered menu as a
 // hit. A nil menu means the flight failed: claim the key again.
-func (c *Cache) await(ctx context.Context, _ DesignKey, f *menuFlight) (*core.Menu, error) {
+func (c *Cache) await(ctx context.Context, f *menuFlight) (*core.Menu, error) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
@@ -219,17 +213,14 @@ func (c *Cache) await(ctx context.Context, _ DesignKey, f *menuFlight) (*core.Me
 	return f.menu, nil
 }
 
-// Remove drops exactly the named design keys from the shared table — the
-// targeted-invalidation half of a scoped drift: the engine refcounts
-// design keys across its shard views and removes only those whose last
-// holder drifted away or left, so shared menus survive. Remove
-// deliberately does not bump the segment generation: a removed key can
-// linger in a segment's local map, but a key fully determines its menu,
-// so serving the retained menu stays exact — the removal is about
-// bounding memory, not correctness. One caveat for shared caches: keys
-// minted outside the engine's views (the server's design probes) are not
-// refcounted, so a removal can evict an entry such callers still want;
-// they rebuild once and repopulate. Counters are preserved.
+// Remove drops exactly the named design keys — the targeted-invalidation
+// half of a scoped drift: the engine refcounts design keys across its
+// view and removes only those whose last holder drifted away or left, so
+// shared menus survive and dead ones are freed. One caveat for shared
+// caches: keys minted outside the engine's view (the server's design
+// probes) are not refcounted, so a removal can evict an entry such
+// callers still want; they rebuild once and repopulate. Counters are
+// preserved.
 func (c *Cache) Remove(keys ...DesignKey) {
 	if len(keys) == 0 {
 		return
@@ -248,7 +239,6 @@ func (c *Cache) Remove(keys ...DesignKey) {
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	c.entries = nil
-	c.gen.Add(1)
 	c.mu.Unlock()
 }
 
@@ -286,99 +276,4 @@ func (c *Cache) retire(reg *telemetry.Registry) {
 	c.pub.mu.Lock()
 	defer c.pub.mu.Unlock()
 	c.pub.retire(reg, &cacheMetrics, c.Stats())
-}
-
-// CacheSegment is a shard-local view over a shared Cache: reads consult a
-// private map first — lock-free, since exactly one goroutine uses a
-// segment at a time — and fall back to (and repopulate from) the shared
-// read-mostly table, so distinct shards holding the same archetype dedup
-// through the parent while their warm rounds never touch its lock. Writes
-// publish to both layers. Hits and misses count on the parent's atomic
-// counters, so Stats and publish aggregate across every segment for free.
-//
-// A segment never outlives its cache's contents: Invalidate (or a cap
-// flush) bumps the parent's generation, and the segment clears its local
-// map on its next access.
-type CacheSegment struct {
-	parent *Cache
-	gen    uint64
-	local  map[DesignKey]*core.Menu
-}
-
-// Segment returns a new shard-local view of the cache. Each segment is
-// single-owner: safe for use from one goroutine at a time, concurrently
-// with other segments of the same cache.
-func (c *Cache) Segment() *CacheSegment {
-	return &CacheSegment{parent: c, gen: c.gen.Load(), local: make(map[DesignKey]*core.Menu)}
-}
-
-// sync drops the local map when the parent has been invalidated or
-// flushed since the last access.
-func (s *CacheSegment) sync() {
-	if g := s.parent.gen.Load(); g != s.gen {
-		clear(s.local)
-		s.gen = g
-	}
-}
-
-// store caps the local map by the parent's limit, mirroring its
-// flush-when-full policy.
-func (s *CacheSegment) store(key DesignKey, m *core.Menu) {
-	max := s.parent.MaxEntries
-	if max <= 0 {
-		max = defaultCacheCap
-	}
-	if len(s.local) >= max {
-		clear(s.local)
-	}
-	s.local[key] = m
-}
-
-// peek looks up a design key — local map first, then the shared table —
-// without counting: ShardDesigner's warm validation counts its hits only
-// once the whole plan has validated, so a failed validation leaves every
-// count to the fill that follows.
-func (s *CacheSegment) peek(key DesignKey) (*core.Menu, bool) {
-	s.sync()
-	if m, ok := s.local[key]; ok {
-		return m, true
-	}
-	m, ok := s.parent.peek(key)
-	if ok {
-		s.store(key, m)
-	}
-	return m, ok
-}
-
-// claim is Cache.claim behind the segment's local map.
-func (s *CacheSegment) claim(key DesignKey) (*core.Menu, *menuFlight, bool) {
-	s.sync()
-	if m, ok := s.local[key]; ok {
-		s.parent.hits.Add(1)
-		return m, nil, false
-	}
-	m, f, own := s.parent.claim(key)
-	if m != nil {
-		s.store(key, m)
-	}
-	return m, f, own
-}
-
-// land is Cache.land, keeping a built menu locally too.
-func (s *CacheSegment) land(key DesignKey, f *menuFlight, m *core.Menu) {
-	if m != nil {
-		s.sync()
-		s.store(key, m)
-	}
-	s.parent.land(key, f, m)
-}
-
-// await is Cache.await, keeping a delivered menu locally too.
-func (s *CacheSegment) await(ctx context.Context, key DesignKey, f *menuFlight) (*core.Menu, error) {
-	m, err := s.parent.await(ctx, key, f)
-	if m != nil {
-		s.sync()
-		s.store(key, m)
-	}
-	return m, err
 }

@@ -9,45 +9,6 @@ import (
 	"dyncontract/internal/worker"
 )
 
-// TestCacheSegment covers the segment protocol: local hits without
-// touching the shared table's lock path, cross-segment dedup through the
-// parent, stats on the parent's counters, and lazy clearing after
-// Invalidate.
-func TestCacheSegment(t *testing.T) {
-	c := NewCache()
-	segA, segB := c.Segment(), c.Segment()
-	key := DesignKey{Class: worker.Honest, Beta: 1}
-	menu := &core.Menu{}
-
-	m, f, own := segA.claim(key)
-	if m != nil || !own {
-		t.Fatal("empty segment did not hand out the build")
-	}
-	segA.land(key, f, menu)
-	if got, _, _ := segB.claim(key); got != menu {
-		t.Fatal("sibling segment missed a published entry")
-	}
-	if got, _, _ := segA.claim(key); got != menu {
-		t.Fatal("local entry missed")
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("parent stats = %+v, want 2 hits / 1 miss", st)
-	}
-	if st.Entries != 1 {
-		t.Errorf("parent entries = %d, want 1", st.Entries)
-	}
-
-	c.Invalidate()
-	for _, seg := range []*CacheSegment{segA, segB} {
-		m, f, own := seg.claim(key)
-		if m != nil || !own {
-			t.Fatal("segment served a stale entry after Invalidate")
-		}
-		seg.land(key, f, nil) // a failed build publishes nothing
-	}
-}
-
 // TestCacheClaimFlights pins the build-once protocol: a second claim of a
 // key in flight awaits the owner's build instead of building; a failed
 // build releases its waiters to claim the key afresh; a cancelled wait
@@ -63,7 +24,7 @@ func TestCacheClaimFlights(t *testing.T) {
 		t.Fatalf("claims: own=%v own2=%v same flight=%v; want the second to await the first", own, own2, waiter == owner)
 	}
 	go c.land(key, owner, nil)
-	if m, err := c.await(ctx, key, waiter); m != nil || err != nil {
+	if m, err := c.await(ctx, waiter); m != nil || err != nil {
 		t.Fatalf("await of a failed build = %v, %v; want nil, nil", m, err)
 	}
 
@@ -74,7 +35,7 @@ func TestCacheClaimFlights(t *testing.T) {
 	_, waiter, _ = c.claim(key)
 	menu := &core.Menu{}
 	go c.land(key, retry, menu)
-	if m, err := c.await(ctx, key, waiter); m != menu || err != nil {
+	if m, err := c.await(ctx, waiter); m != menu || err != nil {
 		t.Fatalf("await = %v, %v; want the built menu", m, err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 1 {
@@ -86,7 +47,7 @@ func TestCacheClaimFlights(t *testing.T) {
 	_, w, _ := c.claim(other)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := c.await(cancelled, other, w); !errors.Is(err, context.Canceled) {
+	if _, err := c.await(cancelled, w); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled await err = %v, want context.Canceled", err)
 	}
 	c.land(other, f, nil)

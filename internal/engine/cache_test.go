@@ -56,7 +56,7 @@ func TestCacheDedupAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestShardDesignerCountsEachDesignOnce pins CacheStats on the per-shard
+// TestShardDesignerCountsEachDesignOnce pins CacheStats on the ShardPolicy
 // design route: every distinct fingerprint counts exactly once per round,
 // as one hit or one miss. A warm round validates its plan and counts three
 // hits; a round after Invalidate fails that validation and counts three
@@ -67,7 +67,6 @@ func TestShardDesignerCountsEachDesignOnce(t *testing.T) {
 		Policy: &shardDesignPolicy{},
 		Rounds: 1,
 		Cache:  cache,
-		Shards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ type Designer struct {
 	plan      pickPlan
 	slots     []int32 // per agent: index into plan.fps
 	contracts map[string]*contract.PiecewiseLinear
-	shards    []*ShardDesigner // lazily built per-shard designers (Shard)
+	shard     *ShardDesigner // built on first use (Shard)
 }
 
 // maxScan bounds the linear-scan lists of a pickPlan: populations built
@@ -51,15 +51,6 @@ type Designer struct {
 // a few struct compares instead of hashing into a map; plans with more
 // distinct keys or fingerprints switch to a map beyond this bound.
 const maxScan = 16
-
-// menuSource is where a pickPlan looks menus up and publishes new ones —
-// the shared Cache or a shard's CacheSegment — with each missing key
-// built by exactly one of any concurrent designers (Cache.claim).
-type menuSource interface {
-	claim(DesignKey) (*core.Menu, *menuFlight, bool)
-	land(DesignKey, *menuFlight, *core.Menu)
-	await(context.Context, DesignKey, *menuFlight) (*core.Menu, error)
-}
 
 // pickPlan deduplicates one batch of agents two levels deep — distinct
 // fingerprints, each one pick, over distinct design keys, each one menu —
@@ -83,7 +74,7 @@ type pickPlan struct {
 
 	subs    []solver.Subproblem
 	pend    []int32       // per sub: the key index it builds
-	flights []*menuFlight // per sub: the flight it lands (with a source)
+	flights []*menuFlight // per sub: the flight it lands (with a cache)
 	waits   []int32       // key indexes another designer is building
 	waitFs  []*menuFlight // per wait: that designer's flight
 	outs    []solver.Outcome
@@ -186,12 +177,14 @@ func intern[T comparable](list *[]T, idx *map[T]int32, v T) int32 {
 // resolve finds every key's menu and then picks each fingerprint's
 // contract from its key's menu under (part, mu, w). Menus come from src
 // (nil means no cache) or are built in one BuildMenusInto batch and
-// published back; a key some concurrent designer is already building is
-// awaited rather than rebuilt, and re-claimed should that build fail.
+// published back, each missing key built by exactly one of any
+// concurrent designers (Cache.claim): a key another designer is already
+// building is awaited rather than rebuilt, and re-claimed should that
+// build fail.
 // Picks that run the scalar core.Design (from a fallback menu) count on
 // scratch — nil uses a temporary one — and on the solver's
 // MetricScalarFallbacks in opts.Metrics.
-func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Partition, mu float64, opts solver.Options, scratch *core.Scratch) error {
+func (p *pickPlan) resolve(ctx context.Context, src *Cache, part effort.Partition, mu float64, opts solver.Options, scratch *core.Scratch) error {
 	p.menus = slices.Grow(p.menus[:0], len(p.keys))[:len(p.keys)]
 	clear(p.menus)
 	for {
@@ -226,7 +219,7 @@ func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Part
 		// Only after landing every owned flight: two designers awaiting
 		// each other's keys must both have published first.
 		for j, k := range p.waits {
-			m, err := src.await(ctx, p.keys[k], p.waitFs[j])
+			m, err := src.await(ctx, p.waitFs[j])
 			if err != nil {
 				return err
 			}
@@ -258,7 +251,7 @@ func (p *pickPlan) resolve(ctx context.Context, src menuSource, part effort.Part
 
 // build runs the pending subproblems through the solver and lands every
 // owned flight — built or not, so no waiter is left hanging.
-func (p *pickPlan) build(ctx context.Context, src menuSource, opts solver.Options) error {
+func (p *pickPlan) build(ctx context.Context, src *Cache, opts solver.Options) error {
 	if len(p.subs) == 0 {
 		return nil
 	}
@@ -298,11 +291,7 @@ func (d *Designer) Contracts(ctx context.Context, pop *Population, agents []*wor
 		fp := FingerprintOf(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
 		d.slots = append(d.slots, d.plan.add(&fp, a))
 	}
-	var src menuSource
-	if d.Cache != nil {
-		src = d.Cache
-	}
-	if err := d.plan.resolve(ctx, src, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil); err != nil {
+	if err := d.plan.resolve(ctx, d.Cache, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil); err != nil {
 		return nil, err
 	}
 
@@ -351,11 +340,7 @@ func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu fl
 		fp := FingerprintOf(rq.Agent, core.Config{Part: part, Mu: mu, W: rq.W})
 		slots[i] = p.add(&fp, rq.Agent)
 	}
-	var src menuSource
-	if d.Cache != nil {
-		src = d.Cache
-	}
-	err := p.resolve(ctx, src, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil)
+	err := p.resolve(ctx, d.Cache, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil)
 	d.Cache.publish(d.Metrics)
 	if err != nil {
 		return nil, err
@@ -367,71 +352,61 @@ func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu fl
 	return out, nil
 }
 
-// Shard returns the designer for shard i, creating it on first use. Each
-// ShardDesigner is single-owner (the engine calls one shard from one
-// goroutine at a time) and shares the Designer's Cache through its own
-// lock-free segment, so concurrent shards dedup cross-shard archetypes
-// without contending on a lock in the warm path.
-func (d *Designer) Shard(i int) *ShardDesigner {
+// Shard returns the designer behind ShardPolicy.ShardContracts, creating
+// it on first use. The ShardDesigner is single-owner (one engine calls it
+// from one goroutine at a time) and reads this Designer's Cache and
+// Metrics at every call, so a policy rewired to another engine's cache
+// designs against that cache from its next call.
+func (d *Designer) Shard() *ShardDesigner {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for len(d.shards) <= i {
-		d.shards = append(d.shards, nil)
+	if d.shard == nil {
+		d.shard = &ShardDesigner{owner: d}
 	}
-	if d.shards[i] == nil {
-		sd := &ShardDesigner{metrics: d.Metrics}
-		if d.Cache != nil {
-			sd.seg = d.Cache.Segment()
-		}
-		d.shards[i] = sd
-	}
-	return d.shards[i]
+	return d.shard
 }
 
-// ShardDesigner designs contracts for one shard of a sharded engine run.
-// It retains a per-epoch plan — the shard's distinct design keys and
+// ShardDesigner designs contracts over an engine's indexed view. It
+// retains a per-epoch plan — the view's distinct design keys and
 // fingerprints and each agent's slot into them, computed from the Shard's
-// key ids and weights — so a warm round costs one cache-segment lookup
-// per distinct design key to validate that the served menus are still
-// current, and reports changed = false without touching dst. Scratch is
-// retained across rounds; steady-state calls allocate nothing.
+// key ids and weights — so a warm round costs one cache lookup per
+// distinct design key to validate that the served menus are still
+// current, and reports changed = false without touching dst. Cold menus
+// build across GOMAXPROCS. Scratch is retained across rounds;
+// steady-state calls allocate nothing.
 type ShardDesigner struct {
-	metrics *telemetry.Registry
-	seg     *CacheSegment // nil without a Cache: every round redesigns
+	owner *Designer // its Cache (nil: every round redesigns) and Metrics
 
 	built bool
-	shard int
 	epoch uint64
 	slots []int32 // per agent: index into plan.fps
 	plan  pickPlan
 
-	// scratch is the shard's retained design scratch: the sequential
-	// solver route (every fill of a non-solo shard) builds its cold menus
-	// over it, so a shard's cold fills stay CPU-local (same owner
-	// goroutine, same buffers) round after round. lastBatch records the
-	// most recent fill's solver batch size for span annotation
-	// (BatchStats).
+	// scratch is the retained design scratch: picks, and a cold batch
+	// that runs sequentially (a single missing key), run over it.
+	// lastBatch records the most recent fill's solver batch size for span
+	// annotation (BatchStats).
 	scratch   core.Scratch
 	lastBatch int
 }
 
-// BatchStats reports the size of the most recent fill's solver batch
-// (the shard's distinct design keys that missed the cache) and the
-// cumulative number of solves the shard's retained scratch has served —
-// the numbers engine.shard.design spans carry via ShardBatchReporter.
+// BatchStats implements BatchReporter: the size of the most recent
+// fill's solver batch (the distinct design keys that missed the cache)
+// and the cumulative number of solves the retained scratch has served.
 func (d *ShardDesigner) BatchStats() (batch int, scratchUses uint64) {
 	return d.lastBatch, d.scratch.Uses()
 }
 
-// Contracts implements the ShardPolicy work for one shard: fill dst[i]
-// with the contract for sh.Agents[i], reporting whether anything changed
-// since the previous call for this (shard, epoch).
+// Contracts implements the ShardPolicy work: fill dst[i] with the
+// contract for sh.Agents[i], reporting whether anything changed since the
+// previous call for this epoch.
 func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) (bool, error) {
 	if len(dst) != len(sh.Agents) {
-		return false, fmt.Errorf("engine: shard %d: %d contract slots for %d agents", sh.Index, len(dst), len(sh.Agents))
+		return false, fmt.Errorf("engine: %d contract slots for %d agents", len(dst), len(sh.Agents))
 	}
-	replan := !d.built || d.shard != sh.Index || d.epoch != sh.Epoch
-	if !replan && d.seg != nil {
+	cache := d.owner.Cache
+	replan := !d.built || d.epoch != sh.Epoch
+	if !replan && cache != nil {
 		// Warm validation: the plan is current (same view epoch), and a
 		// pick is a pure function of (menu, μ, w), so the round is
 		// unchanged iff every distinct design key still resolves to the
@@ -440,20 +415,21 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 		// once, so CacheStats.Misses stays the number of menu builds.
 		same := true
 		for k, key := range d.plan.keys {
-			m, ok := d.seg.peek(key)
+			m, ok := cache.peek(key)
 			if !ok || m != d.plan.menus[k] {
 				same = false
 				break
 			}
 		}
 		if same {
-			d.seg.parent.hits.Add(uint64(len(d.plan.keys)))
+			cache.hits.Add(uint64(len(d.plan.keys)))
+			d.lastBatch = 0
 			return false, nil
 		}
 		// A failed validation under a matching epoch can mean the engine
 		// patched fingerprint slots in place (sparse drift) since the
 		// plan was built — the plan's slot/fingerprint layout may be
-		// stale, so rebuild it from the shard's current keys and weights
+		// stale, so rebuild it from the view's current keys and weights
 		// before refilling.
 		replan = true
 	}
@@ -464,42 +440,18 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 			d.slots = append(d.slots, d.plan.addID(id, &sh.table.keys[id], pop.Mu, sh.Weights[i], sh.Agents[i]))
 		}
 		d.built = true
-		d.shard = sh.Index
 		d.epoch = sh.Epoch
 	}
-	if err := d.fill(ctx, pop, sh, dst); err != nil {
+	err := d.plan.resolve(ctx, cache, pop.Part, pop.Mu, solver.Options{Metrics: d.owner.Metrics, Scratch: &d.scratch}, &d.scratch)
+	d.lastBatch = len(d.plan.subs)
+	if err != nil {
 		// The plan's menus are now inconsistent with dst; force a full
 		// refill next round rather than trusting a warm validation.
 		d.built = false
 		return true, err
 	}
-	return true, nil
-}
-
-// fill resolves every distinct design key — cache segment first, solver
-// for the misses — picks every distinct fingerprint's contract, and
-// writes the shard's contracts through the plan.
-func (d *ShardDesigner) fill(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) error {
-	// Under several shards, parallelism comes from the engine's pool; the
-	// inner solve stays sequential — over the shard's retained scratch —
-	// so shards never oversubscribe it and cold builds reuse CPU-local
-	// buffers. A lone shard has no pool above it, so its solve fans out
-	// across GOMAXPROCS (on pooled scratch).
-	par := 1
-	if sh.Solo {
-		par = 0
-	}
-	var src menuSource
-	if d.seg != nil {
-		src = d.seg
-	}
-	err := d.plan.resolve(ctx, src, pop.Part, pop.Mu, solver.Options{Parallelism: par, Metrics: d.metrics, Scratch: &d.scratch}, &d.scratch)
-	d.lastBatch = len(d.plan.subs)
-	if err != nil {
-		return err
-	}
 	for i := range sh.Agents {
 		dst[i] = d.plan.picks[d.slots[i]]
 	}
-	return nil
+	return true, nil
 }

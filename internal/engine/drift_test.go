@@ -77,14 +77,13 @@ func scopedDrift(tb testing.TB, declare func(pop *engine.Population, ids ...stri
 
 // TestSparseDriftLedgerIdentical is the drift-scope determinism pin: the
 // same mutation schedule, declared sparsely (Population.Touch) and fully
-// (Population.Bump), produces byte-identical ledgers across shard counts,
-// with and without the respond memo — all equal to the naive reference
-// round. Sparse scopes are an acceleration, never an observable
+// (Population.Bump), produces byte-identical ledgers with and without the
+// respond memo — all equal to the naive reference round. Sparse scopes are an acceleration, never an observable
 // behaviour change.
 func TestSparseDriftLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
-	run := func(shards int, memo, sparse bool) []engine.Round {
+	run := func(memo, sparse bool) []engine.Round {
 		t.Helper()
 		declare := func(pop *engine.Population, ids ...string) {
 			if sparse {
@@ -98,7 +97,6 @@ func TestSparseDriftLedgerIdentical(t *testing.T) {
 			Rounds: rounds,
 			Drift:  scopedDrift(t, declare),
 			Cache:  engine.NewCache(),
-			Shards: shards,
 		}
 		if memo {
 			cfg.Memo = engine.NewRespondMemo()
@@ -118,13 +116,11 @@ func TestSparseDriftLedgerIdentical(t *testing.T) {
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shards := range []int{0, 2, 8} {
-		for _, memo := range []bool{true, false} {
-			for _, sparse := range []bool{true, false} {
-				name := fmt.Sprintf("shards=%d/memo=%v/sparse=%v", shards, memo, sparse)
-				if got := run(shards, memo, sparse); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from reference", name)
-				}
+	for _, memo := range []bool{true, false} {
+		for _, sparse := range []bool{true, false} {
+			name := fmt.Sprintf("memo=%v/sparse=%v", memo, sparse)
+			if got := run(memo, sparse); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: ledger differs from reference", name)
 			}
 		}
 	}
@@ -145,9 +141,9 @@ func (g *contractGrabber) OnOutcome(int, engine.AgentOutcome) {}
 func (g *contractGrabber) OnRoundEnd(engine.Round) error      { return nil }
 
 // TestSparseDriftShardSkips pins the sparse refresh mechanics on an
-// instrumented sharded engine: a one-agent Touch rebuilds exactly the
-// owning shard (counters say 1 rebuilt, shards−1 skipped, 1 agent
-// touched), and the drifted agent's old design key — which it alone
+// instrumented engine: a one-agent Touch is one scoped refresh that
+// touched the view (counters say 1 refresh, 1 agent touched, and one
+// refresh timed), and the drifted agent's old design key — which it alone
 // held — is evicted from both the menu cache and the respond memo,
 // while the new key is present. (A weight is not part of the key, so the
 // drift moves β: weight drift evicts nothing — TestWeightDriftKeepsMenus.)
@@ -155,7 +151,6 @@ func TestSparseDriftShardSkips(t *testing.T) {
 	ctx := context.Background()
 	const (
 		id      = "h00003"
-		shards  = 4
 		oldBeta = 1.1
 		newBeta = 1.2
 	)
@@ -178,7 +173,6 @@ func TestSparseDriftShardSkips(t *testing.T) {
 		Rounds:    1,
 		Cache:     cache,
 		Memo:      memo,
-		Shards:    shards,
 		Metrics:   reg,
 		Observers: []engine.Observer{grab},
 	}
@@ -212,10 +206,7 @@ func TestSparseDriftShardSkips(t *testing.T) {
 		t.Errorf("touched agents = %d, want 1", got)
 	}
 	if got := s.Counters[engine.MetricDriftShardsRebuilt]; got != 1 {
-		t.Errorf("shards rebuilt = %d, want 1", got)
-	}
-	if got := s.Counters[engine.MetricDriftShardsSkipped]; got != shards-1 {
-		t.Errorf("shards skipped = %d, want %d", got, shards-1)
+		t.Errorf("refreshes that touched the view = %d, want 1", got)
 	}
 	if h, ok := s.Histograms[engine.MetricDriftRebuildSeconds]; !ok || h.Count != 1 {
 		t.Errorf("drift-rebuild timing observations = %+v, want 1 observation", h)
@@ -246,7 +237,6 @@ func TestTouchUndeclaredSecondConsumer(t *testing.T) {
 		e, err := engine.New(pop, engine.Config{
 			Policy:    &shardDesignPolicy{},
 			Rounds:    1,
-			Shards:    2,
 			Observers: []engine.Observer{led},
 		})
 		if err != nil {
@@ -372,20 +362,19 @@ func declaredChurnDrift(tb testing.TB, structural bool) func(int, *engine.Popula
 // TestStructuralDriftLedgerIdentical is the structural-scope determinism
 // pin: the same join/leave/mixed schedule, declared structurally
 // (TouchJoin/TouchLeave/Touch) and fully (Bump), produces byte-identical
-// ledgers across shard counts, with and without the respond memo — all
-// equal to the naive reference round.
+// ledgers with and without the respond memo — all equal to the naive
+// reference round.
 // Declared structural scopes are an acceleration, never an observable
 // behaviour change.
 func TestStructuralDriftLedgerIdentical(t *testing.T) {
 	const rounds = 6
-	run := func(shards int, memo, structural bool) []engine.Round {
+	run := func(memo, structural bool) []engine.Round {
 		t.Helper()
 		cfg := engine.Config{
 			Policy: &shardDesignPolicy{},
 			Rounds: rounds,
 			Drift:  declaredChurnDrift(t, structural),
 			Cache:  engine.NewCache(),
-			Shards: shards,
 		}
 		if memo {
 			cfg.Memo = engine.NewRespondMemo()
@@ -401,20 +390,18 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shards := range []int{0, 2, 8} {
-		for _, memo := range []bool{true, false} {
-			for _, structural := range []bool{true, false} {
-				name := fmt.Sprintf("shards=%d/memo=%v/structural=%v", shards, memo, structural)
-				if got := run(shards, memo, structural); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from reference", name)
-				}
+	for _, memo := range []bool{true, false} {
+		for _, structural := range []bool{true, false} {
+			name := fmt.Sprintf("memo=%v/structural=%v", memo, structural)
+			if got := run(memo, structural); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: ledger differs from reference", name)
 			}
 		}
 	}
 }
 
 // TestStructuralDriftCounters pins the structural classification on an
-// instrumented sharded engine: the schedule's declared joins and leaves
+// instrumented engine: the schedule's declared joins and leaves
 // land in the drift counters, and the last round — round 4's declared
 // rejoin — reports viewStructural both declared and applied (no silent
 // escalation to the full rebuild).
@@ -426,7 +413,6 @@ func TestStructuralDriftCounters(t *testing.T) {
 		Rounds:  5,
 		Drift:   declaredChurnDrift(t, true),
 		Cache:   engine.NewCache(),
-		Shards:  4,
 		Metrics: reg,
 	}
 	eng, err := engine.New(archetypePopulation(t, 30), cfg)
@@ -470,7 +456,6 @@ func TestRefutedScopeReportsEscalation(t *testing.T) {
 				Policy: &shardDesignPolicy{},
 				Rounds: 2,
 				Cache:  engine.NewCache(),
-				Shards: 2,
 				Drift: func(round int, pop *engine.Population) {
 					if round == 1 {
 						tc.declare(pop)
@@ -575,7 +560,6 @@ func TestStructuralDriftLeaveHeavy(t *testing.T) {
 		Drift:     schedule(true),
 		Cache:     engine.NewCache(),
 		Memo:      engine.NewRespondMemo(),
-		Shards:    4,
 		Metrics:   reg,
 		Observers: []engine.Observer{led},
 	})
@@ -770,7 +754,7 @@ func checkedLedger(tb testing.TB, pop *engine.Population, cfg engine.Config) []e
 
 // TestDriftScopeRandomSchedules is the randomized differential check of
 // the scoped drift rule: seeded random schedules (randomDriftSchedule)
-// run over every shard count and memo setting, with a design cache, and
+// run with and without the respond memo, with a design cache, and
 // every ledger must equal the naive reference round's, with the engine's
 // views checked after every round.
 func TestDriftScopeRandomSchedules(t *testing.T) {
@@ -784,43 +768,38 @@ func TestDriftScopeRandomSchedules(t *testing.T) {
 			Rounds: rounds,
 			Drift:  randomDriftSchedule(t, seed),
 		})
-		for _, shards := range []int{0, 1, 3, 8} {
-			for _, memo := range []bool{true, false} {
-				cfg := engine.Config{
-					Policy:  &shardDesignPolicy{},
-					Rounds:  rounds,
-					Drift:   randomDriftSchedule(t, seed),
-					Cache:   engine.NewCache(),
-					Shards:  shards,
-					Metrics: telemetry.NewRegistry(),
-				}
-				if memo {
-					cfg.Memo = engine.NewRespondMemo()
-				}
-				name := fmt.Sprintf("seed=%d/shards=%d/memo=%v", seed, shards, memo)
-				if got := checkedLedger(t, archetypePopulation(t, n), cfg); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from reference", name)
-				}
+		for _, memo := range []bool{true, false} {
+			cfg := engine.Config{
+				Policy:  &shardDesignPolicy{},
+				Rounds:  rounds,
+				Drift:   randomDriftSchedule(t, seed),
+				Cache:   engine.NewCache(),
+				Metrics: telemetry.NewRegistry(),
+			}
+			if memo {
+				cfg.Memo = engine.NewRespondMemo()
+			}
+			name := fmt.Sprintf("seed=%d/memo=%v", seed, memo)
+			if got := checkedLedger(t, archetypePopulation(t, n), cfg); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: ledger differs from reference", name)
 			}
 		}
 	}
 }
 
 // FuzzDriftSchedule widens TestDriftScopeRandomSchedules: the input picks
-// the schedule's seed, the population size (1 to 104 agents), the shard
-// count (one of 0, 1, 3, 8), and the respond memo, and the engine's
-// ledger must equal the reference's with its views intact after every
-// round. randomDriftSchedule scales its churn to the population, so small
-// populations, shards that empty out and populations smaller than the
-// shard count are all reached.
+// the schedule's seed, the population size (1 to 104 agents), and the
+// respond memo, and the engine's ledger must equal the reference's with
+// its views intact after every round. randomDriftSchedule scales its
+// churn to the population, so small populations are reached too.
 func FuzzDriftSchedule(f *testing.F) {
-	f.Add(uint64(1), uint8(89), uint8(2), true)
-	f.Add(uint64(2), uint8(71), uint8(3), false)
-	f.Add(uint64(7), uint8(102), uint8(0), true)
-	f.Add(uint64(3), uint8(0), uint8(3), true)
-	f.Add(uint64(4), uint8(4), uint8(3), false)
-	f.Add(uint64(5), uint8(11), uint8(2), true)
-	f.Fuzz(func(t *testing.T, seed uint64, size, shardSel uint8, memo bool) {
+	f.Add(uint64(1), uint8(89), true)
+	f.Add(uint64(2), uint8(71), false)
+	f.Add(uint64(7), uint8(102), true)
+	f.Add(uint64(3), uint8(0), true)
+	f.Add(uint64(4), uint8(4), false)
+	f.Add(uint64(5), uint8(11), true)
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8, memo bool) {
 		const rounds = 8
 		n := 1 + int(size)%104
 		ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{
@@ -833,13 +812,12 @@ func FuzzDriftSchedule(f *testing.F) {
 			Rounds: rounds,
 			Drift:  randomDriftSchedule(t, seed),
 			Cache:  engine.NewCache(),
-			Shards: []int{0, 1, 3, 8}[shardSel%4],
 		}
 		if memo {
 			cfg.Memo = engine.NewRespondMemo()
 		}
 		if got := checkedLedger(t, archetypePopulation(t, n), cfg); !reflect.DeepEqual(got, ref) {
-			t.Errorf("seed=%d n=%d shards=%d memo=%v: ledger differs from reference", seed, n, cfg.Shards, memo)
+			t.Errorf("seed=%d n=%d memo=%v: ledger differs from reference", seed, n, memo)
 		}
 	})
 }

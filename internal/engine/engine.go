@@ -130,24 +130,10 @@ type Config struct {
 	// the design cache, the memo is a pure optimization — the ledger is
 	// byte-identical with or without it.
 	Memo *RespondMemo
-	// Shards partitions the ID-sorted agent view into min(Shards, agents)
-	// deterministic shards by ID hash (ShardOf — the same agent lands in
-	// the same shard across rounds and processes); 0 means one shard.
-	// Design and respond run per shard — concurrently on a bounded pool
-	// when there is real work; a lone shard instead fans its cold designs
-	// and best responses out across GOMAXPROCS (Shard.Solo) — and results
-	// merge in global ID order, so the ledger is byte-identical for every
-	// value of Shards. Policies implementing ShardPolicy get per-shard
-	// design with warm-round skipping; plain policies keep their single
-	// whole-population Contracts call and shard only the respond stage.
-	//
-	// The Bump contract: each shard carries indexed views of Weights,
-	// MaliceProb, and the design fingerprints, rebuilt under the same rule
-	// as the cached agent view. With no Drift configured, a mutation of
-	// weights, malice probabilities, agent parameters, or membership made
-	// in place stays invisible to the engine until it is declared through
-	// Population.Bump (or Touch, TouchJoin, TouchLeave); with a Drift the
-	// views rebuild every round unless the hook declares a narrower scope.
+	// Shards is ignored. The engine runs one round pipeline over its
+	// ID-sorted view and parallelizes cold menu builds and best responses
+	// inside it across GOMAXPROCS; the field remains so configurations
+	// that set it still compile.
 	Shards int
 	// Metrics, when non-nil, instruments the run: per-stage round timing
 	// histograms, per-round ledger gauges (the same set TelemetryObserver
@@ -202,15 +188,31 @@ type Engine struct {
 	touchPos    []int32
 	scopeAgents []*worker.Agent // validateStructural's scratch
 
-	// Shard-pipeline state; see shard.go.
-	shardPol  ShardPolicy // non-nil when the policy supports per-shard design
-	patchPol  bool        // the policy is FingerprintPure — sparse drifts may patch slots
-	shards    []shardRun
-	shardPtrs []*Shard // scratch for shardAssign, aliasing shards
-	shardsOK  bool
-	shardsGen uint64
-	viewEpoch uint64 // advances on every shard-view rebuild (Shard.Epoch)
-	merged    map[string]*contract.PiecewiseLinear
+	// Design and respond state; see shard.go.
+	shardPol ShardPolicy // non-nil when the policy designs over the indexed view
+	patchPol bool        // the policy is FingerprintPure — sparse drifts may patch slots
+	// sh is the policy's view: Agents aliases agents, and the columns,
+	// contracts and wuSlots are aligned with it.
+	sh        Shard
+	contracts []*contract.PiecewiseLinear // the policy's dense contract slots
+	rs        respondScratch
+	// outsOK records that the outcome buffer already holds this round's
+	// outcomes for the current contracts — set after a dense-route
+	// respond, cleared whenever the view, the contracts, or the buffer
+	// change. A round with outsOK and no dirty slot skips respond.
+	outsOK bool
+	// changed is ShardContracts' report for the current round.
+	changed bool
+	// wu is the summed worker utility of the last respond, and wuSlots its
+	// per-agent breakdown, so the patch route can refresh single slots and
+	// re-fold the sum exactly.
+	wu      float64
+	wuSlots []float64
+	// dirty lists view slots patched in place by the sparse-drift route
+	// (contract already rewritten from the design cache): respond
+	// recomputes exactly these outcomes while outsOK keeps the rest.
+	dirty  []int32
+	merged map[string]*contract.PiecewiseLinear
 	// lastDeclared/lastApplied record the previous round's drift
 	// classification: the rule beginScope derived from the declared scope,
 	// and the rule the round actually ran under after any escalation (a
@@ -219,31 +221,15 @@ type Engine struct {
 	lastDeclared viewRule
 	lastApplied  viewRule
 
-	// keys interns the design keys the shard views hold (Shard.Keys),
+	// keys interns the design keys the view holds (Shard.Keys),
 	// refcounted; see keyTable. A key whose last holder drifts away or
 	// leaves is dead: its menu-cache and respond-memo entries are dropped
 	// (targeted invalidation).
 	keys     keyTable
 	deadKeys []DesignKey // removeDeadKeys' scratch
-
-	// Per-shard structural splice scratch (refreshShardsStructural):
-	// joins/leaves grouped by owning shard (indices into structJoins and
-	// scope.leaves).
-	shardJoins  [][]int32
-	shardLeaves [][]int32
-	// spliceShard's scratch: the binary-searched insertion index of each
-	// join, the slot index of each leave, the survivor segments with their
-	// target offsets, and each join's destination index. Splices run in
-	// place over the retained arrays — only segments whose offset is
-	// nonzero move, so clustered churn costs the shifted span, not the
-	// view length.
-	msJoinPos  []int32
-	msLeavePos []int32
-	msJoinDst  []int32
-	msSegs     []spliceSeg
 }
 
-// viewRule is one round's decision on the cached agent and shard views,
+// viewRule is one round's decision on the cached view,
 // derived from the consumed drift scope (see beginScope).
 type viewRule uint8
 
@@ -257,7 +243,7 @@ const (
 	// case with no joins or leaves. It escalates to viewFull when the
 	// declarations fail the consistency checks.
 	viewStructural
-	// viewFull rebuilds the agent view and every shard view from scratch.
+	// viewFull rebuilds the view from scratch.
 	viewFull
 )
 
@@ -295,8 +281,7 @@ type roundState struct {
 	agents    []*worker.Agent
 	contracts map[string]*contract.PiecewiseLinear
 	round     Round
-	// workerUtility is the respond stage's summed accepted-agent utility,
-	// folded per shard in shard order.
+	// workerUtility is the respond stage's summed accepted-agent utility.
 	workerUtility float64
 	// declined and excluded count the round's declined and excluded
 	// outcomes, tallied by the settle pass that already walks them.
@@ -307,8 +292,8 @@ type roundState struct {
 	observeDur time.Duration
 	// span is the round's "engine.round" span (nil when the incoming
 	// context carries none — the untraced hot path), and stageSpan the
-	// currently running stage's child span, the parent for per-shard
-	// spans. Both are nil-safe throughout.
+	// currently running stage's child span, which the design and respond
+	// stages annotate. Both are nil-safe throughout.
 	span      *spans.Span
 	stageSpan *spans.Span
 }
@@ -334,8 +319,8 @@ type stage struct {
 
 // roundPipeline is the engine's round body: contract design, OnContracts
 // dispatch, worker best responses, outcome settlement (Eq. (7)), observer
-// dispatch. Design and respond run per shard (see shard.go); an engine
-// with Config.Shards = 0 runs the same stages over one shard.
+// dispatch. Design and respond run once over the indexed view (see
+// shard.go).
 var roundPipeline = [...]stage{
 	{name: "design", spanName: "engine.stage.design", hist: func(m *stageMetrics) *telemetry.Histogram { return m.design }, run: (*Engine).stageDesign},
 	{name: "contracts", spanName: "engine.stage.contracts", fold: true, run: (*Engine).stageContracts},
@@ -353,9 +338,6 @@ func New(pop *Population, cfg Config) (*Engine, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("rounds=%d must be positive: %w", cfg.Rounds, ErrBadConfig)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("shards=%d must be >= 0: %w", cfg.Shards, ErrBadConfig)
-	}
 	if err := pop.Validate(); err != nil {
 		return nil, err
 	}
@@ -364,7 +346,6 @@ func New(pop *Population, cfg Config) (*Engine, error) {
 			cu.UseCache(cfg.Cache)
 		}
 	}
-	cfg.Shards = max(cfg.Shards, 1) // 0 runs the one pipeline as one shard
 	e := &Engine{pop: pop, cfg: cfg}
 	if sp, ok := cfg.Policy.(ShardPolicy); ok {
 		e.shardPol = sp
@@ -413,11 +394,11 @@ func (e *Engine) RespondStats() RespondStats {
 // best-response, outcome settlement, observer dispatch — and when
 // Config.Metrics is set each stage's duration is observed into its
 // _seconds histogram (observer dispatch on either side of respond bills
-// to the observe histogram). The observable event order is the same for
-// every shard count: OnContracts, then one OnOutcome per agent in ID
-// order, then OnRoundEnd. When Run returns, the cache and memo retire
-// from Config.Metrics: their entries leave the _entries gauges, which sum
-// only what live engines and designers hold.
+// to the observe histogram). The observable event order is OnContracts,
+// then one OnOutcome per agent in ID order, then OnRoundEnd. When Run
+// returns, the cache and memo retire from Config.Metrics: their entries
+// leave the _entries gauges, which sum only what live engines and
+// designers hold.
 func (e *Engine) Run(ctx context.Context) error {
 	defer func() {
 		e.cfg.Cache.retire(e.cfg.Metrics)
@@ -563,12 +544,11 @@ func (e *Engine) runRound(ctx context.Context, r int) error {
 
 // endRoundSpan finishes a traced round's span with the round's summary
 // attributes: the drift classification the round ran under (after any
-// escalation), the agent count, and the shard count.
+// escalation) and the agent count.
 func (e *Engine) endRoundSpan(st *roundState) {
 	st.span.SetAttr("drift.declared", e.scope.declared.String())
 	st.span.SetAttr("drift", e.scope.rule.String())
 	st.span.SetInt("agents", int64(len(st.agents)))
-	st.span.SetInt("shards", int64(len(e.shards)))
 	st.span.End()
 }
 
@@ -583,7 +563,7 @@ func (e *Engine) LastDriftClass() (declared, applied string) {
 }
 
 // stageContracts dispatches OnContracts. (On the ShardPolicy route with
-// no observers the merged map is never built and st.contracts is nil.)
+// no observers the per-ID map is never built and st.contracts is nil.)
 func (e *Engine) stageContracts(_ context.Context, st *roundState) error {
 	for _, ob := range e.cfg.Observers {
 		ob.OnContracts(st.r, st.contracts)
@@ -597,7 +577,7 @@ func (e *Engine) stageContracts(_ context.Context, st *roundState) error {
 // Ledger does) must copy.
 func (e *Engine) stageRespond(ctx context.Context, st *roundState) error {
 	st.round = Round{Index: st.r, Outcomes: e.outs}
-	wu, err := e.respondShards(ctx, st)
+	wu, err := e.respond(ctx, st)
 	if err != nil {
 		return err
 	}
@@ -606,7 +586,7 @@ func (e *Engine) stageRespond(ctx context.Context, st *roundState) error {
 }
 
 // stageSettle runs the Eq. (7) accounting — always one sequential pass in
-// global ID order, so every shard count sums bit-identically.
+// ID order, so the sums never depend on how the respond stage ran.
 func (e *Engine) stageSettle(_ context.Context, st *roundState) error {
 	round := &st.round
 	for i := range round.Outcomes {
@@ -667,9 +647,9 @@ func (e *Engine) stageObserve(_ context.Context, st *roundState) error {
 //   - a declared full scope (Bump) rebuilds everything;
 //   - no declaration under a Drift hook keeps the legacy contract — the
 //     hook may have mutated anything, so every view rebuilds;
-//   - no declaration and no hook keeps the cached views, with the
-//     generation compare in roundAgents/ensureShards as the backstop for
-//     populations shared with another consumer.
+//   - no declaration and no hook keeps the cached view, with the
+//     generation compare in ensureView as the backstop for populations
+//     shared with another consumer.
 func (e *Engine) beginScope() {
 	ids, joins, leaves, all, pending := e.pop.takeScope(e.scopeIDs, e.scopeJoinIDs, e.scopeLeaveIDs)
 	e.scopeIDs, e.scopeJoinIDs, e.scopeLeaveIDs = ids, joins, leaves
@@ -688,28 +668,28 @@ func (e *Engine) beginScope() {
 	e.scope.declared = e.scope.rule
 }
 
-// roundAgents returns the ID-ordered agent view and keeps the outcome
-// buffer exactly as long. The cached view is kept under viewKeep with an
-// unmoved generation. Under viewStructural (validated by
-// prepareStructural before the stages ran) declared joins and leaves
-// splice the cached view in place; touched agents mutate in place
-// through the retained pointers, so a scope with no joins or leaves
-// keeps the view as it is. Every other round rebuilds here as viewFull,
-// which cascades into ensureShards.
-func (e *Engine) roundAgents() []*worker.Agent {
+// ensureView resolves the round's ID-ordered view — the agents, the
+// outcome buffer exactly as long, and the policy's indexed columns — and
+// reports whether it rebuilt it. The cached view is kept under viewKeep
+// with an unmoved generation. Under viewStructural (validated by
+// prepareStructural before the stages ran) declared joins and leaves are
+// spliced in place and touched slots refreshed (refreshStructural); the
+// epoch, the designer plan and the retained outcomes move only where the
+// scope needs them to. Every other round rebuilds here as viewFull: Bump,
+// undeclared Drift hooks, scopes refuted by prepareStructural, and
+// generation moves observed second-hand on a shared population.
+func (e *Engine) ensureView() bool {
 	gen := e.pop.Generation()
 	if e.agentsOK {
 		switch e.scope.rule {
 		case viewKeep:
 			if e.agentsGen == gen {
-				return e.agents
+				return false
 			}
 		case viewStructural:
-			if len(e.scope.joins)+len(e.scope.leaves) > 0 {
-				e.spliceView()
-			}
+			e.refreshStructural()
 			e.agentsGen = gen
-			return e.agents
+			return false
 		}
 	}
 	e.scope.rule = viewFull
@@ -718,7 +698,8 @@ func (e *Engine) roundAgents() []*worker.Agent {
 	e.fitOuts(len(e.agents))
 	e.agentsOK = true
 	e.agentsGen = gen
-	return e.agents
+	e.buildView()
+	return true
 }
 
 // viewPos resolves the ID of a population member to its position in the
@@ -905,30 +886,6 @@ func spliceShift(segs []spliceSeg, v int32) int32 {
 	return v + s.dst - s.src
 }
 
-// spliceRenumber rewrites an ascending list of indices into a spliced
-// array (a shard's Global into the view) through the splice's survivor
-// segments. The first entry a moved segment holds binary-searches, and
-// one forward pass shifts the rest, so a list the splice leaves in place
-// costs a search. A leaver's entry falls between segments and takes the
-// next one's shift; the caller drops it.
-func spliceRenumber(idx []int32, segs []spliceSeg) {
-	s := 0
-	for s < len(segs) && segs[s].dst == segs[s].src {
-		s++
-	}
-	if s == len(segs) {
-		return
-	}
-	j, _ := slices.BinarySearch(idx, segs[s].src)
-	for ; j < len(idx); j++ {
-		v := idx[j]
-		for s < len(segs)-1 && v >= segs[s].src+segs[s].n {
-			s++
-		}
-		idx[j] = v + segs[s].dst - segs[s].src
-	}
-}
-
 // grown returns buf extended to length n with zero values (its length
 // never shrinks here; splices truncate after the moves).
 func grown[T any](buf []T, n int) []T {
@@ -953,39 +910,102 @@ func (e *Engine) fitOuts(n int) {
 	e.outs = e.outs[:n]
 }
 
-// spliceView applies the round's resolved structural scope to the cached
-// ID-sorted view in place: survivor segments between the ID-sorted splice
-// points shift by their cumulative join/leave offset (most never move),
-// then each joiner lands at its final index (joinDst). The outcome buffer
-// moves with the same segments, so every survivor's retained outcome
-// stays at its view position; a joiner's entry is filled by this round's
-// respond (its slot is dirty or its shard re-plans). Touched positions
-// shift to the spliced view; refreshShardsStructural renumbers the shard
-// views through the same segments.
-func (e *Engine) spliceView() {
-	// prepareStructural resolved every splice position — joins and leaves
-	// arrive ID-sorted, so their positions are non-decreasing and the
-	// merge reduces to contiguous survivor segments.
+// spliceView applies the round's resolved joins and leaves to the cached
+// view in place: survivor segments between the ID-sorted splice points
+// shift by their cumulative join/leave offset (most never move), and the
+// outcome buffer, the indexed columns and the contract and utility slots
+// move with the same segments, so every survivor keeps its retained
+// outcome, contract and per-slot utility at its view position. Leavers
+// drop out (their design keys released); each joiner lands at its final
+// index (joinDst). A joiner's contract takes the sparse patch route —
+// fingerprint-pure policy, design cache hit, dirty slot — when it can; any
+// joiner that cannot moves the view to the refresh's epoch for a full
+// re-plan. Touched positions shift to the spliced view.
+func (e *Engine) spliceView(epoch uint64, canPatch bool) {
+	sh := &e.sh
+	if len(e.dirty) > 0 {
+		// Stale patch slots (an aborted previous round) would shift under
+		// the splice; fall back to a full respond.
+		e.dirty = e.dirty[:0]
+		e.outsOK = false
+	}
+	// Release every leaver's design key before the moves overwrite its
+	// slot. prepareStructural resolved every splice position — joins and
+	// leaves arrive ID-sorted, so their positions are non-decreasing and
+	// the merge reduces to contiguous survivor segments.
+	for _, v := range e.leavePos {
+		e.keys.release(sh.Keys[v])
+	}
 	segs, jdst := buildSpliceSegs(e.viewSegs[:0], e.joinDst[:0], e.joinPos, e.leavePos, len(e.agents))
 	nOld := len(e.agents)
 	nNew := nOld + len(e.structJoins) - len(e.scope.leaves)
 	nMax := max(nOld, nNew)
 	e.agents = grown(e.agents, nMax)
 	e.fitOuts(nMax)
+	sh.Weights = grown(sh.Weights, nMax)
+	sh.Malice = grown(sh.Malice, nMax)
+	sh.Keys = grown(sh.Keys, nMax)
+	e.contracts = grown(e.contracts, nMax)
+	// wuSlots runs short before the first respond; the zero padding is
+	// what that respond overwrites.
+	e.wuSlots = grown(e.wuSlots, nMax)
 	spliceMove(e.agents, segs)
 	spliceMove(e.outs, segs)
+	spliceMove(sh.Weights, segs)
+	spliceMove(sh.Malice, segs)
+	spliceMove(sh.Keys, segs)
+	spliceMove(e.contracts, segs)
+	spliceMove(e.wuSlots, segs)
+
+	bump := false
 	for k, a := range e.structJoins {
-		e.agents[jdst[k]] = a
+		d := jdst[k]
+		w := e.pop.Weights[a.ID]
+		key := DesignKeyOf(a, e.pop.Part)
+		e.agents[d] = a
+		sh.Weights[d] = w
+		sh.Malice[d] = e.pop.MaliceProb[a.ID]
+		sh.Keys[d] = e.keys.ref(&key)
+		e.wuSlots[d] = 0
+		var c *contract.PiecewiseLinear
+		if canPatch {
+			c = e.patchContract(a, &key, w)
+		}
+		if c != nil {
+			e.dirty = append(e.dirty, d)
+		} else {
+			bump = true
+		}
+		e.contracts[d] = c
 	}
-	clear(e.agents[nNew:]) // release the pointer tail
+	clear(e.agents[nNew:]) // release the pointer tails
+	clear(e.contracts[nNew:])
 	e.agents = e.agents[:nNew]
 	e.outs = e.outs[:nNew]
+	sh.Agents = e.agents
+	sh.Weights = sh.Weights[:nNew]
+	sh.Malice = sh.Malice[:nNew]
+	sh.Keys = sh.Keys[:nNew]
+	e.contracts = e.contracts[:nNew]
+	e.wuSlots = e.wuSlots[:nNew]
 	for k, v := range e.touchPos {
 		if v >= 0 {
 			e.touchPos[k] = spliceShift(segs, v)
 		}
 	}
 	e.viewSegs, e.joinDst = segs, jdst
+	if bump {
+		e.bumpEpoch(epoch)
+		e.dirty = e.dirty[:0]
+	} else if len(e.scope.leaves) > 0 && e.outsOK {
+		// A leave shrinks the retained per-slot utility breakdown; re-fold
+		// the sum so the warm skip stays exact.
+		var wu float64
+		for _, u := range e.wuSlots {
+			wu += u
+		}
+		e.wu = wu
+	}
 }
 
 // validateStructural re-checks what a declared scope can have changed,

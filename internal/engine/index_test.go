@@ -30,8 +30,9 @@ type indexUndo struct {
 	malice  map[string]float64
 }
 
-// indexHarness applies one byte script to every lane alike: lanes 0–2 run
-// engines with 0, 1 and 3 shards, lane 3 is the reference population.
+// indexHarness applies one byte script to every lane alike: lane 0 runs
+// an engine with a design cache, lane 1 adds a respond memo, and lane 2 is
+// the reference population.
 type indexHarness struct {
 	t       *testing.T
 	lanes   []*indexLane
@@ -44,19 +45,18 @@ var indexWeights = []float64{0.5, 0.8, 1, 1.25}
 
 func newIndexHarness(t *testing.T) *indexHarness {
 	h := &indexHarness{t: t}
-	for _, shards := range []int{0, 1, 3, -1} {
+	for lane := range 3 {
 		pop := archetypePopulation(t, 9)
 		l := &indexLane{pop: pop}
-		if shards >= 0 {
+		if lane < 2 {
 			l.led = &engine.Ledger{}
 			cfg := engine.Config{
 				Policy:    &shardDesignPolicy{},
 				Rounds:    1,
 				Cache:     engine.NewCache(),
-				Shards:    shards,
 				Observers: []engine.Observer{l.led},
 			}
-			if shards == 3 {
+			if lane == 1 {
 				cfg.Memo = engine.NewRespondMemo()
 			}
 			eng, err := engine.New(pop, cfg)
@@ -258,9 +258,9 @@ func runReferenceRound(pop *engine.Population) (engine.Round, error) {
 }
 
 // FuzzPopulationIndex drives byte-scripted edits of one population
-// across lanes with 0, 1 and 3 shards: Add and Remove with and without
+// across the engine lanes: Add and Remove with and without
 // undo (also across rounds), Touch, direct appends and splices declared by
-// TouchJoin/TouchLeave or Bump, and rounds. After every op the shard-0
+// TouchJoin/TouchLeave or Bump, and rounds. After every op the first
 // lane's Population.Lookup must agree with a linear scan for every live
 // and every removed ID (the other lanes are checked only at the end, so
 // their engines meet stale indexes); every undo must restore Agents,

@@ -1,16 +1,16 @@
 package engine
 
-// keyTable interns the design keys the engine's shard views hold. By the
+// keyTable interns the design keys the engine's view holds. By the
 // decomposition result (§IV-B) an agent's contract depends only on its
 // design key plus μ and its weight, and a platform has few worker types
-// and many workers, so each shard view carries a 4-byte key id per agent
+// and many workers, so the view carries a 4-byte key id per agent
 // (Shard.Keys) and the table stores each live distinct key once, with the
 // number of view slots holding it. Its size follows the distinct keys,
 // never the population.
 //
 // Refcounts are maintained eagerly at every point a view slot's key is
-// written: full rebuilds count through shardAssign, scoped refreshes and
-// splices adjust in place, and nothing walks the views after the fact. A
+// written: full rebuilds count through buildView, scoped refreshes and
+// splices adjust in place, and nothing walks the view after the fact. A
 // key whose count reaches zero is dead — no agent mints it any more — and
 // sweep frees it, which is when the engine evicts its menu-cache and
 // respond-memo entries. A dead key stays interned under its id until the

@@ -11,7 +11,7 @@ import (
 )
 
 // stubPolicy pays a flat rate to everyone — the simplest Policy, enough
-// to drive the sharded view machinery the key table tests exercise.
+// to drive the view machinery the key table tests exercise.
 type stubPolicy struct{}
 
 func (stubPolicy) Name() string { return "stub" }
@@ -28,7 +28,7 @@ func (stubPolicy) Contracts(_ context.Context, pop *Population) (map[string]*con
 	return m, nil
 }
 
-// keyPolicy designs every shard through a cache-backed ShardDesigner and
+// keyPolicy designs the view through a cache-backed ShardDesigner and
 // opts into the patch route, as platform.DynamicPolicy does.
 type keyPolicy struct{ d Designer }
 
@@ -41,7 +41,7 @@ func (p *keyPolicy) Contracts(ctx context.Context, pop *Population) (map[string]
 }
 
 func (p *keyPolicy) ShardContracts(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	return p.d.Shard(sh.Index).Contracts(ctx, pop, sh, dst)
+	return p.d.Shard().Contracts(ctx, pop, sh, dst)
 }
 
 func (p *keyPolicy) FingerprintPure() {}
@@ -77,21 +77,19 @@ func keysPop(t *testing.T, n int) *Population {
 	return pop
 }
 
-// distinctViewKeys counts the distinct design keys the engine's shard
-// views hold, computed from the agents themselves.
+// distinctViewKeys counts the distinct design keys the engine's view
+// holds, computed from the agents themselves.
 func distinctViewKeys(e *Engine) int {
 	seen := make(map[DesignKey]bool)
-	for i := range e.shards {
-		for _, a := range e.shards[i].sh.Agents {
-			seen[DesignKeyOf(a, e.pop.Part)] = true
-		}
+	for _, a := range e.sh.Agents {
+		seen[DesignKeyOf(a, e.pop.Part)] = true
 	}
 	return len(seen)
 }
 
 // TestKeyTableEager pins the eager refcounting of the key table: it is
 // built right after the full rebuild (no lazy walk left to trigger), and
-// every refcount stays equal to a recount of the shard views
+// every refcount stays equal to a recount of the view
 // (Engine.CheckViews) through sparse refreshes, structural splices, and a
 // forced full rebuild — with a design cache and respond memo to evict
 // from, and without (the table is on either way: the views hold its ids).
@@ -104,7 +102,7 @@ func TestKeyTableEager(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			pop := keysPop(t, 24)
-			cfg := Config{Policy: &stubPolicy{}, Rounds: 1, Shards: 4}
+			cfg := Config{Policy: &stubPolicy{}, Rounds: 1}
 			if caches {
 				cfg.Cache, cfg.Memo = NewCache(), NewRespondMemo()
 			}
@@ -180,6 +178,8 @@ func TestKeyTableEager(t *testing.T) {
 // holder leaves and a brand-new key arrives: the dead key is evicted, and
 // its id is not reused until the sweep has run — the new key takes a
 // fresh id, and only the next round's new key recycles the freed one.
+// The subtests set Config.Shards, which the engine ignores, to pin that
+// the field changes nothing.
 func TestKeyTableRemintInOneRound(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -196,23 +196,21 @@ func TestKeyTableRemintInOneRound(t *testing.T) {
 			if err := eng.Step(ctx); err != nil {
 				t.Fatal(err)
 			}
-			slot := func(id string) (sr *shardRun, j int) {
+			sh := &eng.sh
+			slot := func(id string) int {
 				t.Helper()
-				for i := range eng.shards {
-					sr := &eng.shards[i]
-					for j, a := range sr.sh.Agents {
-						if a.ID == id {
-							return sr, j
-						}
+				for j, a := range sh.Agents {
+					if a.ID == id {
+						return j
 					}
 				}
-				t.Fatalf("agent %s in no shard view", id)
-				return nil, 0
+				t.Fatalf("agent %s not in the view", id)
+				return 0
 			}
-			sr, j := slot(solo.ID)
-			soloKey, soloID, soloC := sr.sh.Key(j), sr.sh.Keys[j], sr.contracts[j]
-			sr, j = slot(doomed.ID)
-			doomedKey, doomedID, doomedC := sr.sh.Key(j), sr.sh.Keys[j], sr.contracts[j]
+			j := slot(solo.ID)
+			soloKey, soloID, soloC := sh.Key(j), sh.Keys[j], eng.contracts[j]
+			j = slot(doomed.ID)
+			doomedKey, doomedID, doomedC := sh.Key(j), sh.Keys[j], eng.contracts[j]
 			if !cache.Holds(soloKey) || !cache.Holds(doomedKey) {
 				t.Fatal("design keys not cached after the first round")
 			}
@@ -243,9 +241,9 @@ func TestKeyTableRemintInOneRound(t *testing.T) {
 			if err := eng.CheckViews(); err != nil {
 				t.Fatal(err)
 			}
-			sr, j = slot(twin.ID)
-			if sr.sh.Keys[j] != soloID || sr.sh.Key(j) != soloKey {
-				t.Errorf("re-minted key: id %d, want %d (still live, never freed)", sr.sh.Keys[j], soloID)
+			j = slot(twin.ID)
+			if sh.Keys[j] != soloID || sh.Key(j) != soloKey {
+				t.Errorf("re-minted key: id %d, want %d (still live, never freed)", sh.Keys[j], soloID)
 			}
 			if !cache.Holds(soloKey) {
 				t.Error("re-minted key's menu evicted")
@@ -259,8 +257,8 @@ func TestKeyTableRemintInOneRound(t *testing.T) {
 			if _, ok := memo.Get(doomedKey, doomedC); ok {
 				t.Error("dead key's memoized response survived")
 			}
-			sr, j = slot(fresh.ID)
-			if sr.sh.Keys[j] == doomedID {
+			j = slot(fresh.ID)
+			if sh.Keys[j] == doomedID {
 				t.Errorf("new key took id %d of a key that died in the same refresh", doomedID)
 			}
 
@@ -273,8 +271,8 @@ func TestKeyTableRemintInOneRound(t *testing.T) {
 			if err := eng.CheckViews(); err != nil {
 				t.Fatal(err)
 			}
-			if sr, j = slot(pop.Agents[0].ID); sr.sh.Keys[j] != doomedID {
-				t.Errorf("new key took id %d, want the freed id %d", sr.sh.Keys[j], doomedID)
+			if j = slot(pop.Agents[0].ID); sh.Keys[j] != doomedID {
+				t.Errorf("new key took id %d, want the freed id %d", sh.Keys[j], doomedID)
 			}
 		})
 	}
@@ -288,7 +286,7 @@ func TestKeyTableRemintInOneRound(t *testing.T) {
 func TestKeyTableBoundedUnderChurn(t *testing.T) {
 	ctx := context.Background()
 	pop := keysPop(t, 40)
-	eng, err := New(pop, Config{Policy: &keyPolicy{}, Rounds: 1, Cache: NewCache(), Memo: NewRespondMemo(), Shards: 3})
+	eng, err := New(pop, Config{Policy: &keyPolicy{}, Rounds: 1, Cache: NewCache(), Memo: NewRespondMemo()})
 	if err != nil {
 		t.Fatal(err)
 	}

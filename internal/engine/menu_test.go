@@ -69,34 +69,31 @@ func TestWeightDriftKeepsMenus(t *testing.T) {
 		Rounds: rounds,
 		Drift:  weightDriftSchedule(n),
 	})
-	for _, shards := range []int{0, 1, 3} {
-		name := fmt.Sprintf("shards=%d", shards)
-		pop := weightDriftPopulation(t, n)
-		cache := &engine.Cache{MaxEntries: 64}
-		memo := engine.NewRespondMemo()
-		watch := &menuWatch{t: t, name: name, cache: cache, memo: memo, keys: keys, memoCap: keys * pop.Part.M}
-		led := &engine.Ledger{}
-		eng, err := engine.New(pop, engine.Config{
-			Policy:    &shardDesignPolicy{},
-			Rounds:    rounds,
-			Drift:     weightDriftSchedule(n),
-			Cache:     cache,
-			Memo:      memo,
-			Shards:    shards,
-			Observers: []engine.Observer{watch, led},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(context.Background()); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if watch.rounds != rounds {
-			t.Fatalf("%s: watched %d rounds, want %d", name, watch.rounds, rounds)
-		}
-		if !reflect.DeepEqual(led.Rounds, ref) {
-			t.Errorf("%s: ledger differs from reference", name)
-		}
+	const name = "engine"
+	pop := weightDriftPopulation(t, n)
+	cache := &engine.Cache{MaxEntries: 64}
+	memo := engine.NewRespondMemo()
+	watch := &menuWatch{t: t, name: name, cache: cache, memo: memo, keys: keys, memoCap: keys * pop.Part.M}
+	led := &engine.Ledger{}
+	eng, err := engine.New(pop, engine.Config{
+		Policy:    &shardDesignPolicy{},
+		Rounds:    rounds,
+		Drift:     weightDriftSchedule(n),
+		Cache:     cache,
+		Memo:      memo,
+		Observers: []engine.Observer{watch, led},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if watch.rounds != rounds {
+		t.Fatalf("%s: watched %d rounds, want %d", name, watch.rounds, rounds)
+	}
+	if !reflect.DeepEqual(led.Rounds, ref) {
+		t.Errorf("%s: ledger differs from reference", name)
 	}
 }
 

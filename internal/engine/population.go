@@ -33,12 +33,12 @@ var ErrBadPopulation = errors.New("engine: invalid population")
 // Population is the fixed cast of a simulation: the agents, the requester's
 // per-agent feedback weights, malice estimates, and the market parameters.
 //
-// Engines read it through cached indexed views (see Config.Shards). An
-// engine with a Config.Drift hook rebuilds every view each round the hook
-// declares nothing narrower, so undeclared mutations are seen; an engine
-// without one keeps its views, and a mutation — in an observer, or
-// between Step calls — stays invisible until Bump, Touch, TouchJoin, or
-// TouchLeave declares it. The contract is the same for every shard count.
+// Engines read it through a cached indexed view (see Shard). An engine
+// with a Config.Drift hook rebuilds the view each round the hook declares
+// nothing narrower, so undeclared mutations are seen; an engine without
+// one keeps its view, and a mutation — in an observer, or between Step
+// calls — stays invisible until Bump, Touch, TouchJoin, or TouchLeave
+// declares it.
 //
 // Add and Remove change membership in O(1) and declare it themselves.
 // They keep the population's ID index (see Lookup) current, and the
@@ -114,9 +114,9 @@ func (p *Population) Bump() {
 // in-place agent parameters — and, for structural edits, the IDs that
 // were added to or removed from Agents). Engines consume the accumulated
 // scope at the top of their next round: a scope confined to existing
-// agents refreshes only the shard views that own them, keeping every
-// untouched shard on its warm path, while a scope naming an added or
-// removed ID (or any unknown ID) escalates to the classic full rebuild.
+// agents refreshes only their view slots, keeping every untouched agent's
+// retained outcome, while a scope naming an unknown ID escalates to the
+// classic full rebuild.
 //
 // Touch is cumulative until consumed — several drifts between rounds
 // union their scopes — and advances the generation counter like Bump, so
@@ -153,9 +153,8 @@ func (p *Population) declare(set *map[string]struct{}, ids ...string) {
 // TouchJoin declares a structural drift scope: exactly the agents named
 // were appended to Agents (with Weights and, optionally, MaliceProb
 // entries) since the engine last looked. A declared join splices the
-// engine's cached ID-sorted view and re-slots only the shard owning each
-// joined ID; every other agent keeps its retained outcome (moved with its
-// view position) and warm state. Like Touch it is cumulative until consumed and advances the
+// engine's cached ID-sorted view in place; every other agent keeps its
+// retained outcome (moved with its view position) and warm state. Like Touch it is cumulative until consumed and advances the
 // generation counter, so secondary consumers still rebuild conservatively.
 //
 // A TouchJoin for an ID that is already present (or otherwise

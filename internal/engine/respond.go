@@ -20,9 +20,8 @@ import (
 // a best response depends only on the agent's behavioural parameters,
 // the partition, and the contract, so agents sharing a design key and a
 // contract share one BestResponse call, whatever their weights. This file
-// holds the cross-round RespondMemo, its shard-local segments, and the
-// bounded fan-out the per-shard stages run on (shard.go holds the stage
-// itself).
+// holds the cross-round RespondMemo and the bounded fan-out the respond
+// stage solves its misses on (shard.go holds the stage itself).
 
 // respondKey identifies a best-response problem up to equality of its
 // inputs: the agent's design key (class, ψ, β, ω, reservation, partition
@@ -85,9 +84,6 @@ type RespondMemo struct {
 	flushes uint64 // cap flushes; guarded by mu
 	// pub is what this memo last added to a registry (see publish).
 	pub published
-	// gen counts whole-map drops (Invalidate and cap flushes), clearing
-	// segments lazily — see Cache.gen for the protocol.
-	gen atomic.Uint64
 }
 
 // NewRespondMemo returns an empty memo with the default size cap.
@@ -124,7 +120,6 @@ func (m *RespondMemo) Put(key DesignKey, c *contract.PiecewiseLinear, resp worke
 		m.entries = make(map[respondKey]worker.Response)
 		m.byKey = nil
 		m.flushes++
-		m.gen.Add(1)
 	}
 	if _, dup := m.entries[rk]; !dup {
 		if m.byKey == nil {
@@ -139,10 +134,7 @@ func (m *RespondMemo) Put(key DesignKey, c *contract.PiecewiseLinear, resp worke
 // RemoveKeys drops every memoized response keyed by the named design
 // keys, whatever contract they were paired with — the memo-side half of a
 // scoped drift's targeted invalidation (see Cache.Remove for the
-// refcounting contract). Like Remove, it does not bump the segment
-// generation: a lingering segment-local entry is exact by construction —
-// the (design key, contract) pair fully determines the response — so the
-// removal only bounds the shared table's memory. Counters are preserved.
+// refcounting contract). Counters are preserved.
 func (m *RespondMemo) RemoveKeys(keys ...DesignKey) {
 	if len(keys) == 0 {
 		return
@@ -164,7 +156,6 @@ func (m *RespondMemo) Invalidate() {
 	m.mu.Lock()
 	m.entries = nil
 	m.byKey = nil
-	m.gen.Add(1)
 	m.mu.Unlock()
 }
 
@@ -198,93 +189,27 @@ func (m *RespondMemo) retire(reg *telemetry.Registry) {
 	m.pub.retire(reg, &respondMetrics, CacheStats(m.Stats()))
 }
 
-// RespondMemoSegment is a shard-local view over a shared RespondMemo,
-// mirroring CacheSegment: a private lock-free map in front of the shared
-// read-mostly table, single-owner per shard, hits/misses counted on the
-// parent's atomics, cleared lazily when the parent's generation moves.
-type RespondMemoSegment struct {
-	parent *RespondMemo
-	gen    uint64
-	local  map[respondKey]worker.Response
-}
-
-// Segment returns a new shard-local view of the memo. Each segment is
-// single-owner: safe for use from one goroutine at a time, concurrently
-// with other segments of the same memo.
-func (m *RespondMemo) Segment() *RespondMemoSegment {
-	return &RespondMemoSegment{parent: m, gen: m.gen.Load(), local: make(map[respondKey]worker.Response)}
-}
-
-// sync drops the local map when the parent has been invalidated or
-// flushed since the last access.
-func (s *RespondMemoSegment) sync() {
-	if g := s.parent.gen.Load(); g != s.gen {
-		clear(s.local)
-		s.gen = g
-	}
-}
-
-// store caps the local map by the parent's limit, mirroring its
-// flush-when-full policy.
-func (s *RespondMemoSegment) store(key respondKey, resp worker.Response) {
-	max := s.parent.MaxEntries
-	if max <= 0 {
-		max = defaultMemoCap
-	}
-	if len(s.local) >= max {
-		clear(s.local)
-	}
-	s.local[key] = resp
-}
-
-// Get looks up a best response — local map first, then the shared table —
-// counting one hit or miss on the parent.
-func (s *RespondMemoSegment) Get(key DesignKey, c *contract.PiecewiseLinear) (worker.Response, bool) {
-	s.sync()
-	rk := respondKey{key: key, c: c}
-	if resp, ok := s.local[rk]; ok {
-		s.parent.hits.Add(1)
-		return resp, true
-	}
-	resp, ok := s.parent.Get(key, c)
-	if ok {
-		s.store(rk, resp)
-	}
-	return resp, ok
-}
-
-// Put stores a best response in the segment and publishes it to the
-// shared table, where sibling segments will find it.
-func (s *RespondMemoSegment) Put(key DesignKey, c *contract.PiecewiseLinear, resp worker.Response) {
-	if c == nil {
-		return
-	}
-	s.sync()
-	s.store(respondKey{key: key, c: c}, resp)
-	s.parent.Put(key, c, resp)
-}
-
 // pendResponse is one distinct best-response problem this round that the
 // memo could not serve.
 type pendResponse struct {
 	// slot indexes the round-local responses slice the solved response
 	// is written into.
 	slot int32
-	// i is the shard position of the representative agent: the first
+	// i is the view position of the representative agent: the first
 	// agent (in ID order) that produced this key, used for solving and
-	// for error attribution. Its design key is the shard's Key(i).
+	// for error attribution. Its design key is the view's Key(i).
 	i int32
 	c *contract.PiecewiseLinear
 }
 
 // slotKey is a respondKey with its design key as the engine's key id:
-// the round-local dedup key of a shard's respond loop.
+// the round-local dedup key of the respond loop.
 type slotKey struct {
 	id int32
 	c  *contract.PiecewiseLinear
 }
 
-// respondScratch holds one shard's retained respond buffers; after the
+// respondScratch holds the engine's retained respond buffers; after the
 // first round of a steady-state run, the stage allocates nothing.
 type respondScratch struct {
 	keys  map[slotKey]int32 // round-local: key → slot in resps

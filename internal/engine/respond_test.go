@@ -175,7 +175,7 @@ func TestRespondMemoBypassedByResponder(t *testing.T) {
 }
 
 // TestResponderClampedEfforts pins the clamp on the hook path, where the
-// Responder runs sequentially shard by shard: out-of-range strategy
+// Responder runs sequentially in ID order: out-of-range strategy
 // efforts (negative, NaN, beyond the feasible range) are clamped to
 // [0, min(mδ, apex of ψ)], exactly as the reference round clamps them.
 func TestResponderClampedEfforts(t *testing.T) {
@@ -242,7 +242,7 @@ func TestLedgerCopiesReusedOutcomes(t *testing.T) {
 }
 
 // TestRespondMemoConcurrent hammers one shared memo from concurrent
-// engines (each with four shards on the fan-out) plus raw
+// engines (each solving its misses on the fan-out) plus raw
 // Get/Put/Stats/Invalidate callers; run under -race (make check) it pins
 // the memo's thread safety.
 func TestRespondMemoConcurrent(t *testing.T) {
@@ -266,7 +266,6 @@ func TestRespondMemoConcurrent(t *testing.T) {
 				Drift:  drift,
 				Cache:  engine.NewCache(),
 				Memo:   memo,
-				Shards: 4,
 			})
 			if err != nil {
 				t.Error(err)
@@ -286,6 +285,35 @@ func TestRespondMemoConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRespondMemoGetPutInvalidate pins the memo's own protocol: a miss
+// and a hit each count once, a stored response comes back exactly, and
+// Invalidate drops every entry while preserving the counters.
+func TestRespondMemoGetPutInvalidate(t *testing.T) {
+	m := engine.NewRespondMemo()
+	key := engine.DesignKey{Class: worker.Honest, Beta: 1}
+	c := &contract.PiecewiseLinear{}
+	resp := worker.Response{Effort: 3, Feedback: 2, Compensation: 1, Utility: 0.5}
+
+	if _, ok := m.Get(key, c); ok {
+		t.Fatal("empty memo reported a hit")
+	}
+	m.Put(key, c, resp)
+	if got, ok := m.Get(key, c); !ok || got != resp {
+		t.Fatalf("stored response = %+v (hit %v), want %+v", got, ok, resp)
+	}
+	st := m.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 entry", st)
+	}
+	m.Invalidate()
+	if _, ok := m.Get(key, c); ok {
+		t.Error("memo served an entry after Invalidate")
+	}
+	if st := m.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 0 {
+		t.Errorf("stats after Invalidate = %+v, want 1 hit / 2 misses / 0 entries", st)
+	}
 }
 
 // TestRespondMemoCapFlush pins the size bound: crossing MaxEntries flushes

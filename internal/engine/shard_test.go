@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"sort"
 	"strings"
@@ -17,59 +16,36 @@ import (
 	"dyncontract/internal/worker"
 )
 
-// shardDesignPolicy extends designPolicy with per-shard design through
-// engine.ShardDesigner — the minimal ShardPolicy, mirroring
-// platform.DynamicPolicy's wiring.
+// shardDesignPolicy extends designPolicy with design over the engine's
+// indexed view through engine.ShardDesigner — the minimal ShardPolicy,
+// mirroring platform.DynamicPolicy's wiring.
 type shardDesignPolicy struct {
 	designPolicy
 }
 
 func (p *shardDesignPolicy) ShardContracts(ctx context.Context, pop *engine.Population, sh *engine.Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	return p.d.Shard(sh.Index).Contracts(ctx, pop, sh, dst)
+	return p.d.Shard().Contracts(ctx, pop, sh, dst)
 }
 
 // FingerprintPure marks the policy for the sparse-drift patch route —
 // ShardDesigner resolves contracts purely by fingerprint.
 func (p *shardDesignPolicy) FingerprintPure() {}
 
+// BatchStats reports the designer's last solver batch for traced rounds.
+func (p *shardDesignPolicy) BatchStats() (int, uint64) { return p.d.Shard().BatchStats() }
+
 var (
 	_ engine.ShardPolicy           = (*shardDesignPolicy)(nil)
 	_ engine.FingerprintPurePolicy = (*shardDesignPolicy)(nil)
+	_ engine.BatchReporter         = (*shardDesignPolicy)(nil)
 )
 
-// TestShardOf pins the shard key: FNV-1a over the agent ID reduced mod n.
-// Matching the stdlib's hash/fnv makes the cross-process stability claim
-// checkable — any two builds of this code shard a population identically.
-func TestShardOf(t *testing.T) {
-	ids := []string{"", "h00000", "m00001", "c00002", "worker-a", "worker-b"}
-	for _, id := range ids {
-		h := fnv.New64a()
-		h.Write([]byte(id))
-		for _, n := range []int{1, 2, 3, 8, 64} {
-			want := 0
-			if n > 1 {
-				want = int(h.Sum64() % uint64(n))
-			}
-			if got := engine.ShardOf(id, n); got != want {
-				t.Errorf("ShardOf(%q, %d) = %d, want %d", id, n, got, want)
-			}
-			if got := engine.ShardOf(id, n); got < 0 || got >= n {
-				t.Errorf("ShardOf(%q, %d) = %d out of range", id, n, got)
-			}
-		}
-	}
-	if got := engine.ShardOf("x", 0); got != 0 {
-		t.Errorf("ShardOf(x, 0) = %d, want 0", got)
-	}
-}
-
-// TestEngineShardPartition checks the partition invariants of the
-// engine's shard views: every agent lands in ShardOf's shard exactly once,
-// shards preserve global ID order, Global points into the view
-// (Engine.CheckViews), the indexed views (Weights, Malice, Keys) align with
-// their agents, and the shard count clamps to the population.
+// TestEngineShardPartition checks the engine's view as a ShardPolicy
+// receives it: Agents is the ID-sorted population, the indexed columns
+// (Weights, Malice, Keys) align with their agents (Engine.CheckViews
+// adds the key table), and Config.Shards — ignored — changes nothing.
 func TestEngineShardPartition(t *testing.T) {
-	views := func(shards int) []engine.Shard {
+	view := func(shards int) engine.Shard {
 		t.Helper()
 		eng, err := engine.New(archetypePopulation(t, 23), engine.Config{
 			Policy: &shardDesignPolicy{},
@@ -85,53 +61,48 @@ func TestEngineShardPartition(t *testing.T) {
 		if err := eng.CheckViews(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return eng.ShardViews()
+		return eng.ShardView()
 	}
 
 	pop := archetypePopulation(t, 23)
-	const n = 4
-	shards := views(n)
-	if len(shards) != n {
-		t.Fatalf("len(shards) = %d, want %d", len(shards), n)
-	}
 	sorted := make([]string, 0, len(pop.Agents))
 	for _, a := range pop.Agents {
 		sorted = append(sorted, a.ID)
 	}
 	sort.Strings(sorted)
-	for si, sh := range shards {
-		if sh.Index != si {
-			t.Errorf("shard %d: Index = %d", si, sh.Index)
+	sh := view(0)
+	if len(sh.Agents) != len(sorted) {
+		t.Fatalf("view holds %d agents, population %d", len(sh.Agents), len(sorted))
+	}
+	if len(sh.Weights) != len(sh.Agents) || len(sh.Malice) != len(sh.Agents) || len(sh.Keys) != len(sh.Agents) {
+		t.Fatal("misaligned views")
+	}
+	for i, a := range sh.Agents {
+		if a.ID != sorted[i] {
+			t.Errorf("view[%d] = %s, want %s", i, a.ID, sorted[i])
 		}
-		if sh.Solo {
-			t.Errorf("shard %d of %d reports Solo", si, n)
+		if sh.Weights[i] != pop.Weights[a.ID] {
+			t.Errorf("agent %s weight view %v, want %v", a.ID, sh.Weights[i], pop.Weights[a.ID])
 		}
-		if len(sh.Weights) != len(sh.Agents) || len(sh.Malice) != len(sh.Agents) || len(sh.Keys) != len(sh.Agents) {
-			t.Fatalf("shard %d: misaligned views", si)
+		if sh.Malice[i] != pop.MaliceProb[a.ID] {
+			t.Errorf("agent %s malice view %v, want %v", a.ID, sh.Malice[i], pop.MaliceProb[a.ID])
 		}
-		for i, a := range sh.Agents {
-			if got := sorted[sh.Global[i]]; got != a.ID {
-				t.Errorf("shard %d Global[%d] → %s, want %s", si, i, got, a.ID)
-			}
-			if sh.Weights[i] != pop.Weights[a.ID] {
-				t.Errorf("agent %s weight view %v, want %v", a.ID, sh.Weights[i], pop.Weights[a.ID])
-			}
-			if sh.Malice[i] != pop.MaliceProb[a.ID] {
-				t.Errorf("agent %s malice view %v, want %v", a.ID, sh.Malice[i], pop.MaliceProb[a.ID])
-			}
-			if sh.Key(i) != engine.DesignKeyOf(a, pop.Part) {
-				t.Errorf("agent %s view design key differs from DesignKeyOf", a.ID)
-			}
+		if sh.Key(i) != engine.DesignKeyOf(a, pop.Part) {
+			t.Errorf("agent %s view design key differs from DesignKeyOf", a.ID)
 		}
 	}
 
-	for _, shards := range []int{0, 1} {
-		if got := views(shards); len(got) != 1 || !got[0].Solo {
-			t.Errorf("Shards=%d is not one Solo shard", shards)
+	for _, shards := range []int{1, 4, -1, 1000} {
+		got := view(shards)
+		if len(got.Agents) != len(sh.Agents) || !reflect.DeepEqual(got.Weights, sh.Weights) ||
+			!reflect.DeepEqual(got.Malice, sh.Malice) || !reflect.DeepEqual(got.Keys, sh.Keys) {
+			t.Errorf("Shards=%d: view differs from Shards=0", shards)
 		}
-	}
-	if got := views(1000); len(got) != len(pop.Agents) {
-		t.Errorf("Shards=1000 clamps to %d shards, want %d", len(got), len(pop.Agents))
+		for i, a := range got.Agents {
+			if a.ID != sh.Agents[i].ID {
+				t.Errorf("Shards=%d: view[%d] = %s, want %s", shards, i, a.ID, sh.Agents[i].ID)
+			}
+		}
 	}
 }
 
@@ -171,15 +142,15 @@ func structuralDrift(tb testing.TB) func(int, *engine.Population) {
 	}
 }
 
-// TestShardedLedgerIdentical is the tentpole determinism pin: for every
-// shard count (0 runs as one shard), for both the ShardPolicy route and
-// the plain-policy fallback, with and without the respond memo, the
-// ledger is byte-identical to the naive reference round — under a drift
-// that rescales weights, adds, removes, and reorders agents.
+// TestShardedLedgerIdentical is the pipeline's determinism pin: for both
+// the ShardPolicy route and the plain-policy fallback, with and without
+// the respond memo, the ledger is byte-identical to the naive reference
+// round — under a drift that rescales weights, adds, removes, and
+// reorders agents.
 func TestShardedLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
-	run := func(shards int, shardPolicy, memo bool) []engine.Round {
+	run := func(shardPolicy, memo bool) []engine.Round {
 		t.Helper()
 		var pol engine.Policy
 		if shardPolicy {
@@ -192,7 +163,6 @@ func TestShardedLedgerIdentical(t *testing.T) {
 			Rounds: rounds,
 			Drift:  structuralDrift(t),
 			Cache:  engine.NewCache(),
-			Shards: shards,
 		}
 		if memo {
 			cfg.Memo = engine.NewRespondMemo()
@@ -212,13 +182,11 @@ func TestShardedLedgerIdentical(t *testing.T) {
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shards := range []int{0, 1, 2, 8, 64} {
-		for _, shardPolicy := range []bool{true, false} {
-			for _, memo := range []bool{true, false} {
-				name := fmt.Sprintf("shards=%d/shardpolicy=%v/memo=%v", shards, shardPolicy, memo)
-				if got := run(shards, shardPolicy, memo); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from reference", name)
-				}
+	for _, shardPolicy := range []bool{true, false} {
+		for _, memo := range []bool{true, false} {
+			name := fmt.Sprintf("shardpolicy=%v/memo=%v", shardPolicy, memo)
+			if got := run(shardPolicy, memo); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: ledger differs from reference", name)
 			}
 		}
 	}
@@ -248,27 +216,21 @@ func (r *eventRecorder) OnRoundEnd(round engine.Round) error {
 	return nil
 }
 
-// TestShardedObserverEventOrder pins that every shard count emits exactly
-// the reference round's event stream: same OnContracts coverage, same
-// per-agent OnOutcome order (global ID order, not shard order), same
-// round ends.
+// TestShardedObserverEventOrder pins that the pipeline emits exactly the
+// reference round's event stream: same OnContracts coverage, same
+// per-agent OnOutcome order (ID order), same round ends.
 func TestShardedObserverEventOrder(t *testing.T) {
 	ctx := context.Background()
-	run := func(shards int) []string {
-		t.Helper()
-		rec := &eventRecorder{}
-		cfg := engine.Config{
-			Policy:    &shardDesignPolicy{},
-			Rounds:    3,
-			Cache:     engine.NewCache(),
-			Memo:      engine.NewRespondMemo(),
-			Observers: []engine.Observer{rec},
-			Shards:    shards,
-		}
-		if _, err := engine.RunLedger(ctx, archetypePopulation(t, 12), cfg); err != nil {
-			t.Fatal(err)
-		}
-		return rec.events
+	rec := &eventRecorder{}
+	cfg := engine.Config{
+		Policy:    &shardDesignPolicy{},
+		Rounds:    3,
+		Cache:     engine.NewCache(),
+		Memo:      engine.NewRespondMemo(),
+		Observers: []engine.Observer{rec},
+	}
+	if _, err := engine.RunLedger(ctx, archetypePopulation(t, 12), cfg); err != nil {
+		t.Fatal(err)
 	}
 	ref := &eventRecorder{}
 	referenceLedger(t, archetypePopulation(t, 12), engine.Config{
@@ -276,15 +238,13 @@ func TestShardedObserverEventOrder(t *testing.T) {
 		Rounds:    3,
 		Observers: []engine.Observer{ref},
 	})
-	for _, shards := range []int{0, 1, 3, 8} {
-		if got := run(shards); !reflect.DeepEqual(got, ref.events) {
-			t.Errorf("shards=%d: event stream differs from reference", shards)
-		}
+	if !reflect.DeepEqual(rec.events, ref.events) {
+		t.Error("event stream differs from reference")
 	}
 }
 
-// TestShardedWarmSkipsRespond pins the sharded fast path: once every
-// shard is warm (stable population, cached designs, dense contracts), the
+// TestShardedWarmSkipsRespond pins the pipeline's fast path: once the
+// view is warm (stable population, cached designs, dense contracts), the
 // respond stage is skipped outright — the memo's counters freeze
 // completely.
 func TestShardedWarmSkipsRespond(t *testing.T) {
@@ -296,7 +256,6 @@ func TestShardedWarmSkipsRespond(t *testing.T) {
 		Rounds: 1,
 		Cache:  engine.NewCache(),
 		Memo:   memo,
-		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,9 +279,9 @@ func TestShardedWarmSkipsRespond(t *testing.T) {
 }
 
 // TestShardedWarmRoundZeroAllocs extends the zero-alloc warm-round
-// guarantee to the sharded pipeline: a warmed cache+memo sharded engine
-// allocates nothing per Run — shard views, plans, segments, outcome
-// buffer, and scratch are all reused, and warm rounds skip respond.
+// guarantee to the ShardPolicy route: a warmed cache+memo engine
+// allocates nothing per Run — the view, the plan, the outcome buffer, and
+// scratch are all reused, and warm rounds skip respond.
 func TestShardedWarmRoundZeroAllocs(t *testing.T) {
 	pop := archetypePopulation(t, 120)
 	ctx := context.Background()
@@ -331,12 +290,11 @@ func TestShardedWarmRoundZeroAllocs(t *testing.T) {
 		Rounds: 1,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),
-		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(ctx); err != nil { // warm: shard views + designs + responses
+	if err := eng.Run(ctx); err != nil { // warm: view + designs + responses
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -345,12 +303,12 @@ func TestShardedWarmRoundZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm sharded round allocates %v objects per Run, want 0", allocs)
+		t.Errorf("warm round allocates %v objects per Run, want 0", allocs)
 	}
 }
 
-// TestShardedBumpSemantics pins the Bump contract, which is the same for
-// every shard count: with no Drift configured, an in-place weight
+// TestShardedBumpSemantics pins the Bump contract on the ShardPolicy
+// route: with no Drift configured, an in-place weight
 // mutation is invisible (the indexed views are cached) until
 // Population.Bump or Touch declares it, and a structural addition only
 // appears once declared.
@@ -361,14 +319,13 @@ func TestShardedBumpSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newEng := func(pop *engine.Population, shards int, led *engine.Ledger) *engine.Engine {
+	newEng := func(pop *engine.Population, led *engine.Ledger) *engine.Engine {
 		t.Helper()
 		eng, err := engine.New(pop, engine.Config{
 			Policy:    &shardDesignPolicy{},
 			Rounds:    1,
 			Cache:     engine.NewCache(),
 			Observers: []engine.Observer{led},
-			Shards:    shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -385,107 +342,96 @@ func TestShardedBumpSemantics(t *testing.T) {
 	}
 
 	t.Run("sharded stale until Bump", func(t *testing.T) {
-		for _, shards := range []int{0, 1, 4} {
-			for _, declare := range []string{"Bump", "Touch"} {
-				pop := archetypePopulation(t, 12)
-				led := &engine.Ledger{}
-				eng := newEng(pop, shards, led)
-				id := pop.Agents[0].ID
-				if err := eng.Run(ctx); err != nil {
-					t.Fatal(err)
-				}
-				w0, _ := lastWeight(led, id)
+		for _, declare := range []string{"Bump", "Touch"} {
+			pop := archetypePopulation(t, 12)
+			led := &engine.Ledger{}
+			eng := newEng(pop, led)
+			id := pop.Agents[0].ID
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			w0, _ := lastWeight(led, id)
 
-				pop.Weights[id] = w0 * 2 // in place, undeclared: pinned stale
-				if err := eng.Run(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if w, _ := lastWeight(led, id); w != w0 {
-					t.Errorf("shards=%d: weight visible before %s: got %v, want stale %v", shards, declare, w, w0)
-				}
+			pop.Weights[id] = w0 * 2 // in place, undeclared: pinned stale
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := lastWeight(led, id); w != w0 {
+				t.Errorf("weight visible before %s: got %v, want stale %v", declare, w, w0)
+			}
 
-				if declare == "Bump" {
-					pop.Bump()
-				} else {
-					pop.Touch(id)
-				}
-				if err := eng.Run(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if w, _ := lastWeight(led, id); w != w0*2 {
-					t.Errorf("shards=%d: weight after %s = %v, want %v", shards, declare, w, w0*2)
-				}
+			if declare == "Bump" {
+				pop.Bump()
+			} else {
+				pop.Touch(id)
+			}
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := lastWeight(led, id); w != w0*2 {
+				t.Errorf("weight after %s = %v, want %v", declare, w, w0*2)
 			}
 		}
 	})
 
 	t.Run("structural add reshards on Bump", func(t *testing.T) {
-		for _, shards := range []int{0, 1, 4} {
-			pop := archetypePopulation(t, 12)
-			led := &engine.Ledger{}
-			eng := newEng(pop, shards, led)
-			if err := eng.Run(ctx); err != nil {
-				t.Fatal(err)
-			}
-			a, err := worker.NewHonest("zz-joined", psi, 1, pop.Part.YMax())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pop.Agents = append(pop.Agents, a)
-			pop.Weights[a.ID] = 0.9
-			pop.MaliceProb[a.ID] = 0.1
+		pop := archetypePopulation(t, 12)
+		led := &engine.Ledger{}
+		eng := newEng(pop, led)
+		if err := eng.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		a, err := worker.NewHonest("zz-joined", psi, 1, pop.Part.YMax())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop.Agents = append(pop.Agents, a)
+		pop.Weights[a.ID] = 0.9
+		pop.MaliceProb[a.ID] = 0.1
 
-			if err := eng.Run(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := lastWeight(led, a.ID); ok {
-				t.Errorf("shards=%d: added agent visible without Bump", shards)
-			}
-			pop.Bump()
-			if err := eng.Run(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if w, ok := lastWeight(led, a.ID); !ok || w != 0.9 {
-				t.Errorf("shards=%d: added agent after Bump: weight %v (present %v), want 0.9", shards, w, ok)
-			}
+		if err := eng.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := lastWeight(led, a.ID); ok {
+			t.Error("added agent visible without Bump")
+		}
+		pop.Bump()
+		if err := eng.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := lastWeight(led, a.ID); !ok || w != 0.9 {
+			t.Errorf("added agent after Bump: weight %v (present %v), want 0.9", w, ok)
 		}
 	})
 }
 
-// TestShardedResponderHook checks the custom-Responder route for every
-// shard count: same ledger as the reference round.
+// TestShardedResponderHook checks the custom-Responder route on the
+// ShardPolicy route: same ledger as the reference round.
 func TestShardedResponderHook(t *testing.T) {
 	ctx := context.Background()
 	responder := func(round int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
 		return float64(round%3) + 1.5, nil
 	}
-	run := func(shards int) []engine.Round {
-		t.Helper()
-		ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
-			Policy:    &shardDesignPolicy{},
-			Rounds:    4,
-			Responder: responder,
-			Cache:     engine.NewCache(),
-			Shards:    shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ledger
+	ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
+		Policy:    &shardDesignPolicy{},
+		Rounds:    4,
+		Responder: responder,
+		Cache:     engine.NewCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	ref := referenceLedger(t, archetypePopulation(t, 18), engine.Config{
 		Policy:    &designPolicy{},
 		Rounds:    4,
 		Responder: responder,
 	})
-	for _, shards := range []int{0, 2, 8} {
-		if got := run(shards); !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d: responder ledger differs from reference", shards)
-		}
+	if !reflect.DeepEqual(ledger, ref) {
+		t.Error("responder ledger differs from reference")
 	}
 }
 
-// failingShardPolicy fails shard design on demand.
+// failingShardPolicy fails ShardContracts on demand.
 type failingShardPolicy struct {
 	shardDesignPolicy
 	fail bool
@@ -500,8 +446,8 @@ func (p *failingShardPolicy) ShardContracts(ctx context.Context, pop *engine.Pop
 	return p.shardDesignPolicy.ShardContracts(ctx, pop, sh, dst)
 }
 
-// TestShardedDesignError checks that a shard-design failure surfaces with
-// the policy and shard attribution and wraps the cause.
+// TestShardedDesignError checks that a ShardContracts failure surfaces
+// with the policy and round attribution and wraps the cause.
 func TestShardedDesignError(t *testing.T) {
 	ctx := context.Background()
 	pol := &failingShardPolicy{fail: true}
@@ -509,75 +455,27 @@ func TestShardedDesignError(t *testing.T) {
 		Policy: pol,
 		Rounds: 2,
 		Cache:  engine.NewCache(),
-		Shards: 3,
 	})
 	if !errors.Is(err, errShardBoom) {
 		t.Fatalf("err = %v, want wrapped errShardBoom", err)
 	}
-	if !strings.Contains(err.Error(), "shard") || !strings.Contains(err.Error(), pol.Name()) {
-		t.Errorf("err %q lacks shard/policy attribution", err)
+	if !strings.Contains(err.Error(), "round 0") || !strings.Contains(err.Error(), pol.Name()) {
+		t.Errorf("err %q lacks round/policy attribution", err)
 	}
 }
 
-// TestShardedNegativeShardsRejected checks Config validation.
-func TestShardedNegativeShardsRejected(t *testing.T) {
-	_, err := engine.New(archetypePopulation(t, 3), engine.Config{
-		Policy: &designPolicy{},
-		Rounds: 1,
-		Shards: -1,
-	})
-	if !errors.Is(err, engine.ErrBadConfig) {
-		t.Errorf("err = %v, want ErrBadConfig", err)
-	}
-}
-
-// TestRespondMemoSegment mirrors TestCacheSegment for the respond memo.
-func TestRespondMemoSegment(t *testing.T) {
-	m := engine.NewRespondMemo()
-	segA, segB := m.Segment(), m.Segment()
-	key := engine.DesignKey{Class: worker.Honest, Beta: 1}
-	c := &contract.PiecewiseLinear{}
-	resp := worker.Response{Effort: 3, Feedback: 2, Compensation: 1, Utility: 0.5}
-
-	if _, ok := segA.Get(key, c); ok {
-		t.Fatal("empty segment reported a hit")
-	}
-	segA.Put(key, c, resp)
-	if got, ok := segB.Get(key, c); !ok || got != resp {
-		t.Fatalf("sibling segment missed a published response: %+v ok=%v", got, ok)
-	}
-	if got, ok := segA.Get(key, c); !ok || got != resp {
-		t.Fatal("local entry missed")
-	}
-	st := m.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
-		t.Errorf("parent stats = %+v, want 2 hits / 1 miss / 1 entry", st)
-	}
-
-	m.Invalidate()
-	if _, ok := segA.Get(key, c); ok {
-		t.Error("segment served a stale entry after Invalidate")
-	}
-	if _, ok := segB.Get(key, c); ok {
-		t.Error("sibling segment served a stale entry after Invalidate")
-	}
-}
-
-// TestShardedStageTimings extends the stage-count pins to a multi-shard
-// pipeline: the whole-stage histograms still observe once per round, the
-// shard gauge reports the effective count, shard-design observes every
-// shard every round, and shard-respond observes only executed (dirty)
-// shards — the cold round — because warm rounds skip respond.
+// TestShardedStageTimings pins the stage counts on the ShardPolicy
+// route: every whole-stage histogram observes once per round, warm rounds
+// included (their respond stage skips its work, not its observation).
 func TestShardedStageTimings(t *testing.T) {
 	ctx := context.Background()
 	reg := telemetry.NewRegistry()
-	const rounds, shards = 3, 4
+	const rounds = 3
 	eng, err := engine.New(archetypePopulation(t, 16), engine.Config{
 		Policy:  &shardDesignPolicy{},
 		Rounds:  rounds,
 		Cache:   engine.NewCache(),
 		Memo:    engine.NewRespondMemo(),
-		Shards:  shards,
 		Metrics: reg,
 	})
 	if err != nil {
@@ -599,13 +497,43 @@ func TestShardedStageTimings(t *testing.T) {
 			t.Errorf("%s count = %v (present %v), want %d", name, h.Count, ok, rounds)
 		}
 	}
-	if g := snap.Gauges[engine.MetricShards]; g != shards {
-		t.Errorf("shards gauge = %v, want %d", g, shards)
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "dyncontract_engine_shard") {
+			t.Errorf("per-shard histogram %s registered", name)
+		}
 	}
-	if h := snap.Histograms[engine.MetricShardDesignSeconds]; h.Count != rounds*shards {
-		t.Errorf("shard design count = %d, want %d", h.Count, rounds*shards)
-	}
-	if h := snap.Histograms[engine.MetricShardRespondSeconds]; h.Count != shards {
-		t.Errorf("shard respond count = %d, want %d (cold round only)", h.Count, shards)
+}
+
+// TestPolicyReusedAcrossEngines runs one ShardPolicy on two engines in
+// turn, each with its own design cache. Every engine numbers its views
+// afresh, so a plan keyed on a per-engine epoch would let the second
+// engine's first round warm-validate the first engine's plan against the
+// first engine's cache and report nothing changed — leaving every
+// contract slot empty and every agent excluded. Both ledgers must match a
+// fresh policy's.
+func TestPolicyReusedAcrossEngines(t *testing.T) {
+	ctx := context.Background()
+	pol := &shardDesignPolicy{}
+	for _, n := range []int{5, 7} {
+		got, err := engine.RunLedger(ctx, archetypePopulation(t, n), engine.Config{
+			Policy: pol,
+			Rounds: 2,
+			Cache:  engine.NewCache(),
+			Memo:   engine.NewRespondMemo(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{Policy: &designPolicy{}, Rounds: 2})
+		if !reflect.DeepEqual(got, ref) {
+			excluded := 0
+			for _, oc := range got[0].Outcomes {
+				if oc.Excluded {
+					excluded++
+				}
+			}
+			t.Errorf("n=%d: ledger differs from a fresh policy's: round 0 utility %v (want %v), %d/%d excluded",
+				n, got[0].Utility, ref[0].Utility, excluded, n)
+		}
 	}
 }

@@ -18,22 +18,21 @@ func attrMap(sd spans.SpanData) map[string]string {
 	return m
 }
 
-// TestEngineRoundSpans pins the traced round's span tree on the sharded
-// route: a caller's root span gains one engine.round child per round,
-// each with the five pipeline-stage children, the design and respond
-// stages each with one child span per shard, and the per-shard spans
-// carrying shard index, cache/memo hit-miss counts, and the round's
-// drift classification.
+// TestEngineRoundSpans pins the traced round's span tree on the
+// ShardPolicy route: a caller's root span gains one engine.round child per
+// round, each with the five pipeline-stage children and nothing below
+// them; the design stage carries the view's agents, cache hit-miss
+// counts, the change report, the solver batch and the round's drift
+// classification, and the respond stage the route it took and its memo
+// hit-miss counts.
 func TestEngineRoundSpans(t *testing.T) {
 	pop := archetypePopulation(t, 24)
 	rec := spans.NewRecorder(8, 4)
 	tracer := spans.New(spans.Config{Sample: 1, Seed: 5, Recorder: rec})
 
-	const shards = 4
 	eng, err := engine.New(pop, engine.Config{
 		Policy: &shardDesignPolicy{},
 		Rounds: 2,
-		Shards: shards,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),
 	})
@@ -69,6 +68,17 @@ func TestEngineRoundSpans(t *testing.T) {
 		"engine.stage.design", "engine.stage.contracts", "engine.stage.respond",
 		"engine.stage.settle", "engine.stage.observe",
 	}
+	// archetypePopulation holds three design keys: the cold round builds
+	// three menus in one batch, and solves three best responses; the warm
+	// round validates the three menus and skips respond.
+	wantDesign := []map[string]string{
+		{"agents": "24", "cache.hits": "0", "cache.misses": "3", "changed": "true", "batch": "3"},
+		{"agents": "24", "cache.hits": "3", "cache.misses": "0", "changed": "false", "batch": "0"},
+	}
+	wantRespond := []map[string]string{
+		{"agents": "24", "route": "solve", "memo.hits": "0", "memo.misses": "3"},
+		{"agents": "24", "route": "skip"},
+	}
 	for ri, round := range rounds {
 		if round.Name != "engine.round" {
 			t.Fatalf("round span name = %q", round.Name)
@@ -77,8 +87,11 @@ func TestEngineRoundSpans(t *testing.T) {
 		if attrs["round"] != strconv.Itoa(ri) {
 			t.Errorf("round %d: round attr = %q", ri, attrs["round"])
 		}
-		if attrs["agents"] != "24" || attrs["shards"] != strconv.Itoa(shards) {
-			t.Errorf("round %d: agents/shards attrs = %q/%q", ri, attrs["agents"], attrs["shards"])
+		if attrs["agents"] != "24" {
+			t.Errorf("round %d: agents attr = %q", ri, attrs["agents"])
+		}
+		if _, ok := attrs["shards"]; ok {
+			t.Errorf("round %d: shards attr present", ri)
 		}
 		// Round 0 has no drift hook and no declared scope: viewKeep
 		// declared, but the first round's view build escalates to
@@ -98,57 +111,28 @@ func TestEngineRoundSpans(t *testing.T) {
 		stageByName := make(map[string]spans.SpanData, len(stages))
 		for _, sg := range stages {
 			stageByName[sg.Name] = sg
+			if kids := byParent[sg.ID]; len(kids) != 0 {
+				t.Errorf("round %d: stage %s has %d child spans, want 0", ri, sg.Name, len(kids))
+			}
 		}
 		for _, name := range wantStages {
 			if _, ok := stageByName[name]; !ok {
 				t.Fatalf("round %d: missing stage span %q (have %v)", ri, name, stages)
 			}
 		}
-
-		design := byParent[stageByName["engine.stage.design"].ID]
-		if len(design) != shards {
-			t.Fatalf("round %d: got %d shard design spans, want %d", ri, len(design), shards)
-		}
-		seen := make(map[string]bool)
-		var totalAgents, hits, misses int
-		for _, sd := range design {
-			if sd.Name != "engine.shard.design" {
-				t.Fatalf("shard design span name = %q", sd.Name)
-			}
-			a := attrMap(sd)
-			seen[a["shard"]] = true
-			n, _ := strconv.Atoi(a["agents"])
-			totalAgents += n
-			h, _ := strconv.Atoi(a["cache.hits"])
-			m, _ := strconv.Atoi(a["cache.misses"])
-			hits += h
-			misses += m
-			if a["drift"] != wantDrift {
-				t.Errorf("round %d shard %s: drift = %q, want %q", ri, a["shard"], a["drift"], wantDrift)
-			}
-		}
-		if len(seen) != shards || totalAgents != 24 {
-			t.Errorf("round %d: shard design spans cover %d shards / %d agents", ri, len(seen), totalAgents)
-		}
-		if ri == 0 && hits+misses == 0 {
-			t.Error("cold round recorded no cache traffic on its shard spans")
-		}
-
-		respond := byParent[stageByName["engine.stage.respond"].ID]
-		if ri == 0 {
-			// Cold round: every shard solves.
-			if len(respond) != shards {
-				t.Fatalf("round 0: got %d shard respond spans, want %d", len(respond), shards)
-			}
-			for _, sd := range respond {
-				a := attrMap(sd)
-				if sd.Name != "engine.shard.respond" || a["route"] != "solve" {
-					t.Fatalf("round 0 respond span = %q route %q", sd.Name, a["route"])
+		for name, want := range map[string]map[string]string{
+			"engine.stage.design":  wantDesign[ri],
+			"engine.stage.respond": wantRespond[ri],
+		} {
+			a := attrMap(stageByName[name])
+			for k, v := range want {
+				if a[k] != v {
+					t.Errorf("round %d %s: %s = %q, want %q", ri, name, k, a[k], v)
 				}
 			}
-		} else if len(respond) != 0 {
-			// Warm round: retained outcomes, no shard responds.
-			t.Fatalf("round 1: got %d shard respond spans, want 0 (warm skip)", len(respond))
+			if a["drift"] != wantDrift {
+				t.Errorf("round %d %s: drift = %q, want %q", ri, name, a["drift"], wantDrift)
+			}
 		}
 	}
 }

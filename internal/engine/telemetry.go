@@ -64,29 +64,14 @@ const (
 	MetricRespondFlushes = "dyncontract_engine_respond_flushes_total"
 	MetricRespondEntries = "dyncontract_engine_respond_entries"
 
-	// MetricShards is the round pipeline's current shard count — the
-	// effective value after clamping Config.Shards to the population size
-	// (1 when Config.Shards is 0).
-	MetricShards = "dyncontract_engine_shards"
-	// Per-shard stage timings (histograms, seconds): the pipeline
-	// observes one design and one executed respond duration per shard per
-	// round, so shard counts multiply the observation rate of the
-	// corresponding whole-stage histograms. Warm rounds skip shard respond
-	// entirely, which shows up as a shard-respond count below
-	// shards × rounds.
-	MetricShardDesignSeconds  = "dyncontract_engine_shard_design_seconds"
-	MetricShardRespondSeconds = "dyncontract_engine_shard_respond_seconds"
-
 	// Scoped-drift instrumentation (see DESIGN.md "Drift scopes").
 	// MetricDriftTouchedAgents counts agents named by consumed
 	// Population.Touch scopes; Bump and legacy Drift-hook rounds count
 	// nothing here — they take the full-rebuild path.
 	MetricDriftTouchedAgents = "dyncontract_engine_drift_touched_agents"
-	// MetricDriftShardsRebuilt / MetricDriftShardsSkipped count, per
-	// scoped refresh, the shards that owned a declared ID (views
-	// refreshed or spliced) vs the shards left on their warm path.
+	// MetricDriftShardsRebuilt counts the scoped refreshes that touched
+	// the view: a splice, or a refreshed slot.
 	MetricDriftShardsRebuilt = "dyncontract_engine_drift_shards_rebuilt_total"
-	MetricDriftShardsSkipped = "dyncontract_engine_drift_shards_skipped_total"
 	// MetricDriftRebuildSeconds times each scoped refresh (histogram,
 	// seconds) — the cost a full view rebuild was traded for.
 	MetricDriftRebuildSeconds = "dyncontract_engine_drift_rebuild_seconds"
@@ -163,11 +148,9 @@ func (p *published) retire(reg *telemetry.Registry, names *statsMetrics, cur Cac
 // afterwards.
 type stageMetrics struct {
 	design, respond, settle, observe, round *telemetry.Histogram
-	shardDesign, shardRespond               *telemetry.Histogram
 	driftRebuild                            *telemetry.Histogram
-	workerUtility, shards                   *telemetry.Gauge
-	driftTouched                            *telemetry.Counter
-	driftShardsRebuilt, driftShardsSkipped  *telemetry.Counter
+	workerUtility                           *telemetry.Gauge
+	driftTouched, driftShardsRebuilt        *telemetry.Counter
 	driftJoins, driftLeaves                 *telemetry.Counter
 }
 
@@ -178,14 +161,10 @@ func newStageMetrics(reg *telemetry.Registry) *stageMetrics {
 		settle:             reg.Histogram(MetricStageSettleSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
 		observe:            reg.Histogram(MetricStageObserveSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
 		round:              reg.Histogram(MetricRoundSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		shardDesign:        reg.Histogram(MetricShardDesignSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		shardRespond:       reg.Histogram(MetricShardRespondSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
 		driftRebuild:       reg.Histogram(MetricDriftRebuildSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
 		workerUtility:      reg.Gauge(MetricRoundWorkerUtility),
-		shards:             reg.Gauge(MetricShards),
 		driftTouched:       reg.Counter(MetricDriftTouchedAgents),
 		driftShardsRebuilt: reg.Counter(MetricDriftShardsRebuilt),
-		driftShardsSkipped: reg.Counter(MetricDriftShardsSkipped),
 		driftJoins:         reg.Counter(MetricDriftJoins),
 		driftLeaves:        reg.Counter(MetricDriftLeaves),
 	}

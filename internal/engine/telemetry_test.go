@@ -494,7 +494,6 @@ func TestRoundGaugesMatchRecount(t *testing.T) {
 	if _, err := engine.RunLedger(context.Background(), pop, engine.Config{
 		Policy:    &churnExclusionPolicy{},
 		Rounds:    4,
-		Shards:    3,
 		Metrics:   reg,
 		Observers: []engine.Observer{watch},
 	}); err != nil {

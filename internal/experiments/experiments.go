@@ -153,10 +153,6 @@ type Params struct {
 	// report — the memo is a pure optimization — and exists for A/B
 	// timing and debugging.
 	NoRespondMemo bool
-	// Shards partitions the simulation-driven experiments' engine rounds
-	// into that many shards (see engine.Config.Shards); 0 means one.
-	// Ledgers — and therefore reports — are byte-identical either way.
-	Shards int
 	// Metrics, when non-nil, instruments the simulation-driven experiments'
 	// engine runs (see engine.Config.Metrics). Reports are identical either
 	// way.
@@ -166,7 +162,7 @@ type Params struct {
 // runLedger simulates rounds through the engine, attaching a fresh design
 // cache and respond memo unless the params disable them.
 func runLedger(ctx context.Context, pop *platform.Population, pol platform.Policy, rounds int, params Params) ([]platform.Round, error) {
-	cfg := engine.Config{Policy: pol, Rounds: rounds, Metrics: params.Metrics, Shards: params.Shards}
+	cfg := engine.Config{Policy: pol, Rounds: rounds, Metrics: params.Metrics}
 	if !params.NoDesignCache {
 		cfg.Cache = engine.NewCache()
 	}

@@ -208,7 +208,7 @@ func writeHeapProfile(path string) error {
 }
 
 // SimPrefixes selects the metrics the simulation CLIs' -stats prints:
-// the engine's (rounds, stages, shards, drift, design cache, respond
+// the engine's (rounds, stages, drift, design cache, respond
 // memo) and the solver's.
 var SimPrefixes = []string{"dyncontract_engine_", "dyncontract_solver_"}
 

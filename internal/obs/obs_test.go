@@ -330,13 +330,13 @@ func TestRespondStatsHelpers(t *testing.T) {
 	}
 }
 
-// TestShardStatsHelpers pins the shard gauge and the per-shard stage
-// histograms: each prints the runs and mean of the round's samples only.
+// TestShardStatsHelpers pins the stage histograms that carry the round
+// pipeline's design and respond timings: each prints the runs and mean of
+// the round's samples only.
 func TestShardStatsHelpers(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Gauge(engine.MetricShards).Set(4)
-	d := reg.Histogram(engine.MetricShardDesignSeconds, 0, 0.25, 50)
-	r := reg.Histogram(engine.MetricShardRespondSeconds, 0, 0.25, 50)
+	d := reg.Histogram(engine.MetricStageDesignSeconds, 0, 0.25, 50)
+	r := reg.Histogram(engine.MetricStageRespondSeconds, 0, 0.25, 50)
 	d.Observe(0.0125)
 	r.Observe(0.0225)
 	prev := reg.Snapshot()
@@ -345,29 +345,26 @@ func TestShardStatsHelpers(t *testing.T) {
 	cur := reg.Snapshot()
 
 	var buf bytes.Buffer
-	FprintStats(&buf, prev, cur, "dyncontract_engine_shard")
-	want := "  " + engine.MetricShardDesignSeconds + " count 2 mean 0.0325 p50 <=0.035 p95 <=0.035 p99 <=0.035\n" +
-		"  " + engine.MetricShardRespondSeconds + " count 0 mean 0 p50 0 p95 0 p99 0\n" +
-		"  " + engine.MetricShards + " 4\n"
+	FprintStats(&buf, prev, cur, "dyncontract_engine_stage_")
+	want := "  " + engine.MetricStageDesignSeconds + " count 2 mean 0.0325 p50 <=0.035 p95 <=0.035 p99 <=0.035\n" +
+		"  " + engine.MetricStageRespondSeconds + " count 0 mean 0 p50 0 p95 0 p99 0\n"
 	if buf.String() != want {
-		t.Fatalf("shard delta:\n got %q\nwant %q", buf.String(), want)
+		t.Fatalf("stage delta:\n got %q\nwant %q", buf.String(), want)
 	}
 
-	// A one-shard engine (Config.Shards = 0) reports like any other: three
-	// warm rounds design three times and respond once.
+	// Three warm rounds: each observes the design and the respond stage
+	// once, the warm ones near zero.
 	one := telemetry.NewRegistry()
-	one.Gauge(engine.MetricShards).Set(1)
-	for i := 0; i < 3; i++ {
-		one.Histogram(engine.MetricShardDesignSeconds, 0, 0.25, 50).Observe(0.0125)
+	for _, sec := range []float64{0.0125, 0.0001, 0.0001} {
+		one.Histogram(engine.MetricStageDesignSeconds, 0, 0.25, 50).Observe(sec)
+		one.Histogram(engine.MetricStageRespondSeconds, 0, 0.25, 50).Observe(sec)
 	}
-	one.Histogram(engine.MetricShardRespondSeconds, 0, 0.25, 50).Observe(0.0125)
 	buf.Reset()
-	FprintStats(&buf, telemetry.Snapshot{}, one.Snapshot(), "dyncontract_engine_shard")
-	want = "  " + engine.MetricShardDesignSeconds + " count 3 mean 0.0125 p50 <=0.015 p95 <=0.015 p99 <=0.015\n" +
-		"  " + engine.MetricShardRespondSeconds + " count 1 mean 0.0125 p50 <=0.015 p95 <=0.015 p99 <=0.015\n" +
-		"  " + engine.MetricShards + " 1\n"
+	FprintStats(&buf, telemetry.Snapshot{}, one.Snapshot(), "dyncontract_engine_stage_")
+	want = "  " + engine.MetricStageDesignSeconds + " count 3 mean 0.00423333 p50 <=0.005 p95 <=0.015 p99 <=0.015\n" +
+		"  " + engine.MetricStageRespondSeconds + " count 3 mean 0.00423333 p50 <=0.005 p95 <=0.015 p99 <=0.015\n"
 	if buf.String() != want {
-		t.Fatalf("one shard:\n got %q\nwant %q", buf.String(), want)
+		t.Fatalf("three rounds:\n got %q\nwant %q", buf.String(), want)
 	}
 }
 
@@ -377,20 +374,17 @@ func TestDriftStatsHelpers(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	touched := reg.Counter(engine.MetricDriftTouchedAgents)
 	rebuilt := reg.Counter(engine.MetricDriftShardsRebuilt)
-	skipped := reg.Counter(engine.MetricDriftShardsSkipped)
 	joins := reg.Counter(engine.MetricDriftJoins)
 	leaves := reg.Counter(engine.MetricDriftLeaves)
 	h := reg.Histogram(engine.MetricDriftRebuildSeconds, 0, 0.25, 50)
 	touched.Add(2)
 	rebuilt.Add(1)
-	skipped.Add(3)
 	joins.Add(1)
 	leaves.Add(1)
 	h.Observe(0.0125)
 	prev := reg.Snapshot()
 	touched.Add(10)
 	rebuilt.Add(2)
-	skipped.Add(10)
 	joins.Add(4)
 	leaves.Add(3)
 	h.Observe(0.0325)
@@ -402,7 +396,6 @@ func TestDriftStatsHelpers(t *testing.T) {
 		"  " + engine.MetricDriftLeaves + " 3\n" +
 		"  " + engine.MetricDriftRebuildSeconds + " count 1 mean 0.0325 p50 <=0.035 p95 <=0.035 p99 <=0.035\n" +
 		"  " + engine.MetricDriftShardsRebuilt + " 2\n" +
-		"  " + engine.MetricDriftShardsSkipped + " 10\n" +
 		"  " + engine.MetricDriftTouchedAgents + " 10\n"
 	if buf.String() != want {
 		t.Fatalf("drift delta:\n got %q\nwant %q", buf.String(), want)

@@ -99,9 +99,8 @@ func TotalUtility(ledger []Round) float64 {
 // free.
 type DynamicPolicy struct {
 	// Parallelism caps the solver pool of direct Contracts calls; 0 means
-	// GOMAXPROCS. An engine designs through ShardContracts instead, where
-	// a lone shard fans out across GOMAXPROCS and each of several shards
-	// solves sequentially.
+	// GOMAXPROCS. An engine designs through ShardContracts instead, which
+	// fans cold menus out across GOMAXPROCS.
 	Parallelism int
 
 	designer engine.Designer
@@ -113,7 +112,7 @@ var (
 	_ engine.FingerprintPurePolicy = (*DynamicPolicy)(nil)
 	_ engine.CacheUser             = (*DynamicPolicy)(nil)
 	_ engine.MetricsUser           = (*DynamicPolicy)(nil)
-	_ engine.ShardBatchReporter    = (*DynamicPolicy)(nil)
+	_ engine.BatchReporter         = (*DynamicPolicy)(nil)
 )
 
 // Name implements Policy.
@@ -133,26 +132,24 @@ func (p *DynamicPolicy) Contracts(ctx context.Context, pop *Population) (map[str
 	return p.designer.Contracts(ctx, pop, pop.Agents)
 }
 
-// ShardContracts implements engine.ShardPolicy: under engine.Config.Shards
-// each shard designs through its own engine.ShardDesigner, backed by a
-// lock-free segment of the shared design cache, and a warm shard — same
-// population view, same cached designs — reports changed = false so the
-// engine can skip its respond stage entirely.
+// ShardContracts implements engine.ShardPolicy: the engine's view designs
+// through the designer's engine.ShardDesigner against the design cache,
+// and a warm view — same epoch, same cached designs — reports
+// changed = false so the engine can skip its respond stage entirely.
 func (p *DynamicPolicy) ShardContracts(ctx context.Context, pop *Population, sh *engine.Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	return p.designer.Shard(sh.Index).Contracts(ctx, pop, sh, dst)
+	return p.designer.Shard().Contracts(ctx, pop, sh, dst)
 }
 
 // FingerprintPure implements engine.FingerprintPurePolicy: every contract
 // this policy serves is resolved purely through the agent's design
 // fingerprint (engine.Designer dedups and caches by fingerprint), so the
 // engine may patch sparsely drifted agents straight from the design
-// cache instead of re-running the shard cold.
+// cache instead of re-planning the whole view.
 func (p *DynamicPolicy) FingerprintPure() {}
 
-// ShardBatchStats implements engine.ShardBatchReporter: the size of the
-// shard designer's last design batch (distinct cache-missing
-// fingerprints; 0 on a warm round) and the cumulative use count of its
-// retained solve scratch.
-func (p *DynamicPolicy) ShardBatchStats(shard int) (int, uint64) {
-	return p.designer.Shard(shard).BatchStats()
+// BatchStats implements engine.BatchReporter: the size of the designer's
+// last design batch (distinct cache-missing design keys; 0 on a warm
+// round) and the cumulative use count of its retained solve scratch.
+func (p *DynamicPolicy) BatchStats() (int, uint64) {
+	return p.designer.Shard().BatchStats()
 }

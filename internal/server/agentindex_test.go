@@ -186,7 +186,6 @@ func runDriftCmd(t *testing.T, e *testServer, sid string, req DriftRequest) cmdR
 func TestDriftScopedValidationRejects(t *testing.T) {
 	e := newTestServer(t, Config{})
 	req := testCreateReq()
-	req.Shards = 2
 	var created CreateSessionResponse
 	if code := e.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
 		t.Fatalf("create session: status %d", code)

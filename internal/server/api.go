@@ -134,7 +134,10 @@ type CreateSessionRequest struct {
 	Policy    string  `json:"policy,omitempty"` // dynamic (default) | exclude | fixed
 	Threshold float64 `json:"threshold,omitempty"`
 	Amount    float64 `json:"amount,omitempty"`
-	Shards    int     `json:"shards,omitempty"`
+	// Shards is accepted, range-checked ([0, 1024]), journaled and
+	// snapshotted, and otherwise ignored: the engine runs one round
+	// pipeline whatever its value.
+	Shards int `json:"shards,omitempty"`
 }
 
 // Validate checks the payload's internal consistency — everything that
@@ -319,8 +322,8 @@ type DesignQueryResponse struct {
 // mutations applied atomically between rounds through the single-writer
 // loop. Add joins new agents (full specs, weight and malice included) and
 // Remove retires existing ones by ID — both declared to the engine as a
-// structural scope, so only the shards owning those agents re-slot while
-// everyone else's retained state stays warm. Unknown agent IDs, duplicate
+// structural scope, so the engine splices exactly those agents into its
+// view while everyone else's retained state stays warm. Unknown agent IDs, duplicate
 // or overlapping add/remove declarations, and mutations that break
 // population validation reject the whole request and leave the session
 // untouched.
@@ -359,7 +362,7 @@ func (r *DriftRequest) Validate() error {
 
 // DriftResponse reports the number of field mutations applied, the
 // distinct agents touched (declared to the engine as the drift scope, so
-// only their shards rebuild), the agents joined and left (declared as the
+// only their view slots refresh), the agents joined and left (declared as the
 // structural scope), and the session's completed-round count at the time.
 type DriftResponse struct {
 	Updated int `json:"updated"`

@@ -182,6 +182,55 @@ func TestRecoverByteIdenticalLedger(t *testing.T) {
 	}
 }
 
+// TestRecoverIgnoredShards pins the create body's "shards" knob as
+// accepted and ignored: a session created with "shards": 4 snapshots the
+// knob, recovers from a crash image across that snapshot to the same
+// ledger, and serves exactly the ledger of a session created without it.
+func TestRecoverIgnoredShards(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newJournaledServer(t, dir, Config{})
+	req := testCreateReq()
+	req.Shards = 4
+	var created CreateSessionResponse
+	if code := e1.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
+		t.Fatalf("create session: status %d", code)
+	}
+	id := created.ID
+	advanceRounds(t, e1, id, 3)
+	if code := e1.do(t, "POST", "/v1/sessions/"+id+"/snapshot", nil, nil); code != http.StatusOK {
+		t.Fatalf("snapshot: status %d", code)
+	}
+	advanceRounds(t, e1, id, 2)
+	ref := ledgerBytes(t, e1, id)
+
+	snaps, err := filepath.Glob(filepath.Join(dir, id, "snap-*"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot under %s (err %v)", filepath.Join(dir, id), err)
+	}
+	raw, err := os.ReadFile(snaps[len(snaps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"shards":4`)) {
+		t.Error(`snapshot dropped the "shards" knob`)
+	}
+
+	e2, stats := recoverServer(t, crashImage(t, dir), Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 {
+		t.Fatalf("recovery stats = %+v, want 1 session, 0 failed", stats)
+	}
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Fatalf("recovered ledger differs:\n got %s\nwant %s", got, ref)
+	}
+
+	plain := newTestServer(t, Config{})
+	pid := plain.createSession(t)
+	advanceRounds(t, plain, pid, 5)
+	if got := ledgerBytes(t, plain, pid); string(got) != string(ref) {
+		t.Errorf("ledger with shards=4 differs from one without:\n got %s\nwant %s", ref, got)
+	}
+}
+
 // TestRecoverFromSnapshot pins the snapshot path: a forced snapshot
 // truncates the log, recovery restores from it and replays only the
 // commands behind it, and the ledger still comes back byte-identical.

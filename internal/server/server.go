@@ -49,7 +49,7 @@ type Config struct {
 	// Metrics instruments every route and the engine sessions; nil is off.
 	Metrics *telemetry.Registry
 	// Tracer records execution spans for sampled requests — HTTP route,
-	// session queue wait, execution, engine round, stages, shards — and
+	// session queue wait, execution, engine round, stages — and
 	// serves them under GET /debug/traces. Nil is off: requests cost no
 	// tracing work at all.
 	Tracer *spans.Tracer
@@ -545,7 +545,6 @@ func (s *Server) assembleSession(req *CreateSessionRequest, pop *engine.Populati
 		Observers: []engine.Observer{capture},
 		Cache:     cache,
 		Memo:      engine.NewRespondMemo(),
-		Shards:    req.Shards,
 		Metrics:   s.cfg.Metrics,
 	})
 	if err != nil {

@@ -266,7 +266,7 @@ func TestDriftMutatesAndRejects(t *testing.T) {
 }
 
 // TestSparseDriftScopedLedger pins the drift route's touched-set
-// declaration end to end on a sharded session: a one-agent drift reports
+// declaration end to end: a one-agent drift reports
 // touched=1 and perturbs exactly that agent's next ledger row, and a
 // rejected drift — reverted before any Touch — leaves both the
 // population and the drift scope untouched, so the following round is
@@ -274,7 +274,6 @@ func TestDriftMutatesAndRejects(t *testing.T) {
 func TestSparseDriftScopedLedger(t *testing.T) {
 	e := newTestServer(t, Config{})
 	req := testCreateReq()
-	req.Shards = 2
 	var created CreateSessionResponse
 	if code := e.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
 		t.Fatalf("create session: status %d", code)
@@ -421,7 +420,7 @@ func TestRouteMetricsRecorded(t *testing.T) {
 }
 
 // TestStructuralDriftRoute pins the drift route's add/remove payloads end
-// to end on a sharded session: a join appears in the next round with its
+// to end: a join appears in the next round with its
 // own ledger row while every pre-existing row stays byte-identical, a
 // leave removes exactly its row, rejected structural drifts (unknown
 // remove, duplicate add, an ID added twice, add∩remove overlap, invalid
@@ -431,7 +430,6 @@ func TestRouteMetricsRecorded(t *testing.T) {
 func TestStructuralDriftRoute(t *testing.T) {
 	e := newTestServer(t, Config{})
 	req := testCreateReq()
-	req.Shards = 2
 	var created CreateSessionResponse
 	if code := e.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
 		t.Fatalf("create session: status %d", code)

@@ -374,8 +374,8 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 	}
 
 	// Structural mutations go through Population.Add and Remove: each
-	// keeps the ID index current, declares its own join or leave (so a
-	// sharded engine splices only the shards owning those agents), and
+	// keeps the ID index current, declares its own join or leave (so the
+	// engine splices exactly those agents into its view), and
 	// returns an undo that also retracts the declaration. scope collects
 	// the agents the drift changed, for the scoped validation.
 	scope := make([]*worker.Agent, 0, len(req.Add)+len(req.Weights)+len(req.Beta)+len(req.Omega)+len(req.Psi))

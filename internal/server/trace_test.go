@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -74,7 +75,8 @@ func (e *testServer) fetchTrace(t *testing.T, reqID string) spans.Trace {
 
 // TestTracedRoundEndToEnd pins the acceptance nesting for a traced round:
 // HTTP handler span → session queue wait → session execute → engine round
-// → the four-plus pipeline stages → one design child per shard — all
+// → the five pipeline stages, the design stage annotated with the view
+// and its cold round's cache traffic and solver batch — all
 // retrievable from /debug/traces by the client's own X-Request-Id, in
 // both export formats, with the latency exemplar pointing back at the
 // trace and the request log carrying the same ID.
@@ -82,7 +84,6 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 	e, _, reg, logBuf := tracedTestServer(t)
 
 	req := testCreateReq()
-	req.Shards = 2
 	var created CreateSessionResponse
 	if code := e.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
 		t.Fatalf("create session: status %d", code)
@@ -141,7 +142,7 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 		t.Fatalf("execute attrs = %v", attrMap(exec))
 	}
 
-	// session.execute → engine.round → stages → per-shard design spans.
+	// session.execute → engine.round → stages, with nothing below them.
 	round, ok := names(byParent[exec.ID])["engine.round"]
 	if !ok {
 		t.Fatalf("no engine.round under session.execute: %v", byParent[exec.ID])
@@ -155,15 +156,17 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 			t.Fatalf("missing stage span %q (have %v)", want, stages)
 		}
 	}
-	design := byParent[stages["engine.stage.design"].ID]
-	if len(design) != 2 {
-		t.Fatalf("got %d shard design spans, want 2", len(design))
-	}
-	for _, sd := range design {
-		a := attrMap(sd)
-		if sd.Name != "engine.shard.design" || a["shard"] == "" || a["drift"] == "" {
-			t.Fatalf("shard design span %q attrs %v", sd.Name, a)
+	for name, sg := range stages {
+		if kids := byParent[sg.ID]; len(kids) != 0 {
+			t.Fatalf("stage %s has %d child spans, want 0", name, len(kids))
 		}
+	}
+	// The cold round builds a menu per distinct design key in one batch:
+	// every build is a cache miss.
+	a := attrMap(stages["engine.stage.design"])
+	if a["agents"] != strconv.Itoa(len(req.Agents)) || a["drift"] != "viewFull" ||
+		a["cache.hits"] != "0" || a["cache.misses"] == "0" || a["batch"] != a["cache.misses"] {
+		t.Fatalf("design stage attrs %v", a)
 	}
 
 	// Chrome export of the same trace parses and carries events.

@@ -33,7 +33,7 @@ const (
 	MetricDesignSeconds = "dyncontract_solver_design_seconds"
 	// MetricBatchSize is the per-call batch-size histogram: how many
 	// subproblems each SolveAllInto or BuildMenusInto invocation carried.
-	// Cold rounds show the distinct-design-key count per shard here;
+	// Cold rounds show the distinct design keys that missed the cache here;
 	// serving-layer design batches show the queries that queued while
 	// the previous batch ran.
 	MetricBatchSize = "dyncontract_solver_batch_size"
@@ -66,8 +66,9 @@ const (
 )
 
 // Batch-size bins: unit-width over [0, 64) (the stats.Histogram clamping
-// convention; shard batches count distinct fingerprints — single digits —
-// while serving-layer batches are bounded by the server's BatchMax).
+// convention; an archetype population's cold batches count its distinct
+// design keys — single digits — while serving-layer batches are bounded
+// by the server's BatchMax).
 const (
 	batchSizeLo   = 0
 	batchSizeHi   = 64
@@ -104,7 +105,7 @@ type Options struct {
 	// Scratch, when non-nil, is the reusable design scratch for the
 	// sequential route: with an effective parallelism of 1 every design in
 	// the call runs over it inline (no worker goroutine), which is how the
-	// sharded engine keeps one CPU-local scratch per shard. Ignored by the
+	// engine's ShardDesigner reuses one retained scratch. Ignored by the
 	// parallel route, whose workers draw scratch from an internal pool.
 	// The caller must not share one Scratch between concurrent calls.
 	Scratch *core.Scratch

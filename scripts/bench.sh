@@ -2,9 +2,10 @@
 # Engine benchmark runner (`make bench`): runs the round-loop benchmarks —
 # BenchmarkEngineRound1k (design-dedup, weight-drift and respond-memo
 # regimes),
-# BenchmarkEngineRound100k (one-shard vs eight-shard warm rounds, plus the
-# sharded-rebuild, sparse-drift-1pct, and structural-churn-1pct drift
-# variants pinning the touched-scope and join/leave-splice speedups),
+# BenchmarkEngineRound100k (the warm round, the dedup-cold and 5,000-key
+# manykey-cold cold rounds, plus the sharded-rebuild, sparse-drift-1pct,
+# and structural-churn-1pct drift variants pinning the touched-scope and
+# join/leave-splice speedups),
 # BenchmarkTelemetryOverhead (instrumented vs
 # telemetry.Nop), BenchmarkTraceOverhead (span tracing disabled vs
 # sampled-out vs sampled-in on the same warm round), the HTTP serving
@@ -26,11 +27,9 @@
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
 # objects (plus "retained_bytes_per_round" where a benchmark reports
 # B/round), so the acceptance bars (telemetry overhead ≤5%, respond-memo
-# warm-round speedup) can be checked from the file. The former
-# "sharded-warm ≥4× sequential-warm" bar is retired: an engine with
-# Config.Shards = 0 runs the same pipeline as one shard, so
-# sequential-warm is the one-shard warm round and both arms skip the warm
-# respond stage. Both stay regression-gated below.
+# warm-round speedup, the journal append's share of sequential-warm) can
+# be checked from the file. The engine runs one round pipeline, so
+# sequential-warm is the warm round; it stays regression-gated below.
 #
 # The drift bars are gated as same-run ratios: the fresh run fails when
 # BenchmarkEngineRound100k/sparse-drift-1pct or structural-churn-1pct
@@ -52,7 +51,7 @@
 # (dedup-cold — the batched cold design path, optimized and now
 # regression-gated — dedup-warm, weight-drift-all — every weight moving
 # every round over warm design menus — respond-memo-warm, sequential-warm,
-# sharded-warm, sparse-drift, structural-churn — the in-place join/leave
+# sparse-drift, structural-churn — the in-place join/leave
 # splice — TelemetryOverhead, TraceOverhead/disabled —
 # the last pins that tracing left off costs nothing) fails the run
 # without touching the committed baseline. Set BENCH_ALLOW_REGRESSION=1
@@ -181,7 +180,7 @@ if [ -f "$out" ]; then
 		}
 		delta = (ns - base[name]) / base[name] * 100
 		printf "  %-55s %12.0f ns/op  %+7.1f%%\n", name, ns, delta
-		warm = (name ~ /dedup-cold|dedup-warm|weight-drift-all|respond-memo-warm|sequential-warm|sharded-warm|sparse-drift|structural-churn|TelemetryOverhead|TraceOverhead\/disabled/)
+		warm = (name ~ /dedup-cold|dedup-warm|weight-drift-all|respond-memo-warm|sequential-warm|sparse-drift|structural-churn|TelemetryOverhead|TraceOverhead\/disabled/)
 		if (warm && delta > 25) {
 			printf "  FAIL: %s regressed %.1f%% (>25%% on a warm-round benchmark)\n", name, delta
 			failed = 1

@@ -1,5 +1,5 @@
 // Command driftcheck is the smoke test's sparse-drift probe: against a
-// live contractd it creates a small sharded session, advances a round,
+// live contractd it creates a small session, advances a round,
 // drifts exactly one agent's feedback weight, and asserts that (a) the
 // drift response reports touched=1 and (b) the next round's ledger rows
 // change for that agent only — every untouched agent's outcome row must
@@ -48,7 +48,7 @@ func run(addr string) error {
 			{ID: "m1", Class: "malicious", Psi: psi, Beta: 1, Omega: 0.5, Weight: 0.8, Malice: 0.9},
 			{ID: "c1", Class: "community", Psi: psi, Beta: 1, Omega: 0.3, Size: 3, Weight: 0.5},
 		},
-		M: 10, Delta: 0.2, Mu: 1, Shards: 2,
+		M: 10, Delta: 0.2, Mu: 1,
 	}
 	var created server.CreateSessionResponse
 	if err := post(client, addr+"/v1/sessions", create, &created, http.StatusCreated); err != nil {

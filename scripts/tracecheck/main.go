@@ -1,10 +1,11 @@
 // Command tracecheck is the smoke test's tracing probe: against a live
-// contractd running with -trace it creates a small sharded session,
-// advances one round under a known X-Request-Id, fetches the trace back
-// from /debug/traces by that same id, and asserts the span tree covers
-// the round end to end — HTTP handler root, session queue and execute
-// spans, the engine round, its pipeline stages, and one design span per
-// shard — and that the Chrome trace_event export of the same trace
+// contractd running with -trace it creates a small session, advances one
+// round under a known X-Request-Id, fetches the trace back from
+// /debug/traces by that same id, and asserts the span tree covers the
+// round end to end — HTTP handler root, session queue and execute spans,
+// the engine round, and its pipeline stages, the design stage annotated
+// with the view's agents, the cold round's cache traffic and its solver
+// batch — and that the Chrome trace_event export of the same trace
 // parses. Exit 0 on success, 1 with a diagnostic on any mismatch.
 //
 // Usage:
@@ -33,7 +34,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(1)
 	}
-	fmt.Println("tracecheck: traced round covers HTTP -> queue -> engine -> stages -> shards")
+	fmt.Println("tracecheck: traced round covers HTTP -> queue -> engine -> stages")
 }
 
 func run(addr string) error {
@@ -46,7 +47,7 @@ func run(addr string) error {
 			{ID: "m1", Class: "malicious", Psi: psi, Beta: 1, Omega: 0.5, Weight: 0.8, Malice: 0.9},
 			{ID: "c1", Class: "community", Psi: psi, Beta: 1, Omega: 0.3, Size: 3, Weight: 0.5},
 		},
-		M: 10, Delta: 0.2, Mu: 1, Shards: 2,
+		M: 10, Delta: 0.2, Mu: 1,
 	}
 	var created server.CreateSessionResponse
 	if err := post(client, addr+"/v1/sessions", "", create, &created, http.StatusCreated); err != nil {
@@ -130,14 +131,17 @@ func checkTree(tr spans.Trace) error {
 			return fmt.Errorf("missing stage span %q", want)
 		}
 	}
-	shardSpans := 0
-	for _, sd := range tr.Spans {
-		if sd.Parent == stages["engine.stage.design"].ID && sd.Name == "engine.shard.design" {
-			shardSpans++
-		}
+	// The cold round designs all four agents, each its own design key:
+	// the design stage span counts them, and the cache misses and solver
+	// batch are the four menu builds.
+	design := map[string]string{}
+	for _, a := range stages["engine.stage.design"].Attrs {
+		design[a.Key] = a.Value
 	}
-	if shardSpans != 2 {
-		return fmt.Errorf("got %d engine.shard.design spans, want 2", shardSpans)
+	for key, want := range map[string]string{"agents": "4", "cache.hits": "0", "cache.misses": "4", "batch": "4"} {
+		if got, ok := design[key]; !ok || got != want {
+			return fmt.Errorf("engine.stage.design %s = %q (present %v), want %q", key, got, ok, want)
+		}
 	}
 	return nil
 }
