@@ -15,11 +15,10 @@ import (
 
 // BenchmarkServerDesignBatch measures the serving layer end to end:
 // concurrent clients posting design-only queries through the HTTP API
-// against a warm design cache. The batcher group-commits: a query that
-// finds it idle runs at once, and the queries that arrive while a batch
-// runs share the next engine pass. Sub-benchmarks vary the client fan-in
-// (one client never shares a batch; more clients share more); cold solve
-// cost is paid once before the timer starts.
+// against a warm design cache. Each query runs on its own request
+// goroutine: a cache lookup and an O(m) pick. Sub-benchmarks vary the
+// client fan-in (1, 8 and 32 concurrent clients); cold solve cost is paid
+// once before the timer starts.
 //
 // This benchmark rides the network stack (httptest over loopback), so it
 // is intentionally excluded from bench.sh's warm-round regression bars —
@@ -29,7 +28,7 @@ func BenchmarkServerDesignBatch(b *testing.B) {
 		// Name deliberately avoids a trailing "-<digits>": bench.sh strips
 		// that pattern as the GOMAXPROCS suffix when building JSON names.
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			srv := server.New(server.Config{BatchMax: 64})
+			srv := server.New(server.Config{})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 

@@ -1,12 +1,12 @@
 // Command contractd serves long-lived contract-design sessions over the
 // versioned JSON API of internal/server: create a session (synthetic or
-// explicit population), advance rounds, run design-only queries (coalesced
-// into micro-batches), and drift the population between rounds.
+// explicit population), advance rounds, run design-only queries (each on
+// its own request, against the cache the rounds warm), and drift the
+// population between rounds.
 //
 // Usage:
 //
-//	contractd [-listen addr] [-batch-max n]
-//	          [-queue n] [-design-queue n] [-max-inflight n]
+//	contractd [-listen addr] [-queue n] [-max-inflight n]
 //	          [-max-sessions n] [-timeout d] [-drain-timeout d]
 //	          [-log-level debug|info|warn|error] [-log-format text|json]
 //	          [-trace] [-trace-sample p] [-trace-out file]
@@ -69,9 +69,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("contractd", flag.ContinueOnError)
 	var (
 		listen       = fs.String("listen", "127.0.0.1:8080", "listen address")
-		batchMax     = fs.Int("batch-max", 64, "most queued design queries one micro-batch takes")
 		cmdQueue     = fs.Int("queue", 16, "per-session round/drift queue bound")
-		designQueue  = fs.Int("design-queue", 1024, "per-session design-query queue bound")
 		maxInFlight  = fs.Int("max-inflight", 256, "per-session in-flight request cap")
 		maxSessions  = fs.Int("max-sessions", 64, "live session cap")
 		timeout      = fs.Duration("timeout", 30*time.Second, "per-request server-side deadline")
@@ -105,9 +103,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	srv := server.New(server.Config{
-		BatchMax:       *batchMax,
 		CommandQueue:   *cmdQueue,
-		DesignQueue:    *designQueue,
 		MaxInFlight:    *maxInFlight,
 		MaxSessions:    *maxSessions,
 		RequestTimeout: *timeout,

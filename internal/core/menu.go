@@ -24,7 +24,7 @@ import (
 // (partition, ψ) and with every contract materialized from it. Winning
 // contracts are materialized lazily, once per (menu, k), and published
 // with a compare-and-swap, so every caller that picks k from the same
-// menu — the round loop, concurrent design batches — receives the same contract
+// menu — the round loop, concurrent design queries — receives the same contract
 // pointer. A menu never materializes a candidate nobody picked.
 //
 // A built menu is immutable apart from its published contracts and is

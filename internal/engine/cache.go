@@ -101,13 +101,14 @@ type Cache struct {
 
 	mu      sync.RWMutex
 	entries map[DesignKey]*core.Menu
+	removed int // deletions from entries since it was last rebuilt; guarded by mu
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	flushes uint64 // cap flushes; guarded by mu
 	// pub is what this cache last added to a registry (see publish).
 	pub published
 	// flights holds the menu builds in progress, so concurrent designers
-	// (design batches beside the round loop, engines sharing the cache)
+	// (design queries beside the round loop, engines sharing the cache)
 	// missing the same key build it once. Guarded by mu.
 	flights map[DesignKey]*menuFlight
 }
@@ -147,6 +148,7 @@ func (c *Cache) putLocked(key DesignKey, m *core.Menu) {
 		c.entries = make(map[DesignKey]*core.Menu)
 	} else if len(c.entries) >= max {
 		c.entries = make(map[DesignKey]*core.Menu)
+		c.removed = 0
 		c.flushes++
 	}
 	c.entries[key] = m
@@ -229,7 +231,28 @@ func (c *Cache) Remove(keys ...DesignKey) {
 	for _, key := range keys {
 		delete(c.entries, key)
 	}
+	c.removed += len(keys)
+	c.entries = compact(c.entries, &c.removed)
 	c.mu.Unlock()
+}
+
+// compact returns m, or a fresh copy of it once *deleted (deletions since
+// m was last rebuilt) exceeds its live size, resetting *deleted. A Go map
+// never shrinks, and under key churn its deleted slots are not all
+// reused: a map whose live size is flat while each drift mints new keys
+// and deletes retired ones keeps growing. Rebuilding once the deletions
+// pass the live size keeps the map proportional to what it holds, at O(1)
+// amortized per deletion.
+func compact[K comparable, V any](m map[K]V, deleted *int) map[K]V {
+	if *deleted <= len(m) {
+		return m
+	}
+	*deleted = 0
+	out := make(map[K]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // Invalidate drops every cached menu. Call it when beliefs shift through
@@ -238,7 +261,7 @@ func (c *Cache) Remove(keys ...DesignKey) {
 // a cold redesign. Counters are preserved.
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
-	c.entries = nil
+	c.entries, c.removed = nil, 0
 	c.mu.Unlock()
 }
 
@@ -253,7 +276,7 @@ func (c *Cache) Stats() CacheStats {
 
 // publish adds what the cache counted since its previous publish to reg's
 // MetricCache* metrics. Engines call it at every round end and Designers
-// at the end of every DesignBatch; the baseline lives in the cache, so a
+// at the end of every Design; the baseline lives in the cache, so a
 // cache shared by both counts each hit once, and a registry shared by
 // many caches sums them. A nil cache or registry is a no-op.
 func (c *Cache) publish(reg *telemetry.Registry) {

@@ -306,50 +306,30 @@ func (d *Designer) Contracts(ctx context.Context, pop *Population, agents []*wor
 	return d.contracts, nil
 }
 
-// DesignRequest is one design-only query for DesignBatch: an agent (not
-// necessarily a member of any population) plus the requester-side feedback
-// weight to design for.
-type DesignRequest struct {
-	// Agent carries the behavioural parameters the design reads (class,
-	// ψ, β, ω, reservation). It is not retained past the call.
-	Agent *worker.Agent
-	// W is the requester's feedback weight w for this query.
-	W float64
-}
-
-// DesignBatch designs one contract per request against the given partition
-// and compensation weight — the batch entry point for serving layers that
-// coalesce concurrent design-only queries into a single engine pass.
-// Requests sharing a design key within the batch share one menu, and the
-// designer's Cache (when set) carries menus across batches and across a
-// concurrently running round loop wired to the same cache, so a warm query
-// costs one cache lookup, an O(m) pick and zero solver calls.
+// Design designs one agent's contract at requester weight w against the
+// given partition and μ — the entry point for serving layers answering a
+// design-only query. The agent need not belong to any population, and is
+// not retained past the call. With the designer's Cache set, a warm query
+// costs one cache lookup, an O(m) pick and zero solver calls; a cold key
+// is built once across concurrent callers and a round loop wired to the
+// same cache (Cache.claim).
 //
-// Unlike Contracts, DesignBatch touches none of the designer's per-round
-// scratch and allocates its results fresh, so concurrent DesignBatch calls
-// are safe with each other and with Contracts, provided Parallelism,
-// Cache, and Metrics are not mutated concurrently. The returned slice is
-// index-aligned with reqs. On return the Cache's counters are published
-// to Metrics, so a design query's hits reach the registry at the end of
-// its batch.
-func (d *Designer) DesignBatch(ctx context.Context, part effort.Partition, mu float64, reqs []DesignRequest) ([]*contract.PiecewiseLinear, error) {
+// Unlike Contracts, Design touches none of the designer's per-round
+// scratch, so concurrent Design calls are safe with each other and with
+// Contracts, provided Parallelism, Cache, and Metrics are not mutated
+// concurrently. On return the Cache's counters are published to Metrics,
+// so a design query's hits reach the registry when it is answered.
+func (d *Designer) Design(ctx context.Context, part effort.Partition, mu float64, a *worker.Agent, w float64) (*contract.PiecewiseLinear, error) {
 	var p pickPlan
 	p.reset()
-	slots := make([]int32, len(reqs))
-	for i, rq := range reqs {
-		fp := FingerprintOf(rq.Agent, core.Config{Part: part, Mu: mu, W: rq.W})
-		slots[i] = p.add(&fp, rq.Agent)
-	}
+	fp := FingerprintOf(a, core.Config{Part: part, Mu: mu, W: w})
+	p.add(&fp, a)
 	err := p.resolve(ctx, d.Cache, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil)
 	d.Cache.publish(d.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*contract.PiecewiseLinear, len(reqs))
-	for i := range reqs {
-		out[i] = p.picks[slots[i]]
-	}
-	return out, nil
+	return p.picks[0], nil
 }
 
 // Shard returns the designer behind ShardPolicy.ShardContracts, creating

@@ -60,18 +60,24 @@ func TestStepHeapPerAgent(t *testing.T) {
 // mints design keys no agent held before and retires the keys their last
 // holders drifted away from. The engine evicts a retired key's menu and
 // memoized responses, so what it retains must follow the live keys, not
-// every key it ever saw: the heap after round 200 stays within a small
-// bound of the heap after round 20.
+// every key it ever saw: the heap after round 1000 (6,000 keys minted,
+// ~120 live) stays within a small bound of the heap after round 20. That
+// includes the maps the keys pass through — the cache's entries, the
+// memo's entries and byKey index, and the key table's index — which
+// deletion alone does not shrink.
 func TestRetiredKeysHeap(t *testing.T) {
 	const (
 		n       = 120
 		perStep = 6
 		warm    = 20
-		rounds  = 200
+		rounds  = 1000
 		// bound is headroom over the growth measured between rounds 20 and
-		// 200 (under 2 kB, linux/amd64); a menu and its memoized responses
-		// kept per retired key cost over 10 MB here.
-		bound = 256 << 10
+		// 1000: ~40 kB (linux/amd64, with or without -race), the maps
+		// reaching their steady size plus goroutine records. Maps that kept
+		// their deleted slots grew ~155 kB by round 1000, and again at
+		// every later doubling of the keys minted; a menu and its memoized
+		// responses kept per retired key cost tens of MB here.
+		bound = 112 << 10
 	)
 	ctx := context.Background()
 	pop := archetypePopulation(t, n)

@@ -23,6 +23,7 @@ type keyTable struct {
 	// the sweep, -1 a swept id on the free list.
 	counts []int32
 	idx    map[DesignKey]int32 // live and dead-unswept keys → id
+	swept  int                 // deletions from idx since it was last rebuilt
 	free   []int32             // swept ids, reused by ref
 	dead   []int32             // ids whose count reached 0 since the last sweep
 }
@@ -74,9 +75,11 @@ func (t *keyTable) sweep(dst []DesignKey) []DesignKey {
 		}
 		dst = append(dst, t.keys[id])
 		delete(t.idx, t.keys[id])
+		t.swept++
 		t.counts[id] = -1
 		t.free = append(t.free, id)
 	}
 	t.dead = t.dead[:0]
+	t.idx = compact(t.idx, &t.swept)
 	return dst
 }

@@ -151,11 +151,11 @@ func TestFallbackPicksCount(t *testing.T) {
 	d := &engine.Designer{Parallelism: 1, Cache: cache, Metrics: reg}
 	want, wantErr := core.Design(a, core.Config{Part: part, Mu: 1, W: 2})
 	for round := 1; round <= 2; round++ {
-		got, err := d.DesignBatch(context.Background(), part, 1, []engine.DesignRequest{{Agent: a, W: 2}})
+		got, err := d.Design(context.Background(), part, 1, a, 2)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("round %d: DesignBatch err %v, Design err %v", round, err, wantErr)
+			t.Fatalf("round %d: Designer.Design err %v, core.Design err %v", round, err, wantErr)
 		}
-		if err == nil && !reflect.DeepEqual(got[0], want.Contract) {
+		if err == nil && !reflect.DeepEqual(got, want.Contract) {
 			t.Fatalf("round %d: contract differs from Design's", round)
 		}
 		s := reg.Snapshot()

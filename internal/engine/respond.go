@@ -78,10 +78,13 @@ type RespondMemo struct {
 	// all of a dead key's (key, contract) entries without scanning the
 	// map. Maintained by Put, discarded with the entries on Invalidate
 	// and cap flushes.
-	byKey   map[DesignKey][]*contract.PiecewiseLinear
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	flushes uint64 // cap flushes; guarded by mu
+	byKey map[DesignKey][]*contract.PiecewiseLinear
+	// removed counts deletions from entries, removedKeys from byKey, since
+	// each map was last rebuilt (see compact).
+	removed, removedKeys int
+	hits                 atomic.Uint64
+	misses               atomic.Uint64
+	flushes              uint64 // cap flushes; guarded by mu
 	// pub is what this memo last added to a registry (see publish).
 	pub published
 }
@@ -119,6 +122,7 @@ func (m *RespondMemo) Put(key DesignKey, c *contract.PiecewiseLinear, resp worke
 	} else if len(m.entries) >= max {
 		m.entries = make(map[respondKey]worker.Response)
 		m.byKey = nil
+		m.removed, m.removedKeys = 0, 0
 		m.flushes++
 	}
 	if _, dup := m.entries[rk]; !dup {
@@ -141,11 +145,19 @@ func (m *RespondMemo) RemoveKeys(keys ...DesignKey) {
 	}
 	m.mu.Lock()
 	for _, key := range keys {
-		for _, c := range m.byKey[key] {
+		cs, ok := m.byKey[key]
+		if !ok {
+			continue
+		}
+		for _, c := range cs {
 			delete(m.entries, respondKey{key: key, c: c})
 		}
 		delete(m.byKey, key)
+		m.removed += len(cs)
+		m.removedKeys++
 	}
+	m.entries = compact(m.entries, &m.removed)
+	m.byKey = compact(m.byKey, &m.removedKeys)
 	m.mu.Unlock()
 }
 
@@ -154,8 +166,8 @@ func (m *RespondMemo) RemoveKeys(keys ...DesignKey) {
 // to force a cold re-respond. Counters are preserved.
 func (m *RespondMemo) Invalidate() {
 	m.mu.Lock()
-	m.entries = nil
-	m.byKey = nil
+	m.entries, m.byKey = nil, nil
+	m.removed, m.removedKeys = 0, 0
 	m.mu.Unlock()
 }
 

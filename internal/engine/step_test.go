@@ -108,55 +108,58 @@ func TestStepReturnsErrStopVerbatim(t *testing.T) {
 	}
 }
 
-// TestDesignBatch pins the batch design entry: results are index-aligned,
-// identical fingerprints share one contract pointer, the shared cache
-// serves repeat batches without new solves, and concurrent batches against
-// one designer race-cleanly (exercised under -race).
+// TestDesignBatch pins the design-query entry, Designer.Design: identical
+// fingerprints share one contract pointer, answers equal core.Design's, the
+// shared cache serves repeat queries without new solves, and concurrent
+// queries against one designer race-cleanly (exercised under -race).
 func TestDesignBatch(t *testing.T) {
 	pop := archetypePopulation(t, 6)
 	cache := engine.NewCache()
 	d := &engine.Designer{Cache: cache}
-
-	var reqs []engine.DesignRequest
-	for _, a := range pop.Agents {
-		reqs = append(reqs, engine.DesignRequest{Agent: a, W: pop.Weights[a.ID]})
-	}
 	ctx := context.Background()
-	got, err := d.DesignBatch(ctx, pop.Part, pop.Mu, reqs)
+	design := func() ([]*contract.PiecewiseLinear, error) {
+		out := make([]*contract.PiecewiseLinear, len(pop.Agents))
+		for i, a := range pop.Agents {
+			c, err := d.Design(ctx, pop.Part, pop.Mu, a, pop.Weights[a.ID])
+			if err != nil {
+				return nil, err
+			}
+			out[i] = c
+		}
+		return out, nil
+	}
+	got, err := design()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("DesignBatch returned %d contracts for %d requests", len(got), len(reqs))
 	}
 	// Archetypes repeat every 3 agents: same fingerprint, same pointer.
 	for i := 3; i < len(got); i++ {
 		if got[i] != got[i-3] {
-			t.Errorf("request %d did not dedup against request %d", i, i-3)
+			t.Errorf("query %d did not share query %d's contract", i, i-3)
 		}
 	}
-	// A cold batch with k distinct fingerprints costs exactly k misses.
+	// Cold queries over k distinct design keys cost exactly k misses.
 	if s := cache.Stats(); s.Misses != 3 || s.Entries != 3 {
-		t.Fatalf("cold batch stats = %+v, want 3 misses / 3 entries", s)
+		t.Fatalf("cold query stats = %+v, want 3 misses / 3 entries", s)
 	}
 
-	// The batch result matches the per-agent reference design.
-	for i, rq := range reqs {
-		ref, err := core.Design(rq.Agent, core.Config{Part: pop.Part, Mu: pop.Mu, W: rq.W})
+	// Every answer matches the per-agent reference design.
+	for i, a := range pop.Agents {
+		ref, err := core.Design(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got[i].Equal(ref.Contract) {
-			t.Errorf("agent %s: batch contract differs from core.Design", rq.Agent.ID)
+			t.Errorf("agent %s: Design differs from core.Design", a.ID)
 		}
 	}
 
-	// Warm batches — including concurrent ones — are all cache hits.
+	// Warm queries — including concurrent ones — are all cache hits.
 	misses := cache.Stats().Misses
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			_, err := d.DesignBatch(ctx, pop.Part, pop.Mu, reqs)
+			_, err := design()
 			done <- err
 		}()
 	}
@@ -166,56 +169,60 @@ func TestDesignBatch(t *testing.T) {
 		}
 	}
 	if s := cache.Stats(); s.Misses != misses {
-		t.Errorf("warm batches added misses: %d -> %d", misses, s.Misses)
+		t.Errorf("warm queries added misses: %d -> %d", misses, s.Misses)
 	}
 }
 
 // TestDesignBatchConcurrentColdBuildsOnce pins the build-once claim on a
-// cold cache: concurrent batches that share 3 design keys, each at its own
-// weights, build each menu exactly once between them, and every batch's
-// answers equal core.Design's.
+// cold cache: 8 goroutines querying the same 3 design keys, each at its
+// own weights, build each menu exactly once between them, and every
+// answer equals core.Design's.
 func TestDesignBatchConcurrentColdBuildsOnce(t *testing.T) {
 	pop := archetypePopulation(t, 6)
 	cache := engine.NewCache()
 	d := &engine.Designer{Cache: cache}
 	ctx := context.Background()
-	const batches = 8
-	reqs := make([][]engine.DesignRequest, batches)
-	got := make([][]*contract.PiecewiseLinear, batches)
-	errs := make(chan error, batches)
-	for g := range reqs {
-		for i, a := range pop.Agents {
-			reqs[g] = append(reqs[g], engine.DesignRequest{Agent: a, W: 0.1 + 0.3*float64(g) + 0.01*float64(i)})
-		}
+	const clients = 8
+	weight := func(g, i int) float64 { return 0.1 + 0.3*float64(g) + 0.01*float64(i) }
+	got := make([][]*contract.PiecewiseLinear, clients)
+	errs := make(chan error, clients)
+	for g := range got {
+		got[g] = make([]*contract.PiecewiseLinear, len(pop.Agents))
 		go func() {
-			var err error
-			got[g], err = d.DesignBatch(ctx, pop.Part, pop.Mu, reqs[g])
-			errs <- err
+			for i, a := range pop.Agents {
+				c, err := d.Design(ctx, pop.Part, pop.Mu, a, weight(g, i))
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[g][i] = c
+			}
+			errs <- nil
 		}()
 	}
-	for range reqs {
+	for range got {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s := cache.Stats(); s.Misses != 3 || s.Entries != 3 {
-		t.Fatalf("concurrent cold batches: %+v, want 3 menu builds / 3 menus", s)
+		t.Fatalf("concurrent cold queries: %+v, want 3 menu builds / 3 menus", s)
 	}
-	for g := range reqs {
-		for i, rq := range reqs[g] {
-			ref, err := core.Design(rq.Agent, core.Config{Part: pop.Part, Mu: pop.Mu, W: rq.W})
+	for g := range got {
+		for i, a := range pop.Agents {
+			ref, err := core.Design(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: weight(g, i)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got[g][i].Equal(ref.Contract) {
-				t.Fatalf("batch %d agent %s: contract differs from core.Design", g, rq.Agent.ID)
+				t.Fatalf("client %d agent %s: contract differs from core.Design", g, a.ID)
 			}
 		}
 	}
 }
 
-// TestDesignBatchForeignAgent checks that DesignBatch serves queries for
-// agents outside any population — the serving layer's inline-spec path.
+// TestDesignBatchForeignAgent checks that Design serves queries for agents
+// outside any population — the serving layer's inline-spec path.
 func TestDesignBatchForeignAgent(t *testing.T) {
 	pop := archetypePopulation(t, 3)
 	psi, err := effort.NewQuadratic(-0.03, 2.5, 0.5, pop.Part.YMax())
@@ -227,11 +234,11 @@ func TestDesignBatchForeignAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &engine.Designer{}
-	got, err := d.DesignBatch(context.Background(), pop.Part, pop.Mu, []engine.DesignRequest{{Agent: a, W: 0.7}})
+	got, err := d.Design(context.Background(), pop.Part, pop.Mu, a, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] == nil {
-		t.Fatalf("DesignBatch = %v, want one non-nil contract", got)
+	if got == nil {
+		t.Fatal("Design returned no contract")
 	}
 }

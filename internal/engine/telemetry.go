@@ -45,7 +45,7 @@ const (
 	MetricRoundSeconds = "dyncontract_engine_round_seconds"
 
 	// Design-cache counters, published by every Cache at engine round
-	// end and at the end of Designer.DesignBatch (Cache.publish), so a
+	// end and at the end of every Designer.Design (Cache.publish), so a
 	// registry shared by many caches — one per session or run — sums
 	// them. Entries is the menus held at each live cache's last publish:
 	// when Engine.Run finishes, its cache takes its share back out

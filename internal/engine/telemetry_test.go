@@ -225,15 +225,16 @@ func TestPublishSumsRunsAndCountsSharedCacheOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := &engine.Designer{Cache: cache, Metrics: reg}
-		reqs := []engine.DesignRequest{{Agent: pop.Agents[0], W: 1}, {Agent: pop.Agents[1], W: 2}}
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for j := 0; j < 5; j++ {
-					if _, err := d.DesignBatch(ctx, pop.Part, pop.Mu, reqs); err != nil {
-						t.Error(err)
+					for k, w := range []float64{1, 2} {
+						if _, err := d.Design(ctx, pop.Part, pop.Mu, pop.Agents[k], w); err != nil {
+							t.Error(err)
+						}
 					}
 				}
 			}()
@@ -246,7 +247,7 @@ func TestPublishSumsRunsAndCountsSharedCacheOnce(t *testing.T) {
 		wg.Wait()
 		stats := cache.Stats()
 		if stats.Hits < 4*5*2-3 {
-			t.Fatalf("design batches barely hit the cache: %+v", stats)
+			t.Fatalf("design queries barely hit the cache: %+v", stats)
 		}
 		if got := registryCacheStats(reg.Snapshot()); got != stats {
 			t.Errorf("registry %+v, cache counted %+v", got, stats)

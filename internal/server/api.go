@@ -7,14 +7,13 @@
 //   - Round advancement and drift are serialized per session through a
 //     single-writer loop, so ledgers are byte-identical to the same
 //     request sequence applied sequentially to a bare engine.
-//   - Design-only queries are group-committed into micro-batches: a query
-//     that finds the batcher idle runs at once with whatever is already
-//     queued (up to BatchMax), and is served through one
-//     engine.Designer.DesignBatch pass per batch, against the same design
-//     cache the round loop warms.
-//   - Overload produces backpressure, not queues without bound: bounded
-//     per-session queues and an in-flight cap return 429 with
-//     Retry-After; a draining server returns 503.
+//   - A design-only query runs on its own request goroutine through
+//     engine.Designer.Design, against the same design cache the round
+//     loop warms: a warm query is a lookup and an O(m) pick, and a cold
+//     key is built once across concurrent queries and rounds.
+//   - Overload produces backpressure, not queues without bound: the
+//     bounded per-session command queue and an in-flight cap return 429
+//     with Retry-After; a draining server returns 503.
 //
 // Every route is instrumented through telemetry.InstrumentHandler, and
 // the server exposes /metrics (Prometheus text) + /debug/pprof/ via
@@ -310,12 +309,10 @@ func (r *DesignQueryRequest) Validate() error {
 	return nil
 }
 
-// DesignQueryResponse carries the designed contract back, with the size
-// of the micro-batch the query rode in (1 = it flew alone).
+// DesignQueryResponse carries the designed contract back.
 type DesignQueryResponse struct {
-	AgentID   string                    `json:"agent_id,omitempty"`
-	Contract  *contract.PiecewiseLinear `json:"contract"`
-	BatchSize int                       `json:"batch_size"`
+	AgentID  string                    `json:"agent_id,omitempty"`
+	Contract *contract.PiecewiseLinear `json:"contract"`
 }
 
 // DriftRequest is the POST /v1/sessions/{id}/drift body: sparse per-agent

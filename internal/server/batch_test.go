@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -9,7 +10,7 @@ import (
 	"time"
 
 	"dyncontract/internal/core"
-	"dyncontract/internal/telemetry"
+	"dyncontract/internal/engine"
 )
 
 // TestDesignQueryMatchesCoreDesign pins the serving path to the math: a
@@ -23,7 +24,7 @@ func TestDesignQueryMatchesCoreDesign(t *testing.T) {
 	if code := e.do(t, "POST", "/v1/sessions/"+id+"/design", &q, &resp); code != http.StatusOK {
 		t.Fatalf("design: status %d", code)
 	}
-	if resp.AgentID != "m1" || resp.Contract == nil || resp.BatchSize < 1 {
+	if resp.AgentID != "m1" || resp.Contract == nil {
 		t.Fatalf("bad response: %+v", resp)
 	}
 
@@ -77,42 +78,61 @@ func TestDesignQueryInlineAgent(t *testing.T) {
 	}
 }
 
-// holdFirstBatch makes the session's batcher stop inside its first batch.
-// held waits until the batcher has taken that batch and returns its size;
-// the batch runs when release is called (at the latest when the test
-// ends, so a failing test cannot leave a handler blocked). Later batches
-// run unheld.
-func holdFirstBatch(t *testing.T, e *testServer, id string) (held func() int, release func()) {
-	sizes, gate := make(chan int, 1), make(chan struct{})
-	var hold, open sync.Once
-	release = func() { open.Do(func() { close(gate) }) }
-	t.Cleanup(release)
-	e.srv.mu.Lock()
-	e.srv.sessions[id].batchHook = func(n int) {
-		hold.Do(func() {
-			sizes <- n
-			<-gate
-		})
-	}
-	e.srv.mu.Unlock()
-	held = func() int {
-		t.Helper()
-		select {
-		case n := <-sizes:
-			return n
-		case <-time.After(10 * time.Second):
-			t.Fatal("the batcher took no batch within 10s")
-			return 0
-		}
-	}
-	return held, release
+// heldCtx holds the first Err call on it until gate closes. A design
+// under it claims its cold key's menu flight and then, at the solver's
+// first cancellation check, holds that flight open: every other query for
+// the key awaits it, as it would await a slow cold build.
+type heldCtx struct {
+	context.Context
+	once          sync.Once
+	entered, gate chan struct{}
 }
 
-// designResult is one design query's status and reported batch size, or
-// the transport error that kept it from answering.
+func (c *heldCtx) Err() error {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.gate
+	})
+	return c.Context.Err()
+}
+
+// holdFlight claims agentID's design key in the session's cache, through
+// a designer on that cache, and holds the menu flight open until release
+// is called (at the latest when the test ends, so a failing test cannot
+// leave a handler blocked). It returns once the flight is claimed; landed
+// answers when the held build has landed.
+func holdFlight(t *testing.T, e *testServer, id, agentID string) (release func(), landed <-chan error) {
+	t.Helper()
+	sess := e.srv.sessions[id]
+	a, w, err := sess.resolveDesign(&DesignQueryRequest{AgentID: agentID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &heldCtx{Context: context.Background(), entered: make(chan struct{}), gate: make(chan struct{})}
+	var open sync.Once
+	release = func() { open.Do(func() { close(ctx.gate) }) }
+	t.Cleanup(release)
+	// Parallelism 1 runs the build on the holder's goroutine, behind the
+	// solver's first check of ctx.
+	d := &engine.Designer{Cache: sess.designer.Cache, Parallelism: 1}
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Design(ctx, sess.pop.Part, sess.pop.Mu, a, w)
+		done <- err
+	}()
+	select {
+	case <-ctx.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held design did not reach its build within 10s")
+	}
+	return release, done
+}
+
+// designResult is one design query's status, or the transport error that
+// kept it from answering.
 type designResult struct {
-	code, batch int
-	err         error
+	code int
+	err  error
 }
 
 // designAsync posts a design query for agentID from its own goroutine.
@@ -129,10 +149,8 @@ func designAsync(e *testServer, id, agentID string) <-chan designResult {
 			out <- designResult{err: err}
 			return
 		}
-		defer resp.Body.Close()
-		var r DesignQueryResponse
-		_ = json.NewDecoder(resp.Body).Decode(&r) // error bodies carry no batch size
-		out <- designResult{code: resp.StatusCode, batch: r.BatchSize}
+		resp.Body.Close()
+		out <- designResult{code: resp.StatusCode}
 	}()
 	return out
 }
@@ -152,85 +170,6 @@ func awaitDesign(t *testing.T, ch <-chan designResult) designResult {
 	}
 }
 
-// TestDesignBatchCoalesces pins group commit: a query that finds the
-// batcher idle is taken alone at once, and the queries that arrive while
-// its batch runs all ride exactly one follow-up batch (and the batch
-// counter and size histogram observe exactly those two batches).
-func TestDesignBatchCoalesces(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e := newTestServer(t, Config{Metrics: reg})
-	id := e.createSession(t)
-	sess := e.srv.sessions[id]
-	held, release := holdFirstBatch(t, e, id)
-
-	first := designAsync(e, id, "h1")
-	if n := held(); n != 1 {
-		t.Fatalf("held batch has %d queries, want 1", n)
-	}
-	const n = 7
-	ids := []string{"h1", "h2", "m1", "c1"}
-	rest := make([]<-chan designResult, n)
-	for i := range rest {
-		rest[i] = designAsync(e, id, ids[i%len(ids)])
-	}
-	waitFor(t, "queries to queue behind the held batch", func() bool { return len(sess.designCh) == n })
-	release()
-
-	if r := awaitDesign(t, first); r.code != http.StatusOK || r.batch != 1 {
-		t.Errorf("held query: status %d, batch %d; want 200, 1", r.code, r.batch)
-	}
-	for i, ch := range rest {
-		if r := awaitDesign(t, ch); r.code != http.StatusOK || r.batch != n {
-			t.Errorf("queued query %d: status %d, batch %d; want 200, %d", i, r.code, r.batch, n)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[metricBatches]; got != 2 {
-		t.Errorf("%s = %d, want 2", metricBatches, got)
-	}
-	if h := snap.Histograms[metricBatchSize]; h.Count != 2 || h.Sum != 1+n {
-		t.Errorf("batch-size histogram: count %d sum %v, want 2 and %d", h.Count, h.Sum, 1+n)
-	}
-}
-
-// TestBatchMaxTriggersEarly pins the size cap: five queries queued behind
-// a held batch with BatchMax=2 ride batches of 2, 2 and 1.
-func TestBatchMaxTriggersEarly(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e := newTestServer(t, Config{BatchMax: 2, Metrics: reg})
-	id := e.createSession(t)
-	sess := e.srv.sessions[id]
-	held, release := holdFirstBatch(t, e, id)
-
-	first := designAsync(e, id, "h1")
-	held()
-	const n = 5
-	rest := make([]<-chan designResult, n)
-	for i := range rest {
-		rest[i] = designAsync(e, id, "h2")
-	}
-	waitFor(t, "queries to queue behind the held batch", func() bool { return len(sess.designCh) == n })
-	release()
-
-	if r := awaitDesign(t, first); r.code != http.StatusOK || r.batch != 1 {
-		t.Errorf("held query: status %d, batch %d; want 200, 1", r.code, r.batch)
-	}
-	sizes := map[int]int{}
-	for i, ch := range rest {
-		r := awaitDesign(t, ch)
-		if r.code != http.StatusOK {
-			t.Errorf("queued query %d: status %d", i, r.code)
-		}
-		sizes[r.batch]++
-	}
-	if sizes[2] != 4 || sizes[1] != 1 {
-		t.Errorf("queued queries by batch size %v, want map[1:1 2:4]", sizes)
-	}
-	if got := reg.Snapshot().Counters[metricBatches]; got != 4 {
-		t.Errorf("%s = %d, want 4", metricBatches, got)
-	}
-}
-
 // TestLoneDesignQueryDoesNotLinger pins that the deprecated BatchWindow is
 // ignored: a lone query answers at once, well inside a request timeout far
 // shorter than the configured window.
@@ -242,45 +181,43 @@ func TestLoneDesignQueryDoesNotLinger(t *testing.T) {
 	if code := e.do(t, "POST", "/v1/sessions/"+id+"/design", &q, &resp); code != http.StatusOK {
 		t.Fatalf("design: status %d", code)
 	}
-	if resp.BatchSize != 1 {
-		t.Errorf("batch size = %d, want 1", resp.BatchSize)
+	if resp.Contract == nil {
+		t.Error("no contract")
 	}
 }
 
 // TestDesignQueryDeadlineBehindHeldBatch pins the handler's deadline: a
-// query queued behind a batch that outlasts RequestTimeout answers 504 at
-// its deadline, not when the batch ends, and the batcher serves the next
-// query normally once the batch completes.
+// query awaiting a cold build of its key that outlasts RequestTimeout
+// answers 504 at its deadline, not when the build lands. A query for
+// another key is not held behind it, and once the build lands the held
+// key's next query answers 200.
 func TestDesignQueryDeadlineBehindHeldBatch(t *testing.T) {
 	e := newTestServer(t, Config{RequestTimeout: 200 * time.Millisecond})
 	id := e.createSession(t)
-	sess := e.srv.sessions[id]
-	held, release := holdFirstBatch(t, e, id)
+	release, landed := holdFlight(t, e, id, "h1")
 
-	first := designAsync(e, id, "h1")
-	held()
-	queued := designAsync(e, id, "h2")
-	waitFor(t, "a query to queue behind the held batch", func() bool { return len(sess.designCh) == 1 })
-	r := awaitDesign(t, queued)
-	if r.code != http.StatusGatewayTimeout {
-		t.Errorf("queued query past its deadline: status %d, want 504", r.code)
+	if r := awaitDesign(t, designAsync(e, id, "h1")); r.code != http.StatusGatewayTimeout {
+		t.Errorf("query awaiting the held build past its deadline: status %d, want 504", r.code)
 	}
-	if r := awaitDesign(t, first); r.code != http.StatusGatewayTimeout {
-		t.Errorf("held query past its deadline: status %d, want 504", r.code)
+	if r := awaitDesign(t, designAsync(e, id, "m1")); r.code != http.StatusOK {
+		t.Errorf("query for another key while the build is held: status %d, want 200", r.code)
 	}
 	release()
+	if err := <-landed; err != nil {
+		t.Fatalf("held build: %v", err)
+	}
 
 	var resp DesignQueryResponse
-	if code := e.do(t, "POST", "/v1/sessions/"+id+"/design", &DesignQueryRequest{AgentID: "m1"}, &resp); code != http.StatusOK {
-		t.Fatalf("design after the held batch: status %d", code)
+	if code := e.do(t, "POST", "/v1/sessions/"+id+"/design", &DesignQueryRequest{AgentID: "h1"}, &resp); code != http.StatusOK {
+		t.Fatalf("design after the held build landed: status %d", code)
 	}
-	if resp.BatchSize != 1 {
-		t.Errorf("batch size = %d, want 1", resp.BatchSize)
+	if resp.Contract == nil {
+		t.Error("no contract")
 	}
 }
 
 // TestDesignServedFromWarmCache checks the cache hand-off between the
-// round loop and the design batcher: after one round, a design query for a
+// round loop and design queries: after one round, a design query for a
 // session agent is a pure cache hit (no new misses).
 func TestDesignServedFromWarmCache(t *testing.T) {
 	e := newTestServer(t, Config{})

@@ -7,10 +7,9 @@ import "dyncontract/internal/telemetry"
 const (
 	// metricSessions is the number of live sessions.
 	metricSessions = "dyncontract_server_sessions"
-	// metricRoundQueueDepth / metricDesignQueueDepth are the summed queue
-	// occupancies across sessions — the backpressure dials.
-	metricRoundQueueDepth  = "dyncontract_server_round_queue_depth"
-	metricDesignQueueDepth = "dyncontract_server_design_queue_depth"
+	// metricRoundQueueDepth is the summed command-queue occupancy across
+	// sessions — the backpressure dial.
+	metricRoundQueueDepth = "dyncontract_server_round_queue_depth"
 	// metricInFlight counts admitted-but-unanswered requests across all
 	// sessions (queued or executing).
 	metricInFlight = "dyncontract_server_inflight"
@@ -20,24 +19,12 @@ const (
 	// metricRounds / metricDrifts count successfully applied commands.
 	metricRounds = "dyncontract_server_rounds_total"
 	metricDrifts = "dyncontract_server_drifts_total"
-	// metricBatches counts executed design micro-batches; metricBatchSize
-	// histograms how many queries each one coalesced.
-	metricBatches   = "dyncontract_server_design_batches_total"
-	metricBatchSize = "dyncontract_server_design_batch_size"
 	// metricSessionQueueDepth is the commands sitting in session queues
 	// right now; metricSessionQueueWait histograms how long each one sat
 	// before the writer picked it up. Depth says the queues are backed up;
 	// wait says what that costs a request.
 	metricSessionQueueDepth = "dyncontract_server_session_queue_depth"
 	metricSessionQueueWait  = "dyncontract_server_session_queue_wait_seconds"
-)
-
-// batch-size histogram layout: unit bins over [0, 256); batches larger than
-// the size trigger can never exist, so the range is generous.
-const (
-	batchSizeLo   = 0
-	batchSizeHi   = 256
-	batchSizeBins = 256
 )
 
 // queue-wait histogram layout: 10ms bins over [0, 2.5s), matching the
@@ -53,17 +40,14 @@ const (
 // serverMetrics is fully operational as a no-op (telemetry's nil-is-off
 // rule), so an un-instrumented Server costs nothing.
 type serverMetrics struct {
-	sessions    *telemetry.Gauge
-	roundQueue  *telemetry.Gauge
-	designQueue *telemetry.Gauge
-	inFlight    *telemetry.Gauge
-	rejected    *telemetry.Counter
-	rounds      *telemetry.Counter
-	drifts      *telemetry.Counter
-	batches     *telemetry.Counter
-	batchSize   *telemetry.Histogram
-	queueDepth  *telemetry.Gauge
-	queueWaitH  *telemetry.Histogram
+	sessions   *telemetry.Gauge
+	roundQueue *telemetry.Gauge
+	inFlight   *telemetry.Gauge
+	rejected   *telemetry.Counter
+	rounds     *telemetry.Counter
+	drifts     *telemetry.Counter
+	queueDepth *telemetry.Gauge
+	queueWaitH *telemetry.Histogram
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -71,17 +55,14 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		return nil
 	}
 	return &serverMetrics{
-		sessions:    reg.Gauge(metricSessions),
-		roundQueue:  reg.Gauge(metricRoundQueueDepth),
-		designQueue: reg.Gauge(metricDesignQueueDepth),
-		inFlight:    reg.Gauge(metricInFlight),
-		rejected:    reg.Counter(metricRejected),
-		rounds:      reg.Counter(metricRounds),
-		drifts:      reg.Counter(metricDrifts),
-		batches:     reg.Counter(metricBatches),
-		batchSize:   reg.Histogram(metricBatchSize, batchSizeLo, batchSizeHi, batchSizeBins),
-		queueDepth:  reg.Gauge(metricSessionQueueDepth),
-		queueWaitH:  reg.Histogram(metricSessionQueueWait, queueWaitLo, queueWaitHi, queueWaitBins),
+		sessions:   reg.Gauge(metricSessions),
+		roundQueue: reg.Gauge(metricRoundQueueDepth),
+		inFlight:   reg.Gauge(metricInFlight),
+		rejected:   reg.Counter(metricRejected),
+		rounds:     reg.Counter(metricRounds),
+		drifts:     reg.Counter(metricDrifts),
+		queueDepth: reg.Gauge(metricSessionQueueDepth),
+		queueWaitH: reg.Histogram(metricSessionQueueWait, queueWaitLo, queueWaitHi, queueWaitBins),
 	}
 }
 
@@ -94,12 +75,6 @@ func (m *serverMetrics) addSessions(d float64) {
 func (m *serverMetrics) addRoundQueue(d float64) {
 	if m != nil {
 		m.roundQueue.Add(d)
-	}
-}
-
-func (m *serverMetrics) addDesignQueue(d float64) {
-	if m != nil {
-		m.designQueue.Add(d)
 	}
 }
 
@@ -138,12 +113,5 @@ func (m *serverMetrics) addSessionQueue(d float64) {
 func (m *serverMetrics) queueWait(seconds float64, label string) {
 	if m != nil {
 		m.queueWaitH.ObserveExemplar(seconds, label)
-	}
-}
-
-func (m *serverMetrics) batchDone(size int) {
-	if m != nil {
-		m.batches.Inc()
-		m.batchSize.Observe(float64(size))
 	}
 }

@@ -27,17 +27,11 @@ import (
 // Config tunes a Server. The zero value is usable: Defaults fills every
 // unset field.
 type Config struct {
-	// Deprecated: BatchWindow is ignored. The design batcher group-commits:
-	// a query that finds it idle runs at once, with whatever is already
-	// queued behind it, so no query waits on a timer.
+	// Deprecated: BatchWindow is ignored. Design queries run on their
+	// request goroutines, so no query waits on a timer.
 	BatchWindow time.Duration
-	// BatchMax caps how many queued design queries one micro-batch takes.
-	// Default 64.
-	BatchMax int
 	// CommandQueue bounds each session's round/drift queue. Default 16.
 	CommandQueue int
-	// DesignQueue bounds each session's design-query queue. Default 1024.
-	DesignQueue int
 	// MaxInFlight caps admitted-but-unanswered requests per session
 	// (queued or executing); beyond it, 429. Default 256.
 	MaxInFlight int
@@ -70,14 +64,8 @@ type Config struct {
 
 // Defaults returns cfg with every unset field at its default.
 func (cfg Config) Defaults() Config {
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
 	if cfg.CommandQueue <= 0 {
 		cfg.CommandQueue = 16
-	}
-	if cfg.DesignQueue <= 0 {
-		cfg.DesignQueue = 1024
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
@@ -101,9 +89,8 @@ type Server struct {
 	logger  *slog.Logger
 	mux     *http.ServeMux
 
-	// baseCtx outlives any single request: design batches and the writer
-	// loops run under it so one client's deadline cannot cancel work other
-	// clients share. Drain cancels it last.
+	// baseCtx outlives any single request: recovery replays journaled
+	// rounds under it. Drain cancels it last.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
@@ -247,9 +234,12 @@ func (s *Server) traced(name string, next http.Handler) http.Handler {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain shuts the server down gracefully: new work is refused (healthz
-// flips to 503), every session finishes its in-flight command and batch,
-// queued work is answered 503, and the call returns when all session
-// goroutines have exited or ctx expires.
+// flips to 503, and admit answers new requests 503), every session
+// finishes its in-flight command, queued commands are answered 503, and
+// the call returns when every session's writer has exited or ctx expires.
+// Design queries run on their request goroutines, so Drain does not wait
+// for those already admitted; http.Server.Shutdown, which contractd calls
+// after Drain, does.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -263,12 +253,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	defer s.cancelBase()
 	for _, sess := range all {
-		for _, ch := range []chan struct{}{sess.done, sess.batchDn} {
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				return fmt.Errorf("server: drain: session %s still busy: %w", sess.id, ctx.Err())
-			}
+		select {
+		case <-sess.done:
+		case <-ctx.Done():
+			return fmt.Errorf("server: drain: session %s still busy: %w", sess.id, ctx.Err())
 		}
 	}
 	return nil
@@ -423,7 +411,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	dreq, agentID, err := sess.resolveDesign(&req)
+	a, wt, err := sess.resolveDesign(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -436,26 +424,12 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	dc := &designCall{ctx: ctx, agentID: agentID, req: dreq, reply: make(chan designReply, 1)}
-	if code, err := sess.submitDesign(dc); err != nil {
+	c, code, err := sess.design(ctx, a, wt)
+	if err != nil {
 		writeError(w, code, err)
 		return
 	}
-	var rep designReply
-	select {
-	case rep = <-dc.reply:
-	case <-ctx.Done(): // the reply is buffered: the batcher never waits on us
-		rep = designReply{err: ctx.Err(), code: statusForCtx(ctx.Err())}
-	}
-	if rep.err != nil {
-		writeError(w, rep.code, rep.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, DesignQueryResponse{
-		AgentID:   agentID,
-		Contract:  rep.contract,
-		BatchSize: rep.batch,
-	})
+	writeJSON(w, http.StatusOK, DesignQueryResponse{AgentID: a.ID, Contract: c})
 }
 
 // lookup resolves {id} or writes 404.
@@ -564,10 +538,8 @@ func (s *Server) assembleSession(req *CreateSessionRequest, pop *engine.Populati
 		designer:   &engine.Designer{Cache: cache, Metrics: s.cfg.Metrics},
 		req:        &knobs,
 		cmds:       make(chan command, s.cfg.CommandQueue),
-		designCh:   make(chan *designCall, s.cfg.DesignQueue),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
-		batchDn:    make(chan struct{}),
 	}, nil
 }
 

@@ -63,21 +63,6 @@ type cmdReply struct {
 	code  int
 }
 
-// designCall is one design-only query waiting to ride a micro-batch.
-type designCall struct {
-	ctx     context.Context
-	agentID string
-	req     engine.DesignRequest
-	reply   chan designReply // buffered(1)
-}
-
-type designReply struct {
-	contract *contract.PiecewiseLinear
-	batch    int
-	err      error
-	code     int
-}
-
 // captureObserver records the round a Step just completed and, when
 // asked, the round's contract map. It lives on the writer goroutine only.
 // last.Outcomes aliases the engine's reusable backing array: it is valid
@@ -111,8 +96,8 @@ func (c *captureObserver) OnRoundEnd(r engine.Round) error {
 }
 
 // session is one long-lived engine behind the API: population, policy,
-// cache, ledger, and the two goroutines that own all mutation — the
-// single-writer command loop (rounds + drift) and the design batcher.
+// cache, ledger, and the single-writer command loop (rounds + drift) that
+// owns all mutation. Design queries run on their request goroutines.
 type session struct {
 	id         string
 	name       string
@@ -136,15 +121,10 @@ type session struct {
 	// listHook, when set, runs after rounds builds each listed round
 	// (tests hold a listing mid-way with it).
 	listHook func(i int)
-	// batchHook, when set, runs with a batch's size just before the
-	// batcher executes it (tests hold a batch with it).
-	batchHook func(n int)
 
-	cmds     chan command
-	designCh chan *designCall
-	quit     chan struct{}
-	done     chan struct{} // writer exited
-	batchDn  chan struct{} // batcher exited
+	cmds chan command
+	quit chan struct{}
+	done chan struct{} // writer exited
 
 	inFlight atomic.Int64
 	draining atomic.Bool
@@ -167,14 +147,13 @@ type session struct {
 	replayed  int
 }
 
-// start launches the session's writer and batcher goroutines.
+// start launches the session's writer goroutine.
 func (s *session) start() {
 	go s.writerLoop()
-	go s.batcherLoop()
 }
 
-// close begins drain: no new admissions, queued work answered 503, the
-// command or batch currently executing runs to completion.
+// close begins drain: no new admissions, queued commands answered 503, the
+// command currently executing runs to completion.
 func (s *session) close() {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.quit)
@@ -219,18 +198,6 @@ func (s *session) submit(cmd command) (code int, err error) {
 		cmd.qspan.End() // rejected, never waited
 		s.srv.metrics.reject()
 		return http.StatusTooManyRequests, fmt.Errorf("session %s: command queue full", s.id)
-	}
-}
-
-// submitDesign enqueues a design call without blocking.
-func (s *session) submitDesign(dc *designCall) (code int, err error) {
-	select {
-	case s.designCh <- dc:
-		s.srv.metrics.addDesignQueue(1)
-		return 0, nil
-	default:
-		s.srv.metrics.reject()
-		return http.StatusTooManyRequests, fmt.Errorf("session %s: design queue full", s.id)
 	}
 }
 
@@ -501,142 +468,50 @@ func (s *session) runDrift(req *DriftRequest) cmdReply {
 	}}
 }
 
-// batcherLoop serves design-only queries by group commit: a call that
-// finds the batcher idle runs at once, together with whatever is already
-// queued behind it (up to Config.BatchMax); calls that arrive while a batch
-// runs queue up and form the next one. One engine pass serves each batch,
-// and the session's design cache — shared with the round loop — makes
-// warm queries pure lookups.
-func (s *session) batcherLoop() {
-	defer close(s.batchDn)
-	batch := make([]*designCall, 0, s.srv.cfg.BatchMax)
-	for {
-		// quit wins over queued work: the batch that ran has completed,
-		// and whatever is still queued was never started — 503.
-		select {
-		case <-s.quit:
-			for {
-				select {
-				case dc := <-s.designCh:
-					s.srv.metrics.addDesignQueue(-1)
-					dc.reply <- designReply{err: errDraining, code: http.StatusServiceUnavailable}
-				default:
-					return
-				}
-			}
-		default:
-		}
-		select {
-		case <-s.quit:
-			continue
-		case dc := <-s.designCh:
-			batch = append(batch[:0], dc)
-		}
-	gather:
-		for len(batch) < s.srv.cfg.BatchMax {
-			select {
-			case dc := <-s.designCh:
-				batch = append(batch, dc)
-			default:
-				break gather
-			}
-		}
-		s.srv.metrics.addDesignQueue(float64(-len(batch)))
-		if s.batchHook != nil {
-			s.batchHook(len(batch))
-		}
-		s.runBatch(batch)
-		clear(batch) // answered: hold no caller past its reply
-	}
-}
-
-// runBatch executes one micro-batch through Designer.DesignBatch. Calls
-// whose context died while waiting are answered without solving; the rest
-// share one engine pass (and, within it, one solve per distinct
-// fingerprint).
-func (s *session) runBatch(calls []*designCall) {
-	live := calls[:0]
-	for _, dc := range calls {
-		if err := dc.ctx.Err(); err != nil {
-			dc.reply <- designReply{err: err, code: statusForCtx(err)}
-			continue
-		}
-		live = append(live, dc)
-	}
-	if len(live) == 0 {
-		return
-	}
-	reqs := make([]engine.DesignRequest, len(live))
-	for i, dc := range live {
-		reqs[i] = dc.req
-	}
-	// The batch's own work lives in a carrier trace of its own (it serves
-	// many callers, so it belongs to none of their traces); each traced
-	// caller gets a "session.design" span in its trace linked to the
-	// carrier by batch.trace/batch.span attributes.
-	bspan := s.srv.tracer.Root("design.batch")
-	bspan.SetAttr("session", s.id)
-	bspan.SetInt("batch.size", int64(len(live)))
-	var links []*spans.Span
-	if bspan != nil {
-		bTrace, bSpan := bspan.TraceID().String(), bspan.ID().String()
-		for _, dc := range live {
-			if caller := spans.FromContext(dc.ctx); caller != nil {
-				dsp := caller.StartChild("session.design")
-				dsp.SetAttr("agent", dc.agentID)
-				dsp.SetAttr("batch.trace", bTrace)
-				dsp.SetAttr("batch.span", bSpan)
-				links = append(links, dsp)
-			}
-		}
-	}
-	endSpans := func() {
-		for _, dsp := range links {
-			dsp.End()
-		}
-		bspan.End()
-	}
-	// The batch outlives any single caller's deadline; it runs under the
-	// server's lifetime context so one impatient client cannot cancel its
-	// batchmates' work.
-	ctx := spans.ContextWith(s.srv.baseCtx, bspan)
-	contracts, err := s.designer.DesignBatch(ctx, s.pop.Part, s.pop.Mu, reqs)
-	endSpans()
-	if err != nil {
-		for _, dc := range live {
-			dc.reply <- designReply{err: err, code: http.StatusInternalServerError}
-		}
-		return
-	}
-	s.srv.metrics.batchDone(len(live))
-	for i, dc := range live {
-		dc.reply <- designReply{contract: contracts[i], batch: len(live)}
-	}
-}
-
-// resolveDesign turns a validated DesignQueryRequest into an engine
-// request. Session agents are copied under the population lock so the
-// solver never reads an agent a concurrent drift is writing; inline agents
-// are validated against the session's partition.
-func (s *session) resolveDesign(req *DesignQueryRequest) (engine.DesignRequest, string, error) {
+// resolveDesign turns a validated DesignQueryRequest into the agent and
+// weight to design for. A session agent is copied under the population
+// lock so the solver never reads an agent a concurrent drift is writing;
+// an inline agent is validated against the session's partition.
+func (s *session) resolveDesign(req *DesignQueryRequest) (*worker.Agent, float64, error) {
 	if req.AgentID != "" {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		i, ok := s.pop.Lookup(req.AgentID)
 		if !ok {
-			return engine.DesignRequest{}, "", fmt.Errorf("unknown agent %q: %w", req.AgentID, ErrBadRequest)
+			return nil, 0, fmt.Errorf("unknown agent %q: %w", req.AgentID, ErrBadRequest)
 		}
 		cp := *s.pop.Agents[i]
-		return engine.DesignRequest{Agent: &cp, W: s.pop.Weights[cp.ID]}, cp.ID, nil
+		return &cp, s.pop.Weights[cp.ID], nil
 	}
 	a, err := req.Agent.Agent()
 	if err != nil {
-		return engine.DesignRequest{}, "", err
+		return nil, 0, err
 	}
 	if err := a.Validate(s.pop.Part.YMax()); err != nil {
-		return engine.DesignRequest{}, "", fmt.Errorf("%v: %w", err, ErrBadRequest)
+		return nil, 0, fmt.Errorf("%v: %w", err, ErrBadRequest)
 	}
-	return engine.DesignRequest{Agent: a, W: req.Agent.Weight}, a.ID, nil
+	return a, req.Agent.Weight, nil
+}
+
+// design answers one design query on the request goroutine, under the
+// request's context. The designer shares the round loop's Cache, so a
+// warm query is a lookup and an O(m) pick, and a cold key is built once
+// across concurrent queries and rounds (a query finding the key in flight
+// awaits that build). A traced query gets a "session.design" span in its
+// own trace. An error after ctx ended maps to 504 or 503, any other to
+// 500.
+func (s *session) design(ctx context.Context, a *worker.Agent, w float64) (*contract.PiecewiseLinear, int, error) {
+	sp := spans.FromContext(ctx).StartChild("session.design")
+	sp.SetAttr("agent", a.ID)
+	c, err := s.designer.Design(ctx, s.pop.Part, s.pop.Mu, a, w)
+	sp.End()
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, statusForCtx(cerr), err
+		}
+		return nil, http.StatusInternalServerError, err
+	}
+	return c, 0, nil
 }
 
 // info snapshots the session for GET /v1/sessions/{id}.

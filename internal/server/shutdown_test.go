@@ -93,19 +93,18 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestDrainMidDesignBatch drains the server while a design batch is held:
-// the held batch completes with 200, the queries queued behind it get 503
-// (never started), and a query made during the drain is refused with 503.
+// TestDrainMidDesignBatch drains the server while a design query is
+// admitted and awaiting a held cold build of its key: the query completes
+// with 200 once the build lands, and a query arriving after Drain began is
+// refused with 503.
 func TestDrainMidDesignBatch(t *testing.T) {
 	e := newTestServer(t, Config{})
 	id := e.createSession(t)
 	sess := e.srv.sessions[id]
-	held, release := holdFirstBatch(t, e, id)
+	release, landed := holdFlight(t, e, id, "h1")
 
 	first := designAsync(e, id, "h1")
-	held()
-	queued := []<-chan designResult{designAsync(e, id, "h2"), designAsync(e, id, "m1")}
-	waitFor(t, "queries to queue behind the held batch", func() bool { return len(sess.designCh) == len(queued) })
+	waitFor(t, "the query to be admitted", func() bool { return sess.inFlight.Load() == 1 })
 
 	drainErr := make(chan error, 1)
 	go func() {
@@ -118,15 +117,18 @@ func TestDrainMidDesignBatch(t *testing.T) {
 	if code := e.do(t, "POST", "/v1/sessions/"+id+"/design", &q, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("design during drain: status %d, want 503", code)
 	}
+	select {
+	case r := <-first:
+		t.Fatalf("admitted query answered %d before its build landed", r.code)
+	default:
+	}
 
 	release()
-	if r := awaitDesign(t, first); r.code != http.StatusOK || r.batch != 1 {
-		t.Errorf("held batch's query: status %d, batch %d; want 200, 1 (must complete)", r.code, r.batch)
+	if err := <-landed; err != nil {
+		t.Fatalf("held build: %v", err)
 	}
-	for i, ch := range queued {
-		if r := awaitDesign(t, ch); r.code != http.StatusServiceUnavailable {
-			t.Errorf("queued query %d: status %d, want 503 (never started)", i, r.code)
-		}
+	if r := awaitDesign(t, first); r.code != http.StatusOK {
+		t.Errorf("query admitted before drain: status %d, want 200 (must complete)", r.code)
 	}
 	if err := <-drainErr; err != nil {
 		t.Fatalf("drain: %v", err)

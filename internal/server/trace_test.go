@@ -203,12 +203,13 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracedDesignBatchLink pins the batcher linkage: a traced design
-// query's trace gains a session.design span whose batch.trace attribute
-// names a retained design.batch carrier trace with the batch size.
+// TestTracedDesignBatchLink pins a traced design query's spans: its own
+// trace holds the http route root and a session.design child carrying the
+// agent, and the query records no other trace.
 func TestTracedDesignBatchLink(t *testing.T) {
 	e, rec, _, _ := tracedTestServer(t)
 	id := e.createSession(t)
+	before := rec.Completed()
 
 	const reqID = "client-design-trace-1"
 	code, _, _ := e.doTraced(t, "POST", "/v1/sessions/"+id+"/design", reqID,
@@ -218,6 +219,10 @@ func TestTracedDesignBatchLink(t *testing.T) {
 	}
 
 	tr := e.fetchTrace(t, reqID)
+	root, ok := tr.Root()
+	if !ok || root.Name != "http design" {
+		t.Fatalf("trace root = %+v", root)
+	}
 	var design *spans.SpanData
 	for i, sd := range tr.Spans {
 		if sd.Name == "session.design" {
@@ -227,24 +232,14 @@ func TestTracedDesignBatchLink(t *testing.T) {
 	if design == nil {
 		t.Fatalf("no session.design span in trace: %+v", tr.Spans)
 	}
-	a := attrMap(*design)
-	if a["agent"] != "h1" || a["batch.trace"] == "" || a["batch.span"] == "" {
-		t.Fatalf("session.design attrs = %v", a)
+	if design.Parent != root.ID {
+		t.Errorf("session.design parent = %s, want the root %s", design.Parent, root.ID)
 	}
-	carrierID, ok := spans.ParseTraceHeader(a["batch.trace"])
-	if !ok {
-		t.Fatalf("batch.trace %q does not parse", a["batch.trace"])
+	if a := attrMap(*design); a["agent"] != "h1" {
+		t.Errorf("session.design attrs = %v, want agent=h1", a)
 	}
-	carrier, ok := rec.Lookup(carrierID)
-	if !ok {
-		t.Fatalf("carrier trace %s not retained", a["batch.trace"])
-	}
-	croot, ok := carrier.Root()
-	if !ok || croot.Name != "design.batch" {
-		t.Fatalf("carrier root = %+v", croot)
-	}
-	if attrMap(croot)["batch.size"] != "1" {
-		t.Fatalf("carrier attrs = %v", attrMap(croot))
+	if n := rec.Completed() - before; n != 1 {
+		t.Errorf("the design query recorded %d traces, want 1 (its own)", n)
 	}
 }
 

@@ -34,8 +34,7 @@ const (
 	// MetricBatchSize is the per-call batch-size histogram: how many
 	// subproblems each SolveAllInto or BuildMenusInto invocation carried.
 	// Cold rounds show the distinct design keys that missed the cache here;
-	// serving-layer design batches show the queries that queued while
-	// the previous batch ran.
+	// a cold serving-layer design query builds its one key.
 	MetricBatchSize = "dyncontract_solver_batch_size"
 	// MetricScalarFallbacks counts runs of the scalar core.Design path
 	// (core.Scratch.Fallbacks) where the batched structure-of-arrays solve
@@ -67,8 +66,8 @@ const (
 
 // Batch-size bins: unit-width over [0, 64) (the stats.Histogram clamping
 // convention; an archetype population's cold batches count its distinct
-// design keys — single digits — while serving-layer batches are bounded
-// by the server's BatchMax).
+// design keys — single digits — and a serving-layer design query builds
+// one key).
 const (
 	batchSizeLo   = 0
 	batchSizeHi   = 64

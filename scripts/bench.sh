@@ -10,7 +10,8 @@
 # telemetry.Nop), BenchmarkTraceOverhead (span tracing disabled vs
 # sampled-out vs sampled-in on the same warm round), the HTTP serving
 # benchmarks
-# BenchmarkServerDesignBatch and BenchmarkServerDriftRoute (tracked for
+# BenchmarkServerDesignBatch (concurrent design queries at 1, 8 and 32
+# clients) and BenchmarkServerDriftRoute (tracked for
 # trend only, not regression-gated — they ride
 # the loopback network stack), BenchmarkServerStep (one served step's
 # drift, round and design-by-id through the server's Handler in process,

@@ -18,7 +18,9 @@
 # with every other row byte-identical) and the tracecheck probe (a round
 # advanced under a known X-Request-Id must come back from /debug/traces
 # as a parseable trace covering HTTP handler -> session queue -> engine
-# round -> stages, in JSONL and Chrome formats) run against
+# round -> stages, in JSONL and Chrome formats, and a design query under
+# another known id as its HTTP root with a session.design child naming
+# the agent) run against
 # the recovered process, which then gets SIGTERM and must drain cleanly —
 # exit 0 with its "bye" sign-off logged and a drain summary naming the
 # rounds_advance route with no count >= 2^53. Any 5xx during the bursts, a

@@ -6,7 +6,10 @@
 // the engine round, and its pipeline stages, the design stage annotated
 // with the view's agents, the cold round's cache traffic and its solver
 // batch — and that the Chrome trace_event export of the same trace
-// parses. Exit 0 on success, 1 with a diagnostic on any mismatch.
+// parses. It then sends one design query under a second known id and
+// asserts that query's trace holds the HTTP root and a session.design
+// child naming the agent. Exit 0 on success, 1 with a diagnostic on any
+// mismatch.
 //
 // Usage:
 //
@@ -34,7 +37,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(1)
 	}
-	fmt.Println("tracecheck: traced round covers HTTP -> queue -> engine -> stages")
+	fmt.Println("tracecheck: traced round covers HTTP -> queue -> engine -> stages; traced design covers HTTP -> session.design")
 }
 
 func run(addr string) error {
@@ -62,20 +65,16 @@ func run(addr string) error {
 	}
 
 	// The trace is retrievable by the exact id the client sent.
-	raw, err := get(client, addr+"/debug/traces?id="+reqID)
+	tr, err := fetchTrace(client, addr, reqID)
 	if err != nil {
-		return fmt.Errorf("fetch trace: %w", err)
-	}
-	var tr spans.Trace
-	if err := json.Unmarshal(raw, &tr); err != nil {
-		return fmt.Errorf("trace does not parse: %w (%s)", err, raw)
+		return err
 	}
 	if err := checkTree(tr); err != nil {
 		return fmt.Errorf("trace %s: %w", reqID, err)
 	}
 
 	// The same trace exports as Chrome trace_event JSON.
-	raw, err = get(client, addr+"/debug/traces?id="+reqID+"&format=chrome")
+	raw, err := get(client, addr+"/debug/traces?id="+reqID+"&format=chrome")
 	if err != nil {
 		return fmt.Errorf("fetch chrome trace: %w", err)
 	}
@@ -88,7 +87,62 @@ func run(addr string) error {
 	if len(chrome.TraceEvents) < len(tr.Spans) {
 		return fmt.Errorf("chrome export has %d events for %d spans", len(chrome.TraceEvents), len(tr.Spans))
 	}
+
+	// A design query runs on its own request: its trace is the HTTP root
+	// with a session.design child naming the agent.
+	const designID = "tracecheck-design-1"
+	var designed server.DesignQueryResponse
+	if err := post(client, addr+"/v1/sessions/"+created.ID+"/design", designID,
+		server.DesignQueryRequest{AgentID: "h1"}, &designed, http.StatusOK); err != nil {
+		return fmt.Errorf("design query: %w", err)
+	}
+	if tr, err = fetchTrace(client, addr, designID); err != nil {
+		return err
+	}
+	if err := checkDesign(tr, "h1"); err != nil {
+		return fmt.Errorf("trace %s: %w", designID, err)
+	}
 	return nil
+}
+
+// fetchTrace fetches one trace from /debug/traces by its request id.
+func fetchTrace(client *http.Client, addr, reqID string) (spans.Trace, error) {
+	var tr spans.Trace
+	raw, err := get(client, addr+"/debug/traces?id="+reqID)
+	if err != nil {
+		return tr, fmt.Errorf("fetch trace %s: %w", reqID, err)
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		return tr, fmt.Errorf("trace %s does not parse: %w (%s)", reqID, err, raw)
+	}
+	return tr, nil
+}
+
+// checkDesign insists a design query's trace is the HTTP design root with
+// a session.design child whose agent attribute names agent.
+func checkDesign(tr spans.Trace, agent string) error {
+	root, ok := tr.Root()
+	if !ok {
+		return fmt.Errorf("no root span among %d spans", len(tr.Spans))
+	}
+	if root.Name != "http design" {
+		return fmt.Errorf("root span %q, want %q", root.Name, "http design")
+	}
+	for _, sd := range tr.Spans {
+		if sd.Parent != root.ID || sd.Name != "session.design" {
+			continue
+		}
+		for _, a := range sd.Attrs {
+			if a.Key == "agent" {
+				if a.Value != agent {
+					return fmt.Errorf("session.design agent = %q, want %q", a.Value, agent)
+				}
+				return nil
+			}
+		}
+		return fmt.Errorf("session.design has no agent attribute: %v", sd.Attrs)
+	}
+	return fmt.Errorf("no session.design span under root")
 }
 
 // checkTree walks the span tree down from the HTTP root and insists every
