@@ -151,12 +151,18 @@ func BenchmarkServerDriftRoute(b *testing.B) {
 //   - drift: toggles the weights of a fixed set of 8 agents;
 //   - round: advances one round;
 //   - design-by-id: a design query by agent_id, cycling over the 8
-//     agents (warm design cache).
+//     agents (warm design cache);
+//   - design-inline: a design query carrying an inline agent, the form
+//     perfbench's paper-serve and restart workloads send: a worker not in
+//     the session, cloned from a session agent at a weight no session
+//     agent holds (its key is warmed once, off the clock).
 //
 // A step that costs what it touches keeps drift and design-by-id flat in
 // n: scripts/bench.sh gates design(100k)/design(1k) and
-// drift(100k)/drift(1k) as same-run ratios. round is trend-only: the
-// settle pass and the ledger's round log still walk all n agents.
+// drift(100k)/drift(1k) as same-run ratios. round and design-inline are
+// trend-only: the settle pass and the ledger's round log still walk all n
+// agents, and design-inline adds only the inline agent's decode and
+// validation to design-by-id.
 func BenchmarkServerStep(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
@@ -177,6 +183,9 @@ func BenchmarkServerStep(b *testing.B) {
 			for i, a := range ids {
 				designs[i] = mustJSON(b, server.DesignQueryRequest{AgentID: a})
 			}
+			inline := stepSpec(0)
+			inline.ID, inline.Weight = "inline-query", 0.9
+			designInline := mustJSON(b, server.DesignQueryRequest{Agent: &inline})
 			roundBody := mustJSON(b, server.AdvanceRoundRequest{})
 			driftPath := "/v1/sessions/" + id + "/drift"
 			roundPath := "/v1/sessions/" + id + "/rounds"
@@ -186,7 +195,7 @@ func BenchmarkServerStep(b *testing.B) {
 				serve(b, h, driftPath, drifts[k], http.StatusOK)
 				serve(b, h, roundPath, roundBody, http.StatusOK)
 			}
-			for _, body := range designs {
+			for _, body := range append(designs, designInline) {
 				serve(b, h, designPath, body, http.StatusOK)
 			}
 
@@ -208,6 +217,12 @@ func BenchmarkServerStep(b *testing.B) {
 					serve(b, h, designPath, designs[i%len(designs)], http.StatusOK)
 				}
 			})
+			b.Run("design-inline", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					serve(b, h, designPath, designInline, http.StatusOK)
+				}
+			})
 		})
 	}
 }
@@ -218,28 +233,29 @@ func stepAgentID(i int) string { return fmt.Sprintf("a%06d", i) }
 // two values, so a toggle moves between two warm design menus.
 func stepWeight(i int) float64 { return 0.8 + 0.2*float64(i%2) }
 
+// stepSpec is the i-th step-bench agent, in one of three archetypes.
+func stepSpec(i int) server.AgentSpec {
+	s := server.AgentSpec{ID: stepAgentID(i), Psi: server.PsiSpec{R2: -0.02, R1: 2, R0: 1}, Beta: 1, Weight: stepWeight(i)}
+	switch i % 3 {
+	case 0:
+		s.Class = "honest"
+	case 1:
+		s.Class, s.Omega, s.Malice = "malicious", 0.5, 0.9
+	default:
+		s.Class, s.Omega, s.Size, s.Malice = "community", 0.5, 3, 0.95
+	}
+	return s
+}
+
 // newStepSession creates a session of n agents through the handler: the
 // first thousand with the create request, the rest through drift adds of
 // ten thousand (a create body for 100k agents would pass the 8 MB cap).
 func newStepSession(b *testing.B, n int) (http.Handler, string) {
 	b.Helper()
 	h := server.New(server.Config{}).Handler()
-	psi := server.PsiSpec{R2: -0.02, R1: 2, R0: 1}
-	spec := func(i int) server.AgentSpec {
-		s := server.AgentSpec{ID: stepAgentID(i), Psi: psi, Beta: 1, Weight: stepWeight(i)}
-		switch i % 3 {
-		case 0:
-			s.Class = "honest"
-		case 1:
-			s.Class, s.Omega, s.Malice = "malicious", 0.5, 0.9
-		default:
-			s.Class, s.Omega, s.Size, s.Malice = "community", 0.5, 3, 0.95
-		}
-		return s
-	}
 	create := server.CreateSessionRequest{M: 8, Delta: 5, Mu: 1}
 	for i := 0; i < min(n, 1000); i++ {
-		create.Agents = append(create.Agents, spec(i))
+		create.Agents = append(create.Agents, stepSpec(i))
 	}
 	var created server.CreateSessionResponse
 	rec := serve(b, h, "/v1/sessions", mustJSON(b, create), http.StatusCreated)
@@ -249,7 +265,7 @@ func newStepSession(b *testing.B, n int) (http.Handler, string) {
 	for lo := 1000; lo < n; lo += 10_000 {
 		var add server.DriftRequest
 		for i := lo; i < min(n, lo+10_000); i++ {
-			add.Add = append(add.Add, spec(i))
+			add.Add = append(add.Add, stepSpec(i))
 		}
 		serve(b, h, "/v1/sessions/"+created.ID+"/drift", mustJSON(b, add), http.StatusOK)
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // ErrNotMonotone is returned when knots or compensations are not
@@ -166,9 +167,53 @@ type contractJSON struct {
 	Comps []float64 `json:"comps"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler with AppendJSON. A float takes
+// at most 24 bytes and a comma, so 50 bytes per knot holds both arrays.
 func (c *PiecewiseLinear) MarshalJSON() ([]byte, error) {
-	return json.Marshal(contractJSON{Knots: c.knots, Comps: c.comps})
+	return c.AppendJSON(make([]byte, 0, 32+50*len(c.knots))), nil
+}
+
+// AppendJSON appends the contract's JSON encoding to dst and returns the
+// extended buffer: {"knots":[…],"comps":[…]}, the bytes json.Marshal
+// writes for contractJSON, without reflection.
+func (c *PiecewiseLinear) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"knots":`...)
+	dst = appendFloats(dst, c.knots)
+	dst = append(dst, `,"comps":`...)
+	dst = appendFloats(dst, c.comps)
+	return append(dst, '}')
+}
+
+// appendFloats appends vs as a JSON array (null for a nil slice, as
+// encoding/json writes it).
+func appendFloats(dst []byte, vs []float64) []byte {
+	if vs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFloat(dst, v)
+	}
+	return append(dst, ']')
+}
+
+// appendFloat appends a finite v as encoding/json formats a float64: the
+// shortest decimal that round-trips, in exponent form below 1e-6 or from
+// 1e21 up, with a one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendFloat(dst []byte, v float64) []byte {
+	abs, format := math.Abs(v), byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // UnmarshalJSON implements json.Unmarshaler, revalidating the payload.

@@ -287,3 +287,65 @@ func TestEvalKnotExactnessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// jsonEdgeFloats are the values where encoding/json's float format
+// turns: ±0, both sides of the 1e-6 and 1e21 cut-offs between plain and
+// exponent form, subnormals, the largest float64 and one-digit negative
+// exponents (written 1e-7, not strconv's 1e-07).
+var jsonEdgeFloats = []float64{
+	0, math.Copysign(0, -1), 1, 0.1, 123456.789, 1.0 / 3,
+	1e-6, math.Nextafter(1e-6, 0), 9.999999e-7, 1e-7, 3e-9, 5e-10, 1.5e-10,
+	1e21, math.Nextafter(1e21, 0), 999999999999999999999, 1e20, 1.2345e22,
+	5e-324, math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308, math.Nextafter(2.2250738585072014e-308, 0),
+	math.MaxFloat64, 1e308, 1e-300,
+}
+
+// checkContractJSON fails t unless AppendJSON, MarshalJSON and
+// json.Marshal of c all write json.Marshal(contractJSON{…})'s bytes.
+func checkContractJSON(t *testing.T, c *PiecewiseLinear) {
+	t.Helper()
+	want, err := json.Marshal(contractJSON{Knots: c.knots, Comps: c.comps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix")
+	if got := c.AppendJSON(prefix[:len(prefix):len(prefix)]); string(got) != "prefix"+string(want) {
+		t.Fatalf("AppendJSON writes %s, want prefix%s", got, want)
+	}
+	if got, err := c.MarshalJSON(); err != nil || string(got) != string(want) {
+		t.Fatalf("MarshalJSON writes %s (%v), want %s", got, err, want)
+	}
+	if got, err := json.Marshal(c); err != nil || string(got) != string(want) {
+		t.Fatalf("json.Marshal writes %s (%v), want %s", got, err, want)
+	}
+}
+
+// TestAppendJSONMatchesReflection pins AppendJSON to the reflection
+// encoding on every edge value, each sign, and on nil slices.
+func TestAppendJSONMatchesReflection(t *testing.T) {
+	var signed []float64
+	for _, v := range jsonEdgeFloats {
+		signed = append(signed, v, -v)
+	}
+	reversed := make([]float64, len(signed))
+	for i, v := range signed {
+		reversed[len(signed)-1-i] = v
+	}
+	checkContractJSON(t, &PiecewiseLinear{knots: signed, comps: reversed})
+	checkContractJSON(t, &PiecewiseLinear{})
+	checkContractJSON(t, &PiecewiseLinear{knots: []float64{}, comps: []float64{1e-7}})
+	c, err := New([]float64{0, 1e-7, 0.5, 1e21}, []float64{0, 0, 2.5e-9, 1e300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkContractJSON(t, c)
+	// Random bit patterns reach every exponent and digit count.
+	rng := rand.New(rand.NewSource(1))
+	bits := make([]float64, 0, 2000)
+	for len(bits) < cap(bits) {
+		if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			bits = append(bits, v)
+		}
+	}
+	checkContractJSON(t, &PiecewiseLinear{knots: bits[:1000], comps: bits[1000:]})
+}

@@ -66,3 +66,22 @@ func FuzzUnmarshalJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzContractJSON checks AppendJSON against the reflection encoding it
+// stands in for, json.Marshal of contractJSON, on arbitrary finite
+// entries (the encoder does not depend on the contract being valid), and
+// checks that MarshalJSON and json.Marshal of the contract write the
+// same bytes.
+func FuzzContractJSON(f *testing.F) {
+	for _, v := range jsonEdgeFloats {
+		f.Add(v, -v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+	}
+	f.Fuzz(func(t *testing.T, d0, d1, x0, x1 float64) {
+		for _, v := range []float64{d0, d1, x0, x1} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return // no contract holds one, and json.Marshal refuses it
+			}
+		}
+		checkContractJSON(t, &PiecewiseLinear{knots: []float64{d0, d1}, comps: []float64{x0, x1}})
+	})
+}

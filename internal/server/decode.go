@@ -24,7 +24,7 @@ import (
 // decodeJSON's.
 func decodeCreate(body []byte, req *CreateSessionRequest) error {
 	*req = CreateSessionRequest{}
-	d := createDecoder{buf: body}
+	d := bodyDecoder{buf: body}
 	if d.request(req) {
 		return nil
 	}
@@ -32,15 +32,47 @@ func decodeCreate(body []byte, req *CreateSessionRequest) error {
 	return decodeJSON(bytes.NewReader(body), req)
 }
 
-// createDecoder is decodeCreate's cursor. Every method reports false
-// when the input leaves the shape it accepts; the decode is then
-// abandoned, so no method restores the cursor.
-type createDecoder struct {
+// decodeDesign decodes a design query body into req, which it
+// overwrites, by decodeCreate's rule: one pass over the bytes for the two
+// query forms — an agent_id alone, or an inline agent alone — in the
+// grammar decodeCreate accepts, and the strict decodeJSON, whose answer
+// is final, for anything else (both members or neither, a null agent, an
+// escape, an unknown key, ...).
+func decodeDesign(body []byte, req *DesignQueryRequest) error {
+	*req = DesignQueryRequest{}
+	d := bodyDecoder{buf: body}
+	if d.design(req) {
+		return nil
+	}
+	*req = DesignQueryRequest{}
+	return decodeJSON(bytes.NewReader(body), req)
+}
+
+// bodyDecoder is the cursor of decodeCreate and decodeDesign. Every
+// method reports false when the input leaves the shape it accepts; the
+// decode is then abandoned, so no method restores the cursor.
+type bodyDecoder struct {
 	buf []byte
 	pos int
 }
 
-func (d *createDecoder) request(req *CreateSessionRequest) bool {
+func (d *bodyDecoder) design(req *DesignQueryRequest) bool {
+	var seen uint32
+	ok := d.object(func(key []byte) bool {
+		switch string(key) {
+		case "agent_id":
+			return once(&seen, 0) && d.str(&req.AgentID)
+		case "agent":
+			req.Agent = &AgentSpec{}
+			return once(&seen, 1) && d.agent(req.Agent)
+		}
+		return false
+	})
+	d.space()
+	return ok && (seen == 1 || seen == 2) && d.pos == len(d.buf)
+}
+
+func (d *bodyDecoder) request(req *CreateSessionRequest) bool {
 	var seen uint32
 	ok := d.object(func(key []byte) bool {
 		switch string(key) {
@@ -77,7 +109,7 @@ func (d *createDecoder) request(req *CreateSessionRequest) bool {
 
 // agents decodes an array of agent specs. An empty array gives an empty,
 // non-nil slice, as encoding/json does.
-func (d *createDecoder) agents(dst *[]AgentSpec) bool {
+func (d *bodyDecoder) agents(dst *[]AgentSpec) bool {
 	if !d.token('[') {
 		return false
 	}
@@ -100,7 +132,7 @@ func (d *createDecoder) agents(dst *[]AgentSpec) bool {
 	return true
 }
 
-func (d *createDecoder) agent(a *AgentSpec) bool {
+func (d *bodyDecoder) agent(a *AgentSpec) bool {
 	var seen uint32
 	return d.object(func(key []byte) bool {
 		switch string(key) {
@@ -127,7 +159,7 @@ func (d *createDecoder) agent(a *AgentSpec) bool {
 	})
 }
 
-func (d *createDecoder) psi(p *PsiSpec) bool {
+func (d *bodyDecoder) psi(p *PsiSpec) bool {
 	var seen uint32
 	return d.object(func(key []byte) bool {
 		switch string(key) {
@@ -153,7 +185,7 @@ func once(seen *uint32, bit uint) bool {
 
 // object walks one JSON object, calling member with each key once the
 // cursor is past the key's colon; member decodes the value.
-func (d *createDecoder) object(member func(key []byte) bool) bool {
+func (d *bodyDecoder) object(member func(key []byte) bool) bool {
 	if !d.token('{') {
 		return false
 	}
@@ -175,7 +207,7 @@ func (d *createDecoder) object(member func(key []byte) bool) bool {
 }
 
 // space skips JSON whitespace.
-func (d *createDecoder) space() {
+func (d *bodyDecoder) space() {
 	for d.pos < len(d.buf) {
 		switch d.buf[d.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -187,7 +219,7 @@ func (d *createDecoder) space() {
 }
 
 // token consumes c after optional whitespace.
-func (d *createDecoder) token(c byte) bool {
+func (d *bodyDecoder) token(c byte) bool {
 	d.space()
 	if d.pos < len(d.buf) && d.buf[d.pos] == c {
 		d.pos++
@@ -198,7 +230,7 @@ func (d *createDecoder) token(c byte) bool {
 
 // text scans a string with no escape and no control byte, in valid
 // UTF-8, and returns its contents (aliasing the input).
-func (d *createDecoder) text() ([]byte, bool) {
+func (d *bodyDecoder) text() ([]byte, bool) {
 	if !d.token('"') {
 		return nil, false
 	}
@@ -221,7 +253,7 @@ func (d *createDecoder) text() ([]byte, bool) {
 	return nil, false
 }
 
-func (d *createDecoder) str(dst *string) bool {
+func (d *bodyDecoder) str(dst *string) bool {
 	s, ok := d.text()
 	*dst = string(s)
 	return ok
@@ -229,7 +261,7 @@ func (d *createDecoder) str(dst *string) bool {
 
 // class decodes a class name; the three canonical names share one string
 // each instead of one allocation per agent.
-func (d *createDecoder) class(dst *string) bool {
+func (d *bodyDecoder) class(dst *string) bool {
 	s, ok := d.text()
 	switch string(s) {
 	case "honest":
@@ -245,7 +277,7 @@ func (d *createDecoder) class(dst *string) bool {
 }
 
 // number scans one number in JSON grammar and returns its text.
-func (d *createDecoder) number() ([]byte, bool) {
+func (d *bodyDecoder) number() ([]byte, bool) {
 	d.space()
 	b, i := d.buf, d.pos
 	if i < len(b) && b[i] == '-' {
@@ -292,7 +324,7 @@ func digits(b []byte, i int) int {
 
 // float decodes a float64 field as encoding/json does: ParseFloat at 64
 // bits, and an out-of-range value (1e400) is an error.
-func (d *createDecoder) float(dst *float64) bool {
+func (d *bodyDecoder) float(dst *float64) bool {
 	num, ok := d.number()
 	if !ok {
 		return false
@@ -305,7 +337,7 @@ func (d *createDecoder) float(dst *float64) bool {
 // int64 and int decode integer fields as encoding/json does: ParseInt at
 // 64 bits, then a check that the field holds the value, so a fraction or
 // exponent ("2.0", "1e3") or an overflow is an error.
-func (d *createDecoder) int64(dst *int64) bool {
+func (d *bodyDecoder) int64(dst *int64) bool {
 	num, ok := d.number()
 	if !ok {
 		return false
@@ -315,7 +347,7 @@ func (d *createDecoder) int64(dst *int64) bool {
 	return err == nil
 }
 
-func (d *createDecoder) int(dst *int) bool {
+func (d *bodyDecoder) int(dst *int) bool {
 	var v int64
 	ok := d.int64(&v)
 	*dst = int(v)

@@ -83,7 +83,7 @@ func fastBodies(tb testing.TB) map[string][]byte {
 func TestDecodeCreateSinglePass(t *testing.T) {
 	for name, body := range fastBodies(t) {
 		var got, want CreateSessionRequest
-		d := createDecoder{buf: body}
+		d := bodyDecoder{buf: body}
 		if !d.request(&got) {
 			t.Errorf("%s: the single pass declined %s", name, body)
 			continue
@@ -97,7 +97,7 @@ func TestDecodeCreateSinglePass(t *testing.T) {
 	}
 	for _, body := range handedOver {
 		var req CreateSessionRequest
-		d := createDecoder{buf: []byte(body)}
+		d := bodyDecoder{buf: []byte(body)}
 		if d.request(&req) {
 			t.Errorf("the single pass accepted %q", body)
 		}
@@ -195,6 +195,104 @@ func FuzzDecodeCreate(f *testing.F) {
 	})
 }
 
+// designBodies are design query bodies the single pass must decode by
+// itself: json.Marshal and json.MarshalIndent output of both query forms.
+func designBodies(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	agent := fittedAgents(4)[3]
+	out := map[string][]byte{}
+	for name, req := range map[string]DesignQueryRequest{
+		"by id":  {AgentID: "h1"},
+		"inline": {Agent: &agent},
+	} {
+		compact, err := json.Marshal(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		indented, err := json.MarshalIndent(req, "", "  ")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[name], out[name+" indented"] = compact, indented
+	}
+	return out
+}
+
+// designHandedOver are design bodies outside the single pass's grammar:
+// decodeJSON decides each (accepting some, rejecting others).
+var designHandedOver = []string{
+	`{"Agent_id":"h1"}`,
+	`{"AGENT":{"id":"x"}}`,
+	`{"agent":null}`,
+	`{"agent_id":"h1","agent":{"id":"x"}}`,
+	`{"agent_id":"h1","agent_id":"h2"}`,
+	`{"agent_id":"h1","bogus":1}`,
+	`{"agent":{"id":"x","bogus":1}}`,
+	`{"agent_id":"h\u0031"}`,
+	`{"agent_id":null}`,
+	`{"agent_id":"h1"} {}`,
+	`{"agent_id":"h1"}x`,
+	`{}`,
+	`null`,
+	``,
+	" \n",
+}
+
+// TestDecodeDesignSinglePass pins decodeDesign's hand-over rule from both
+// sides, as TestDecodeCreateSinglePass does for create bodies.
+func TestDecodeDesignSinglePass(t *testing.T) {
+	for name, body := range designBodies(t) {
+		var got, want DesignQueryRequest
+		d := bodyDecoder{buf: body}
+		if !d.design(&got) {
+			t.Errorf("%s: the single pass declined %s", name, body)
+			continue
+		}
+		if err := decodeJSON(bytes.NewReader(body), &want); err != nil {
+			t.Fatalf("%s: decodeJSON: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) || fmt.Sprintf("%#v", got.Agent) != fmt.Sprintf("%#v", want.Agent) {
+			t.Errorf("%s: single pass gives\n%#v\ndecodeJSON gives\n%#v", name, got, want)
+		}
+	}
+	for _, body := range designHandedOver {
+		var req DesignQueryRequest
+		d := bodyDecoder{buf: []byte(body)}
+		if d.design(&req) {
+			t.Errorf("the single pass accepted %q", body)
+		}
+	}
+}
+
+// FuzzDecodeDesign is the differential test of decodeDesign against the
+// strict decodeJSON, as FuzzDecodeCreate is for create bodies.
+func FuzzDecodeDesign(f *testing.F) {
+	for _, body := range designBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range designHandedOver {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got, want DesignQueryRequest
+		gerr := decodeDesign(body, &got)
+		werr := decodeJSON(bytes.NewReader(body), &want)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("decodeDesign error %v, decodeJSON error %v on %q", gerr, werr, body)
+		}
+		if gerr != nil {
+			if gerr.Error() != werr.Error() {
+				t.Fatalf("decodeDesign error %q, decodeJSON error %q on %q", gerr, werr, body)
+			}
+			return
+		}
+		// %#v of the agent tells -0 from 0, which reflect.DeepEqual does not.
+		if !reflect.DeepEqual(got, want) || fmt.Sprintf("%#v", got.Agent) != fmt.Sprintf("%#v", want.Agent) {
+			t.Fatalf("on %q decodeDesign gives\n%#v\ndecodeJSON gives\n%#v", body, got, want)
+		}
+	})
+}
+
 // TestDecodeCreateNumbersBitIdentical runs the single pass over the
 // shortest, exponent and plain decimal texts of random float64 bit
 // patterns: each must decode to decodeJSON's bits.
@@ -212,7 +310,7 @@ func TestDecodeCreateNumbersBitIdentical(t *testing.T) {
 		} {
 			body := []byte(`{"mu":` + strings.Replace(text, "e+", "E+", 1) + `}`)
 			var got CreateSessionRequest
-			d := createDecoder{buf: body}
+			d := bodyDecoder{buf: body}
 			if !d.request(&got) {
 				t.Fatalf("the single pass declined %s", body)
 			}

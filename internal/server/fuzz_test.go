@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzDecodeRequest drives the strict JSON decoder and the request
-// validators across every wire DTO: whatever arrives on the socket,
+// FuzzDecodeRequest drives the request decoders (the design route's
+// decodeDesign, the strict JSON decoder for every other DTO) and the
+// request validators: whatever arrives on the socket,
 // decode+validate must classify it (nil or error) without panicking —
 // the server's only defense layer in front of the engine.
 func FuzzDecodeRequest(f *testing.F) {
@@ -52,7 +53,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			_ = decodeJSON(r, &v)
 		case 2:
 			var v DesignQueryRequest
-			if decodeJSON(r, &v) == nil {
+			if decodeDesign(data, &v) == nil {
 				_ = v.Validate()
 			}
 		case 3:

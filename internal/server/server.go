@@ -11,8 +11,10 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"dyncontract/internal/baseline"
+	"dyncontract/internal/contract"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/engine"
 	"dyncontract/internal/experiments"
@@ -398,13 +400,21 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep.drift)
 }
 
+// handleDesign answers a design query without reflection: the body is
+// read once and decoded by decodeDesign, and the answer is appended into
+// one buffer (appendDesignAnswer) and written once.
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
+	body, err := readBody(w, r)
 	var req DesignQueryRequest
-	if !decodeBody(w, r, &req) {
+	if err == nil {
+		err = decodeDesign(body, &req)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -429,7 +439,10 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DesignQueryResponse{AgentID: a.ID, Contract: c})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// At most 50 bytes per knot, as in PiecewiseLinear.MarshalJSON.
+	_, _ = w.Write(appendDesignAnswer(make([]byte, 0, 64+len(a.ID)+50*(c.Pieces()+1)), a.ID, c))
 }
 
 // lookup resolves {id} or writes 404.
@@ -682,6 +695,36 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// appendDesignAnswer appends the bytes json.NewEncoder(w).Encode writes
+// for DesignQueryResponse{AgentID: id, Contract: c}, newline included.
+func appendDesignAnswer(dst []byte, id string, c *contract.PiecewiseLinear) []byte {
+	dst = append(dst, '{')
+	if id != "" {
+		dst = append(dst, `"agent_id":`...)
+		dst = appendString(dst, id)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"contract":`...)
+	dst = c.AppendJSON(dst)
+	return append(dst, "}\n"...)
+}
+
+// appendString appends s as a JSON string. Plain ASCII with nothing to
+// escape is copied as is; anything else goes through json.Marshal, so
+// HTML characters, U+2028/2029 and invalid UTF-8 are escaped as
+// encoding/json escapes them.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

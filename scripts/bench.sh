@@ -15,7 +15,9 @@
 # trend only, not regression-gated — they ride
 # the loopback network stack), BenchmarkServerStep (one served step's
 # drift, round and design-by-id through the server's Handler in process,
-# at 1k, 10k and 100k agents), and BenchmarkJournalAppend (the
+# at 1k, 10k and 100k agents, plus design-inline — a query carrying an
+# inline agent, the form perfbench's paper-serve and restart send;
+# trend only), and BenchmarkJournalAppend (the
 # write-ahead hop per journaled command, buffered and fsync; trend only —
 # the fsync arm benchmarks the storage stack, not the code), and from
 # internal/server BenchmarkRoundLogAdd (a served session's ledger add at
@@ -42,9 +44,10 @@
 # BenchmarkServerStep is gated the same way: the fresh run fails when
 # design-by-id or drift at n=100k takes more than 2× the same run's n=1k
 # arm (a served step must cost what it touches, not what the session
-# holds), or when any of the four arms is missing. Its round arm is
-# trend-only — the settle pass and the ledger's round log still walk all
-# n agents.
+# holds), or when any of the four arms is missing. Its round and
+# design-inline arms are trend-only — the settle pass and the ledger's
+# round log still walk all n agents, and design-inline adds only the
+# inline agent's decode and validation to design-by-id.
 #
 # Before overwriting, the fresh run is diffed against the committed
 # BENCH_engine.json: every benchmark's ns/op delta is printed, a >10%
