@@ -30,17 +30,33 @@ var ErrBadConfig = errors.New("engine: invalid configuration")
 //
 // Observers let callers stream instead of accumulating ledgers: a
 // million-round run with a streaming observer holds one Round in memory.
+//
+// The per-ID contract map OnContracts receives is built for observers
+// only, so an observer may say per round whether it wants it by also
+// implementing ContractsWanter. An observer that does not implement it
+// wants the map every round, and gets it.
 type Observer interface {
 	// OnContracts fires after the policy posts the round's contracts. The
 	// map is the engine's working copy — treat it as read-only and valid
 	// only for the duration of the callback (policies reuse it across
-	// rounds); copy it to retain it.
+	// rounds); copy it to retain it. It is nil in a round no observer
+	// wants it (see ContractsWanter).
 	OnContracts(round int, contracts map[string]*contract.PiecewiseLinear)
 	// OnOutcome fires once per agent, in agent-ID order.
 	OnOutcome(round int, oc AgentOutcome)
 	// OnRoundEnd fires with the completed round. Returning ErrStop ends
 	// the run cleanly; any other error aborts it.
 	OnRoundEnd(round Round) error
+}
+
+// ContractsWanter is an Observer that says, before each round's design,
+// whether its OnContracts needs the round's per-ID contract map. When no
+// observer of a round wants it, every observer gets nil, and on the
+// indexed-view route the engine builds no map (one entry per agent) and
+// drops the one it kept; the next round that wants it rebuilds it from
+// the dense slots.
+type ContractsWanter interface {
+	WantsContracts(round int) bool
 }
 
 // Hooks adapts optional funcs into an Observer; nil funcs are skipped.
@@ -50,7 +66,14 @@ type Hooks struct {
 	RoundEnd  func(round Round) error
 }
 
-var _ Observer = Hooks{}
+var (
+	_ Observer        = Hooks{}
+	_ ContractsWanter = Hooks{}
+)
+
+// WantsContracts implements ContractsWanter: the map is wanted exactly
+// when Contracts is set.
+func (h Hooks) WantsContracts(int) bool { return h.Contracts != nil }
 
 // OnContracts implements Observer.
 func (h Hooks) OnContracts(round int, contracts map[string]*contract.PiecewiseLinear) {
@@ -80,7 +103,14 @@ type Ledger struct {
 	Rounds []Round
 }
 
-var _ Observer = (*Ledger)(nil)
+var (
+	_ Observer        = (*Ledger)(nil)
+	_ ContractsWanter = (*Ledger)(nil)
+)
+
+// WantsContracts implements ContractsWanter: a ledger keeps outcomes, not
+// contracts.
+func (l *Ledger) WantsContracts(int) bool { return false }
 
 // OnContracts implements Observer.
 func (l *Ledger) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
@@ -211,7 +241,9 @@ type Engine struct {
 	// dirty lists view slots patched in place by the sparse-drift route
 	// (contract already rewritten from the design cache): respond
 	// recomputes exactly these outcomes while outsOK keeps the rest.
-	dirty  []int32
+	dirty []int32
+	// merged is the observer-facing per-ID contract map, kept across
+	// rounds that want it and dropped in a round none does.
 	merged map[string]*contract.PiecewiseLinear
 	// lastDeclared/lastApplied record the previous round's drift
 	// classification: the rule beginScope derived from the declared scope,
@@ -280,7 +312,10 @@ type roundState struct {
 	timed     bool
 	agents    []*worker.Agent
 	contracts map[string]*contract.PiecewiseLinear
-	round     Round
+	// wantContracts records that some observer wants the per-ID map
+	// this round (see ContractsWanter).
+	wantContracts bool
+	round         Round
 	// workerUtility is the respond stage's summed accepted-agent utility.
 	workerUtility float64
 	// declined and excluded count the round's declined and excluded
@@ -562,13 +597,29 @@ func (e *Engine) LastDriftClass() (declared, applied string) {
 	return e.lastDeclared.String(), e.lastApplied.String()
 }
 
-// stageContracts dispatches OnContracts. (On the ShardPolicy route with
-// no observers the per-ID map is never built and st.contracts is nil.)
+// stageContracts dispatches OnContracts: the round's map, or nil when no
+// observer wants it. (On the ShardPolicy route the per-ID map is built
+// only when some observer wants it.)
 func (e *Engine) stageContracts(_ context.Context, st *roundState) error {
+	m := st.contracts
+	if !st.wantContracts {
+		m = nil
+	}
 	for _, ob := range e.cfg.Observers {
-		ob.OnContracts(st.r, st.contracts)
+		ob.OnContracts(st.r, m)
 	}
 	return nil
+}
+
+// wantsContracts reports whether some observer wants round r's per-ID
+// contract map; an observer that is no ContractsWanter always does.
+func (e *Engine) wantsContracts(r int) bool {
+	for _, ob := range e.cfg.Observers {
+		if cw, ok := ob.(ContractsWanter); !ok || cw.WantsContracts(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // stageRespond computes worker best responses into the reused outcomes

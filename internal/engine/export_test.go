@@ -96,3 +96,7 @@ func (e *Engine) checkKeys() error {
 // ShardView returns the engine's current view as its ShardPolicy
 // receives it (sharing its slices with the engine).
 func (e *Engine) ShardView() Shard { return e.sh }
+
+// HoldsContractMap reports whether the engine keeps an observer-facing
+// per-ID contract map.
+func (e *Engine) HoldsContractMap() bool { return e.merged != nil }

@@ -256,6 +256,7 @@ func (e *Engine) refreshStructural() {
 func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 	rebuilt := e.ensureView()
 	st.agents = e.agents
+	st.wantContracts = e.wantsContracts(st.r)
 	if e.shardPol == nil {
 		contracts, err := e.cfg.Policy.Contracts(ctx, e.pop)
 		if err != nil {
@@ -297,10 +298,14 @@ func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 			sp.SetInt("scratch.uses", int64(uses))
 		}
 	}
-	// The per-ID map exists only for observers (OnContracts); the respond
-	// stage reads the dense slots directly.
-	if len(e.cfg.Observers) > 0 {
+	// The per-ID map exists only for observers that want it (OnContracts);
+	// the respond stage reads the dense slots directly. A round in which
+	// no observer wants it drops the map, so the next round that does
+	// rebuilds it in full.
+	if st.wantContracts {
 		st.contracts = e.mergeContracts(rebuilt)
+	} else {
+		e.merged = nil
 	}
 	return nil
 }

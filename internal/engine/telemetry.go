@@ -211,6 +211,10 @@ func newTelemetryObserver(reg *telemetry.Registry) *telemetryObserver {
 	}
 }
 
+// WantsContracts implements ContractsWanter: the export reads outcomes
+// only.
+func (t *telemetryObserver) WantsContracts(int) bool { return false }
+
 // OnContracts implements Observer.
 func (t *telemetryObserver) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
 

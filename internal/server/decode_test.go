@@ -366,9 +366,11 @@ func archetypeBody(tb testing.TB, n int) []byte {
 // BenchmarkCreateSession measures a session's creation from an inline
 // body of n archetype agents, n in {1k, 12k} (12k is archetype-warm's
 // session): decode is decodeCreate alone, decode-json the strict
-// encoding/json decodeJSON it stands in for, and create the whole POST
-// /v1/sessions through Handler() up to its 201, on a fresh server each
-// time (set up and drained off the clock).
+// encoding/json decodeJSON it stands in for, create the whole POST
+// /v1/sessions through Handler() up to its 201, and create+round that
+// create and the session's first round up to its 200 — the span
+// perfbench's setup_s samples — on a fresh server each time (set up and
+// drained off the clock).
 func BenchmarkCreateSession(b *testing.B) {
 	for _, n := range []int{1_000, 12_000} {
 		body := archetypeBody(b, n)
@@ -393,25 +395,43 @@ func BenchmarkCreateSession(b *testing.B) {
 					}
 				}
 			})
-			b.Run("create", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					srv := New(Config{})
-					req := httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body))
-					rec := httptest.NewRecorder()
-					b.StartTimer()
-					srv.Handler().ServeHTTP(rec, req)
-					b.StopTimer()
-					if rec.Code != http.StatusCreated {
-						b.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+			for _, arm := range []struct {
+				name  string
+				round bool
+			}{{"create", false}, {"create+round", true}} {
+				b.Run(arm.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						srv := New(Config{})
+						h := srv.Handler()
+						req := httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body))
+						rec := httptest.NewRecorder()
+						b.StartTimer()
+						h.ServeHTTP(rec, req)
+						if rec.Code != http.StatusCreated {
+							b.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+						}
+						if arm.round {
+							var cr CreateSessionResponse
+							if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+								b.Fatal(err)
+							}
+							req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+cr.ID+"/rounds", nil)
+							rec := httptest.NewRecorder()
+							h.ServeHTTP(rec, req)
+							if rec.Code != http.StatusOK {
+								b.Fatalf("round: status %d: %s", rec.Code, rec.Body)
+							}
+						}
+						b.StopTimer()
+						if err := srv.Drain(context.Background()); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
 					}
-					if err := srv.Drain(context.Background()); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			})
+				})
+			}
 		})
 	}
 }

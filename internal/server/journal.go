@@ -199,14 +199,16 @@ func agentSpecOf(a *worker.Agent, weight, malice float64) AgentSpec {
 }
 
 // popFromSnapshot rebuilds the population with the snapshot's verbatim
-// values. It must not ride buildExplicit: the wire decoder maps m=0 and
-// mu=0 to defaults, and a snapshot stores the real post-default values.
+// values, unvalidated: engine.New validates it. It must not ride
+// buildExplicit: the wire decoder maps m=0 and mu=0 to defaults, and a
+// snapshot stores the real post-default values.
 func popFromSnapshot(snap *sessionSnapshot) (*engine.Population, error) {
 	part, err := effort.NewPartition(snap.M, snap.Delta)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot partition: %w", err)
 	}
 	pop := &engine.Population{
+		Agents:     make([]*worker.Agent, 0, len(snap.Agents)),
 		Weights:    make(map[string]float64, len(snap.Agents)),
 		MaliceProb: make(map[string]float64),
 		Part:       part,
@@ -223,9 +225,6 @@ func popFromSnapshot(snap *sessionSnapshot) (*engine.Population, error) {
 		if spec.Malice != 0 {
 			pop.MaliceProb[a.ID] = spec.Malice
 		}
-	}
-	if err := pop.Validate(); err != nil {
-		return nil, fmt.Errorf("snapshot population: %w", err)
 	}
 	return pop, nil
 }
@@ -452,11 +451,9 @@ func (s *Server) sessionFromSnapshot(snap *sessionSnapshot) (*session, error) {
 		Amount:    snap.Amount,
 		Shards:    snap.Shards,
 	}
-	pol, polName, err := buildPolicy(req)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.assembleSession(req, pop, pol, polName)
+	sess, err := s.assembleValidated(req, pop, func(err error) error {
+		return fmt.Errorf("snapshot population: %w", err)
+	})
 	if err != nil {
 		return nil, err
 	}

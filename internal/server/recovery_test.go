@@ -493,7 +493,7 @@ func logShape(t *testing.T, e *testServer, id string) string {
 	sess.ledgerMu.RLock()
 	defer sess.ledgerMu.RUnlock()
 	l := &sess.ledger
-	s := fmt.Sprintf("table %d, ledger_bytes %d:", len(l.table), info.LedgerBytes)
+	s := fmt.Sprintf("table %d, ledger_bytes %d:", l.entries, info.LedgerBytes)
 	for _, row := range l.rows {
 		if row.delta {
 			s += fmt.Sprintf(" d%d/%d/%d", len(row.edits), len(row.leaves), len(row.refs))

@@ -22,14 +22,21 @@ import (
 // engine.Round that was added: a reference is reused only when the new
 // outcome is bitwise equal to the entry it points at.
 //
-// Table entries and completed rows are never mutated, and add only ever
-// writes past the current lengths. A copy of the log header taken under
-// the session's ledger lock (view) therefore stays a consistent, readable
-// view of its rounds without any lock — the background snapshot and
-// GET …/rounds rely on it.
+// The table is a directory of fixed-size chunks (tableChunk entries each)
+// that only ever gains chunks, so a push never copies the table and at
+// most one chunk is allocated but not yet filled. Table entries and
+// completed rows are never mutated, and add only ever writes past the
+// current lengths — the entry count, the directory's length and the
+// rows'. A copy of the log header taken under the session's ledger lock
+// (view) therefore stays a consistent, readable view of its rounds
+// without any lock — the background snapshot and GET …/rounds rely on it.
 type roundLog struct {
-	table []logEntry
-	rows  []logRow
+	// chunks is the table's chunk directory: entry ref lives in
+	// chunks[ref>>chunkShift][ref&chunkMask], and entries is how many
+	// the table holds.
+	chunks  []*[tableChunk]logEntry
+	entries int
+	rows    []logRow
 	// total is engine.TotalUtility over the rows, kept as a running sum
 	// in the same order with the same non-finite skip, so it is
 	// bit-identical to a rescan.
@@ -107,6 +114,16 @@ const internDepth = 8
 // noRef marks "no entry": the end of a chain, or a slot whose agent left.
 const noRef = math.MaxUint32
 
+// tableChunk is how many entries one table chunk holds: 1024 entries of
+// 72 B are 72 KiB, exactly nine of the Go runtime's 8 KiB pages, so a
+// chunk wastes no page and a session's table leaves less than one chunk
+// unused.
+const (
+	chunkShift = 10
+	tableChunk = 1 << chunkShift
+	chunkMask  = tableChunk - 1
+)
+
 const (
 	entryBytes = int64(unsafe.Sizeof(logEntry{}))
 	refBytes   = int64(unsafe.Sizeof(uint32(0)))
@@ -116,9 +133,15 @@ const (
 // len is the number of rounds in the log.
 func (l *roundLog) len() int { return len(l.rows) }
 
-// view returns a copy of the log header without the writer's state.
-// Taken under the ledger lock, it reads every round added so far without
-// a lock while the writer keeps adding.
+// entry returns table entry ref.
+func (l *roundLog) entry(ref uint32) *logEntry {
+	return &l.chunks[ref>>chunkShift][ref&chunkMask]
+}
+
+// view returns a copy of the log header without the writer's state: the
+// chunk directory, the entry count and the rows. Taken under the ledger
+// lock, it reads every round added so far without a lock while the
+// writer keeps adding.
 func (l *roundLog) view() roundLog {
 	v := *l
 	v.w = logWriter{}
@@ -147,16 +170,16 @@ func (l *roundLog) add(r engine.Round) {
 	k := 0
 	for i := range r.Outcomes {
 		oc := &r.Outcomes[i]
-		if k < len(prev) && sameOutcome(&l.table[prev[k].ref], oc) {
+		if k < len(prev) && sameOutcome(l.entry(prev[k].ref), oc) {
 			next[i] = prev[k] // unchanged: most agents, most rounds
 			k++
 			continue
 		}
-		for k < len(prev) && l.table[prev[k].ref].agentID < oc.AgentID {
+		for k < len(prev) && l.entry(prev[k].ref).agentID < oc.AgentID {
 			w.leaves = append(w.leaves, prev[k].slot)
 			k++
 		}
-		if k == len(prev) || l.table[prev[k].ref].agentID != oc.AgentID {
+		if k == len(prev) || l.entry(prev[k].ref).agentID != oc.AgentID {
 			// A joiner starts a chain of its own; its slot depends on
 			// the row's form.
 			ref := l.push(oc, noRef)
@@ -167,7 +190,7 @@ func (l *roundLog) add(r engine.Round) {
 		a := prev[k]
 		k++ // IDs are unique: no later agent pairs with this one
 		// The fast path above may have compared a leaver.
-		if !sameOutcome(&l.table[a.ref], oc) {
+		if !sameOutcome(l.entry(a.ref), oc) {
 			a.ref, a.head = l.intern(oc, a.ref, a.head)
 			w.edits = append(w.edits, logEdit{a.slot, a.ref})
 		}
@@ -218,8 +241,8 @@ func (l *roundLog) add(r engine.Round) {
 // new head: an entry among the newest internDepth of the chain that is
 // bitwise equal to oc, or else a new entry linked to head.
 func (l *roundLog) intern(oc *engine.AgentOutcome, cur, head uint32) (ref, newHead uint32) {
-	for e, d := head, 0; e != noRef && d < internDepth; e, d = l.table[e].prev, d+1 {
-		if e != cur && sameOutcome(&l.table[e], oc) {
+	for e, d := head, 0; e != noRef && d < internDepth; e, d = l.entry(e).prev, d+1 {
+		if e != cur && sameOutcome(l.entry(e), oc) {
 			return e, head
 		}
 	}
@@ -230,8 +253,12 @@ func (l *roundLog) intern(oc *engine.AgentOutcome, cur, head uint32) (ref, newHe
 // push appends oc to the table, linked to prev, and returns its reference.
 func (l *roundLog) push(oc *engine.AgentOutcome, prev uint32) uint32 {
 	// 2^32 entries of 72 B would be ~300 GB: memory runs out first.
-	ref := uint32(len(l.table))
-	l.table = append(l.table, logEntry{
+	ref := uint32(l.entries)
+	if ref&chunkMask == 0 {
+		// Past every view's chunks: a view never reads the new one.
+		l.chunks = append(l.chunks, new([tableChunk]logEntry))
+	}
+	*l.entry(ref) = logEntry{
 		agentID:      oc.AgentID,
 		class:        oc.Class,
 		size:         oc.Size,
@@ -242,7 +269,8 @@ func (l *roundLog) push(oc *engine.AgentOutcome, prev uint32) uint32 {
 		feedback:     oc.Feedback,
 		compensation: oc.Compensation,
 		weight:       oc.Weight,
-	})
+	}
+	l.entries++
 	l.bytes += entryBytes
 	return ref
 }
@@ -272,18 +300,18 @@ func (l *roundLog) round(i int) engine.Round {
 	kept := slices.DeleteFunc(slots[:nfull], left)
 	joined := slices.DeleteFunc(slots[nfull:], left)
 	slices.SortFunc(joined, func(a, b uint32) int {
-		return strings.Compare(l.table[a].agentID, l.table[b].agentID)
+		return strings.Compare(l.entry(a).agentID, l.entry(b).agentID)
 	})
 	outs := make([]engine.AgentOutcome, 0, len(kept)+len(joined))
 	j := 0
 	for _, ref := range kept {
-		for ; j < len(joined) && l.table[joined[j]].agentID < l.table[ref].agentID; j++ {
-			outs = append(outs, l.table[joined[j]].outcome())
+		for ; j < len(joined) && l.entry(joined[j]).agentID < l.entry(ref).agentID; j++ {
+			outs = append(outs, l.entry(joined[j]).outcome())
 		}
-		outs = append(outs, l.table[ref].outcome())
+		outs = append(outs, l.entry(ref).outcome())
 	}
 	for _, ref := range joined[j:] {
-		outs = append(outs, l.table[ref].outcome())
+		outs = append(outs, l.entry(ref).outcome())
 	}
 	row := &l.rows[i]
 	return engine.Round{

@@ -76,13 +76,13 @@ func checkLogMatches(t *testing.T, l *roundLog, ref []engine.Round) {
 // — the newest distinct outcomes its agent had when it was appended.
 func checkInterned(t *testing.T, l *roundLog) {
 	t.Helper()
-	for i := range l.table {
-		oc := l.table[i].outcome()
-		for e, d := l.table[i].prev, 0; e != noRef && d < internDepth; e, d = l.table[e].prev, d+1 {
-			if l.table[e].agentID != oc.AgentID {
-				t.Fatalf("entry %d (%s) links to entry %d of agent %s", i, oc.AgentID, e, l.table[e].agentID)
+	for i := uint32(0); int(i) < l.entries; i++ {
+		oc := l.entry(i).outcome()
+		for e, d := l.entry(i).prev, 0; e != noRef && d < internDepth; e, d = l.entry(e).prev, d+1 {
+			if l.entry(e).agentID != oc.AgentID {
+				t.Fatalf("entry %d (%s) links to entry %d of agent %s", i, oc.AgentID, e, l.entry(e).agentID)
 			}
-			if sameOutcome(&l.table[e], &oc) {
+			if sameOutcome(l.entry(e), &oc) {
 				t.Fatalf("entry %d repeats entry %d, %d links back in its agent's chain", i, e, d+1)
 			}
 		}
@@ -93,7 +93,7 @@ func checkInterned(t *testing.T, l *roundLog) {
 // per full-row reference, joiner or leaver, 8 B per edit and one
 // AgentOutcome's worth per entry.
 func recountBytes(l *roundLog) int64 {
-	n := len(l.table) * int(unsafe.Sizeof(engine.AgentOutcome{}))
+	n := l.entries * int(unsafe.Sizeof(engine.AgentOutcome{}))
 	for _, row := range l.rows {
 		n += 4*len(row.refs) + 8*len(row.edits) + 4*len(row.leaves)
 	}
@@ -201,8 +201,8 @@ func TestRoundLogDifferential(t *testing.T) {
 			})
 		}
 		checkLogMatches(t, &l, ref)
-		if len(l.table) >= 60*len(state) {
-			t.Errorf("seed %d: table holds %d outcomes for 60 mostly repeating rounds", seed, len(l.table))
+		if l.entries >= 60*len(state) {
+			t.Errorf("seed %d: table holds %d outcomes for 60 mostly repeating rounds", seed, l.entries)
 		}
 	}
 
@@ -261,6 +261,24 @@ func FuzzRoundLog(f *testing.F) {
 	f.Add([]byte{3, 200, 3, 100, 4, 0, 7, 6, 2, 22, 6, 3, 38, 7, 5, 1, 13, 4, 2, 2, 2})
 	f.Add([]byte{1, 3, 1, 4, 1, 3, 8, 3, 1, 8, 3, 12, 23, 5, 4, 8, 8, 3, 9, 10, 7, 10, 3, 20, 9, 1, 0, 8, 3, 30})
 	f.Add([]byte{12, 1, 12, 5, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 8, 1, 11, 8, 1, 10, 15, 4, 9, 0, 20, 2})
+	// Two seeds that fill more than one table chunk: 40 joins, then every
+	// agent changing round after round — alone, and alternating with
+	// churn (op 10: a join, a leave and a weight change) — with header
+	// copies taken on both sides of the first chunk boundary.
+	for _, mix := range [][]byte{nil, {10, 5, 9, 1}} {
+		seed := []byte{7}
+		for id := 1; id < 80; id += 2 {
+			seed = append(seed, 3, byte(id))
+		}
+		for k := 0; k < 30; k++ {
+			seed = append(seed, 2)
+			seed = append(seed, mix...)
+			if k%10 == 9 {
+				seed = append(seed, 7)
+			}
+		}
+		f.Add(seed)
+	}
 	negZero := math.Copysign(0, -1)
 	floats := []float64{0, negZero, math.NaN(), 0.5}
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -402,6 +420,65 @@ func FuzzRoundLog(f *testing.F) {
 	})
 }
 
+// checkChunks checks the table's allocation: exactly the chunks its
+// entries need, so less than one chunk is allocated but unused.
+func checkChunks(t *testing.T, l *roundLog) {
+	t.Helper()
+	if unused := len(l.chunks)*tableChunk - l.entries; unused < 0 || unused >= tableChunk {
+		t.Fatalf("%d chunks of %d entries hold %d entries", len(l.chunks), tableChunk, l.entries)
+	}
+}
+
+// TestRoundLogChunkBoundary adds rounds whose new entries straddle table
+// chunk boundaries: a first round of 1000 agents (or exactly one chunk's
+// worth), then rounds in which a quarter of the agents change to an
+// outcome they never had while a few join and leave, so each round's
+// entries run on into the next chunk. Every round must rebuild bit for
+// bit and in its wire form byte for byte, and after every add the table
+// must leave less than one chunk unused.
+func TestRoundLogChunkBoundary(t *testing.T) {
+	for _, n := range []int{1000, tableChunk} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		agents := make([]engine.AgentOutcome, n)
+		for i := range agents {
+			agents[i] = engine.AgentOutcome{AgentID: fmt.Sprintf("a%05d", 2*i), Size: 1, Weight: 0.5}
+		}
+		var l roundLog
+		var ref []engine.Round
+		var buf []engine.AgentOutcome
+		straddled := 0
+		for r := 0; r < 12; r++ {
+			if r > 0 {
+				for _, i := range rng.Perm(len(agents))[:len(agents)/4] {
+					agents[i].Weight += 1
+				}
+				for k := 0; k < 5; k++ {
+					j := rng.Intn(len(agents))
+					agents = slices.Delete(agents, j, j+1)
+				}
+				for k := 0; k < 5; k++ {
+					id := fmt.Sprintf("a%05d", 2*rng.Intn(2*n)+1)
+					j := sort.Search(len(agents), func(j int) bool { return agents[j].AgentID >= id })
+					if j == len(agents) || agents[j].AgentID != id {
+						agents = slices.Insert(agents, j, engine.AgentOutcome{AgentID: id, Size: 2, Weight: 0.8})
+					}
+				}
+			}
+			before := l.entries
+			buf = append(buf[:0], agents...)
+			ref = addScribbled(&l, ref, engine.Round{Index: r, Outcomes: buf, Utility: float64(r)})
+			checkChunks(t, &l)
+			if before>>chunkShift != (l.entries-1)>>chunkShift {
+				straddled++
+			}
+		}
+		checkLogMatches(t, &l, ref)
+		if straddled < 2 {
+			t.Errorf("n=%d: %d rounds straddled a chunk boundary, want >= 2", n, straddled)
+		}
+	}
+}
+
 // TestRoundLogInternDepth pins the interning walk's depth: an agent
 // cycling through internDepth states gets one table entry per state
 // however long it cycles, while a cycle one state longer than the walk
@@ -422,8 +499,8 @@ func TestRoundLogInternDepth(t *testing.T) {
 		if cycle > internDepth {
 			want = rounds + 1
 		}
-		if len(l.table) != want {
-			t.Errorf("a %d-state cycle over %d rounds: %d table entries, want %d", cycle, rounds, len(l.table), want)
+		if l.entries != want {
+			t.Errorf("a %d-state cycle over %d rounds: %d table entries, want %d", cycle, rounds, l.entries, want)
 		}
 	}
 }
@@ -447,7 +524,7 @@ func TestRoundLogAntiphaseInterning(t *testing.T) {
 	})
 	logRetention(t, sess, info, agents*rounds)
 	sess.ledgerMu.RLock()
-	n := len(sess.ledger.table)
+	n := sess.ledger.entries
 	sess.ledgerMu.RUnlock()
 	if n > 2*agents {
 		t.Errorf("the table holds %d entries for %d antiphase agents, want <= %d", n, agents, 2*agents)
@@ -539,8 +616,8 @@ func TestRoundLogSignedZeroAndNaN(t *testing.T) {
 	var l roundLog
 	for i, r := range ref {
 		l.add(r)
-		if len(l.table) != wantTable[i] {
-			t.Errorf("after round %d the table holds %d outcomes, want %d", i, len(l.table), wantTable[i])
+		if l.entries != wantTable[i] {
+			t.Errorf("after round %d the table holds %d outcomes, want %d", i, l.entries, wantTable[i])
 		}
 	}
 	checkLogMatches(t, &l, ref)
@@ -574,7 +651,7 @@ func TestSameOutcomeCoversEveryField(t *testing.T) {
 	base := engine.AgentOutcome{AgentID: "a", Class: 1, Size: 2, Effort: 0.5, Feedback: 0.25, Compensation: 0.75, Weight: 1}
 	var l roundLog
 	entry := func(oc *engine.AgentOutcome) *logEntry {
-		return &l.table[l.push(oc, noRef)]
+		return l.entry(l.push(oc, noRef))
 	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
@@ -670,10 +747,10 @@ func logRetention(t *testing.T, sess *session, info SessionInfo, agentRounds int
 	if info.LedgerBytes != retained || l.bytes != retained {
 		t.Fatalf("ledger_bytes %d (running %d) != recount %d", info.LedgerBytes, l.bytes, retained)
 	}
-	table := int64(len(l.table)) * int64(unsafe.Sizeof(logEntry{}))
+	table := int64(l.entries) * int64(unsafe.Sizeof(logEntry{}))
 	full, delta := rowForms(l)
 	t.Logf("log retains %d B (%.2f per agent-round): %d full and %d delta rows, %d outcomes in the table",
-		retained, float64(retained)/float64(n), full, delta, len(l.table))
+		retained, float64(retained)/float64(n), full, delta, l.entries)
 	return float64(retained) / float64(n), float64(retained-table) / float64(n)
 }
 
@@ -785,12 +862,27 @@ func TestSnapshotBodyMatchesPlainLedger(t *testing.T) {
 // TestRoundLogConcurrentReaders serves rounds and drifts while readers
 // poll the audit and info endpoints and auto-snapshots serialize the log
 // in the background (run it under -race): every ledger a reader sees
-// must be a byte-identical prefix of the final one.
+// must be a byte-identical prefix of the final one. The session's 300
+// agents all change weight every fifth round, so the table crosses a
+// chunk boundary mid-run, and the writer waits after each round until a
+// reader has listed it: views are taken on both sides of the boundary.
 func TestRoundLogConcurrentReaders(t *testing.T) {
+	const agents = 300
 	e := newJournaledServer(t, t.TempDir(), Config{SnapshotEvery: 2})
-	id := e.createSession(t)
+	specs := archetypeAgents(agents)
+	var cr CreateSessionResponse
+	if code := e.do(t, "POST", "/v1/sessions", &CreateSessionRequest{Agents: specs, M: 10, Delta: 0.2, Mu: 1}, &cr); code != http.StatusCreated {
+		t.Fatalf("create session: status %d", code)
+	}
+	id := cr.ID
+	e.srv.mu.Lock()
+	sess := e.srv.sessions[id]
+	e.srv.mu.Unlock()
 	done := make(chan struct{})
-	var seen [][]json.RawMessage
+	// seen holds each distinct form of each round any reader listed, and
+	// listed the longest listing's length.
+	seen := map[int]map[string]bool{}
+	listed := 0
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -822,29 +914,56 @@ func TestRoundLogConcurrentReaders(t *testing.T) {
 							return
 						}
 						mu.Lock()
-						seen = append(seen, rows)
+						for i, row := range rows {
+							if seen[i] == nil {
+								seen[i] = map[string]bool{}
+							}
+							seen[i][string(row)] = true
+						}
+						listed = max(listed, len(rows))
 						mu.Unlock()
 					}
 				}
 			}
 		}()
 	}
+	crossed := -1 // the first round after which the table spans two chunks
 	for i := 0; i < 20; i++ {
 		if i%5 == 4 {
-			drift := DriftRequest{Weights: map[string]float64{"h1": 1 + float64(i)/10}}
+			drift := DriftRequest{Weights: map[string]float64{}}
+			for j := range specs {
+				specs[j].Weight *= 1.1
+				drift.Weights[specs[j].ID] = specs[j].Weight
+			}
 			if code := e.do(t, "POST", "/v1/sessions/"+id+"/drift", &drift, nil); code != http.StatusOK {
 				t.Fatalf("drift %d: status %d", i, code)
 			}
 		}
 		advanceRounds(t, e, id, 1)
+		sess.ledgerMu.RLock()
+		if crossed < 0 && len(sess.ledger.chunks) > 1 {
+			crossed = i
+		}
+		sess.ledgerMu.RUnlock()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			n := listed
+			mu.Unlock()
+			if n > i {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no reader listed round %d", i)
+			}
+		}
 	}
 	close(done)
 	wg.Wait()
+	if crossed < 1 || crossed == 19 {
+		t.Fatalf("the table first spanned two chunks after round %d, want a boundary crossed mid-run", crossed)
+	}
 	// Let the last background snapshot commit before the journal
 	// directory is removed.
-	e.srv.mu.Lock()
-	sess := e.srv.sessions[id]
-	e.srv.mu.Unlock()
 	for deadline := time.Now().Add(5 * time.Second); sess.snapBusy.Load(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("background snapshot never finished")
@@ -857,9 +976,9 @@ func TestRoundLogConcurrentReaders(t *testing.T) {
 	if len(final) != 20 {
 		t.Fatalf("final ledger has %d rounds, want 20", len(final))
 	}
-	for _, rows := range seen {
-		for i, row := range rows {
-			if string(row) != string(final[i]) {
+	for i, forms := range seen {
+		for row := range forms {
+			if row != string(final[i]) {
 				t.Fatalf("a reader saw round %d as %s, final ledger has %s", i, row, final[i])
 			}
 		}
@@ -868,7 +987,9 @@ func TestRoundLogConcurrentReaders(t *testing.T) {
 
 // BenchmarkRoundLogAdd times roundLog.add on the rounds of a 12k-agent
 // session and reports ns/add and the bytes the log retains per round.
-// Each arm changes 1% of the agents a round: antiphase-1pct swaps the
+// first-round adds the session's first round, 12k joiners, to an empty
+// log: what a created session's first round pays for its table. Each
+// other arm changes 1% of the agents a round: antiphase-1pct swaps the
 // weights of 60 random pairs, so every change returns to an outcome the
 // agent had (interning's best case); fresh-1pct gives 120 random agents
 // a weight never seen before, so every change walks an agent's chain and
@@ -916,20 +1037,36 @@ func BenchmarkRoundLogAdd(b *testing.B) {
 			return append(merged, joiners[j:]...)
 		}},
 	}
+	outcomes := func() []engine.AgentOutcome {
+		agents := make([]engine.AgentOutcome, n)
+		for i := range agents {
+			agents[i] = engine.AgentOutcome{
+				AgentID:      fmt.Sprintf("agent-%06d", i),
+				Class:        worker.Class(i % 3),
+				Size:         1,
+				Effort:       0.5,
+				Feedback:     0.75,
+				Compensation: 0.25,
+				Weight:       1 + 0.25*float64(i%2),
+			}
+		}
+		return agents
+	}
+	b.Run("first-round", func(b *testing.B) {
+		agents := outcomes()
+		var l roundLog
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l = roundLog{}
+			l.add(engine.Round{Outcomes: agents})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/add")
+		b.ReportMetric(float64(l.bytes), "B/round")
+	})
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			agents := make([]engine.AgentOutcome, n)
-			for i := range agents {
-				agents[i] = engine.AgentOutcome{
-					AgentID:      fmt.Sprintf("agent-%06d", i),
-					Class:        worker.Class(i % 3),
-					Size:         1,
-					Effort:       0.5,
-					Feedback:     0.75,
-					Compensation: 0.25,
-					Weight:       1 + 0.25*float64(i%2),
-				}
-			}
+			agents := outcomes()
 			rng := rand.New(rand.NewSource(1))
 			var l roundLog
 			l.add(engine.Round{Outcomes: agents})

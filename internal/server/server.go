@@ -24,6 +24,7 @@ import (
 	"dyncontract/internal/spans"
 	"dyncontract/internal/synth"
 	"dyncontract/internal/telemetry"
+	"dyncontract/internal/worker"
 )
 
 // Config tunes a Server. The zero value is usable: Defaults fills every
@@ -502,16 +503,39 @@ func (s *Server) newSession(req *CreateSessionRequest, body []byte) (*session, e
 
 // buildSession resolves a validated create request into an assembled (but
 // unregistered, unnamed) session: population, policy, engine, queues.
+// An explicit population is validated once, by engine.New; its errors
+// are the client's.
 func (s *Server) buildSession(req *CreateSessionRequest) (*session, error) {
 	pop, err := buildPopulation(req)
 	if err != nil {
 		return nil, err
 	}
+	badPop := func(err error) error { return err }
+	if req.Scale == "" {
+		badPop = func(err error) error { return fmt.Errorf("%v: %w", err, ErrBadRequest) }
+	}
+	return s.assembleValidated(req, pop, badPop)
+}
+
+// assembleValidated builds the request's policy and assembles the session
+// around pop, which engine.New validates; badPop maps a population error
+// to the caller's. A bad population outranks a bad policy, so a policy
+// error is returned only for a population that validates.
+func (s *Server) assembleValidated(req *CreateSessionRequest, pop *engine.Population, badPop func(error) error) (*session, error) {
 	pol, polName, err := buildPolicy(req)
 	if err != nil {
+		if perr := pop.Validate(); perr != nil {
+			return nil, badPop(perr)
+		}
 		return nil, err
 	}
-	return s.assembleSession(req, pop, pol, polName)
+	sess, err := s.assembleSession(req, pop, pol, polName)
+	if err != nil {
+		// The policy is set and the horizon positive: engine.New failed
+		// on the population.
+		return nil, badPop(err)
+	}
+	return sess, nil
 }
 
 // assembleSession wires the engine and goroutine plumbing around an
@@ -592,7 +616,8 @@ func buildSynthetic(req *CreateSessionRequest) (*engine.Population, error) {
 	return pop, nil
 }
 
-// buildExplicit mints a population from inline agent specs.
+// buildExplicit mints a population from inline agent specs, unvalidated:
+// engine.New validates it.
 func buildExplicit(req *CreateSessionRequest) (*engine.Population, error) {
 	m := req.M
 	if m == 0 {
@@ -607,6 +632,7 @@ func buildExplicit(req *CreateSessionRequest) (*engine.Population, error) {
 		mu = 1
 	}
 	pop := &engine.Population{
+		Agents:     make([]*worker.Agent, 0, len(req.Agents)),
 		Weights:    make(map[string]float64, len(req.Agents)),
 		MaliceProb: make(map[string]float64),
 		Part:       part,
@@ -623,9 +649,6 @@ func buildExplicit(req *CreateSessionRequest) (*engine.Population, error) {
 		if spec.Malice != 0 {
 			pop.MaliceProb[a.ID] = spec.Malice
 		}
-	}
-	if err := pop.Validate(); err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrBadRequest)
 	}
 	return pop, nil
 }

@@ -155,30 +155,68 @@ func TestRoundIncludesContracts(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsBadPayloads pins the answer to each payload the
+// request check, a population check or the policy rejects — a 400 and its
+// error text — so validating the population once, in engine.New, answers
+// exactly as validating it while it was built did; a bad population
+// outranks a bad policy.
 func TestCreateSessionRejectsBadPayloads(t *testing.T) {
 	e := newTestServer(t, Config{})
 	tests := []struct {
 		name string
 		mut  func(*CreateSessionRequest)
+		want string
 	}{
-		{"both routes", func(r *CreateSessionRequest) { r.Scale = "small" }},
-		{"neither route", func(r *CreateSessionRequest) { r.Agents = nil }},
-		{"unknown scale", func(r *CreateSessionRequest) { r.Agents = nil; r.Scale = "galactic" }},
-		{"unknown policy", func(r *CreateSessionRequest) { r.Policy = "oracle" }},
-		{"unknown class", func(r *CreateSessionRequest) { r.Agents[0].Class = "neutral" }},
-		{"duplicate agent ID", func(r *CreateSessionRequest) { r.Agents[1].ID = "h1" }},
-		{"empty agent ID", func(r *CreateSessionRequest) { r.Agents[0].ID = "" }},
-		{"zero delta", func(r *CreateSessionRequest) { r.Delta = 0 }},
-		{"negative mu", func(r *CreateSessionRequest) { r.Mu = -1 }},
-		{"fixed without amount", func(r *CreateSessionRequest) { r.Policy = "fixed" }},
-		{"bad psi", func(r *CreateSessionRequest) { r.Agents[0].Psi.R2 = 1 }},
+		{"both routes", func(r *CreateSessionRequest) { r.Scale = "small" },
+			`exactly one of scale or agents must be set: server: invalid request`},
+		{"neither route", func(r *CreateSessionRequest) { r.Agents = nil },
+			`exactly one of scale or agents must be set: server: invalid request`},
+		{"unknown scale", func(r *CreateSessionRequest) { r.Agents = nil; r.Scale = "galactic" },
+			`unknown scale "galactic" (want small or paper): server: invalid request`},
+		{"unknown policy", func(r *CreateSessionRequest) { r.Policy = "oracle" },
+			`unknown policy "oracle" (want dynamic, exclude, or fixed): server: invalid request`},
+		{"unknown class", func(r *CreateSessionRequest) { r.Agents[0].Class = "neutral" },
+			`unknown class "neutral" (want honest, malicious, or community): server: invalid request`},
+		{"duplicate agent ID", func(r *CreateSessionRequest) { r.Agents[1].ID = "h1" },
+			`duplicate agent "h1": engine: invalid population: server: invalid request`},
+		{"empty agent ID", func(r *CreateSessionRequest) { r.Agents[0].ID = "" },
+			`agent with empty ID: engine: invalid population: server: invalid request`},
+		{"zero delta", func(r *CreateSessionRequest) { r.Delta = 0 },
+			`delta=0 must be positive and finite: server: invalid request`},
+		{"negative mu", func(r *CreateSessionRequest) { r.Mu = -1 },
+			`mu=-1 must be finite and >= 0: server: invalid request`},
+		{"fixed without amount", func(r *CreateSessionRequest) { r.Policy = "fixed" },
+			`fixed policy needs amount > 0, got 0: server: invalid request`},
+		{"bad psi", func(r *CreateSessionRequest) { r.Agents[0].Psi.R2 = 1 },
+			`agent "h1": r2=1: effort: quadratic is not strictly concave (need r2 < 0): server: invalid request`},
+		{"negative beta", func(r *CreateSessionRequest) { r.Agents[2].Beta = -1 },
+			`agent "m1": beta=-1 must be positive: worker: invalid agent: server: invalid request`},
+		{"malice above 1", func(r *CreateSessionRequest) { r.Agents[2].Malice = 1.5 },
+			`agent "m1" malice probability=1.5: engine: invalid population: server: invalid request`},
+		{"bad psi and fixed without amount", func(r *CreateSessionRequest) { r.Agents[0].Psi.R2 = 1; r.Policy = "fixed" },
+			`agent "h1": r2=1: effort: quadratic is not strictly concave (need r2 < 0): server: invalid request`},
+		{"duplicate and fixed without amount", func(r *CreateSessionRequest) { r.Agents[1].ID = "h1"; r.Policy = "fixed" },
+			`duplicate agent "h1": engine: invalid population: server: invalid request`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			req := testCreateReq()
 			tt.mut(&req)
-			if code := e.do(t, "POST", "/v1/sessions", &req, nil); code != http.StatusBadRequest {
-				t.Errorf("status = %d, want 400", code)
+			body, err := json.Marshal(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := e.ts.Client().Post(e.ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var got errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || got.Error != tt.want {
+				t.Errorf("answered %d %q, want 400 %q", resp.StatusCode, got.Error, tt.want)
 			}
 		})
 	}
@@ -568,5 +606,21 @@ func TestCreateBodyRead(t *testing.T) {
 	}
 	if code := post(io.MultiReader(bytes.NewReader(big)), -1); code != http.StatusBadRequest {
 		t.Errorf("chunked create past maxBodyBytes: status %d, want 400", code)
+	}
+}
+
+// TestSnapshotPopulationErrors pins what recovery reports for a snapshot
+// whose population engine.New rejects — alone, and with a policy
+// buildPolicy rejects, where the population's error wins.
+func TestSnapshotPopulationErrors(t *testing.T) {
+	srv := New(Config{})
+	for _, policy := range []string{"", "fixed"} {
+		snap := sessionSnapshot{Version: snapshotVersion, Policy: policy, M: 10, Delta: 0.2, Mu: 1, Agents: testAgents()}
+		snap.Agents[1].ID = "h1"
+		_, err := srv.sessionFromSnapshot(&snap)
+		want := `snapshot population: duplicate agent "h1": engine: invalid population`
+		if err == nil || err.Error() != want {
+			t.Errorf("policy %q: sessionFromSnapshot = %v, want %s", policy, err, want)
+		}
 	}
 }

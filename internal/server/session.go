@@ -67,14 +67,21 @@ type cmdReply struct {
 // asked, the round's contract map. It lives on the writer goroutine only.
 // last.Outcomes aliases the engine's reusable backing array: it is valid
 // until the next Step, which is long enough for runRound to add it to the
-// session's roundLog (which keeps its own copy of what changed).
+// session's roundLog (which keeps its own copy of what changed). It wants
+// the contract map only in an include_contracts round, so the engine
+// keeps no per-ID map for a session whose rounds never ask.
 type captureObserver struct {
 	wantContracts bool
 	contracts     map[string]*contract.PiecewiseLinear
 	last          engine.Round
 }
 
-var _ engine.Observer = (*captureObserver)(nil)
+var (
+	_ engine.Observer        = (*captureObserver)(nil)
+	_ engine.ContractsWanter = (*captureObserver)(nil)
+)
+
+func (c *captureObserver) WantsContracts(int) bool { return c.wantContracts }
 
 func (c *captureObserver) OnContracts(_ int, m map[string]*contract.PiecewiseLinear) {
 	if !c.wantContracts {

@@ -21,10 +21,12 @@
 # write-ahead hop per journaled command, buffered and fsync; trend only —
 # the fsync arm benchmarks the storage stack, not the code), and from
 # internal/server BenchmarkRoundLogAdd (a served session's ledger add at
-# 12k agents on antiphase, all-fresh and churning rounds; trend only,
-# with the log's retained bytes per round) and BenchmarkCreateSession
-# (the create body's single-pass decode against encoding/json, and the
-# whole create route, at 1k and 12k agents; trend only) — with -benchmem,
+# 12k agents: first-round — 12k joiners into an empty log — and
+# antiphase, all-fresh and churning rounds; trend only, with the log's
+# retained bytes per round) and BenchmarkCreateSession (the create body's
+# single-pass decode against encoding/json, the whole create route, and
+# create+round — create plus the first round, the span perfbench's
+# setup_s samples — at 1k and 12k agents; trend only) — with -benchmem,
 # prints the standard output, and writes the parsed results to
 # BENCH_engine.json as one JSON array of
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
