@@ -16,6 +16,7 @@ import (
 	"dyncontract/internal/platform"
 	"dyncontract/internal/reputation"
 	"dyncontract/internal/solver"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -214,7 +215,7 @@ func BenchmarkEquilibriumChecks(b *testing.B) {
 // construction + MCKP (greedy and DP) over an 80-agent population.
 func BenchmarkBudgetAllocation(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,7 +228,7 @@ func BenchmarkBudgetAllocation(b *testing.B) {
 // BenchmarkSensitivitySweep measures the estimator-quality ablation.
 func BenchmarkSensitivitySweep(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

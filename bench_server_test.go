@@ -13,7 +13,7 @@ import (
 	"dyncontract/internal/server"
 )
 
-// BenchmarkServerDesignBatch measures the serving layer end to end:
+// BenchmarkServerDesignConcurrent measures the serving layer end to end:
 // concurrent clients posting design-only queries through the HTTP API
 // against a warm design cache. Each query runs on its own request
 // goroutine: a cache lookup and an O(m) pick. Sub-benchmarks vary the
@@ -23,7 +23,7 @@ import (
 // This benchmark rides the network stack (httptest over loopback), so it
 // is intentionally excluded from bench.sh's warm-round regression bars —
 // track it for trend, not for the ±25% gate.
-func BenchmarkServerDesignBatch(b *testing.B) {
+func BenchmarkServerDesignConcurrent(b *testing.B) {
 	for _, clients := range []int{1, 8, 32} {
 		// Name deliberately avoids a trailing "-<digits>": bench.sh strips
 		// that pattern as the GOMAXPROCS suffix when building JSON names.
@@ -86,7 +86,7 @@ func BenchmarkServerDesignBatch(b *testing.B) {
 // "drift+round" interleaves a round advance after each drift, covering
 // the sparse refresh and patch respond as well.
 //
-// Like BenchmarkServerDesignBatch this rides the network stack, so it is
+// Like BenchmarkServerDesignConcurrent this rides the network stack, so it is
 // excluded from bench.sh's warm-round regression bars.
 func BenchmarkServerDriftRoute(b *testing.B) {
 	newSession := func(b *testing.B) (*httptest.Server, string) {

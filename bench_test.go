@@ -25,19 +25,20 @@ import (
 	"dyncontract/internal/polyfit"
 	"dyncontract/internal/solver"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
 var (
 	benchOnce sync.Once
-	benchPipe *experiments.Pipeline
+	benchPipe *synthpop.Pipeline
 	benchErr  error
 )
 
-func benchPipeline(b *testing.B) *experiments.Pipeline {
+func benchPipeline(b *testing.B) *synthpop.Pipeline {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchPipe, benchErr = experiments.BuildPipeline(synth.SmallScale(123))
+		benchPipe, benchErr = synthpop.BuildPipeline(synth.SmallScale(123))
 	})
 	if benchErr != nil {
 		b.Fatalf("pipeline: %v", benchErr)
@@ -66,7 +67,7 @@ func benchAgent(b *testing.B) (*worker.Agent, core.Config) {
 // the m sweep for a single honest worker.
 func BenchmarkFig6Bounds(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,7 +96,7 @@ func BenchmarkTable2Clustering(b *testing.B) {
 // feedback aggregates.
 func BenchmarkFig7ClassProfiles(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,7 +127,7 @@ func BenchmarkTable3Fitting(b *testing.B) {
 // design with individual effort functions for m = 10, 20, 40.
 func BenchmarkFig8aCompensation(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,7 +141,7 @@ func BenchmarkFig8aCompensation(b *testing.B) {
 // compensation statistics across μ ∈ {1.0, 0.9, 0.8}.
 func BenchmarkFig8bCompensationByClass(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -154,7 +155,7 @@ func BenchmarkFig8bCompensationByClass(b *testing.B) {
 // marketplace under the dynamic policy vs the exclusion baseline.
 func BenchmarkFig8cVsBaseline(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -168,7 +169,7 @@ func BenchmarkFig8cVsBaseline(b *testing.B) {
 // contract vs brute-force grid optimum.
 func BenchmarkAblationGridSearch(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,7 +240,7 @@ func BenchmarkSolveAllParallel(b *testing.B) {
 // best responses + accounting) for ~200 agents.
 func BenchmarkPlatformRound(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 	pop, err := p.BuildPopulation(params, 200)
 	if err != nil {
 		b.Fatal(err)
@@ -258,7 +259,7 @@ func BenchmarkPlatformRound(b *testing.B) {
 // comparison with BenchmarkPlatformRound.
 func BenchmarkExclusionBaselineRound(b *testing.B) {
 	p := benchPipeline(b)
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 	pop, err := p.BuildPopulation(params, 200)
 	if err != nil {
 		b.Fatal(err)
@@ -564,7 +565,7 @@ func BenchmarkEngineRound1k(b *testing.B) {
 // the naive reference round by TestShardedLedgerIdentical in
 // internal/engine.
 //
-// Two drift variants bracket the mutation path: sharded-rebuild bumps
+// Two drift variants bracket the mutation path: full-rebuild bumps
 // the whole population before every round (the full view rebuild and
 // re-plan), while sparse-drift-1pct drifts 1% of agents through
 // Population.Touch, so only their slots refresh in place. The sparse
@@ -672,7 +673,7 @@ func BenchmarkEngineRound100k(b *testing.B) {
 			b.Fatalf("cold rounds built %d menus, want %d", misses, keys*b.N)
 		}
 	})
-	b.Run("sharded-rebuild", func(b *testing.B) {
+	b.Run("full-rebuild", func(b *testing.B) {
 		// Whole-population drift each round: Bump forces the full view
 		// rebuild and re-plan — the cost floor sparse drift is measured
 		// against. (The name predates the one pipeline; bench.sh's drift
@@ -746,8 +747,8 @@ func BenchmarkEngineRound100k(b *testing.B) {
 		// resolves in the warm design cache. Each round splices the view
 		// with its outcome buffer, columns and slots in place (survivors
 		// between splice points shift), and joiners take the patch route
-		// and respond alone. The full-rebuild cost of the same churn is
-		// the sharded-rebuild arm above.
+		// and respond alone. The same churn taken as a full rebuild costs
+		// the full-rebuild arm above.
 		drifted := benchArchetypePopulation(b, 100_000)
 		proto := drifted.Agents[0] // honest archetype
 		protoW := drifted.Weights[proto.ID]

@@ -36,6 +36,7 @@ import (
 	"dyncontract/internal/experiments"
 	"dyncontract/internal/obs"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/telemetry"
 	"dyncontract/internal/trace"
 )
@@ -96,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	if *asJSON && *plot {
 		return fmt.Errorf("-json and -plot are mutually exclusive")
 	}
-	var pipe *experiments.Pipeline
+	var pipe *synthpop.Pipeline
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
@@ -107,7 +108,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("read trace: %w", err)
 		}
-		pipe, err = experiments.BuildPipelineFromTrace(tr, *seed)
+		pipe, err = synthpop.BuildPipelineFromTrace(tr, *seed)
 		if err != nil {
 			return err
 		}
@@ -124,7 +125,7 @@ func run(args []string, out io.Writer) error {
 		if !*asJSON {
 			fmt.Fprintf(out, "generating %s-scale trace (seed %d)...\n", *scale, *seed)
 		}
-		pipe, err = experiments.BuildPipeline(cfg)
+		pipe, err = synthpop.BuildPipeline(cfg)
 		if err != nil {
 			return err
 		}
@@ -134,13 +135,10 @@ func run(args []string, out io.Writer) error {
 			len(pipe.Trace.Reviews), len(pipe.Trace.Workers), pipe.Trace.NumProducts(), len(pipe.Communities))
 	}
 
-	params := experiments.DefaultParams()
+	params := experiments.Params{Params: synthpop.DefaultParams(), NoDesignCache: *noCache, NoRespondMemo: *noMemo, Metrics: reg}
 	if *m > 0 {
 		params.M = *m
 	}
-	params.NoDesignCache = *noCache
-	params.NoRespondMemo = *noMemo
-	params.Metrics = reg
 
 	ids := strings.Split(*runIDs, ",")
 	if *runIDs == "all" {

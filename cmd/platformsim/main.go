@@ -36,11 +36,11 @@ import (
 
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/engine"
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/obs"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/spans"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/telemetry"
 )
 
@@ -108,11 +108,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
 	fmt.Fprintf(out, "building pipeline (%s scale, seed %d)...\n", *scale, *seed)
-	pipe, err := experiments.BuildPipeline(cfg)
+	pipe, err := synthpop.BuildPipeline(cfg)
 	if err != nil {
 		return err
 	}
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 	pop, err := pipe.BuildPopulation(params, *perClass)
 	if err != nil {
 		return err

@@ -19,9 +19,9 @@ import (
 
 	"dyncontract/internal/contract"
 	"dyncontract/internal/engine"
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/telemetry"
 )
 
@@ -48,11 +48,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("adaptivepricing: ")
 
-	pipe, err := experiments.BuildPipeline(synth.SmallScale(31))
+	pipe, err := synthpop.BuildPipeline(synth.SmallScale(31))
 	if err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 
 	const rounds = 6
 	// Drift: each round, the first few honest workers' weight degrades —

@@ -20,20 +20,20 @@ import (
 	"log"
 
 	"dyncontract/internal/budget"
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("budgetedcampaign: ")
 
-	pipe, err := experiments.BuildPipeline(synth.SmallScale(77))
+	pipe, err := synthpop.BuildPipeline(synth.SmallScale(77))
 	if err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 	ctx := context.Background()
 
 	// Reference: what the unconstrained dynamic policy spends and earns.

@@ -19,9 +19,9 @@ import (
 
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/engine"
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -31,7 +31,7 @@ func main() {
 
 	// Stage 1-4: trace → malice estimates → communities → fitted ψ per
 	// class, all bundled in the pipeline.
-	pipe, err := experiments.BuildPipeline(synth.SmallScale(7))
+	pipe, err := synthpop.BuildPipeline(synth.SmallScale(7))
 	if err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}
@@ -44,7 +44,7 @@ func main() {
 	}
 
 	// Stage 5: materialize the population and design contracts each round.
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 	pop, err := pipe.BuildPopulation(params, 150)
 	if err != nil {
 		log.Fatalf("population: %v", err)

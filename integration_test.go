@@ -9,10 +9,10 @@ import (
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/core"
 	"dyncontract/internal/equilibrium"
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/solver"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/trace"
 	"dyncontract/internal/worker"
 )
@@ -22,11 +22,11 @@ import (
 // see: trace → estimation → clustering → fitting → decomposition →
 // parallel design → equilibrium audit → marketplace simulation.
 func TestEndToEndPipeline(t *testing.T) {
-	pipe, err := experiments.BuildPipeline(synth.SmallScale(2024))
+	pipe, err := synthpop.BuildPipeline(synth.SmallScale(2024))
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	params := experiments.DefaultParams()
+	params := synthpop.DefaultParams()
 
 	// 1. The trace round-trips through the JSONL codec unharmed.
 	var buf bytes.Buffer
@@ -43,7 +43,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 2. A rebuilt pipeline from the decoded trace reaches identical
 	// classifications (everything downstream is deterministic).
-	pipe2, err := experiments.BuildPipelineFromTrace(back, 2024)
+	pipe2, err := synthpop.BuildPipelineFromTrace(back, 2024)
 	if err != nil {
 		t.Fatalf("pipeline from decoded trace: %v", err)
 	}

@@ -26,8 +26,6 @@ type ExcludeMalicious struct {
 	// Threshold is the exclusion cutoff on the estimated malice
 	// probability (e.g. 0.5).
 	Threshold float64
-	// Parallelism caps the inner solver pool; 0 means GOMAXPROCS.
-	Parallelism int
 
 	// inner persists across rounds so the engine's design dedup, scratch
 	// buffers, and any attached cache carry over.
@@ -65,7 +63,6 @@ func (p *ExcludeMalicious) Contracts(ctx context.Context, pop *platform.Populati
 	}
 	contracts := make(map[string]*contract.PiecewiseLinear, len(pop.Agents))
 	if len(kept.Agents) > 0 {
-		p.inner.Parallelism = p.Parallelism
 		designed, err := p.inner.Contracts(ctx, kept)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: inner dynamic design: %w", err)

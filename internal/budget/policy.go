@@ -21,8 +21,6 @@ type Policy struct {
 	UseDP bool
 	// DPSteps is the DP cost grid (default 2000).
 	DPSteps int
-	// Parallelism caps the design pool; 0 means GOMAXPROCS.
-	Parallelism int
 }
 
 var _ platform.Policy = (*Policy)(nil)
@@ -47,7 +45,7 @@ func (p *Policy) Contracts(ctx context.Context, pop *platform.Population) (map[s
 			Config: core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID], WantCandidates: true},
 		}
 	}
-	outcomes, err := solver.SolveAll(ctx, subs, solver.Options{Parallelism: p.Parallelism})
+	outcomes, err := solver.SolveAll(ctx, subs, solver.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("budget: design: %w", err)
 	}

@@ -46,7 +46,7 @@ import (
 // are then reused, so a long-lived Scratch makes repeated designs
 // allocation-free up to the winner contract itself. A Scratch is
 // single-owner: one solve at a time (the solver pool keeps one per
-// worker, the engine's ShardDesigner one for its inline solves).
+// worker, the engine's ViewDesigner one for its inline solves).
 type Scratch struct {
 	// knots is d_l = ψ(lδ), l = 0..m. It is never written in place: a new
 	// (partition, ψ) gets a fresh array, so the menus built over it — and

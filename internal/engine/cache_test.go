@@ -56,15 +56,15 @@ func TestCacheDedupAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestShardDesignerCountsEachDesignOnce pins CacheStats on the ShardPolicy
+// TestViewDesignerCountsEachDesignOnce pins CacheStats on the ViewPolicy
 // design route: every distinct fingerprint counts exactly once per round,
 // as one hit or one miss. A warm round validates its plan and counts three
 // hits; a round after Invalidate fails that validation and counts three
 // misses — one per Design call — not a fourth for the failed validation.
-func TestShardDesignerCountsEachDesignOnce(t *testing.T) {
+func TestViewDesignerCountsEachDesignOnce(t *testing.T) {
 	cache := engine.NewCache()
 	eng, err := engine.New(archetypePopulation(t, 30), engine.Config{
-		Policy: &shardDesignPolicy{},
+		Policy: &viewDesignPolicy{},
 		Rounds: 1,
 		Cache:  cache,
 	})

@@ -43,7 +43,7 @@ type Designer struct {
 	plan      pickPlan
 	slots     []int32 // per agent: index into plan.fps
 	contracts map[string]*contract.PiecewiseLinear
-	shard     *ShardDesigner // built on first use (Shard)
+	view      *ViewDesigner // built on first use (View)
 }
 
 // maxScan bounds the linear-scan lists of a pickPlan: populations built
@@ -332,29 +332,29 @@ func (d *Designer) Design(ctx context.Context, part effort.Partition, mu float64
 	return p.picks[0], nil
 }
 
-// Shard returns the designer behind ShardPolicy.ShardContracts, creating
-// it on first use. The ShardDesigner is single-owner (one engine calls it
+// View returns the designer behind ViewPolicy.ViewContracts, creating
+// it on first use. The ViewDesigner is single-owner (one engine calls it
 // from one goroutine at a time) and reads this Designer's Cache and
 // Metrics at every call, so a policy rewired to another engine's cache
 // designs against that cache from its next call.
-func (d *Designer) Shard() *ShardDesigner {
+func (d *Designer) View() *ViewDesigner {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.shard == nil {
-		d.shard = &ShardDesigner{owner: d}
+	if d.view == nil {
+		d.view = &ViewDesigner{owner: d}
 	}
-	return d.shard
+	return d.view
 }
 
-// ShardDesigner designs contracts over an engine's indexed view. It
+// ViewDesigner designs contracts over an engine's indexed view. It
 // retains a per-epoch plan — the view's distinct design keys and
-// fingerprints and each agent's slot into them, computed from the Shard's
+// fingerprints and each agent's slot into them, computed from the View's
 // key ids and weights — so a warm round costs one cache lookup per
 // distinct design key to validate that the served menus are still
 // current, and reports changed = false without touching dst. Cold menus
 // build across GOMAXPROCS. Scratch is retained across rounds;
 // steady-state calls allocate nothing.
-type ShardDesigner struct {
+type ViewDesigner struct {
 	owner *Designer // its Cache (nil: every round redesigns) and Metrics
 
 	built bool
@@ -373,19 +373,19 @@ type ShardDesigner struct {
 // BatchStats implements BatchReporter: the size of the most recent
 // fill's solver batch (the distinct design keys that missed the cache)
 // and the cumulative number of solves the retained scratch has served.
-func (d *ShardDesigner) BatchStats() (batch int, scratchUses uint64) {
+func (d *ViewDesigner) BatchStats() (batch int, scratchUses uint64) {
 	return d.lastBatch, d.scratch.Uses()
 }
 
-// Contracts implements the ShardPolicy work: fill dst[i] with the
-// contract for sh.Agents[i], reporting whether anything changed since the
+// Contracts implements the ViewPolicy work: fill dst[i] with the
+// contract for v.Agents[i], reporting whether anything changed since the
 // previous call for this epoch.
-func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	if len(dst) != len(sh.Agents) {
-		return false, fmt.Errorf("engine: %d contract slots for %d agents", len(dst), len(sh.Agents))
+func (d *ViewDesigner) Contracts(ctx context.Context, pop *Population, v *View, dst []*contract.PiecewiseLinear) (bool, error) {
+	if len(dst) != len(v.Agents) {
+		return false, fmt.Errorf("engine: %d contract slots for %d agents", len(dst), len(v.Agents))
 	}
 	cache := d.owner.Cache
-	replan := !d.built || d.epoch != sh.Epoch
+	replan := !d.built || d.epoch != v.Epoch
 	if !replan && cache != nil {
 		// Warm validation: the plan is current (same view epoch), and a
 		// pick is a pure function of (menu, μ, w), so the round is
@@ -416,11 +416,11 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 	if replan {
 		d.plan.reset()
 		d.slots = d.slots[:0]
-		for i, id := range sh.Keys {
-			d.slots = append(d.slots, d.plan.addID(id, &sh.table.keys[id], pop.Mu, sh.Weights[i], sh.Agents[i]))
+		for i, id := range v.Keys {
+			d.slots = append(d.slots, d.plan.addID(id, &v.table.keys[id], pop.Mu, v.Weights[i], v.Agents[i]))
 		}
 		d.built = true
-		d.epoch = sh.Epoch
+		d.epoch = v.Epoch
 	}
 	err := d.plan.resolve(ctx, cache, pop.Part, pop.Mu, solver.Options{Metrics: d.owner.Metrics, Scratch: &d.scratch}, &d.scratch)
 	d.lastBatch = len(d.plan.subs)
@@ -430,7 +430,7 @@ func (d *ShardDesigner) Contracts(ctx context.Context, pop *Population, sh *Shar
 		d.built = false
 		return true, err
 	}
-	for i := range sh.Agents {
+	for i := range v.Agents {
 		dst[i] = d.plan.picks[d.slots[i]]
 	}
 	return true, nil

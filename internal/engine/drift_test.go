@@ -93,7 +93,7 @@ func TestSparseDriftLedgerIdentical(t *testing.T) {
 			}
 		}
 		cfg := engine.Config{
-			Policy: &shardDesignPolicy{},
+			Policy: &viewDesignPolicy{},
 			Rounds: rounds,
 			Drift:  scopedDrift(t, declare),
 			Cache:  engine.NewCache(),
@@ -169,7 +169,7 @@ func TestSparseDriftShardSkips(t *testing.T) {
 	memo := engine.NewRespondMemo()
 	grab := &contractGrabber{id: id}
 	cfg := engine.Config{
-		Policy:    &shardDesignPolicy{},
+		Policy:    &viewDesignPolicy{},
 		Rounds:    1,
 		Cache:     cache,
 		Memo:      memo,
@@ -235,7 +235,7 @@ func TestTouchUndeclaredSecondConsumer(t *testing.T) {
 	mk := func() (*engine.Engine, *engine.Ledger) {
 		led := &engine.Ledger{}
 		e, err := engine.New(pop, engine.Config{
-			Policy:    &shardDesignPolicy{},
+			Policy:    &viewDesignPolicy{},
 			Rounds:    1,
 			Observers: []engine.Observer{led},
 		})
@@ -371,7 +371,7 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 	run := func(memo, structural bool) []engine.Round {
 		t.Helper()
 		cfg := engine.Config{
-			Policy: &shardDesignPolicy{},
+			Policy: &viewDesignPolicy{},
 			Rounds: rounds,
 			Drift:  declaredChurnDrift(t, structural),
 			Cache:  engine.NewCache(),
@@ -409,7 +409,7 @@ func TestStructuralDriftCounters(t *testing.T) {
 	ctx := context.Background()
 	reg := telemetry.NewRegistry()
 	cfg := engine.Config{
-		Policy:  &shardDesignPolicy{},
+		Policy:  &viewDesignPolicy{},
 		Rounds:  5,
 		Drift:   declaredChurnDrift(t, true),
 		Cache:   engine.NewCache(),
@@ -453,7 +453,7 @@ func TestRefutedScopeReportsEscalation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := engine.New(archetypePopulation(t, 12), engine.Config{
-				Policy: &shardDesignPolicy{},
+				Policy: &viewDesignPolicy{},
 				Rounds: 2,
 				Cache:  engine.NewCache(),
 				Drift: func(round int, pop *engine.Population) {
@@ -555,7 +555,7 @@ func TestStructuralDriftLeaveHeavy(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	led := &engine.Ledger{}
 	eng, err := engine.New(archetypePopulation(t, n), engine.Config{
-		Policy:    &shardDesignPolicy{},
+		Policy:    &viewDesignPolicy{},
 		Rounds:    rounds,
 		Drift:     schedule(true),
 		Cache:     engine.NewCache(),
@@ -770,7 +770,7 @@ func TestDriftScopeRandomSchedules(t *testing.T) {
 		})
 		for _, memo := range []bool{true, false} {
 			cfg := engine.Config{
-				Policy:  &shardDesignPolicy{},
+				Policy:  &viewDesignPolicy{},
 				Rounds:  rounds,
 				Drift:   randomDriftSchedule(t, seed),
 				Cache:   engine.NewCache(),
@@ -808,7 +808,7 @@ func FuzzDriftSchedule(f *testing.F) {
 			Drift:  randomDriftSchedule(t, seed),
 		})
 		cfg := engine.Config{
-			Policy: &shardDesignPolicy{},
+			Policy: &viewDesignPolicy{},
 			Rounds: rounds,
 			Drift:  randomDriftSchedule(t, seed),
 			Cache:  engine.NewCache(),

@@ -160,10 +160,10 @@ type Config struct {
 	// the design cache, the memo is a pure optimization — the ledger is
 	// byte-identical with or without it.
 	Memo *RespondMemo
-	// Shards is ignored. The engine runs one round pipeline over its
-	// ID-sorted view and parallelizes cold menu builds and best responses
-	// inside it across GOMAXPROCS; the field remains so configurations
-	// that set it still compile.
+	// Shards is ignored: the engine runs one round pipeline over its view
+	// and parallelizes cold menu builds and best responses across
+	// GOMAXPROCS. It is kept only because perfbench sets it; it goes with
+	// perfbench's next change (ROADMAP item 2).
 	Shards int
 	// Metrics, when non-nil, instruments the run: per-stage round timing
 	// histograms, per-round ledger gauges (the same set TelemetryObserver
@@ -218,12 +218,11 @@ type Engine struct {
 	touchPos    []int32
 	scopeAgents []*worker.Agent // validateStructural's scratch
 
-	// Design and respond state; see shard.go.
-	shardPol ShardPolicy // non-nil when the policy designs over the indexed view
-	patchPol bool        // the policy is FingerprintPure — sparse drifts may patch slots
-	// sh is the policy's view: Agents aliases agents, and the columns,
+	// Design and respond state; see view.go.
+	viewPol ViewPolicy // non-nil when the policy designs over the indexed view
+	// view is the policy's view: Agents aliases agents, and the columns,
 	// contracts and wuSlots are aligned with it.
-	sh        Shard
+	view      View
 	contracts []*contract.PiecewiseLinear // the policy's dense contract slots
 	rs        respondScratch
 	// outsOK records that the outcome buffer already holds this round's
@@ -231,7 +230,7 @@ type Engine struct {
 	// respond, cleared whenever the view, the contracts, or the buffer
 	// change. A round with outsOK and no dirty slot skips respond.
 	outsOK bool
-	// changed is ShardContracts' report for the current round.
+	// changed is ViewContracts' report for the current round.
 	changed bool
 	// wu is the summed worker utility of the last respond, and wuSlots its
 	// per-agent breakdown, so the patch route can refresh single slots and
@@ -253,7 +252,7 @@ type Engine struct {
 	lastDeclared viewRule
 	lastApplied  viewRule
 
-	// keys interns the design keys the view holds (Shard.Keys),
+	// keys interns the design keys the view holds (View.Keys),
 	// refcounted; see keyTable. A key whose last holder drifts away or
 	// leaves is dead: its menu-cache and respond-memo entries are dropped
 	// (targeted invalidation).
@@ -355,7 +354,7 @@ type stage struct {
 // roundPipeline is the engine's round body: contract design, OnContracts
 // dispatch, worker best responses, outcome settlement (Eq. (7)), observer
 // dispatch. Design and respond run once over the indexed view (see
-// shard.go).
+// view.go).
 var roundPipeline = [...]stage{
 	{name: "design", spanName: "engine.stage.design", hist: func(m *stageMetrics) *telemetry.Histogram { return m.design }, run: (*Engine).stageDesign},
 	{name: "contracts", spanName: "engine.stage.contracts", fold: true, run: (*Engine).stageContracts},
@@ -382,10 +381,7 @@ func New(pop *Population, cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{pop: pop, cfg: cfg}
-	if sp, ok := cfg.Policy.(ShardPolicy); ok {
-		e.shardPol = sp
-		_, e.patchPol = cfg.Policy.(FingerprintPurePolicy)
-	}
+	e.viewPol, _ = cfg.Policy.(ViewPolicy)
 	if cfg.Metrics != nil {
 		if mu, ok := cfg.Policy.(MetricsUser); ok {
 			mu.UseMetrics(cfg.Metrics)
@@ -598,7 +594,7 @@ func (e *Engine) LastDriftClass() (declared, applied string) {
 }
 
 // stageContracts dispatches OnContracts: the round's map, or nil when no
-// observer wants it. (On the ShardPolicy route the per-ID map is built
+// observer wants it. (On the ViewPolicy route the per-ID map is built
 // only when some observer wants it.)
 func (e *Engine) stageContracts(_ context.Context, st *roundState) error {
 	m := st.contracts
@@ -969,11 +965,11 @@ func (e *Engine) fitOuts(n int) {
 // outcome, contract and per-slot utility at its view position. Leavers
 // drop out (their design keys released); each joiner lands at its final
 // index (joinDst). A joiner's contract takes the sparse patch route —
-// fingerprint-pure policy, design cache hit, dirty slot — when it can; any
+// view policy, design cache hit, dirty slot — when it can; any
 // joiner that cannot moves the view to the refresh's epoch for a full
 // re-plan. Touched positions shift to the spliced view.
 func (e *Engine) spliceView(epoch uint64, canPatch bool) {
-	sh := &e.sh
+	v := &e.view
 	if len(e.dirty) > 0 {
 		// Stale patch slots (an aborted previous round) would shift under
 		// the splice; fall back to a full respond.
@@ -984,8 +980,8 @@ func (e *Engine) spliceView(epoch uint64, canPatch bool) {
 	// slot. prepareStructural resolved every splice position — joins and
 	// leaves arrive ID-sorted, so their positions are non-decreasing and
 	// the merge reduces to contiguous survivor segments.
-	for _, v := range e.leavePos {
-		e.keys.release(sh.Keys[v])
+	for _, p := range e.leavePos {
+		e.keys.release(v.Keys[p])
 	}
 	segs, jdst := buildSpliceSegs(e.viewSegs[:0], e.joinDst[:0], e.joinPos, e.leavePos, len(e.agents))
 	nOld := len(e.agents)
@@ -993,18 +989,18 @@ func (e *Engine) spliceView(epoch uint64, canPatch bool) {
 	nMax := max(nOld, nNew)
 	e.agents = grown(e.agents, nMax)
 	e.fitOuts(nMax)
-	sh.Weights = grown(sh.Weights, nMax)
-	sh.Malice = grown(sh.Malice, nMax)
-	sh.Keys = grown(sh.Keys, nMax)
+	v.Weights = grown(v.Weights, nMax)
+	v.Malice = grown(v.Malice, nMax)
+	v.Keys = grown(v.Keys, nMax)
 	e.contracts = grown(e.contracts, nMax)
 	// wuSlots runs short before the first respond; the zero padding is
 	// what that respond overwrites.
 	e.wuSlots = grown(e.wuSlots, nMax)
 	spliceMove(e.agents, segs)
 	spliceMove(e.outs, segs)
-	spliceMove(sh.Weights, segs)
-	spliceMove(sh.Malice, segs)
-	spliceMove(sh.Keys, segs)
+	spliceMove(v.Weights, segs)
+	spliceMove(v.Malice, segs)
+	spliceMove(v.Keys, segs)
 	spliceMove(e.contracts, segs)
 	spliceMove(e.wuSlots, segs)
 
@@ -1014,9 +1010,9 @@ func (e *Engine) spliceView(epoch uint64, canPatch bool) {
 		w := e.pop.Weights[a.ID]
 		key := DesignKeyOf(a, e.pop.Part)
 		e.agents[d] = a
-		sh.Weights[d] = w
-		sh.Malice[d] = e.pop.MaliceProb[a.ID]
-		sh.Keys[d] = e.keys.ref(&key)
+		v.Weights[d] = w
+		v.Malice[d] = e.pop.MaliceProb[a.ID]
+		v.Keys[d] = e.keys.ref(&key)
 		e.wuSlots[d] = 0
 		var c *contract.PiecewiseLinear
 		if canPatch {
@@ -1033,15 +1029,15 @@ func (e *Engine) spliceView(epoch uint64, canPatch bool) {
 	clear(e.contracts[nNew:])
 	e.agents = e.agents[:nNew]
 	e.outs = e.outs[:nNew]
-	sh.Agents = e.agents
-	sh.Weights = sh.Weights[:nNew]
-	sh.Malice = sh.Malice[:nNew]
-	sh.Keys = sh.Keys[:nNew]
+	v.Agents = e.agents
+	v.Weights = v.Weights[:nNew]
+	v.Malice = v.Malice[:nNew]
+	v.Keys = v.Keys[:nNew]
 	e.contracts = e.contracts[:nNew]
 	e.wuSlots = e.wuSlots[:nNew]
-	for k, v := range e.touchPos {
-		if v >= 0 {
-			e.touchPos[k] = spliceShift(segs, v)
+	for k, p := range e.touchPos {
+		if p >= 0 {
+			e.touchPos[k] = spliceShift(segs, p)
 		}
 	}
 	e.viewSegs, e.joinDst = segs, jdst

@@ -10,7 +10,7 @@ func (c *Cache) Holds(key DesignKey) bool {
 }
 
 // CheckViews reports the first broken invariant of the engine's retained
-// view: one outcome per view position; the policy's Shard aliasing the
+// view: one outcome per view position; the policy's View aliasing the
 // ID-sorted agents, with its columns and the contract slots aligned with
 // them; and the key table (checkKeys).
 func (e *Engine) CheckViews() error {
@@ -20,7 +20,7 @@ func (e *Engine) CheckViews() error {
 	if !e.agentsOK {
 		return nil
 	}
-	sh := &e.sh
+	sh := &e.view
 	switch {
 	case len(sh.Agents) != len(e.agents) || (len(e.agents) > 0 && &sh.Agents[0] != &e.agents[0]):
 		return fmt.Errorf("view of %d agents does not alias the engine's %d", len(sh.Agents), len(e.agents))
@@ -48,7 +48,7 @@ func (e *Engine) checkKeys() error {
 		return fmt.Errorf("key table: %d counts for %d keys", len(t.counts), len(t.keys))
 	}
 	recount := make([]int32, len(t.keys))
-	sh := &e.sh
+	sh := &e.view
 	if sh.table != t {
 		return fmt.Errorf("view does not index the engine's key table")
 	}
@@ -93,9 +93,9 @@ func (e *Engine) checkKeys() error {
 	return nil
 }
 
-// ShardView returns the engine's current view as its ShardPolicy
+// CurrentView returns the engine's current view as its ViewPolicy
 // receives it (sharing its slices with the engine).
-func (e *Engine) ShardView() Shard { return e.sh }
+func (e *Engine) CurrentView() View { return e.view }
 
 // HoldsContractMap reports whether the engine keeps an observer-facing
 // per-ID contract map.

@@ -35,7 +35,7 @@ func TestStepHeapPerAgent(t *testing.T) {
 	pop := archetypePopulation(t, n)
 	before := liveHeap()
 	eng, err := engine.New(pop, engine.Config{
-		Policy: &shardDesignPolicy{},
+		Policy: &viewDesignPolicy{},
 		Rounds: 1,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),
@@ -82,7 +82,7 @@ func TestRetiredKeysHeap(t *testing.T) {
 	ctx := context.Background()
 	pop := archetypePopulation(t, n)
 	eng, err := engine.New(pop, engine.Config{
-		Policy: &shardDesignPolicy{},
+		Policy: &viewDesignPolicy{},
 		Rounds: 1,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),

@@ -51,7 +51,7 @@ func newIndexHarness(t *testing.T) *indexHarness {
 		if lane < 2 {
 			l.led = &engine.Ledger{}
 			cfg := engine.Config{
-				Policy:    &shardDesignPolicy{},
+				Policy:    &viewDesignPolicy{},
 				Rounds:    1,
 				Cache:     engine.NewCache(),
 				Observers: []engine.Observer{l.led},

@@ -4,7 +4,7 @@ package engine
 // decomposition result (§IV-B) an agent's contract depends only on its
 // design key plus μ and its weight, and a platform has few worker types
 // and many workers, so the view carries a 4-byte key id per agent
-// (Shard.Keys) and the table stores each live distinct key once, with the
+// (View.Keys) and the table stores each live distinct key once, with the
 // number of view slots holding it. Its size follows the distinct keys,
 // never the population.
 //

@@ -28,7 +28,7 @@ func (stubPolicy) Contracts(_ context.Context, pop *Population) (map[string]*con
 	return m, nil
 }
 
-// keyPolicy designs the view through a cache-backed ShardDesigner and
+// keyPolicy designs the view through a cache-backed ViewDesigner and
 // opts into the patch route, as platform.DynamicPolicy does.
 type keyPolicy struct{ d Designer }
 
@@ -40,11 +40,9 @@ func (p *keyPolicy) Contracts(ctx context.Context, pop *Population) (map[string]
 	return p.d.Contracts(ctx, pop, pop.Agents)
 }
 
-func (p *keyPolicy) ShardContracts(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	return p.d.Shard().Contracts(ctx, pop, sh, dst)
+func (p *keyPolicy) ViewContracts(ctx context.Context, pop *Population, v *View, dst []*contract.PiecewiseLinear) (bool, error) {
+	return p.d.View().Contracts(ctx, pop, v, dst)
 }
-
-func (p *keyPolicy) FingerprintPure() {}
 
 func keysPop(t *testing.T, n int) *Population {
 	t.Helper()
@@ -81,7 +79,7 @@ func keysPop(t *testing.T, n int) *Population {
 // holds, computed from the agents themselves.
 func distinctViewKeys(e *Engine) int {
 	seen := make(map[DesignKey]bool)
-	for _, a := range e.sh.Agents {
+	for _, a := range e.view.Agents {
 		seen[DesignKeyOf(a, e.pop.Part)] = true
 	}
 	return len(seen)
@@ -196,7 +194,7 @@ func TestKeyTableRemintInOneRound(t *testing.T) {
 			if err := eng.Step(ctx); err != nil {
 				t.Fatal(err)
 			}
-			sh := &eng.sh
+			sh := &eng.view
 			slot := func(id string) int {
 				t.Helper()
 				for j, a := range sh.Agents {

@@ -76,7 +76,7 @@ func TestWeightDriftKeepsMenus(t *testing.T) {
 	watch := &menuWatch{t: t, name: name, cache: cache, memo: memo, keys: keys, memoCap: keys * pop.Part.M}
 	led := &engine.Ledger{}
 	eng, err := engine.New(pop, engine.Config{
-		Policy:    &shardDesignPolicy{},
+		Policy:    &viewDesignPolicy{},
 		Rounds:    rounds,
 		Drift:     weightDriftSchedule(n),
 		Cache:     cache,

@@ -33,7 +33,7 @@ var ErrBadPopulation = errors.New("engine: invalid population")
 // Population is the fixed cast of a simulation: the agents, the requester's
 // per-agent feedback weights, malice estimates, and the market parameters.
 //
-// Engines read it through a cached indexed view (see Shard). An engine
+// Engines read it through a cached indexed view (see View). An engine
 // with a Config.Drift hook rebuilds the view each round the hook declares
 // nothing narrower, so undeclared mutations are seen; an engine without
 // one keeps its view, and a mutation — in an observer, or between Step

@@ -21,7 +21,7 @@ import (
 // the partition, and the contract, so agents sharing a design key and a
 // contract share one BestResponse call, whatever their weights. This file
 // holds the cross-round RespondMemo and the bounded fan-out the respond
-// stage solves its misses on (shard.go holds the stage itself).
+// stage solves its misses on (view.go holds the stage itself).
 
 // respondKey identifies a best-response problem up to equality of its
 // inputs: the agent's design key (class, ψ, β, ω, reservation, partition

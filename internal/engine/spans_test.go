@@ -19,7 +19,7 @@ func attrMap(sd spans.SpanData) map[string]string {
 }
 
 // TestEngineRoundSpans pins the traced round's span tree on the
-// ShardPolicy route: a caller's root span gains one engine.round child per
+// ViewPolicy route: a caller's root span gains one engine.round child per
 // round, each with the five pipeline-stage children and nothing below
 // them; the design stage carries the view's agents, cache hit-miss
 // counts, the change report, the solver batch and the round's drift
@@ -31,7 +31,7 @@ func TestEngineRoundSpans(t *testing.T) {
 	tracer := spans.New(spans.Config{Sample: 1, Seed: 5, Recorder: rec})
 
 	eng, err := engine.New(pop, engine.Config{
-		Policy: &shardDesignPolicy{},
+		Policy: &viewDesignPolicy{},
 		Rounds: 2,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),

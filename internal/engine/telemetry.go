@@ -70,7 +70,9 @@ const (
 	// nothing here — they take the full-rebuild path.
 	MetricDriftTouchedAgents = "dyncontract_engine_drift_touched_agents"
 	// MetricDriftShardsRebuilt counts the scoped refreshes that touched
-	// the view: a splice, or a refreshed slot.
+	// the view: a splice, or a refreshed slot. Its name is kept only
+	// because perfbench reads it; the rename goes with perfbench's next
+	// change (ROADMAP item 2).
 	MetricDriftShardsRebuilt = "dyncontract_engine_drift_shards_rebuilt_total"
 	// MetricDriftRebuildSeconds times each scoped refresh (histogram,
 	// seconds) — the cost a full view rebuild was traded for.
@@ -150,23 +152,23 @@ type stageMetrics struct {
 	design, respond, settle, observe, round *telemetry.Histogram
 	driftRebuild                            *telemetry.Histogram
 	workerUtility                           *telemetry.Gauge
-	driftTouched, driftShardsRebuilt        *telemetry.Counter
+	driftTouched, driftRefreshed            *telemetry.Counter
 	driftJoins, driftLeaves                 *telemetry.Counter
 }
 
 func newStageMetrics(reg *telemetry.Registry) *stageMetrics {
 	return &stageMetrics{
-		design:             reg.Histogram(MetricStageDesignSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		respond:            reg.Histogram(MetricStageRespondSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		settle:             reg.Histogram(MetricStageSettleSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		observe:            reg.Histogram(MetricStageObserveSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		round:              reg.Histogram(MetricRoundSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		driftRebuild:       reg.Histogram(MetricDriftRebuildSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
-		workerUtility:      reg.Gauge(MetricRoundWorkerUtility),
-		driftTouched:       reg.Counter(MetricDriftTouchedAgents),
-		driftShardsRebuilt: reg.Counter(MetricDriftShardsRebuilt),
-		driftJoins:         reg.Counter(MetricDriftJoins),
-		driftLeaves:        reg.Counter(MetricDriftLeaves),
+		design:         reg.Histogram(MetricStageDesignSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
+		respond:        reg.Histogram(MetricStageRespondSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
+		settle:         reg.Histogram(MetricStageSettleSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
+		observe:        reg.Histogram(MetricStageObserveSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
+		round:          reg.Histogram(MetricRoundSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
+		driftRebuild:   reg.Histogram(MetricDriftRebuildSeconds, stageSecondsLo, stageSecondsHi, stageSecondsBins),
+		workerUtility:  reg.Gauge(MetricRoundWorkerUtility),
+		driftTouched:   reg.Counter(MetricDriftTouchedAgents),
+		driftRefreshed: reg.Counter(MetricDriftShardsRebuilt),
+		driftJoins:     reg.Counter(MetricDriftJoins),
+		driftLeaves:    reg.Counter(MetricDriftLeaves),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"dyncontract/internal/contract"
@@ -18,25 +19,25 @@ import (
 // responses separable per worker, so each stage runs once per round over
 // the engine's one ID-sorted view and parallelizes only its costly part:
 // distinct design keys that miss the cache build their menus across
-// GOMAXPROCS (ShardDesigner), and best responses the memo cannot serve
+// GOMAXPROCS (ViewDesigner), and best responses the memo cannot serve
 // solve in blocks across GOMAXPROCS (solvePending). Settlement remains one
 // sequential pass, so float sums never depend on the worker count.
 // Outcomes are written to each agent's view position, and a structural
 // splice moves them, the indexed columns, and the contract and utility
 // slots with the view.
 
-// Shard is the round pipeline's view of the population, as a ShardPolicy
+// View is the round pipeline's view of the population, as a ViewPolicy
 // receives it: the ID-sorted agents, with every per-agent datum the hot
 // loop needs — weight, malice estimate, design key — carried as an indexed
 // slice aligned with Agents, so design never touches the population's
 // string-keyed maps. An agent's design fingerprint is {Key(j), pop.Mu,
 // Weights[j]}.
-type Shard struct {
+type View struct {
 	// Epoch identifies the population view: it moves on every full view
 	// rebuild and on every scoped refresh that invalidates the policy's
 	// plan. Epochs come from one process-wide counter, so no two views —
 	// of one engine or of two engines sharing a policy — ever share one;
-	// consumers that cache a plan (ShardDesigner) key it on Epoch.
+	// consumers that cache a plan (ViewDesigner) key it on Epoch.
 	Epoch uint64
 	// Agents is the engine's ID-sorted population view.
 	Agents []*worker.Agent
@@ -54,48 +55,40 @@ type Shard struct {
 }
 
 // Key returns the design key of Agents[j].
-func (s *Shard) Key(j int) DesignKey { return s.table.keys[s.Keys[j]] }
+func (v *View) Key(j int) DesignKey { return v.table.keys[v.Keys[j]] }
 
-// viewEpochs mints every Shard.Epoch.
+// viewEpochs mints every View.Epoch.
 var viewEpochs atomic.Uint64
 
-// ShardPolicy is implemented by policies that design over the engine's
-// indexed view — the fast path of the round pipeline. ShardContracts
-// fills dst[i] with the contract for sh.Agents[i] (nil excludes the agent
+// ViewPolicy is implemented by policies that design over the engine's
+// indexed view — the fast path of the round pipeline. ViewContracts
+// fills dst[i] with the contract for v.Agents[i] (nil excludes the agent
 // this round) and reports whether any entry changed since its previous
 // call for this epoch; false on a view that did not move lets the engine
 // skip the respond stage outright, as its retained outcomes are already
 // this round's exact values. Policies that implement only Policy design
 // through the whole-population Contracts call.
-type ShardPolicy interface {
-	Policy
-	ShardContracts(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) (changed bool, err error)
-}
-
-// FingerprintPurePolicy is an opt-in marker for ShardPolicies whose
-// per-agent contract is a pure function of the agent's design
-// fingerprint — no other population, round, or view state feeds the
-// design (DynamicPolicy qualifies: its ShardDesigner resolves every
-// contract through the fingerprint-keyed design cache).
 //
-// The marker unlocks the engine's sparse-drift patch route: when a
-// Population.Touch scope arrives and every touched agent's new
-// fingerprint already resolves in Config.Cache, the engine serves those
-// agents' contracts straight from the cache and refreshes only their
-// outcome slots, leaving the designer plan, warm validation, and every
-// untouched agent's retained outcome in place. Touched agents whose
-// fingerprint misses the cache fall back to the epoch-bump route (full
-// re-plan and respond), so the marker never changes results — only how
-// much of the view is recomputed.
-type FingerprintPurePolicy interface {
-	ShardPolicy
-	// FingerprintPure is a marker method; implementations do nothing.
-	FingerprintPure()
+// A ViewPolicy's contract for an agent must be a pure function of the
+// agent's design fingerprint — no other population, round, or view state
+// feeds it — and, with Config.Cache set, the pick of the cached menu for
+// its design key (as DynamicPolicy's ViewDesigner serves it). That
+// contract is the engine's sparse-drift patch route: when a
+// Population.Touch scope arrives and a touched agent's design key
+// already resolves in the cache, the engine serves its contract straight
+// from the menu and refreshes only its outcome slot, leaving the designer
+// plan, warm validation, and every untouched agent's retained outcome in
+// place. Agents whose key misses the cache take the epoch-bump route
+// (full re-plan and respond), so the route never changes results — only
+// how much of the view is recomputed.
+type ViewPolicy interface {
+	Policy
+	ViewContracts(ctx context.Context, pop *Population, v *View, dst []*contract.PiecewiseLinear) (changed bool, err error)
 }
 
-// BatchReporter is an opt-in interface for ShardPolicies that route cold
+// BatchReporter is an opt-in interface for ViewPolicies that route cold
 // designs through the batched solver (core.DesignInto over a retained
-// core.Scratch). After a ShardContracts call, BatchStats reports the
+// core.Scratch). After a ViewContracts call, BatchStats reports the
 // number of subproblems the last design batch carried (0 on a fully warm
 // round) and the cumulative use count of the retained scratch — evidence
 // the flat arrays are actually being reused rather than reallocated.
@@ -109,13 +102,13 @@ type BatchReporter interface {
 // table, and empty contract slots.
 func (e *Engine) buildView() {
 	n := len(e.agents)
-	sh := &e.sh
-	sh.Epoch = viewEpochs.Add(1)
-	sh.Agents = e.agents
-	sh.table = &e.keys
-	sh.Weights = slices.Grow(sh.Weights[:0], n)
-	sh.Malice = slices.Grow(sh.Malice[:0], n)
-	sh.Keys = slices.Grow(sh.Keys[:0], n)
+	v := &e.view
+	v.Epoch = viewEpochs.Add(1)
+	v.Agents = e.agents
+	v.table = &e.keys
+	v.Weights = slices.Grow(v.Weights[:0], n)
+	v.Malice = slices.Grow(v.Malice[:0], n)
+	v.Keys = slices.Grow(v.Keys[:0], n)
 	e.keys.reset()
 	// Archetype populations list long runs of equal design keys in ID
 	// order: a run costs one table lookup.
@@ -128,9 +121,9 @@ func (e *Engine) buildView() {
 		} else {
 			runKey, runID = key, e.keys.ref(&key)
 		}
-		sh.Weights = append(sh.Weights, e.pop.Weights[a.ID])
-		sh.Malice = append(sh.Malice, e.pop.MaliceProb[a.ID])
-		sh.Keys = append(sh.Keys, runID)
+		v.Weights = append(v.Weights, e.pop.Weights[a.ID])
+		v.Malice = append(v.Malice, e.pop.MaliceProb[a.ID])
+		v.Keys = append(v.Keys, runID)
 	}
 	clear(e.contracts[:cap(e.contracts)]) // hold no contract past the view
 	e.contracts = slices.Grow(e.contracts[:0], n)[:n]
@@ -138,23 +131,23 @@ func (e *Engine) buildView() {
 	e.dirty = e.dirty[:0]
 }
 
-// refreshShardSlot refreshes the touched agent at view position j —
+// refreshViewSlot refreshes the touched agent at view position j —
 // weight, malice, design key (refcounted) — and routes its contract.
-// Under a FingerprintPurePolicy whose design key already resolves in the
-// menu cache, the contract slot is patched with the menu's pick and only
+// Under a ViewPolicy whose design key already resolves in the menu
+// cache, the contract slot is patched with the menu's pick and only
 // the outcome slot is marked dirty — the view keeps its epoch, the
 // designer plan, and every other retained outcome (the patch route).
 // Otherwise the view takes the refresh's epoch, forcing the designer plan
 // and retained outcomes to revalidate in full (the fallback route).
-func (e *Engine) refreshShardSlot(id string, j int, epoch uint64, canPatch bool) {
-	sh := &e.sh
+func (e *Engine) refreshViewSlot(id string, j int, epoch uint64, canPatch bool) {
+	v := &e.view
 	a := e.agents[j]
 	w := e.pop.Weights[id]
-	sh.Weights[j] = w
-	sh.Malice[j] = e.pop.MaliceProb[id]
+	v.Weights[j] = w
+	v.Malice[j] = e.pop.MaliceProb[id]
 	key := DesignKeyOf(a, e.pop.Part)
-	if old := sh.Keys[j]; key != e.keys.keys[old] {
-		sh.Keys[j] = e.keys.ref(&key)
+	if old := v.Keys[j]; key != e.keys.keys[old] {
+		v.Keys[j] = e.keys.ref(&key)
 		e.keys.release(old)
 	}
 	if canPatch {
@@ -170,8 +163,8 @@ func (e *Engine) refreshShardSlot(id string, j int, epoch uint64, canPatch bool)
 // bumpEpoch moves the view to the refresh's epoch (the fallback route):
 // the policy re-plans and every outcome is recomputed.
 func (e *Engine) bumpEpoch(epoch uint64) {
-	if e.sh.Epoch != epoch {
-		e.sh.Epoch = epoch
+	if e.view.Epoch != epoch {
+		e.view.Epoch = epoch
 		e.outsOK = false
 	}
 }
@@ -225,7 +218,7 @@ func (e *Engine) refreshStructural() {
 		t = telemetry.StartTimer()
 	}
 	epoch := viewEpochs.Add(1)
-	canPatch := e.patchPol && e.cfg.Cache != nil
+	canPatch := e.viewPol != nil && e.cfg.Cache != nil
 	touched := len(e.structJoins)+len(e.scope.leaves) > 0
 	if touched {
 		e.spliceView(epoch, canPatch)
@@ -234,21 +227,21 @@ func (e *Engine) refreshStructural() {
 	// gone.
 	for k, id := range e.scope.ids {
 		if j := e.touchPos[k]; j >= 0 {
-			e.refreshShardSlot(id, int(j), epoch, canPatch)
+			e.refreshViewSlot(id, int(j), epoch, canPatch)
 			touched = true
 		}
 	}
 	e.removeDeadKeys()
 	if e.m != nil {
 		if touched {
-			e.m.driftShardsRebuilt.Inc()
+			e.m.driftRefreshed.Inc()
 		}
 		e.m.driftRebuild.Observe(t.Seconds())
 	}
 }
 
 // stageDesign resolves the round's view, then asks the policy for
-// contracts: one ShardContracts call over the indexed view, or the
+// contracts: one ViewContracts call over the indexed view, or the
 // whole-population Contracts call for a plain Policy. Traced rounds
 // annotate the stage's span with the view's size, the round's drift
 // classification, the design cache's hit/miss deltas across the call, the
@@ -257,7 +250,7 @@ func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 	rebuilt := e.ensureView()
 	st.agents = e.agents
 	st.wantContracts = e.wantsContracts(st.r)
-	if e.shardPol == nil {
+	if e.viewPol == nil {
 		contracts, err := e.cfg.Policy.Contracts(ctx, e.pop)
 		if err != nil {
 			return fmt.Errorf("engine: policy %s round %d: %w", e.cfg.Policy.Name(), st.r, err)
@@ -271,13 +264,13 @@ func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 		cs := e.cfg.Cache.Stats()
 		hits0, misses0 = cs.Hits, cs.Misses
 	}
-	changed, err := e.shardPol.ShardContracts(ctx, e.pop, &e.sh, e.contracts)
+	changed, err := e.viewPol.ViewContracts(ctx, e.pop, &e.view, e.contracts)
 	if err != nil {
 		return fmt.Errorf("engine: policy %s round %d: %w", e.cfg.Policy.Name(), st.r, err)
 	}
 	e.changed = changed
 	// A patched view (dirty slots, outcomes still retained) keeps outsOK
-	// through a changed report: the policy is fingerprint-pure, so a
+	// through a changed report: a ViewPolicy is fingerprint-pure, so a
 	// refill resolves every untouched slot to a value-identical contract,
 	// and the dirty slots are recomputed by the patch respond.
 	if changed && len(e.dirty) == 0 {
@@ -291,8 +284,8 @@ func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 			sp.SetInt("cache.hits", int64(cs.Hits-hits0))
 			sp.SetInt("cache.misses", int64(cs.Misses-misses0))
 		}
-		sp.SetAttr("changed", boolStr(changed))
-		if rep, ok := e.shardPol.(BatchReporter); ok {
+		sp.SetAttr("changed", strconv.FormatBool(changed))
+		if rep, ok := e.viewPol.(BatchReporter); ok {
 			batch, uses := rep.BatchStats()
 			sp.SetInt("batch", int64(batch))
 			sp.SetInt("scratch.uses", int64(uses))
@@ -308,14 +301,6 @@ func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 		e.merged = nil
 	}
 	return nil
-}
-
-// boolStr avoids a strconv import at the span call site.
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }
 
 // mergeContracts assembles the observer-facing per-ID contract map from
@@ -372,7 +357,7 @@ func (e *Engine) respond(ctx context.Context, st *roundState) (float64, error) {
 	if e.cfg.Responder != nil {
 		return e.respondHook(st)
 	}
-	if e.shardPol == nil {
+	if e.viewPol == nil {
 		// Map-route contracts carry no change signal: respond every round.
 		e.outsOK = false
 	}
@@ -426,13 +411,13 @@ func (e *Engine) respondPatch(st *roundState) error {
 		a := e.agents[j]
 		c := e.contracts[j]
 		oc := &outs[j]
-		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.sh.Weights[j]}
+		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.view.Weights[j]}
 		if c == nil {
 			oc.Excluded = true
 			e.wuSlots[j] = 0
 			continue
 		}
-		key := e.keys.keys[e.sh.Keys[j]]
+		key := e.keys.keys[e.view.Keys[j]]
 		var resp worker.Response
 		var hit bool
 		if e.cfg.Memo != nil {
@@ -476,7 +461,7 @@ func (e *Engine) respondSolve(ctx context.Context, st *roundState) error {
 	s.pend = s.pend[:0]
 
 	outs := st.round.Outcomes
-	fromMap := e.shardPol == nil
+	fromMap := e.viewPol == nil
 	var lastKey slotKey
 	lastSlot := int32(-1)
 	for i, a := range e.agents {
@@ -487,13 +472,13 @@ func (e *Engine) respondSolve(ctx context.Context, st *roundState) error {
 			c = e.contracts[i]
 		}
 		oc := &outs[i]
-		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.sh.Weights[i]}
+		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.view.Weights[i]}
 		if c == nil {
 			oc.Excluded = true
 			s.slots = append(s.slots, -1)
 			continue
 		}
-		key := slotKey{id: e.sh.Keys[i], c: c}
+		key := slotKey{id: e.view.Keys[i], c: c}
 		if lastSlot >= 0 && key == lastKey {
 			s.slots = append(s.slots, lastSlot)
 			continue
@@ -574,7 +559,7 @@ func (e *Engine) solvePending(ctx context.Context, r int) error {
 	}
 	if e.cfg.Memo != nil {
 		for _, p := range s.pend {
-			e.cfg.Memo.Put(e.keys.keys[e.sh.Keys[p.i]], p.c, s.resps[p.slot])
+			e.cfg.Memo.Put(e.keys.keys[e.view.Keys[p.i]], p.c, s.resps[p.slot])
 		}
 	}
 	return nil
@@ -591,13 +576,13 @@ func (e *Engine) respondHook(st *roundState) (float64, error) {
 	var wu float64
 	for j, a := range e.agents {
 		var c *contract.PiecewiseLinear
-		if e.shardPol != nil {
+		if e.viewPol != nil {
 			c = e.contracts[j]
 		} else {
 			c = st.contracts[a.ID]
 		}
 		oc := &outs[j]
-		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.sh.Weights[j]}
+		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.view.Weights[j]}
 		if c == nil {
 			oc.Excluded = true
 			continue

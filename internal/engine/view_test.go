@@ -16,39 +16,34 @@ import (
 	"dyncontract/internal/worker"
 )
 
-// shardDesignPolicy extends designPolicy with design over the engine's
-// indexed view through engine.ShardDesigner — the minimal ShardPolicy,
+// viewDesignPolicy extends designPolicy with design over the engine's
+// indexed view through engine.ViewDesigner — the minimal ViewPolicy,
 // mirroring platform.DynamicPolicy's wiring.
-type shardDesignPolicy struct {
+type viewDesignPolicy struct {
 	designPolicy
 }
 
-func (p *shardDesignPolicy) ShardContracts(ctx context.Context, pop *engine.Population, sh *engine.Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	return p.d.Shard().Contracts(ctx, pop, sh, dst)
+func (p *viewDesignPolicy) ViewContracts(ctx context.Context, pop *engine.Population, v *engine.View, dst []*contract.PiecewiseLinear) (bool, error) {
+	return p.d.View().Contracts(ctx, pop, v, dst)
 }
 
-// FingerprintPure marks the policy for the sparse-drift patch route —
-// ShardDesigner resolves contracts purely by fingerprint.
-func (p *shardDesignPolicy) FingerprintPure() {}
-
 // BatchStats reports the designer's last solver batch for traced rounds.
-func (p *shardDesignPolicy) BatchStats() (int, uint64) { return p.d.Shard().BatchStats() }
+func (p *viewDesignPolicy) BatchStats() (int, uint64) { return p.d.View().BatchStats() }
 
 var (
-	_ engine.ShardPolicy           = (*shardDesignPolicy)(nil)
-	_ engine.FingerprintPurePolicy = (*shardDesignPolicy)(nil)
-	_ engine.BatchReporter         = (*shardDesignPolicy)(nil)
+	_ engine.ViewPolicy    = (*viewDesignPolicy)(nil)
+	_ engine.BatchReporter = (*viewDesignPolicy)(nil)
 )
 
-// TestEngineShardPartition checks the engine's view as a ShardPolicy
+// TestEngineViewOrder checks the engine's view as a ViewPolicy
 // receives it: Agents is the ID-sorted population, the indexed columns
 // (Weights, Malice, Keys) align with their agents (Engine.CheckViews
 // adds the key table), and Config.Shards — ignored — changes nothing.
-func TestEngineShardPartition(t *testing.T) {
-	view := func(shards int) engine.Shard {
+func TestEngineViewOrder(t *testing.T) {
+	view := func(shards int) engine.View {
 		t.Helper()
 		eng, err := engine.New(archetypePopulation(t, 23), engine.Config{
-			Policy: &shardDesignPolicy{},
+			Policy: &viewDesignPolicy{},
 			Rounds: 1,
 			Shards: shards,
 		})
@@ -61,7 +56,7 @@ func TestEngineShardPartition(t *testing.T) {
 		if err := eng.CheckViews(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return eng.ShardView()
+		return eng.CurrentView()
 	}
 
 	pop := archetypePopulation(t, 23)
@@ -143,18 +138,18 @@ func structuralDrift(tb testing.TB) func(int, *engine.Population) {
 }
 
 // TestShardedLedgerIdentical is the pipeline's determinism pin: for both
-// the ShardPolicy route and the plain-policy fallback, with and without
+// the ViewPolicy route and the plain-policy fallback, with and without
 // the respond memo, the ledger is byte-identical to the naive reference
 // round — under a drift that rescales weights, adds, removes, and
 // reorders agents.
 func TestShardedLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
-	run := func(shardPolicy, memo bool) []engine.Round {
+	run := func(viewPolicy, memo bool) []engine.Round {
 		t.Helper()
 		var pol engine.Policy
-		if shardPolicy {
-			pol = &shardDesignPolicy{}
+		if viewPolicy {
+			pol = &viewDesignPolicy{}
 		} else {
 			pol = &designPolicy{}
 		}
@@ -182,10 +177,10 @@ func TestShardedLedgerIdentical(t *testing.T) {
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shardPolicy := range []bool{true, false} {
+	for _, viewPolicy := range []bool{true, false} {
 		for _, memo := range []bool{true, false} {
-			name := fmt.Sprintf("shardpolicy=%v/memo=%v", shardPolicy, memo)
-			if got := run(shardPolicy, memo); !reflect.DeepEqual(got, ref) {
+			name := fmt.Sprintf("viewpolicy=%v/memo=%v", viewPolicy, memo)
+			if got := run(viewPolicy, memo); !reflect.DeepEqual(got, ref) {
 				t.Errorf("%s: ledger differs from reference", name)
 			}
 		}
@@ -223,7 +218,7 @@ func TestShardedObserverEventOrder(t *testing.T) {
 	ctx := context.Background()
 	rec := &eventRecorder{}
 	cfg := engine.Config{
-		Policy:    &shardDesignPolicy{},
+		Policy:    &viewDesignPolicy{},
 		Rounds:    3,
 		Cache:     engine.NewCache(),
 		Memo:      engine.NewRespondMemo(),
@@ -252,7 +247,7 @@ func TestShardedWarmSkipsRespond(t *testing.T) {
 	pop := archetypePopulation(t, 24)
 	memo := engine.NewRespondMemo()
 	eng, err := engine.New(pop, engine.Config{
-		Policy: &shardDesignPolicy{},
+		Policy: &viewDesignPolicy{},
 		Rounds: 1,
 		Cache:  engine.NewCache(),
 		Memo:   memo,
@@ -279,14 +274,14 @@ func TestShardedWarmSkipsRespond(t *testing.T) {
 }
 
 // TestShardedWarmRoundZeroAllocs extends the zero-alloc warm-round
-// guarantee to the ShardPolicy route: a warmed cache+memo engine
+// guarantee to the ViewPolicy route: a warmed cache+memo engine
 // allocates nothing per Run — the view, the plan, the outcome buffer, and
 // scratch are all reused, and warm rounds skip respond.
 func TestShardedWarmRoundZeroAllocs(t *testing.T) {
 	pop := archetypePopulation(t, 120)
 	ctx := context.Background()
 	eng, err := engine.New(pop, engine.Config{
-		Policy: &shardDesignPolicy{},
+		Policy: &viewDesignPolicy{},
 		Rounds: 1,
 		Cache:  engine.NewCache(),
 		Memo:   engine.NewRespondMemo(),
@@ -307,7 +302,7 @@ func TestShardedWarmRoundZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedBumpSemantics pins the Bump contract on the ShardPolicy
+// TestShardedBumpSemantics pins the Bump contract on the ViewPolicy
 // route: with no Drift configured, an in-place weight
 // mutation is invisible (the indexed views are cached) until
 // Population.Bump or Touch declares it, and a structural addition only
@@ -322,7 +317,7 @@ func TestShardedBumpSemantics(t *testing.T) {
 	newEng := func(pop *engine.Population, led *engine.Ledger) *engine.Engine {
 		t.Helper()
 		eng, err := engine.New(pop, engine.Config{
-			Policy:    &shardDesignPolicy{},
+			Policy:    &viewDesignPolicy{},
 			Rounds:    1,
 			Cache:     engine.NewCache(),
 			Observers: []engine.Observer{led},
@@ -406,14 +401,14 @@ func TestShardedBumpSemantics(t *testing.T) {
 }
 
 // TestShardedResponderHook checks the custom-Responder route on the
-// ShardPolicy route: same ledger as the reference round.
+// ViewPolicy route: same ledger as the reference round.
 func TestShardedResponderHook(t *testing.T) {
 	ctx := context.Background()
 	responder := func(round int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
 		return float64(round%3) + 1.5, nil
 	}
 	ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
-		Policy:    &shardDesignPolicy{},
+		Policy:    &viewDesignPolicy{},
 		Rounds:    4,
 		Responder: responder,
 		Cache:     engine.NewCache(),
@@ -431,40 +426,40 @@ func TestShardedResponderHook(t *testing.T) {
 	}
 }
 
-// failingShardPolicy fails ShardContracts on demand.
-type failingShardPolicy struct {
-	shardDesignPolicy
+// failingViewPolicy fails ViewContracts on demand.
+type failingViewPolicy struct {
+	viewDesignPolicy
 	fail bool
 }
 
-var errShardBoom = errors.New("shard boom")
+var errViewBoom = errors.New("view boom")
 
-func (p *failingShardPolicy) ShardContracts(ctx context.Context, pop *engine.Population, sh *engine.Shard, dst []*contract.PiecewiseLinear) (bool, error) {
+func (p *failingViewPolicy) ViewContracts(ctx context.Context, pop *engine.Population, sh *engine.View, dst []*contract.PiecewiseLinear) (bool, error) {
 	if p.fail {
-		return false, errShardBoom
+		return false, errViewBoom
 	}
-	return p.shardDesignPolicy.ShardContracts(ctx, pop, sh, dst)
+	return p.viewDesignPolicy.ViewContracts(ctx, pop, sh, dst)
 }
 
-// TestShardedDesignError checks that a ShardContracts failure surfaces
+// TestShardedDesignError checks that a ViewContracts failure surfaces
 // with the policy and round attribution and wraps the cause.
 func TestShardedDesignError(t *testing.T) {
 	ctx := context.Background()
-	pol := &failingShardPolicy{fail: true}
+	pol := &failingViewPolicy{fail: true}
 	_, err := engine.RunLedger(ctx, archetypePopulation(t, 9), engine.Config{
 		Policy: pol,
 		Rounds: 2,
 		Cache:  engine.NewCache(),
 	})
-	if !errors.Is(err, errShardBoom) {
-		t.Fatalf("err = %v, want wrapped errShardBoom", err)
+	if !errors.Is(err, errViewBoom) {
+		t.Fatalf("err = %v, want wrapped errViewBoom", err)
 	}
 	if !strings.Contains(err.Error(), "round 0") || !strings.Contains(err.Error(), pol.Name()) {
 		t.Errorf("err %q lacks round/policy attribution", err)
 	}
 }
 
-// TestShardedStageTimings pins the stage counts on the ShardPolicy
+// TestShardedStageTimings pins the stage counts on the ViewPolicy
 // route: every whole-stage histogram observes once per round, warm rounds
 // included (their respond stage skips its work, not its observation).
 func TestShardedStageTimings(t *testing.T) {
@@ -472,7 +467,7 @@ func TestShardedStageTimings(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	const rounds = 3
 	eng, err := engine.New(archetypePopulation(t, 16), engine.Config{
-		Policy:  &shardDesignPolicy{},
+		Policy:  &viewDesignPolicy{},
 		Rounds:  rounds,
 		Cache:   engine.NewCache(),
 		Memo:    engine.NewRespondMemo(),
@@ -504,7 +499,7 @@ func TestShardedStageTimings(t *testing.T) {
 	}
 }
 
-// TestPolicyReusedAcrossEngines runs one ShardPolicy on two engines in
+// TestPolicyReusedAcrossEngines runs one ViewPolicy on two engines in
 // turn, each with its own design cache. Every engine numbers its views
 // afresh, so a plan keyed on a per-engine epoch would let the second
 // engine's first round warm-validate the first engine's plan against the
@@ -513,7 +508,7 @@ func TestShardedStageTimings(t *testing.T) {
 // fresh policy's.
 func TestPolicyReusedAcrossEngines(t *testing.T) {
 	ctx := context.Background()
-	pol := &shardDesignPolicy{}
+	pol := &viewDesignPolicy{}
 	for _, n := range []int{5, 7} {
 		got, err := engine.RunLedger(ctx, archetypePopulation(t, n), engine.Config{
 			Policy: pol,

@@ -64,10 +64,10 @@ func (a *askingRecorder) WantsContracts(r int) bool { return a.ask[r] }
 // and the engine keeps no per-ID map at all.
 func TestContractsOptOutGetsNilMap(t *testing.T) {
 	const rounds = 4
-	for _, sharded := range []bool{true, false} {
+	for _, viewPolicy := range []bool{true, false} {
 		var pol engine.Policy = &designPolicy{}
-		if sharded {
-			pol = &shardDesignPolicy{}
+		if viewPolicy {
+			pol = &viewDesignPolicy{}
 		}
 		rec := &askingRecorder{}
 		led := &engine.Ledger{}
@@ -86,16 +86,16 @@ func TestContractsOptOutGetsNilMap(t *testing.T) {
 				t.Fatal(err)
 			}
 			if eng.HoldsContractMap() {
-				t.Errorf("sharded=%v round %d: the engine keeps a contract map nobody asked for", sharded, r)
+				t.Errorf("viewPolicy=%v round %d: the engine keeps a contract map nobody asked for", viewPolicy, r)
 			}
 		}
 		for r, m := range rec.maps {
 			if m != "<no map>" {
-				t.Errorf("sharded=%v round %d: an observer that opted out got a map", sharded, r)
+				t.Errorf("viewPolicy=%v round %d: an observer that opted out got a map", viewPolicy, r)
 			}
 		}
 		if len(rec.maps) != rounds || len(led.Rounds) != rounds {
-			t.Fatalf("sharded=%v: %d OnContracts calls, %d rounds ledgered, want %d", sharded, len(rec.maps), len(led.Rounds), rounds)
+			t.Fatalf("viewPolicy=%v: %d OnContracts calls, %d rounds ledgered, want %d", viewPolicy, len(rec.maps), len(led.Rounds), rounds)
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestContractsAskedAfterSkippedRounds(t *testing.T) {
 			name := fmt.Sprintf("%s/memo=%v", sc.name, memo)
 			cfg := func(obs ...engine.Observer) engine.Config {
 				c := engine.Config{
-					Policy:    &shardDesignPolicy{},
+					Policy:    &viewDesignPolicy{},
 					Rounds:    rounds,
 					Drift:     sc.drift(),
 					Cache:     engine.NewCache(),
@@ -232,7 +232,7 @@ func TestContractsMixedObservers(t *testing.T) {
 		t.Error("Hooks with Contracts does not want the map")
 	}
 	if _, err := engine.RunLedger(context.Background(), archetypePopulation(t, 12), engine.Config{
-		Policy:    &shardDesignPolicy{},
+		Policy:    &viewDesignPolicy{},
 		Rounds:    3,
 		Cache:     engine.NewCache(),
 		Observers: []engine.Observer{out, hooks, engine.Hooks{}},

@@ -5,6 +5,7 @@ import (
 
 	"dyncontract/internal/core"
 	"dyncontract/internal/optimal"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -20,10 +21,10 @@ const ablationGrid = 10
 // independent brute-force grid search over monotone piecewise-linear
 // contracts (internal/optimal). The paper proves LB/UB bounds (Theorem
 // 4.1); this experiment measures the actual gap.
-func RunAblation(p *Pipeline, params Params) (*Report, error) {
+func RunAblation(p *synthpop.Pipeline, params Params) (*Report, error) {
 	fit, ok := p.ClassFit[worker.Honest]
 	if !ok {
-		return nil, fmt.Errorf("%w: missing honest fit", ErrPipeline)
+		return nil, fmt.Errorf("%w: missing honest fit", synthpop.ErrPipeline)
 	}
 	rep := &Report{
 		ID:     "ablation",

@@ -5,6 +5,7 @@ import (
 
 	"dyncontract/internal/assignment"
 	"dyncontract/internal/core"
+	"dyncontract/internal/synthpop"
 )
 
 // assignTaskValues are the heterogeneous task values for the assignment
@@ -22,24 +23,24 @@ const assignWorkers = 24
 // task's value and a worker–task affinity; the exact Hungarian matching is
 // compared against greedy. Expected shapes: the optimal matching never
 // loses to greedy, and both beat a naive index-order assignment.
-func RunAssignment(p *Pipeline, params Params) (*Report, error) {
+func RunAssignment(p *synthpop.Pipeline, params Params) (*Report, error) {
 	part, err := p.Partition(params.M)
 	if err != nil {
 		return nil, err
 	}
-	ids := sampleIDs(p.HonestIDs, assignWorkers)
+	ids := synthpop.SampleIDs(p.HonestIDs, assignWorkers)
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: no workers to assign", ErrPipeline)
+		return nil, fmt.Errorf("%w: no workers to assign", synthpop.ErrPipeline)
 	}
 
 	// Base utility per worker from its designed contract.
 	base := make([]float64, len(ids))
 	for i, id := range ids {
-		a, err := p.Agent(id, params, part)
+		a, err := p.Agent(id, params.Params, part)
 		if err != nil {
 			return nil, err
 		}
-		w, err := p.WorkerWeight(id, params)
+		w, err := p.WorkerWeight(id, params.Params)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"dyncontract/internal/budget"
 	"dyncontract/internal/platform"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
 )
 
@@ -19,8 +20,8 @@ var budgetFractions = []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5}
 // monotone in the budget with diminishing returns, the greedy MCKP tracks
 // the exact DP closely, and the full-budget point recovers (at least) the
 // unconstrained benefit.
-func RunBudget(p *Pipeline, params Params) (*Report, error) {
-	pop, err := p.BuildPopulation(params, 80)
+func RunBudget(p *synthpop.Pipeline, params Params) (*Report, error) {
+	pop, err := p.BuildPopulation(params.Params, 80)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +34,7 @@ func RunBudget(p *Pipeline, params Params) (*Report, error) {
 	}
 	refCost, refBenefit := free[0].Cost, free[0].Benefit
 	if refCost <= 0 {
-		return nil, fmt.Errorf("%w: unconstrained policy spends nothing", ErrPipeline)
+		return nil, fmt.Errorf("%w: unconstrained policy spends nothing", synthpop.ErrPipeline)
 	}
 
 	rep := &Report{

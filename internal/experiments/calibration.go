@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyncontract/internal/replay"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -12,7 +13,7 @@ import (
 // observed feedback — the absolute-terms complement to Table III's
 // relative NoR comparison. Expected shape: every class fit beats the
 // constant predictor (positive skill) with near-zero bias.
-func RunCalibration(p *Pipeline, _ Params) (*Report, error) {
+func RunCalibration(p *synthpop.Pipeline, _ Params) (*Report, error) {
 	rep := &Report{
 		ID:     "calibration",
 		Title:  "fitted effort-function calibration vs the trace (extension)",
@@ -26,7 +27,7 @@ func RunCalibration(p *Pipeline, _ Params) (*Report, error) {
 		}
 		fit, ok := p.ClassFit[cls]
 		if !ok {
-			return nil, fmt.Errorf("%w: missing fit for %v", ErrPipeline, cls)
+			return nil, fmt.Errorf("%w: missing fit for %v", synthpop.ErrPipeline, cls)
 		}
 		cal, err := replay.Score(fit.Quadratic, efforts, feedbacks)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"dyncontract/internal/dynamics"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/reputation"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
 )
 
@@ -16,8 +17,8 @@ import (
 // reach steady-state pricing? Expected shape: the big correction happens
 // in the first observed round and the weight movement contracts
 // geometrically to a fixed point.
-func RunDynamics(p *Pipeline, params Params) (*Report, error) {
-	pop, err := p.BuildPopulation(params, 80)
+func RunDynamics(p *synthpop.Pipeline, params Params) (*Report, error) {
+	pop, err := p.BuildPopulation(params.Params, 80)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -14,20 +15,24 @@ import (
 // experiments are read-only consumers.
 var (
 	pipeOnce sync.Once
-	pipe     *Pipeline
+	pipe     *synthpop.Pipeline
 	pipeErr  error
 )
 
-func testPipeline(t *testing.T) *Pipeline {
+func testPipeline(t *testing.T) *synthpop.Pipeline {
 	t.Helper()
 	pipeOnce.Do(func() {
-		pipe, pipeErr = BuildPipeline(synth.SmallScale(99))
+		pipe, pipeErr = synthpop.BuildPipeline(synth.SmallScale(99))
 	})
 	if pipeErr != nil {
 		t.Fatalf("BuildPipeline: %v", pipeErr)
 	}
 	return pipe
 }
+
+// defaults is the paper's setting with the engine knobs at their zero
+// values.
+func defaults() Params { return Params{Params: synthpop.DefaultParams()} }
 
 func TestBuildPipelineClassification(t *testing.T) {
 	p := testPipeline(t)
@@ -76,7 +81,7 @@ func TestPipelinePartition(t *testing.T) {
 
 func TestPipelineWorkerWeight(t *testing.T) {
 	p := testPipeline(t)
-	params := DefaultParams()
+	params := synthpop.DefaultParams()
 	// Honest workers generally out-weigh collusive ones on average.
 	avg := func(ids []string) float64 {
 		var sum float64
@@ -161,7 +166,7 @@ func noteAsserts(t *testing.T, rep *Report) {
 
 func TestRunFig6(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig6(p, DefaultParams())
+	rep, err := RunFig6(p, defaults())
 	if err != nil {
 		t.Fatalf("RunFig6: %v", err)
 	}
@@ -170,7 +175,7 @@ func TestRunFig6(t *testing.T) {
 	}
 	noteAsserts(t, rep)
 	// Independent convergence check at mu=1.
-	gaps, err := Fig6Convergence(p, DefaultParams(), 1)
+	gaps, err := Fig6Convergence(p, defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestRunFig6(t *testing.T) {
 
 func TestRunTable2(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunTable2(p, DefaultParams())
+	rep, err := RunTable2(p, defaults())
 	if err != nil {
 		t.Fatalf("RunTable2: %v", err)
 	}
@@ -211,7 +216,7 @@ func TestRunTable2(t *testing.T) {
 
 func TestRunFig7(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig7(p, DefaultParams())
+	rep, err := RunFig7(p, defaults())
 	if err != nil {
 		t.Fatalf("RunFig7: %v", err)
 	}
@@ -223,7 +228,7 @@ func TestRunFig7(t *testing.T) {
 
 func TestRunTable3(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunTable3(p, DefaultParams())
+	rep, err := RunTable3(p, defaults())
 	if err != nil {
 		t.Fatalf("RunTable3: %v", err)
 	}
@@ -249,7 +254,7 @@ func TestRunTable3(t *testing.T) {
 
 func TestRunFig8a(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig8a(p, DefaultParams())
+	rep, err := RunFig8a(p, defaults())
 	if err != nil {
 		t.Fatalf("RunFig8a: %v", err)
 	}
@@ -261,7 +266,7 @@ func TestRunFig8a(t *testing.T) {
 
 func TestRunFig8b(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig8b(p, DefaultParams())
+	rep, err := RunFig8b(p, defaults())
 	if err != nil {
 		t.Fatalf("RunFig8b: %v", err)
 	}
@@ -273,7 +278,7 @@ func TestRunFig8b(t *testing.T) {
 
 func TestRunFig8c(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig8c(p, DefaultParams())
+	rep, err := RunFig8c(p, defaults())
 	if err != nil {
 		t.Fatalf("RunFig8c: %v", err)
 	}
@@ -285,7 +290,7 @@ func TestRunFig8c(t *testing.T) {
 
 func TestRunAblation(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunAblation(p, DefaultParams())
+	rep, err := RunAblation(p, defaults())
 	if err != nil {
 		t.Fatalf("RunAblation: %v", err)
 	}
@@ -308,7 +313,7 @@ func TestRunAblation(t *testing.T) {
 
 func TestRunAdversaryExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunAdversary(p, DefaultParams())
+	rep, err := RunAdversary(p, defaults())
 	if err != nil {
 		t.Fatalf("RunAdversary: %v", err)
 	}
@@ -320,7 +325,7 @@ func TestRunAdversaryExtension(t *testing.T) {
 
 func TestRunSensitivityAblation(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunSensitivity(p, DefaultParams())
+	rep, err := RunSensitivity(p, defaults())
 	if err != nil {
 		t.Fatalf("RunSensitivity: %v", err)
 	}
@@ -332,7 +337,7 @@ func TestRunSensitivityAblation(t *testing.T) {
 
 func TestRunClassifyExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunClassify(p, DefaultParams())
+	rep, err := RunClassify(p, defaults())
 	if err != nil {
 		t.Fatalf("RunClassify: %v", err)
 	}
@@ -344,7 +349,7 @@ func TestRunClassifyExtension(t *testing.T) {
 
 func TestRunDynamicsExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunDynamics(p, DefaultParams())
+	rep, err := RunDynamics(p, defaults())
 	if err != nil {
 		t.Fatalf("RunDynamics: %v", err)
 	}
@@ -356,7 +361,7 @@ func TestRunDynamicsExtension(t *testing.T) {
 
 func TestRunParamsAblation(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunParams(p, DefaultParams())
+	rep, err := RunParams(p, defaults())
 	if err != nil {
 		t.Fatalf("RunParams: %v", err)
 	}
@@ -368,7 +373,7 @@ func TestRunParamsAblation(t *testing.T) {
 
 func TestRunCalibrationExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunCalibration(p, DefaultParams())
+	rep, err := RunCalibration(p, defaults())
 	if err != nil {
 		t.Fatalf("RunCalibration: %v", err)
 	}
@@ -380,7 +385,7 @@ func TestRunCalibrationExtension(t *testing.T) {
 
 func TestRunBudgetExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunBudget(p, DefaultParams())
+	rep, err := RunBudget(p, defaults())
 	if err != nil {
 		t.Fatalf("RunBudget: %v", err)
 	}
@@ -392,7 +397,7 @@ func TestRunBudgetExtension(t *testing.T) {
 
 func TestRunRetentionExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunRetention(p, DefaultParams())
+	rep, err := RunRetention(p, defaults())
 	if err != nil {
 		t.Fatalf("RunRetention: %v", err)
 	}
@@ -404,7 +409,7 @@ func TestRunRetentionExtension(t *testing.T) {
 
 func TestRunStationarityExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunStationarity(p, DefaultParams())
+	rep, err := RunStationarity(p, defaults())
 	if err != nil {
 		t.Fatalf("RunStationarity: %v", err)
 	}
@@ -416,7 +421,7 @@ func TestRunStationarityExtension(t *testing.T) {
 
 func TestRunAssignmentExtension(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunAssignment(p, DefaultParams())
+	rep, err := RunAssignment(p, defaults())
 	if err != nil {
 		t.Fatalf("RunAssignment: %v", err)
 	}
@@ -428,10 +433,10 @@ func TestRunAssignmentExtension(t *testing.T) {
 
 func TestSampleIDs(t *testing.T) {
 	ids := []string{"a", "b", "c", "d", "e", "f"}
-	if got := sampleIDs(ids, 10); len(got) != 6 {
+	if got := synthpop.SampleIDs(ids, 10); len(got) != 6 {
 		t.Errorf("undersized sample = %v", got)
 	}
-	got := sampleIDs(ids, 3)
+	got := synthpop.SampleIDs(ids, 3)
 	if len(got) != 3 {
 		t.Fatalf("sample = %v, want 3 elements", got)
 	}
@@ -439,7 +444,7 @@ func TestSampleIDs(t *testing.T) {
 		t.Errorf("strided sample should start at first element, got %v", got)
 	}
 	// Deterministic.
-	again := sampleIDs(ids, 3)
+	again := synthpop.SampleIDs(ids, 3)
 	for i := range got {
 		if got[i] != again[i] {
 			t.Error("sampleIDs not deterministic")

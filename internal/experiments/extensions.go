@@ -11,6 +11,7 @@ import (
 	"dyncontract/internal/effort"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/reputation"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -23,14 +24,14 @@ const extRounds = 10
 // defense and the attacker's final estimated weight under the adaptive
 // one. The expected shape: the adaptive defense never does worse and
 // collapses the attacker's weight.
-func RunAdversary(p *Pipeline, params Params) (*Report, error) {
+func RunAdversary(p *synthpop.Pipeline, params Params) (*Report, error) {
 	part, err := p.Partition(params.M)
 	if err != nil {
 		return nil, err
 	}
 	fit, ok := p.ClassFit[worker.Honest]
 	if !ok {
-		return nil, fmt.Errorf("%w: missing honest fit", ErrPipeline)
+		return nil, fmt.Errorf("%w: missing honest fit", synthpop.ErrPipeline)
 	}
 	psi := fit.Quadratic
 
@@ -119,7 +120,7 @@ func RunAdversary(p *Pipeline, params Params) (*Report, error) {
 // contracts vs flat payment on a gold-seeded binary labeling batch with a
 // biased malicious minority. Expected shape: designed contracts yield
 // higher aggregate accuracy and requester utility.
-func RunClassify(p *Pipeline, params Params) (*Report, error) {
+func RunClassify(p *synthpop.Pipeline, params Params) (*Report, error) {
 	part, err := effort.NewPartition(10, 1)
 	if err != nil {
 		return nil, err

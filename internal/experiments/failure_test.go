@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/trace"
 )
 
@@ -19,8 +20,8 @@ func TestBuildPipelineNoMaliciousWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildPipelineFromTrace(tr, 1); !errors.Is(err, ErrPipeline) {
-		t.Fatalf("err = %v, want ErrPipeline", err)
+	if _, err := synthpop.BuildPipelineFromTrace(tr, 1); !errors.Is(err, synthpop.ErrPipeline) {
+		t.Fatalf("err = %v, want synthpop.ErrPipeline", err)
 	}
 }
 
@@ -40,13 +41,13 @@ func TestBuildPipelineTinyTrace(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildPipelineFromTrace(tr, 1); !errors.Is(err, ErrPipeline) {
-		t.Fatalf("err = %v, want ErrPipeline", err)
+	if _, err := synthpop.BuildPipelineFromTrace(tr, 1); !errors.Is(err, synthpop.ErrPipeline) {
+		t.Fatalf("err = %v, want synthpop.ErrPipeline", err)
 	}
 }
 
 // TestBuildPipelineZeroUpvoteTrace: all-zero feedback gives a flat trend;
-// the concave-increasing fit must be rejected through ErrPipeline.
+// the concave-increasing fit must be rejected through synthpop.ErrPipeline.
 func TestBuildPipelineZeroUpvoteTrace(t *testing.T) {
 	cfg := synth.SmallScale(2)
 	cfg.HonestShape = synth.ClassShape{A: 0.0001, B: 0, Noise: 0}
@@ -56,23 +57,23 @@ func TestBuildPipelineZeroUpvoteTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = BuildPipelineFromTrace(tr, 2)
+	_, err = synthpop.BuildPipelineFromTrace(tr, 2)
 	if err == nil {
 		// A degenerate fit may still squeak through with epsilon slopes;
 		// what matters is no panic and a decisive outcome either way.
 		t.Log("degenerate trace produced a (barely) valid fit")
 		return
 	}
-	if !errors.Is(err, ErrPipeline) {
-		t.Fatalf("err = %v, want ErrPipeline", err)
+	if !errors.Is(err, synthpop.ErrPipeline) {
+		t.Fatalf("err = %v, want synthpop.ErrPipeline", err)
 	}
 }
 
 // TestPipelineWorkerWeightUnknownWorker: weights for unknown IDs error.
 func TestPipelineWorkerWeightUnknownWorker(t *testing.T) {
 	p := testPipeline(t)
-	if _, err := p.WorkerWeight("no-such-worker", DefaultParams()); !errors.Is(err, ErrPipeline) {
-		t.Fatalf("err = %v, want ErrPipeline", err)
+	if _, err := p.WorkerWeight("no-such-worker", synthpop.DefaultParams()); !errors.Is(err, synthpop.ErrPipeline) {
+		t.Fatalf("err = %v, want synthpop.ErrPipeline", err)
 	}
 }
 
@@ -83,10 +84,10 @@ func TestPipelineCommunityAgentOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CommunityAgent(-1, DefaultParams(), part); !errors.Is(err, ErrPipeline) {
+	if _, err := p.CommunityAgent(-1, synthpop.DefaultParams(), part); !errors.Is(err, synthpop.ErrPipeline) {
 		t.Error("negative index accepted")
 	}
-	if _, err := p.CommunityAgent(len(p.Communities), DefaultParams(), part); !errors.Is(err, ErrPipeline) {
+	if _, err := p.CommunityAgent(len(p.Communities), synthpop.DefaultParams(), part); !errors.Is(err, synthpop.ErrPipeline) {
 		t.Error("out-of-range index accepted")
 	}
 }
@@ -94,7 +95,7 @@ func TestPipelineCommunityAgentOutOfRange(t *testing.T) {
 // TestPipelineClassPointsUnknownClass: an invalid class errors.
 func TestPipelineClassPointsUnknownClass(t *testing.T) {
 	p := testPipeline(t)
-	if _, _, err := p.ClassPoints(0); !errors.Is(err, ErrPipeline) {
-		t.Fatalf("err = %v, want ErrPipeline", err)
+	if _, _, err := p.ClassPoints(0); !errors.Is(err, synthpop.ErrPipeline) {
+		t.Fatalf("err = %v, want synthpop.ErrPipeline", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyncontract/internal/core"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
 	"dyncontract/internal/worker"
 )
@@ -22,10 +23,10 @@ var fig6Ms = []int{2, 4, 8, 16, 32, 64}
 // happens at low compensation. We report both the paper's μ and μ = 1 for
 // a better-conditioned view; the shape (monotone gap shrink) holds for
 // both.
-func RunFig6(p *Pipeline, params Params) (*Report, error) {
+func RunFig6(p *synthpop.Pipeline, params Params) (*Report, error) {
 	fit, ok := p.ClassFit[worker.Honest]
 	if !ok {
-		return nil, fmt.Errorf("%w: missing honest fit", ErrPipeline)
+		return nil, fmt.Errorf("%w: missing honest fit", synthpop.ErrPipeline)
 	}
 	psi := fit.Quadratic
 
@@ -82,10 +83,10 @@ func RunFig6(p *Pipeline, params Params) (*Report, error) {
 }
 
 // Fig6Convergence computes, for testing, the gap sequence at the given μ.
-func Fig6Convergence(p *Pipeline, params Params, mu float64) ([]float64, error) {
+func Fig6Convergence(p *synthpop.Pipeline, params Params, mu float64) ([]float64, error) {
 	fit, ok := p.ClassFit[worker.Honest]
 	if !ok {
-		return nil, fmt.Errorf("%w: missing honest fit", ErrPipeline)
+		return nil, fmt.Errorf("%w: missing honest fit", synthpop.ErrPipeline)
 	}
 	var gaps []float64
 	for _, m := range fig6Ms {

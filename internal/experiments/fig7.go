@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyncontract/internal/stats"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -12,7 +13,7 @@ import (
 // workers. The paper's observation — effort levels are similar across the
 // three classes while CM feedback is much higher (partners upvote each
 // other) — is asserted in the notes.
-func RunFig7(p *Pipeline, _ Params) (*Report, error) {
+func RunFig7(p *synthpop.Pipeline, _ Params) (*Report, error) {
 	rep := &Report{
 		ID:     "fig7",
 		Title:  "per-class average effort and feedback",
@@ -34,7 +35,7 @@ func RunFig7(p *Pipeline, _ Params) (*Report, error) {
 			return nil, err
 		}
 		if len(efforts) == 0 {
-			return nil, fmt.Errorf("%w: class %v has no reviews", ErrPipeline, cr.class)
+			return nil, fmt.Errorf("%w: class %v has no reviews", synthpop.ErrPipeline, cr.class)
 		}
 		meanEffort, err := stats.Mean(efforts)
 		if err != nil {
@@ -66,7 +67,7 @@ func RunFig7(p *Pipeline, _ Params) (*Report, error) {
 	return rep, nil
 }
 
-func classWorkerCount(p *Pipeline, class worker.Class) int {
+func classWorkerCount(p *synthpop.Pipeline, class worker.Class) int {
 	switch class {
 	case worker.Honest:
 		return len(p.HonestIDs)

@@ -7,6 +7,7 @@ import (
 	"dyncontract/internal/core"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/stats"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
 	"dyncontract/internal/worker"
 )
@@ -31,10 +32,10 @@ const fig8aMinReviews = 20
 // selected worker has ≥ 20 reviews, enough to fit an individual concave
 // quadratic; workers whose individual fit is rejected fall back to the
 // class fit.
-func RunFig8a(p *Pipeline, params Params) (*Report, error) {
-	ids := p.prolificHonest()
+func RunFig8a(p *synthpop.Pipeline, params Params) (*Report, error) {
+	ids := prolificHonest(p)
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: no honest workers with >= %d reviews", ErrPipeline, fig8aMinReviews)
+		return nil, fmt.Errorf("%w: no honest workers with >= %d reviews", synthpop.ErrPipeline, fig8aMinReviews)
 	}
 	if len(ids) > fig8aWorkers {
 		ids = ids[:fig8aWorkers]
@@ -56,12 +57,12 @@ func RunFig8a(p *Pipeline, params Params) (*Report, error) {
 		}
 		var comps, lowers, gaps []float64
 		for _, id := range ids {
-			psi := p.workerPsi(id, part)
+			psi := workerPsi(p, id, part)
 			a, err := worker.NewHonest(id, psi, params.Beta, part.YMax())
 			if err != nil {
 				return nil, fmt.Errorf("fig8a: agent %s: %w", id, err)
 			}
-			w, err := p.WorkerWeight(id, params)
+			w, err := p.WorkerWeight(id, params.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -78,7 +79,7 @@ func RunFig8a(p *Pipeline, params Params) (*Report, error) {
 			gaps = append(gaps, res.Response.Compensation-lb)
 		}
 		if len(comps) == 0 {
-			return nil, fmt.Errorf("%w: all workers skipped at m=%d", ErrPipeline, m)
+			return nil, fmt.Errorf("%w: all workers skipped at m=%d", synthpop.ErrPipeline, m)
 		}
 		sum, err := stats.Summarize(comps)
 		if err != nil {
@@ -110,7 +111,7 @@ func RunFig8a(p *Pipeline, params Params) (*Report, error) {
 
 // prolificHonest returns honest workers with at least fig8aMinReviews
 // reviews, sorted by ID for determinism.
-func (p *Pipeline) prolificHonest() []string {
+func prolificHonest(p *synthpop.Pipeline) []string {
 	prolific := p.Trace.WorkersWithAtLeast(fig8aMinReviews)
 	honest := make(map[string]bool, len(p.HonestIDs))
 	for _, id := range p.HonestIDs {
@@ -129,7 +130,7 @@ func (p *Pipeline) prolificHonest() []string {
 // workerPsi fits an individual effort function from the worker's own
 // reviews, falling back to the class fit when the individual fit fails or
 // is not increasing across the partition range.
-func (p *Pipeline) workerPsi(id string, part effort.Partition) effort.Quadratic {
+func workerPsi(p *synthpop.Pipeline, id string, part effort.Partition) effort.Quadratic {
 	classPsi := p.ClassFit[p.ClassOf(id)].Quadratic
 	raw, fb := p.Trace.EffortFeedbackPoints([]string{id})
 	if len(raw) < 5 {

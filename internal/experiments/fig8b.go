@@ -5,6 +5,7 @@ import (
 
 	"dyncontract/internal/core"
 	"dyncontract/internal/stats"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -26,7 +27,7 @@ const fig8bMaxPerClass = 300
 //
 // Collusive communities are designed for as meta-workers; each member's
 // reported compensation is the community payment split evenly.
-func RunFig8b(p *Pipeline, params Params) (*Report, error) {
+func RunFig8b(p *synthpop.Pipeline, params Params) (*Report, error) {
 	rep := &Report{
 		ID:     "fig8b",
 		Title:  "compensation by worker class for varying mu",
@@ -37,7 +38,7 @@ func RunFig8b(p *Pipeline, params Params) (*Report, error) {
 	for _, mu := range fig8bMus {
 		muParams := params
 		muParams.Mu = mu
-		byClass, err := p.classCompensations(muParams)
+		byClass, err := classCompensations(p, muParams)
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +46,7 @@ func RunFig8b(p *Pipeline, params Params) (*Report, error) {
 		for _, cls := range []worker.Class{worker.Honest, worker.NonCollusiveMalicious, worker.CollusiveMalicious} {
 			comps := byClass[cls]
 			if len(comps) == 0 {
-				return nil, fmt.Errorf("%w: class %v yielded no compensations", ErrPipeline, cls)
+				return nil, fmt.Errorf("%w: class %v yielded no compensations", synthpop.ErrPipeline, cls)
 			}
 			sum, err := stats.Summarize(comps)
 			if err != nil {
@@ -88,7 +89,7 @@ func RunFig8b(p *Pipeline, params Params) (*Report, error) {
 
 // classCompensations designs contracts for (a sample of) each class and
 // returns per-class per-worker compensations.
-func (p *Pipeline) classCompensations(params Params) (map[worker.Class][]float64, error) {
+func classCompensations(p *synthpop.Pipeline, params Params) (map[worker.Class][]float64, error) {
 	pt, err := p.Partition(params.M)
 	if err != nil {
 		return nil, err
@@ -109,12 +110,12 @@ func (p *Pipeline) classCompensations(params Params) (map[worker.Class][]float64
 		return res.Response.Compensation, nil
 	}
 
-	for _, id := range sampleIDs(p.HonestIDs, fig8bMaxPerClass) {
-		a, err := p.Agent(id, params, pt)
+	for _, id := range synthpop.SampleIDs(p.HonestIDs, fig8bMaxPerClass) {
+		a, err := p.Agent(id, params.Params, pt)
 		if err != nil {
 			return nil, err
 		}
-		w, err := p.WorkerWeight(id, params)
+		w, err := p.WorkerWeight(id, params.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -124,12 +125,12 @@ func (p *Pipeline) classCompensations(params Params) (map[worker.Class][]float64
 		}
 		out[worker.Honest] = append(out[worker.Honest], comp)
 	}
-	for _, id := range sampleIDs(p.NCMIDs, fig8bMaxPerClass) {
-		a, err := p.Agent(id, params, pt)
+	for _, id := range synthpop.SampleIDs(p.NCMIDs, fig8bMaxPerClass) {
+		a, err := p.Agent(id, params.Params, pt)
 		if err != nil {
 			return nil, err
 		}
-		w, err := p.WorkerWeight(id, params)
+		w, err := p.WorkerWeight(id, params.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -140,14 +141,14 @@ func (p *Pipeline) classCompensations(params Params) (map[worker.Class][]float64
 		out[worker.NonCollusiveMalicious] = append(out[worker.NonCollusiveMalicious], comp)
 	}
 	for ci := range p.Communities {
-		a, err := p.CommunityAgent(ci, params, pt)
+		a, err := p.CommunityAgent(ci, params.Params, pt)
 		if err != nil {
 			return nil, err
 		}
 		// Community weight: average member weight (members share signals).
 		var wSum float64
 		for _, id := range p.Communities[ci].Members {
-			w, err := p.WorkerWeight(id, params)
+			w, err := p.WorkerWeight(id, params.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -165,19 +166,4 @@ func (p *Pipeline) classCompensations(params Params) (map[worker.Class][]float64
 		}
 	}
 	return out, nil
-}
-
-// sampleIDs returns a deterministic prefix sample of the sorted IDs.
-func sampleIDs(ids []string, maxN int) []string {
-	if len(ids) <= maxN {
-		return ids
-	}
-	// Deterministic strided sample across the sorted range (not just the
-	// prefix, which could correlate with generation order).
-	out := make([]string, 0, maxN)
-	stride := float64(len(ids)) / float64(maxN)
-	for i := 0; i < maxN; i++ {
-		out = append(out, ids[int(float64(i)*stride)])
-	}
-	return out
 }

@@ -6,8 +6,8 @@ import (
 
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/platform"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
-	"dyncontract/internal/worker"
 )
 
 // fig8cRounds is the number of simulated task rounds.
@@ -24,8 +24,8 @@ const fig8cMaxPerClass = 200
 // still carry positive weight, while hopeless ones are neutralized by
 // near-zero weights anyway — is asserted in the notes. A fixed-payment
 // policy is included as a second reference point.
-func RunFig8c(p *Pipeline, params Params) (*Report, error) {
-	pop, err := p.BuildPopulation(params, fig8cMaxPerClass)
+func RunFig8c(p *synthpop.Pipeline, params Params) (*Report, error) {
+	pop, err := p.BuildPopulation(params.Params, fig8cMaxPerClass)
 	if err != nil {
 		return nil, err
 	}
@@ -72,66 +72,4 @@ func RunFig8c(p *Pipeline, params Params) (*Report, error) {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("dynamic/exclusion utility ratio: %.3f", dyn/excl))
 	}
 	return rep, nil
-}
-
-// BuildPopulation materializes a platform population from the pipeline:
-// sampled honest and non-collusive malicious individuals plus every
-// collusive community as a meta-agent, with Eq. (5) weights and estimated
-// malice probabilities.
-func (p *Pipeline) BuildPopulation(params Params, maxPerClass int) (*platform.Population, error) {
-	part, err := p.Partition(params.M)
-	if err != nil {
-		return nil, err
-	}
-	pop := &platform.Population{
-		Weights:    make(map[string]float64),
-		MaliceProb: make(map[string]float64),
-		Part:       part,
-		Mu:         params.Mu,
-	}
-	add := func(a *worker.Agent, w, malice float64) {
-		pop.Agents = append(pop.Agents, a)
-		pop.Weights[a.ID] = w
-		pop.MaliceProb[a.ID] = malice
-	}
-	for _, id := range sampleIDs(p.HonestIDs, maxPerClass) {
-		a, err := p.Agent(id, params, part)
-		if err != nil {
-			return nil, err
-		}
-		w, err := p.WorkerWeight(id, params)
-		if err != nil {
-			return nil, err
-		}
-		add(a, w, p.MaliceProb[id])
-	}
-	for _, id := range sampleIDs(p.NCMIDs, maxPerClass) {
-		a, err := p.Agent(id, params, part)
-		if err != nil {
-			return nil, err
-		}
-		w, err := p.WorkerWeight(id, params)
-		if err != nil {
-			return nil, err
-		}
-		add(a, w, p.MaliceProb[id])
-	}
-	for ci, comm := range p.Communities {
-		a, err := p.CommunityAgent(ci, params, part)
-		if err != nil {
-			return nil, err
-		}
-		var wSum, eSum float64
-		for _, id := range comm.Members {
-			w, err := p.WorkerWeight(id, params)
-			if err != nil {
-				return nil, err
-			}
-			wSum += w
-			eSum += p.MaliceProb[id]
-		}
-		n := float64(comm.Size())
-		add(a, wSum/n, eSum/n)
-	}
-	return pop, nil
 }

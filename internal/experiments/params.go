@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyncontract/internal/core"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
 	"dyncontract/internal/worker"
 )
@@ -18,14 +19,14 @@ import (
 //     "malicious workers get paid less".
 //   - β (effort cost): as β grows, effort gets more expensive and the
 //     requester induces less of it, paying more per achieved feedback.
-func RunParams(p *Pipeline, params Params) (*Report, error) {
+func RunParams(p *synthpop.Pipeline, params Params) (*Report, error) {
 	part, err := p.Partition(params.M)
 	if err != nil {
 		return nil, err
 	}
 	fit, ok := p.ClassFit[worker.Honest]
 	if !ok {
-		return nil, fmt.Errorf("%w: missing honest fit", ErrPipeline)
+		return nil, fmt.Errorf("%w: missing honest fit", synthpop.ErrPipeline)
 	}
 	psi := fit.Quadratic
 

@@ -7,7 +7,7 @@ import (
 
 func TestFig6RenderWithPlot(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig6(p, DefaultParams())
+	rep, err := RunFig6(p, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFig6RenderWithPlot(t *testing.T) {
 
 func TestTable2RenderWithBars(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunTable2(p, DefaultParams())
+	rep, err := RunTable2(p, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTable2RenderWithBars(t *testing.T) {
 
 func TestFig8cRenderSeriesPerPolicy(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig8c(p, DefaultParams())
+	rep, err := RunFig8c(p, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFig8cRenderSeriesPerPolicy(t *testing.T) {
 
 func TestFig8aRenderSeries(t *testing.T) {
 	p := testPipeline(t)
-	rep, err := RunFig8a(p, DefaultParams())
+	rep, err := RunFig8a(p, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/platform"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/textplot"
 )
 
@@ -22,7 +23,7 @@ var retentionReservations = []float64{0, 0.5, 1, 2, 4}
 // Expected shapes: the dynamic policy retains every worker at every u₀
 // while fixed pay's participation collapses, and the dynamic requester's
 // utility degrades smoothly (paying exactly the lift, never more).
-func RunRetention(p *Pipeline, params Params) (*Report, error) {
+func RunRetention(p *synthpop.Pipeline, params Params) (*Report, error) {
 	rep := &Report{
 		ID:     "retention",
 		Title:  "worker retention vs outside option u0 (extension)",
@@ -33,7 +34,7 @@ func RunRetention(p *Pipeline, params Params) (*Report, error) {
 	fixedLosesWorkers := false
 	var xs, dynUtil []float64
 	for _, u0 := range retentionReservations {
-		pop, err := p.BuildPopulation(params, 60)
+		pop, err := p.BuildPopulation(params.Params, 60)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/cluster"
 	"dyncontract/internal/platform"
+	"dyncontract/internal/synthpop"
 )
 
 // sensitivityRounds is the simulation horizon per estimator setting.
@@ -21,7 +22,7 @@ const sensitivityRounds = 3
 // and its margin widens as the estimator degrades — exclusion drops
 // honest workers on false positives and keeps undetected attackers at
 // full weight, while the dynamic contract's penalties degrade gracefully.
-func RunSensitivity(p *Pipeline, params Params) (*Report, error) {
+func RunSensitivity(p *synthpop.Pipeline, params Params) (*Report, error) {
 	settings := []struct {
 		label  string
 		tp, fp float64
@@ -51,7 +52,7 @@ func RunSensitivity(p *Pipeline, params Params) (*Report, error) {
 		variant := *p
 		variant.MaliceProb = probs
 
-		pop, err := variant.BuildPopulation(params, 150)
+		pop, err := variant.BuildPopulation(params.Params, 150)
 		if err != nil {
 			return nil, fmt.Errorf("sensitivity %s: %w", s.label, err)
 		}

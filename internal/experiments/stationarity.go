@@ -6,6 +6,7 @@ import (
 
 	"dyncontract/internal/effort"
 	"dyncontract/internal/replay"
+	"dyncontract/internal/synthpop"
 )
 
 // RunStationarity validates an assumption the paper leaves implicit: the
@@ -16,10 +17,10 @@ import (
 // calibrated against the *other* half's observations. Expected shape:
 // coefficients agree across halves and cross-half skill stays close to
 // same-half skill.
-func RunStationarity(p *Pipeline, _ Params) (*Report, error) {
+func RunStationarity(p *synthpop.Pipeline, _ Params) (*Report, error) {
 	rounds := p.Trace.Rounds()
 	if rounds < 2 {
-		return nil, fmt.Errorf("%w: need >= 2 rounds, trace has %d", ErrPipeline, rounds)
+		return nil, fmt.Errorf("%w: need >= 2 rounds, trace has %d", synthpop.ErrPipeline, rounds)
 	}
 	mid := rounds / 2
 	early, err := p.Trace.FilterRounds(0, mid-1)

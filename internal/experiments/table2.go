@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyncontract/internal/cluster"
+	"dyncontract/internal/synthpop"
 )
 
 // paperTable2 is the published distribution of collusive-community sizes
@@ -14,7 +15,7 @@ var paperTable2 = map[string]float64{
 
 // RunTable2 regenerates Table II: the distribution of detected
 // collusive-community sizes, side by side with the paper's numbers.
-func RunTable2(p *Pipeline, _ Params) (*Report, error) {
+func RunTable2(p *synthpop.Pipeline, _ Params) (*Report, error) {
 	buckets := cluster.SizeDistribution(p.Communities, []int{2, 3, 4, 5, 6}, 10)
 	rep := &Report{
 		ID:     "table2",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyncontract/internal/polyfit"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -11,7 +12,7 @@ import (
 // fits of order 1 through 6 to each class's (effort, feedback) points. The
 // paper's conclusion — the NoRs are nearly flat across orders, so the
 // quadratic is chosen on parsimony — is asserted in the notes.
-func RunTable3(p *Pipeline, _ Params) (*Report, error) {
+func RunTable3(p *synthpop.Pipeline, _ Params) (*Report, error) {
 	rep := &Report{
 		ID:     "table3",
 		Title:  "norm of residual for polynomial effort-function fits",

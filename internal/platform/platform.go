@@ -92,27 +92,23 @@ func TotalUtility(ledger []Round) float64 {
 }
 
 // DynamicPolicy is the paper's strategy: each round it designs a
-// near-optimal contract per agent with core.Design, solving the decomposed
-// subproblems in parallel. Agents sharing a design fingerprint share one
-// solve (engine.Designer), and attaching a cache (UseCache, or
-// engine.Config.Cache) makes repeated rounds on a stable population nearly
-// free.
+// near-optimal contract per agent (§IV-C). Agents sharing a design key
+// share one menu — one §IV-C solve over the agent's ψ, β, ω and the
+// partition — and each agent's contract is the menu's pick at its weight
+// (Eq. (43)), so agents sharing a whole fingerprint share one pick
+// (engine.Designer). Attaching a cache (UseCache, or engine.Config.Cache)
+// carries menus across rounds, so repeated rounds on a stable population
+// cost one lookup per design key.
 type DynamicPolicy struct {
-	// Parallelism caps the solver pool of direct Contracts calls; 0 means
-	// GOMAXPROCS. An engine designs through ShardContracts instead, which
-	// fans cold menus out across GOMAXPROCS.
-	Parallelism int
-
 	designer engine.Designer
 }
 
 var (
-	_ Policy                       = (*DynamicPolicy)(nil)
-	_ engine.ShardPolicy           = (*DynamicPolicy)(nil)
-	_ engine.FingerprintPurePolicy = (*DynamicPolicy)(nil)
-	_ engine.CacheUser             = (*DynamicPolicy)(nil)
-	_ engine.MetricsUser           = (*DynamicPolicy)(nil)
-	_ engine.BatchReporter         = (*DynamicPolicy)(nil)
+	_ Policy               = (*DynamicPolicy)(nil)
+	_ engine.ViewPolicy    = (*DynamicPolicy)(nil)
+	_ engine.CacheUser     = (*DynamicPolicy)(nil)
+	_ engine.MetricsUser   = (*DynamicPolicy)(nil)
+	_ engine.BatchReporter = (*DynamicPolicy)(nil)
 )
 
 // Name implements Policy.
@@ -128,28 +124,20 @@ func (p *DynamicPolicy) UseMetrics(reg *telemetry.Registry) { p.designer.Metrics
 
 // Contracts implements Policy.
 func (p *DynamicPolicy) Contracts(ctx context.Context, pop *Population) (map[string]*contract.PiecewiseLinear, error) {
-	p.designer.Parallelism = p.Parallelism
 	return p.designer.Contracts(ctx, pop, pop.Agents)
 }
 
-// ShardContracts implements engine.ShardPolicy: the engine's view designs
-// through the designer's engine.ShardDesigner against the design cache,
+// ViewContracts implements engine.ViewPolicy: the engine's view designs
+// through the designer's engine.ViewDesigner against the design cache,
 // and a warm view — same epoch, same cached designs — reports
 // changed = false so the engine can skip its respond stage entirely.
-func (p *DynamicPolicy) ShardContracts(ctx context.Context, pop *Population, sh *engine.Shard, dst []*contract.PiecewiseLinear) (bool, error) {
-	return p.designer.Shard().Contracts(ctx, pop, sh, dst)
+func (p *DynamicPolicy) ViewContracts(ctx context.Context, pop *Population, v *engine.View, dst []*contract.PiecewiseLinear) (bool, error) {
+	return p.designer.View().Contracts(ctx, pop, v, dst)
 }
-
-// FingerprintPure implements engine.FingerprintPurePolicy: every contract
-// this policy serves is resolved purely through the agent's design
-// fingerprint (engine.Designer dedups and caches by fingerprint), so the
-// engine may patch sparsely drifted agents straight from the design
-// cache instead of re-planning the whole view.
-func (p *DynamicPolicy) FingerprintPure() {}
 
 // BatchStats implements engine.BatchReporter: the size of the designer's
 // last design batch (distinct cache-missing design keys; 0 on a warm
 // round) and the cumulative use count of its retained solve scratch.
 func (p *DynamicPolicy) BatchStats() (int, uint64) {
-	return p.designer.Shard().BatchStats()
+	return p.designer.View().BatchStats()
 }

@@ -133,9 +133,9 @@ type CreateSessionRequest struct {
 	Policy    string  `json:"policy,omitempty"` // dynamic (default) | exclude | fixed
 	Threshold float64 `json:"threshold,omitempty"`
 	Amount    float64 `json:"amount,omitempty"`
-	// Shards is accepted, range-checked ([0, 1024]), journaled and
-	// snapshotted, and otherwise ignored: the engine runs one round
-	// pipeline whatever its value.
+	// Shards is accepted, range-checked ([0, 1024]) and journaled with
+	// the create body, and otherwise ignored: the engine runs one round
+	// pipeline whatever its value. Snapshots do not carry it.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -14,8 +14,8 @@ import (
 	"strings"
 	"testing"
 
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
 )
 
@@ -331,11 +331,11 @@ func TestDecodeCreateNumbersBitIdentical(t *testing.T) {
 // weight w and 0.8·w, marshaled by encoding/json.
 func archetypeBody(tb testing.TB, n int) []byte {
 	tb.Helper()
-	pipe, err := experiments.BuildPipeline(synth.SmallScale(1))
+	pipe, err := synthpop.BuildPipeline(synth.SmallScale(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pop, err := pipe.BuildPopulation(experiments.DefaultParams(), 50)
+	pop, err := pipe.BuildPopulation(synthpop.DefaultParams(), 50)
 	if err != nil {
 		tb.Fatal(err)
 	}

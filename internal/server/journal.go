@@ -34,7 +34,6 @@ type sessionSnapshot struct {
 	Policy    string      `json:"policy,omitempty"`
 	Threshold float64     `json:"threshold,omitempty"`
 	Amount    float64     `json:"amount,omitempty"`
-	Shards    int         `json:"shards,omitempty"`
 	M         int         `json:"m"`
 	Delta     float64     `json:"delta"`
 	Mu        float64     `json:"mu"`
@@ -171,7 +170,6 @@ func (s *session) captureState() (*sessionSnapshot, roundLog) {
 		Policy:    s.req.Policy,
 		Threshold: s.req.Threshold,
 		Amount:    s.req.Amount,
-		Shards:    s.req.Shards,
 		M:         m,
 		Delta:     delta,
 		Mu:        mu,
@@ -449,7 +447,6 @@ func (s *Server) sessionFromSnapshot(snap *sessionSnapshot) (*session, error) {
 		Policy:    snap.Policy,
 		Threshold: snap.Threshold,
 		Amount:    snap.Amount,
-		Shards:    snap.Shards,
 	}
 	sess, err := s.assembleValidated(req, pop, func(err error) error {
 		return fmt.Errorf("snapshot population: %w", err)

@@ -183,9 +183,11 @@ func TestRecoverByteIdenticalLedger(t *testing.T) {
 }
 
 // TestRecoverIgnoredShards pins the create body's "shards" knob as
-// accepted and ignored: a session created with "shards": 4 snapshots the
-// knob, recovers from a crash image across that snapshot to the same
-// ledger, and serves exactly the ledger of a session created without it.
+// accepted and held nowhere: a new snapshot omits it; a journal whose
+// create record carries "shards":4, and a snapshot written before the
+// knob left snapshots (one that still stores it), each recover to the
+// ledger of a session created without it; and an out-of-range value
+// still answers 400.
 func TestRecoverIgnoredShards(t *testing.T) {
 	dir := t.TempDir()
 	e1 := newJournaledServer(t, dir, Config{})
@@ -197,37 +199,71 @@ func TestRecoverIgnoredShards(t *testing.T) {
 	}
 	id := created.ID
 	advanceRounds(t, e1, id, 3)
+	journalOnly := crashImage(t, dir)
 	if code := e1.do(t, "POST", "/v1/sessions/"+id+"/snapshot", nil, nil); code != http.StatusOK {
 		t.Fatalf("snapshot: status %d", code)
 	}
 	advanceRounds(t, e1, id, 2)
 	ref := ledgerBytes(t, e1, id)
 
-	snaps, err := filepath.Glob(filepath.Join(dir, id, "snap-*"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no snapshot under %s (err %v)", filepath.Join(dir, id), err)
-	}
-	raw, err := os.ReadFile(snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte(`"shards":4`)) {
-		t.Error(`snapshot dropped the "shards" knob`)
-	}
-
-	e2, stats := recoverServer(t, crashImage(t, dir), Config{})
-	if stats.Sessions != 1 || stats.Failed != 0 {
-		t.Fatalf("recovery stats = %+v, want 1 session, 0 failed", stats)
-	}
-	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
-		t.Fatalf("recovered ledger differs:\n got %s\nwant %s", got, ref)
-	}
-
 	plain := newTestServer(t, Config{})
 	pid := plain.createSession(t)
 	advanceRounds(t, plain, pid, 5)
 	if got := ledgerBytes(t, plain, pid); string(got) != string(ref) {
-		t.Errorf("ledger with shards=4 differs from one without:\n got %s\nwant %s", ref, got)
+		t.Fatalf("ledger with shards=4 differs from one without:\n got %s\nwant %s", ref, got)
+	}
+
+	// The create record carries the knob; recovery replays it and the
+	// session goes on to the same ledger.
+	e2, stats := recoverServer(t, journalOnly, Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 {
+		t.Fatalf("journal-only recovery stats = %+v, want 1 session, 0 failed", stats)
+	}
+	advanceRounds(t, e2, id, 2)
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Errorf("journal-only recovery differs:\n got %s\nwant %s", got, ref)
+	}
+
+	// A new snapshot omits the knob. Rewrite it in the pre-change form,
+	// "shards" between "amount" and "m", and recover across it.
+	img := crashImage(t, dir)
+	st, err := journal.Open(img, journal.Options{Mode: journal.ModeStrict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, failed, err := st.Recover()
+	if err != nil || len(failed) != 0 || len(recs) != 1 || recs[0].Snapshot == nil {
+		t.Fatalf("recover: %v, %d failed, %d sessions", err, len(failed), len(recs))
+	}
+	snap := recs[0].Snapshot
+	if bytes.Contains(snap, []byte(`"shards"`)) {
+		t.Fatalf("new snapshot stores the ignored knob: %s", snap)
+	}
+	old := bytes.Replace(snap, []byte(`,"m":`), []byte(`,"shards":4,"m":`), 1)
+	if bytes.Equal(old, snap) {
+		t.Fatalf("no \"m\" field to put \"shards\" before: %s", snap)
+	}
+	jw, err := st.Resume(id, recs[0].LastSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.CommitSnapshot(recs[0].SnapshotSeq, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e3, stats := recoverServer(t, img, Config{})
+	if stats.Sessions != 1 || stats.Failed != 0 {
+		t.Fatalf("pre-change snapshot recovery stats = %+v, want 1 session, 0 failed", stats)
+	}
+	if got := ledgerBytes(t, e3, id); string(got) != string(ref) {
+		t.Errorf("pre-change snapshot recovery differs:\n got %s\nwant %s", got, ref)
+	}
+
+	req.Shards = 2000
+	if code := e1.do(t, "POST", "/v1/sessions", &req, nil); code != http.StatusBadRequest {
+		t.Errorf("shards=2000: status %d, want 400", code)
 	}
 }
 

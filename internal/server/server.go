@@ -17,12 +17,12 @@ import (
 	"dyncontract/internal/contract"
 	"dyncontract/internal/effort"
 	"dyncontract/internal/engine"
-	"dyncontract/internal/experiments"
 	"dyncontract/internal/journal"
 	"dyncontract/internal/obs"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/spans"
 	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 	"dyncontract/internal/telemetry"
 	"dyncontract/internal/worker"
 )
@@ -31,7 +31,9 @@ import (
 // unset field.
 type Config struct {
 	// Deprecated: BatchWindow is ignored. Design queries run on their
-	// request goroutines, so no query waits on a timer.
+	// request goroutines, so no query waits on a timer. It is kept only
+	// because perfbench sets it; it goes with perfbench's next change
+	// (ROADMAP item 2).
 	BatchWindow time.Duration
 	// CommandQueue bounds each session's round/drift queue. Default 16.
 	CommandQueue int
@@ -590,7 +592,7 @@ func buildPopulation(req *CreateSessionRequest) (*engine.Population, error) {
 	return buildExplicit(req)
 }
 
-// buildSynthetic mints a population from the experiments pipeline — the
+// buildSynthetic mints a population from the synthpop pipeline — the
 // same synthetic traces the CLIs simulate, so server sessions are directly
 // comparable to offline runs with the same scale and seed.
 func buildSynthetic(req *CreateSessionRequest) (*engine.Population, error) {
@@ -601,7 +603,7 @@ func buildSynthetic(req *CreateSessionRequest) (*engine.Population, error) {
 	case "paper":
 		cfg = synth.PaperScale(req.Seed)
 	}
-	pipe, err := experiments.BuildPipeline(cfg)
+	pipe, err := synthpop.BuildPipeline(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: synth pipeline: %w", err)
 	}
@@ -609,7 +611,7 @@ func buildSynthetic(req *CreateSessionRequest) (*engine.Population, error) {
 	if perClass == 0 {
 		perClass = 200
 	}
-	pop, err := pipe.BuildPopulation(experiments.DefaultParams(), perClass)
+	pop, err := pipe.BuildPopulation(synthpop.DefaultParams(), perClass)
 	if err != nil {
 		return nil, fmt.Errorf("server: synth population: %w", err)
 	}

@@ -93,11 +93,11 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestDrainMidDesignBatch drains the server while a design query is
+// TestDrainMidDesignQuery drains the server while a design query is
 // admitted and awaiting a held cold build of its key: the query completes
 // with 200 once the build lands, and a query arriving after Drain began is
 // refused with 503.
-func TestDrainMidDesignBatch(t *testing.T) {
+func TestDrainMidDesignQuery(t *testing.T) {
 	e := newTestServer(t, Config{})
 	id := e.createSession(t)
 	sess := e.srv.sessions[id]

@@ -203,10 +203,10 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracedDesignBatchLink pins a traced design query's spans: its own
+// TestTracedDesignQueryLink pins a traced design query's spans: its own
 // trace holds the http route root and a session.design child carrying the
 // agent, and the query records no other trace.
-func TestTracedDesignBatchLink(t *testing.T) {
+func TestTracedDesignQueryLink(t *testing.T) {
 	e, rec, _, _ := tracedTestServer(t)
 	id := e.createSession(t)
 	before := rec.Completed()

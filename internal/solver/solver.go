@@ -27,7 +27,8 @@ const (
 	// builds, success or failure; cache hits upstream never reach the
 	// pool, so this is the number of solves that actually ran.
 	MetricDesigns = "dyncontract_solver_designs_total"
-	// MetricDesignErrors counts failed core.Design calls.
+	// MetricDesignErrors counts the solves MetricDesigns counts that
+	// failed — whole designs or menu builds.
 	MetricDesignErrors = "dyncontract_solver_design_errors_total"
 	// MetricDesignSeconds is the per-subproblem design latency histogram.
 	MetricDesignSeconds = "dyncontract_solver_design_seconds"
@@ -104,7 +105,7 @@ type Options struct {
 	// Scratch, when non-nil, is the reusable design scratch for the
 	// sequential route: with an effective parallelism of 1 every design in
 	// the call runs over it inline (no worker goroutine), which is how the
-	// engine's ShardDesigner reuses one retained scratch. Ignored by the
+	// engine's ViewDesigner reuses one retained scratch. Ignored by the
 	// parallel route, whose workers draw scratch from an internal pool.
 	// The caller must not share one Scratch between concurrent calls.
 	Scratch *core.Scratch

@@ -13,7 +13,7 @@
 // without touching the heap.
 //
 // Concurrency contract: distinct spans may be started, annotated, and
-// ended from distinct goroutines freely (the engine's shard fan-out does
+// ended from distinct goroutines freely (concurrent server requests do
 // exactly that), but a single span's SetAttr/SetInt/End must not race
 // with each other — each span has one owning goroutine, matching how
 // every caller in this repo already works. StartChild only reads the

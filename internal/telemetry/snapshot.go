@@ -115,7 +115,7 @@ func (h HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error)
 	return out, nil
 }
 
-// Merge combines two snapshots, e.g. from parallel simulation shards:
+// Merge combines two snapshots, e.g. from parallel simulation runs:
 // counters add, histograms merge bin-wise (layouts must agree), and for
 // gauges — levels, not counts — the other snapshot's value wins where
 // both define one (treat the receiver as "earlier" and o as "later").

@@ -3,14 +3,14 @@
 # BenchmarkEngineRound1k (design-dedup, weight-drift and respond-memo
 # regimes),
 # BenchmarkEngineRound100k (the warm round, the dedup-cold and 5,000-key
-# manykey-cold cold rounds, plus the sharded-rebuild, sparse-drift-1pct,
+# manykey-cold cold rounds, plus the full-rebuild, sparse-drift-1pct,
 # and structural-churn-1pct drift variants pinning the touched-scope and
 # join/leave-splice speedups),
 # BenchmarkTelemetryOverhead (instrumented vs
 # telemetry.Nop), BenchmarkTraceOverhead (span tracing disabled vs
 # sampled-out vs sampled-in on the same warm round), the HTTP serving
 # benchmarks
-# BenchmarkServerDesignBatch (concurrent design queries at 1, 8 and 32
+# BenchmarkServerDesignConcurrent (concurrent design queries at 1, 8 and 32
 # clients) and BenchmarkServerDriftRoute (tracked for
 # trend only, not regression-gated — they ride
 # the loopback network stack), BenchmarkServerStep (one served step's
@@ -38,7 +38,7 @@
 #
 # The drift bars are gated as same-run ratios: the fresh run fails when
 # BenchmarkEngineRound100k/sparse-drift-1pct or structural-churn-1pct
-# takes more than 10% of the same run's sharded-rebuild, or when any of
+# takes more than 10% of the same run's full-rebuild, or when any of
 # the three arms is missing. A ratio of two arms timed on one machine in
 # one run does not depend on the machine, so this gate holds even under
 # BENCH_ALLOW_REGRESSION=1.
@@ -73,7 +73,7 @@ raw=$(mktemp)
 fresh=$(mktemp)
 trap 'rm -f "$raw" "$fresh"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignBatch|BenchmarkServerDriftRoute|BenchmarkServerStep|BenchmarkJournalAppend' -benchmem . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignConcurrent|BenchmarkServerDriftRoute|BenchmarkServerStep|BenchmarkJournalAppend' -benchmem . | tee "$raw"
 go test -run '^$' -bench 'BenchmarkRoundLogAdd|BenchmarkCreateSession' -benchmem ./internal/server | tee -a "$raw"
 
 awk '
@@ -101,7 +101,7 @@ END { print "\n]" }
 ' "$raw" > "$fresh"
 
 echo
-echo "drift ratios vs sharded-rebuild (same run, bar <= 0.10):"
+echo "drift ratios vs full-rebuild (same run, bar <= 0.10):"
 awk '
 match($0, /"name": "BenchmarkEngineRound100k\/[^"]+"/) {
 	name = substr($0, RSTART + 34, RLENGTH - 35)
@@ -109,8 +109,8 @@ match($0, /"name": "BenchmarkEngineRound100k\/[^"]+"/) {
 		ns[name] = substr($0, RSTART + 13, RLENGTH - 13) + 0
 }
 END {
-	if (!(ns["sharded-rebuild"] > 0)) {
-		print "  FAIL: sharded-rebuild arm missing"
+	if (!(ns["full-rebuild"] > 0)) {
+		print "  FAIL: full-rebuild arm missing"
 		exit 1
 	}
 	split("sparse-drift-1pct structural-churn-1pct", arms, " ")
@@ -121,10 +121,10 @@ END {
 			failed = 1
 			continue
 		}
-		r = ns[a] / ns["sharded-rebuild"]
+		r = ns[a] / ns["full-rebuild"]
 		printf "  %-25s %.3f\n", a, r
 		if (r > 0.10) {
-			printf "  FAIL: %s / sharded-rebuild = %.3f > 0.10\n", a, r
+			printf "  FAIL: %s / full-rebuild = %.3f > 0.10\n", a, r
 			failed = 1
 		}
 	}
