@@ -17,7 +17,7 @@ import (
 )
 
 // scalarDesignPolicy is the reference for the batched cold path: it calls
-// the scalar core.Design directly per agent — no solver pool, no
+// core.ReferenceDesign directly per agent — no solver pool, no
 // fingerprint dedup, no scratch — so any ledger it disagrees with traces
 // straight to the batched solve.
 type scalarDesignPolicy struct{}
@@ -27,7 +27,7 @@ func (scalarDesignPolicy) Name() string { return "scalar-design-reference" }
 func (scalarDesignPolicy) Contracts(ctx context.Context, pop *platform.Population) (map[string]*contract.PiecewiseLinear, error) {
 	out := make(map[string]*contract.PiecewiseLinear, len(pop.Agents))
 	for _, a := range pop.Agents {
-		res, err := core.Design(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
+		res, err := core.ReferenceDesign(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func ledgerPopulation(t *testing.T, n int) *platform.Population {
 // TestBatchedDesignLedgerIdentical pins the tentpole's end-to-end
 // guarantee: DynamicPolicy — whose designs run through the batched
 // core.DesignInto over retained and pooled scratch — must produce a
-// ledger byte-identical to a policy calling the scalar core.Design per
+// ledger byte-identical to a policy calling core.ReferenceDesign per
 // agent, warm and under a weight churn that keeps every round's designs
 // cold.
 func TestBatchedDesignLedgerIdentical(t *testing.T) {
@@ -136,13 +136,13 @@ func TestBatchedDesignLedgerIdentical(t *testing.T) {
 	}
 }
 
-// TestShardDesignSpanBatchAttrs pins the cold-path observability: under
+// TestDesignSpanBatchAttrs pins the cold-path observability: under
 // DynamicPolicy a traced round's engine.stage.design span reports the
 // design batch size and the retained scratch's cumulative use count. The
 // cold round carries a batch of every design key, built across
 // GOMAXPROCS on pooled scratch; a later round that meets one new key
 // builds it inline over the retained scratch, whose use count then moves.
-func TestShardDesignSpanBatchAttrs(t *testing.T) {
+func TestDesignSpanBatchAttrs(t *testing.T) {
 	pop := ledgerPopulation(t, 24)
 	rec := spans.NewRecorder(8, 4)
 	tracer := spans.New(spans.Config{Sample: 1, Seed: 5, Recorder: rec})

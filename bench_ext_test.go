@@ -21,7 +21,8 @@ import (
 )
 
 // BenchmarkDesignByPartition is the partition-size ablation: design cost
-// as a function of m (the algorithm is O(m²) best responses).
+// as a function of m (the algorithm is O(m²) best responses), through
+// DesignInto over a retained Scratch.
 func BenchmarkDesignByPartition(b *testing.B) {
 	psi, err := effort.NewQuadratic(-0.02, 2, 1, 40)
 	if err != nil {
@@ -38,10 +39,11 @@ func BenchmarkDesignByPartition(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := core.Config{Part: part, Mu: 1, W: 1}
+			var s core.Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Design(a, cfg); err != nil {
+				if _, err := core.DesignInto(a, cfg, &s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,7 +196,7 @@ func BenchmarkEquilibriumChecks(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Part: part, Mu: 1, W: 1}
-	res, err := core.Design(a, cfg)
+	res, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -179,13 +179,15 @@ func BenchmarkAblationGridSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignSingle measures one §IV-C contract design (m = 20).
+// BenchmarkDesignSingle measures one §IV-C contract design (m = 20)
+// through DesignInto over a retained Scratch.
 func BenchmarkDesignSingle(b *testing.B) {
 	a, cfg := benchAgent(b)
+	var s core.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Design(a, cfg); err != nil {
+		if _, err := core.DesignInto(a, cfg, &s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +197,7 @@ func BenchmarkDesignSingle(b *testing.B) {
 // computation against a designed contract.
 func BenchmarkBestResponse(b *testing.B) {
 	a, cfg := benchAgent(b)
-	res, err := core.Design(a, cfg)
+	res, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -417,7 +419,7 @@ func persistentEngine(b *testing.B, pop *engine.Population, cfg engine.Config) *
 // BenchmarkEngineRound1k measures one engine round over a 1000-agent,
 // 3-archetype population in three design regimes:
 //
-//   - nodedup: the pre-engine baseline, 1000 core.Design calls per round;
+//   - nodedup: the pre-engine baseline, 1000 designs per round;
 //   - dedup-cold: fingerprint dedup with a fresh cache per round, 3 calls;
 //   - dedup-warm: a warmed cross-round cache, 0 calls;
 //   - weight-drift-all: every weight moves every round, 0 calls — the
@@ -520,7 +522,7 @@ func BenchmarkEngineRound1k(b *testing.B) {
 	})
 	b.Run("respond-memo-cold", func(b *testing.B) {
 		// Design cache and respond memo both cold each iteration: 3
-		// core.Design calls and 3 BestResponse calls per round.
+		// menu builds and 3 BestResponse calls per round.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			memo := engine.NewRespondMemo()
@@ -531,7 +533,7 @@ func BenchmarkEngineRound1k(b *testing.B) {
 		}
 	})
 	b.Run("respond-memo-warm", func(b *testing.B) {
-		// Both layers warm on a persistent engine: zero core.Design and
+		// Both layers warm on a persistent engine: zero menu builds and
 		// zero BestResponse calls per round, and every buffer — the
 		// sorted-agent view, the outcomes array, the contracts map, the
 		// respond scratch — reused, so the steady-state round allocates

@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	res, err := core.Design(agent, core.Config{Part: part, Mu: *mu, W: *w})
+	res, err := core.DesignInto(agent, core.Config{Part: part, Mu: *mu, W: *w}, nil)
 	if err != nil {
 		return err
 	}

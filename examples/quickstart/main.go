@@ -6,7 +6,7 @@
 //	go run ./examples/quickstart
 //
 // It walks the public API end to end: define an effort function ψ,
-// partition the effort axis, design the contract with core.Design, and
+// partition the effort axis, design the contract with core.DesignInto, and
 // compare the worker's predicted best response and the requester's utility
 // against the Theorem 4.1 bounds.
 package main
@@ -50,7 +50,7 @@ func main() {
 
 	// 4. Design the contract: the requester weighs Alice's feedback at
 	//    w = 1 and compensation at μ = 1 (utility = w·feedback − μ·pay).
-	res, err := core.Design(alice, core.Config{Part: part, Mu: 1, W: 1})
+	res, err := core.DesignInto(alice, core.Config{Part: part, Mu: 1, W: 1}, nil)
 	if err != nil {
 		log.Fatalf("design: %v", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"dyncontract/internal/baseline"
 	"dyncontract/internal/engine"
@@ -39,7 +40,13 @@ func main() {
 		len(pipe.Trace.Reviews), len(pipe.Trace.Workers), pipe.Trace.NumProducts())
 	fmt.Printf("classified: %d honest, %d non-collusive malicious, %d collusive in %d communities\n",
 		len(pipe.HonestIDs), len(pipe.NCMIDs), len(pipe.CMIDs), len(pipe.Communities))
-	for cls, fit := range pipe.ClassFit {
+	classes := make([]worker.Class, 0, len(pipe.ClassFit))
+	for cls := range pipe.ClassFit {
+		classes = append(classes, cls)
+	}
+	slices.Sort(classes)
+	for _, cls := range classes {
+		fit := pipe.ClassFit[cls]
 		fmt.Printf("  fitted %v: %v (NoR %.2f)\n", cls, fit.Quadratic, fit.NoR)
 	}
 

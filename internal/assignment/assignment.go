@@ -7,7 +7,7 @@
 // The package provides an exact maximum-value assignment solver (the
 // Hungarian algorithm, O(n³)) and a greedy baseline, over a value matrix
 // whose entries are typically the per-(worker, task) requester utilities
-// that core.Design predicts. Workers and tasks need not be equal in
+// that core.DesignInto predicts. Workers and tasks need not be equal in
 // number; the rectangular problem is solved by implicit padding.
 package assignment
 

@@ -4,7 +4,7 @@
 // candidate contract to post — or none — so the requester's total benefit
 // is maximized while total expected compensation stays within a budget B.
 //
-// core.Design already produces a per-worker *menu*: one candidate ξ^(k)
+// core.DesignInto already produces a per-worker *menu*: one candidate ξ^(k)
 // per target interval k, each with a predicted cost (the compensation the
 // worker will collect) and benefit (w·ψ(y*)). Selecting one option per
 // menu under a budget is the multiple-choice knapsack problem (MCKP). The
@@ -72,7 +72,7 @@ func (m Menu) Validate() error {
 	return nil
 }
 
-// MenuFromResult converts a core.Design result into a budget menu: each
+// MenuFromResult converts a core.DesignInto result into a budget menu: each
 // candidate becomes an option with its predicted compensation as cost and
 // w times its predicted feedback as benefit, plus the no-contract option.
 func MenuFromResult(res *core.Result, w float64) Menu {

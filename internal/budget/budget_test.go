@@ -158,7 +158,7 @@ func TestMenuFromResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Design(a, core.Config{Part: part, Mu: 1, W: 1.5, WantCandidates: true})
+	res, err := core.DesignInto(a, core.Config{Part: part, Mu: 1, W: 1.5, WantCandidates: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

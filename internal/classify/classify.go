@@ -249,7 +249,7 @@ func DesignContracts(labelers []Labeler, task Task, part effort.Partition, malic
 		if l.Class != worker.Honest {
 			w -= maliceWeightPenalty
 		}
-		res, err := core.Design(agent, core.Config{Part: part, Mu: task.Mu, W: w})
+		res, err := core.DesignInto(agent, core.Config{Part: part, Mu: task.Mu, W: w}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("design for %s: %w", l.ID, err)
 		}

@@ -1,11 +1,12 @@
 // Batched structure-of-arrays solve of the §IV-C candidate-contract
-// algorithm — the cold design path.
+// algorithm — the one design path production code runs.
 //
-// Design builds m candidate contracts through contract.Builder, freezes
-// each as a PiecewiseLinear, and asks worker.BestResponse to search it
-// through the general-contract machinery (binary-searched Eval per probe
-// point). That is m allocations and m generic searches per design, all to
-// pick one winner. The batched solve exploits two structural facts:
+// The reference (reference.go) states the algorithm directly: it builds
+// m candidate contracts through contract.Builder, freezes each as a
+// PiecewiseLinear, and asks worker.BestResponse to search it through the
+// general-contract machinery (binary-searched Eval per probe point). That
+// is m allocations and m generic searches per design, all to pick one
+// winner. The batched solve exploits two structural facts:
 //
 //  1. The Eq. (39)–(40) slope recursion does not depend on the target
 //     interval k: candidate ξ^(k)'s slopes are the k-prefix of one shared
@@ -22,15 +23,16 @@
 // in a reusable Scratch and materializes exactly one PiecewiseLinear: the
 // argmax winner (all m candidates when Config.WantCandidates asks for the
 // diagnostics). The solve is split at Eq. (43) (menu.go): BuildMenu is
-// everything the worker side determines, Menu.Pick the requester's argmax,
-// and DesignInto the two in sequence. Every arithmetic expression mirrors the scalar path
-// token for token — same evaluation order, same binary search, same
-// lexicographic (utility, −effort) tie-break — so results are
-// bit-identical to Design; TestDesignIntoMatchesDesign and the fuzz
-// harness in batch_test.go pin this. Anything the fast path cannot
-// reproduce exactly (non-finite chain values, degenerate knots, a
-// participation lift that fails to secure participation) falls back to
-// the scalar Design, which reproduces the identical error.
+// everything the worker side determines, Menu.Pick the requester's
+// argmax, and DesignInto the two in sequence. Every arithmetic expression
+// mirrors the reference token for token — same evaluation order, same
+// binary search, same lexicographic (utility, −effort) tie-break — so
+// results are bit-identical to the reference's. A solve that fails
+// (degenerate knots, a non-finite chain, a participation lift that
+// overflows or fails to secure participation) reports the reference's
+// error text: the menu validates the failing candidate's contract with
+// contract.New, as the reference's builder does. TestMenuPickMatchesDesign,
+// TestDesignIntoMatchesDesign and the fuzz harnesses pin both.
 package core
 
 import (
@@ -68,38 +70,28 @@ type Scratch struct {
 
 	// resps holds every candidate's full best response from the last
 	// buildMenu — what a menu itself does not keep — for DesignInto's
-	// Result.
-	resps []worker.Response
+	// Result, and firstClamp the 1-based first clamped piece of its slope
+	// chain (0 when none), for the candidates' Clamped flags.
+	resps      []worker.Response
+	firstClamp int
 
 	// menu is DesignInto's reusable menu: a one-shot design builds into
 	// it and picks from it, so the cold path allocates no menu.
 	menu Menu
 
-	uses      uint64
-	fallbacks uint64
+	uses   uint64
+	failed uint64
 }
 
 // Uses reports the number of designs this scratch has served — the
 // scratch-reuse signal surfaced on engine.stage.design spans.
 func (s *Scratch) Uses() uint64 { return s.uses }
 
-// Fallbacks reports the number of designs this scratch routed to the
-// scalar Design path — degenerate knots, a non-finite slope chain, or a
-// participation lift the batched solve could not reproduce exactly. A
-// count tracking Uses means the population defeats the batched path
-// wholesale; the solver surfaces the delta as
-// dyncontract_solver_scalar_fallbacks_total.
-func (s *Scratch) Fallbacks() uint64 { return s.fallbacks }
-
-// fallback delegates one design to the scalar path, counting it — every
-// site where the batched solve cannot reproduce the scalar result (or its
-// error) bit for bit funnels through here.
-func (s *Scratch) fallback(a *worker.Agent, cfg Config) (*Result, error) {
-	if s != nil {
-		s.fallbacks++
-	}
-	return Design(a, cfg)
-}
+// Fallbacks reports the number of solves on this scratch that ended in a
+// construction error (the menu's error). It keeps its old name only
+// because perfbench reads it as core.scalar_fallbacks; renaming it goes
+// with ROADMAP item 2's perfbench change.
+func (s *Scratch) Fallbacks() uint64 { return s.failed }
 
 // prepare sizes the buffers for partition part and fills the knot array
 // for ψ, reusing the cached knots when (part, ψ) is unchanged.
@@ -135,8 +127,8 @@ func (s *Scratch) prepare(part effort.Partition, psi effort.Quadratic) {
 // exactly as contract.Builder.AppendSlope would (x_l = x_{l−1} +
 // α_l·(d_l − d_{l−1})). It returns the 1-based index of the first clamped
 // piece (0 when no slope was clamped) and ok = false when any produced
-// value is non-finite — the caller then falls back to the scalar path,
-// which reproduces the matching construction error.
+// value is non-finite — some candidate's contract then fails validation,
+// and buildMenu finds which.
 func (s *Scratch) chain(a *worker.Agent, part effort.Partition) (firstClamp int, ok bool) {
 	delta := part.Delta
 	r1, r2 := a.Psi.R1, a.Psi.R2
@@ -207,7 +199,7 @@ func evalCandidate(knots, comps []float64, k int, q float64) float64 {
 // [0, mδ] once, which implies validity over every smaller cap. Unlike
 // the worker method this returns the raw best (no participation check):
 // the caller needs the undeclined utility to size the participation
-// lift, mirroring the scalar path's reservation-free re-response.
+// lift, mirroring the reference's reservation-free re-response.
 func bestResponse(a *worker.Agent, part effort.Partition, knots, comps []float64, k int) worker.Response {
 	yCap := part.YMax()
 	if apex := a.Psi.Apex(); apex < yCap {
@@ -268,16 +260,17 @@ func bestResponse(a *worker.Agent, part effort.Partition, knots, comps []float64
 	return best
 }
 
-// DesignInto is Design over a reusable Scratch: one batched
-// structure-of-arrays solve that validates once, runs the slope recursion
-// once for all m candidates, best-responds analytically over the shared
-// arrays, and materializes only the winning contract (every candidate
-// when cfg.WantCandidates is set). It is BuildMenu into the scratch's own
-// menu followed by the Eq. (43) pick, so the engine's cached menus and
-// this cold path run one code path. Results — contract knots and
-// compensations, KOpt, response, bounds, diagnostics — are bit-identical
-// to Design's. s may be nil (a temporary scratch is used); otherwise the
-// caller must not share s between concurrent solves.
+// DesignInto designs one agent's contract (§IV-C) over a reusable
+// Scratch: one batched structure-of-arrays solve that validates once,
+// runs the slope recursion once for all m candidates, best-responds
+// analytically over the shared arrays, and materializes only the winning
+// contract (every candidate when cfg.WantCandidates is set). It is
+// BuildMenu into the scratch's own menu followed by the Eq. (43) pick, so
+// the engine's cached menus and this cold path run one code path. Results
+// — contract knots and compensations, KOpt, response, bounds,
+// diagnostics — and error text are bit-identical to the reference's. s
+// may be nil (a temporary scratch is used); otherwise the caller must not
+// share s between concurrent solves.
 func DesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

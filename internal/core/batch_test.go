@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dyncontract/internal/effort"
@@ -19,7 +20,7 @@ func equalResponses(a, b worker.Response) bool {
 		a.Declined == b.Declined
 }
 
-// requireSameResult asserts the batched result matches the scalar one
+// requireSameResult asserts the batched result matches the reference
 // bit for bit: contract knots/comps, KOpt, response, bounds, and (when
 // present) every per-k candidate's diagnostics.
 func requireSameResult(t *testing.T, want, got *Result) {
@@ -116,9 +117,9 @@ func TestDesignIntoMatchesDesign(t *testing.T) {
 	scratch := &Scratch{} // shared across subtests: reuse must not leak state
 	for name, tc := range batchCases(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := Design(tc.agent, tc.cfg)
+			want, err := ReferenceDesign(tc.agent, tc.cfg)
 			if err != nil {
-				t.Fatalf("scalar Design: %v", err)
+				t.Fatalf("ReferenceDesign: %v", err)
 			}
 			got, err := DesignInto(tc.agent, tc.cfg, scratch)
 			if err != nil {
@@ -167,7 +168,7 @@ func TestDesignIntoMatchesDesign(t *testing.T) {
 func TestDesignIntoNilScratch(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 10)
-	want, err := Design(a, cfg)
+	want, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestDesignIntoScratchAcrossPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{Part: part, Mu: 1, W: 1, WantCandidates: true}
-			want, err := Design(a, cfg)
+			want, err := ReferenceDesign(a, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,34 +213,92 @@ func TestDesignIntoScratchAcrossPartitions(t *testing.T) {
 	}
 }
 
-// TestDesignIntoErrorsMatchDesign pins that invalid inputs fail through
-// DesignInto with exactly the scalar path's error text.
+// TestDesignIntoErrorsMatchDesign pins that a failing design fails
+// through DesignInto, and through a built menu's ContractFor, with exactly
+// ReferenceDesign's error text: an invalid config, and every construction
+// error the solve can reach. The other texts contract.New can produce — a
+// negative or decreasing compensation, a shape error — and a failed best
+// response cannot arise from a validated agent and partition.
 func TestDesignIntoErrorsMatchDesign(t *testing.T) {
-	a := honestAgent(t)
 	bad := stdConfig(t, 10)
 	bad.Mu = -1
-	_, wantErr := Design(a, bad)
-	_, gotErr := DesignInto(a, bad, nil)
-	if wantErr == nil || gotErr == nil {
-		t.Fatalf("want both errors, got %v / %v", wantErr, gotErr)
+	cases := []struct {
+		name                   string
+		r2, r1, r0, beta, resv float64
+		m                      int
+		delta                  float64
+		cfg                    *Config
+		want                   string
+	}{
+		{name: "config", r2: -0.02, r1: 2, r0: 1, beta: 1, m: 10, delta: 4, cfg: &bad, want: "mu=-1 must be positive"},
+		{name: "knots", r2: -1e-12, r1: 1e-3, r0: 1e16, beta: 1, m: 10, delta: 4,
+			want: "core: candidate k=1: build contract: knot 1 (1e+16) <= knot 0 (1e+16)"},
+		{name: "chain", r2: -0.02, r1: 2, r0: 1, beta: 1e200, m: 10, delta: 4,
+			want: "core: candidate k=1: build contract: non-finite entry at 1"},
+		{name: "late-chain", r2: -1e-160, r1: 1, beta: 1e150, m: 10, delta: 5e157,
+			want: "core: candidate k=4: build contract: non-finite entry at 4"},
+		{name: "lift-overflow", r2: -1e-160, r1: 0.01, beta: 1e148, resv: math.MaxFloat64, m: 8, delta: 1e155,
+			want: "core: candidate k=1: participation lift: non-finite entry at 1"},
+		{name: "lift-failed", r2: -0.0075, r1: 0.06, beta: 1e10, resv: 1e15, m: 4, delta: 0.5,
+			want: "core: candidate k=3: core: lift"},
 	}
-	if wantErr.Error() != gotErr.Error() {
-		t.Fatalf("error mismatch:\n got %q\nwant %q", gotErr, wantErr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			yMax := float64(tc.m) * tc.delta
+			psi, err := effort.NewQuadratic(tc.r2, tc.r1, tc.r0, yMax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := effort.NewPartition(tc.m, tc.delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := worker.NewHonest("e", psi, tc.beta, yMax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Reservation = tc.resv
+			cfg := Config{Part: part, Mu: 1, W: 1}
+			if tc.cfg != nil {
+				cfg = *tc.cfg
+			}
+			_, wantErr := ReferenceDesign(a, cfg)
+			if wantErr == nil || !strings.Contains(wantErr.Error(), tc.want) {
+				t.Fatalf("reference error %v, want one containing %q", wantErr, tc.want)
+			}
+			_, gotErr := DesignInto(a, cfg, nil)
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("DesignInto error mismatch:\n got %v\nwant %q", gotErr, wantErr)
+			}
+			menu, err := BuildMenu(a, part, nil)
+			if err != nil {
+				t.Fatalf("BuildMenu: %v", err)
+			}
+			if _, gotErr := menu.ContractFor(cfg); gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("ContractFor error mismatch:\n got %v\nwant %q", gotErr, wantErr)
+			}
+		})
 	}
 }
 
 // FuzzDesignIntoMatchesDesign fuzzes the full parameter space — cost
 // curve (r2, r1, r0), worker (β, ω, reservation), requester (w, μ), and
-// partition (m, δ) — asserting the batched and scalar solves agree on
-// the (result, error) pair exactly.
+// partition (m, δ) — asserting the batched solve and ReferenceDesign
+// agree on the (result, error) pair exactly. The last five seeds reach
+// each construction error (see TestDesignIntoErrorsMatchDesign).
 func FuzzDesignIntoMatchesDesign(f *testing.F) {
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 10, 4.0)
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.5, 0.0, 0.8, 1.2, 8, 5.0)
 	f.Add(-0.01, 1.5, 0.5, 2.0, 5.0, 0.0, 1.0, 0.5, 6, 5.0)   // heavy clamping
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.0, 80.0, 1.0, 1.0, 12, 3.0) // forced lift
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.2, 0.0, -0.5, 1.0, 5, 8.0)  // negative w
+	f.Add(-1e-12, 1e-3, 1e16, 1.0, 0.0, 0.0, 1.0, 1.0, 10, 4.0)
+	f.Add(-0.02, 2.0, 1.0, 1e200, 0.0, 0.0, 1.0, 1.0, 10, 4.0)
+	f.Add(-1e-160, 1.0, 0.0, 1e150, 0.0, 0.0, 1.0, 1.0, 10, 5e157)
+	f.Add(-1e-160, 0.01, 0.0, 1e148, 0.0, math.MaxFloat64, 1.0, 1.0, 8, 1e155)
+	f.Add(-0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 1.0, 1.0, 4, 0.5)
 	f.Fuzz(func(t *testing.T, r2, r1, r0, beta, omega, reservation, w, mu float64, m int, delta float64) {
-		if m < 1 || m > 64 || !(delta > 0) || delta > 100 {
+		if m < 1 || m > 64 || !(delta > 0) {
 			return
 		}
 		yMax := float64(m) * delta
@@ -260,10 +319,10 @@ func FuzzDesignIntoMatchesDesign(f *testing.F) {
 		}
 		cfg := Config{Part: part, Mu: mu, W: w, WantCandidates: true}
 
-		want, wantErr := Design(a, cfg)
+		want, wantErr := ReferenceDesign(a, cfg)
 		got, gotErr := DesignInto(a, cfg, &Scratch{})
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error disagreement: scalar %v, batch %v", wantErr, gotErr)
+			t.Fatalf("error disagreement: reference %v, batch %v", wantErr, gotErr)
 		}
 		if wantErr != nil {
 			if wantErr.Error() != gotErr.Error() {

@@ -15,7 +15,7 @@ import (
 func TestDesignCandidateUtilityIncreasesUpToK(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 8)
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDesignLargeOmegaClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Design(a, Config{Part: part, Mu: 1, W: 1, WantCandidates: true})
+	res, err := ReferenceDesign(a, Config{Part: part, Mu: 1, W: 1, WantCandidates: true})
 	if err != nil {
 		t.Fatalf("Design with huge omega: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestDesignCommunityMetaWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Design(comm, Config{Part: part, Mu: 1, W: 0.5})
+	res, err := ReferenceDesign(comm, Config{Part: part, Mu: 1, W: 0.5})
 	if err != nil {
 		t.Fatalf("Design for community: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestDesignCommunityMetaWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ires, err := Design(indiv, Config{Part: part, Mu: 1, W: 0.5})
+	ires, err := ReferenceDesign(indiv, Config{Part: part, Mu: 1, W: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDesignCommunityMetaWorker(t *testing.T) {
 func TestDesignZeroCompensationAtZeroFeedbackKnot(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 10)
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDesignMuScaling(t *testing.T) {
 	for _, mu := range []float64{0.5, 1, 2, 5, 20} {
 		cfg := stdConfig(t, 20)
 		cfg.Mu = mu
-		res, err := Design(a, cfg)
+		res, err := ReferenceDesign(a, cfg)
 		if err != nil {
 			t.Fatalf("mu=%v: %v", mu, err)
 		}
@@ -171,7 +171,7 @@ func TestDesignWeightScaling(t *testing.T) {
 	for _, w := range []float64{0.2, 0.5, 1, 2, 5} {
 		cfg := stdConfig(t, 20)
 		cfg.W = w
-		res, err := Design(a, cfg)
+		res, err := ReferenceDesign(a, cfg)
 		if err != nil {
 			t.Fatalf("w=%v: %v", w, err)
 		}

@@ -82,7 +82,7 @@ func TestCaseString(t *testing.T) {
 func TestDesignBasicInvariants(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 10)
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatalf("Design: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestDesignBestResponseLandsInTargetInterval(t *testing.T) {
 	// a best response inside interval k (the construction's whole point).
 	a := honestAgent(t)
 	cfg := stdConfig(t, 8)
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDesignBestResponseLandsInTargetInterval(t *testing.T) {
 func TestDesignSlopesInCaseIIIWindows(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 8)
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDesignTheoremBoundsHonest(t *testing.T) {
 	a := honestAgent(t)
 	for _, m := range []int{4, 10, 20, 40} {
 		cfg := stdConfig(t, m)
-		res, err := Design(a, cfg)
+		res, err := ReferenceDesign(a, cfg)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -179,7 +179,7 @@ func TestDesignUtilityConvergesToUpperBound(t *testing.T) {
 	var prevGap = math.Inf(1)
 	for _, m := range []int{5, 10, 20, 40, 80} {
 		cfg := stdConfig(t, m)
-		res, err := Design(a, cfg)
+		res, err := ReferenceDesign(a, cfg)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -200,7 +200,7 @@ func TestDesignUtilityConvergesToUpperBound(t *testing.T) {
 func TestDesignCompensationWithinLemmaBounds(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 10)
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestDesignMaliciousPaysLessPerUnitWeight(t *testing.T) {
 	h := honestAgent(t)
 	m := maliciousAgent(t, 0.5)
 	cfg := stdConfig(t, 10)
-	hres, err := Design(h, cfg)
+	hres, err := ReferenceDesign(h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := Design(m, cfg)
+	mres, err := ReferenceDesign(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDesignNegativeWeightPaysNothing(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 10)
 	cfg.W = -0.5
-	res, err := Design(a, cfg)
+	res, err := ReferenceDesign(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +261,12 @@ func TestDesignInvalidInputs(t *testing.T) {
 	a := honestAgent(t)
 	cfg := stdConfig(t, 4)
 	cfg.Mu = -1
-	if _, err := Design(a, cfg); err == nil {
+	if _, err := ReferenceDesign(a, cfg); err == nil {
 		t.Error("negative mu accepted")
 	}
 	// Partition extending past psi's increasing range must be rejected.
 	part, _ := effort.NewPartition(10, 10) // YMax=100 > apex=50
-	if _, err := Design(a, Config{Part: part, Mu: 1, W: 1}); err == nil {
+	if _, err := ReferenceDesign(a, Config{Part: part, Mu: 1, W: 1}); err == nil {
 		t.Error("partition past apex accepted")
 	}
 }
@@ -315,7 +315,7 @@ func TestDesignBoundsProperty(t *testing.T) {
 			return true
 		}
 		cfg := Config{Part: part, Mu: 0.5 + rng.Float64(), W: rng.Float64() * 2, WantCandidates: true}
-		res, err := Design(a, cfg)
+		res, err := ReferenceDesign(a, cfg)
 		if err != nil {
 			return false
 		}
@@ -361,7 +361,7 @@ func TestCompensationBoundsProperty(t *testing.T) {
 			return true
 		}
 		cfg := Config{Part: part, Mu: 1, W: 0.5 + rng.Float64()}
-		res, err := Design(a, cfg)
+		res, err := ReferenceDesign(a, cfg)
 		if err != nil {
 			return false
 		}

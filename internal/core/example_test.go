@@ -27,7 +27,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	res, err := core.Design(alice, core.Config{Part: part, Mu: 1, W: 1})
+	res, err := core.DesignInto(alice, core.Config{Part: part, Mu: 1, W: 1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,24 +27,35 @@ import (
 // menu — the round loop, concurrent design queries — receives the same contract
 // pointer. A menu never materializes a candidate nobody picked.
 //
+// A menu whose solve fails — degenerate knots, a non-finite slope chain,
+// a participation lift that overflows or fails to secure participation —
+// carries the error the reference design (reference.go) reports for the
+// same worker, and ContractFor returns it for every (w, μ): the failure
+// is weight-free too.
+//
 // A built menu is immutable apart from its published contracts and is
 // safe for concurrent use.
+//
+// The cache keeps one menu per live design key, so the struct stays at
+// 80 bytes, one allocator size class (TestMenuSize): δ alone stands for
+// the partition, m being len(knots)−1, and the clamp index only
+// DesignInto's diagnostics read stays in the Scratch.
 type Menu struct {
-	part  effort.Partition
+	delta float64
 	knots []float64 // d_0..d_m
 	// vals holds, for m candidates: (F_k, C_k) pairs — feedback and
 	// compensation at the best response to ξ^(k) — in vals[:2m], the
 	// lifts in vals[2m:3m], and the chain's C_0..C_m in vals[3m:].
 	vals   []float64
 	picked atomic.Pointer[pickedContract]
-	// firstClamp is the 1-based first clamped piece of the slope chain; 0
-	// when none.
-	firstClamp int32
-	// fallback marks a solve the batched arrays cannot reproduce bit for
-	// bit (degenerate knots, a non-finite chain, a lift that overflows or
-	// fails to secure participation). Its picks route to the scalar Design,
-	// which reproduces the exact result or error for each (w, μ).
-	fallback bool
+	// err is the solve's construction error, nil for a menu that can be
+	// picked from.
+	err error
+}
+
+// part is the partition the menu was built over.
+func (m *Menu) part() effort.Partition {
+	return effort.Partition{M: len(m.knots) - 1, Delta: m.delta}
 }
 
 // pickedContract is one materialized candidate in a menu's published
@@ -79,37 +90,31 @@ func BuildMenu(a *worker.Agent, part effort.Partition, s *Scratch) (*Menu, error
 // buildMenu fills m from one batched solve over the scratch's arrays,
 // leaving every candidate's full best response in s.resps for a Result
 // built straight after (design). The agent and partition must already be
-// validated. On a condition the batched path cannot reproduce exactly it
-// marks m as a fallback menu and stops.
+// validated. Candidates are solved in the reference's k order — each
+// one's contract, then its participation lift — so the first failure,
+// stored in m.err, is the one the reference reports.
 func (s *Scratch) buildMenu(a *worker.Agent, part effort.Partition, m *Menu) {
 	s.uses++
 	mm := part.M
-	m.part = part
-	m.fallback = false
-	m.firstClamp = 0
+	m.delta = part.Delta
+	m.err = nil
 
 	s.prepare(part, a.Psi)
 	m.knots = s.knots
-	if !s.knotsMonotone {
-		// Degenerate feedback knots: the scalar path fails in the builder's
-		// validation with the precise error.
-		m.fallback = true
-		return
-	}
-	firstClamp, ok := s.chain(a, part)
-	if !ok {
-		m.fallback = true
-		return
-	}
-	m.firstClamp = int32(firstClamp)
+	firstClamp, chainOK := s.chain(a, part)
+	// Monotone knots under a finite chain build every candidate; otherwise
+	// each candidate's contract is validated before its response.
+	built := s.knotsMonotone && chainOK
+	s.firstClamp = firstClamp
 	if cap(m.vals) < 4*mm+1 {
 		m.vals = make([]float64, 4*mm+1)
 	}
 	m.vals = m.vals[:4*mm+1]
 	for k := 1; k <= mm; k++ {
-		resp, lift, ok := s.candidate(a, part, k)
-		if !ok {
-			m.fallback = true
+		resp, lift, err := s.candidate(a, part, k, built)
+		if err != nil {
+			m.err = fmt.Errorf("core: candidate k=%d: %w", k, err)
+			s.failed++
 			return
 		}
 		s.resps[k-1] = resp
@@ -124,45 +129,69 @@ func (s *Scratch) buildMenu(a *worker.Agent, part effort.Partition, m *Menu) {
 // measured against the reservation-free response, which runs the
 // identical search and so has exactly resp's utility — except that a
 // negative best utility makes even the free worker decline, and a
-// declined response reports the zero value. ok = false flags a lift the
-// batched arrays cannot reproduce (the scalar path errors or overflows).
-func (s *Scratch) candidate(a *worker.Agent, part effort.Partition, k int) (resp worker.Response, lift float64, ok bool) {
+// declined response reports the zero value. Unless built vouches for
+// it, the candidate's contract is validated first. err is the
+// construction error buildCandidate returns for k.
+func (s *Scratch) candidate(a *worker.Agent, part effort.Partition, k int, built bool) (resp worker.Response, lift float64, err error) {
+	if !built {
+		if err := s.buildErr(k); err != nil {
+			return resp, 0, fmt.Errorf("build contract: %w", err)
+		}
+	}
 	resp = bestResponse(a, part, s.knots, s.comps, k)
-	if resp.Utility >= a.Reservation {
-		return resp, 0, true
+	// The worker declines exactly when BestResponse says so: a NaN
+	// utility participates.
+	if !(resp.Utility < a.Reservation) {
+		return resp, 0, nil
 	}
 	freeU := resp.Utility
 	if freeU < 0 {
 		freeU = 0
 	}
+	// Finite and positive: 0 ≤ freeU < Reservation.
 	lift = a.Reservation - freeU + participationSlack
-	if math.IsNaN(lift) || math.IsInf(lift, 0) {
-		return resp, lift, false
-	}
 	m := part.M
 	for i := 0; i <= m; i++ {
 		s.lifted[i] = s.comps[min(i, k)] + lift
 	}
+	// The lifted knots are non-decreasing, so only an overflow at the top
+	// can fail the lift's validation; contract.New words the error.
 	if math.IsInf(s.lifted[m], 0) {
-		return resp, lift, false
+		if _, err := contract.NewShared(s.knots, s.lifted); err != nil {
+			return resp, lift, fmt.Errorf("participation lift: %w", err)
+		}
 	}
 	resp = bestResponse(a, part, s.knots, s.lifted, m)
-	// Below the reservation the scalar path errors ("lift ... failed to
-	// secure participation").
-	return resp, lift, resp.Utility >= a.Reservation
+	if resp.Utility < a.Reservation {
+		return resp, lift, fmt.Errorf("core: lift %v failed to secure participation", lift)
+	}
+	return resp, lift, nil
 }
 
-// Fallback reports whether the menu's solve needs the scalar path: every
-// pick from it runs Design for the requested (w, μ).
-func (m *Menu) Fallback() bool { return m.fallback }
+// buildErr is contract.Builder's validation of candidate k: the chain's
+// slopes on pieces 1..k and flat pieces after, each knot's compensation
+// x_l = x_{l−1} + α_l·(d_l − d_{l−1}), written to s.lifted.
+func (s *Scratch) buildErr(k int) error {
+	x := s.lifted
+	x[0] = 0
+	for l := 1; l < len(x); l++ {
+		alpha := 0.0
+		if l <= k {
+			alpha = s.alphas[l-1]
+		}
+		x[l] = x[l-1] + alpha*(s.knots[l]-s.knots[l-1])
+	}
+	_, err := contract.NewShared(s.knots, x)
+	return err
+}
 
 // Pick is the Eq. (43) argmax over the menu: the 1-based k maximizing the
 // requester's utility w·ψ(y*) − μ·ξ(y*) at the worker's best response to
 // ξ^(k), and that utility. Ties go to the smaller k (strict >), exactly
-// as Design's selection loop breaks them. Pick must not be called on a
-// fallback menu.
+// as the reference's selection loop breaks them. Pick must not be
+// called on a menu whose solve failed (ContractFor reports its error).
 func (m *Menu) Pick(w, mu float64) (k int, ru float64) {
-	fc := m.vals[:2*m.part.M]
+	fc := m.vals[:2*(len(m.knots)-1)]
 	for i := 0; i < len(fc); i += 2 {
 		u := w*fc[i] - mu*fc[i+1]
 		if k == 0 || u > ru {
@@ -173,7 +202,7 @@ func (m *Menu) Pick(w, mu float64) (k int, ru float64) {
 }
 
 // lift is candidate k's participation lift.
-func (m *Menu) lift(k int) float64 { return m.vals[2*m.part.M+k-1] }
+func (m *Menu) lift(k int) float64 { return m.vals[2*(len(m.knots)-1)+k-1] }
 
 // contract returns candidate k's contract, materializing it on first use.
 // Concurrent first uses race through a compare-and-swap, and every caller
@@ -210,11 +239,11 @@ func (p *pickedContract) find(k int) *contract.PiecewiseLinear {
 
 // materialize allocates candidate k's contract on the menu's knot grid:
 // the chain's prefix C_0..C_k continued flat at C_k, plus the lift on
-// every knot — the same two steps the scalar path performs (flatten via
+// every knot — the same two steps the reference performs (flatten via
 // the builder, then shift the copied comps), so the knot and comp values
 // are bit-identical.
 func (m *Menu) materialize(k int) (*contract.PiecewiseLinear, error) {
-	chain := m.vals[3*m.part.M:]
+	chain := m.vals[3*(len(m.knots)-1):]
 	lift := m.lift(k)
 	comps := make([]float64, len(chain))
 	for i := range comps {
@@ -227,35 +256,27 @@ func (m *Menu) materialize(k int) (*contract.PiecewiseLinear, error) {
 }
 
 // ContractFor returns the contract the menu offers under cfg: the shared
-// contract of the Pick winner. a must carry the worker-side parameters the
-// menu was built from; it is read only when the pick routes to the scalar
-// Design (a fallback menu), which counts on s (nil counts nowhere).
-func (m *Menu) ContractFor(a *worker.Agent, cfg Config, s *Scratch) (*contract.PiecewiseLinear, error) {
+// contract of the Pick winner, or the menu's construction error.
+func (m *Menu) ContractFor(cfg Config) (*contract.PiecewiseLinear, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Part != m.part {
-		return nil, fmt.Errorf("partition %+v differs from the menu's %+v: %w", cfg.Part, m.part, ErrBadConfig)
+	if cfg.Part != m.part() {
+		return nil, fmt.Errorf("partition %+v differs from the menu's %+v: %w", cfg.Part, m.part(), ErrBadConfig)
 	}
-	if !m.fallback {
-		k, _ := m.Pick(cfg.W, cfg.Mu)
-		if c, err := m.contract(k); err == nil {
-			return c, nil
-		}
+	if m.err != nil {
+		return nil, m.err
 	}
-	res, err := s.fallback(a, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Contract, nil
+	k, _ := m.Pick(cfg.W, cfg.Mu)
+	return m.contract(k)
 }
 
 // design is DesignInto's pick: the full Result for a validated cfg from
 // the menu s has just built, reading the winner's full response from
-// s.resps — bit-identical to Design(a, cfg).
+// s.resps — bit-identical to the reference design, error included.
 func (m *Menu) design(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
-	if m.fallback {
-		return s.fallback(a, cfg)
+	if m.err != nil {
+		return nil, m.err
 	}
 	k, ru := m.Pick(cfg.W, cfg.Mu)
 	res := &Result{
@@ -267,11 +288,11 @@ func (m *Menu) design(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) 
 	if cfg.WantCandidates {
 		// Diagnostics get their own contracts: the published list holds
 		// only what some pick actually won.
-		cands := make([]Candidate, 0, m.part.M)
-		for j := 1; j <= m.part.M; j++ {
+		cands := make([]Candidate, 0, cfg.Part.M)
+		for j := 1; j <= cfg.Part.M; j++ {
 			c, err := m.materialize(j)
 			if err != nil {
-				return s.fallback(a, cfg)
+				return nil, err
 			}
 			resp := s.resps[j-1]
 			cands = append(cands, Candidate{
@@ -279,7 +300,7 @@ func (m *Menu) design(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) 
 				Contract:          c,
 				Response:          resp,
 				RequesterUtility:  cfg.W*resp.Feedback - cfg.Mu*resp.Compensation,
-				Clamped:           m.firstClamp != 0 && int(m.firstClamp) <= j,
+				Clamped:           s.firstClamp != 0 && s.firstClamp <= j,
 				ParticipationLift: m.lift(j),
 			})
 		}
@@ -290,7 +311,7 @@ func (m *Menu) design(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) 
 		// materialized directly, not published.
 		c, err := m.materialize(k)
 		if err != nil {
-			return s.fallback(a, cfg)
+			return nil, err
 		}
 		res.Contract = c
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"dyncontract/internal/contract"
 	"dyncontract/internal/effort"
@@ -23,11 +25,11 @@ func fusedDesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	}
 	s.prepare(cfg.Part, a.Psi)
 	if !s.knotsMonotone {
-		return Design(a, cfg)
+		return ReferenceDesign(a, cfg)
 	}
 	firstClamp, ok := s.chain(a, cfg.Part)
 	if !ok {
-		return Design(a, cfg)
+		return ReferenceDesign(a, cfg)
 	}
 	materialize := func(k int, lift float64) (*contract.PiecewiseLinear, error) {
 		comps := make([]float64, len(s.knots))
@@ -54,24 +56,24 @@ func fusedDesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 			}
 			lift = a.Reservation - freeU + participationSlack
 			if math.IsNaN(lift) || math.IsInf(lift, 0) {
-				return Design(a, cfg)
+				return ReferenceDesign(a, cfg)
 			}
 			for i := 0; i <= m; i++ {
 				s.lifted[i] = s.comps[min(i, k)] + lift
 			}
 			if math.IsInf(s.lifted[m], 0) {
-				return Design(a, cfg)
+				return ReferenceDesign(a, cfg)
 			}
 			resp = bestResponse(a, cfg.Part, s.knots, s.lifted, m)
 			if resp.Utility < a.Reservation {
-				return Design(a, cfg)
+				return ReferenceDesign(a, cfg)
 			}
 		}
 		ru := cfg.W*resp.Feedback - cfg.Mu*resp.Compensation
 		if cfg.WantCandidates {
 			c, err := materialize(k, lift)
 			if err != nil {
-				return Design(a, cfg)
+				return ReferenceDesign(a, cfg)
 			}
 			candidates = append(candidates, Candidate{
 				K: k, Contract: c, Response: resp, RequesterUtility: ru,
@@ -89,7 +91,7 @@ func fusedDesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 	} else {
 		c, err := materialize(bestK, bestLift)
 		if err != nil {
-			return Design(a, cfg)
+			return ReferenceDesign(a, cfg)
 		}
 		res.Contract = c
 	}
@@ -161,10 +163,10 @@ var pickWeights = []float64{1, 0.37, -0.5, 0, math.Copysign(0, -1), 5e-324, 1e-3
 var pickMus = []float64{1, 0.25, 3.5, 1e-300}
 
 // checkMenuPicks builds one menu for a and picks it at every (w, μ) in
-// ws × mus: DesignInto and the fused oracle must equal Design bit for
-// bit, and the shared menu's pick and contract must equal Design's KOpt,
-// requester utility and contract, errors by text. Picks winning the same
-// k must share one contract pointer.
+// ws × mus: DesignInto and the fused oracle must equal ReferenceDesign
+// bit for bit, and the shared menu's pick and contract must equal the
+// reference's KOpt, requester utility and contract, errors by text.
+// Picks winning the same k must share one contract pointer.
 func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mus []float64) *Menu {
 	t.Helper()
 	menu, menuErr := BuildMenu(a, part, &Scratch{})
@@ -175,16 +177,16 @@ func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mu
 			for _, want := range []bool{false, true} {
 				cfg := Config{Part: part, Mu: mu, W: w, WantCandidates: want}
 				label := fmt.Sprintf("%s w=%v mu=%v", a.ID, w, mu)
-				ref, refErr := Design(a, cfg)
+				ref, refErr := ReferenceDesign(a, cfg)
 				fused, fusedErr := fusedDesignInto(a, cfg, &Scratch{})
 				into, intoErr := DesignInto(a, cfg, s)
 				var got *contract.PiecewiseLinear
 				gotErr := menuErr
 				if menuErr == nil {
-					got, gotErr = menu.ContractFor(a, cfg, s)
+					got, gotErr = menu.ContractFor(cfg)
 				}
 				if (refErr == nil) != (fusedErr == nil) {
-					t.Fatalf("%s: oracle disagreement: Design %v, fused %v", label, refErr, fusedErr)
+					t.Fatalf("%s: oracle disagreement: reference %v, fused %v", label, refErr, fusedErr)
 				}
 				if refErr != nil {
 					if intoErr == nil || intoErr.Error() != refErr.Error() {
@@ -196,19 +198,16 @@ func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mu
 					continue
 				}
 				if gotErr != nil || intoErr != nil {
-					t.Fatalf("%s: menu %v / DesignInto %v, Design succeeded", label, gotErr, intoErr)
+					t.Fatalf("%s: menu %v / DesignInto %v, reference succeeded", label, gotErr, intoErr)
 				}
 				requireBitIdentical(t, "fused", ref, fused)
 				requireBitIdentical(t, "DesignInto", ref, into)
 				if !sameContractBits(ref.Contract, got) {
 					t.Fatalf("%s: menu contract bits differ:\n got %v\nwant %v", label, got, ref.Contract)
 				}
-				if menu.Fallback() {
-					continue
-				}
 				k, ru := menu.Pick(w, mu)
 				if k != ref.KOpt || !sameBits(ru, ref.RequesterUtility) {
-					t.Fatalf("%s: Pick = (%d, %v), Design (%d, %v)", label, k, ru, ref.KOpt, ref.RequesterUtility)
+					t.Fatalf("%s: Pick = (%d, %v), reference (%d, %v)", label, k, ru, ref.KOpt, ref.RequesterUtility)
 				}
 				if prev, ok := shared[k]; ok && prev != got {
 					t.Fatalf("%s: k=%d materialized twice", label, k)
@@ -221,8 +220,9 @@ func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mu
 }
 
 // pickAgents covers every class, a reservation that forces the lift, an ω
-// large enough to clamp the chain, and a degenerate ψ whose knots round
-// flat, forcing the scalar fallback.
+// large enough to clamp the chain, and three agents whose designs fail: a
+// degenerate ψ whose knots round flat, a β whose slope chain overflows,
+// and a reservation so large that candidate 4's lift rounds away.
 func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 	t.Helper()
 	psi := stdPsi(t)
@@ -243,6 +243,8 @@ func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unliftable := mk(worker.NewHonest("unliftable", psi, 1, part.YMax()))
+	unliftable.Reservation = 1e8
 	return map[string]*worker.Agent{
 		"honest":     mk(worker.NewHonest("honest", psi, 1, part.YMax())),
 		"malicious":  mk(worker.NewMalicious("malicious", psi, 1, 0.5, part.YMax())),
@@ -250,11 +252,13 @@ func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 		"reserved":   reserved,
 		"clamped":    mk(worker.NewMalicious("clamped", psi, 1, 5, part.YMax())),
 		"degenerate": mk(worker.NewHonest("degenerate", flat, 1, part.YMax())),
+		"overflow":   mk(worker.NewHonest("overflow", psi, 1e200, part.YMax())),
+		"unliftable": unliftable,
 	}, part
 }
 
 // TestMenuPickMatchesDesign is the seeded differential table: every agent
-// corner, every pick weight and μ, Design vs the fused oracle vs
+// corner, every pick weight and μ, ReferenceDesign vs the fused oracle vs
 // DesignInto vs one shared menu.
 func TestMenuPickMatchesDesign(t *testing.T) {
 	agents, part := pickAgents(t)
@@ -263,17 +267,23 @@ func TestMenuPickMatchesDesign(t *testing.T) {
 			menu := checkMenuPicks(t, a, part, pickWeights, pickMus)
 			// Coverage guards: each corner must actually occur.
 			switch name {
-			case "degenerate":
-				if !menu.Fallback() {
-					t.Error("degenerate ψ did not mark the menu for fallback")
+			case "degenerate", "overflow", "unliftable":
+				want := map[string]string{
+					"degenerate": "build contract: knot 1 (1e+16) <= knot 0 (1e+16)",
+					"overflow":   "candidate k=1: build contract: non-finite entry at 1",
+					"unliftable": "candidate k=4: core: lift",
+				}[name]
+				if menu.err == nil || !strings.Contains(menu.err.Error(), want) {
+					t.Errorf("menu error %v, want one containing %q", menu.err, want)
 				}
 			case "reserved":
 				if menu.lift(1) <= 0 {
 					t.Error("reservation produced no participation lift")
 				}
 			case "clamped":
-				if menu.firstClamp == 0 {
-					t.Error("large ω clamped no slope")
+				s := &Scratch{}
+				if _, err := BuildMenu(a, part, s); err != nil || s.firstClamp == 0 {
+					t.Errorf("large ω clamped no slope (BuildMenu err %v)", err)
 				}
 			}
 		})
@@ -282,8 +292,8 @@ func TestMenuPickMatchesDesign(t *testing.T) {
 
 // TestMenuPickTieGoesToSmallerK pins the tie rule. A chain clamped from
 // piece l on makes every candidate k ≥ l−1 the same contract, so their
-// responses — and requester utilities at any (w, μ) — tie exactly; Design
-// picks the smallest such k, and so must Pick (a >= comparison would pick
+// responses — and requester utilities at any (w, μ) — tie exactly; the
+// reference picks the smallest such k, and so must Pick (a >= comparison would pick
 // the largest). The synthetic menu pins the rule independent of the solve.
 func TestMenuPickTieGoesToSmallerK(t *testing.T) {
 	agents, part := pickAgents(t)
@@ -300,12 +310,12 @@ func TestMenuPickTieGoesToSmallerK(t *testing.T) {
 				ties++
 			}
 		}
-		want, err := Design(a, Config{Part: part, Mu: 1, W: w})
+		want, err := ReferenceDesign(a, Config{Part: part, Mu: 1, W: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k != want.KOpt {
-			t.Fatalf("w=%v: Pick k=%d, Design KOpt=%d", w, k, want.KOpt)
+			t.Fatalf("w=%v: Pick k=%d, reference KOpt=%d", w, k, want.KOpt)
 		}
 	}
 	if ties == 0 {
@@ -313,9 +323,18 @@ func TestMenuPickTieGoesToSmallerK(t *testing.T) {
 	}
 
 	// (F, C) per candidate: k = 2 and 3 tie at the top.
-	synthetic := &Menu{part: effort.Partition{M: 3, Delta: 1}, vals: []float64{1, 1, 2, 1, 2, 1}}
+	synthetic := &Menu{knots: make([]float64, 4), vals: []float64{1, 1, 2, 1, 2, 1}}
 	if k, ru := synthetic.Pick(1, 1); k != 2 || ru != 1 {
 		t.Fatalf("synthetic two-way tie: Pick = (k=%d, ru=%v), want (2, 1)", k, ru)
+	}
+}
+
+// TestMenuSize pins a menu at 80 bytes, one allocator size class: the
+// cache holds one per live design key, so each byte more is paid per key
+// in every key-churning session (perfbench restart's heap_live_mb).
+func TestMenuSize(t *testing.T) {
+	if n := unsafe.Sizeof(Menu{}); n > 80 {
+		t.Fatalf("Menu is %d bytes, want <= 80", n)
 	}
 }
 
@@ -335,7 +354,7 @@ func TestMenuContractSharedAcrossGoroutines(t *testing.T) {
 	for i, w := range ws {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			c, err := menu.ContractFor(a, Config{Part: part, Mu: 1, W: w}, nil)
+			c, err := menu.ContractFor(Config{Part: part, Mu: 1, W: w})
 			if err != nil {
 				t.Error(err)
 			}
@@ -371,7 +390,7 @@ func TestMenuDesignRejectsForeignPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := menu.ContractFor(a, Config{Part: other, Mu: 1, W: 1}, nil); err == nil {
+	if _, err := menu.ContractFor(Config{Part: other, Mu: 1, W: 1}); err == nil {
 		t.Fatal("menu picked under a foreign partition")
 	}
 	if _, err := BuildMenu(a, effort.Partition{}, nil); err == nil {
@@ -382,15 +401,22 @@ func TestMenuDesignRejectsForeignPartition(t *testing.T) {
 // FuzzMenuPick fuzzes the worker side of one menu — class, ψ, β, ω,
 // reservation, partition — and picks it at two fuzzed weights (plus their
 // negations and the fixed pickWeights corners) under two fuzzed μ, each
-// checked bit for bit against Design and the fused oracle.
+// checked bit for bit against ReferenceDesign and the fused oracle. The
+// last five seeds reach each construction error: non-monotone knots, a
+// non-finite chain at candidate 1 and at candidate 4, a participation
+// lift that overflows, and one that fails to secure participation.
 func FuzzMenuPick(f *testing.F) {
 	f.Add(uint8(0), -0.02, 2.0, 1.0, 1.0, 0.0, 0.0, 10, 4.0, 1.0, 0.3, 1.0, 2.0)
 	f.Add(uint8(1), -0.02, 2.0, 1.0, 1.0, 0.5, 0.0, 8, 5.0, 0.8, -1.2, 1.2, 0.5)
-	f.Add(uint8(2), -0.01, 1.5, 0.5, 2.0, 5.0, 0.0, 6, 5.0, 0.5, 7.0, 0.5, 1.0)     // heavy clamping
-	f.Add(uint8(1), -0.02, 2.0, 1.0, 1.0, 0.2, 80.0, 12, 3.0, 1.0, 0.0, 1.0, 3.0)   // forced lift
-	f.Add(uint8(0), -1e-12, 1e-3, 1e16, 1.0, 0.0, 0.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0) // fallback
+	f.Add(uint8(2), -0.01, 1.5, 0.5, 2.0, 5.0, 0.0, 6, 5.0, 0.5, 7.0, 0.5, 1.0)   // heavy clamping
+	f.Add(uint8(1), -0.02, 2.0, 1.0, 1.0, 0.2, 80.0, 12, 3.0, 1.0, 0.0, 1.0, 3.0) // forced lift
+	f.Add(uint8(0), -1e-12, 1e-3, 1e16, 1.0, 0.0, 0.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)
+	f.Add(uint8(0), -0.02, 2.0, 1.0, 1e200, 0.0, 0.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)
+	f.Add(uint8(0), -1e-160, 1.0, 0.0, 1e150, 0.0, 0.0, 10, 5e157, 1.0, 2.0, 1.0, 1.0)
+	f.Add(uint8(0), -1e-160, 0.01, 0.0, 1e148, 0.0, math.MaxFloat64, 8, 1e155, 1.0, 2.0, 1.0, 1.0)
+	f.Add(uint8(0), -0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 4, 0.5, 1.0, 2.0, 1.0, 1.0)
 	f.Fuzz(func(t *testing.T, class uint8, r2, r1, r0, beta, omega, reservation float64, m int, delta, w1, w2, mu1, mu2 float64) {
-		if m < 1 || m > 32 || !(delta > 0) || delta > 100 {
+		if m < 1 || m > 32 || !(delta > 0) {
 			return
 		}
 		yMax := float64(m) * delta

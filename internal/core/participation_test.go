@@ -27,11 +27,11 @@ func reservedAgent(t *testing.T, reservation float64) *worker.Agent {
 
 func TestDesignZeroReservationUnchanged(t *testing.T) {
 	// Reservation 0 must reproduce the base design exactly.
-	base, err := Design(honestAgent(t), stdConfig(t, 10))
+	base, err := ReferenceDesign(honestAgent(t), stdConfig(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reserved, err := Design(reservedAgent(t, 0), stdConfig(t, 10))
+	reserved, err := ReferenceDesign(reservedAgent(t, 0), stdConfig(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +47,12 @@ func TestDesignZeroReservationUnchanged(t *testing.T) {
 
 func TestDesignParticipationLift(t *testing.T) {
 	// A reservation above the base design's worker utility forces a lift.
-	base, err := Design(honestAgent(t), stdConfig(t, 10))
+	base, err := ReferenceDesign(honestAgent(t), stdConfig(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reservation := base.Response.Utility + 2
-	res, err := Design(reservedAgent(t, reservation), stdConfig(t, 10))
+	res, err := ReferenceDesign(reservedAgent(t, reservation), stdConfig(t, 10))
 	if err != nil {
 		t.Fatalf("Design with reservation: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestDesignParticipationLift(t *testing.T) {
 func TestDesignHighReservationStillParticipates(t *testing.T) {
 	// Even absurd reservations are satisfiable by lifting (the requester
 	// may not want to, but the contract is individually rational).
-	res, err := Design(reservedAgent(t, 100), stdConfig(t, 8))
+	res, err := ReferenceDesign(reservedAgent(t, 100), stdConfig(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDesignIndividualRationalityProperty(t *testing.T) {
 			return true
 		}
 		a.Reservation = rng.Float64() * 20
-		res, err := Design(a, Config{Part: part, Mu: 1, W: 0.5 + rng.Float64()})
+		res, err := ReferenceDesign(a, Config{Part: part, Mu: 1, W: 0.5 + rng.Float64()})
 		if err != nil {
 			return false
 		}

@@ -102,7 +102,7 @@ type Result struct {
 // completed round feeds the tracker and refreshes the beliefs before the
 // next round's contracts are designed, and no ledger accumulates. A design
 // cache is attached, so once the weights settle near the fixed point the
-// per-round contract designs dedup to (nearly) zero core.Design calls.
+// per-round contract designs dedup to (nearly) zero design solves.
 func Run(ctx context.Context, pop *platform.Population, pol platform.Policy, tracker *reputation.Tracker, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -48,7 +48,7 @@ func DesignKeyOf(a *worker.Agent, part effort.Partition) DesignKey {
 }
 
 // Fingerprint identifies a contract-design problem up to equality of its
-// inputs: everything core.Design reads from the agent and the config —
+// inputs: everything a design reads from the agent and the config —
 // the worker-side DesignKey plus the requester's μ and w. Two agents with
 // equal fingerprints receive the same designed contract, so populations
 // drawn from a handful of archetypes collapse to a handful of picks per

@@ -12,7 +12,7 @@ import (
 
 // TestCacheDedupAcrossRounds is the acceptance check for the design cache:
 // on a population drawn from three archetypes, a cold engine round performs
-// exactly as many core.Design calls as there are distinct fingerprints
+// exactly as many design solves as there are distinct fingerprints
 // (three — the Designer only solves on a cache miss, so Misses counts
 // Design calls), and warm rounds perform zero.
 func TestCacheDedupAcrossRounds(t *testing.T) {
@@ -92,7 +92,7 @@ func TestViewDesignerCountsEachDesignOnce(t *testing.T) {
 
 // TestWithinRoundDedup pins the unconditional round-level sharing: agents
 // with equal fingerprints receive the same designed contract (pointer
-// equality — one core.Design call served them all), even with no cache.
+// equality — one design solve served them all), even with no cache.
 func TestWithinRoundDedup(t *testing.T) {
 	pop := archetypePopulation(t, 30)
 	pol := &designPolicy{}

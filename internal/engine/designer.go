@@ -181,10 +181,7 @@ func intern[T comparable](list *[]T, idx *map[T]int32, v T) int32 {
 // concurrent designers (Cache.claim): a key another designer is already
 // building is awaited rather than rebuilt, and re-claimed should that
 // build fail.
-// Picks that run the scalar core.Design (from a fallback menu) count on
-// scratch — nil uses a temporary one — and on the solver's
-// MetricScalarFallbacks in opts.Metrics.
-func (p *pickPlan) resolve(ctx context.Context, src *Cache, part effort.Partition, mu float64, opts solver.Options, scratch *core.Scratch) error {
+func (p *pickPlan) resolve(ctx context.Context, src *Cache, part effort.Partition, mu float64, opts solver.Options) error {
 	p.menus = slices.Grow(p.menus[:0], len(p.keys))[:len(p.keys)]
 	clear(p.menus)
 	for {
@@ -227,20 +224,10 @@ func (p *pickPlan) resolve(ctx context.Context, src *Cache, part effort.Partitio
 		}
 		clear(p.waitFs)
 	}
-	var tmp core.Scratch
-	if scratch == nil {
-		scratch = &tmp
-	}
-	fallbacks := scratch.Fallbacks()
-	defer func() {
-		if n := scratch.Fallbacks() - fallbacks; n > 0 {
-			opts.Metrics.Counter(solver.MetricScalarFallbacks).Add(n)
-		}
-	}()
 	p.picks = p.picks[:0]
 	for _, fp := range p.fps {
 		k := fp.key
-		c, err := p.menus[k].ContractFor(p.reps[k], core.Config{Part: part, Mu: mu, W: fp.w}, scratch)
+		c, err := p.menus[k].ContractFor(core.Config{Part: part, Mu: mu, W: fp.w})
 		if err != nil {
 			return fmt.Errorf("engine: design for agent %s: %w", p.reps[k].ID, err)
 		}
@@ -291,7 +278,7 @@ func (d *Designer) Contracts(ctx context.Context, pop *Population, agents []*wor
 		fp := FingerprintOf(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
 		d.slots = append(d.slots, d.plan.add(&fp, a))
 	}
-	if err := d.plan.resolve(ctx, d.Cache, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil); err != nil {
+	if err := d.plan.resolve(ctx, d.Cache, pop.Part, pop.Mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}); err != nil {
 		return nil, err
 	}
 
@@ -324,7 +311,7 @@ func (d *Designer) Design(ctx context.Context, part effort.Partition, mu float64
 	p.reset()
 	fp := FingerprintOf(a, core.Config{Part: part, Mu: mu, W: w})
 	p.add(&fp, a)
-	err := p.resolve(ctx, d.Cache, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics}, nil)
+	err := p.resolve(ctx, d.Cache, part, mu, solver.Options{Parallelism: d.Parallelism, Metrics: d.Metrics})
 	d.Cache.publish(d.Metrics)
 	if err != nil {
 		return nil, err
@@ -422,7 +409,7 @@ func (d *ViewDesigner) Contracts(ctx context.Context, pop *Population, v *View, 
 		d.built = true
 		d.epoch = v.Epoch
 	}
-	err := d.plan.resolve(ctx, cache, pop.Part, pop.Mu, solver.Options{Metrics: d.owner.Metrics, Scratch: &d.scratch}, &d.scratch)
+	err := d.plan.resolve(ctx, cache, pop.Part, pop.Mu, solver.Options{Metrics: d.owner.Metrics, Scratch: &d.scratch})
 	d.lastBatch = len(d.plan.subs)
 	if err != nil {
 		// The plan's menus are now inconsistent with dst; force a full

@@ -1016,7 +1016,7 @@ func (e *Engine) spliceView(epoch uint64, canPatch bool) {
 		e.wuSlots[d] = 0
 		var c *contract.PiecewiseLinear
 		if canPatch {
-			c = e.patchContract(a, &key, w)
+			c = e.patchContract(&key, w)
 		}
 		if c != nil {
 			e.dirty = append(e.dirty, d)

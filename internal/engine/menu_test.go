@@ -129,10 +129,12 @@ func (w *menuWatch) OnRoundEnd(r engine.Round) error {
 	return nil
 }
 
-// TestFallbackPicksCount pins where scalar fallbacks are counted on the
-// menu path: a degenerate ψ builds a fallback menu, which counts nothing,
-// and every pick from it — cold or served from the cache — runs the
-// scalar core.Design and counts once on the solver's fallback counter.
+// TestFallbackPicksCount pins what a key whose design fails costs on the
+// menu path: a degenerate ψ builds one menu, which carries the design
+// error and is cached like any other; the first query misses and builds
+// it, the second hits, and each answers ReferenceDesign's error under the
+// engine's wrap. A menu that carries an error is a built menu, not a
+// failed solve, so dyncontract_solver_design_errors_total stays 0.
 func TestFallbackPicksCount(t *testing.T) {
 	part, err := effort.NewPartition(10, 4)
 	if err != nil {
@@ -149,24 +151,24 @@ func TestFallbackPicksCount(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cache := engine.NewCache()
 	d := &engine.Designer{Parallelism: 1, Cache: cache, Metrics: reg}
-	want, wantErr := core.Design(a, core.Config{Part: part, Mu: 1, W: 2})
+	_, refErr := core.ReferenceDesign(a, core.Config{Part: part, Mu: 1, W: 2})
+	if refErr == nil {
+		t.Fatal("degenerate ψ designed; the case proves nothing")
+	}
+	want := "engine: design for agent degenerate: " + refErr.Error()
 	for round := 1; round <= 2; round++ {
-		got, err := d.Design(context.Background(), part, 1, a, 2)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("round %d: Designer.Design err %v, core.Design err %v", round, err, wantErr)
-		}
-		if err == nil && !reflect.DeepEqual(got, want.Contract) {
-			t.Fatalf("round %d: contract differs from Design's", round)
+		if c, err := d.Design(context.Background(), part, 1, a, 2); err == nil || err.Error() != want {
+			t.Fatalf("round %d: Designer.Design = (%v, %v), want error %q", round, c, err, want)
 		}
 		s := reg.Snapshot()
-		if n := s.Counters[solver.MetricScalarFallbacks]; n != uint64(round) {
-			t.Errorf("round %d: %s = %d, want %d (one per pick)", round, solver.MetricScalarFallbacks, n, round)
-		}
 		if n := s.Counters[solver.MetricDesigns]; n != 1 {
 			t.Errorf("round %d: %s = %d, want 1 menu build", round, solver.MetricDesigns, n)
 		}
-	}
-	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("cache stats = %+v, want 1 build and 1 hit", st)
+		if n := s.Counters[solver.MetricDesignErrors]; n != 0 {
+			t.Errorf("round %d: %s = %d, want 0", round, solver.MetricDesignErrors, n)
+		}
+		if st := cache.Stats(); st.Misses != 1 || st.Hits != uint64(round-1) {
+			t.Errorf("round %d: cache stats = %+v, want 1 miss and %d hits", round, st, round-1)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // populations are drawn from a handful of behavioural archetypes — so the
 // engine pairs the loop with a deduplicating design cache: agents sharing
 // a design fingerprint (class, ψ, β, ω, reservation, partition, μ, w) cost
-// one core.Design call per round, and an unchanged fingerprint across
+// one design solve per round, and an unchanged fingerprint across
 // rounds costs zero.
 //
 // Layering (see DESIGN.md "Engine architecture"):

@@ -109,9 +109,10 @@ func TestStepReturnsErrStopVerbatim(t *testing.T) {
 }
 
 // TestDesignBatch pins the design-query entry, Designer.Design: identical
-// fingerprints share one contract pointer, answers equal core.Design's, the
-// shared cache serves repeat queries without new solves, and concurrent
-// queries against one designer race-cleanly (exercised under -race).
+// fingerprints share one contract pointer, answers equal
+// core.ReferenceDesign's, the shared cache serves repeat queries without
+// new solves, and concurrent queries against one designer race-cleanly
+// (exercised under -race).
 func TestDesignBatch(t *testing.T) {
 	pop := archetypePopulation(t, 6)
 	cache := engine.NewCache()
@@ -145,12 +146,12 @@ func TestDesignBatch(t *testing.T) {
 
 	// Every answer matches the per-agent reference design.
 	for i, a := range pop.Agents {
-		ref, err := core.Design(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
+		ref, err := core.ReferenceDesign(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got[i].Equal(ref.Contract) {
-			t.Errorf("agent %s: Design differs from core.Design", a.ID)
+			t.Errorf("agent %s: Design differs from core.ReferenceDesign", a.ID)
 		}
 	}
 
@@ -176,7 +177,7 @@ func TestDesignBatch(t *testing.T) {
 // TestDesignBatchConcurrentColdBuildsOnce pins the build-once claim on a
 // cold cache: 8 goroutines querying the same 3 design keys, each at its
 // own weights, build each menu exactly once between them, and every
-// answer equals core.Design's.
+// answer equals core.ReferenceDesign's.
 func TestDesignBatchConcurrentColdBuildsOnce(t *testing.T) {
 	pop := archetypePopulation(t, 6)
 	cache := engine.NewCache()
@@ -210,12 +211,12 @@ func TestDesignBatchConcurrentColdBuildsOnce(t *testing.T) {
 	}
 	for g := range got {
 		for i, a := range pop.Agents {
-			ref, err := core.Design(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: weight(g, i)})
+			ref, err := core.ReferenceDesign(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: weight(g, i)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got[g][i].Equal(ref.Contract) {
-				t.Fatalf("client %d agent %s: contract differs from core.Design", g, a.ID)
+				t.Fatalf("client %d agent %s: contract differs from core.ReferenceDesign", g, a.ID)
 			}
 		}
 	}

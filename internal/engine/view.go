@@ -151,7 +151,7 @@ func (e *Engine) refreshViewSlot(id string, j int, epoch uint64, canPatch bool) 
 		e.keys.release(old)
 	}
 	if canPatch {
-		if c := e.patchContract(a, &key, w); c != nil {
+		if c := e.patchContract(&key, w); c != nil {
 			e.contracts[j] = c
 			e.dirty = append(e.dirty, int32(j))
 			return
@@ -171,15 +171,16 @@ func (e *Engine) bumpEpoch(epoch uint64) {
 
 // patchContract is the patch route's design: the contract the cached
 // menu for key offers at weight w, or nil when the key misses the cache
-// (or its menu needs the scalar fallback), in which case the caller takes
-// the epoch-bump route and the policy's fill counts the miss and builds
-// the menu. A served patch counts one cache hit.
-func (e *Engine) patchContract(a *worker.Agent, key *DesignKey, w float64) *contract.PiecewiseLinear {
+// (or its menu carries a construction error), in which case the caller
+// takes the epoch-bump route and the policy's fill counts the miss and
+// builds the menu (or reports the error). A served patch counts one cache
+// hit.
+func (e *Engine) patchContract(key *DesignKey, w float64) *contract.PiecewiseLinear {
 	m, ok := e.cfg.Cache.peek(*key)
-	if !ok || m.Fallback() {
+	if !ok {
 		return nil
 	}
-	c, err := m.ContractFor(a, core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w}, nil)
+	c, err := m.ContractFor(core.Config{Part: e.pop.Part, Mu: e.pop.Mu, W: w})
 	if err != nil {
 		return nil // the fill reports it
 	}

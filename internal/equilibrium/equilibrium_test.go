@@ -46,7 +46,7 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestFollowerOptimalityOfDesignedContract(t *testing.T) {
 	a, cfg := eqFixture(t)
-	res, err := core.Design(a, cfg)
+	res, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFollowerOptimalityOfDesignedContract(t *testing.T) {
 
 func TestFollowerCheckDetectsBadPrediction(t *testing.T) {
 	a, cfg := eqFixture(t)
-	res, err := core.Design(a, cfg)
+	res, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFollowerCheckDetectsBadPrediction(t *testing.T) {
 
 func TestLeaderLocalOptimality(t *testing.T) {
 	a, cfg := eqFixture(t)
-	res, err := core.Design(a, cfg)
+	res, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLeaderLocalOptimality(t *testing.T) {
 
 func TestLeaderCheckDetectsOverpayment(t *testing.T) {
 	a, cfg := eqFixture(t)
-	res, err := core.Design(a, cfg)
+	res, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDesignedContractsFollowerProperty(t *testing.T) {
 		}
 		a := &worker.Agent{ID: "w", Class: class, Psi: psi, Beta: 0.5 + rng.Float64(), Omega: omega, Size: 1}
 		cfg := core.Config{Part: part, Mu: 0.8 + rng.Float64()*0.4, W: 0.5 + rng.Float64()}
-		res, err := core.Design(a, cfg)
+		res, err := core.DesignInto(a, cfg, nil)
 		if err != nil {
 			return false
 		}
@@ -185,7 +185,7 @@ func TestAuditAll(t *testing.T) {
 	for _, w := range []float64{0.5, 1, 1.5} {
 		c := cfg
 		c.W = w
-		res, err := core.Design(a, c)
+		res, err := core.DesignInto(a, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func RunAblation(p *synthpop.Pipeline, params Params) (*Report, error) {
 			return nil, err
 		}
 		cfg := core.Config{Part: part, Mu: params.Mu, W: 1}
-		designed, err := core.Design(a, cfg)
+		designed, err := core.DesignInto(a, cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("ablation: design m=%d: %w", m, err)
 		}

@@ -47,7 +47,7 @@ func RunAssignment(p *synthpop.Pipeline, params Params) (*Report, error) {
 		if w <= 0 {
 			w = 0.01
 		}
-		res, err := core.Design(a, core.Config{Part: part, Mu: params.Mu, W: w})
+		res, err := core.DesignInto(a, core.Config{Part: part, Mu: params.Mu, W: w}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("assignment design %s: %w", id, err)
 		}

@@ -49,7 +49,7 @@ func RunFig6(p *synthpop.Pipeline, params Params) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig6: %w", err)
 			}
-			res, err := core.Design(a, core.Config{Part: part, Mu: mu, W: 1})
+			res, err := core.DesignInto(a, core.Config{Part: part, Mu: mu, W: 1}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig6: design m=%d: %w", m, err)
 			}
@@ -98,7 +98,7 @@ func Fig6Convergence(p *synthpop.Pipeline, params Params, mu float64) ([]float64
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Design(a, core.Config{Part: part, Mu: mu, W: 1})
+		res, err := core.DesignInto(a, core.Config{Part: part, Mu: mu, W: 1}, nil)
 		if err != nil {
 			return nil, err
 		}

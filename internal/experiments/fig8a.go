@@ -69,7 +69,7 @@ func RunFig8a(p *synthpop.Pipeline, params Params) (*Report, error) {
 			if w <= 0 {
 				continue // requester would not contract this worker at all
 			}
-			res, err := core.Design(a, core.Config{Part: part, Mu: params.Mu, W: w})
+			res, err := core.DesignInto(a, core.Config{Part: part, Mu: params.Mu, W: w}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig8a: design %s: %w", id, err)
 			}

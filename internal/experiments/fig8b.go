@@ -103,7 +103,7 @@ func classCompensations(p *synthpop.Pipeline, params Params) (map[worker.Class][
 			// with (near) zero effort, earning (near) zero pay.
 			w = 0.01
 		}
-		res, err := core.Design(a, core.Config{Part: pt, Mu: params.Mu, W: w})
+		res, err := core.DesignInto(a, core.Config{Part: pt, Mu: params.Mu, W: w}, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -52,7 +52,7 @@ func RunParams(p *synthpop.Pipeline, params Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Design(a, core.Config{Part: part, Mu: params.Mu, W: 1})
+		res, err := core.DesignInto(a, core.Config{Part: part, Mu: params.Mu, W: 1}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("params omega=%v: %w", omega, err)
 		}
@@ -80,7 +80,7 @@ func RunParams(p *synthpop.Pipeline, params Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Design(a, core.Config{Part: part, Mu: params.Mu, W: 1})
+		res, err := core.DesignInto(a, core.Config{Part: part, Mu: params.Mu, W: 1}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("params beta=%v: %w", beta, err)
 		}

@@ -5,7 +5,7 @@
 //
 // It exists to validate near-optimality claims empirically (the ablation
 // experiment in DESIGN.md §4): on small instances the grid optimum brackets
-// the true optimum, so comparing core.Design's utility against it measures
+// the true optimum, so comparing core.DesignInto's utility against it measures
 // the real optimality gap rather than trusting Theorem 4.1 alone.
 //
 // Complexity is Θ(grid^m) best responses, so callers must keep m small; the

@@ -63,7 +63,7 @@ func TestDesignNearGridOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	designed, err := core.Design(a, cfg)
+	designed, err := core.DesignInto(a, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

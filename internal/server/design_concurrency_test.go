@@ -15,7 +15,7 @@ import (
 
 // TestDesignQueryMatchesCoreDesign pins the serving path to the math: a
 // design query for a session agent returns exactly the contract
-// core.Design produces for that agent's parameters.
+// core.ReferenceDesign produces for that agent's parameters.
 func TestDesignQueryMatchesCoreDesign(t *testing.T) {
 	e := newTestServer(t, Config{})
 	id := e.createSession(t)
@@ -36,14 +36,14 @@ func TestDesignQueryMatchesCoreDesign(t *testing.T) {
 	var want *core.Result
 	for _, a := range pop.Agents {
 		if a.ID == "m1" {
-			want, err = core.Design(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
+			want, err = core.ReferenceDesign(a, core.Config{Part: pop.Part, Mu: pop.Mu, W: pop.Weights[a.ID]})
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	if !resp.Contract.Equal(want.Contract) {
-		t.Errorf("served contract differs from core.Design:\n got %+v\nwant %+v", resp.Contract, want.Contract)
+		t.Errorf("served contract differs from core.ReferenceDesign:\n got %+v\nwant %+v", resp.Contract, want.Contract)
 	}
 }
 
@@ -186,12 +186,12 @@ func TestLoneDesignQueryDoesNotLinger(t *testing.T) {
 	}
 }
 
-// TestDesignQueryDeadlineBehindHeldBatch pins the handler's deadline: a
+// TestDesignQueryDeadlineBehindHeldFlight pins the handler's deadline: a
 // query awaiting a cold build of its key that outlasts RequestTimeout
 // answers 504 at its deadline, not when the build lands. A query for
 // another key is not held behind it, and once the build lands the held
 // key's next query answers 200.
-func TestDesignQueryDeadlineBehindHeldBatch(t *testing.T) {
+func TestDesignQueryDeadlineBehindHeldFlight(t *testing.T) {
 	e := newTestServer(t, Config{RequestTimeout: 200 * time.Millisecond})
 	id := e.createSession(t)
 	release, landed := holdFlight(t, e, id, "h1")

@@ -128,8 +128,8 @@ func TestSolveAllSequentialScratch(t *testing.T) {
 // degenerateSub builds a subproblem whose feedback knots collapse in
 // float64: ψ passes Quadratic.Validate (the derivative stays positive),
 // but its huge constant term makes the per-knot increment r1·δ vanish
-// below one ulp of R0, so the batched solve sees non-increasing knots
-// and must route through the scalar core.Design fallback.
+// below one ulp of R0, so every candidate's contract fails validation
+// on non-increasing knots.
 func degenerateSub(t *testing.T) Subproblem {
 	t.Helper()
 	part, err := effort.NewPartition(4, 0.01)
@@ -147,29 +147,22 @@ func degenerateSub(t *testing.T) Subproblem {
 	return Subproblem{Agent: a, Config: core.Config{Part: part, Mu: 1, W: 1}}
 }
 
-// TestSolveAllScalarFallbackMetric pins MetricScalarFallbacks: healthy
-// populations report zero, and each design the batched solve cannot
-// handle adds exactly one — on both the sequential and pooled routes,
-// whose per-scratch counts are exported as call deltas.
+// TestSolveAllScalarFallbackMetric pins how the pool counts designs that
+// fail in construction. SolveAll reports each one as a design error with
+// ReferenceDesign's exact text, on both the sequential and pooled routes.
+// BuildMenusInto builds their menus without error — each carries the
+// design error for its picks — so it counts no design error.
 func TestSolveAllScalarFallbackMetric(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	if _, err := SolveAll(context.Background(), solverFixture(t, 8), Options{
-		Parallelism: 1,
-		Metrics:     reg,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	healthy := reg.Snapshot()
-	if got := healthy.Counters[MetricScalarFallbacks]; got != 0 {
-		t.Errorf("%s = %d on healthy fixture, want 0", MetricScalarFallbacks, got)
-	}
-	if h := healthy.Histograms[MetricScalarFallbackSeconds]; h.Count != 0 {
-		t.Errorf("%s count = %d on healthy fixture, want 0", MetricScalarFallbackSeconds, h.Count)
-	}
-
 	subs := solverFixture(t, 6)
 	subs[1] = degenerateSub(t)
 	subs[4] = degenerateSub(t)
+	refErr := func(i int) error {
+		_, err := core.ReferenceDesign(subs[i].Agent, subs[i].Config)
+		if err == nil {
+			t.Fatalf("subproblem %d: reference designed a degenerate ψ", i)
+		}
+		return err
+	}
 
 	for name, par := range map[string]int{"sequential": 1, "pooled": 3} {
 		reg := telemetry.NewRegistry()
@@ -182,44 +175,31 @@ func TestSolveAllScalarFallbackMetric(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		s := reg.Snapshot()
-		if got := s.Counters[MetricScalarFallbacks]; got != 2 {
-			t.Errorf("%s: %s = %d, want 2", name, MetricScalarFallbacks, got)
+		if got := s.Counters[MetricDesigns]; got != 6 {
+			t.Errorf("%s: %s = %d, want 6", name, MetricDesigns, got)
 		}
-		// The latency histogram records exactly the fallback designs: one
-		// observation per degenerate subproblem, its mass a subset of the
-		// all-designs histogram on the same bins.
-		fh, ok := s.Histograms[MetricScalarFallbackSeconds]
-		if !ok {
-			t.Fatalf("%s: missing histogram %s", name, MetricScalarFallbackSeconds)
+		if got := s.Counters[MetricDesignErrors]; got != 2 {
+			t.Errorf("%s: %s = %d, want 2", name, MetricDesignErrors, got)
 		}
-		if fh.Count != 2 {
-			t.Errorf("%s: %s count = %d, want 2", name, MetricScalarFallbackSeconds, fh.Count)
-		}
-		dh := s.Histograms[MetricDesignSeconds]
-		if fh.Count > dh.Count || fh.Sum > dh.Sum {
-			t.Errorf("%s: %s (count %d, sum %v) exceeds %s (count %d, sum %v)",
-				name, MetricScalarFallbackSeconds, fh.Count, fh.Sum,
-				MetricDesignSeconds, dh.Count, dh.Sum)
-		}
-		if fh.Sum < 0 || math.IsNaN(fh.Sum) || math.IsInf(fh.Sum, 0) {
-			t.Errorf("%s: %s sum = %v, want finite ≥ 0", name, MetricScalarFallbackSeconds, fh.Sum)
-		}
-		// The fallback must still produce the scalar path's exact outcome.
 		for _, i := range []int{1, 4} {
-			want, wantErr := core.Design(subs[i].Agent, subs[i].Config)
-			got, gotErr := outcomes[i].Result, outcomes[i].Err
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s: outcome %d err %v, scalar err %v", name, i, gotErr, wantErr)
+			want := refErr(i)
+			if got := outcomes[i].Err; got == nil || got.Error() != want.Error() {
+				t.Errorf("%s: outcome %d error %v, want %q", name, i, got, want)
 			}
-			if gotErr != nil {
-				if gotErr.Error() != wantErr.Error() {
-					t.Errorf("%s: outcome %d error %q != scalar %q", name, i, gotErr, wantErr)
-				}
-				continue
-			}
-			if got.RequesterUtility != want.RequesterUtility || got.KOpt != want.KOpt {
-				t.Errorf("%s: outcome %d (%v, k=%d) != scalar (%v, k=%d)",
-					name, i, got.RequesterUtility, got.KOpt, want.RequesterUtility, want.KOpt)
+		}
+
+		reg = telemetry.NewRegistry()
+		menus := make([]Outcome, len(subs))
+		if err := BuildMenusInto(context.Background(), subs, menus, Options{Parallelism: par, Metrics: reg}); err != nil {
+			t.Fatalf("%s: BuildMenusInto: %v", name, err)
+		}
+		if got := reg.Snapshot().Counters[MetricDesignErrors]; got != 0 {
+			t.Errorf("%s: menus: %s = %d, want 0", name, MetricDesignErrors, got)
+		}
+		for _, i := range []int{1, 4} {
+			want := refErr(i)
+			if _, got := menus[i].Menu.ContractFor(subs[i].Config); got == nil || got.Error() != want.Error() {
+				t.Errorf("%s: menu %d error %v, want %q", name, i, got, want)
 			}
 		}
 	}

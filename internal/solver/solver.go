@@ -28,7 +28,10 @@ const (
 	// pool, so this is the number of solves that actually ran.
 	MetricDesigns = "dyncontract_solver_designs_total"
 	// MetricDesignErrors counts the solves MetricDesigns counts that
-	// failed — whole designs or menu builds.
+	// failed: whole designs that returned an error, and menu builds that
+	// rejected their agent or partition. A menu whose candidate solve
+	// fails is still built and carries the error for its picks, so it is
+	// not counted here.
 	MetricDesignErrors = "dyncontract_solver_design_errors_total"
 	// MetricDesignSeconds is the per-subproblem design latency histogram.
 	MetricDesignSeconds = "dyncontract_solver_design_seconds"
@@ -37,23 +40,6 @@ const (
 	// Cold rounds show the distinct design keys that missed the cache here;
 	// a cold serving-layer design query builds its one key.
 	MetricBatchSize = "dyncontract_solver_batch_size"
-	// MetricScalarFallbacks counts runs of the scalar core.Design path
-	// (core.Scratch.Fallbacks) where the batched structure-of-arrays solve
-	// cannot reproduce the result — degenerate knots, non-finite slope
-	// chains, participation lifts the flat arrays cannot reproduce. It
-	// counts SolveAllInto designs routed there and the engine's picks from
-	// menus BuildMenusInto marked for the fallback (building such a menu
-	// runs no scalar design and counts nothing). A rate tracking
-	// MetricDesigns means the population silently defeats the batched
-	// cold path en masse.
-	MetricScalarFallbacks = "dyncontract_solver_scalar_fallbacks_total"
-	// MetricScalarFallbackSeconds is the latency histogram of exactly the
-	// SolveAllInto designs that fell back to the scalar path — the slow
-	// subset of MetricDesignSeconds, on the same bins, so the two
-	// distributions overlay directly: a fallback-heavy population shows up
-	// as this histogram's mass tracking the total's upper tail. The
-	// engine's fallback picks are counted but not timed.
-	MetricScalarFallbackSeconds = "dyncontract_solver_scalar_fallback_seconds"
 )
 
 // Design-latency bins: uniform over [0, 10ms) in 0.2ms steps (the
@@ -158,25 +144,25 @@ func SolveAllInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, op
 // BuildMenusInto is SolveAllInto for the weight-free half of each design:
 // every subproblem's core.BuildMenu over its Config.Part (μ and w are not
 // read), written to Outcome.Menu. It runs on the same pool, with the same
-// error, cancellation and metric semantics. A menu marked for the scalar
-// fallback is not counted here: its picks are (MetricScalarFallbacks).
+// error, cancellation and metric semantics. A menu whose solve failed is
+// still built — it carries the design error for its picks — so it counts
+// as a design here, not a design error.
 func BuildMenusInto(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Options) error {
 	return runAll(ctx, subs, outcomes, opts, buildMenu)
 }
 
-// task solves one subproblem over scratch s, reporting whether the solve
-// took the scalar fallback. The pool sets the outcome's Index.
-type task func(sub *Subproblem, s *core.Scratch) (out Outcome, fellBack bool)
+// task solves one subproblem over scratch s. The pool sets the outcome's
+// Index.
+type task func(sub *Subproblem, s *core.Scratch) Outcome
 
-func design(sub *Subproblem, s *core.Scratch) (Outcome, bool) {
-	fb := s.Fallbacks()
+func design(sub *Subproblem, s *core.Scratch) Outcome {
 	res, err := core.DesignInto(sub.Agent, sub.Config, s)
-	return Outcome{Result: res, Err: err}, s.Fallbacks() != fb
+	return Outcome{Result: res, Err: err}
 }
 
-func buildMenu(sub *Subproblem, s *core.Scratch) (Outcome, bool) {
+func buildMenu(sub *Subproblem, s *core.Scratch) Outcome {
 	m, err := core.BuildMenu(sub.Agent, sub.Config.Part, s)
-	return Outcome{Menu: m, Err: err}, false
+	return Outcome{Menu: m, Err: err}
 }
 
 // runAll is the pool behind SolveAllInto and BuildMenusInto.
@@ -201,17 +187,13 @@ func runAll(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Opt
 	// the pool skips the per-design clock reads entirely.
 	var (
 		designs, designErrs *telemetry.Counter
-		scalarFallbacks     *telemetry.Counter
 		designSec           *telemetry.Histogram
-		fallbackSec         *telemetry.Histogram
 	)
 	timed := opts.Metrics != nil
 	if timed {
 		designs = opts.Metrics.Counter(MetricDesigns)
 		designErrs = opts.Metrics.Counter(MetricDesignErrors)
-		scalarFallbacks = opts.Metrics.Counter(MetricScalarFallbacks)
 		designSec = opts.Metrics.Histogram(MetricDesignSeconds, designSecondsLo, designSecondsHi, designSecondsBins)
-		fallbackSec = opts.Metrics.Histogram(MetricScalarFallbackSeconds, designSecondsLo, designSecondsHi, designSecondsBins)
 		opts.Metrics.Histogram(MetricBatchSize, batchSizeLo, batchSizeHi, batchSizeBins).Observe(float64(n))
 	}
 	// solve runs subproblem i into outcomes[i], observing its metrics.
@@ -220,15 +202,10 @@ func runAll(ctx context.Context, subs []Subproblem, outcomes []Outcome, opts Opt
 		if timed {
 			t = telemetry.StartTimer()
 		}
-		out, fellBack := run(&subs[i], scratch)
+		out := run(&subs[i], scratch)
 		out.Index = i
 		if timed {
-			sec := t.Seconds()
-			designSec.Observe(sec)
-			if fellBack {
-				scalarFallbacks.Inc()
-				fallbackSec.Observe(sec)
-			}
+			designSec.Observe(t.Seconds())
 			designs.Inc()
 			if out.Err != nil {
 				designErrs.Inc()

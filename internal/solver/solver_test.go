@@ -49,7 +49,7 @@ func TestSolveAllMatchesSequential(t *testing.T) {
 		if o.Err != nil {
 			t.Fatalf("subproblem %d failed: %v", i, o.Err)
 		}
-		seq, err := core.Design(subs[i].Agent, subs[i].Config)
+		seq, err := core.ReferenceDesign(subs[i].Agent, subs[i].Config)
 		if err != nil {
 			t.Fatalf("sequential %d: %v", i, err)
 		}

@@ -5,8 +5,11 @@
 #   1. build  — go build ./... (compile errors first, not buried in vet)
 #   2. gofmt  — no unformatted files
 #   3. vet    — go vet ./...
-#   4. test   — the full suite under the race detector
-#   5. perfbench — vet and test the benchmark module (perfbench/ is its
+#   4. reference — no non-test Go file but internal/core/reference.go
+#      names core.ReferenceDesign: the scalar design is the tests' oracle,
+#      and production code designs through core.DesignInto
+#   5. test   — the full suite under the race detector
+#   6. perfbench — vet and test the benchmark module (perfbench/ is its
 #      own Go module, so ./... above never compiles it)
 #
 # Run from anywhere; exits non-zero on the first failure.
@@ -19,10 +22,10 @@ fail() {
 	exit 1
 }
 
-echo "==> [1/5] go build ./..."
+echo "==> [1/6] go build ./..."
 go build ./... || fail build
 
-echo "==> [2/5] gofmt"
+echo "==> [2/6] gofmt"
 unformatted=$(gofmt -l .) || fail gofmt
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:" >&2
@@ -30,13 +33,21 @@ if [ -n "$unformatted" ]; then
 	fail gofmt
 fi
 
-echo "==> [3/5] go vet ./..."
+echo "==> [3/6] go vet ./..."
 go vet ./... || fail vet
 
-echo "==> [4/5] go test -race ./..."
+echo "==> [4/6] reference"
+callers=$(grep -rlw --include='*.go' ReferenceDesign . | grep -v '_test\.go$' | grep -vx './internal/core/reference\.go') || true
+if [ -n "$callers" ]; then
+	echo "non-test files naming ReferenceDesign:" >&2
+	echo "$callers" >&2
+	fail reference
+fi
+
+echo "==> [5/6] go test -race ./..."
 go test -race ./... || fail test
 
-echo "==> [5/5] perfbench"
+echo "==> [6/6] perfbench"
 (cd perfbench && go vet . && go test .) || fail perfbench
 
 echo "OK"
