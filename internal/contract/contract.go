@@ -5,7 +5,12 @@
 //
 // A PiecewiseLinear value is immutable after construction; the design
 // algorithm in internal/core builds candidates through a Builder and
-// freezes them.
+// freezes them. The immutability is load-bearing: a contract memoizes its
+// own JSON encoding on first use (AppendJSON), and that memo is only
+// right while the knots and compensations never change. NewShared's
+// callers must not write the slices they hand over, Knots and Comps
+// return copies, and UnmarshalJSON, the only method that replaces a
+// contract's values, clears the memo.
 package contract
 
 import (
@@ -14,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
 )
 
 // ErrNotMonotone is returned when knots or compensations are not
@@ -30,9 +36,15 @@ var ErrBadShape = errors.New("contract: invalid shape")
 //
 // Knots has length m+1 (d_0..d_m) and Comps has length m+1 (x_0..x_m), with
 // x_0 the compensation at the zero-effort feedback d_0 = ψ(0).
+//
+// A PiecewiseLinear must not be copied after first use: it holds the memo
+// of its JSON encoding (go vet's copylocks check enforces this).
 type PiecewiseLinear struct {
 	knots []float64
 	comps []float64
+	// enc is the memoized AppendJSON output, filled by the first encode.
+	// Racing first encoders store the same bytes.
+	enc atomic.Pointer[[]byte]
 }
 
 // New validates knots and compensations and returns the contract. Both
@@ -50,7 +62,8 @@ func New(knots, comps []float64) (*PiecewiseLinear, error) {
 // NewShared is New without the copies: the contract keeps both slices,
 // so a family of contracts over one feedback grid — a design menu's
 // candidates — shares a single knots array. The caller must never modify
-// either slice afterwards (a contract never does).
+// either slice afterwards (a contract never does): the contract's
+// memoized encoding would no longer match its values.
 func NewShared(knots, comps []float64) (*PiecewiseLinear, error) {
 	if err := validate(knots, comps); err != nil {
 		return nil, err
@@ -167,16 +180,44 @@ type contractJSON struct {
 	Comps []float64 `json:"comps"`
 }
 
-// MarshalJSON implements json.Marshaler with AppendJSON. A float takes
-// at most 24 bytes and a comma, so 50 bytes per knot holds both arrays.
+// MarshalJSON implements json.Marshaler: it returns a copy of the
+// memoized encoding (see AppendJSON), never the memo itself.
 func (c *PiecewiseLinear) MarshalJSON() ([]byte, error) {
-	return c.AppendJSON(make([]byte, 0, 32+50*len(c.knots))), nil
+	return append([]byte(nil), c.encoding()...), nil
 }
 
 // AppendJSON appends the contract's JSON encoding to dst and returns the
 // extended buffer: {"knots":[…],"comps":[…]}, the bytes json.Marshal
-// writes for contractJSON, without reflection.
+// writes for contractJSON, without reflection. The first encode formats
+// the floats and memoizes the bytes; every later one copies the memo.
 func (c *PiecewiseLinear) AppendJSON(dst []byte) []byte {
+	return append(dst, c.encoding()...)
+}
+
+// JSONLen returns the length of the contract's JSON encoding, the bytes
+// AppendJSON appends.
+func (c *PiecewiseLinear) JSONLen() int { return len(c.encoding()) }
+
+// encoding returns the memoized encoding, formatting it on first use.
+// The result is shared and must not be modified.
+func (c *PiecewiseLinear) encoding() []byte {
+	if p := c.enc.Load(); p != nil {
+		return *p
+	}
+	return c.memoize()
+}
+
+// memoize formats the encoding and stores it as the memo. A small
+// contract formats on the stack, and only its exact bytes are kept.
+func (c *PiecewiseLinear) memoize() []byte {
+	var buf [1024]byte
+	enc := append([]byte(nil), c.format(buf[:0])...)
+	c.enc.Store(&enc)
+	return enc
+}
+
+// format appends the encoding to dst by formatting every float.
+func (c *PiecewiseLinear) format(dst []byte) []byte {
 	dst = append(dst, `{"knots":`...)
 	dst = appendFloats(dst, c.knots)
 	dst = append(dst, `,"comps":`...)
@@ -216,7 +257,9 @@ func appendFloat(dst []byte, v float64) []byte {
 	return dst
 }
 
-// UnmarshalJSON implements json.Unmarshaler, revalidating the payload.
+// UnmarshalJSON implements json.Unmarshaler, revalidating the payload. It
+// replaces the contract's values and clears its encoding memo, so a
+// contract decoded into after an encode re-encodes to the new values.
 func (c *PiecewiseLinear) UnmarshalJSON(data []byte) error {
 	var raw contractJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -226,7 +269,8 @@ func (c *PiecewiseLinear) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*c = *built
+	c.knots, c.comps = built.knots, built.comps
+	c.enc.Store(nil)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -300,8 +301,11 @@ var jsonEdgeFloats = []float64{
 	math.MaxFloat64, 1e308, 1e-300,
 }
 
-// checkContractJSON fails t unless AppendJSON, MarshalJSON and
-// json.Marshal of c all write json.Marshal(contractJSON{…})'s bytes.
+// checkContractJSON fails t unless AppendJSON (twice: the first call
+// fills the encoding memo, the second copies it), MarshalJSON and
+// json.Marshal of c all write json.Marshal(contractJSON{…})'s bytes, and
+// unless MarshalJSON hands out a copy that a caller may overwrite without
+// changing the next encoding.
 func checkContractJSON(t *testing.T, c *PiecewiseLinear) {
 	t.Helper()
 	want, err := json.Marshal(contractJSON{Knots: c.knots, Comps: c.comps})
@@ -309,14 +313,97 @@ func checkContractJSON(t *testing.T, c *PiecewiseLinear) {
 		t.Fatal(err)
 	}
 	prefix := []byte("prefix")
-	if got := c.AppendJSON(prefix[:len(prefix):len(prefix)]); string(got) != "prefix"+string(want) {
-		t.Fatalf("AppendJSON writes %s, want prefix%s", got, want)
+	for range 2 {
+		if got := c.AppendJSON(prefix[:len(prefix):len(prefix)]); string(got) != "prefix"+string(want) {
+			t.Fatalf("AppendJSON writes %s, want prefix%s", got, want)
+		}
 	}
-	if got, err := c.MarshalJSON(); err != nil || string(got) != string(want) {
+	if n := c.JSONLen(); n != len(want) {
+		t.Fatalf("JSONLen = %d, want %d", n, len(want))
+	}
+	got, err := c.MarshalJSON()
+	if err != nil || string(got) != string(want) {
 		t.Fatalf("MarshalJSON writes %s (%v), want %s", got, err, want)
+	}
+	for i := range got {
+		got[i] = 'x'
 	}
 	if got, err := json.Marshal(c); err != nil || string(got) != string(want) {
 		t.Fatalf("json.Marshal writes %s (%v), want %s", got, err, want)
+	}
+}
+
+// TestUnmarshalJSONClearsMemo pins that decoding into a contract that
+// has already been encoded replaces its encoding too.
+func TestUnmarshalJSONClearsMemo(t *testing.T) {
+	c := mustNew(t, []float64{0, 1, 2}, []float64{0, 0.5, 1.5})
+	checkContractJSON(t, c)
+	if err := json.Unmarshal([]byte(`{"knots":[1,2.5],"comps":[3,1e-7]}`), c); err == nil {
+		t.Fatal("decoded decreasing compensations")
+	}
+	checkContractJSON(t, c) // a refused payload leaves the contract as it was
+	if err := json.Unmarshal([]byte(`{"knots":[1,2.5],"comps":[3,4e21]}`), c); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"knots":[1,2.5],"comps":[3,4e+21]}`; string(c.AppendJSON(nil)) != want {
+		t.Fatalf("after decoding, AppendJSON writes %s, want %s", c.AppendJSON(nil), want)
+	}
+	checkContractJSON(t, c)
+}
+
+// TestContractJSONConcurrentFirstEncode has many goroutines encode one
+// fresh contract at once (run it with -race): the racing first encoders
+// each store the memo, and every output must be the same bytes.
+func TestContractJSONConcurrentFirstEncode(t *testing.T) {
+	knots, comps := make([]float64, 21), make([]float64, 21)
+	for i := range knots {
+		knots[i], comps[i] = 1+float64(i)/3, float64(i*i)/7
+	}
+	want, err := json.Marshal(contractJSON{Knots: knots, Comps: comps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 20 {
+		c := mustNew(t, knots, comps)
+		const workers = 8
+		outs := make([][]byte, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch w % 3 {
+				case 0:
+					outs[w] = c.AppendJSON(nil)
+				case 1:
+					outs[w], _ = c.MarshalJSON()
+				default:
+					outs[w] = c.AppendJSON(make([]byte, 0, c.JSONLen()))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w, out := range outs {
+			if string(out) != string(want) {
+				t.Fatalf("encoder %d wrote %s, want %s", w, out, want)
+			}
+		}
+	}
+}
+
+// TestAppendJSONMemoizedAllocs pins that once a contract is encoded,
+// AppendJSON into a buffer with room, and JSONLen, allocate nothing.
+func TestAppendJSONMemoizedAllocs(t *testing.T) {
+	c := mustNew(t, []float64{0, 0.25, 1.5, 7}, []float64{0, 1.0 / 3, 2, 2})
+	buf := make([]byte, 0, c.JSONLen())
+	if n := testing.AllocsPerRun(100, func() { buf = c.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("memoized AppendJSON allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.JSONLen() }); n != 0 {
+		t.Errorf("memoized JSONLen allocates %v times", n)
 	}
 }
 
@@ -348,4 +435,32 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 		}
 	}
 	checkContractJSON(t, &PiecewiseLinear{knots: bits[:1000], comps: bits[1000:]})
+}
+
+// BenchmarkContractAppendJSON times encoding an m = 20 contract, the
+// design route's shape: first formats every float (the memo is cleared
+// each iteration), memoized copies the stored encoding.
+func BenchmarkContractAppendJSON(b *testing.B) {
+	knots, comps := make([]float64, 21), make([]float64, 21)
+	for i := range knots {
+		knots[i], comps[i] = 1+0.0371*float64(i)*(43-float64(i)), 0.513*float64(i*i)/7
+	}
+	c, err := New(knots, comps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, c.JSONLen())
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			c.enc.Store(nil)
+			buf = c.AppendJSON(buf[:0])
+		}
+	})
+	b.Run("memoized", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			buf = c.AppendJSON(buf[:0])
+		}
+	})
 }

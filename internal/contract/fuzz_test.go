@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 )
@@ -67,11 +68,12 @@ func FuzzUnmarshalJSON(f *testing.F) {
 	})
 }
 
-// FuzzContractJSON checks AppendJSON against the reflection encoding it
-// stands in for, json.Marshal of contractJSON, on arbitrary finite
-// entries (the encoder does not depend on the contract being valid), and
-// checks that MarshalJSON and json.Marshal of the contract write the
-// same bytes.
+// FuzzContractJSON checks AppendJSON — its first, memo-filling call and
+// a second one — and MarshalJSON against the reflection encoding they
+// stand in for, json.Marshal of contractJSON, on arbitrary finite entries
+// (the encoder does not depend on the contract being valid). It then
+// decodes the sorted entries into the encoded contract, which must
+// re-encode to its new values.
 func FuzzContractJSON(f *testing.F) {
 	for _, v := range jsonEdgeFloats {
 		f.Add(v, -v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
@@ -82,6 +84,19 @@ func FuzzContractJSON(f *testing.F) {
 				return // no contract holds one, and json.Marshal refuses it
 			}
 		}
-		checkContractJSON(t, &PiecewiseLinear{knots: []float64{d0, d1}, comps: []float64{x0, x1}})
+		c := &PiecewiseLinear{knots: []float64{d0, d1}, comps: []float64{x0, x1}}
+		checkContractJSON(t, c)
+		if d0 == d1 {
+			return
+		}
+		x0, x1 = math.Abs(x0), math.Abs(x1)
+		data, err := json.Marshal(contractJSON{Knots: []float64{min(d0, d1), max(d0, d1)}, Comps: []float64{min(x0, x1), max(x0, x1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, c); err != nil {
+			t.Fatalf("decode %s: %v", data, err)
+		}
+		checkContractJSON(t, c)
 	})
 }

@@ -238,9 +238,9 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 		{name: "late-chain", r2: -1e-160, r1: 1, beta: 1e150, m: 10, delta: 5e157,
 			want: "core: candidate k=4: build contract: non-finite entry at 4"},
 		{name: "lift-overflow", r2: -1e-160, r1: 0.01, beta: 1e148, resv: math.MaxFloat64, m: 8, delta: 1e155,
-			want: "core: candidate k=1: participation lift: non-finite entry at 1"},
-		{name: "lift-failed", r2: -0.0075, r1: 0.06, beta: 1e10, resv: 1e15, m: 4, delta: 0.5,
-			want: "core: candidate k=3: core: lift"},
+			want: "core: candidate k=1: participation lift: non-finite entry at 0"},
+		{name: "lift-failed", r2: -1e-5, r1: 2, r0: 1e5, beta: 1e3, resv: 1, m: 10, delta: 4,
+			want: "core: candidate k=2: core: lift"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,8 +284,9 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 // FuzzDesignIntoMatchesDesign fuzzes the full parameter space — cost
 // curve (r2, r1, r0), worker (β, ω, reservation), requester (w, μ), and
 // partition (m, δ) — asserting the batched solve and ReferenceDesign
-// agree on the (result, error) pair exactly. The last five seeds reach
-// each construction error (see TestDesignIntoErrorsMatchDesign).
+// agree on the (result, error) pair exactly. Five of the last six seeds
+// reach each construction error (see TestDesignIntoErrorsMatchDesign);
+// the other is a reservation of 1e15, which the lift secures.
 func FuzzDesignIntoMatchesDesign(f *testing.F) {
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 10, 4.0)
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.5, 0.0, 0.8, 1.2, 8, 5.0)
@@ -296,7 +297,8 @@ func FuzzDesignIntoMatchesDesign(f *testing.F) {
 	f.Add(-0.02, 2.0, 1.0, 1e200, 0.0, 0.0, 1.0, 1.0, 10, 4.0)
 	f.Add(-1e-160, 1.0, 0.0, 1e150, 0.0, 0.0, 1.0, 1.0, 10, 5e157)
 	f.Add(-1e-160, 0.01, 0.0, 1e148, 0.0, math.MaxFloat64, 1.0, 1.0, 8, 1e155)
-	f.Add(-0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 1.0, 1.0, 4, 0.5)
+	f.Add(-0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 1.0, 1.0, 4, 0.5) // large reservation
+	f.Add(-1e-5, 2.0, 1e5, 1e3, 0.0, 1.0, 1.0, 1.0, 10, 4.0)     // failed lift
 	f.Fuzz(func(t *testing.T, r2, r1, r0, beta, omega, reservation, w, mu float64, m int, delta float64) {
 		if m < 1 || m > 64 || !(delta > 0) {
 			return

@@ -74,16 +74,23 @@ var ErrBadConfig = errors.New("core: invalid design configuration")
 
 // participationSlack is the hair of headroom added on top of the minimal
 // participation lift (the shortfall between the worker's best utility and
-// the reservation). The lift is applied to the contract's compensation
-// knots and the lifted contract is then re-evaluated through the same
-// floating-point pipeline (knot interpolation, ψ round-trips); without
-// slack, rounding in that re-evaluation can leave the lifted utility one
-// ulp below the reservation and the worker still declining. 1e-9 is far
-// above any accumulated rounding at the magnitudes the paper works with
-// (β, δ, ψ all O(1)) and far below anything economically meaningful. Both
-// the reference (buildCandidate) and the batched solve (Scratch.candidate)
-// use this constant, keeping their lifted contracts bit-identical.
-const participationSlack = 1e-9
+// the reservation), for a worker with the given reservation and a
+// candidate whose unlifted top compensation is top. The lift is applied
+// to the contract's compensation knots and the lifted contract is then
+// re-evaluated through the same floating-point pipeline (knot
+// interpolation, ψ round-trips); without slack, rounding in that
+// re-evaluation can leave the lifted utility a few ulps below the
+// reservation and the worker still declining. That rounding scales with
+// the lifted compensations, about reservation + top, so the slack is
+// 1e-9 — far above the rounding at the magnitudes the paper works with
+// (β, δ, ψ all O(1)) and far below anything economically meaningful —
+// or 1e-13 of that magnitude (some 450 ulps) where that is larger, from
+// a magnitude of 1e4 up. Both the reference (buildCandidate) and the
+// batched solve (Scratch.candidate) call it with the same arguments,
+// keeping their lifted contracts bit-identical.
+func participationSlack(reservation, top float64) float64 {
+	return max(1e-9, (reservation+top)*1e-13)
+}
 
 // Config parameterizes a single-agent contract design (one decomposed
 // subproblem of §IV-B).

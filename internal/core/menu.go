@@ -149,7 +149,7 @@ func (s *Scratch) candidate(a *worker.Agent, part effort.Partition, k int, built
 		freeU = 0
 	}
 	// Finite and positive: 0 ≤ freeU < Reservation.
-	lift = a.Reservation - freeU + participationSlack
+	lift = a.Reservation - freeU + participationSlack(a.Reservation, s.comps[k])
 	m := part.M
 	for i := 0; i <= m; i++ {
 		s.lifted[i] = s.comps[min(i, k)] + lift

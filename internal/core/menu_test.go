@@ -54,7 +54,7 @@ func fusedDesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 			if freeU < 0 {
 				freeU = 0
 			}
-			lift = a.Reservation - freeU + participationSlack
+			lift = a.Reservation - freeU + participationSlack(a.Reservation, s.comps[k])
 			if math.IsNaN(lift) || math.IsInf(lift, 0) {
 				return ReferenceDesign(a, cfg)
 			}
@@ -222,7 +222,8 @@ func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mu
 // pickAgents covers every class, a reservation that forces the lift, an ω
 // large enough to clamp the chain, and three agents whose designs fail: a
 // degenerate ψ whose knots round flat, a β whose slope chain overflows,
-// and a reservation so large that candidate 4's lift rounds away.
+// and a feedback scale (ψ(0) = 1e5) at which one ulp of q moves candidate
+// 2's pay by more than the lift's slack.
 func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 	t.Helper()
 	psi := stdPsi(t)
@@ -243,8 +244,12 @@ func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unliftable := mk(worker.NewHonest("unliftable", psi, 1, part.YMax()))
-	unliftable.Reservation = 1e8
+	far, err := effort.NewQuadratic(-1e-5, 2, 1e5, part.YMax())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unliftable := mk(worker.NewHonest("unliftable", far, 1e3, part.YMax()))
+	unliftable.Reservation = 1
 	return map[string]*worker.Agent{
 		"honest":     mk(worker.NewHonest("honest", psi, 1, part.YMax())),
 		"malicious":  mk(worker.NewMalicious("malicious", psi, 1, 0.5, part.YMax())),
@@ -271,7 +276,7 @@ func TestMenuPickMatchesDesign(t *testing.T) {
 				want := map[string]string{
 					"degenerate": "build contract: knot 1 (1e+16) <= knot 0 (1e+16)",
 					"overflow":   "candidate k=1: build contract: non-finite entry at 1",
-					"unliftable": "candidate k=4: core: lift",
+					"unliftable": "candidate k=2: core: lift",
 				}[name]
 				if menu.err == nil || !strings.Contains(menu.err.Error(), want) {
 					t.Errorf("menu error %v, want one containing %q", menu.err, want)
@@ -401,10 +406,12 @@ func TestMenuDesignRejectsForeignPartition(t *testing.T) {
 // FuzzMenuPick fuzzes the worker side of one menu — class, ψ, β, ω,
 // reservation, partition — and picks it at two fuzzed weights (plus their
 // negations and the fixed pickWeights corners) under two fuzzed μ, each
-// checked bit for bit against ReferenceDesign and the fused oracle. The
-// last five seeds reach each construction error: non-monotone knots, a
-// non-finite chain at candidate 1 and at candidate 4, a participation
-// lift that overflows, and one that fails to secure participation.
+// checked bit for bit against ReferenceDesign and the fused oracle. Five
+// of the last six seeds reach each construction error: non-monotone
+// knots, a non-finite chain at candidate 1 and at candidate 4, a
+// participation lift that overflows, and one that fails to secure
+// participation; the other is a reservation of 1e15, which the lift
+// secures.
 func FuzzMenuPick(f *testing.F) {
 	f.Add(uint8(0), -0.02, 2.0, 1.0, 1.0, 0.0, 0.0, 10, 4.0, 1.0, 0.3, 1.0, 2.0)
 	f.Add(uint8(1), -0.02, 2.0, 1.0, 1.0, 0.5, 0.0, 8, 5.0, 0.8, -1.2, 1.2, 0.5)
@@ -414,7 +421,8 @@ func FuzzMenuPick(f *testing.F) {
 	f.Add(uint8(0), -0.02, 2.0, 1.0, 1e200, 0.0, 0.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)
 	f.Add(uint8(0), -1e-160, 1.0, 0.0, 1e150, 0.0, 0.0, 10, 5e157, 1.0, 2.0, 1.0, 1.0)
 	f.Add(uint8(0), -1e-160, 0.01, 0.0, 1e148, 0.0, math.MaxFloat64, 8, 1e155, 1.0, 2.0, 1.0, 1.0)
-	f.Add(uint8(0), -0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 4, 0.5, 1.0, 2.0, 1.0, 1.0)
+	f.Add(uint8(0), -0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 4, 0.5, 1.0, 2.0, 1.0, 1.0) // large reservation
+	f.Add(uint8(0), -1e-5, 2.0, 1e5, 1e3, 0.0, 1.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)     // failed lift
 	f.Fuzz(func(t *testing.T, class uint8, r2, r1, r0, beta, omega, reservation float64, m int, delta, w1, w2, mu1, mu2 float64) {
 		if m < 1 || m > 32 || !(delta > 0) {
 			return

@@ -100,6 +100,61 @@ func TestDesignHighReservationStillParticipates(t *testing.T) {
 	}
 }
 
+// TestDesignLargeReservationParticipates designs for reservations from
+// 1e8 to 1e15, where a fixed 1e-9 slack falls below one ulp of the lifted
+// compensations: every candidate must secure participation — the
+// reference, the batched solve and a built menu alike — and the worker's
+// own best response to each lifted contract must clear the reservation.
+func TestDesignLargeReservationParticipates(t *testing.T) {
+	cfg := stdConfig(t, 10)
+	for e := 8; e <= 15; e++ {
+		r := math.Pow(10, float64(e))
+		a := reservedAgent(t, r)
+		want, err := ReferenceDesign(a, cfg)
+		if err != nil {
+			t.Fatalf("reservation %g: %v", r, err)
+		}
+		got, err := DesignInto(a, cfg, nil)
+		if err != nil {
+			t.Fatalf("reservation %g: DesignInto: %v", r, err)
+		}
+		requireSameResult(t, want, got)
+		menu, err := BuildMenu(a, cfg.Part, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := menu.ContractFor(cfg)
+		if err != nil || !sameContractBits(c, want.Contract) {
+			t.Fatalf("reservation %g: menu contract %v (%v), reference %v", r, c, err, want.Contract)
+		}
+		for _, cand := range want.Candidates {
+			resp, err := a.BestResponse(cand.Contract, cfg.Part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cand.ParticipationLift <= 0 || resp.Declined || resp.Utility < r {
+				t.Errorf("reservation %g, k=%d: lift %v, worker utility %v (declined %v)",
+					r, cand.K, cand.ParticipationLift, resp.Utility, resp.Declined)
+			}
+		}
+	}
+}
+
+// TestParticipationSlackOrdinaryMagnitudes pins the slack at exactly
+// 1e-9 wherever reservation plus top compensation stays within 1e4, so
+// the contracts, ledgers and snapshots of ordinary designs keep their
+// bytes, and scaled with the magnitude above.
+func TestParticipationSlackOrdinaryMagnitudes(t *testing.T) {
+	for _, tc := range [][2]float64{{0, 0}, {60, 0}, {0, 1e4}, {5e3, 5e3}, {1e3, 250}} {
+		if got := participationSlack(tc[0], tc[1]); got != 1e-9 {
+			t.Errorf("participationSlack(%g, %g) = %g, want 1e-9", tc[0], tc[1], got)
+		}
+	}
+	if got := participationSlack(1e8, 1e2); got <= 1e-9 || got > 1e-4 {
+		t.Errorf("participationSlack(1e8, 1e2) = %g, want it scaled with the magnitude", got)
+	}
+}
+
 // Property: designed contracts are always individually rational — the
 // worker participates and clears the reservation.
 func TestDesignIndividualRationalityProperty(t *testing.T) {

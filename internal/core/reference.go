@@ -113,7 +113,7 @@ func buildCandidate(a *worker.Agent, cfg Config, knots []float64, k int) (Candid
 		if err != nil {
 			return Candidate{}, fmt.Errorf("unconstrained response: %w", err)
 		}
-		lift = a.Reservation - freeResp.Utility + participationSlack
+		lift = a.Reservation - freeResp.Utility + participationSlack(a.Reservation, c.MaxComp())
 		comps := c.Comps()
 		for i := range comps {
 			comps[i] += lift

@@ -129,13 +129,13 @@ func (w *menuWatch) OnRoundEnd(r engine.Round) error {
 	return nil
 }
 
-// TestFallbackPicksCount pins what a key whose design fails costs on the
+// TestFailingKeyMenuCached pins what a key whose design fails costs on the
 // menu path: a degenerate ψ builds one menu, which carries the design
 // error and is cached like any other; the first query misses and builds
 // it, the second hits, and each answers ReferenceDesign's error under the
 // engine's wrap. A menu that carries an error is a built menu, not a
 // failed solve, so dyncontract_solver_design_errors_total stays 0.
-func TestFallbackPicksCount(t *testing.T) {
+func TestFailingKeyMenuCached(t *testing.T) {
 	part, err := effort.NewPartition(10, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -441,9 +441,9 @@ func (p *failingViewPolicy) ViewContracts(ctx context.Context, pop *engine.Popul
 	return p.viewDesignPolicy.ViewContracts(ctx, pop, sh, dst)
 }
 
-// TestShardedDesignError checks that a ViewContracts failure surfaces
+// TestViewDesignError checks that a ViewContracts failure surfaces
 // with the policy and round attribution and wraps the cause.
-func TestShardedDesignError(t *testing.T) {
+func TestViewDesignError(t *testing.T) {
 	ctx := context.Background()
 	pol := &failingViewPolicy{fail: true}
 	_, err := engine.RunLedger(ctx, archetypePopulation(t, 9), engine.Config{

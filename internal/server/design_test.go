@@ -58,15 +58,23 @@ func serveRaw(h http.Handler, path string, body []byte) (int, []byte) {
 
 // TestDesignAnswerBytes pins the design route's answer to the bytes
 // json.NewEncoder(w).Encode(DesignQueryResponse{…}) writes, for queries
-// by ID and inline (an empty inline ID omits agent_id), and the answer
-// encoder alone on an ID no request can carry: invalid UTF-8, which
-// encoding/json decodes to U+FFFD.
+// by ID and inline (an empty inline ID omits agent_id), each asked twice
+// so the second answer copies the contract's memoized encoding, and for
+// two agents whose picks share one contract; and the answer encoder
+// alone, with its exact length, on an ID no request can carry: invalid
+// UTF-8, which encoding/json decodes to U+FFFD.
 func TestDesignAnswerBytes(t *testing.T) {
 	h := New(Config{}).Handler()
 	req := testCreateReq()
 	psi := req.Agents[0].Psi
 	for i, id := range answerIDs[1:] {
 		req.Agents = append(req.Agents, AgentSpec{ID: id, Class: "honest", Psi: psi, Beta: 1, Weight: 0.5 + float64(i)/7})
+	}
+	// Twins differ only in ID, so their picks land on one contract.
+	twin := AgentSpec{Class: "honest", Psi: psi, Beta: 1, Weight: 0.75}
+	for _, id := range []string{"twin-a", "twin-b"} {
+		twin.ID = id
+		req.Agents = append(req.Agents, twin)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -79,20 +87,29 @@ func TestDesignAnswerBytes(t *testing.T) {
 	}
 	path := "/v1/sessions/" + created.ID + "/design"
 
-	check := func(name string, query DesignQueryRequest, id string) {
+	check := func(name string, query DesignQueryRequest, id string) *contract.PiecewiseLinear {
 		t.Helper()
 		body, err := json.Marshal(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		code, got := serveRaw(h, path, body)
-		var resp DesignQueryResponse
-		if code != http.StatusOK || json.Unmarshal(got, &resp) != nil {
-			t.Fatalf("%s: status %d: %s", name, code, got)
+		var first []byte
+		var c *contract.PiecewiseLinear
+		for try := range 2 {
+			code, got := serveRaw(h, path, body)
+			var resp DesignQueryResponse
+			if code != http.StatusOK || json.Unmarshal(got, &resp) != nil {
+				t.Fatalf("%s: status %d: %s", name, code, got)
+			}
+			if want := wantAnswer(t, id, resp.Contract); !bytes.Equal(got, want) {
+				t.Errorf("%s, query %d: the route answers\n%q\njson.Encoder writes\n%q", name, try+1, got, want)
+			}
+			if try > 0 && !bytes.Equal(got, first) {
+				t.Errorf("%s: a repeated query answers\n%q\nthe first answered\n%q", name, got, first)
+			}
+			first, c = got, resp.Contract
 		}
-		if want := wantAnswer(t, id, resp.Contract); !bytes.Equal(got, want) {
-			t.Errorf("%s: the route answers\n%q\njson.Encoder writes\n%q", name, got, want)
-		}
+		return c
 	}
 	for _, id := range answerIDs {
 		check("by id "+id, DesignQueryRequest{AgentID: id}, id)
@@ -102,14 +119,33 @@ func TestDesignAnswerBytes(t *testing.T) {
 		spec.ID, spec.Weight = id, 1.25e-7*float64(i+1)
 		check(fmt.Sprintf("inline %q", id), DesignQueryRequest{Agent: &spec}, id)
 	}
+	for _, inline := range []bool{false, true} {
+		var shared []*contract.PiecewiseLinear
+		for _, id := range []string{"twin-a", "twin-b"} {
+			query, name := DesignQueryRequest{AgentID: id}, "twin by id "+id
+			if inline {
+				twin.ID = id
+				spec := twin
+				query, name = DesignQueryRequest{Agent: &spec}, "twin inline "+id
+			}
+			shared = append(shared, check(name, query, id))
+		}
+		if !shared[0].Equal(shared[1]) {
+			t.Errorf("twins (inline %v) got different contracts %v and %v", inline, shared[0], shared[1])
+		}
+	}
 
 	c, err := contract.New([]float64{0, 1e-7, 2}, []float64{0, 3.5e-9, 1e21})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range append(answerIDs, "", "\xff\xfe", "caf\xc3", "\xed\xa0\x80", "del\x7f") {
-		if got, want := appendDesignAnswer(nil, id, c), wantAnswer(t, id, c); !bytes.Equal(got, want) {
+		got, want := appendDesignAnswer(nil, id, c), wantAnswer(t, id, c)
+		if !bytes.Equal(got, want) {
 			t.Errorf("answer for %q:\n%q\njson.Encoder writes\n%q", id, got, want)
+		}
+		if n := designAnswerLen(id, c); n != len(got) {
+			t.Errorf("designAnswerLen(%q) = %d, the answer has %d bytes", id, n, len(got))
 		}
 	}
 }

@@ -444,8 +444,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	// At most 50 bytes per knot, as in PiecewiseLinear.MarshalJSON.
-	_, _ = w.Write(appendDesignAnswer(make([]byte, 0, 64+len(a.ID)+50*(c.Pieces()+1)), a.ID, c))
+	_, _ = w.Write(appendDesignAnswer(make([]byte, 0, designAnswerLen(a.ID, c)), a.ID, c))
 }
 
 // lookup resolves {id} or writes 404.
@@ -736,16 +735,44 @@ func appendDesignAnswer(dst []byte, id string, c *contract.PiecewiseLinear) []by
 	return append(dst, "}\n"...)
 }
 
+// designAnswerLen returns len(appendDesignAnswer(nil, id, c)), so the
+// route allocates its answer once and at its exact size.
+func designAnswerLen(id string, c *contract.PiecewiseLinear) int {
+	n := len(`{"contract":}`+"\n") + c.JSONLen()
+	if id != "" {
+		n += len(`"agent_id":,`) + quotedLen(id)
+	}
+	return n
+}
+
+// quotedLen returns len(appendString(nil, s)).
+func quotedLen(s string) int {
+	if plainString(s) {
+		return len(s) + 2
+	}
+	q, _ := json.Marshal(s) // a string always marshals
+	return len(q)
+}
+
+// plainString reports whether s is plain ASCII with nothing JSON or
+// encoding/json's HTML escaping would escape.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			return false
+		}
+	}
+	return true
+}
+
 // appendString appends s as a JSON string. Plain ASCII with nothing to
 // escape is copied as is; anything else goes through json.Marshal, so
 // HTML characters, U+2028/2029 and invalid UTF-8 are escaped as
 // encoding/json escapes them.
 func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(dst, q...)
-		}
+	if !plainString(s) {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(dst, q...)
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)

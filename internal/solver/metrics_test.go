@@ -147,12 +147,12 @@ func degenerateSub(t *testing.T) Subproblem {
 	return Subproblem{Agent: a, Config: core.Config{Part: part, Mu: 1, W: 1}}
 }
 
-// TestSolveAllScalarFallbackMetric pins how the pool counts designs that
+// TestSolveAllCountsConstructionErrors pins how the pool counts designs that
 // fail in construction. SolveAll reports each one as a design error with
 // ReferenceDesign's exact text, on both the sequential and pooled routes.
 // BuildMenusInto builds their menus without error — each carries the
 // design error for its picks — so it counts no design error.
-func TestSolveAllScalarFallbackMetric(t *testing.T) {
+func TestSolveAllCountsConstructionErrors(t *testing.T) {
 	subs := solverFixture(t, 6)
 	subs[1] = degenerateSub(t)
 	subs[4] = degenerateSub(t)

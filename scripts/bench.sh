@@ -26,7 +26,11 @@
 # retained bytes per round) and BenchmarkCreateSession (the create body's
 # single-pass decode against encoding/json, the whole create route, and
 # create+round — create plus the first round, the span perfbench's
-# setup_s samples — at 1k and 12k agents; trend only) — with -benchmem,
+# setup_s samples — at 1k and 12k agents; trend only), and from
+# internal/contract BenchmarkContractAppendJSON (encoding an m = 20
+# contract: first — formatting its 42 floats — against memoized — copying
+# the encoding a contract keeps after its first encode; trend only) —
+# with -benchmem,
 # prints the standard output, and writes the parsed results to
 # BENCH_engine.json as one JSON array of
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
@@ -75,6 +79,7 @@ trap 'rm -f "$raw" "$fresh"' EXIT
 
 go test -run '^$' -bench 'BenchmarkEngineRound1k|BenchmarkEngineRound100k|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkServerDesignConcurrent|BenchmarkServerDriftRoute|BenchmarkServerStep|BenchmarkJournalAppend' -benchmem . | tee "$raw"
 go test -run '^$' -bench 'BenchmarkRoundLogAdd|BenchmarkCreateSession' -benchmem ./internal/server | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkContractAppendJSON' -benchmem ./internal/contract | tee -a "$raw"
 
 awk '
 BEGIN { print "["; n = 0 }
