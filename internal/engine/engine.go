@@ -741,7 +741,7 @@ func (e *Engine) ensureView() bool {
 	}
 	e.scope.rule = viewFull
 	e.agents = append(e.agents[:0], e.pop.Agents...)
-	sort.Slice(e.agents, func(i, j int) bool { return e.agents[i].ID < e.agents[j].ID })
+	slices.SortFunc(e.agents, func(a, b *worker.Agent) int { return strings.Compare(a.ID, b.ID) })
 	e.fitOuts(len(e.agents))
 	e.agentsOK = true
 	e.agentsGen = gen

@@ -238,11 +238,11 @@ func TestShardedObserverEventOrder(t *testing.T) {
 	}
 }
 
-// TestShardedWarmSkipsRespond pins the pipeline's fast path: once the
+// TestViewWarmSkipsRespond pins the pipeline's fast path: once the
 // view is warm (stable population, cached designs, dense contracts), the
 // respond stage is skipped outright — the memo's counters freeze
 // completely.
-func TestShardedWarmSkipsRespond(t *testing.T) {
+func TestViewWarmSkipsRespond(t *testing.T) {
 	ctx := context.Background()
 	pop := archetypePopulation(t, 24)
 	memo := engine.NewRespondMemo()
@@ -273,11 +273,11 @@ func TestShardedWarmSkipsRespond(t *testing.T) {
 	}
 }
 
-// TestShardedWarmRoundZeroAllocs extends the zero-alloc warm-round
+// TestViewWarmRoundZeroAllocs extends the zero-alloc warm-round
 // guarantee to the ViewPolicy route: a warmed cache+memo engine
 // allocates nothing per Run — the view, the plan, the outcome buffer, and
 // scratch are all reused, and warm rounds skip respond.
-func TestShardedWarmRoundZeroAllocs(t *testing.T) {
+func TestViewWarmRoundZeroAllocs(t *testing.T) {
 	pop := archetypePopulation(t, 120)
 	ctx := context.Background()
 	eng, err := engine.New(pop, engine.Config{

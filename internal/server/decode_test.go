@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -195,6 +196,193 @@ func FuzzDecodeCreate(f *testing.F) {
 	})
 }
 
+// splitBodies are create bodies around the agents array's split: the
+// cut rule's corners, bodies the split must decline, and hand-overs from
+// inside a later chunk.
+var splitBodies = []string{
+	// "},{" inside an ID, and in a key after the array.
+	`{"agents":[{"id":"a},{b"},{"id":"c"},{"id":"d},{"},{"id":"e"}]}`,
+	`{"agents":[{"id":"` + strings.Repeat("x", 40) + `},{}]"}]}`,
+	`{"agents":[{"id":"a"},{"id":"b"}],"name":"},{}]"}`,
+	`{"agents":[{"id":"a"},{"id":"b"}],"name":"},{\"id\":\"c\"}]"}`,
+	// Whitespace around the commas between agents.
+	`{"agents":[{"id":"a"}, {"id":"b"},{"id":"c"} ,{"id":"d"},` + "\n" + `{"id":"e"}]}`,
+	// A cut landing in the last agent.
+	`{"agents":[{"id":"a"},{"id":"b","class":"honest","psi":{"r2":-0.25,"r1":2,"r0":0},"beta":1,"omega":0.5,"weight":1,"malice":0.1}],"m":10}`,
+	// A repeated key or an escape in the second chunk.
+	`{"agents":[{"id":"a"},{"id":"b"},{"id":"c","id":"d"},{"id":"e"},{"id":"f"}]}`,
+	`{"agents":[{"id":"a"},{"id":"b"},{"id":"c\u0041"},{"id":"e"},{"id":"f"}]}`,
+	`{"agents":[{"id":"a"},{"id":"b"},{"id":"c","bogus":1},{"id":"e"},{"id":"f"}]}`,
+	// Trailing data after the array and after the body.
+	`{"agents":[{"id":"a"},{"id":"b"},{"id":"c"}]]}`,
+	`{"agents":[{"id":"a"},{"id":"b"},{"id":"c"}]}x`,
+	`{"agents":[{"id":"a"},{"id":"b"},{"id":"c"},]}`,
+	// Request keys after the array.
+	`{"agents":[{"id":"a","weight":1},{"id":"b","weight":2},{"id":"c","weight":3}],"m":10,"delta":0.2}`,
+	// Empty arrays, an array open at the body's end, and more cuts than
+	// agents.
+	`{"agents":[`,
+	`0000000000[`,
+	`{"agents":[],"m":1}`,
+	`{"agents":[ ],"name":"},{},{},{}"}`,
+	`{"agents":[{}]}`,
+	`{"agents":[{},{}]}`,
+	`{"agents":[{"id":"a"},{"id":"b"}]}`,
+}
+
+// splitChunks are the chunk counts the split tests force.
+var splitChunks = []int{2, 3, 5}
+
+// checkSplit decodes body with the agents array split in each of
+// splitChunks chunks, without a size floor, and checks every result
+// against decodeJSON: the same error text, or the same request bit for
+// bit. It then starts the split by itself at each '[' of body: the split
+// must decline, or give what the sequential pass gives from the same
+// cursor, and leave the cursor where that pass does.
+func checkSplit(t *testing.T, body []byte) {
+	t.Helper()
+	var want CreateSessionRequest
+	werr := decodeJSON(bytes.NewReader(body), &want)
+	for _, k := range splitChunks {
+		var got CreateSessionRequest
+		gerr := decodeCreateSplit(body, &got, k, 0)
+		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("k=%d: decodeCreateSplit error %v, decodeJSON error %v on %q", k, gerr, werr, body)
+		}
+		if gerr == nil && (!reflect.DeepEqual(got, want) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want)) {
+			t.Fatalf("k=%d: on %q decodeCreateSplit gives\n%#v\ndecodeJSON gives\n%#v", k, body, got, want)
+		}
+	}
+	for i, opens := 0, 0; i < len(body) && opens < 8; i++ {
+		if body[i] != '[' {
+			continue
+		}
+		opens++
+		seq := bodyDecoder{buf: body, pos: i + 1}
+		if seq.token(']') {
+			continue
+		}
+		want, wok := seq.run(-1)
+		for _, k := range splitChunks {
+			d := bodyDecoder{buf: body, pos: i + 1, chunks: k}
+			got, ok := d.splitAgents()
+			if !ok {
+				if d.pos != i+1 {
+					t.Fatalf("k=%d: a declined split moved the cursor from %d to %d on %q", k, i+1, d.pos, body)
+				}
+				continue
+			}
+			if !wok || d.pos != seq.pos || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+				t.Fatalf("k=%d: split from %d of %q gives\n%#v at %d\nthe sequential pass gives\n%#v at %d (ok %v)",
+					k, i+1, body, got, d.pos, want, seq.pos, wok)
+			}
+		}
+	}
+}
+
+// FuzzDecodeCreateSplit is the differential test of the agents array's
+// split: forced to 2, 3 and 5 chunks with no size floor, every decode
+// must give decodeJSON's answer, and the split itself must decline or
+// give the sequential pass's agents bit for bit.
+func FuzzDecodeCreateSplit(f *testing.F) {
+	for _, body := range fastBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range handedOver {
+		f.Add([]byte(body))
+	}
+	for _, body := range splitBodies {
+		f.Add([]byte(body))
+	}
+	f.Add(archetypeBody(f, 9))
+	f.Add(paperBody(f, synth.SmallScale(1), 3))
+	f.Fuzz(checkSplit)
+}
+
+// TestSplitAgentsKeepsExactCuts pins which arrays the split keeps: it
+// decodes compact arrays itself, at every forced chunk count, and
+// declines whitespace between agents and cuts inside an ID.
+func TestSplitAgentsKeepsExactCuts(t *testing.T) {
+	split := func(body string, k int) bool {
+		d := bodyDecoder{buf: []byte(body), chunks: k}
+		d.pos = strings.Index(body, "[") + 1
+		_, ok := d.splitAgents()
+		return ok
+	}
+	compact := []string{
+		string(archetypeBody(t, 40)),
+		string(paperBody(t, synth.SmallScale(1), 10)),
+		`{"agents":[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"},{"id":"e"},{"id":"f"}]}`,
+	}
+	for _, k := range splitChunks {
+		for _, body := range compact {
+			if !split(body, k) {
+				t.Errorf("k=%d: the split declined a compact array: %.80s…", k, body)
+			}
+		}
+		for _, body := range []string{
+			`{"agents":[{"id":"a"}, {"id":"b"}, {"id":"c"}, {"id":"d"}, {"id":"e"}, {"id":"f"}]}`,
+			`{"agents":[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"},{"id":"e"},{"id":"f"},]}`,
+			`{"agents":[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"},{"id":"e","id":"f"}]}`,
+			`{"agents":[{"id":"a"}]}`,
+		} {
+			if split(body, k) {
+				t.Errorf("k=%d: the split kept %s", k, body)
+			}
+		}
+	}
+	// An ID holding "},{" at every cut: chunk 0 overruns the first cut.
+	id := strings.Repeat("x},{", 64)
+	body := `{"agents":[{"id":"` + id + `"},{"id":"b"}]}`
+	if split(body, 2) {
+		t.Errorf("the split kept a cut inside an ID")
+	}
+	checkSplit(t, []byte(body))
+}
+
+// TestSplitCreateFirstRound creates a session from a paper-shaped body
+// over the split's size floor at GOMAXPROCS=1, which decodes it in one
+// sequential pass, and at GOMAXPROCS=3, which splits it: the create and
+// first-round answers, outcomes and contracts included, must be the
+// same bytes.
+func TestSplitCreateFirstRound(t *testing.T) {
+	body := paperBody(t, synth.SmallScale(1), 1000)
+	if len(body) < splitFloor {
+		t.Fatalf("body of %d bytes is under the split floor %d", len(body), splitFloor)
+	}
+	d := bodyDecoder{buf: body, chunks: 3}
+	d.pos = bytes.IndexByte(body, '[') + 1
+	if _, ok := d.splitAgents(); !ok {
+		t.Fatal("the split declined the body")
+	}
+	answers := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		srv := New(Config{})
+		defer srv.Drain(context.Background())
+		h := srv.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("GOMAXPROCS=%d: create: status %d: %s", procs, rec.Code, rec.Body)
+		}
+		created := rec.Body.String()
+		var cr CreateSessionResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+			t.Fatal(err)
+		}
+		round := strings.NewReader(`{"include_outcomes":true,"include_contracts":true}`)
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+cr.ID+"/rounds", round))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GOMAXPROCS=%d: round: status %d: %s", procs, rec.Code, rec.Body)
+		}
+		return created + rec.Body.String()
+	}
+	if seq, split := answers(1), answers(3); seq != split {
+		t.Errorf("a split decode answers\n%.300s…\na sequential one\n%.300s…", split, seq)
+	}
+}
+
 // designBodies are design query bodies the single pass must decode by
 // itself: json.Marshal and json.MarshalIndent output of both query forms.
 func designBodies(tb testing.TB) map[string][]byte {
@@ -363,18 +551,61 @@ func archetypeBody(tb testing.TB, n int) []byte {
 	return body
 }
 
+// paperBody is a create body shaped as perfbench's paper-serve session:
+// up to perClass honest and non-collusive workers plus every community
+// from cfg's pipeline, each with its own fitted parameters, in the
+// pipeline's order (by class, so the IDs are not sorted), marshaled by
+// encoding/json.
+func paperBody(tb testing.TB, cfg synth.Config, perClass int) []byte {
+	tb.Helper()
+	pipe, err := synthpop.BuildPipeline(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pop, err := pipe.BuildPopulation(synthpop.DefaultParams(), perClass)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := CreateSessionRequest{M: pop.Part.M, Delta: pop.Part.Delta, Mu: pop.Mu}
+	for _, a := range pop.Agents {
+		req.Agents = append(req.Agents, agentSpecOf(a, pop.Weights[a.ID], pop.MaliceProb[a.ID]))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
 // BenchmarkCreateSession measures a session's creation from an inline
-// body of n archetype agents, n in {1k, 12k} (12k is archetype-warm's
-// session): decode is decodeCreate alone, decode-json the strict
+// body: of n archetype agents, n in {1k, 12k} (12k is archetype-warm's
+// session), and paper, paper-serve's 6.3k paper-scale agents, each with
+// its own design key, IDs out of sorted order, so that the view's sort
+// and a cold design of every agent are in its create+round. decode is
+// decodeCreate alone (its agents array is split across GOMAXPROCS
+// goroutines, so run it at -cpu 1 and 2), decode-json the strict
 // encoding/json decodeJSON it stands in for, create the whole POST
 // /v1/sessions through Handler() up to its 201, and create+round that
 // create and the session's first round up to its 200 — the span
 // perfbench's setup_s samples — on a fresh server each time (set up and
 // drained off the clock).
 func BenchmarkCreateSession(b *testing.B) {
-	for _, n := range []int{1_000, 12_000} {
-		body := archetypeBody(b, n)
-		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
+	bodies := []struct {
+		name string
+		body func(testing.TB) []byte
+	}{
+		{"n=1k", func(tb testing.TB) []byte { return archetypeBody(tb, 1_000) }},
+		{"n=12k", func(tb testing.TB) []byte { return archetypeBody(tb, 12_000) }},
+		{"paper", func(tb testing.TB) []byte { return paperBody(tb, synth.PaperScale(1), 5000) }},
+	}
+	for _, c := range bodies {
+		b.Run(c.name, func(b *testing.B) {
+			body := c.body(b)
+			var want CreateSessionRequest
+			if err := decodeJSON(bytes.NewReader(body), &want); err != nil {
+				b.Fatal(err)
+			}
+			n := len(want.Agents)
 			b.Run("decode", func(b *testing.B) {
 				b.SetBytes(int64(len(body)))
 				b.ReportAllocs()

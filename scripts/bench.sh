@@ -26,7 +26,8 @@
 # retained bytes per round) and BenchmarkCreateSession (the create body's
 # single-pass decode against encoding/json, the whole create route, and
 # create+round — create plus the first round, the span perfbench's
-# setup_s samples — at 1k and 12k agents; trend only), and from
+# setup_s samples — at 1k and 12k archetype agents and on paper,
+# paper-serve's 6.3k agents with a design key each; trend only), and from
 # internal/contract BenchmarkContractAppendJSON (encoding an m = 20
 # contract: first — formatting its 42 floats — against memoized — copying
 # the encoding a contract keeps after its first encode; trend only) —
