@@ -11,8 +11,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Round-loop benchmarks (EngineRound1k + TelemetryOverhead) with -benchmem,
-# parsed into BENCH_engine.json; `make benchall` runs every benchmark.
+# The benchmark set of scripts/bench.sh, parsed into BENCH_engine.json; the
+# script's header lists what it runs and which results it gates.
+# `make benchall` runs every root-package benchmark.
 bench:
 	./scripts/bench.sh
 

@@ -223,12 +223,12 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 	bad := stdConfig(t, 10)
 	bad.Mu = -1
 	cases := []struct {
-		name                   string
-		r2, r1, r0, beta, resv float64
-		m                      int
-		delta                  float64
-		cfg                    *Config
-		want                   string
+		name                          string
+		r2, r1, r0, beta, omega, resv float64
+		m                             int
+		delta                         float64
+		cfg                           *Config
+		want                          string
 	}{
 		{name: "config", r2: -0.02, r1: 2, r0: 1, beta: 1, m: 10, delta: 4, cfg: &bad, want: "mu=-1 must be positive"},
 		{name: "knots", r2: -1e-12, r1: 1e-3, r0: 1e16, beta: 1, m: 10, delta: 4,
@@ -239,8 +239,8 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 			want: "core: candidate k=4: build contract: non-finite entry at 4"},
 		{name: "lift-overflow", r2: -1e-160, r1: 0.01, beta: 1e148, resv: math.MaxFloat64, m: 8, delta: 1e155,
 			want: "core: candidate k=1: participation lift: non-finite entry at 0"},
-		{name: "lift-failed", r2: -1e-5, r1: 2, r0: 1e5, beta: 1e3, resv: 1, m: 10, delta: 4,
-			want: "core: candidate k=2: core: lift"},
+		{name: "lift-failed", r2: -1e-5, r1: 2, r0: -1e5, beta: 1e3, omega: 0.5, resv: 1, m: 10, delta: 4,
+			want: "core: candidate k=1: core: lift"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,6 +254,9 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 				t.Fatal(err)
 			}
 			a, err := worker.NewHonest("e", psi, tc.beta, yMax)
+			if tc.omega > 0 {
+				a, err = worker.NewMalicious("e", psi, tc.beta, tc.omega, yMax)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,9 +287,10 @@ func TestDesignIntoErrorsMatchDesign(t *testing.T) {
 // FuzzDesignIntoMatchesDesign fuzzes the full parameter space — cost
 // curve (r2, r1, r0), worker (β, ω, reservation), requester (w, μ), and
 // partition (m, δ) — asserting the batched solve and ReferenceDesign
-// agree on the (result, error) pair exactly. Five of the last six seeds
-// reach each construction error (see TestDesignIntoErrorsMatchDesign);
-// the other is a reservation of 1e15, which the lift secures.
+// agree on the (result, error) pair exactly. Five of the last seven
+// seeds reach each construction error (see
+// TestDesignIntoErrorsMatchDesign); the other two are lifts the slack
+// must secure: a reservation of 1e15, and a feedback scale of 1e5.
 func FuzzDesignIntoMatchesDesign(f *testing.F) {
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 10, 4.0)
 	f.Add(-0.02, 2.0, 1.0, 1.0, 0.5, 0.0, 0.8, 1.2, 8, 5.0)
@@ -298,7 +302,8 @@ func FuzzDesignIntoMatchesDesign(f *testing.F) {
 	f.Add(-1e-160, 1.0, 0.0, 1e150, 0.0, 0.0, 1.0, 1.0, 10, 5e157)
 	f.Add(-1e-160, 0.01, 0.0, 1e148, 0.0, math.MaxFloat64, 1.0, 1.0, 8, 1e155)
 	f.Add(-0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 1.0, 1.0, 4, 0.5) // large reservation
-	f.Add(-1e-5, 2.0, 1e5, 1e3, 0.0, 1.0, 1.0, 1.0, 10, 4.0)     // failed lift
+	f.Add(-1e-5, 2.0, 1e5, 1e3, 0.0, 1.0, 1.0, 1.0, 10, 4.0)     // far feedback
+	f.Add(-1e-5, 2.0, -1e5, 1e3, 0.5, 1.0, 1.0, 1.0, 10, 4.0)    // failed lift
 	f.Fuzz(func(t *testing.T, r2, r1, r0, beta, omega, reservation, w, mu float64, m int, delta float64) {
 		if m < 1 || m > 64 || !(delta > 0) {
 			return

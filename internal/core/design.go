@@ -75,21 +75,27 @@ var ErrBadConfig = errors.New("core: invalid design configuration")
 // participationSlack is the hair of headroom added on top of the minimal
 // participation lift (the shortfall between the worker's best utility and
 // the reservation), for a worker with the given reservation and a
-// candidate whose unlifted top compensation is top. The lift is applied
+// candidate whose unlifted top compensation is top, whose steepest slope
+// is steep, and whose feedback knots are knots. The lift is applied
 // to the contract's compensation knots and the lifted contract is then
 // re-evaluated through the same floating-point pipeline (knot
 // interpolation, ψ round-trips); without slack, rounding in that
 // re-evaluation can leave the lifted utility a few ulps below the
-// reservation and the worker still declining. That rounding scales with
-// the lifted compensations, about reservation + top, so the slack is
-// 1e-9 — far above the rounding at the magnitudes the paper works with
-// (β, δ, ψ all O(1)) and far below anything economically meaningful —
-// or 1e-13 of that magnitude (some 450 ulps) where that is larger, from
-// a magnitude of 1e4 up. Both the reference (buildCandidate) and the
+// reservation and the worker still declining. That rounding has two
+// sources. On the compensation side it scales with the lifted
+// compensations, about reservation + top, so the slack is 1e-9 — far
+// above the rounding at the magnitudes the paper works with (β, δ, ψ all
+// O(1)) and far below anything economically meaningful — or 1e-13 of
+// that magnitude (some 450 ulps) where that is larger, from a magnitude
+// of 1e4 up. On the feedback side, one ulp of q moves the pay by the
+// slope times that ulp, which for a feedback far from zero (ψ(0) = 1e5,
+// say) exceeds both; the slack covers steep times one ulp of the
+// largest-magnitude knot. Both the reference (buildCandidate) and the
 // batched solve (Scratch.candidate) call it with the same arguments,
 // keeping their lifted contracts bit-identical.
-func participationSlack(reservation, top float64) float64 {
-	return max(1e-9, (reservation+top)*1e-13)
+func participationSlack(reservation, top, steep float64, knots []float64) float64 {
+	q := max(math.Abs(knots[0]), math.Abs(knots[len(knots)-1]))
+	return max(1e-9, (reservation+top)*1e-13, steep*(math.Nextafter(q, math.Inf(1))-q))
 }
 
 // Config parameterizes a single-agent contract design (one decomposed

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"dyncontract/internal/contract"
@@ -149,7 +150,7 @@ func (s *Scratch) candidate(a *worker.Agent, part effort.Partition, k int, built
 		freeU = 0
 	}
 	// Finite and positive: 0 ≤ freeU < Reservation.
-	lift = a.Reservation - freeU + participationSlack(a.Reservation, s.comps[k])
+	lift = a.Reservation - freeU + participationSlack(a.Reservation, s.comps[k], slices.Max(s.alphas[:k]), s.knots)
 	m := part.M
 	for i := 0; i <= m; i++ {
 		s.lifted[i] = s.comps[min(i, k)] + lift

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -54,7 +55,7 @@ func fusedDesignInto(a *worker.Agent, cfg Config, s *Scratch) (*Result, error) {
 			if freeU < 0 {
 				freeU = 0
 			}
-			lift = a.Reservation - freeU + participationSlack(a.Reservation, s.comps[k])
+			lift = a.Reservation - freeU + participationSlack(a.Reservation, s.comps[k], slices.Max(s.alphas[:k]), s.knots)
 			if math.IsNaN(lift) || math.IsInf(lift, 0) {
 				return ReferenceDesign(a, cfg)
 			}
@@ -220,10 +221,13 @@ func checkMenuPicks(t *testing.T, a *worker.Agent, part effort.Partition, ws, mu
 }
 
 // pickAgents covers every class, a reservation that forces the lift, an ω
-// large enough to clamp the chain, and three agents whose designs fail: a
-// degenerate ψ whose knots round flat, a β whose slope chain overflows,
-// and a feedback scale (ψ(0) = 1e5) at which one ulp of q moves candidate
-// 2's pay by more than the lift's slack.
+// large enough to clamp the chain, a feedback scale (ψ(0) = 1e5) at which
+// one ulp of q moves candidate 2's pay by more than the compensation-side
+// slack, so only the feedback-side term secures its lift, and three
+// agents whose designs fail: a degenerate ψ whose knots round flat, a β
+// whose slope chain overflows, and a malicious worker whose ω·ψ(y) is so
+// negative that even its reservation-free utility is below zero, which
+// the lift (measured from a free utility of zero) cannot make up.
 func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 	t.Helper()
 	psi := stdPsi(t)
@@ -250,6 +254,12 @@ func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 	}
 	unliftable := mk(worker.NewHonest("unliftable", far, 1e3, part.YMax()))
 	unliftable.Reservation = 1
+	below, err := effort.NewQuadratic(-1e-5, 2, -1e5, part.YMax())
+	if err != nil {
+		t.Fatal(err)
+	}
+	declining := mk(worker.NewMalicious("declining", below, 1e3, 0.5, part.YMax()))
+	declining.Reservation = 1
 	return map[string]*worker.Agent{
 		"honest":     mk(worker.NewHonest("honest", psi, 1, part.YMax())),
 		"malicious":  mk(worker.NewMalicious("malicious", psi, 1, 0.5, part.YMax())),
@@ -259,6 +269,7 @@ func pickAgents(t *testing.T) (map[string]*worker.Agent, effort.Partition) {
 		"degenerate": mk(worker.NewHonest("degenerate", flat, 1, part.YMax())),
 		"overflow":   mk(worker.NewHonest("overflow", psi, 1e200, part.YMax())),
 		"unliftable": unliftable,
+		"declining":  declining,
 	}, part
 }
 
@@ -272,11 +283,11 @@ func TestMenuPickMatchesDesign(t *testing.T) {
 			menu := checkMenuPicks(t, a, part, pickWeights, pickMus)
 			// Coverage guards: each corner must actually occur.
 			switch name {
-			case "degenerate", "overflow", "unliftable":
+			case "degenerate", "overflow", "declining":
 				want := map[string]string{
 					"degenerate": "build contract: knot 1 (1e+16) <= knot 0 (1e+16)",
 					"overflow":   "candidate k=1: build contract: non-finite entry at 1",
-					"unliftable": "candidate k=2: core: lift",
+					"declining":  "candidate k=1: core: lift",
 				}[name]
 				if menu.err == nil || !strings.Contains(menu.err.Error(), want) {
 					t.Errorf("menu error %v, want one containing %q", menu.err, want)
@@ -284,6 +295,14 @@ func TestMenuPickMatchesDesign(t *testing.T) {
 			case "reserved":
 				if menu.lift(1) <= 0 {
 					t.Error("reservation produced no participation lift")
+				}
+			case "unliftable":
+				if menu.err != nil || menu.lift(2) <= 0 {
+					t.Fatalf("menu error %v, lift %v: want candidate 2 lifted", menu.err, menu.lift(2))
+				}
+				res, err := DesignInto(a, Config{Part: part, Mu: 1, W: 1}, nil)
+				if err != nil || res.Response.Declined || res.Response.Utility < a.Reservation {
+					t.Errorf("design %+v (err %v): want the worker to participate", res, err)
 				}
 			case "clamped":
 				s := &Scratch{}
@@ -422,7 +441,8 @@ func FuzzMenuPick(f *testing.F) {
 	f.Add(uint8(0), -1e-160, 1.0, 0.0, 1e150, 0.0, 0.0, 10, 5e157, 1.0, 2.0, 1.0, 1.0)
 	f.Add(uint8(0), -1e-160, 0.01, 0.0, 1e148, 0.0, math.MaxFloat64, 8, 1e155, 1.0, 2.0, 1.0, 1.0)
 	f.Add(uint8(0), -0.0075, 0.06, 0.0, 1e10, 0.0, 1e15, 4, 0.5, 1.0, 2.0, 1.0, 1.0) // large reservation
-	f.Add(uint8(0), -1e-5, 2.0, 1e5, 1e3, 0.0, 1.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)     // failed lift
+	f.Add(uint8(0), -1e-5, 2.0, 1e5, 1e3, 0.0, 1.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)     // far feedback
+	f.Add(uint8(1), -1e-5, 2.0, -1e5, 1e3, 0.5, 1.0, 10, 4.0, 1.0, 2.0, 1.0, 1.0)    // failed lift
 	f.Fuzz(func(t *testing.T, class uint8, r2, r1, r0, beta, omega, reservation float64, m int, delta, w1, w2, mu1, mu2 float64) {
 		if m < 1 || m > 32 || !(delta > 0) {
 			return

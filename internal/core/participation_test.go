@@ -146,11 +146,11 @@ func TestDesignLargeReservationParticipates(t *testing.T) {
 // bytes, and scaled with the magnitude above.
 func TestParticipationSlackOrdinaryMagnitudes(t *testing.T) {
 	for _, tc := range [][2]float64{{0, 0}, {60, 0}, {0, 1e4}, {5e3, 5e3}, {1e3, 250}} {
-		if got := participationSlack(tc[0], tc[1]); got != 1e-9 {
+		if got := participationSlack(tc[0], tc[1], 0, []float64{0}); got != 1e-9 {
 			t.Errorf("participationSlack(%g, %g) = %g, want 1e-9", tc[0], tc[1], got)
 		}
 	}
-	if got := participationSlack(1e8, 1e2); got <= 1e-9 || got > 1e-4 {
+	if got := participationSlack(1e8, 1e2, 0, []float64{0}); got <= 1e-9 || got > 1e-4 {
 		t.Errorf("participationSlack(1e8, 1e2) = %g, want it scaled with the magnitude", got)
 	}
 }

@@ -67,6 +67,7 @@ func buildCandidate(a *worker.Agent, cfg Config, knots []float64, k int) (Candid
 	// α₀ = β/ψ′(0) − ω = β/r₁ − ω.
 	alphaPrev := beta/r1 - omega
 	clamped := false
+	steep := 0.0 // the steepest slope, for the participation slack
 	for l := 1; l <= cfg.Part.M; l++ {
 		var alpha float64
 		if l <= k {
@@ -88,6 +89,7 @@ func buildCandidate(a *worker.Agent, cfg Config, knots []float64, k int) (Candid
 			// The recursion needs α_{l−1} before clamping to preserve the
 			// Case III windows, but a clamped α also resets the chain.
 			alphaPrev = alpha
+			steep = max(steep, alpha)
 		} else {
 			alpha = 0 // flat continuation: extra effort earns nothing
 		}
@@ -113,7 +115,7 @@ func buildCandidate(a *worker.Agent, cfg Config, knots []float64, k int) (Candid
 		if err != nil {
 			return Candidate{}, fmt.Errorf("unconstrained response: %w", err)
 		}
-		lift = a.Reservation - freeResp.Utility + participationSlack(a.Reservation, c.MaxComp())
+		lift = a.Reservation - freeResp.Utility + participationSlack(a.Reservation, c.MaxComp(), steep, knots)
 		comps := c.Comps()
 		for i := range comps {
 			comps[i] += lift

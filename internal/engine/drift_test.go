@@ -137,8 +137,7 @@ func (g *contractGrabber) OnContracts(_ int, cs map[string]*contract.PiecewiseLi
 		g.last = c
 	}
 }
-func (g *contractGrabber) OnOutcome(int, engine.AgentOutcome) {}
-func (g *contractGrabber) OnRoundEnd(engine.Round) error      { return nil }
+func (g *contractGrabber) OnRoundEnd(engine.Round) error { return nil }
 
 // TestSparseDriftShardSkips pins the sparse refresh mechanics on an
 // instrumented engine: a one-agent Touch is one scoped refresh that

@@ -25,8 +25,9 @@ var ErrStop = errors.New("engine: stop requested")
 var ErrBadConfig = errors.New("engine: invalid configuration")
 
 // Observer receives streamed per-round events. Implementations that only
-// care about a subset should embed Hooks or leave methods empty; events
-// fire in order OnContracts → OnOutcome (per agent, by ID) → OnRoundEnd.
+// care about one should embed Hooks or leave the other empty; each round
+// fires OnContracts, then OnRoundEnd with every agent's outcome in ID
+// order.
 //
 // Observers let callers stream instead of accumulating ledgers: a
 // million-round run with a streaming observer holds one Round in memory.
@@ -42,10 +43,9 @@ type Observer interface {
 	// rounds); copy it to retain it. It is nil in a round no observer
 	// wants it (see ContractsWanter).
 	OnContracts(round int, contracts map[string]*contract.PiecewiseLinear)
-	// OnOutcome fires once per agent, in agent-ID order.
-	OnOutcome(round int, oc AgentOutcome)
-	// OnRoundEnd fires with the completed round. Returning ErrStop ends
-	// the run cleanly; any other error aborts it.
+	// OnRoundEnd fires with the completed round, whose Outcomes hold
+	// every agent's outcome in agent-ID order. Returning ErrStop ends the
+	// run cleanly; any other error aborts it.
 	OnRoundEnd(round Round) error
 }
 
@@ -62,7 +62,6 @@ type ContractsWanter interface {
 // Hooks adapts optional funcs into an Observer; nil funcs are skipped.
 type Hooks struct {
 	Contracts func(round int, contracts map[string]*contract.PiecewiseLinear)
-	Outcome   func(round int, oc AgentOutcome)
 	RoundEnd  func(round Round) error
 }
 
@@ -79,13 +78,6 @@ func (h Hooks) WantsContracts(int) bool { return h.Contracts != nil }
 func (h Hooks) OnContracts(round int, contracts map[string]*contract.PiecewiseLinear) {
 	if h.Contracts != nil {
 		h.Contracts(round, contracts)
-	}
-}
-
-// OnOutcome implements Observer.
-func (h Hooks) OnOutcome(round int, oc AgentOutcome) {
-	if h.Outcome != nil {
-		h.Outcome(round, oc)
 	}
 }
 
@@ -114,9 +106,6 @@ func (l *Ledger) WantsContracts(int) bool { return false }
 
 // OnContracts implements Observer.
 func (l *Ledger) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
-
-// OnOutcome implements Observer.
-func (l *Ledger) OnOutcome(int, AgentOutcome) {}
 
 // OnRoundEnd implements Observer. The engine reuses the round's Outcomes
 // backing array for the next round, so the ledger — which retains rounds
@@ -223,11 +212,11 @@ type Engine struct {
 	// view is the policy's view: Agents aliases agents, and the columns,
 	// contracts and wuSlots are aligned with it.
 	view      View
-	contracts []*contract.PiecewiseLinear // the policy's dense contract slots
+	contracts []*contract.PiecewiseLinear // the round's contract slots, which respond reads
 	rs        respondScratch
 	// outsOK records that the outcome buffer already holds this round's
-	// outcomes for the current contracts — set after a dense-route
-	// respond, cleared whenever the view, the contracts, or the buffer
+	// outcomes for the current contracts — set after a respond without
+	// a Responder, cleared whenever the view, the contracts, or the buffer
 	// change. A round with outsOK and no dirty slot skips respond.
 	outsOK bool
 	// changed is ViewContracts' report for the current round.
@@ -307,9 +296,11 @@ type driftScope struct {
 // keeps a single instance and resets it per round, so the pipeline
 // allocates nothing in steady state.
 type roundState struct {
-	r         int
-	timed     bool
-	agents    []*worker.Agent
+	r      int
+	timed  bool
+	agents []*worker.Agent
+	// contracts is the per-ID map OnContracts receives; respond reads
+	// the engine's contract slots instead.
 	contracts map[string]*contract.PiecewiseLinear
 	// wantContracts records that some observer wants the per-ID map
 	// this round (see ContractsWanter).
@@ -388,11 +379,10 @@ func New(pop *Population, cfg Config) (*Engine, error) {
 		}
 		e.m = newStageMetrics(cfg.Metrics)
 		// Ledger metrics are exported directly in Run rather than by
-		// stacking TelemetryObserver into Observers: the per-agent
-		// OnOutcome dispatch loop stays exactly as long as the caller made
-		// it, which keeps instrumentation overhead off the hot path. The
-		// export happens before user observers fire, so a per-round
-		// metrics flush reads the registry already updated for the round.
+		// stacking TelemetryObserver into Observers, from the declined
+		// and excluded counts the settle pass already tallied. The export
+		// happens before user observers fire, so a per-round metrics
+		// flush reads the registry already updated for the round.
 		e.telObs = newTelemetryObserver(cfg.Metrics)
 	}
 	return e, nil
@@ -426,7 +416,7 @@ func (e *Engine) RespondStats() RespondStats {
 // Config.Metrics is set each stage's duration is observed into its
 // _seconds histogram (observer dispatch on either side of respond bills
 // to the observe histogram). The observable event order is OnContracts,
-// then one OnOutcome per agent in ID order, then OnRoundEnd. When Run
+// then OnRoundEnd with the round's outcomes in ID order. When Run
 // returns, the cache and memo retire from Config.Metrics: their entries
 // leave the _entries gauges, which sum only what live engines and
 // designers hold.
@@ -657,24 +647,15 @@ func (e *Engine) stageSettle(_ context.Context, st *roundState) error {
 	return nil
 }
 
-// stageObserve dispatches per-agent outcomes and the round end. The
-// registry export (with the cache and memo publish) runs first so
-// observers that read Config.Metrics (e.g. a per-round JSONL flush) see
-// the completed round's values.
+// stageObserve dispatches the round end. The registry export (with the
+// cache and memo publish) runs first so observers that read
+// Config.Metrics (e.g. a per-round JSONL flush) see the completed round's
+// values.
 func (e *Engine) stageObserve(_ context.Context, st *roundState) error {
 	if st.timed {
 		e.telObs.record(st.round, st.declined, st.excluded)
 		e.cfg.Cache.publish(e.cfg.Metrics)
 		e.cfg.Memo.publish(e.cfg.Metrics)
-	}
-	// With no observers the per-agent walk is skipped outright: on a warm
-	// 100k-agent round that empty walk was a fifth of the round.
-	if len(e.cfg.Observers) > 0 {
-		for i := range st.round.Outcomes {
-			for _, ob := range e.cfg.Observers {
-				ob.OnOutcome(st.r, st.round.Outcomes[i])
-			}
-		}
 	}
 	for _, ob := range e.cfg.Observers {
 		if err := ob.OnRoundEnd(st.round); err != nil {

@@ -141,8 +141,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestObserverEventOrder pins the streaming contract: per round, the
-// observer sees OnContracts, then one OnOutcome per agent in ID order, then
-// OnRoundEnd with the completed round.
+// observer sees OnContracts, then OnRoundEnd with the completed round,
+// whose outcomes list every agent in ID order.
 func TestObserverEventOrder(t *testing.T) {
 	pop := archetypePopulation(t, 6)
 	var events []string
@@ -150,10 +150,10 @@ func TestObserverEventOrder(t *testing.T) {
 		Contracts: func(round int, cs map[string]*contract.PiecewiseLinear) {
 			events = append(events, fmt.Sprintf("contracts:%d:%d", round, len(cs)))
 		},
-		Outcome: func(round int, oc engine.AgentOutcome) {
-			events = append(events, fmt.Sprintf("outcome:%d:%s", round, oc.AgentID))
-		},
 		RoundEnd: func(r engine.Round) error {
+			for _, oc := range r.Outcomes {
+				events = append(events, fmt.Sprintf("outcome:%d:%s", r.Index, oc.AgentID))
+			}
 			events = append(events, fmt.Sprintf("end:%d:%d", r.Index, len(r.Outcomes)))
 			return nil
 		},

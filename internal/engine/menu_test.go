@@ -109,7 +109,6 @@ type menuWatch struct {
 }
 
 func (w *menuWatch) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
-func (w *menuWatch) OnOutcome(int, engine.AgentOutcome)                    {}
 func (w *menuWatch) OnRoundEnd(r engine.Round) error {
 	w.rounds++
 	cs, ms := w.cache.Stats(), w.memo.Stats()

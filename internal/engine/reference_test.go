@@ -100,11 +100,6 @@ func runReference(ctx context.Context, pop *engine.Population, cfg engine.Config
 		}
 		round.Utility = round.Benefit - pop.Mu*round.Cost
 
-		for _, oc := range round.Outcomes {
-			for _, ob := range cfg.Observers {
-				ob.OnOutcome(r, oc)
-			}
-		}
 		for _, ob := range cfg.Observers {
 			if err := ob.OnRoundEnd(round); err != nil {
 				if errors.Is(err, engine.ErrStop) {

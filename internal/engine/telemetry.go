@@ -220,9 +220,6 @@ func (t *telemetryObserver) WantsContracts(int) bool { return false }
 // OnContracts implements Observer.
 func (t *telemetryObserver) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
 
-// OnOutcome implements Observer.
-func (t *telemetryObserver) OnOutcome(int, AgentOutcome) {}
-
 // OnRoundEnd implements Observer. A stacked observer sees only the
 // round, so it counts the declined and excluded outcomes itself; an
 // engine's own export takes them from the settle pass (record).

@@ -316,7 +316,6 @@ func TestRunRetiresEntries(t *testing.T) {
 type roundEndHook struct{ fn func() }
 
 func (h *roundEndHook) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
-func (h *roundEndHook) OnOutcome(int, engine.AgentOutcome)                    {}
 func (h *roundEndHook) OnRoundEnd(engine.Round) error                         { h.fn(); return nil }
 
 // TestCapFlushPublished pins the cap-flush counters: a cache and a memo
@@ -456,7 +455,6 @@ type gaugeRecount struct {
 }
 
 func (g *gaugeRecount) OnContracts(int, map[string]*contract.PiecewiseLinear) {}
-func (g *gaugeRecount) OnOutcome(int, engine.AgentOutcome)                    {}
 func (g *gaugeRecount) OnRoundEnd(r engine.Round) error {
 	var declined, excluded int
 	for _, oc := range r.Outcomes {

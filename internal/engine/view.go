@@ -242,8 +242,9 @@ func (e *Engine) refreshStructural() {
 }
 
 // stageDesign resolves the round's view, then asks the policy for
-// contracts: one ViewContracts call over the indexed view, or the
-// whole-population Contracts call for a plain Policy. Traced rounds
+// contracts into the dense slots: one ViewContracts call over the indexed
+// view, or, for a plain Policy, the whole-population Contracts call, whose
+// map fills the slots once and is what observers receive. Traced rounds
 // annotate the stage's span with the view's size, the round's drift
 // classification, the design cache's hit/miss deltas across the call, the
 // change report, and (for a BatchReporter) the solver batch.
@@ -257,6 +258,11 @@ func (e *Engine) stageDesign(ctx context.Context, st *roundState) error {
 			return fmt.Errorf("engine: policy %s round %d: %w", e.cfg.Policy.Name(), st.r, err)
 		}
 		st.contracts = contracts
+		for i, a := range e.agents {
+			e.contracts[i] = contracts[a.ID]
+		}
+		// A map carries no change signal: respond every round.
+		e.outsOK = false
 		return nil
 	}
 	sp := st.stageSpan
@@ -358,10 +364,6 @@ func (e *Engine) respond(ctx context.Context, st *roundState) (float64, error) {
 	if e.cfg.Responder != nil {
 		return e.respondHook(st)
 	}
-	if e.viewPol == nil {
-		// Map-route contracts carry no change signal: respond every round.
-		e.outsOK = false
-	}
 	patch := e.outsOK
 	if patch && len(e.dirty) == 0 {
 		sp.SetAttr("route", "skip")
@@ -394,9 +396,8 @@ func (e *Engine) respond(ctx context.Context, st *roundState) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Retained outcomes are exact until the view or the contracts change —
-	// but only the dense route can see contracts change (the changed
-	// report); the map route re-marks them every round above.
+	// Retained outcomes are exact until the view or the contracts change
+	// (a changed report, or any plain-Policy round; see stageDesign).
 	e.outsOK = true
 	e.dirty = e.dirty[:0]
 	return e.wu, nil
@@ -462,16 +463,10 @@ func (e *Engine) respondSolve(ctx context.Context, st *roundState) error {
 	s.pend = s.pend[:0]
 
 	outs := st.round.Outcomes
-	fromMap := e.viewPol == nil
 	var lastKey slotKey
 	lastSlot := int32(-1)
 	for i, a := range e.agents {
-		var c *contract.PiecewiseLinear
-		if fromMap {
-			c = st.contracts[a.ID]
-		} else {
-			c = e.contracts[i]
-		}
+		c := e.contracts[i]
 		oc := &outs[i]
 		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.view.Weights[i]}
 		if c == nil {
@@ -576,12 +571,7 @@ func (e *Engine) respondHook(st *roundState) (float64, error) {
 	outs := st.round.Outcomes
 	var wu float64
 	for j, a := range e.agents {
-		var c *contract.PiecewiseLinear
-		if e.viewPol != nil {
-			c = e.contracts[j]
-		} else {
-			c = st.contracts[a.ID]
-		}
+		c := e.contracts[j]
 		oc := &outs[j]
 		*oc = AgentOutcome{AgentID: a.ID, Class: a.Class, Size: a.Size, Weight: e.view.Weights[j]}
 		if c == nil {

@@ -202,19 +202,18 @@ func (r *eventRecorder) OnContracts(round int, cs map[string]*contract.Piecewise
 	r.events = append(r.events, fmt.Sprintf("contracts r%d %v", round, ids))
 }
 
-func (r *eventRecorder) OnOutcome(round int, oc engine.AgentOutcome) {
-	r.events = append(r.events, fmt.Sprintf("outcome r%d %s e=%.9f c=%.9f w=%.9f", round, oc.AgentID, oc.Effort, oc.Compensation, oc.Weight))
-}
-
 func (r *eventRecorder) OnRoundEnd(round engine.Round) error {
+	for _, oc := range round.Outcomes {
+		r.events = append(r.events, fmt.Sprintf("outcome r%d %s e=%.9f c=%.9f w=%.9f", round.Index, oc.AgentID, oc.Effort, oc.Compensation, oc.Weight))
+	}
 	r.events = append(r.events, fmt.Sprintf("end r%d u=%.9f", round.Index, round.Utility))
 	return nil
 }
 
-// TestShardedObserverEventOrder pins that the pipeline emits exactly the
-// reference round's event stream: same OnContracts coverage, same
-// per-agent OnOutcome order (ID order), same round ends.
-func TestShardedObserverEventOrder(t *testing.T) {
+// TestViewObserverEventOrder pins that the pipeline emits exactly the
+// reference round's event stream: same OnContracts coverage, then the
+// same round ends, each with its outcomes in ID order.
+func TestViewObserverEventOrder(t *testing.T) {
 	ctx := context.Background()
 	rec := &eventRecorder{}
 	cfg := engine.Config{
@@ -400,29 +399,54 @@ func TestShardedBumpSemantics(t *testing.T) {
 	})
 }
 
-// TestShardedResponderHook checks the custom-Responder route on the
-// ViewPolicy route: same ledger as the reference round.
-func TestShardedResponderHook(t *testing.T) {
+// TestViewResponderHook checks the custom-Responder route over both
+// contract routes — a ViewPolicy's slots, and a plain policy's map
+// filled into them, including one that excludes a rotating set — each
+// against the reference round with the same Responder.
+func TestViewResponderHook(t *testing.T) {
 	ctx := context.Background()
 	responder := func(round int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
 		return float64(round%3) + 1.5, nil
 	}
-	ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
-		Policy:    &viewDesignPolicy{},
-		Rounds:    4,
-		Responder: responder,
-		Cache:     engine.NewCache(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := referenceLedger(t, archetypePopulation(t, 18), engine.Config{
-		Policy:    &designPolicy{},
-		Rounds:    4,
-		Responder: responder,
-	})
-	if !reflect.DeepEqual(ledger, ref) {
-		t.Error("responder ledger differs from reference")
+	for _, tc := range []struct {
+		name     string
+		policy   func() engine.Policy
+		excludes bool
+	}{
+		{"view", func() engine.Policy { return &viewDesignPolicy{} }, false},
+		{"map", func() engine.Policy { return &designPolicy{} }, false},
+		{"map-excluding", func() engine.Policy { return &churnExclusionPolicy{} }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
+				Policy:    tc.policy(),
+				Rounds:    4,
+				Responder: responder,
+				Cache:     engine.NewCache(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := referenceLedger(t, archetypePopulation(t, 18), engine.Config{
+				Policy:    tc.policy(),
+				Rounds:    4,
+				Responder: responder,
+			})
+			if !reflect.DeepEqual(ledger, ref) {
+				t.Error("responder ledger differs from reference")
+			}
+			excluded := 0
+			for _, r := range ledger {
+				for _, oc := range r.Outcomes {
+					if oc.Excluded {
+						excluded++
+					}
+				}
+			}
+			if tc.excludes && excluded == 0 {
+				t.Error("the policy excluded no agent; the case proves nothing")
+			}
+		})
 	}
 }
 

@@ -46,8 +46,7 @@ type mapRecorder struct{ maps []string }
 func (m *mapRecorder) OnContracts(_ int, cs map[string]*contract.PiecewiseLinear) {
 	m.maps = append(m.maps, renderContracts(cs))
 }
-func (m *mapRecorder) OnOutcome(int, engine.AgentOutcome) {}
-func (m *mapRecorder) OnRoundEnd(engine.Round) error      { return nil }
+func (m *mapRecorder) OnRoundEnd(engine.Round) error { return nil }
 
 // askingRecorder is a mapRecorder that wants the map only in the rounds
 // ask lists (none when ask is nil).

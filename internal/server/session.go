@@ -95,8 +95,6 @@ func (c *captureObserver) OnContracts(_ int, m map[string]*contract.PiecewiseLin
 	}
 }
 
-func (c *captureObserver) OnOutcome(int, engine.AgentOutcome) {}
-
 func (c *captureObserver) OnRoundEnd(r engine.Round) error {
 	c.last = r
 	return nil
