@@ -194,8 +194,9 @@ type JournalInfo struct {
 }
 
 // SessionInfo is the GET /v1/sessions/{id} response. LedgerBytes is
-// what the retained ledger holds: 4 B per full-row reference, 8 B per
-// delta-row edit and one AgentOutcome per distinct outcome.
+// what the retained ledger holds: 4 B per full-row reference, joiner or
+// leaver, 8 B per delta-row edit, 24 B per distinct outcome of an agent
+// and 32 B per agent identity and per distinct response.
 type SessionInfo struct {
 	ID           string         `json:"id"`
 	Name         string         `json:"name,omitempty"`

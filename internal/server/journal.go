@@ -208,7 +208,7 @@ func popFromSnapshot(snap *sessionSnapshot) (*engine.Population, error) {
 	pop := &engine.Population{
 		Agents:     make([]*worker.Agent, 0, len(snap.Agents)),
 		Weights:    make(map[string]float64, len(snap.Agents)),
-		MaliceProb: make(map[string]float64),
+		MaliceProb: make(map[string]float64, maliceCount(snap.Agents)),
 		Part:       part,
 		Mu:         snap.Mu,
 	}

@@ -47,16 +47,18 @@ func liveHeap() uint64 {
 // drift swaps the weights of a random tenth of the agent pairs, so each
 // agent moves between two outcomes (the round log interns them: two
 // table entries per agent). What an agent legitimately costs is its
-// population entry, the engine's view, the log's entries and row
-// references: 483–486 B measured (linux/amd64, without and with -race).
-// A per-ID contract map kept for rounds that never ask for contracts
-// (~36 B per agent) and a table grown by append, whose last growth left
-// up to a quarter of it unused (~35 B per agent here), measured 552–556 B.
+// population entry, the engine's view, the log's two 24 B entries, its
+// 32 B identity and its row references: 428–431 B measured (linux/amd64,
+// without and with -race). Entries that each copied the whole 72 B
+// outcome measured 483–486 B; a per-ID contract map kept for rounds that
+// never ask for contracts (~36 B per agent) and a table grown by append,
+// whose last growth left up to a quarter of it unused (~35 B per agent
+// here), on top of those, measured 552–556 B.
 func TestSessionHeapPerAgent(t *testing.T) {
 	const (
 		n      = 12000
 		rounds = 50
-		bound  = 520 // bytes per agent: between the two measurements
+		bound  = 450 // bytes per agent: between 431 and 483
 	)
 	specs := archetypeAgents(n)
 	create := CreateSessionRequest{Agents: specs, M: 10, Delta: 0.2, Mu: 1}

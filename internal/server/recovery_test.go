@@ -514,8 +514,8 @@ func TestSnapshotWithoutJournal(t *testing.T) {
 	}
 }
 
-// logShape renders what a session's log retains — the table length,
-// ledger_bytes and each row's form and sizes — for comparing a recovered
+// logShape renders what a session's log retains — the lengths of its
+// entry, identity and response tables, ledger_bytes and each row's form and sizes — for comparing a recovered
 // log with the live one.
 func logShape(t *testing.T, e *testServer, id string) string {
 	t.Helper()
@@ -529,7 +529,7 @@ func logShape(t *testing.T, e *testServer, id string) string {
 	sess.ledgerMu.RLock()
 	defer sess.ledgerMu.RUnlock()
 	l := &sess.ledger
-	s := fmt.Sprintf("table %d, ledger_bytes %d:", l.entries, info.LedgerBytes)
+	s := fmt.Sprintf("tables %d/%d/%d, ledger_bytes %d:", l.entries.n, l.agents.n, l.resps.n, info.LedgerBytes)
 	for _, row := range l.rows {
 		if row.delta {
 			s += fmt.Sprintf(" d%d/%d/%d", len(row.edits), len(row.leaves), len(row.refs))

@@ -76,24 +76,24 @@ func checkLogMatches(t *testing.T, l *roundLog, ref []engine.Round) {
 // — the newest distinct outcomes its agent had when it was appended.
 func checkInterned(t *testing.T, l *roundLog) {
 	t.Helper()
-	for i := uint32(0); int(i) < l.entries; i++ {
-		oc := l.entry(i).outcome()
-		for e, d := l.entry(i).prev, 0; e != noRef && d < internDepth; e, d = l.entry(e).prev, d+1 {
-			if l.entry(e).agentID != oc.AgentID {
-				t.Fatalf("entry %d (%s) links to entry %d of agent %s", i, oc.AgentID, e, l.entry(e).agentID)
+	for i := uint32(0); int(i) < l.entries.n; i++ {
+		oc := l.outcome(i)
+		for e, d := l.entries.at(i).prev, 0; e != noRef && d < internDepth; e, d = l.entries.at(e).prev, d+1 {
+			if l.agentID(e) != oc.AgentID {
+				t.Fatalf("entry %d (%s) links to entry %d of agent %s", i, oc.AgentID, e, l.agentID(e))
 			}
-			if sameOutcome(l.entry(e), &oc) {
+			if l.sameOutcome(e, l.entries.at(e).agent, &oc) {
 				t.Fatalf("entry %d repeats entry %d, %d links back in its agent's chain", i, e, d+1)
 			}
 		}
 	}
 }
 
-// recountBytes counts what the log retains from its table and rows: 4 B
-// per full-row reference, joiner or leaver, 8 B per edit and one
-// AgentOutcome's worth per entry.
+// recountBytes counts what the log retains from its tables and rows: 4 B
+// per full-row reference, joiner or leaver, 8 B per edit, 24 B per entry
+// and 32 B per identity or response.
 func recountBytes(l *roundLog) int64 {
-	n := l.entries * int(unsafe.Sizeof(engine.AgentOutcome{}))
+	n := 24*l.entries.n + 32*(l.agents.n+l.resps.n)
 	for _, row := range l.rows {
 		n += 4*len(row.refs) + 8*len(row.edits) + 4*len(row.leaves)
 	}
@@ -201,8 +201,8 @@ func TestRoundLogDifferential(t *testing.T) {
 			})
 		}
 		checkLogMatches(t, &l, ref)
-		if l.entries >= 60*len(state) {
-			t.Errorf("seed %d: table holds %d outcomes for 60 mostly repeating rounds", seed, l.entries)
+		if l.entries.n >= 60*len(state) {
+			t.Errorf("seed %d: table holds %d outcomes for 60 mostly repeating rounds", seed, l.entries.n)
 		}
 	}
 
@@ -243,6 +243,56 @@ func TestRoundLogDifferential(t *testing.T) {
 			t.Errorf("seed %d: %d full and %d delta rows; want the full-row rule crossed >= 10 times and most rows deltas", seed, full, delta)
 		}
 	}
+
+	// Interned responses and identities. 300 agents of every class and
+	// two sizes give one response under 300 weights: the response table
+	// holds it once. Two agents then move to responses that differ from
+	// the shared one only by the sign of a zero or by a NaN payload, and
+	// each must get a response of its own. Last, one agent's weight and
+	// one agent's class go and come back: intern must return their old
+	// entries, matched by (identity, response, weight) references, and the
+	// class that came back must find its old identity.
+	agents := make([]engine.AgentOutcome, 300)
+	for i := range agents {
+		agents[i] = engine.AgentOutcome{
+			AgentID:  fmt.Sprintf("a%03d", i),
+			Class:    worker.Class(i % 3),
+			Size:     1 + i%2,
+			Effort:   0.5,
+			Feedback: math.NaN(),
+			Weight:   0.5 + float64(i),
+		}
+	}
+	var l roundLog
+	var ref []engine.Round
+	add := func() {
+		ref = addScribbled(&l, ref, engine.Round{Index: len(ref), Outcomes: slices.Clone(agents)})
+	}
+	add()
+	if l.resps.n != 1 {
+		t.Fatalf("300 agents giving one response: %d responses, want 1", l.resps.n)
+	}
+	agents[1].Compensation = math.Copysign(0, -1)
+	agents[2].Feedback = math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	add()
+	resp := func(i int) uint32 { return l.entries.at(l.w.cur[i].ref).resp }
+	if l.resps.n != 3 || resp(0) == resp(1) || resp(0) == resp(2) || resp(1) == resp(2) {
+		t.Fatalf("−0 and a second NaN payload: %d responses (refs %d, %d, %d), want 3 distinct",
+			l.resps.n, resp(0), resp(1), resp(2))
+	}
+	wref, cref := l.w.cur[3].ref, l.w.cur[4].ref
+	weight, class := agents[3].Weight, agents[4].Class
+	agents[3].Weight += 100
+	agents[4].Class = (class + 1) % 3
+	add()
+	entries, identities := l.entries.n, l.agents.n
+	agents[3].Weight, agents[4].Class = weight, class
+	add()
+	if l.w.cur[3].ref != wref || l.w.cur[4].ref != cref || l.entries.n != entries || l.agents.n != identities {
+		t.Errorf("reverted agents got entries %d and %d (want %d and %d), tables %d entries and %d identities (want %d and %d)",
+			l.w.cur[3].ref, l.w.cur[4].ref, wref, cref, l.entries.n, l.agents.n, entries, identities)
+	}
+	checkLogMatches(t, &l, ref)
 }
 
 // FuzzRoundLog drives the log with a byte-scripted sequence of rounds —
@@ -250,11 +300,12 @@ func TestRoundLogDifferential(t *testing.T) {
 // or together with edits (so they land inside delta stretches), IDs that
 // left re-joining with another class or size, agents reverting to a state
 // they had up to 12 distinct states ago (past internDepth),
-// Excluded/Declined flips, ±0 and NaN flips — against a plain retained
-// []engine.Round, reading the rounds back in a shuffled order. Some
-// script bytes take a header copy (view) mid-sequence; a goroutine reads
-// it while further rounds are added (run under -race), and after the
-// last add the copy must still read its prefix bit for bit.
+// Excluded/Declined flips, ±0 flips and NaN flips in two payloads —
+// against a plain retained []engine.Round, reading the rounds back in a
+// shuffled order. Some script bytes take a header copy (view)
+// mid-sequence; a goroutine reads it while further rounds are added (run
+// under -race), and after the last add the copy must still read its
+// prefix bit for bit.
 func FuzzRoundLog(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 17, 7, 0, 2, 3, 40, 4, 3, 5, 6, 1, 7, 14, 2, 0, 0})
 	f.Add([]byte{1, 5, 1, 6, 1, 7, 1, 8, 7, 1, 9, 1, 10, 1, 11, 0, 0, 0, 0, 0, 0, 7, 2})
@@ -279,8 +330,21 @@ func FuzzRoundLog(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	// Four seeds aimed at interning: many agents sharing one response
+	// while weights flip; two agents whose efforts differ only by the sign
+	// of a zero or by a NaN payload (ops 105, 17 and 116); an agent
+	// flipping its weight back and forth and reverting, so intern matches
+	// old entries by reference; and an agent that leaves, re-joins with
+	// another class (op 20) and reverts between its two classes, so a
+	// paired agent's class moves back to one its chain already has.
+	f.Add([]byte{3, 1, 3, 3, 3, 5, 3, 7, 3, 9, 2, 1, 0, 1, 8, 1, 16, 2, 1, 0})
+	f.Add([]byte{17, 0, 116, 1, 105, 2, 0, 17, 3, 116, 4, 105, 5, 0})
+	f.Add([]byte{1, 3, 1, 3, 8, 3, 0, 1, 3, 1, 3, 8, 3, 5, 1, 3})
+	f.Add([]byte{0, 4, 0, 20, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0})
 	negZero := math.Copysign(0, -1)
 	floats := []float64{0, negZero, math.NaN(), 0.5}
+	// nanPayload is a NaN that differs from math.NaN() in its payload.
+	nanPayload := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		pos := 0
 		next := func() int {
@@ -347,9 +411,12 @@ func FuzzRoundLog(f *testing.F) {
 				} else {
 					oc.Declined = !oc.Declined
 				}
-			case 6: // ±0 and NaN flips
+			case 6: // ±0 and NaN flips, in two NaN payloads
 				oc := pick()
 				v := floats[(op>>3)%len(floats)]
+				if math.IsNaN(v) && op&4 != 0 {
+					v = nanPayload
+				}
 				switch (op >> 5) % 3 {
 				case 0:
 					oc.Effort = v
@@ -420,22 +487,32 @@ func FuzzRoundLog(f *testing.F) {
 	})
 }
 
-// checkChunks checks the table's allocation: exactly the chunks its
-// entries need, so less than one chunk is allocated but unused.
+// checkChunks checks the tables' allocation: exactly the chunks their
+// values need, so each leaves less than one chunk allocated but unused.
 func checkChunks(t *testing.T, l *roundLog) {
 	t.Helper()
-	if unused := len(l.chunks)*tableChunk - l.entries; unused < 0 || unused >= tableChunk {
-		t.Fatalf("%d chunks of %d entries hold %d entries", len(l.chunks), tableChunk, l.entries)
+	for _, c := range []struct {
+		name          string
+		chunks, count int
+	}{
+		{"entry", len(l.entries.chunks), l.entries.n},
+		{"identity", len(l.agents.chunks), l.agents.n},
+		{"response", len(l.resps.chunks), l.resps.n},
+	} {
+		if unused := c.chunks*tableChunk - c.count; unused < 0 || unused >= tableChunk {
+			t.Fatalf("%d chunks of %d %s values hold %d values", c.chunks, tableChunk, c.name, c.count)
+		}
 	}
 }
 
-// TestRoundLogChunkBoundary adds rounds whose new entries straddle table
-// chunk boundaries: a first round of 1000 agents (or exactly one chunk's
-// worth), then rounds in which a quarter of the agents change to an
-// outcome they never had while a few join and leave, so each round's
-// entries run on into the next chunk. Every round must rebuild bit for
-// bit and in its wire form byte for byte, and after every add the table
-// must leave less than one chunk unused.
+// TestRoundLogChunkBoundary adds rounds whose new entries, identities and
+// responses straddle chunk boundaries: a first round of 1000 agents (or
+// exactly one chunk's worth), then rounds in which a quarter of the agents
+// change to an outcome and a response they never had while 200 join and
+// 200 leave, so each round's values run on into the next chunk of every
+// table. Every round must rebuild bit for bit and in its wire form byte
+// for byte, and after every add each table must leave less than one chunk
+// unused.
 func TestRoundLogChunkBoundary(t *testing.T) {
 	for _, n := range []int{1000, tableChunk} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -446,35 +523,42 @@ func TestRoundLogChunkBoundary(t *testing.T) {
 		var l roundLog
 		var ref []engine.Round
 		var buf []engine.AgentOutcome
-		straddled := 0
-		for r := 0; r < 12; r++ {
+		var straddled [3]int // entries, identities, responses
+		fresh := 0.0
+		for r := 0; r < 16; r++ {
 			if r > 0 {
 				for _, i := range rng.Perm(len(agents))[:len(agents)/4] {
 					agents[i].Weight += 1
+					fresh++
+					agents[i].Compensation = fresh
 				}
-				for k := 0; k < 5; k++ {
+				for k := 0; k < 200; k++ {
 					j := rng.Intn(len(agents))
 					agents = slices.Delete(agents, j, j+1)
 				}
-				for k := 0; k < 5; k++ {
-					id := fmt.Sprintf("a%05d", 2*rng.Intn(2*n)+1)
+				for k := 0; k < 200; k++ {
+					id := fmt.Sprintf("a%05d", 2*rng.Intn(8*n)+1)
 					j := sort.Search(len(agents), func(j int) bool { return agents[j].AgentID >= id })
 					if j == len(agents) || agents[j].AgentID != id {
 						agents = slices.Insert(agents, j, engine.AgentOutcome{AgentID: id, Size: 2, Weight: 0.8})
 					}
 				}
 			}
-			before := l.entries
+			before := [3]int{l.entries.n, l.agents.n, l.resps.n}
 			buf = append(buf[:0], agents...)
 			ref = addScribbled(&l, ref, engine.Round{Index: r, Outcomes: buf, Utility: float64(r)})
 			checkChunks(t, &l)
-			if before>>chunkShift != (l.entries-1)>>chunkShift {
-				straddled++
+			for k, after := range [3]int{l.entries.n, l.agents.n, l.resps.n} {
+				if before[k]>>chunkShift != (after-1)>>chunkShift {
+					straddled[k]++
+				}
 			}
 		}
 		checkLogMatches(t, &l, ref)
-		if straddled < 2 {
-			t.Errorf("n=%d: %d rounds straddled a chunk boundary, want >= 2", n, straddled)
+		for k, name := range []string{"entries", "identities", "responses"} {
+			if straddled[k] < 2 {
+				t.Errorf("n=%d: %d rounds' %s straddled a chunk boundary, want >= 2", n, straddled[k], name)
+			}
 		}
 	}
 }
@@ -499,8 +583,8 @@ func TestRoundLogInternDepth(t *testing.T) {
 		if cycle > internDepth {
 			want = rounds + 1
 		}
-		if l.entries != want {
-			t.Errorf("a %d-state cycle over %d rounds: %d table entries, want %d", cycle, rounds, l.entries, want)
+		if l.entries.n != want {
+			t.Errorf("a %d-state cycle over %d rounds: %d table entries, want %d", cycle, rounds, l.entries.n, want)
 		}
 	}
 }
@@ -524,7 +608,7 @@ func TestRoundLogAntiphaseInterning(t *testing.T) {
 	})
 	logRetention(t, sess, info, agents*rounds)
 	sess.ledgerMu.RLock()
-	n := sess.ledger.entries
+	n := sess.ledger.entries.n
 	sess.ledgerMu.RUnlock()
 	if n > 2*agents {
 		t.Errorf("the table holds %d entries for %d antiphase agents, want <= %d", n, agents, 2*agents)
@@ -616,8 +700,8 @@ func TestRoundLogSignedZeroAndNaN(t *testing.T) {
 	var l roundLog
 	for i, r := range ref {
 		l.add(r)
-		if l.entries != wantTable[i] {
-			t.Errorf("after round %d the table holds %d outcomes, want %d", i, l.entries, wantTable[i])
+		if l.entries.n != wantTable[i] {
+			t.Errorf("after round %d the table holds %d outcomes, want %d", i, l.entries.n, wantTable[i])
 		}
 	}
 	checkLogMatches(t, &l, ref)
@@ -643,15 +727,12 @@ func TestRoundLogTotalMatchesTotalUtility(t *testing.T) {
 // TestSameOutcomeCoversEveryField changes each field of AgentOutcome in
 // turn and requires sameOutcome to notice and a table entry to store it,
 // so a field added to the engine's outcome cannot be silently dropped by
-// reuse. An entry must also stay the size of the outcome it stores.
+// reuse.
 func TestSameOutcomeCoversEveryField(t *testing.T) {
-	if e, o := unsafe.Sizeof(logEntry{}), unsafe.Sizeof(engine.AgentOutcome{}); e != o {
-		t.Errorf("a table entry takes %d B, an AgentOutcome %d B", e, o)
-	}
 	base := engine.AgentOutcome{AgentID: "a", Class: 1, Size: 2, Effort: 0.5, Feedback: 0.25, Compensation: 0.75, Weight: 1}
 	var l roundLog
-	entry := func(oc *engine.AgentOutcome) *logEntry {
-		return l.entry(l.push(oc, noRef))
+	entry := func(oc *engine.AgentOutcome) uint32 {
+		return l.push(l.mint(oc), l.response(oc), oc.Weight, noRef)
 	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
@@ -669,15 +750,35 @@ func TestSameOutcomeCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("field %s has kind %s: teach sameOutcome and this test about it", typ.Field(i).Name, f.Kind())
 		}
-		if sameOutcome(entry(&base), &mod) {
+		if ref := entry(&base); l.sameOutcome(ref, l.entries.at(ref).agent, &mod) {
 			t.Errorf("sameOutcome ignores field %s", typ.Field(i).Name)
 		}
-		if got := entry(&mod).outcome(); got != mod {
+		if got := l.outcome(entry(&mod)); got != mod {
 			t.Errorf("a table entry drops field %s: stored %+v, got back %+v", typ.Field(i).Name, mod, got)
 		}
 	}
-	if !sameOutcome(entry(&base), &base) {
+	if ref := entry(&base); !l.sameOutcome(ref, l.entries.at(ref).agent, &base) {
 		t.Error("sameOutcome(x, x) = false")
+	}
+}
+
+// TestRoundLogLayout pins the table layout: an entry is 24 B — two
+// 4-byte references, the chain link and the weight — and every table's
+// chunk is a whole number of the Go runtime's 8 KiB pages, so no chunk
+// leaves part of a page unused.
+func TestRoundLogLayout(t *testing.T) {
+	if got := unsafe.Sizeof(logEntry{}); got != 24 {
+		t.Errorf("a table entry takes %d B, want 24", got)
+	}
+	const page = 8 << 10
+	for name, size := range map[string]uintptr{
+		"entry":    unsafe.Sizeof([tableChunk]logEntry{}),
+		"identity": unsafe.Sizeof([tableChunk]logIdentity{}),
+		"response": unsafe.Sizeof([tableChunk]logResponse{}),
+	} {
+		if size%page != 0 {
+			t.Errorf("a chunk of %d %s values takes %d B, not a whole number of %d B pages", tableChunk, name, size, page)
+		}
 	}
 }
 
@@ -747,10 +848,10 @@ func logRetention(t *testing.T, sess *session, info SessionInfo, agentRounds int
 	if info.LedgerBytes != retained || l.bytes != retained {
 		t.Fatalf("ledger_bytes %d (running %d) != recount %d", info.LedgerBytes, l.bytes, retained)
 	}
-	table := int64(l.entries) * int64(unsafe.Sizeof(logEntry{}))
+	table := recountBytes(&roundLog{entries: l.entries, agents: l.agents, resps: l.resps})
 	full, delta := rowForms(l)
 	t.Logf("log retains %d B (%.2f per agent-round): %d full and %d delta rows, %d outcomes in the table",
-		retained, float64(retained)/float64(n), full, delta, l.entries)
+		retained, float64(retained)/float64(n), full, delta, l.entries.n)
 	return float64(retained) / float64(n), float64(retained-table) / float64(n)
 }
 
@@ -941,7 +1042,7 @@ func TestRoundLogConcurrentReaders(t *testing.T) {
 		}
 		advanceRounds(t, e, id, 1)
 		sess.ledgerMu.RLock()
-		if crossed < 0 && len(sess.ledger.chunks) > 1 {
+		if crossed < 0 && len(sess.ledger.entries.chunks) > 1 {
 			crossed = i
 		}
 		sess.ledgerMu.RUnlock()

@@ -635,7 +635,7 @@ func buildExplicit(req *CreateSessionRequest) (*engine.Population, error) {
 	pop := &engine.Population{
 		Agents:     make([]*worker.Agent, 0, len(req.Agents)),
 		Weights:    make(map[string]float64, len(req.Agents)),
-		MaliceProb: make(map[string]float64),
+		MaliceProb: make(map[string]float64, maliceCount(req.Agents)),
 		Part:       part,
 		Mu:         mu,
 	}
@@ -652,6 +652,18 @@ func buildExplicit(req *CreateSessionRequest) (*engine.Population, error) {
 		}
 	}
 	return pop, nil
+}
+
+// maliceCount returns how many specs carry a non-zero malice: the size
+// of the population's MaliceProb map, where a zero malice stays absent.
+func maliceCount(specs []AgentSpec) int {
+	n := 0
+	for i := range specs {
+		if specs[i].Malice != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func buildPolicy(req *CreateSessionRequest) (engine.Policy, string, error) {
