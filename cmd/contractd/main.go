@@ -1,8 +1,8 @@
 // Command contractd serves long-lived contract-design sessions over the
-// versioned JSON API of internal/server: create a session (synthetic or
-// explicit population), advance rounds, run design-only queries (each on
-// its own request, against the cache the rounds warm), and drift the
-// population between rounds.
+// versioned JSON API of internal/server: create a session from a posted
+// population, advance rounds, run design-only queries (each on its own
+// request, against the cache the rounds warm), and drift the population
+// between rounds.
 //
 // Usage:
 //

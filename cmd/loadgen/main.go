@@ -18,6 +18,13 @@
 //	        [-journal-check file]
 //	loadgen -addr ... -healthcheck [-healthcheck-timeout d]
 //
+// -scale small|paper builds the synthpop pipeline's population for -seed
+// here, up to -per-class honest and non-collusive workers plus every
+// community, and posts it as explicit agents; without -scale the session
+// is a four-agent inline population. Design probes and joiners are copies
+// of the population's first honest agent, so their psi is valid on the
+// session's partition.
+//
 // -join-every k makes every k-th non-round request add a fresh agent to
 // the session (ids are namespaced per client, lg-<client>-<seq>, so
 // concurrent joins never collide); -leave-every k removes the oldest
@@ -68,6 +75,8 @@ import (
 
 	"dyncontract/internal/server"
 	"dyncontract/internal/spans"
+	"dyncontract/internal/synth"
+	"dyncontract/internal/synthpop"
 )
 
 func main() {
@@ -105,9 +114,9 @@ func run(args []string, out io.Writer) error {
 		churn       = fs.Bool("churn", false, "precede every round advance with a fresh-weights drift for all agents (all-cold design rounds)")
 		joinEvery   = fs.Int("join-every", 0, "every k-th non-round request joins a fresh agent (0 = no joins)")
 		leaveEvery  = fs.Int("leave-every", 0, "every k-th non-round request removes this client's oldest joined agent (0 = no leaves)")
-		scale       = fs.String("scale", "", "create a synthetic session (small or paper) instead of the inline population")
-		seed        = fs.Int64("seed", 42, "synthetic session seed")
-		perClass    = fs.Int("per-class", 50, "synthetic session agents per class")
+		scale       = fs.String("scale", "", "post the synthpop pipeline's population at this scale (small or paper) instead of the inline one")
+		seed        = fs.Int64("seed", 42, "-scale pipeline seed")
+		perClass    = fs.Int("per-class", 50, "-scale agents sampled per class")
 		strict      = fs.Bool("strict", false, "fail on any transport error or non-2xx/429 status")
 		jcheck      = fs.String("journal-check", "", "record acknowledged rounds to this state file; when it exists, verify them byte-for-byte against the recovered ledger first")
 	)
@@ -127,6 +136,16 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The create body is built even when a recorded session is resumed:
+	// probes and joiners are copies of its first honest agent.
+	create, err := createRequest(*scale, *seed, *perClass)
+	if err != nil {
+		return err
+	}
+	honest, err := firstHonest(create.Agents)
+	if err != nil {
+		return err
+	}
 	var sessID string
 	if jc != nil && jc.Session != "" {
 		// A prior run recorded this session: the server was restarted over
@@ -137,7 +156,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		if sessID, err = createSession(client, *addr, *scale, *seed, *perClass); err != nil {
+		if sessID, err = createSession(client, *addr, &create); err != nil {
 			return err
 		}
 		if jc != nil {
@@ -145,8 +164,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	// Drift requests mutate real agents, so harvest the session's agent
-	// IDs and base weights from a priming round — robust for -scale
-	// sessions, whose IDs are server-generated.
+	// IDs and current weights from a priming round — robust for a resumed
+	// session, which earlier drifts may have changed.
 	var driftIDs []string
 	driftBase := map[string]float64{}
 	if *driftEvery > 0 || *churn {
@@ -260,21 +279,17 @@ func run(args []string, out io.Writer) error {
 					}
 					res = append(res, r)
 				} else if *joinEvery > 0 && i%*joinEvery == 0 {
-					// Join a fresh agent; its honest-archetype spec shares
-					// the inline population's psi so the contract cache can
-					// serve it by fingerprint.
-					id := fmt.Sprintf("lg-%d-%d", c, joinSeq)
+					// Join a fresh copy of the session's first honest
+					// agent: its psi is valid on the session's partition,
+					// and the contract cache can serve it by fingerprint.
+					joiner := honest
+					joiner.ID = fmt.Sprintf("lg-%d-%d", c, joinSeq)
 					joinSeq++
 					r := doJSON(client, "join", *addr+"/v1/sessions/"+sessID+"/drift", server.DriftRequest{
-						Add: []server.AgentSpec{{
-							ID:    id,
-							Class: "honest",
-							Psi:   server.PsiSpec{R2: -0.25, R1: 2},
-							Beta:  1, Weight: 1,
-						}},
+						Add: []server.AgentSpec{joiner},
 					}, reqID)
 					if r.status >= 200 && r.status < 300 {
-						joined = append(joined, id)
+						joined = append(joined, joiner.ID)
 					}
 					res = append(res, r)
 				} else if *leaveEvery > 0 && i%*leaveEvery == *leaveEvery-1 && len(joined) > 0 {
@@ -304,13 +319,9 @@ func run(args []string, out io.Writer) error {
 					}
 					res = append(res, doJSON(client, "drift", *addr+"/v1/sessions/"+sessID+"/drift", server.DriftRequest{Weights: w}, reqID))
 				} else {
-					w := 0.5 + 0.25*float64(n%*weights)
-					q := server.DesignQueryRequest{Agent: &server.AgentSpec{
-						ID:    "probe",
-						Class: "honest",
-						Psi:   server.PsiSpec{R2: -0.25, R1: 2},
-						Beta:  1, Weight: w,
-					}}
+					probe := honest
+					probe.ID, probe.Weight = "probe", 0.5+0.25*float64(n%*weights)
+					q := server.DesignQueryRequest{Agent: &probe}
 					res = append(res, doJSON(client, "design", *addr+"/v1/sessions/"+sessID+"/design", q, reqID))
 				}
 			}
@@ -357,14 +368,15 @@ func waitHealthy(client *http.Client, addr string, timeout time.Duration, out io
 	}
 }
 
-// createSession mints the session the load runs against.
-func createSession(client *http.Client, addr, scale string, seed int64, perClass int) (string, error) {
-	var req server.CreateSessionRequest
-	if scale != "" {
-		req = server.CreateSessionRequest{Scale: scale, Seed: seed, PerClass: perClass}
-	} else {
+// createRequest builds the create body. With scale it is the synthpop
+// pipeline's population for the scale and seed, built here and posted as
+// explicit agents; without, a four-agent inline population.
+func createRequest(scale string, seed int64, perClass int) (server.CreateSessionRequest, error) {
+	var cfg synth.Config
+	switch scale {
+	case "":
 		psi := server.PsiSpec{R2: -0.25, R1: 2}
-		req = server.CreateSessionRequest{
+		return server.CreateSessionRequest{
 			Agents: []server.AgentSpec{
 				{ID: "h1", Class: "honest", Psi: psi, Beta: 1, Weight: 1},
 				{ID: "h2", Class: "honest", Psi: psi, Beta: 1.2, Weight: 1},
@@ -372,8 +384,41 @@ func createSession(client *http.Client, addr, scale string, seed int64, perClass
 				{ID: "c1", Class: "community", Psi: psi, Beta: 1, Omega: 0.3, Size: 3, Weight: 0.5},
 			},
 			M: 10, Delta: 0.2, Mu: 1,
+		}, nil
+	case "small":
+		cfg = synth.SmallScale(seed)
+	case "paper":
+		cfg = synth.PaperScale(seed)
+	default:
+		return server.CreateSessionRequest{}, fmt.Errorf("-scale %q: want small or paper", scale)
+	}
+	pipe, err := synthpop.BuildPipeline(cfg)
+	if err != nil {
+		return server.CreateSessionRequest{}, err
+	}
+	pop, err := pipe.BuildPopulation(synthpop.DefaultParams(), perClass)
+	if err != nil {
+		return server.CreateSessionRequest{}, err
+	}
+	req := server.CreateSessionRequest{M: pop.Part.M, Delta: pop.Part.Delta, Mu: pop.Mu}
+	for _, a := range pop.Agents {
+		req.Agents = append(req.Agents, server.AgentSpecOf(a, pop.Weights[a.ID], pop.MaliceProb[a.ID]))
+	}
+	return req, nil
+}
+
+// firstHonest returns the population's first honest agent.
+func firstHonest(agents []server.AgentSpec) (server.AgentSpec, error) {
+	for _, a := range agents {
+		if a.Class == "honest" {
+			return a, nil
 		}
 	}
+	return server.AgentSpec{}, fmt.Errorf("the population has no honest agent")
+}
+
+// createSession posts req and returns the new session's ID.
+func createSession(client *http.Client, addr string, req *server.CreateSessionRequest) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return "", err

@@ -53,6 +53,26 @@ func TestDriftMix(t *testing.T) {
 	}
 }
 
+// TestScale posts a pipeline population built client-side and drives
+// designs, drifts, joins and leaves against it. Probes and joiners copy
+// the population's first honest agent, whose psi is valid on the
+// pipeline's partition, so -strict sees no failure.
+func TestScale(t *testing.T) {
+	url := startServer(t)
+	var out bytes.Buffer
+	err := run([]string{"-addr", url, "-scale", "small", "-seed", "7", "-per-class", "10",
+		"-clients", "2", "-requests", "12", "-round-every", "3", "-drift-every", "5",
+		"-join-every", "4", "-leave-every", "4", "-strict"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"24 requests", "latency[design]: p50", "latency[join]: p50"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestOpenLoop exercises the rate-paced path.
 func TestOpenLoop(t *testing.T) {
 	url := startServer(t)

@@ -111,25 +111,18 @@ func classString(c worker.Class) string {
 	}
 }
 
-// CreateSessionRequest mints a session either from a synthetic trace
-// (scale + seed, the CLIs' pipeline) or from an explicit inline
-// population (agents + partition + mu). Exactly one of the two routes
-// must be used.
+// CreateSessionRequest mints a session from an explicit inline
+// population: agents, the effort partition (m, delta) and mu. A
+// population built offline, such as the synthpop pipeline's, is posted
+// as its agents (AgentSpecOf).
 type CreateSessionRequest struct {
 	Name string `json:"name,omitempty"`
 
-	// Synthetic route.
-	Scale    string `json:"scale,omitempty"` // small | paper
-	Seed     int64  `json:"seed,omitempty"`
-	PerClass int    `json:"per_class,omitempty"` // agents sampled per class; 0 means 200
-
-	// Explicit route.
 	Agents []AgentSpec `json:"agents,omitempty"`
 	M      int         `json:"m,omitempty"` // effort intervals; 0 means 20
 	Delta  float64     `json:"delta,omitempty"`
 	Mu     float64     `json:"mu,omitempty"` // 0 means 1
 
-	// Common knobs.
 	Policy    string  `json:"policy,omitempty"` // dynamic (default) | exclude | fixed
 	Threshold float64 `json:"threshold,omitempty"`
 	Amount    float64 `json:"amount,omitempty"`
@@ -142,27 +135,17 @@ type CreateSessionRequest struct {
 // Validate checks the payload's internal consistency — everything that
 // can be decided without building the population.
 func (r *CreateSessionRequest) Validate() error {
-	synthetic := r.Scale != ""
-	explicit := len(r.Agents) > 0
-	if synthetic == explicit {
-		return fmt.Errorf("exactly one of scale or agents must be set: %w", ErrBadRequest)
+	if len(r.Agents) == 0 {
+		return fmt.Errorf("agents must be set: %w", ErrBadRequest)
 	}
-	if synthetic && r.Scale != "small" && r.Scale != "paper" {
-		return fmt.Errorf("unknown scale %q (want small or paper): %w", r.Scale, ErrBadRequest)
+	if r.M < 0 {
+		return fmt.Errorf("m=%d must be >= 0: %w", r.M, ErrBadRequest)
 	}
-	if r.PerClass < 0 {
-		return fmt.Errorf("per_class=%d must be >= 0: %w", r.PerClass, ErrBadRequest)
+	if !(r.Delta > 0) || math.IsInf(r.Delta, 0) {
+		return fmt.Errorf("delta=%v must be positive and finite: %w", r.Delta, ErrBadRequest)
 	}
-	if explicit {
-		if r.M < 0 {
-			return fmt.Errorf("m=%d must be >= 0: %w", r.M, ErrBadRequest)
-		}
-		if !(r.Delta > 0) || math.IsInf(r.Delta, 0) {
-			return fmt.Errorf("delta=%v must be positive and finite: %w", r.Delta, ErrBadRequest)
-		}
-		if r.Mu < 0 || math.IsNaN(r.Mu) || math.IsInf(r.Mu, 0) {
-			return fmt.Errorf("mu=%v must be finite and >= 0: %w", r.Mu, ErrBadRequest)
-		}
+	if r.Mu < 0 || math.IsNaN(r.Mu) || math.IsInf(r.Mu, 0) {
+		return fmt.Errorf("mu=%v must be finite and >= 0: %w", r.Mu, ErrBadRequest)
 	}
 	switch r.Policy {
 	case "", "dynamic", "exclude", "fixed":

@@ -104,28 +104,22 @@ func (d *bodyDecoder) request(req *CreateSessionRequest) bool {
 		switch string(key) {
 		case "name":
 			return once(&seen, 0) && d.str(&req.Name)
-		case "scale":
-			return once(&seen, 1) && d.str(&req.Scale)
-		case "seed":
-			return once(&seen, 2) && d.int64(&req.Seed)
-		case "per_class":
-			return once(&seen, 3) && d.int(&req.PerClass)
 		case "agents":
-			return once(&seen, 4) && d.agents(&req.Agents)
+			return once(&seen, 1) && d.agents(&req.Agents)
 		case "m":
-			return once(&seen, 5) && d.int(&req.M)
+			return once(&seen, 2) && d.int(&req.M)
 		case "delta":
-			return once(&seen, 6) && d.float(&req.Delta)
+			return once(&seen, 3) && d.float(&req.Delta)
 		case "mu":
-			return once(&seen, 7) && d.float(&req.Mu)
+			return once(&seen, 4) && d.float(&req.Mu)
 		case "policy":
-			return once(&seen, 8) && d.str(&req.Policy)
+			return once(&seen, 5) && d.str(&req.Policy)
 		case "threshold":
-			return once(&seen, 9) && d.float(&req.Threshold)
+			return once(&seen, 6) && d.float(&req.Threshold)
 		case "amount":
-			return once(&seen, 10) && d.float(&req.Amount)
+			return once(&seen, 7) && d.float(&req.Amount)
 		case "shards":
-			return once(&seen, 11) && d.int(&req.Shards)
+			return once(&seen, 8) && d.int(&req.Shards)
 		}
 		return false
 	})
@@ -478,22 +472,15 @@ func (d *bodyDecoder) float(dst *float64) bool {
 	return err == nil
 }
 
-// int64 and int decode integer fields as encoding/json does: ParseInt at
-// 64 bits, then a check that the field holds the value, so a fraction or
-// exponent ("2.0", "1e3") or an overflow is an error.
-func (d *bodyDecoder) int64(dst *int64) bool {
+// int decodes an integer field as encoding/json does: ParseInt within
+// the int's range, so a fraction or exponent ("2.0", "1e3") or an
+// overflow is an error.
+func (d *bodyDecoder) int(dst *int) bool {
 	num, ok := d.number()
 	if !ok {
 		return false
 	}
-	v, err := strconv.ParseInt(string(num), 10, 64)
-	*dst = v
-	return err == nil
-}
-
-func (d *bodyDecoder) int(dst *int) bool {
-	var v int64
-	ok := d.int64(&v)
+	v, err := strconv.ParseInt(string(num), 10, strconv.IntSize)
 	*dst = int(v)
-	return ok && int64(*dst) == v
+	return err == nil
 }

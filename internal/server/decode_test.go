@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"dyncontract/internal/engine"
 	"dyncontract/internal/synth"
 	"dyncontract/internal/synthpop"
 	"dyncontract/internal/worker"
@@ -49,7 +50,7 @@ func fittedAgents(n int) []AgentSpec {
 }
 
 // fastBodies are create bodies the single pass must decode by itself:
-// json.Marshal output of both routes, indented output, whitespace
+// json.Marshal output, indented output, whitespace
 // everywhere, and edge values encoding/json writes or accepts.
 func fastBodies(tb testing.TB) map[string][]byte {
 	tb.Helper()
@@ -70,9 +71,9 @@ func fastBodies(tb testing.TB) map[string][]byte {
 		"archetypes": marshal(CreateSessionRequest{Agents: archetypeAgents(3), M: 10, Delta: 0.2, Mu: 1}),
 		"fitted":     marshal(inline),
 		"indented":   indented,
-		"synthetic":  marshal(CreateSessionRequest{Scale: "paper", Seed: -9223372036854775808, PerClass: 7, Policy: "fixed", Amount: 2.5}),
+		"fixed":      marshal(CreateSessionRequest{Agents: archetypeAgents(2), M: 7, Delta: 0.3, Policy: "fixed", Amount: 2.5, Shards: 1024}),
 		"whitespace": []byte(" \r\n\t{ \"agents\" :\n[ { \"id\" : \"a\" ,\t\"psi\" : { \"r2\" : -0.25 , \"r1\" : 2 } } , {} ] ,\"m\":\r10 }\n\t "),
-		"edges":      []byte(`{"delta":-0,"mu":1E+2,"seed":-0,"m":0,"agents":[{"beta":5e-324,"weight":1.7976931348623157e308,"size":-9,"class":"other","id":""}]}`),
+		"edges":      []byte(`{"delta":-0,"mu":1E+2,"m":0,"agents":[{"beta":5e-324,"weight":1.7976931348623157e308,"size":-9,"class":"other","id":""}]}`),
 		"empty":      []byte(`{}`),
 		"no agents":  []byte(`{"agents":[]}`),
 	}
@@ -143,7 +144,7 @@ var handedOver = []string{
 	`{"m":1e3}`,
 	`{"mu":1e400}`,
 	`{"delta":-1e400}`,
-	`{"seed":9223372036854775808}`,
+	`{"m":9223372036854775808}`,
 	`{"mu":01}`,
 	`{"mu":.5}`,
 	`{"mu":1.}`,
@@ -532,7 +533,7 @@ func archetypeBody(tb testing.TB, n int) []byte {
 	for _, a := range pop.Agents {
 		if !seen[a.Class] {
 			seen[a.Class] = true
-			arch = append(arch, agentSpecOf(a, pop.Weights[a.ID], pop.MaliceProb[a.ID]))
+			arch = append(arch, AgentSpecOf(a, pop.Weights[a.ID], pop.MaliceProb[a.ID]))
 		}
 	}
 	req := CreateSessionRequest{M: pop.Part.M, Delta: pop.Part.Delta, Mu: pop.Mu}
@@ -552,11 +553,23 @@ func archetypeBody(tb testing.TB, n int) []byte {
 }
 
 // paperBody is a create body shaped as perfbench's paper-serve session:
-// up to perClass honest and non-collusive workers plus every community
-// from cfg's pipeline, each with its own fitted parameters, in the
+// pipelineRequest's agents, each with its own fitted parameters, in the
 // pipeline's order (by class, so the IDs are not sorted), marshaled by
 // encoding/json.
 func paperBody(tb testing.TB, cfg synth.Config, perClass int) []byte {
+	tb.Helper()
+	req, _ := pipelineRequest(tb, cfg, perClass)
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// pipelineRequest builds cfg's pipeline population, up to perClass
+// honest and non-collusive workers plus every community, and the create
+// request that posts it as explicit agents, as loadgen -scale does.
+func pipelineRequest(tb testing.TB, cfg synth.Config, perClass int) (CreateSessionRequest, *engine.Population) {
 	tb.Helper()
 	pipe, err := synthpop.BuildPipeline(cfg)
 	if err != nil {
@@ -568,13 +581,9 @@ func paperBody(tb testing.TB, cfg synth.Config, perClass int) []byte {
 	}
 	req := CreateSessionRequest{M: pop.Part.M, Delta: pop.Part.Delta, Mu: pop.Mu}
 	for _, a := range pop.Agents {
-		req.Agents = append(req.Agents, agentSpecOf(a, pop.Weights[a.ID], pop.MaliceProb[a.ID]))
+		req.Agents = append(req.Agents, AgentSpecOf(a, pop.Weights[a.ID], pop.MaliceProb[a.ID]))
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return body
+	return req, pop
 }
 
 // BenchmarkCreateSession measures a session's creation from an inline

@@ -29,7 +29,7 @@ func TestDesignQueryMatchesCoreDesign(t *testing.T) {
 	}
 
 	req := testCreateReq()
-	pop, err := buildPopulation(&req)
+	pop, err := buildExplicit(&req)
 	if err != nil {
 		t.Fatal(err)
 	}

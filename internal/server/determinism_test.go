@@ -60,7 +60,7 @@ func TestConcurrentClientsDeterministicLedger(t *testing.T) {
 	// The reference: a bare engine over an identical population, stepped r
 	// times sequentially, converted through the same wire types.
 	req := testCreateReq()
-	pop, err := buildPopulation(&req)
+	pop, err := buildExplicit(&req)
 	if err != nil {
 		t.Fatal(err)
 	}

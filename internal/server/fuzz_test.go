@@ -15,7 +15,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		// Valid payloads for each DTO.
 		`{"agents":[{"id":"h1","class":"honest","psi":{"r2":-0.25,"r1":2,"r0":0},"beta":1,"weight":1}],"m":10,"delta":0.2,"mu":1}`,
-		`{"scale":"small","seed":7,"per_class":10,"policy":"exclude","threshold":0.5}`,
+		`{"agents":[{"id":"c1","class":"community","psi":{"r2":-0.3,"r1":1},"beta":1,"omega":0.3,"size":3,"weight":0.5}],"m":10,"delta":0.2,"policy":"exclude","threshold":0.5}`,
 		`{"include_outcomes":true,"include_contracts":true}`,
 		`{"agent_id":"h1"}`,
 		`{"agent":{"id":"x","class":"malicious","psi":{"r2":-0.25,"r1":2},"beta":1,"omega":0.5,"weight":1.5}}`,

@@ -157,7 +157,7 @@ func (s *session) captureState() (*sessionSnapshot, roundLog) {
 	s.mu.Lock()
 	agents := make([]AgentSpec, 0, len(s.pop.Agents))
 	for _, a := range s.pop.Agents {
-		agents = append(agents, agentSpecOf(a, s.pop.Weights[a.ID], s.pop.MaliceProb[a.ID]))
+		agents = append(agents, AgentSpecOf(a, s.pop.Weights[a.ID], s.pop.MaliceProb[a.ID]))
 	}
 	m, delta, mu := s.pop.Part.M, s.pop.Part.Delta, s.pop.Mu
 	s.mu.Unlock()
@@ -178,11 +178,13 @@ func (s *session) captureState() (*sessionSnapshot, roundLog) {
 	}, ledger
 }
 
-// agentSpecOf inverts AgentSpec.Agent. Size is stored explicitly (agents
+// AgentSpecOf inverts AgentSpec.Agent: the wire form of an agent with its
+// feedback weight and malice probability, as snapshots store it and as a
+// client posts a population it built. Size is stored explicitly (agents
 // carry the resolved >= 1 value, which Agent keeps), and a zero malice
 // stays zero — popFromSnapshot then skips the map entry, matching
 // buildExplicit; an entry's presence with value zero is unobservable.
-func agentSpecOf(a *worker.Agent, weight, malice float64) AgentSpec {
+func AgentSpecOf(a *worker.Agent, weight, malice float64) AgentSpec {
 	return AgentSpec{
 		ID:          a.ID,
 		Class:       classString(a.Class),

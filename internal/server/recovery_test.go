@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -494,6 +495,67 @@ func TestRecoverCorruptMidLogFailsOnlyThatSession(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(image, id1)); err != nil {
 		t.Errorf("corrupt session's journal removed: %v", err)
+	}
+}
+
+// TestRecoverScaleCreateRecord recovers a journal written while the
+// daemon still synthesized populations: a session whose create record
+// posts scale, with no snapshot to start from, fails alone with the
+// create decoder's error and its ID retired, and its explicit sibling
+// recovers byte-identical.
+func TestRecoverScaleCreateRecord(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newJournaledServer(t, dir, Config{})
+	id := e1.createSession(t)
+	advanceRounds(t, e1, id, 2)
+	ref := ledgerBytes(t, e1, id)
+
+	image := crashImage(t, dir)
+	st, err := journal.Open(image, journal.Options{Mode: journal.ModeStrict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scaleID = "s9"
+	w, err := st.Create(scaleID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		kind journal.Kind
+		body string
+	}{
+		{journal.KindCreate, `{"scale":"small","seed":7,"per_class":10}`},
+		{journal.KindRound, `{}`},
+	} {
+		if _, err := w.Append(r.kind, []byte(r.body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	e2, stats := recoverServer(t, image, Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if stats.Sessions != 1 || stats.Failed != 1 {
+		t.Fatalf("recovery stats = %+v, want 1 recovered, 1 failed", stats)
+	}
+	if !strings.Contains(logs.String(), `msg="session recovery failed" session=`+scaleID+` err="create record: json: unknown field \"scale\"`) {
+		t.Errorf("no recovery failure naming the scale field in the log:\n%s", logs.String())
+	}
+	if code := e2.do(t, "GET", "/v1/sessions/"+scaleID, nil, nil); code != http.StatusNotFound {
+		t.Errorf("scale session served: status %d, want 404", code)
+	}
+	if got := ledgerBytes(t, e2, id); string(got) != string(ref) {
+		t.Fatalf("sibling ledger differs:\n got %s\nwant %s", got, ref)
+	}
+	var created CreateSessionResponse
+	req := testCreateReq()
+	if code := e2.do(t, "POST", "/v1/sessions", &req, &created); code != http.StatusCreated {
+		t.Fatalf("create after failed recovery: status %d", code)
+	}
+	if created.ID != "s10" {
+		t.Errorf("new session %s, want s10: the scale session's ID s9 is retired", created.ID)
 	}
 }
 

@@ -924,7 +924,7 @@ func TestSnapshotBodyMatchesPlainLedger(t *testing.T) {
 	body := recs[0].Snapshot
 
 	req := testCreateReq()
-	pop, err := buildPopulation(&req)
+	pop, err := buildExplicit(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1096,38 +1096,67 @@ func TestRoundLogConcurrentReaders(t *testing.T) {
 // a weight never seen before, so every change walks an agent's chain and
 // appends (interning's worst case); churn-0.5pct retires 60 random agents
 // and admits 60 new ones, so every row is structural. The rounds are
-// generated with the timer stopped.
+// generated with the timer stopped, into reused buffers, so that their
+// garbage does not set the collector's pace during the timed adds; only
+// the joiners' IDs are allocated, because the log keeps them.
 func BenchmarkRoundLogAdd(b *testing.B) {
 	const n = 12000
+	// armState is an arm's round generator: its rng, an index buffer that
+	// sample shuffles in place, and the spare outcome buffer churn merges
+	// into (add keeps no reference to a round's Outcomes).
+	type armState struct {
+		rng     *rand.Rand
+		idx     []int
+		joiners []engine.AgentOutcome
+		spare   []engine.AgentOutcome
+	}
+	// sample returns k distinct indices below m by a partial Fisher–Yates
+	// shuffle of the state's index buffer, which holds a permutation of
+	// 0..m-1 from one call to the next.
+	sample := func(st *armState, m, k int) []int {
+		if len(st.idx) != m {
+			st.idx = make([]int, m)
+			for i := range st.idx {
+				st.idx[i] = i
+			}
+		}
+		for j := 0; j < k; j++ {
+			r := j + st.rng.Intn(m-j)
+			st.idx[j], st.idx[r] = st.idx[r], st.idx[j]
+		}
+		return st.idx[:k]
+	}
 	arms := []struct {
 		name string
-		step func(r int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome
+		step func(r int, agents []engine.AgentOutcome, st *armState) []engine.AgentOutcome
 	}{
-		{"antiphase-1pct", func(_ int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome {
-			for _, p := range rng.Perm(len(agents) / 2)[:len(agents)/200] {
+		{"antiphase-1pct", func(_ int, agents []engine.AgentOutcome, st *armState) []engine.AgentOutcome {
+			for _, p := range sample(st, len(agents)/2, len(agents)/200) {
 				agents[2*p].Weight, agents[2*p+1].Weight = agents[2*p+1].Weight, agents[2*p].Weight
 			}
 			return agents
 		}},
-		{"fresh-1pct", func(_ int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome {
-			for _, i := range rng.Perm(len(agents))[:len(agents)/100] {
-				agents[i].Weight = rng.Float64()
+		{"fresh-1pct", func(_ int, agents []engine.AgentOutcome, st *armState) []engine.AgentOutcome {
+			for _, i := range sample(st, len(agents), len(agents)/100) {
+				agents[i].Weight = st.rng.Float64()
 			}
 			return agents
 		}},
-		{"churn-0.5pct", func(r int, agents []engine.AgentOutcome, rng *rand.Rand) []engine.AgentOutcome {
+		{"churn-0.5pct", func(r int, agents []engine.AgentOutcome, st *armState) []engine.AgentOutcome {
 			k := len(agents) / 200
-			joiners := make([]engine.AgentOutcome, k)
-			for j := range joiners {
-				joiners[j] = agents[rng.Intn(len(agents))]
-				joiners[j].AgentID = fmt.Sprintf("%s.%06d.%d", joiners[j].AgentID, r, j)
+			joiners := st.joiners[:0]
+			for j := 0; j < k; j++ {
+				oc := agents[st.rng.Intn(len(agents))]
+				oc.AgentID = fmt.Sprintf("%s.%06d.%d", oc.AgentID, r, j)
+				joiners = append(joiners, oc)
 			}
+			st.joiners = joiners
 			slices.SortFunc(joiners, func(a, b engine.AgentOutcome) int { return strings.Compare(a.AgentID, b.AgentID) })
-			for _, i := range rng.Perm(len(agents))[:k] {
+			for _, i := range sample(st, len(agents), k) {
 				agents[i].AgentID = ""
 			}
 			kept := slices.DeleteFunc(agents, func(oc engine.AgentOutcome) bool { return oc.AgentID == "" })
-			merged := make([]engine.AgentOutcome, 0, len(kept)+k)
+			merged := st.spare[:0]
 			j := 0
 			for _, oc := range kept {
 				for ; j < k && joiners[j].AgentID < oc.AgentID; j++ {
@@ -1135,6 +1164,7 @@ func BenchmarkRoundLogAdd(b *testing.B) {
 				}
 				merged = append(merged, oc)
 			}
+			st.spare = agents[:0]
 			return append(merged, joiners[j:]...)
 		}},
 	}
@@ -1168,14 +1198,14 @@ func BenchmarkRoundLogAdd(b *testing.B) {
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			agents := outcomes()
-			rng := rand.New(rand.NewSource(1))
+			st := &armState{rng: rand.New(rand.NewSource(1)), spare: make([]engine.AgentOutcome, 0, n)}
 			var l roundLog
 			l.add(engine.Round{Outcomes: agents})
 			start := l.bytes
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				agents = arm.step(i, agents, rng)
+				agents = arm.step(i, agents, st)
 				b.StartTimer()
 				l.add(engine.Round{Index: i + 1, Outcomes: agents})
 			}

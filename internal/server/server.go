@@ -21,8 +21,6 @@ import (
 	"dyncontract/internal/obs"
 	"dyncontract/internal/platform"
 	"dyncontract/internal/spans"
-	"dyncontract/internal/synth"
-	"dyncontract/internal/synthpop"
 	"dyncontract/internal/telemetry"
 	"dyncontract/internal/worker"
 )
@@ -504,18 +502,14 @@ func (s *Server) newSession(req *CreateSessionRequest, body []byte) (*session, e
 
 // buildSession resolves a validated create request into an assembled (but
 // unregistered, unnamed) session: population, policy, engine, queues.
-// An explicit population is validated once, by engine.New; its errors
-// are the client's.
+// The population is validated once, by engine.New; its errors are the
+// client's.
 func (s *Server) buildSession(req *CreateSessionRequest) (*session, error) {
-	pop, err := buildPopulation(req)
+	pop, err := buildExplicit(req)
 	if err != nil {
 		return nil, err
 	}
-	badPop := func(err error) error { return err }
-	if req.Scale == "" {
-		badPop = func(err error) error { return fmt.Errorf("%v: %w", err, ErrBadRequest) }
-	}
-	return s.assembleValidated(req, pop, badPop)
+	return s.assembleValidated(req, pop, func(err error) error { return fmt.Errorf("%v: %w", err, ErrBadRequest) })
 }
 
 // assembleValidated builds the request's policy and assembles the session
@@ -583,39 +577,6 @@ func (s *Server) assembleSession(req *CreateSessionRequest, pop *engine.Populati
 
 // errTooMany marks capacity rejections; handlers map it to 429.
 var errTooMany = errors.New("server: too many")
-
-func buildPopulation(req *CreateSessionRequest) (*engine.Population, error) {
-	if req.Scale != "" {
-		return buildSynthetic(req)
-	}
-	return buildExplicit(req)
-}
-
-// buildSynthetic mints a population from the synthpop pipeline — the
-// same synthetic traces the CLIs simulate, so server sessions are directly
-// comparable to offline runs with the same scale and seed.
-func buildSynthetic(req *CreateSessionRequest) (*engine.Population, error) {
-	var cfg synth.Config
-	switch req.Scale {
-	case "small":
-		cfg = synth.SmallScale(req.Seed)
-	case "paper":
-		cfg = synth.PaperScale(req.Seed)
-	}
-	pipe, err := synthpop.BuildPipeline(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("server: synth pipeline: %w", err)
-	}
-	perClass := req.PerClass
-	if perClass == 0 {
-		perClass = 200
-	}
-	pop, err := pipe.BuildPopulation(synthpop.DefaultParams(), perClass)
-	if err != nil {
-		return nil, fmt.Errorf("server: synth population: %w", err)
-	}
-	return pop, nil
-}
 
 // buildExplicit mints a population from inline agent specs, unvalidated:
 // engine.New validates it.

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"dyncontract/internal/engine"
+	"dyncontract/internal/platform"
+	"dyncontract/internal/synth"
 	"dyncontract/internal/telemetry"
 )
 
@@ -167,12 +170,8 @@ func TestCreateSessionRejectsBadPayloads(t *testing.T) {
 		mut  func(*CreateSessionRequest)
 		want string
 	}{
-		{"both routes", func(r *CreateSessionRequest) { r.Scale = "small" },
-			`exactly one of scale or agents must be set: server: invalid request`},
 		{"neither route", func(r *CreateSessionRequest) { r.Agents = nil },
-			`exactly one of scale or agents must be set: server: invalid request`},
-		{"unknown scale", func(r *CreateSessionRequest) { r.Agents = nil; r.Scale = "galactic" },
-			`unknown scale "galactic" (want small or paper): server: invalid request`},
+			`agents must be set: server: invalid request`},
 		{"unknown policy", func(r *CreateSessionRequest) { r.Policy = "oracle" },
 			`unknown policy "oracle" (want dynamic, exclude, or fixed): server: invalid request`},
 		{"unknown class", func(r *CreateSessionRequest) { r.Agents[0].Class = "neutral" },
@@ -237,13 +236,16 @@ func TestUnknownSession404(t *testing.T) {
 func TestStrictDecoding(t *testing.T) {
 	e := newTestServer(t, Config{})
 	id := e.createSession(t)
-	for name, body := range map[string]string{
-		"unknown field": `{"rounds": 5}`,
-		"trailing data": `{} {}`,
-		"not JSON":      `<xml/>`,
+	rounds := "/v1/sessions/" + id + "/rounds"
+	for name, tt := range map[string]struct{ path, body string }{
+		"unknown field": {rounds, `{"rounds": 5}`},
+		"trailing data": {rounds, `{} {}`},
+		"not JSON":      {rounds, `<xml/>`},
+		// The synthetic create route is gone: scale is an unknown field.
+		"scale": {"/v1/sessions", `{"scale":"small","seed":7}`},
 	} {
 		t.Run(name, func(t *testing.T) {
-			resp, err := http.Post(e.ts.URL+"/v1/sessions/"+id+"/rounds", "application/json", strings.NewReader(body))
+			resp, err := http.Post(e.ts.URL+tt.path, "application/json", strings.NewReader(tt.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,22 +383,41 @@ func TestSparseDriftScopedLedger(t *testing.T) {
 	}
 }
 
+// TestSyntheticSession serves a synthpop pipeline population, built
+// client-side and posted as explicit agents, and requires its ledger to
+// be byte-identical to a bare engine over the pipeline's own population:
+// AgentSpecOf's wire form loses nothing of a fitted agent.
 func TestSyntheticSession(t *testing.T) {
+	req, pop := pipelineRequest(t, synth.SmallScale(7), 10)
 	e := newTestServer(t, Config{})
-	req := CreateSessionRequest{Scale: "small", Seed: 7, PerClass: 10}
 	var resp CreateSessionResponse
 	if code := e.do(t, "POST", "/v1/sessions", &req, &resp); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	if resp.Agents == 0 {
-		t.Fatal("synthetic session has no agents")
+	if resp.Agents != len(pop.Agents) {
+		t.Fatalf("session has %d agents, the pipeline built %d", resp.Agents, len(pop.Agents))
 	}
-	var round RoundJSON
-	if code := e.do(t, "POST", "/v1/sessions/"+resp.ID+"/rounds", nil, &round); code != http.StatusOK {
-		t.Fatalf("round: status %d", code)
+	const rounds = 5
+	advanceRounds(t, e, resp.ID, rounds)
+	ledger, err := engine.RunLedger(context.Background(), pop, engine.Config{
+		Policy: &platform.DynamicPolicy{},
+		Rounds: rounds,
+		Cache:  engine.NewCache(),
+		Memo:   engine.NewRespondMemo(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if round.Agents != resp.Agents {
-		t.Errorf("round saw %d agents, session has %d", round.Agents, resp.Agents)
+	want := make([]RoundJSON, len(ledger))
+	for i, rd := range ledger {
+		want[i] = roundJSON(rd, true)
+	}
+	ref, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.TrimSpace(ledgerBytes(t, e, resp.ID)); string(got) != string(ref) {
+		t.Errorf("served ledger differs from bare engine over the pipeline population:\n got %s\nwant %s", got, ref)
 	}
 }
 

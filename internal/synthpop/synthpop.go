@@ -2,9 +2,9 @@
 // strategy framework (Fig. 4) from a trace to design-ready agents —
 // estimate malice probabilities, cluster collusive communities, fit
 // per-class effort functions, and weigh workers (Eq. (5)). The
-// experiments regenerate the paper's figures from a Pipeline, and the
-// serving layer mints its synthetic sessions from one, so both see the
-// same population for the same scale and seed.
+// experiments regenerate the paper's figures from a Pipeline, and
+// loadgen -scale posts a Pipeline's population to contractd, so both see
+// the same population for the same scale and seed.
 package synthpop
 
 import (

@@ -7,7 +7,9 @@
 # strict -churn burst (every round advance preceded by an all-agent
 # fresh-weight drift, driving the batched cold design path) and a strict
 # structural-churn burst (agents joining and leaving mid-session via
-# -join-every / -leave-every), then exercises the durability contract:
+# -join-every / -leave-every) and a strict -scale burst (a synthpop
+# pipeline population that loadgen builds and posts as explicit agents),
+# then exercises the durability contract:
 # a -journal-check burst records every acknowledged round client-side,
 # the daemon is killed with SIGKILL mid-life, restarted over the same
 # journal directory, and a second -journal-check run must find every
@@ -77,6 +79,9 @@ echo "running strict churn burst (all-cold design rounds)..."
 
 echo "running strict structural-churn burst (joins and leaves)..."
 "$work/loadgen" -addr "http://$addr" -clients 2 -requests 24 -round-every 6 -join-every 3 -leave-every 3 -strict
+
+echo "running strict scale burst (pipeline population built by loadgen)..."
+"$work/loadgen" -addr "http://$addr" -scale small -per-class 10 -clients 2 -requests 20 -round-every 2 -drift-every 3 -strict
 
 echo "running journal-check burst (recording acknowledged rounds)..."
 "$work/loadgen" -addr "http://$addr" -clients 2 -requests 20 -round-every 2 -journal-check "$work/journal-check.json" -strict
